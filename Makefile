@@ -32,17 +32,16 @@ bench-throughput:
 	./_build/default/bench/main.exe throughput
 
 # One-stop pre-commit gate: build everything, run the test suite (plus
-# the fault-injection/reliability suites, the golden-trace equivalence
-# check pinning Runner/Federation to the engine byte-for-byte, and the
-# engine, selfmaint, evolution, consistency-judge and staleness suites,
-# all explicitly, so a filtered
-# or cached runtest can never silently skip them), check that the
-# parallel
-# bench is deterministic (PAR=1 and PAR=4 emit identical runs arrays),
-# run the quick benchmark, and fail if its summed per-run wall clock
-# regressed more than 2x against the committed BENCH_results.json
-# baseline. The baseline is copied aside first because the bench
-# overwrites it in place.
+# the fault-injection/reliability suites, the golden-trace check pinning
+# Engine.run byte-for-byte, and the engine, selfmaint, evolution,
+# consistency-judge and staleness suites, all explicitly, so a filtered
+# or cached runtest can never silently skip them), fail if a removed run
+# entry point or scheduler alias reappears in the sources, check that
+# the parallel bench is deterministic (PAR=1 and PAR=4 emit identical
+# runs arrays), run the quick benchmark, and fail if its summed per-run
+# wall clock regressed more than 2x against the committed
+# BENCH_results.json baseline. The baseline is copied aside first
+# because the bench overwrites it in place.
 smoke:
 	dune build @all
 	dune runtest
@@ -55,6 +54,11 @@ smoke:
 	dune exec test/main.exe -- test evolution
 	dune exec test/main.exe -- test consistency
 	dune exec test/main.exe -- test staleness
+	@if grep -rnE 'Core\.Runner|Core\.Federation|Drain_first|Updates_first|unordered_delivery' \
+	  lib bin bench examples test; then \
+	  echo "smoke: a removed entry point or alias reappeared (use Engine.run)"; \
+	  exit 1; \
+	fi
 	dune build bench/main.exe
 	sh scripts/check_determinism.sh ./_build/default/bench/main.exe 4
 	@if [ -f BENCH_results.json ]; then \

@@ -306,12 +306,19 @@ let run_script path algorithm schedule rv_period scenario trace json loads
           R.Db.set_contents db rel (R.Csv.parse schema (read_file csv_path)))
         db loads
     in
-    Core.Runner.run_defs
-      ~catalog:(catalog_for scenario)
-      ~schedule ~rv_period ~batch_size ?trace_out
-      ~share_deltas ~evolution:script.R.Script.ddls
-      ~creator:(Core.Timing.creator timing base_creator)
-      ~views:script.R.Script.views ~db ~updates:script.R.Script.updates ()
+    let observe = Option.map (fun _ -> Observe.Collector.create ()) trace_out in
+    let result =
+      Core.Engine.run ~schedule ~rv_period ~batch_size ?observe ~share_deltas
+        ~evolution:script.R.Script.ddls
+        ~creator:(Core.Timing.creator timing base_creator)
+        ~sites:
+          [ Core.Engine.site ~catalog:(catalog_for scenario) ~name:"source" db ]
+        ~views:script.R.Script.views ~updates:script.R.Script.updates ()
+    in
+    (match (trace_out, observe) with
+     | Some path, Some c -> Observe.Collector.write_file path c
+     | _ -> ());
+    result
   with
   | exception Sys_error m -> Error m
   | exception R.Parser.Parse_error m -> Error ("parse error: " ^ m)
@@ -323,20 +330,20 @@ let run_script path algorithm schedule rv_period scenario trace json loads
   | exception Core.Eca_key.Not_applicable m -> Error m
   | exception Core.Sc.Not_applicable m -> Error m
   | exception Core.Catalog.Catalog_error m -> Error m
-  | exception Core.Runner.Run_error m -> Error ("run error: " ^ m)
+  | exception Core.Engine.Engine_error m -> Error ("run error: " ^ m)
   | result ->
     if json then print_endline (Core.Json_export.result result)
     else begin
       if trace then
-        Format.printf "%a@." Core.Trace.pp result.Core.Runner.trace;
+        Format.printf "%a@." Core.Trace.pp result.Core.Engine.trace;
       let script_views =
         (* re-parse to recover the view definitions for rendering *)
         (R.Parser.parse_script (read_file path)).R.Script.views
       in
       List.iter
         (fun (name, mv) ->
-          let truth = List.assoc name result.Core.Runner.final_source_views in
-          let report = List.assoc name result.Core.Runner.reports in
+          let truth = List.assoc name result.Core.Engine.final_source_views in
+          let report = List.assoc name result.Core.Engine.reports in
           Format.printf "view %s:@." name;
           (match
              List.find_opt
@@ -351,16 +358,16 @@ let run_script path algorithm schedule rv_period scenario trace json loads
             Format.printf "  source truth   = %a@." R.Bag.pp truth;
           Format.printf "  verdict        = %a@." Core.Consistency.pp report;
           Format.printf "  staleness      = %a@." Core.Staleness.pp
-            (Core.Staleness.of_trace result.Core.Runner.trace name))
-        result.Core.Runner.final_mvs;
-      (match result.Core.Runner.negative_installs with
+            (Core.Staleness.of_trace result.Core.Engine.trace name))
+        result.Core.Engine.final_mvs;
+      (match result.Core.Engine.negative_installs with
        | [] -> ()
        | l ->
          Format.printf
            "!! %d view state(s) carried negative tuple counts (over-deletion \
             anomaly)@."
            (List.length l));
-      Format.printf "metrics: %a@." Core.Metrics.pp result.Core.Runner.metrics
+      Format.printf "metrics: %a@." Core.Metrics.pp result.Core.Engine.metrics
     end;
     Ok ()
 
@@ -395,13 +402,13 @@ let run_demo () =
   List.iter
     (fun algorithm ->
       let result =
-        Core.Runner.run_defs ~schedule
-          ~creator:(Core.Registry.creator_exn algorithm)
-          ~views:script.R.Script.views ~db ~updates:script.R.Script.updates ()
+        Core.Engine.run ~schedule ~creator:(Core.Registry.creator_exn algorithm)
+          ~sites:[ Core.Engine.site ~name:"source" db ]
+          ~views:script.R.Script.views ~updates:script.R.Script.updates ()
       in
-      let report = List.assoc "v" result.Core.Runner.reports in
+      let report = List.assoc "v" result.Core.Engine.reports in
       Format.printf "%-6s: MV = %a (%s)@." algorithm R.Bag.pp
-        (List.assoc "v" result.Core.Runner.final_mvs)
+        (List.assoc "v" result.Core.Engine.final_mvs)
         (Core.Consistency.strongest_label report))
     [ "basic"; "eca" ];
   Ok ()
@@ -718,10 +725,10 @@ let consistency_matrix path =
             (fun (_, schedule) ->
               let cell =
                 match
-                  Core.Runner.run_defs ~schedule
-                    ~evolution:script.R.Script.ddls
+                  Core.Engine.run ~schedule ~evolution:script.R.Script.ddls
                     ~creator:(Core.Registry.creator_exn algorithm)
-                    ~views:script.R.Script.views ~db
+                    ~sites:[ Core.Engine.site ~name:"source" db ]
+                    ~views:script.R.Script.views
                     ~updates:script.R.Script.updates ()
                 with
                 | result ->
@@ -735,7 +742,7 @@ let consistency_matrix path =
                           if String.equal prev label then acc
                           else Some "mixed"
                       )
-                      None result.Core.Runner.reports
+                      None result.Core.Engine.reports
                   in
                   Option.value worst ~default:"(no views)"
                 | exception Core.Eca_key.Not_applicable _ -> "n/a (keys)"
@@ -753,7 +760,7 @@ let consistency_matrix path =
   | exception R.View.View_error m -> Error ("view error: " ^ m)
   | exception R.Db.Db_error m -> Error ("database error: " ^ m)
   | exception Failure m -> Error m
-  | exception Core.Runner.Run_error m -> Error ("run error: " ^ m)
+  | exception Core.Engine.Engine_error m -> Error ("run error: " ^ m)
   | () -> Ok ()
 
 let matrix_cmd =

@@ -22,17 +22,17 @@ let demo ~title ~db ~view ~updates =
   List.iter
     (fun algorithm ->
       let result =
-        Core.Runner.run ~schedule
-          ~creator:(Core.Registry.creator_exn algorithm)
-          ~views:[ view ] ~db ~updates ()
+        Core.Engine.run ~schedule ~creator:(Core.Registry.creator_exn algorithm)
+          ~sites:[ Core.Engine.site ~name:"source" db ]
+          ~views:[ R.Viewdef.simple view ] ~updates ()
       in
       Format.printf "@.--- %s ---@." algorithm;
-      Format.printf "%a" Core.Trace.pp result.Core.Runner.trace;
-      let report = List.assoc "V" result.Core.Runner.reports in
+      Format.printf "%a" Core.Trace.pp result.Core.Engine.trace;
+      let report = List.assoc "V" result.Core.Engine.reports in
       Format.printf "final MV      : %a@." R.Bag.pp
-        (List.assoc "V" result.Core.Runner.final_mvs);
+        (List.assoc "V" result.Core.Engine.final_mvs);
       Format.printf "source truth  : %a@." R.Bag.pp
-        (List.assoc "V" result.Core.Runner.final_source_views);
+        (List.assoc "V" result.Core.Engine.final_source_views);
       Format.printf "verdict       : %a@." Core.Consistency.pp report)
     [ "basic"; "eca" ]
 

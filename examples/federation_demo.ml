@@ -7,7 +7,7 @@
    Run with: dune exec examples/federation_demo.exe *)
 
 module R = Relational
-module F = Core.Federation
+module S = Core.Scheduler
 
 let () =
   let emp = R.Schema.of_names "emp" [ "EID"; "DID" ] in
@@ -50,27 +50,32 @@ let () =
   in
   Format.printf "%a@.%a@.@." R.View.pp v_hr R.View.pp v_sales;
   List.iter
-    (fun (label, policy) ->
+    (fun (label, schedule) ->
       let result =
-        F.run ~policy
+        Core.Engine.run ~schedule
           ~creator:(Core.Registry.creator_exn "eca")
-          ~sources:[ ("hr", None, hr_db); ("sales", None, sales_db) ]
-          ~views:[ v_hr; v_sales ] ~updates ()
+          ~sites:
+            [
+              Core.Engine.site ~name:"hr" hr_db;
+              Core.Engine.site ~name:"sales" sales_db;
+            ]
+          ~views:(List.map R.Viewdef.simple [ v_hr; v_sales ])
+          ~updates ()
       in
       Format.printf "--- policy: %s ---@." label;
       List.iter
         (fun (name, report) ->
           Format.printf "%-14s = %a (%s)@." name R.Bag.pp
-            (List.assoc name result.F.final_mvs)
+            (List.assoc name result.Core.Engine.final_mvs)
             (Core.Consistency.strongest_label report))
-        result.F.reports;
+        result.Core.Engine.reports;
       Format.printf "messages: %d, source IO: %d@.@."
-        (Core.Metrics.messages result.F.metrics)
-        result.F.metrics.Core.Metrics.source_io)
+        (Core.Metrics.messages result.Core.Engine.metrics)
+        result.Core.Engine.metrics.Core.Metrics.source_io)
     [
-      ("drain between updates", F.Drain_first);
-      ("all updates race everything", F.Updates_first);
-      ("random interleaving", F.Random 7);
+      ("drain between updates", S.Best_case);
+      ("all updates race everything", S.Worst_case);
+      ("random interleaving", S.Random 7);
     ];
   Format.printf
     "Updates at one source never disturb the other source's views;@.each \

@@ -36,15 +36,16 @@ let () =
      source before any query is answered), once with the conventional
      algorithm and once with ECA. *)
   let simulate algorithm =
-    Core.Runner.run ~schedule:Core.Scheduler.Worst_case
+    Core.Engine.run ~schedule:Core.Scheduler.Worst_case
       ~creator:(Core.Registry.creator_exn algorithm)
-      ~views:[ view ] ~db ~updates ()
+      ~sites:[ Core.Engine.site ~name:"source" db ]
+      ~views:[ R.Viewdef.simple view ] ~updates ()
   in
   let show algorithm =
     let result = simulate algorithm in
-    let mv = List.assoc "V" result.Core.Runner.final_mvs in
-    let truth = List.assoc "V" result.Core.Runner.final_source_views in
-    let report = List.assoc "V" result.Core.Runner.reports in
+    let mv = List.assoc "V" result.Core.Engine.final_mvs in
+    let truth = List.assoc "V" result.Core.Engine.final_source_views in
+    let report = List.assoc "V" result.Core.Engine.reports in
     Format.printf "%-6s final MV = %a  (truth: %a)  -> %s@." algorithm
       R.Bag.pp mv R.Bag.pp truth
       (Core.Consistency.strongest_label report)

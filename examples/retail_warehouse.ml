@@ -48,9 +48,9 @@ let () =
      | None -> false);
 
   let run algorithm schedule =
-    Core.Runner.run_defs ~schedule
-      ~creator:(Core.Registry.creator_exn algorithm)
-      ~views:[ view ] ~db ~updates:script.R.Script.updates ()
+    Core.Engine.run ~schedule ~creator:(Core.Registry.creator_exn algorithm)
+      ~sites:[ Core.Engine.site ~name:"source" db ] ~views:[ view ]
+      ~updates:script.R.Script.updates ()
   in
 
   (* All six updates hit the order-entry system before any warehouse
@@ -58,10 +58,10 @@ let () =
   List.iter
     (fun algorithm ->
       let result = run algorithm Core.Scheduler.Worst_case in
-      let m = result.Core.Runner.metrics in
-      let report = List.assoc "west_orders" result.Core.Runner.reports in
+      let m = result.Core.Engine.metrics in
+      let report = List.assoc "west_orders" result.Core.Engine.reports in
       Format.printf "%-8s -> %a@." algorithm R.Bag.pp
-        (List.assoc "west_orders" result.Core.Runner.final_mvs);
+        (List.assoc "west_orders" result.Core.Engine.final_mvs);
       Format.printf
         "         %d queries, %d answer tuples, %d source IO; %s@.@."
         m.Core.Metrics.queries_sent m.Core.Metrics.answer_tuples

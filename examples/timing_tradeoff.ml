@@ -13,13 +13,14 @@ let () =
   let { W.Scenarios.db; view; updates } = W.Scenarios.example6 spec in
   let measure ?(batch_size = 1) ~timing label =
     let result =
-      Core.Runner.run ~schedule:Core.Scheduler.Best_case ~batch_size
+      Core.Engine.run ~schedule:Core.Scheduler.Best_case ~batch_size
         ~creator:(Core.Timing.creator timing (Core.Registry.creator_exn "eca"))
-        ~views:[ view ] ~db ~updates ()
+        ~sites:[ Core.Engine.site ~name:"source" db ]
+        ~views:[ Relational.Viewdef.simple view ] ~updates ()
     in
-    let m = result.Core.Runner.metrics in
-    let lag = Core.Staleness.of_trace result.Core.Runner.trace "V" in
-    let report = List.assoc "V" result.Core.Runner.reports in
+    let m = result.Core.Engine.metrics in
+    let lag = Core.Staleness.of_trace result.Core.Engine.trace "V" in
+    let report = List.assoc "V" result.Core.Engine.reports in
     Printf.printf "%-22s %9d %9d %10.2f %8d   %s\n" label
       (Core.Metrics.messages m)
       m.Core.Metrics.source_io lag.Core.Staleness.mean_lag

@@ -36,8 +36,8 @@ val views : entry list -> R.Viewdef.t list
 val algorithms : entry list -> (string * string) list
 
 val windows : entry list -> (string * Window.spec) list
-(** The windowed entries as [(view name, spec)] pairs — what
-    {!Runner.run_catalog} passes to {!Engine.run}'s [?windows]. *)
+(** The windowed entries as [(view name, spec)] pairs — what a catalog
+    run passes to {!Engine.run}'s [?windows]. *)
 
 val creator : entry list -> Algorithm.creator
 (** One creator dispatching on the view's name — what

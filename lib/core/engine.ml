@@ -83,8 +83,20 @@ let run ?(schedule = Scheduler.Best_case) ?(rv_period = 1) ?(batch_size = 1)
     ?(coalesce = false) ?shard ?(track_scale = false) ?(evolution = [])
     ?(windows = []) ~creator ~sites:specs ~views ~updates () =
   if batch_size < 1 then raise (Engine_error "batch_size must be at least 1");
+  if rv_period < 1 then raise (Engine_error "rv_period must be at least 1");
   if specs = [] then
     raise (Engine_error "a site graph needs at least one source");
+  List.iter
+    (fun s ->
+      match s.retransmit_timeout with
+      | Some t when t < 1 ->
+        error "site %s: retransmit_timeout must be at least 1" s.name
+      | _ -> ())
+    specs;
+  let sched =
+    try Scheduler.create schedule
+    with Scheduler.Schedule_error msg -> raise (Engine_error msg)
+  in
   let sites =
     Array.of_list
       (List.map
@@ -202,7 +214,6 @@ let run ?(schedule = Scheduler.Best_case) ?(rv_period = 1) ?(batch_size = 1)
      before the Ddl_note explaining its new shape — arm the warehouse's
      schema screen up front, not at the first (possibly late) note. *)
   if evolution <> [] then Warehouse.enable_ddl_guard warehouse;
-  let sched = Scheduler.create schedule in
   (* Oracle state: the current source-view contents, one slot per view in
      [views] order, advanced as updates execute at the sources. A
      site-bound view is judged against its owning source's state; a

@@ -14,10 +14,11 @@
     a quiescence probe (where RV flushes a partial period), and the run
     ends when the probe produces no new work.
 
-    {!Runner.run} (one source, historical interface) and
-    {!Federation.run} (N sources) are thin wrappers over {!run}; the
-    golden-trace suite pins their output byte-for-byte across the
-    refactor.
+    {!run} is the one entry point for every run: the paper's single
+    source is the one-site graph [[site ~name:"source" db]], the
+    Section 7 federation one site per source, and a {!Catalog} supplies
+    [~creator], [~views] and [~windows]. The golden-trace suite pins its
+    output byte-for-byte.
 
     Relations are owned by exactly one source; views bind to the unique
     source owning all their relations and are judged against that
@@ -52,8 +53,10 @@ val site :
   site_spec
 (** A source node: clean exactly-once FIFO edge by default; [fault]
     makes both directions of this edge misbehave (seeded by
-    [fault_seed]), [reliable] runs the {!Messaging.Reliable} sublayer
-    over them. *)
+    [fault_seed], default 0), [reliable] runs the {!Messaging.Reliable}
+    sublayer over them. The paper's single source is
+    [[site ~name:"source" db]]; federated callers seed edge [i] with
+    [fault_seed + 2i] so the edges fail independently. *)
 
 (** How the consistency oracle maintains the per-update source-view
     states recorded in the trace. [Incremental] (the default) applies
@@ -111,8 +114,10 @@ val run :
     base relations. Initial materialized views are computed from the
     site databases (the paper's "initially correct" assumption).
 
-    @raise Engine_error when a relation is owned by two sources, a view
-    uses an unowned relation or spans several sources without
+    @raise Engine_error when [batch_size] or [rv_period] is below 1, the
+    schedule's bound or quantum is below 1, a site's
+    [retransmit_timeout] is below 1, a relation is owned by two sources,
+    a view uses an unowned relation or spans several sources without
     [~allow_cross_source], an update or query targets an unowned
     relation, a protocol invariant breaks, or [max_steps] is exceeded.
 

@@ -35,11 +35,11 @@ val metrics : Metrics.t -> string
 val report : Consistency.report -> string
 val trace_entry : Trace.entry -> string
 
-val result : Runner.result -> string
+val result : Engine.result -> string
 (** The whole run as one JSON object:
     [{"metrics": …, "views": {…}, "trace": […]}]. *)
 
-val federation_summary : Federation.result -> string
+val federation_summary : Engine.result -> string
 (** The behavior-defining observables of a federated run as one JSON
     object: [{"views": {…}, "counts": {…}}]. Per-view final states,
     source truth and consistency verdicts, plus the counters fixed by

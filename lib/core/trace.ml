@@ -4,9 +4,9 @@ type entry =
   | Source_update of {
       updates : R.Update.t list;  (* one entry, or a batch *)
       source_views : (string * R.Bag.t) list;
-          (* view contents after this event; the runner maintains them
+          (* view contents after this event; the engine maintains them
              incrementally from the updates' delta queries (see
-             [Runner.oracle]), so successive entries share structure *)
+             [Engine.oracle]), so successive entries share structure *)
     }
   | Source_answer of {
       gid : int;

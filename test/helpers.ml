@@ -54,17 +54,32 @@ let view_wy ?(name = "V") ?(r1 = r1) ?(r2 = r2) () =
 let view_w3 ?(name = "V") () =
   R.View.natural_join ~name ~proj:[ R.Attr.unqualified "W" ] [ r1; r2; r3 ]
 
+(* The paper's single source as a one-site graph; fault seed 0 unless
+   given. *)
+let source = Core.Engine.site ~name:"source"
+
+let vd = R.Viewdef.simple
+
+(* One site per [(name, catalog, db)] source; edge [i] draws its fault
+   RNG streams from [fault_seed + 2i] (a channel pair consumes two). *)
+let sites_of ?fault ?(fault_seed = 0) ?reliable sources =
+  List.mapi
+    (fun i (name, catalog, db) ->
+      Core.Engine.site ?catalog ?fault ~fault_seed:(fault_seed + (2 * i))
+        ?reliable ~name db)
+    sources
+
 let run ?catalog ?(schedule = Core.Scheduler.Best_case) ?rv_period ~algorithm
     ~views ~db ~updates () =
-  Core.Runner.run ?catalog ~schedule ?rv_period
-    ~creator:(Core.Registry.creator_exn algorithm)
-    ~views ~db ~updates ()
+  Core.Engine.run ~schedule ?rv_period
+    ~creator:(Core.Registry.creator_exn algorithm) ~sites:[ source ?catalog db ]
+    ~views:(List.map R.Viewdef.simple views) ~updates ()
 
-let final_mv (result : Core.Runner.result) name =
-  List.assoc name result.Core.Runner.final_mvs
+let final_mv (result : Core.Engine.result) name =
+  List.assoc name result.Core.Engine.final_mvs
 
-let report (result : Core.Runner.result) name =
-  List.assoc name result.Core.Runner.reports
+let report (result : Core.Engine.result) name =
+  List.assoc name result.Core.Engine.reports
 
 (* Shorthand for explicit schedules: "AWAWSWSW" = the letter sequence of
    Apply_update / Warehouse_receive / Source_receive actions. *)

@@ -77,7 +77,7 @@ let rv_messages ~k ~period =
   let result =
     run ~algorithm:"rv" ~rv_period:period ~views:[ view_w () ] ~db ~updates ()
   in
-  (result, Core.Metrics.messages result.Core.Runner.metrics)
+  (result, Core.Metrics.messages result.Core.Engine.metrics)
 
 let rv_period_message_counts () =
   let r1_, m1 = rv_messages ~k:6 ~period:1 in
@@ -140,7 +140,7 @@ let sc_never_queries () =
       ~updates:[ ins "r2" [ 2; 3 ]; ins "r1" [ 4; 2 ] ]
       ()
   in
-  check_int "zero queries" 0 result.Core.Runner.metrics.Core.Metrics.queries_sent;
+  check_int "zero queries" 0 result.Core.Engine.metrics.Core.Metrics.queries_sent;
   check_bag "correct final view" (bag [ [ 1 ]; [ 4 ] ]) (final_mv result "V");
   check_bool "complete" true (report result "V").Core.Consistency.complete
 
@@ -210,7 +210,7 @@ let lca_sends_more_messages () =
       run ~algorithm ~schedule:Core.Scheduler.Worst_case ~views:[ view_w3 () ]
         ~db ~updates ()
     in
-    Core.Metrics.messages r.Core.Runner.metrics
+    Core.Metrics.messages r.Core.Engine.metrics
   in
   check_bool "LCA >= ECA in messages" true (m "lca" >= m "eca")
 
@@ -228,7 +228,7 @@ let ecal_local_delete_sends_nothing () =
       ()
   in
   check_int "no query for the local delete" 0
-    result.Core.Runner.metrics.Core.Metrics.queries_sent;
+    result.Core.Engine.metrics.Core.Metrics.queries_sent;
   check_bag "key-delete applied" (bag [ [ 4; 3 ] ]) (final_mv result "V");
   check_bool "strongly consistent" true
     (report result "V").Core.Consistency.strongly_consistent
@@ -245,7 +245,7 @@ let ecal_falls_back_under_contention () =
       ()
   in
   check_int "both updates queried" 2
-    result.Core.Runner.metrics.Core.Metrics.queries_sent;
+    result.Core.Engine.metrics.Core.Metrics.queries_sent;
   check_bag "correct final view" R.Bag.empty (final_mv result "V");
   check_bool "strongly consistent" true
     (report result "V").Core.Consistency.strongly_consistent
@@ -342,14 +342,14 @@ let eca_paper_literal_mode_agrees () =
   in
   let final local_literal_eval =
     let r =
-      Core.Runner.run ~schedule:Core.Scheduler.Worst_case ~local_literal_eval
-        ~creator:(Core.Registry.creator_exn "eca")
-        ~views:[ view ] ~db ~updates ()
+      Core.Engine.run ~schedule:Core.Scheduler.Worst_case ~local_literal_eval
+        ~creator:(Core.Registry.creator_exn "eca") ~sites:[ source db ]
+        ~views:[ R.Viewdef.simple view ] ~updates ()
     in
     check_bool "strongly consistent" true
-      (List.assoc "V" r.Core.Runner.reports)
+      (List.assoc "V" r.Core.Engine.reports)
         .Core.Consistency.strongly_consistent;
-    List.assoc "V" r.Core.Runner.final_mvs
+    List.assoc "V" r.Core.Engine.final_mvs
   in
   check_bag "both modes agree" (final true) (final false)
 
@@ -364,7 +364,7 @@ let basic_can_over_delete () =
       ~views:[ view_w () ] ~db ~updates ()
   in
   check_bool "negative install detected" true
-    (result.Core.Runner.negative_installs <> []);
+    (result.Core.Engine.negative_installs <> []);
   check_bool "and the run is inconsistent" false
     (report result "V").Core.Consistency.weakly_consistent
 
@@ -381,7 +381,7 @@ let correct_algorithms_never_go_negative () =
           check_bool
             (algorithm ^ " never installs a negative state")
             true
-            (r.Core.Runner.negative_installs = []))
+            (r.Core.Engine.negative_installs = []))
         [ Core.Scheduler.Best_case; Core.Scheduler.Worst_case;
           Core.Scheduler.Random 3 ])
     [ "eca"; "lca"; "rv"; "sc"; "eca-local" ]
@@ -417,8 +417,8 @@ let best_case_equals_basic_messages () =
       run ~algorithm ~schedule:Core.Scheduler.Best_case ~views:[ view_w () ]
         ~db ~updates ()
     in
-    ( Core.Metrics.messages r.Core.Runner.metrics,
-      r.Core.Runner.metrics.Core.Metrics.answer_tuples )
+    ( Core.Metrics.messages r.Core.Engine.metrics,
+      r.Core.Engine.metrics.Core.Metrics.answer_tuples )
   in
   let m_eca, t_eca = m "eca" and m_basic, t_basic = m "basic" in
   check_int "same message count" m_basic m_eca;

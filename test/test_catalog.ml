@@ -16,8 +16,6 @@
 open Helpers
 module R = Relational
 
-let vd v = R.Viewdef.simple v
-
 (* ------------------------------------------------------------------ *)
 (* The rung ladder and catalog validation                              *)
 (* ------------------------------------------------------------------ *)
@@ -58,13 +56,12 @@ let catalog_validation () =
     (raises_catalog (fun () ->
          Core.Catalog.creator
            [ Core.Catalog.entry (v "A"); Core.Catalog.entry (v "A") ]));
-  (* and the same errors surface as Run_error through the runner *)
-  check_bool "run_catalog re-raises as Run_error" true
-    (match
-       Core.Runner.run_catalog ~entries:[] ~db:R.Db.empty ~updates:[] ()
-     with
-    | exception Core.Runner.Run_error _ -> true
-    | _ -> false)
+  (* and the same errors stop an engine run over the catalog *)
+  check_bool "an engine run over an empty catalog is rejected" true
+    (raises_catalog (fun () ->
+         Core.Engine.run ~creator:(Core.Catalog.creator [])
+           ~sites:[ source R.Db.empty ] ~views:(Core.Catalog.views [])
+           ~updates:[] ()))
 
 (* ------------------------------------------------------------------ *)
 (* Catalog-of-N = N single-view runs, across the fault matrix          *)
@@ -142,25 +139,28 @@ let equivalent_under ~schedule ~fault ~reliable seed =
   let db, updates = stream_of_seed seed in
   let entries = entries () in
   let catalog_run =
-    Core.Runner.run_catalog ~schedule ?fault ~fault_seed:seed ~reliable
-      ~share_deltas:false ~entries ~db ~updates ()
+    Core.Engine.run ~schedule ~share_deltas:false
+      ~creator:(Core.Catalog.creator entries)
+      ~sites:[ source ?fault ~fault_seed:seed ~reliable db ]
+      ~views:(Core.Catalog.views entries) ~updates ()
   in
   List.for_all
     (fun (e : Core.Catalog.entry) ->
       let name = e.Core.Catalog.view.R.Viewdef.name in
       let solo =
-        Core.Runner.run_defs ~schedule ?fault ~fault_seed:seed ~reliable
+        Core.Engine.run ~schedule
           ~creator:(Core.Registry.creator_exn e.Core.Catalog.algo)
-          ~views:[ e.Core.Catalog.view ] ~db ~updates ()
+          ~sites:[ source ?fault ~fault_seed:seed ~reliable db ]
+          ~views:[ e.Core.Catalog.view ] ~updates ()
       in
       R.Bag.equal
-        (List.assoc name catalog_run.Core.Runner.final_mvs)
-        (List.assoc name solo.Core.Runner.final_mvs)
-      && List.assoc name catalog_run.Core.Runner.reports
-         = List.assoc name solo.Core.Runner.reports
+        (List.assoc name catalog_run.Core.Engine.final_mvs)
+        (List.assoc name solo.Core.Engine.final_mvs)
+      && List.assoc name catalog_run.Core.Engine.reports
+         = List.assoc name solo.Core.Engine.reports
       && List.for_all2 R.Bag.equal
-           (Core.Trace.warehouse_states catalog_run.Core.Runner.trace name)
-           (Core.Trace.warehouse_states solo.Core.Runner.trace name))
+           (Core.Trace.warehouse_states catalog_run.Core.Engine.trace name)
+           (Core.Trace.warehouse_states solo.Core.Engine.trace name))
     entries
 
 (* The 40-seed sweep fans out over the shared domain pool; results come
@@ -198,8 +198,10 @@ let quad_setup () =
 let sharing_saves_queries_and_changes_nothing () =
   let db, updates = quad_setup () in
   let run share =
-    Core.Runner.run_catalog ~schedule:Core.Scheduler.Worst_case
-      ~share_deltas:share ~entries:(quad_entries ()) ~db ~updates ()
+    let entries = quad_entries () in
+    Core.Engine.run ~schedule:Core.Scheduler.Worst_case ~share_deltas:share
+      ~creator:(Core.Catalog.creator entries) ~sites:[ source db ]
+      ~views:(Core.Catalog.views entries) ~updates ()
   in
   let off = run false and on_ = run true in
   (* a pure optimization: identical per-view lifecycles and verdicts *)
@@ -207,26 +209,26 @@ let sharing_saves_queries_and_changes_nothing () =
     (fun name ->
       check_bag
         (Printf.sprintf "view %s: same final MV" name)
-        (List.assoc name off.Core.Runner.final_mvs)
-        (List.assoc name on_.Core.Runner.final_mvs);
+        (List.assoc name off.Core.Engine.final_mvs)
+        (List.assoc name on_.Core.Engine.final_mvs);
       Alcotest.check report_testable
         (Printf.sprintf "view %s: same verdict" name)
-        (List.assoc name off.Core.Runner.reports)
-        (List.assoc name on_.Core.Runner.reports);
+        (List.assoc name off.Core.Engine.reports)
+        (List.assoc name on_.Core.Engine.reports);
       Alcotest.(check (list bag_testable))
         (Printf.sprintf "view %s: same installed states" name)
-        (Core.Trace.warehouse_states off.Core.Runner.trace name)
-        (Core.Trace.warehouse_states on_.Core.Runner.trace name))
+        (Core.Trace.warehouse_states off.Core.Engine.trace name)
+        (Core.Trace.warehouse_states on_.Core.Engine.trace name))
     [ "A"; "B"; "C"; "D" ];
   (* ... that actually saves wire traffic: 4 equal queries per event
      collapse to 1 *)
   check_bool "fewer queries shipped" true
-    (on_.Core.Runner.metrics.Core.Metrics.queries_sent
-    < off.Core.Runner.metrics.Core.Metrics.queries_sent);
-  (match off.Core.Runner.metrics.Core.Metrics.shared with
+    (on_.Core.Engine.metrics.Core.Metrics.queries_sent
+    < off.Core.Engine.metrics.Core.Metrics.queries_sent);
+  (match off.Core.Engine.metrics.Core.Metrics.shared with
   | None -> ()
   | Some _ -> Alcotest.fail "sharing off must leave metrics.shared = None");
-  match on_.Core.Runner.metrics.Core.Metrics.shared with
+  match on_.Core.Engine.metrics.Core.Metrics.shared with
   | None -> Alcotest.fail "sharing on must report counters"
   | Some s ->
     check_bool "hits > 0" true (s.Core.Metrics.shared_hits > 0);
@@ -236,8 +238,8 @@ let sharing_saves_queries_and_changes_nothing () =
       (s.Core.Metrics.shared_fanout >= 2 * s.Core.Metrics.shared_evaluated);
     (* the saved messages are exactly the deduplicated queries *)
     check_int "saved queries = shared hits" s.Core.Metrics.shared_hits
-      (off.Core.Runner.metrics.Core.Metrics.queries_sent
-      - on_.Core.Runner.metrics.Core.Metrics.queries_sent)
+      (off.Core.Engine.metrics.Core.Metrics.queries_sent
+      - on_.Core.Engine.metrics.Core.Metrics.queries_sent)
 
 (* Under Random scheduling, sharing changes the number of in-flight
    messages and hence the draw sequence, so the two runs take different
@@ -254,18 +256,19 @@ let sharing_keeps_strong_consistency_prop =
       let db, updates = stream_of_seed seed in
       let truth v = R.Eval.view (R.Db.apply_all db updates) v in
       let run share =
-        Core.Runner.run_catalog
-          ~schedule:(Core.Scheduler.Random seed)
-          ~share_deltas:share ~entries:(quad_entries ()) ~db ~updates ()
+        let entries = quad_entries () in
+        Core.Engine.run ~schedule:(Core.Scheduler.Random seed)
+          ~share_deltas:share ~creator:(Core.Catalog.creator entries)
+          ~sites:[ source db ] ~views:(Core.Catalog.views entries) ~updates ()
       in
       let off = run false and on_ = run true in
       List.for_all
         (fun name ->
           let expected = truth (view_w ~name ()) in
           List.for_all
-            (fun (r : Core.Runner.result) ->
-              R.Bag.equal expected (List.assoc name r.Core.Runner.final_mvs)
-              && (List.assoc name r.Core.Runner.reports)
+            (fun (r : Core.Engine.result) ->
+              R.Bag.equal expected (List.assoc name r.Core.Engine.final_mvs)
+              && (List.assoc name r.Core.Engine.reports)
                    .Core.Consistency.strongly_consistent)
             [ off; on_ ])
         [ "A"; "B"; "C"; "D" ])
@@ -344,17 +347,16 @@ let lca_long_pending_queue () =
 let random_policy_still_deterministic () =
   let db, updates = stream_of_seed 23 in
   let go () =
-    Core.Runner.run_defs
-      ~schedule:(Core.Scheduler.Random 23)
-      ~creator:(Core.Registry.creator_exn "eca")
-      ~views:[ vd (view_w ()) ] ~db ~updates ()
+    Core.Engine.run ~schedule:(Core.Scheduler.Random 23)
+      ~creator:(Core.Registry.creator_exn "eca") ~sites:[ source db ]
+      ~views:[ vd (view_w ()) ] ~updates ()
   in
   let a = go () and b = go () in
-  check_int "same step count" a.Core.Runner.metrics.Core.Metrics.steps
-    b.Core.Runner.metrics.Core.Metrics.steps;
+  check_int "same step count" a.Core.Engine.metrics.Core.Metrics.steps
+    b.Core.Engine.metrics.Core.Metrics.steps;
   check_bool "same event trace" true
-    (Core.Trace.entries a.Core.Runner.trace
-    = Core.Trace.entries b.Core.Runner.trace)
+    (Core.Trace.entries a.Core.Engine.trace
+    = Core.Trace.entries b.Core.Engine.trace)
 
 (* The planner's bound-set/multiplicity invariant is now checked, not
    assumed: a degenerate catalog (no indexes at all) must still plan

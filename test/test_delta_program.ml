@@ -232,9 +232,9 @@ let toggle_byte_identical () =
   in
   let run_json ~algorithm ~batch_size =
     Core.Json_export.result
-      (Core.Runner.run ~schedule:Core.Scheduler.Round_robin ~batch_size
-         ~creator:(Core.Registry.creator_exn algorithm)
-         ~views:[ view ] ~db ~updates ())
+      (Core.Engine.run ~schedule:Core.Scheduler.Round_robin ~batch_size
+         ~creator:(Core.Registry.creator_exn algorithm) ~sites:[ source db ]
+         ~views:[ R.Viewdef.simple view ] ~updates ())
   in
   List.iter
     (fun algorithm ->

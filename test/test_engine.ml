@@ -8,7 +8,7 @@
 
 open Helpers
 module R = Relational
-module F = Core.Federation
+module E = Core.Engine
 module S = Core.Scheduler
 
 (* ------------------------------------------------------------------ *)
@@ -59,22 +59,19 @@ let round_robin_skips_disabled_without_stalling () =
   Alcotest.(check (list string)) "nothing enabled" [ "-" ] (picks sched [ none ])
 
 let extremes_generalize_the_federation_policies () =
-  (* Drain_first ≡ Best_case (first ready receive, site order, source end
-     first); Updates_first ≡ Worst_case (updates, then warehouse ends,
-     then source ends). *)
+  (* Best_case drains: first ready receive, site order, source end first.
+     Worst_case pushes updates, then warehouse ends, then source ends. *)
   let m = multi ~update:true [ false; true ] [ true; true ] in
   List.iter
     (fun (label, policy, expect) ->
       let sched = S.create policy in
       Alcotest.(check string) label expect (List.hd (picks sched [ m ])))
     [
-      ("drain-first picks the first ready receive", S.Drain_first, "W0");
-      ("best-case is the same policy", S.Best_case, "W0");
-      ("updates-first picks the update", S.Updates_first, "A");
-      ("worst-case is the same policy", S.Worst_case, "A");
+      ("best-case picks the first ready receive", S.Best_case, "W0");
+      ("worst-case picks the update", S.Worst_case, "A");
     ]
 
-(* The aliases must also coincide end-to-end through Federation.run. *)
+(* Two autonomous sources for the federated tests below. *)
 let emp = R.Schema.of_names "emp" [ "EID"; "DID" ]
 let dept = R.Schema.of_names "dept" [ "DID"; "BUDGET" ]
 let ord = R.Schema.of_names "ord" [ "OID"; "CID" ]
@@ -110,44 +107,28 @@ let two_source_updates =
     ins "cust" [ 9; 3 ];
   ]
 
-let fed_summary policy =
-  Core.Json_export.federation_summary
-    (F.run ~policy
-       ~creator:(Core.Registry.creator_exn "eca")
-       ~sources:(two_sources ()) ~views:[ v_hr; v_sales ]
-       ~updates:two_source_updates ())
-
-let aliases_coincide_end_to_end () =
-  Alcotest.(check string)
-    "Drain_first runs are Best_case runs"
-    (fed_summary F.Best_case) (fed_summary F.Drain_first);
-  Alcotest.(check string)
-    "Updates_first runs are Worst_case runs"
-    (fed_summary F.Worst_case) (fed_summary F.Updates_first)
-
 (* ------------------------------------------------------------------ *)
 (* The federated trace: per-source state sequences                      *)
 (* ------------------------------------------------------------------ *)
 
 let federated_trace_is_per_source () =
   let result =
-    F.run ~policy:F.Drain_first
-      ~creator:(Core.Registry.creator_exn "eca")
-      ~sources:(two_sources ()) ~views:[ v_hr; v_sales ]
+    E.run ~schedule:S.Best_case ~creator:(Core.Registry.creator_exn "eca")
+      ~sites:(sites_of (two_sources ())) ~views:[ vd v_hr; vd v_sales ]
       ~updates:two_source_updates ()
   in
   (* Two hr updates and one sales-side cust update affect the two views:
      each view's source-state sequence advances only on its own source's
      updates (initial state + one per owning-site update). *)
   check_int "hr view: initial + its 2 updates" 3
-    (List.length (Core.Trace.source_states result.F.trace "emp_budget"));
+    (List.length (Core.Trace.source_states result.E.trace "emp_budget"));
   check_int "sales view: initial + its 2 updates" 3
-    (List.length (Core.Trace.source_states result.F.trace "ord_segment"));
+    (List.length (Core.Trace.source_states result.E.trace "ord_segment"));
   check_bool "every view strongly consistent under drain-first" true
     (List.for_all
        (fun (_, r) -> r.Core.Consistency.strongly_consistent)
-       result.F.reports);
-  check_int "no negative installs" 0 (List.length result.F.negative_installs)
+       result.E.reports);
+  check_int "no negative installs" 0 (List.length result.E.negative_installs)
 
 (* ------------------------------------------------------------------ *)
 (* Cross-source fetch-join: a state corresponding to no global snapshot *)
@@ -169,27 +150,26 @@ let cross_source_installs_no_global_snapshot () =
      sequences, making the anomaly a checkable witness instead of a
      remark in the docs. *)
   let result =
-    F.run ~policy:F.Updates_first ~allow_cross_source:true
+    E.run ~schedule:S.Worst_case ~allow_cross_source:true
       ~creator:(Core.Registry.creator_exn "fetch-join")
-      ~sources:(two_sources ()) ~views:[ v_cross ]
-      ~updates:[ ins "emp" [ 8; 10 ]; ins "cust" [ 8; 1 ] ]
-      ()
+      ~sites:(sites_of (two_sources ())) ~views:[ vd v_cross ]
+      ~updates:[ ins "emp" [ 8; 10 ]; ins "cust" [ 8; 1 ] ] ()
   in
-  let source_states = Core.Trace.source_states result.F.trace "cross" in
-  let warehouse_states = Core.Trace.warehouse_states result.F.trace "cross" in
+  let source_states = Core.Trace.source_states result.E.trace "cross" in
+  let warehouse_states = Core.Trace.warehouse_states result.E.trace "cross" in
   check_bool "witness: an installed state equals no global snapshot" true
     (List.exists
        (fun w -> not (List.exists (R.Bag.equal w) source_states))
        warehouse_states);
-  let report = List.assoc "cross" result.F.reports in
+  let report = List.assoc "cross" result.E.reports in
   check_bool "verdict: not even convergent" false
     report.Core.Consistency.convergent;
   (* the double-count is an over-insertion, not an over-deletion *)
-  check_int "no negative installs" 0 (List.length result.F.negative_installs);
+  check_int "no negative installs" 0 (List.length result.E.negative_installs);
   check_bag "final view double-counts the racing pair"
     (R.Bag.of_list
        [ R.Tuple.ints [ 8; 1 ]; R.Tuple.ints [ 8; 1 ]; R.Tuple.ints [ 8; 2 ] ])
-    (List.assoc "cross" result.F.final_mvs)
+    (List.assoc "cross" result.E.final_mvs)
 
 (* ------------------------------------------------------------------ *)
 (* 3-source federation × fault profiles × reliable delivery vs oracle  *)
@@ -270,16 +250,15 @@ let fed_scenario ~kind ~seed =
 let run_fed ?fault ?(reliable = false) ~algorithm ~kind ~seed () =
   let sources, views, updates, truths = fed_scenario ~kind ~seed in
   let result =
-    F.run
-      ~policy:(S.Random seed)
-      ?fault ~fault_seed:(seed * 7) ~reliable
+    E.run ~schedule:(S.Random seed)
       ~creator:(Core.Registry.creator_exn algorithm)
-      ~sources ~views ~updates ()
+      ~sites:(sites_of ?fault ~fault_seed:(seed * 7) ~reliable sources)
+      ~views:(List.map R.Viewdef.simple views) ~updates ()
   in
   let ok =
     List.for_all
       (fun (name, truth) ->
-        R.Bag.equal truth (List.assoc name result.F.final_mvs))
+        R.Bag.equal truth (List.assoc name result.E.final_mvs))
       truths
   in
   (ok, result)
@@ -303,10 +282,10 @@ let family_correct_over_federated_reliable_faults () =
   let swept =
     par_map
       (fun (algorithm, kind, profile, fault, seed) ->
-        let ok, (result : F.result) =
+        let ok, (result : E.result) =
           run_fed ~fault ~reliable:true ~algorithm ~kind ~seed ()
         in
-        let m = result.F.metrics in
+        let m = result.E.metrics in
         ( (algorithm, profile, seed),
           ok,
           m.Core.Metrics.delivery,
@@ -346,6 +325,36 @@ let chaos_without_reliable_still_breaks_federated_eca () =
   in
   check_bool "raw chaos edges break federated ECA somewhere" true broken
 
+(* ------------------------------------------------------------------ *)
+(* Input validation                                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* Each invalid input is rejected at entry as Engine_error, not as a
+   foreign exception from the scheduler, RV or the reliable sublayer. *)
+let invalid_inputs_raise_engine_error () =
+  let db = db_of [ (r1, [ [ 1; 2 ] ]); (r2, [ [ 2; 3 ] ]) ] in
+  let run ?schedule ?rv_period ?(site = source db) algorithm () =
+    E.run ?schedule ?rv_period ~creator:(Core.Registry.creator_exn algorithm)
+      ~sites:[ site ] ~views:[ vd (view_w ()) ] ~updates:[ ins "r1" [ 4; 2 ] ]
+      ()
+  in
+  let escapes (label, run) =
+    match run () with
+    | _ -> Some (label ^ ": accepted")
+    | exception E.Engine_error _ -> None
+    | exception e -> Some (label ^ ": raised " ^ Printexc.to_string e)
+  in
+  Alcotest.(check (list string))
+    "every row is rejected as Engine_error" []
+    (List.filter_map escapes
+       [
+         ("Bounded_inflight 0", run ~schedule:(S.Bounded_inflight 0) "eca");
+         ("Weighted_fair 0", run ~schedule:(S.Weighted_fair 0) "eca");
+         ("rv_period 0", run ~rv_period:0 "rv");
+         ( "retransmit_timeout 0",
+           run ~site:(source ~reliable:true ~retransmit_timeout:0 db) "eca" );
+       ])
+
 let suite =
   [
     Alcotest.test_case "multi-site round-robin rotation" `Quick
@@ -354,8 +363,8 @@ let suite =
       round_robin_skips_disabled_without_stalling;
     Alcotest.test_case "extreme policies generalize federation's" `Quick
       extremes_generalize_the_federation_policies;
-    Alcotest.test_case "policy aliases coincide end-to-end" `Quick
-      aliases_coincide_end_to_end;
+    Alcotest.test_case "invalid inputs raise Engine_error" `Quick
+      invalid_inputs_raise_engine_error;
     Alcotest.test_case "federated trace is per-source" `Quick
       federated_trace_is_per_source;
     Alcotest.test_case "cross-source install has no global snapshot" `Quick

@@ -37,8 +37,8 @@ let final_viewdef_of vd ddls =
     (fun vd (_, d) -> if R.Evolve.affects vd d then R.Evolve.viewdef vd d else vd)
     vd ddls
 
-let evolution_metrics (result : Core.Runner.result) =
-  match result.Core.Runner.metrics.Core.Metrics.evolution with
+let evolution_metrics (result : Core.Engine.result) =
+  match result.Core.Engine.metrics.Core.Metrics.evolution with
   | Some e -> e
   | None -> Alcotest.fail "run reported no evolution metrics"
 
@@ -162,10 +162,10 @@ let run_evolution ?fault ?fault_seed ?reliable ?(algorithm = "eca") ~seed () =
     Workload.Scenarios.evolution (spec ~seed ())
   in
   let result =
-    Core.Runner.run ?fault ?fault_seed ?reliable
-      ~schedule:(Core.Scheduler.Random seed)
+    Core.Engine.run ~schedule:(Core.Scheduler.Random seed) ~evolution:ddls
       ~creator:(Core.Registry.creator_exn algorithm)
-      ~evolution:ddls ~views:[ view ] ~db ~updates ()
+      ~sites:[ source ?fault ?fault_seed ?reliable db ]
+      ~views:[ R.Viewdef.simple view ] ~updates ()
   in
   let truth =
     R.Viewdef.eval (final_db_of db updates ddls)
@@ -264,19 +264,19 @@ let no_ddl_run_is_byte_identical () =
     Workload.Scenarios.keyed (spec ~seed:5 ())
   in
   let go evolution =
-    Core.Runner.run ?evolution ~schedule:(Core.Scheduler.Random 5)
-      ~creator:(Core.Registry.creator_exn "eca")
-      ~views:[ view ] ~db ~updates ()
+    Core.Engine.run ~schedule:(Core.Scheduler.Random 5) ?evolution
+      ~creator:(Core.Registry.creator_exn "eca") ~sites:[ source db ]
+      ~views:[ R.Viewdef.simple view ] ~updates ()
   in
   let plain = go None and empty = go (Some []) in
   Alcotest.(check string) "metrics render byte-identical"
-    (Format.asprintf "%a" Core.Metrics.pp plain.Core.Runner.metrics)
-    (Format.asprintf "%a" Core.Metrics.pp empty.Core.Runner.metrics);
+    (Format.asprintf "%a" Core.Metrics.pp plain.Core.Engine.metrics)
+    (Format.asprintf "%a" Core.Metrics.pp empty.Core.Engine.metrics);
   Alcotest.(check bool) "no evolution block without DDLs" true
-    (empty.Core.Runner.metrics.Core.Metrics.evolution = None);
+    (empty.Core.Engine.metrics.Core.Metrics.evolution = None);
   check_bag "same final MV" (final_mv plain "VK") (final_mv empty "VK");
   Alcotest.(check bool) "same reports" true
-    (plain.Core.Runner.reports = empty.Core.Runner.reports)
+    (plain.Core.Engine.reports = empty.Core.Engine.reports)
 
 (* ------------------------------------------------------------------ *)
 (* Windowed views                                                      *)
@@ -295,10 +295,10 @@ let hand_window () =
   let db = db_of [ (r2, [ [ 10; 1 ]; [ 20; 2 ]; [ 30; 3 ] ]) ] in
   let updates = [ ins "r2" [ 40; 4 ]; ins "r2" [ 50; 5 ] ] in
   let result =
-    Core.Runner.run ~schedule:Core.Scheduler.Best_case
-      ~creator:(Core.Registry.creator_exn "eca")
+    Core.Engine.run ~schedule:Core.Scheduler.Best_case
       ~windows:[ ("VW", { Core.Window.rel = "r2"; col = "Y"; k = 2 }) ]
-      ~views:[ view ] ~db ~updates ()
+      ~creator:(Core.Registry.creator_exn "eca") ~sites:[ source db ]
+      ~views:[ R.Viewdef.simple view ] ~updates ()
   in
   check_bag "only the two newest partitions are visible"
     (bag [ [ 40; 4 ]; [ 50; 5 ] ])
@@ -315,10 +315,9 @@ let windowed_keyed_run ?shard ~k ~seed () =
   in
   let window = { Core.Window.rel = "r2"; col = "Y"; k } in
   let result =
-    Core.Runner.run ?shard ~schedule:(Core.Scheduler.Random seed)
-      ~creator:(Core.Registry.creator_exn "eca")
-      ~windows:[ ("VK", window) ]
-      ~views:[ view ] ~db ~updates ()
+    Core.Engine.run ~schedule:(Core.Scheduler.Random seed) ?shard
+      ~windows:[ ("VK", window) ] ~creator:(Core.Registry.creator_exn "eca")
+      ~sites:[ source db ] ~views:[ R.Viewdef.simple view ] ~updates ()
   in
   (* Independent expectation: replay the watermark protocol over the
      final full view. *)
@@ -349,10 +348,9 @@ let window_pruning_fires () =
   in
   let window = { Core.Window.rel = "r2"; col = "Y"; k = 3 } in
   let result =
-    Core.Runner.run ~schedule:(Core.Scheduler.Random 0)
-      ~creator:(Core.Registry.creator_exn "eca")
-      ~windows:[ ("VK", window) ]
-      ~views:[ view ] ~db ~updates ()
+    Core.Engine.run ~schedule:(Core.Scheduler.Random 0)
+      ~windows:[ ("VK", window) ] ~creator:(Core.Registry.creator_exn "eca")
+      ~sites:[ source db ] ~views:[ R.Viewdef.simple view ] ~updates ()
   in
   let vd = R.Viewdef.simple view in
   let st = Core.Window.make window vd in
@@ -378,8 +376,8 @@ let windowed_deterministic_at_any_par () =
   let result_sharded, _ =
     windowed_keyed_run ~shard:(Lazy.force Helpers.pool) ~k:3 ~seed:9 ()
   in
-  let render (r : Core.Runner.result) =
-    Format.asprintf "%a@.%a" Core.Metrics.pp r.Core.Runner.metrics R.Bag.pp
+  let render (r : Core.Engine.result) =
+    Format.asprintf "%a@.%a" Core.Metrics.pp r.Core.Engine.metrics R.Bag.pp
       (final_mv r "VK")
   in
   Alcotest.(check string) "same run twice is byte-identical" (render result1)
@@ -413,12 +411,12 @@ let window_validation () =
   in
   Alcotest.(check bool) "window for an unknown view rejected" true
     (match
-       Core.Runner.run
-         ~creator:(Core.Registry.creator_exn "eca")
+       Core.Engine.run
          ~windows:[ ("nope", { Core.Window.rel = "r2"; col = "Y"; k = 2 }) ]
-         ~views:[ view ] ~db ~updates ()
+         ~creator:(Core.Registry.creator_exn "eca") ~sites:[ source db ]
+         ~views:[ R.Viewdef.simple view ] ~updates ()
      with
-     | exception Core.Runner.Run_error _ -> true
+     | exception Core.Engine.Engine_error _ -> true
      | _ -> false)
 
 let windowed_catalog_run () =
@@ -432,9 +430,13 @@ let windowed_catalog_run () =
         (R.Viewdef.simple view);
     ]
   in
-  let result = Core.Runner.run_catalog ~entries ~db ~updates () in
+  let result =
+    Core.Engine.run ~share_deltas:true ~windows:(Core.Catalog.windows entries)
+      ~creator:(Core.Catalog.creator entries) ~sites:[ source db ]
+      ~views:(Core.Catalog.views entries) ~updates ()
+  in
   let direct, _ = windowed_keyed_run ~k:4 ~seed:7 () in
-  (* run_catalog defaults differ (shared deltas, Best_case schedule), so
+  (* this run's settings differ (shared deltas, Best_case schedule), so
      compare against the analytic expectation instead of the direct run. *)
   ignore direct;
   let vd = R.Viewdef.simple view in
@@ -445,7 +447,7 @@ let windowed_catalog_run () =
     Core.Window.filter st (R.Viewdef.eval (R.Db.apply_all db updates) vd)
   in
   check_bag "catalog-registered window matches" truth
-    (List.assoc "VK" result.Core.Runner.final_mvs)
+    (List.assoc "VK" result.Core.Engine.final_mvs)
 
 (* ------------------------------------------------------------------ *)
 (* Satellite regressions                                               *)

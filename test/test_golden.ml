@@ -1,12 +1,13 @@
 (* Golden-trace equivalence: the exact JSON serialization of a set of
    representative runs, pinned as committed files under test/golden/.
 
-   These files were generated from the pre-engine drivers (the separate
-   Core.Runner and Core.Federation event loops) and pin their observable
-   behavior byte-for-byte: trace event order, installed states, metric
-   counters, consistency verdicts. The site-graph engine that replaced
-   both drivers must reproduce them exactly — a failing diff here means
-   the refactor changed simulation semantics, not just code structure.
+   These files were generated from the original single-source and
+   federated event loops and pin Engine.run's observable behavior
+   byte-for-byte: trace event order, installed states, metric counters,
+   consistency verdicts. Single-source configs run one site named
+   "source"; federated ones seed edge i with fault_seed + 2i. A failing
+   diff here means a change altered simulation semantics, not just code
+   structure.
 
    Regenerate (only when an intentional semantic change is made) with:
 
@@ -16,10 +17,11 @@
 
 open Helpers
 module R = Relational
-module F = Core.Federation
+module E = Core.Engine
+module S = Core.Scheduler
 
 (* ------------------------------------------------------------------ *)
-(* Runner configs (full Json_export.result)                            *)
+(* Single-source configs (full Json_export.result)                     *)
 (* ------------------------------------------------------------------ *)
 
 let small_db () = db_of [ (r1, [ [ 1; 2 ]; [ 4; 5 ] ]); (r2, [ [ 2; 3 ] ]) ]
@@ -38,10 +40,10 @@ let small_updates =
 let runner_json ?schedule ?rv_period ?batch_size ?fault ?fault_seed ?reliable
     ~algorithm ~views ~db ~updates () =
   Core.Json_export.result
-    (Core.Runner.run ?schedule ?rv_period ?batch_size ?fault ?fault_seed
-       ?reliable
+    (E.run ?schedule ?rv_period ?batch_size
        ~creator:(Core.Registry.creator_exn algorithm)
-       ~views ~db ~updates ())
+       ~sites:[ source ?fault ?fault_seed ?reliable db ]
+       ~views:(List.map R.Viewdef.simple views) ~updates ())
 
 let runner_eca_worst () =
   runner_json ~schedule:Core.Scheduler.Worst_case ~algorithm:"eca"
@@ -118,16 +120,16 @@ let fed_updates =
 let fed_json ?policy ?allow_cross_source ~algorithm ~sources ~views ~updates ()
     =
   Core.Json_export.federation_summary
-    (F.run ?policy ?allow_cross_source
-       ~creator:(Core.Registry.creator_exn algorithm)
-       ~sources ~views ~updates ())
+    (E.run ?schedule:policy ?allow_cross_source
+       ~creator:(Core.Registry.creator_exn algorithm) ~sites:(sites_of sources)
+       ~views:(List.map R.Viewdef.simple views) ~updates ())
 
 let fed_eca_drain () =
-  fed_json ~policy:F.Drain_first ~algorithm:"eca" ~sources:(fed_sources ())
+  fed_json ~policy:S.Best_case ~algorithm:"eca" ~sources:(fed_sources ())
     ~views:[ v_hr; v_sales ] ~updates:fed_updates ()
 
 let fed_eca_updates_first () =
-  fed_json ~policy:F.Updates_first ~algorithm:"eca" ~sources:(fed_sources ())
+  fed_json ~policy:S.Worst_case ~algorithm:"eca" ~sources:(fed_sources ())
     ~views:[ v_hr; v_sales ] ~updates:fed_updates ()
 
 let v_cross =
@@ -137,13 +139,13 @@ let v_cross =
     [ emp; cust ]
 
 let fed_cross_race () =
-  fed_json ~policy:F.Updates_first ~allow_cross_source:true
+  fed_json ~policy:S.Worst_case ~allow_cross_source:true
     ~algorithm:"fetch-join" ~sources:(fed_sources ()) ~views:[ v_cross ]
     ~updates:[ ins "emp" [ 8; 10 ]; ins "cust" [ 8; 1 ] ]
     ()
 
 let fed_single_source_rv () =
-  fed_json ~policy:F.Updates_first ~algorithm:"rv"
+  fed_json ~policy:S.Worst_case ~algorithm:"rv"
     ~sources:[ ("hr", None, hr_db ()) ]
     ~views:[ v_hr ]
     ~updates:[ ins "emp" [ 3; 10 ]; del "emp" [ 2; 20 ] ]

@@ -165,10 +165,10 @@ let random_run (seed, algo_idx) =
       (Workload.Spec.make ~c:12 ~j:3 ~k_updates:8 ~insert_ratio:0.7 ~seed ())
   in
   ( algorithm,
-    Core.Runner.run
-      ~schedule:(Core.Scheduler.Random seed)
+    Core.Engine.run ~schedule:(Core.Scheduler.Random seed)
       ~creator:(Core.Registry.creator_exn algorithm)
-      ~views:[ view ] ~db ~updates () )
+      ~sites:[ Core.Engine.site ~name:"source" db ]
+      ~views:[ Relational.Viewdef.simple view ] ~updates () )
 
 let arb_run_input =
   QCheck.make
@@ -187,7 +187,7 @@ let messages_balance =
   QCheck.Test.make ~name:"queries and answers balance at quiescence"
     ~count:80 arb_run_input (fun input ->
       let _, result = random_run input in
-      let m = result.Core.Runner.metrics in
+      let m = result.Core.Engine.metrics in
       m.Core.Metrics.queries_sent = m.Core.Metrics.answers_received)
 
 let every_query_answered_once =
@@ -206,7 +206,7 @@ let every_query_answered_once =
               (1 + Option.value (Hashtbl.find_opt answered gid) ~default:0)
           | Core.Trace.Source_update _ | Core.Trace.Source_answer _
           | Core.Trace.Source_ddl _ -> ())
-        (Core.Trace.entries result.Core.Runner.trace);
+        (Core.Trace.entries result.Core.Engine.trace);
       Hashtbl.length sent = Hashtbl.length answered
       && Hashtbl.fold (fun _ n acc -> acc && n = 1) answered true)
 
@@ -214,7 +214,7 @@ let staleness_sanity =
   QCheck.Test.make ~name:"staleness stats are coherent; final lag 0" ~count:80
     arb_run_input (fun input ->
       let _, result = random_run input in
-      let lag = Core.Staleness.of_trace result.Core.Runner.trace "V" in
+      let lag = Core.Staleness.of_trace result.Core.Engine.trace "V" in
       lag.Core.Staleness.mean_lag <= float_of_int lag.Core.Staleness.max_lag
       && lag.Core.Staleness.mean_lag >= 0.0
       && lag.Core.Staleness.final_lag = 0
@@ -230,14 +230,15 @@ let scale_smoke () =
   in
   let t0 = Unix.gettimeofday () in
   let result =
-    Core.Runner.run ~schedule:Core.Scheduler.Worst_case
+    Core.Engine.run ~schedule:Core.Scheduler.Worst_case
       ~creator:(Core.Registry.creator_exn "eca")
-      ~views:[ view ] ~db ~updates ()
+      ~sites:[ Core.Engine.site ~name:"source" db ]
+      ~views:[ Relational.Viewdef.simple view ] ~updates ()
   in
   let elapsed = Unix.gettimeofday () -. t0 in
   Alcotest.(check bool)
     "strongly consistent at scale" true
-    (List.assoc "V" result.Core.Runner.reports)
+    (List.assoc "V" result.Core.Engine.reports)
       .Core.Consistency.strongly_consistent;
   Alcotest.(check bool)
     (Printf.sprintf "finishes promptly (%.2fs)" elapsed)

@@ -82,29 +82,38 @@ let read_lines path =
 (* Shared run configs                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let run_chaos ?(reliable = true) ?observe ?trace_out ~algorithm ~seed () =
+(* [~observe:true] runs with a fresh collector. *)
+let collector observe = if observe then Some (O.Collector.create ()) else None
+
+let run_chaos ?(reliable = true) ?(observe = false) ~algorithm ~seed () =
   let { Workload.Scenarios.db; view; updates } =
     Workload.Scenarios.example6
       (Workload.Spec.make ~c:12 ~j:3 ~k_updates:8 ~insert_ratio:0.6 ~seed ())
   in
-  Core.Runner.run ~fault:Workload.Scenarios.chaos_profile
-    ~fault_seed:(seed * 7) ~reliable
-    ~schedule:(Core.Scheduler.Random seed)
-    ?observe ?trace_out
+  Core.Engine.run ~schedule:(Core.Scheduler.Random seed)
+    ?observe:(collector observe)
     ~creator:(Core.Registry.creator_exn algorithm)
-    ~views:[ view ] ~db ~updates ()
+    ~sites:
+      [
+        source ~fault:Workload.Scenarios.chaos_profile ~fault_seed:(seed * 7)
+          ~reliable db;
+      ]
+    ~views:[ R.Viewdef.simple view ] ~updates ()
 
-let run_keyed_chaos ?observe ~algorithm ~seed () =
+let run_keyed_chaos ?(observe = false) ~algorithm ~seed () =
   let { Workload.Scenarios.db; view; updates } =
     Workload.Scenarios.keyed
       (Workload.Spec.make ~c:12 ~j:3 ~k_updates:8 ~insert_ratio:0.5 ~seed ())
   in
-  Core.Runner.run ~fault:Workload.Scenarios.chaos_profile
-    ~fault_seed:(seed * 7) ~reliable:true
-    ~schedule:(Core.Scheduler.Random seed)
-    ?observe
+  Core.Engine.run ~schedule:(Core.Scheduler.Random seed)
+    ?observe:(collector observe)
     ~creator:(Core.Registry.creator_exn algorithm)
-    ~views:[ view ] ~db ~updates ()
+    ~sites:
+      [
+        source ~fault:Workload.Scenarios.chaos_profile ~fault_seed:(seed * 7)
+          ~reliable:true db;
+      ]
+    ~views:[ R.Viewdef.simple view ] ~updates ()
 
 let observe_of (m : Core.Metrics.t) =
   match m.Core.Metrics.observe with
@@ -115,20 +124,20 @@ let observe_of (m : Core.Metrics.t) =
 (* Spans off = byte-identical output; goldens stay pinned              *)
 (* ------------------------------------------------------------------ *)
 
-let scrub (r : Core.Runner.result) =
+let scrub (r : Core.Engine.result) =
   {
     r with
-    Core.Runner.metrics =
-      { r.Core.Runner.metrics with Core.Metrics.observe = None };
+    Core.Engine.metrics =
+      { r.Core.Engine.metrics with Core.Metrics.observe = None };
   }
 
 let spans_off_is_byte_identical () =
   let off = run_chaos ~algorithm:"eca" ~seed:5 () in
   let on = run_chaos ~observe:true ~algorithm:"eca" ~seed:5 () in
   check_bool "observed run carries a summary" true
-    (on.Core.Runner.metrics.Core.Metrics.observe <> None);
+    (on.Core.Engine.metrics.Core.Metrics.observe <> None);
   check_bool "unobserved run carries none" true
-    (off.Core.Runner.metrics.Core.Metrics.observe = None);
+    (off.Core.Engine.metrics.Core.Metrics.observe = None);
   Alcotest.(check string)
     "erasing the summary leaves the two runs byte-identical"
     (Core.Json_export.result off)
@@ -199,12 +208,17 @@ let fed3_updates =
   ]
 
 let run_fed3 ~trace_out () =
-  Core.Federation.run
-    ~policy:(Core.Federation.Random 11)
-    ~fault:Workload.Scenarios.chaos_profile ~fault_seed:9 ~reliable:true
-    ~trace_out
-    ~creator:(Core.Registry.creator_exn "eca")
-    ~sources:(fed3_sources ()) ~views:fed3_views ~updates:fed3_updates ()
+  let observe = O.Collector.create () in
+  let result =
+    Core.Engine.run ~schedule:(Core.Scheduler.Random 11) ~observe
+      ~creator:(Core.Registry.creator_exn "eca")
+      ~sites:
+        (sites_of ~fault:Workload.Scenarios.chaos_profile ~fault_seed:9
+           ~reliable:true (fed3_sources ()))
+      ~views:(List.map R.Viewdef.simple fed3_views) ~updates:fed3_updates ()
+  in
+  O.Collector.write_file trace_out observe;
+  result
 
 let jsonl_trace_validates () =
   let path = Filename.temp_file "vmw_trace" ".jsonl" in
@@ -278,7 +292,7 @@ let jsonl_trace_validates () =
             check_bool "staleness is non-negative" true
               (int_field g "value" >= 0))
           gauges;
-        let o = observe_of result.Core.Federation.metrics in
+        let o = observe_of result.Core.Engine.metrics in
         check_int "summary agrees with the trace" (List.length spans)
           o.Core.Metrics.spans;
         List.iter
@@ -303,11 +317,11 @@ let staleness_tracks_the_oracle () =
             let diverged =
               not
                 (R.Bag.equal
-                   (List.assoc "V" r.Core.Runner.final_mvs)
-                   (List.assoc "V" r.Core.Runner.final_source_views))
+                   (List.assoc "V" r.Core.Engine.final_mvs)
+                   (List.assoc "V" r.Core.Engine.final_source_views))
             in
             let s =
-              List.assoc "V" (observe_of r.Core.Runner.metrics).Core.Metrics.staleness
+              List.assoc "V" (observe_of r.Core.Engine.metrics).Core.Metrics.staleness
             in
             (seed, diverged, s))
           seeds
@@ -346,8 +360,8 @@ let eca_family_fresh_at_quiescence () =
     (fun (algorithm, runner) ->
       List.iter
         (fun seed ->
-          let r : Core.Runner.result = runner ~algorithm ~seed in
-          let m = r.Core.Runner.metrics in
+          let r : Core.Engine.result = runner ~algorithm ~seed in
+          let m = r.Core.Engine.metrics in
           let o = observe_of m in
           List.iter
             (fun (v, s) ->

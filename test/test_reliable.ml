@@ -160,13 +160,13 @@ let run_example6 ?fault ?(reliable = false) ~algorithm ~seed () =
       (Workload.Spec.make ~c:12 ~j:3 ~k_updates:8 ~insert_ratio:0.6 ~seed ())
   in
   let result =
-    Core.Runner.run ?fault ~fault_seed:(seed * 7) ~reliable
-      ~schedule:(Core.Scheduler.Random seed)
+    Core.Engine.run ~schedule:(Core.Scheduler.Random seed)
       ~creator:(Core.Registry.creator_exn algorithm)
-      ~views:[ view ] ~db ~updates ()
+      ~sites:[ source ?fault ~fault_seed:(seed * 7) ~reliable db ]
+      ~views:[ R.Viewdef.simple view ] ~updates ()
   in
   let truth = R.Eval.view (R.Db.apply_all db updates) view in
-  (R.Bag.equal truth (List.assoc "V" result.Core.Runner.final_mvs), result)
+  (R.Bag.equal truth (List.assoc "V" result.Core.Engine.final_mvs), result)
 
 let run_keyed ?fault ?(reliable = false) ~algorithm ~seed () =
   let { Workload.Scenarios.db; view; updates } =
@@ -174,13 +174,13 @@ let run_keyed ?fault ?(reliable = false) ~algorithm ~seed () =
       (Workload.Spec.make ~c:12 ~j:3 ~k_updates:8 ~insert_ratio:0.5 ~seed ())
   in
   let result =
-    Core.Runner.run ?fault ~fault_seed:(seed * 7) ~reliable
-      ~schedule:(Core.Scheduler.Random seed)
+    Core.Engine.run ~schedule:(Core.Scheduler.Random seed)
       ~creator:(Core.Registry.creator_exn algorithm)
-      ~views:[ view ] ~db ~updates ()
+      ~sites:[ source ?fault ~fault_seed:(seed * 7) ~reliable db ]
+      ~views:[ R.Viewdef.simple view ] ~updates ()
   in
   let truth = R.Eval.view (R.Db.apply_all db updates) view in
-  (R.Bag.equal truth (List.assoc "VK" result.Core.Runner.final_mvs), result)
+  (R.Bag.equal truth (List.assoc "VK" result.Core.Engine.final_mvs), result)
 
 let seeds = List.init 40 (fun i -> i)
 
@@ -192,8 +192,8 @@ let family_correct_over_reliable_chaos () =
       let swept =
         par_map
           (fun seed ->
-            let ok, (result : Core.Runner.result) = runner ~algorithm ~seed in
-            (seed, ok, result.Core.Runner.metrics.Core.Metrics.delivery))
+            let ok, (result : Core.Engine.result) = runner ~algorithm ~seed in
+            (seed, ok, result.Core.Engine.metrics.Core.Metrics.delivery))
           seeds
       in
       let retransmits = ref 0 and dups = ref 0 and dropped = ref 0 in

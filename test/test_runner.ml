@@ -1,5 +1,5 @@
-(* Runner, trace, warehouse and source-site internals: the simulation
-   plumbing below the algorithms. *)
+(* Single-source engine runs, trace, warehouse and source-site
+   internals: the simulation plumbing below the algorithms. *)
 
 open Helpers
 module R = Relational
@@ -18,7 +18,7 @@ let trace_state_sequences () =
       ~updates:[ ins "r2" [ 2; 3 ]; ins "r1" [ 4; 2 ] ]
       ()
   in
-  let trace = result.Core.Runner.trace in
+  let trace = result.Core.Engine.trace in
   let src = Core.Trace.source_states trace "V" in
   let wh = Core.Trace.warehouse_states trace "V" in
   check_int "three source states (ss0..ss2)" 3 (List.length src);
@@ -36,7 +36,7 @@ let trace_unknown_view_is_empty () =
   in
   Alcotest.(check (list bag_testable))
     "no states for an unknown view" []
-    (Core.Trace.source_states result.Core.Runner.trace "nope")
+    (Core.Trace.source_states result.Core.Engine.trace "nope")
 
 let trace_entry_order () =
   let db = small_db () in
@@ -54,7 +54,7 @@ let trace_entry_order () =
         | Core.Trace.Quiesce_probe _ -> "QP"
         | Core.Trace.Source_ddl _ -> "SD"
         | Core.Trace.Warehouse_ddl _ -> "WD")
-      (Core.Trace.entries result.Core.Runner.trace)
+      (Core.Trace.entries result.Core.Engine.trace)
   in
   Alcotest.(check (list string)) "event order" [ "SU"; "WN"; "SA"; "WA" ] kinds
 
@@ -188,18 +188,17 @@ let source_event_log () =
     (Source_site.Source.io_total source)
 
 (* ------------------------------------------------------------------ *)
-(* Runner guards                                                       *)
+(* Run guards                                                          *)
 (* ------------------------------------------------------------------ *)
 
 let runner_rejects_bad_batch () =
   match
     run ~algorithm:"eca" ~views:[ view_w () ] ~db:(small_db ()) ~updates:[] ()
     |> ignore;
-    Core.Runner.run ~batch_size:0
-      ~creator:(Core.Registry.creator_exn "eca")
-      ~views:[ view_w () ] ~db:(small_db ()) ~updates:[] ()
+    Core.Engine.run ~batch_size:0 ~creator:(Core.Registry.creator_exn "eca")
+      ~sites:[ source (small_db ()) ] ~views:[ vd (view_w ()) ] ~updates:[] ()
   with
-  | exception Core.Runner.Run_error _ -> ()
+  | exception Core.Engine.Engine_error _ -> ()
   | _ -> Alcotest.fail "expected Run_error"
 
 let runner_empty_workload () =
@@ -207,7 +206,7 @@ let runner_empty_workload () =
     run ~algorithm:"eca" ~views:[ view_w () ] ~db:(small_db ()) ~updates:[] ()
   in
   check_int "no steps beyond the probe" 0
-    result.Core.Runner.metrics.Core.Metrics.updates;
+    result.Core.Engine.metrics.Core.Metrics.updates;
   check_bool "trivially complete" true
     (report result "V").Core.Consistency.complete
 
@@ -224,7 +223,7 @@ let runner_update_numbering () =
         | Core.Trace.Source_update { updates; _ } ->
           List.map (fun (u : R.Update.t) -> u.R.Update.seq) updates
         | _ -> [])
-      (Core.Trace.entries result.Core.Runner.trace)
+      (Core.Trace.entries result.Core.Engine.trace)
   in
   Alcotest.(check (list int)) "sequence numbers assigned" [ 1; 2 ] seqs
 
@@ -240,22 +239,24 @@ let mixed_algorithms () =
       [ r1_wkey; r2_ykey ]
   in
   let updates = [ ins "r2" [ 2; 4 ]; del "r1" [ 1; 2 ]; ins "r1" [ 7; 2 ] ] in
+  let entries =
+    [
+      Core.Catalog.entry ~algo:"eca-key" (R.Viewdef.simple keyed);
+      Core.Catalog.entry ~algo:"eca" (R.Viewdef.simple plain);
+    ]
+  in
   let result =
-    Core.Runner.run_mixed ~schedule:Core.Scheduler.Worst_case
-      ~assignments:
-        [
-          (R.Viewdef.simple keyed, Core.Registry.creator_exn "eca-key");
-          (R.Viewdef.simple plain, Core.Registry.creator_exn "eca");
-        ]
-      ~db ~updates ()
+    Core.Engine.run ~schedule:Core.Scheduler.Worst_case
+      ~creator:(Core.Catalog.creator entries) ~sites:[ source db ]
+      ~views:(Core.Catalog.views entries) ~updates ()
   in
   List.iter
     (fun name ->
       check_bool (name ^ " strongly consistent") true
         (report result name).Core.Consistency.strongly_consistent;
       check_bag (name ^ " matches truth")
-        (List.assoc name result.Core.Runner.final_source_views)
-        (List.assoc name result.Core.Runner.final_mvs))
+        (List.assoc name result.Core.Engine.final_source_views)
+        (List.assoc name result.Core.Engine.final_mvs))
     [ "K"; "P" ]
 
 (* The incremental oracle (delta applied to the previous snapshot) must
@@ -278,20 +279,20 @@ let oracle_modes_agree () =
   List.iter
     (fun (label, schedule, batch_size) ->
       let go oracle =
-        Core.Runner.run ~schedule ~batch_size ~oracle
-          ~creator:(Core.Registry.creator_exn "eca")
-          ~views:[ view_w () ] ~db ~updates ()
+        Core.Engine.run ~schedule ~batch_size ~oracle
+          ~creator:(Core.Registry.creator_exn "eca") ~sites:[ source db ]
+          ~views:[ vd (view_w ()) ] ~updates ()
       in
-      let inc = go Core.Runner.Incremental in
-      let re = go Core.Runner.Recompute in
+      let inc = go Core.Engine.Incremental in
+      let re = go Core.Engine.Recompute in
       Alcotest.(check (list bag_testable))
         (label ^ ": identical source-state sequences")
-        (Core.Trace.source_states re.Core.Runner.trace "V")
-        (Core.Trace.source_states inc.Core.Runner.trace "V");
+        (Core.Trace.source_states re.Core.Engine.trace "V")
+        (Core.Trace.source_states inc.Core.Engine.trace "V");
       check_bag
         (label ^ ": identical final source views")
-        (List.assoc "V" re.Core.Runner.final_source_views)
-        (List.assoc "V" inc.Core.Runner.final_source_views);
+        (List.assoc "V" re.Core.Engine.final_source_views)
+        (List.assoc "V" inc.Core.Engine.final_source_views);
       Alcotest.(check bool)
         (label ^ ": same consistency verdict")
         true
@@ -309,7 +310,7 @@ let metrics_accounting () =
     run ~algorithm:"eca" ~views:[ view_w () ] ~db
       ~updates:[ ins "r2" [ 2; 3 ] ] ()
   in
-  let m = result.Core.Runner.metrics in
+  let m = result.Core.Engine.metrics in
   check_int "M = q + a" (Core.Metrics.messages m)
     (m.Core.Metrics.queries_sent + m.Core.Metrics.answers_received);
   check_int "B for S=10" (10 * m.Core.Metrics.answer_tuples)

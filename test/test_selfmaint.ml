@@ -8,8 +8,6 @@ open Helpers
 module R = Relational
 module SM = R.Selfmaint
 
-let vd v = R.Viewdef.simple v
-
 let fk cols r rcols =
   { R.Schema.fk_cols = cols; fk_ref = r; fk_ref_cols = rcols }
 
@@ -557,19 +555,19 @@ let eca_sm_never_queries () =
     (fun vdef ->
       let name = vdef.R.Viewdef.name in
       let r =
-        Core.Runner.run_defs ~schedule:Core.Scheduler.Worst_case
-          ~creator:(Core.Registry.creator_exn "eca-sm")
-          ~views:[ vdef ] ~db ~updates ()
+        Core.Engine.run ~schedule:Core.Scheduler.Worst_case
+          ~creator:(Core.Registry.creator_exn "eca-sm") ~sites:[ source db ]
+          ~views:[ vdef ] ~updates ()
       in
       let oracle = R.Viewdef.eval (R.Db.apply_all db updates) vdef in
       check_bag (name ^ ": exact") oracle (final_mv r name);
       check_int (name ^ ": M = 0") 0
-        r.Core.Runner.metrics.Core.Metrics.queries_sent;
+        r.Core.Engine.metrics.Core.Metrics.queries_sent;
       check_int (name ^ ": B = 0") 0
-        (r.Core.Runner.metrics.Core.Metrics.query_bytes
-        + r.Core.Runner.metrics.Core.Metrics.answer_bytes);
+        (r.Core.Engine.metrics.Core.Metrics.query_bytes
+        + r.Core.Engine.metrics.Core.Metrics.answer_bytes);
       (* the run surfaces the handling-path split in the metrics block *)
-      match r.Core.Runner.metrics.Core.Metrics.selfmaint with
+      match r.Core.Engine.metrics.Core.Metrics.selfmaint with
       | None -> Alcotest.failf "%s: no selfmaint metrics" name
       | Some sm ->
         check_int (name ^ ": nothing fell back") 0 sm.Core.Metrics.sm_fallback;
@@ -581,12 +579,12 @@ let eca_sm_never_queries () =
   (* other rungs report no counters: the block stays [None] and their
      output is byte-identical to the pre-ECA-SM engine *)
   let r =
-    Core.Runner.run_defs ~schedule:Core.Scheduler.Worst_case
-      ~creator:(Core.Registry.creator_exn "eca")
-      ~views:[ vd (v_sm ()) ] ~db ~updates ()
+    Core.Engine.run ~schedule:Core.Scheduler.Worst_case
+      ~creator:(Core.Registry.creator_exn "eca") ~sites:[ source db ]
+      ~views:[ vd (v_sm ()) ] ~updates ()
   in
   check_bool "plain eca leaves selfmaint = None" true
-    (r.Core.Runner.metrics.Core.Metrics.selfmaint = None)
+    (r.Core.Engine.metrics.Core.Metrics.selfmaint = None)
 
 (* Partially local views do query — but only for the remote classes. *)
 let eca_sm_mixed_falls_back () =
@@ -594,9 +592,8 @@ let eca_sm_mixed_falls_back () =
   let vdef = vd (v_mixed ()) in
   let oracle = R.Viewdef.eval (R.Db.apply_all db updates) vdef in
   let run schedule =
-    Core.Runner.run_defs ~schedule
-      ~creator:(Core.Registry.creator_exn "eca-sm")
-      ~views:[ vdef ] ~db ~updates ()
+    Core.Engine.run ~schedule ~creator:(Core.Registry.creator_exn "eca-sm")
+      ~sites:[ source db ] ~views:[ vdef ] ~updates ()
   in
   let worst = run Core.Scheduler.Worst_case in
   check_bag "mixed: exact under worst case" oracle (final_mv worst "MX");
@@ -610,7 +607,7 @@ let eca_sm_mixed_falls_back () =
       (List.filter (fun u -> u.R.Update.kind = R.Update.Insert) updates)
   in
   check_int "one query per remote insert, none for local deletes" inserts
-    best.Core.Runner.metrics.Core.Metrics.queries_sent
+    best.Core.Engine.metrics.Core.Metrics.queries_sent
 
 (* Instance-level counters: the handling-path split the metrics surface
    reports. *)
@@ -695,15 +692,15 @@ let rungs_match_oracle ~schedule ~fault ~reliable seed =
       List.for_all
         (fun algo ->
           let r =
-            Core.Runner.run_defs ~schedule ?fault ~fault_seed:seed ~reliable
-              ~creator:(Core.Registry.creator_exn algo)
-              ~views:[ vdef ] ~db ~updates ()
+            Core.Engine.run ~schedule ~creator:(Core.Registry.creator_exn algo)
+              ~sites:[ source ?fault ~fault_seed:seed ~reliable db ]
+              ~views:[ vdef ] ~updates ()
           in
           R.Bag.equal oracle
-            (List.assoc vdef.R.Viewdef.name r.Core.Runner.final_mvs)
+            (List.assoc vdef.R.Viewdef.name r.Core.Engine.final_mvs)
           && ((not (String.equal algo "eca-sm"))
              || family = `Mixed
-             || r.Core.Runner.metrics.Core.Metrics.queries_sent = 0))
+             || r.Core.Engine.metrics.Core.Metrics.queries_sent = 0))
         algos)
     sweep_cases
 

@@ -16,10 +16,9 @@ let setup () =
 let run_timed ~mode ~algorithm ?(schedule = Core.Scheduler.Best_case) () =
   let db, view, updates = setup () in
   let result =
-    Core.Runner.run ~schedule
-      ~creator:
-        (Core.Timing.creator mode (Core.Registry.creator_exn algorithm))
-      ~views:[ view ] ~db ~updates ()
+    Core.Engine.run ~schedule
+      ~creator:(Core.Timing.creator mode (Core.Registry.creator_exn algorithm))
+      ~sites:[ source db ] ~views:[ R.Viewdef.simple view ] ~updates ()
   in
   (result, R.Eval.view (R.Db.apply_all db updates) view)
 
@@ -27,24 +26,24 @@ let periodic_correct_and_cheaper () =
   let immediate, truth = run_timed ~mode:Core.Timing.Immediate ~algorithm:"eca" () in
   let periodic, _ = run_timed ~mode:(Core.Timing.Periodic 4) ~algorithm:"eca" () in
   check_bag "periodic final view correct" truth
-    (List.assoc "V" periodic.Core.Runner.final_mvs);
+    (List.assoc "V" periodic.Core.Engine.final_mvs);
   check_bool "periodic strongly consistent" true
-    (List.assoc "V" periodic.Core.Runner.reports)
+    (List.assoc "V" periodic.Core.Engine.reports)
       .Core.Consistency.strongly_consistent;
   check_bool "fewer messages than immediate" true
-    (Core.Metrics.messages periodic.Core.Runner.metrics
-     < Core.Metrics.messages immediate.Core.Runner.metrics)
+    (Core.Metrics.messages periodic.Core.Engine.metrics
+     < Core.Metrics.messages immediate.Core.Engine.metrics)
 
 let deferred_single_refresh () =
   let deferred, truth = run_timed ~mode:Core.Timing.Deferred ~algorithm:"eca" () in
   check_bag "deferred final view correct" truth
-    (List.assoc "V" deferred.Core.Runner.final_mvs);
+    (List.assoc "V" deferred.Core.Engine.final_mvs);
   check_bool "deferred strongly consistent" true
-    (List.assoc "V" deferred.Core.Runner.reports)
+    (List.assoc "V" deferred.Core.Engine.reports)
       .Core.Consistency.strongly_consistent;
   (* one flush, one combined query, one answer *)
   check_int "single round trip" 2
-    (Core.Metrics.messages deferred.Core.Runner.metrics)
+    (Core.Metrics.messages deferred.Core.Engine.metrics)
 
 let periodic_under_contention () =
   let periodic, truth =
@@ -52,9 +51,9 @@ let periodic_under_contention () =
       ~schedule:Core.Scheduler.Worst_case ()
   in
   check_bag "worst-case periodic is still correct" truth
-    (List.assoc "V" periodic.Core.Runner.final_mvs);
+    (List.assoc "V" periodic.Core.Engine.final_mvs);
   check_bool "strongly consistent" true
-    (List.assoc "V" periodic.Core.Runner.reports)
+    (List.assoc "V" periodic.Core.Engine.reports)
       .Core.Consistency.strongly_consistent
 
 let periodic_wraps_other_algorithms () =
@@ -62,7 +61,7 @@ let periodic_wraps_other_algorithms () =
     (fun algorithm ->
       let r, truth = run_timed ~mode:(Core.Timing.Periodic 5) ~algorithm () in
       check_bag (algorithm ^ " periodic correct") truth
-        (List.assoc "V" r.Core.Runner.final_mvs))
+        (List.assoc "V" r.Core.Engine.final_mvs))
     [ "lca"; "sc"; "rv" ]
 
 let invalid_period_rejected () =
