@@ -34,8 +34,9 @@ bench-throughput:
 # One-stop pre-commit gate: build everything, run the test suite (plus
 # the fault-injection/reliability suites, the golden-trace check pinning
 # Engine.run byte-for-byte, and the engine, selfmaint, evolution,
-# consistency-judge and staleness suites, all explicitly, so a filtered
-# or cached runtest can never silently skip them), fail if a removed run
+# consistency-judge, staleness, planned-vs-naive evaluation and
+# access-path (index) suites, all explicitly, so a filtered or cached
+# runtest can never silently skip them), fail if a removed run
 # entry point or scheduler alias reappears in the sources, check that
 # the parallel bench is deterministic (PAR=1 and PAR=4 emit identical
 # runs arrays), run the quick benchmark, and fail if its summed per-run
@@ -54,6 +55,8 @@ smoke:
 	dune exec test/main.exe -- test evolution
 	dune exec test/main.exe -- test consistency
 	dune exec test/main.exe -- test staleness
+	dune exec test/main.exe -- test plan-equiv
+	dune exec test/main.exe -- test access
 	@if grep -rnE 'Core\.Runner|Core\.Federation|Drain_first|Updates_first|unordered_delivery' \
 	  lib bin bench examples test; then \
 	  echo "smoke: a removed entry point or alias reappeared (use Engine.run)"; \

@@ -28,7 +28,11 @@ type t
 val applicable : R.Viewdef.t -> bool
 (** Always true: ECA is the catalog ladder's universal fallback rung. *)
 
-val create : Algorithm.Config.t -> t
+val create : ?keyed:R.View.t * string list -> Algorithm.Config.t -> t
+(** [keyed = (view, rels)] indexes the materialized view for
+    {!key_delete} on each of [rels] (see {!Mview.Keyed}); without it the
+    view is a bare bag and pays nothing for indexes. *)
+
 val mv : t -> R.Bag.t
 
 val uqs : t -> (int * R.Query.t) list
@@ -38,9 +42,16 @@ val uqs : t -> (int * R.Query.t) list
 val quiescent : t -> bool
 (** No pending query and no uninstalled [COLLECT] delta. *)
 
-val replace_mv : t -> R.Bag.t -> unit
-(** Overwrite the view of a quiescent instance — used by ECAL to apply
-    locally handled updates.
+val key_delete : t -> rel:string -> R.Tuple.t -> bool
+(** Apply a local key-delete to the view of a quiescent instance — ECAL's
+    and ECA-SM's warehouse-local deletions. [false] when no view tuple
+    carried the key (the view is unchanged).
+    @raise Invalid_argument when work is pending.
+    @raise Mview.Mview_error when [rel] was not among [create]'s keyed
+    relations. *)
+
+val apply_local : t -> R.Bag.t -> unit
+(** Add a locally computed delta to the view of a quiescent instance.
     @raise Invalid_argument when work is pending. *)
 
 val on_update : t -> R.Update.t -> Algorithm.outcome

@@ -30,10 +30,15 @@ let local_capable (vd : R.Viewdef.t) =
 let create (cfg : Algorithm.Config.t) =
   (* the compensating fallback works on any viewdef; local key-deletes
      need a simple SPJ view, so compound views simply never go local *)
-  {
-    eca = Eca.create cfg;
-    view = R.Viewdef.as_simple cfg.view;
-  }
+  let view = R.Viewdef.as_simple cfg.view in
+  let keyed =
+    Option.map
+      (fun (v : R.View.t) ->
+        ( v,
+          List.filter (Mview.covers_key v) (R.View.relation_names v) ))
+      view
+  in
+  { eca = Eca.create ?keyed cfg; view }
 
 let mv t = Eca.mv t.eca
 
@@ -50,15 +55,9 @@ let on_update t (u : R.Update.t) =
        compensations would have to be split around it (the bookkeeping the
        paper leaves as future work). With pending work the update falls
        back to the compensating path below. *)
-    let mv' =
-      Mview.key_delete ~view ~rel:u.R.Update.rel u.R.Update.tuple
-        (Eca.mv t.eca)
-    in
-    if R.Bag.equal mv' (Eca.mv t.eca) then Algorithm.nothing
-    else begin
-      Eca.replace_mv t.eca mv';
-      Algorithm.install mv'
-    end
+    if Eca.key_delete t.eca ~rel:u.R.Update.rel u.R.Update.tuple then
+      Algorithm.install (Eca.mv t.eca)
+    else Algorithm.nothing
   end
   else Eca.on_update t.eca u
 

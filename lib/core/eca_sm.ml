@@ -39,11 +39,25 @@ let create (cfg : Algorithm.Config.t) =
            "ECA-SM needs the initial base relations (Config.init_db) to \
             seed its auxiliary views")
   in
+  let simple = R.Viewdef.as_simple view in
+  (* Index the view for the classes answered by a local key-delete. *)
+  let keyed =
+    Option.map
+      (fun v ->
+        ( v,
+          List.filter_map
+            (fun (c : R.Selfmaint.class_report) ->
+              match c.R.Selfmaint.cls_plan with
+              | R.Selfmaint.Use_key_delete -> Some c.R.Selfmaint.cls_rel
+              | R.Selfmaint.Use_local _ | R.Selfmaint.Use_fallback _ -> None)
+            analysis.R.Selfmaint.classes ))
+      simple
+  in
   {
     view;
-    simple = R.Viewdef.as_simple view;
+    simple;
     analysis;
-    eca = Eca.create cfg;
+    eca = Eca.create ?keyed cfg;
     aux_db = R.Selfmaint.seed_aux_db analysis seed_from;
     sm_self = 0;
     sm_aux = 0;
@@ -56,12 +70,7 @@ let mv t = Eca.mv t.eca
 
 let quiescent t = Eca.quiescent t.eca
 
-let install_state t mv' =
-  if R.Bag.equal mv' (Eca.mv t.eca) then Algorithm.nothing
-  else begin
-    Eca.replace_mv t.eca mv';
-    Algorithm.install mv'
-  end
+let install t = Algorithm.install (Eca.mv t.eca)
 
 let on_update t (u : R.Update.t) =
   if not (R.Viewdef.mentions t.view u.R.Update.rel) then Algorithm.nothing
@@ -89,11 +98,11 @@ let on_update t (u : R.Update.t) =
           | R.Selfmaint.Use_key_delete -> (
             match t.simple with
             | None -> fallback ()
-            | Some view ->
+            | Some _ ->
               t.sm_self <- t.sm_self + 1;
-              install_state t
-                (Mview.key_delete ~view ~rel:u.R.Update.rel u.R.Update.tuple
-                   (Eca.mv t.eca)))
+              if Eca.key_delete t.eca ~rel:u.R.Update.rel u.R.Update.tuple
+              then install t
+              else Algorithm.nothing)
           | R.Selfmaint.Use_local _ -> (
             match R.Selfmaint.delta t.analysis ~aux_db:t.aux_db u with
             | None -> fallback ()
@@ -102,7 +111,10 @@ let on_update t (u : R.Update.t) =
               | R.Selfmaint.Aux _ -> t.sm_aux <- t.sm_aux + 1
               | _ -> t.sm_self <- t.sm_self + 1);
               if R.Bag.is_empty d then Algorithm.nothing
-              else install_state t (Mview.apply_delta (Eca.mv t.eca) d)))
+              else begin
+                Eca.apply_local t.eca d;
+                install t
+              end))
     in
     (* The auxiliary views mirror their base relations on every update,
        whichever path handled it — they must track the source exactly to

@@ -324,8 +324,7 @@ let run ?(schedule = Scheduler.Best_case) ?(rv_period = 1) ?(batch_size = 1)
           match R.Delta_program.of_update (staged vi) first with
           | None -> ()
           | Some prog ->
-            snap.(vi) <-
-              R.Bag.plus snap.(vi) (R.Delta_program.apply_batch prog db tuples))
+            snap.(vi) <- R.Delta_program.apply_batch ~into:snap.(vi) prog db tuples)
         site_views.(i);
       advance_cross ()
   in

@@ -60,11 +60,13 @@ let on_update t (u : R.Update.t) =
   end
 
 (* Batched apply: one program pass per update-class run instead of one
-   delta query per update. Restricted to simple (single positive part)
-   views so the install/no-install decision matches the sequential
-   replay exactly — a simple view's per-run delta counts all share one
-   sign, so the batched delta is empty iff every per-update delta was;
-   mixed-sign compound views could cancel across updates and diverge. *)
+   delta query per update, accumulated straight into the view. Restricted
+   to simple (single positive part) views so the install/no-install
+   decision matches the sequential replay exactly — a simple view's
+   per-run join rows all share one sign, so the run changes the view
+   (the pass returns a new bag rather than [into] itself) iff some
+   per-update delta was nonempty; mixed-sign compound views could cancel
+   across updates and diverge. *)
 let on_batch t (us : R.Update.t list) =
   if R.Delta_program.compiled () && R.Viewdef.is_simple t.view then begin
     let installed = ref false in
@@ -78,12 +80,12 @@ let on_batch t (us : R.Update.t list) =
           (match R.Delta_program.of_update t.staged first with
            | None -> ()
            | Some prog ->
-             let delta =
-               R.Delta_program.apply_batch prog replica'
+             let mv' =
+               R.Delta_program.apply_batch ~into:t.mv prog replica'
                  (List.map (fun (u : R.Update.t) -> u.R.Update.tuple) run)
              in
-             if not (R.Bag.is_empty delta) then begin
-               t.mv <- Mview.apply_delta t.mv delta;
+             if mv' != t.mv then begin
+               t.mv <- mv';
                installed := true
              end))
       (R.Delta_program.runs us);

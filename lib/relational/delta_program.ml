@@ -98,7 +98,10 @@ let stage_class (vd : Viewdef.t) ~rel ~kind =
           let sign_factor = Sign.to_int part_sign * subst_sign in
           Some
             {
-              plan = Plan.of_term term;
+              plan =
+                Plan.of_term
+                  ~bound:(Array.map (fun s -> s = From_delta) sources)
+                  term;
               sources;
               delta_schema;
               delta_slots;
@@ -121,25 +124,25 @@ let stage_class (vd : Viewdef.t) ~rel ~kind =
 (* Application                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let apply_chain ch db delta =
-  Eval.run_plan ch.plan
-    ~contents:(fun i ->
+let apply_chain ch db delta into =
+  Eval.run_plan ~into ch.plan
+    ~input:(fun i ->
       match ch.sources.(i) with
-      | From_db r -> Db.contents db r
-      | From_delta -> delta)
+      | From_db r -> Eval.Relation (db, r)
+      | From_delta -> Eval.Tuples delta)
     ~sign:ch.sign_factor
 
-let apply t db tuple =
+let apply ?(into = Bag.empty) t db tuple =
   List.fold_left
     (fun acc ch ->
       Schema.check_tuple ch.delta_schema tuple;
-      Bag.plus acc (apply_chain ch db (Bag.singleton tuple)))
-    Bag.empty t.chains
+      apply_chain ch db (Bag.singleton tuple) acc)
+    into t.chains
 
-let apply_batch t db tuples =
+let apply_batch ?(into = Bag.empty) t db tuples =
   match tuples with
-  | [] -> Bag.empty
-  | [ tuple ] -> apply t db tuple
+  | [] -> into
+  | [ tuple ] -> apply ~into t db tuple
   | _ when t.linear ->
     (* One pass per chain with the whole batch as the delta slot's bag;
        duplicate tuples merge their counts, which is exactly their summed
@@ -150,12 +153,10 @@ let apply_batch t db tuples =
     List.fold_left
       (fun acc ch ->
         List.iter (Schema.check_tuple ch.delta_schema) tuples;
-        Bag.plus acc (apply_chain ch db delta))
-      Bag.empty t.chains
+        apply_chain ch db delta acc)
+      into t.chains
   | _ ->
-    List.fold_left
-      (fun acc tuple -> Bag.plus acc (apply t db tuple))
-      Bag.empty tuples
+    List.fold_left (fun acc tuple -> apply ~into:acc t db tuple) into tuples
 
 (* ------------------------------------------------------------------ *)
 (* Per-view staging                                                    *)

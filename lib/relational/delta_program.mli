@@ -43,20 +43,24 @@ val find : staged -> rel:string -> kind:Update.kind -> t option
 val of_update : staged -> Update.t -> t option
 (** [find] keyed by an update's class. *)
 
-val apply : t -> Db.t -> Tuple.t -> Bag.t
+val apply : ?into:Bag.t -> t -> Db.t -> Tuple.t -> Bag.t
 (** The delta V<U> of one update with the given tuple, evaluated against
-    [db]. Equals
-    [Eval.query db (Viewdef.delta view u)] — the database is read only
-    for relations other than the program's own, so callers may pass the
-    state from either side of the update, as the paper's algorithms
-    variously do.
+    [db] and added to [into] (default empty). Equals
+    [Bag.plus into (Eval.query db (Viewdef.delta view u))] — the database
+    is read only for relations other than the program's own, so callers
+    may pass the state from either side of the update, as the paper's
+    algorithms variously do. Returns [into] itself when no join row
+    results.
     @raise Schema.Schema_error when the tuple does not fit the updated
     relation's schema. *)
 
-val apply_batch : t -> Db.t -> Tuple.t list -> Bag.t
-(** The summed delta of a batch of same-class updates: equals the
-    [Bag.plus] over per-tuple {!apply} results, computed in one plan pass
-    when the program is {!linear}. Empty batches yield the empty bag. *)
+val apply_batch : ?into:Bag.t -> t -> Db.t -> Tuple.t list -> Bag.t
+(** The summed delta of a batch of same-class updates added to [into]:
+    equals the [Bag.plus] over per-tuple {!apply} results, computed in
+    one plan pass when the program is {!linear}. Accumulating straight
+    into a view saves building the delta as a separate bag. Returns
+    [into] itself when no join row results (in particular for an empty
+    batch). *)
 
 val runs : Update.t list -> Update.t list list
 (** Split a mixed batch into maximal consecutive runs of one update

@@ -1,10 +1,11 @@
 (* Term/query evaluation over compiled plans.
 
-   {!Plan} fixes layout, join keys, filters and projection positions once
-   per term skeleton (cached); this module supplies the runtime: slot
-   contents come from the database, intermediate rows live in growable
-   arrays, and equi-joins run through a hash table keyed by an explicit
-   [Value] hash — no polymorphic hashing, no per-row attribute resolution.
+   {!Plan} fixes join order, layout, join keys, filters and projection
+   positions once per term skeleton (cached); this module supplies the
+   runtime: intermediate rows live in growable arrays, a base relation
+   reached by an equi-join is probed through its column index
+   ({!Db.matching}) once per row, and every other slot is enumerated —
+   no per-row attribute resolution.
 
    [naive_term]/[naive_query] keep the obviously-correct reference
    semantics (full cross product, filter, project) for property tests. *)
@@ -12,25 +13,6 @@
 exception Eval_error of string
 
 let error fmt = Format.kasprintf (fun s -> raise (Eval_error s)) fmt
-
-(* ------------------------------------------------------------------ *)
-(* Join-key hash table: explicit Value hash/equal over key arrays       *)
-(* ------------------------------------------------------------------ *)
-
-module Vkey = struct
-  type t = Value.t array
-
-  let equal a b =
-    let la = Array.length a in
-    la = Array.length b
-    &&
-    let rec loop i = i >= la || (Value.equal a.(i) b.(i) && loop (i + 1)) in
-    loop 0
-
-  let hash k = Array.fold_left (fun acc v -> (acc * 31) + Value.hash v) 17 k
-end
-
-module Vtbl = Hashtbl.Make (Vkey)
 
 (* ------------------------------------------------------------------ *)
 (* Growable row buffers                                                *)
@@ -64,11 +46,19 @@ module Rows = struct
     r.len <- r.len + 1
 end
 
-let slot_contents db = function
-  | Term.Base s -> Db.contents db s.Schema.name
+type input =
+  | Tuples of Bag.t
+  | Relation of Db.t * string
+
+let input_of_slot db = function
+  | Term.Base s -> Relation (db, s.Schema.name)
   | Term.Lit (s, g, tup) ->
     Schema.check_tuple s tup;
-    Bag.singleton ~count:(Sign.to_int g) tup
+    Tuples (Bag.singleton ~count:(Sign.to_int g) tup)
+
+let enumerate = function
+  | Tuples b -> b
+  | Relation (db, rel) -> Db.contents db rel
 
 (* ------------------------------------------------------------------ *)
 (* Plan execution                                                      *)
@@ -79,128 +69,114 @@ let keep filter row =
   | None -> true
   | Some f -> f row
 
-(* Extend [rows] with [contents] by nested loop (no equi-join keys). *)
-let extend_nested rows contents filter =
-  let next = Rows.create ~capacity:(Rows.(rows.len)) () in
-  for j = 0 to rows.Rows.len - 1 do
-    let row = rows.Rows.data.(j) and cnt = rows.Rows.counts.(j) in
-    Bag.iter
-      (fun tup n ->
-        let row' = Tuple.concat row tup in
-        if keep filter row' then Rows.push next row' (cnt * n))
-      contents
-  done;
-  next
+(* Equi-join keys compare like the [=] conjuncts they come from, so an
+   Int key meets a numerically equal Float. *)
+let keys_hold (keys : Plan.join_key array) row tup =
+  let rec loop i =
+    i >= Array.length keys
+    ||
+    let k = keys.(i) in
+    Value.compare_for_predicate row.(k.Plan.probe_pos) (Tuple.get tup k.Plan.build_pos)
+    = 0
+    && loop (i + 1)
+  in
+  loop 0
 
-(* Extend [rows] with [contents] by hash join on [keys]. The hash table is
-   built on whichever side is smaller — the accumulated rows or the new
-   slot — and seeded to its exact size, so neither side pays rehashing or
-   an oversized allocation. *)
-let extend_hash rows contents (keys : Plan.join_key array) filter =
-  let next = Rows.create ~capacity:(Rows.(rows.len)) () in
-  let build_card = Bag.distinct_cardinality contents in
-  if build_card <= rows.Rows.len then begin
-    (* Build on the slot's contents, probe with the partial rows. *)
-    let tbl : (Tuple.t * int) list ref Vtbl.t = Vtbl.create (max 16 build_card) in
-    Bag.iter
-      (fun tup n ->
-        let key = Array.map (fun (k : Plan.join_key) -> Tuple.get tup k.Plan.build_pos) keys in
-        match Vtbl.find_opt tbl key with
-        | Some cell -> cell := (tup, n) :: !cell
-        | None -> Vtbl.add tbl key (ref [ (tup, n) ]))
-      contents;
+(* One join step: every partial row of [rows] extended with each of the
+   slot's tuples that passes the keys and the filter, handed to [emit]
+   with its count. A probed base relation is looked up through its
+   column index once per row; anything else is enumerated per row (a
+   probe key with a bag input is then checked like the others). *)
+let join_step (sp : Plan.slot_plan) input (rows : Rows.t) emit =
+  let extend keys row cnt tup n =
+    if keys_hold keys row tup then begin
+      let row' = Tuple.concat row tup in
+      if keep sp.Plan.filter row' then emit row' (cnt * n)
+    end
+  in
+  match sp.Plan.probe, input with
+  | Some probe, Relation (db, rel) ->
+    let bag = Db.contents db rel in
+    let matching = Db.matching db rel probe.Plan.build_pos in
     for j = 0 to rows.Rows.len - 1 do
       let row = rows.Rows.data.(j) and cnt = rows.Rows.counts.(j) in
-      let key = Array.map (fun (k : Plan.join_key) -> row.(k.Plan.probe_pos)) keys in
-      match Vtbl.find_opt tbl key with
-      | None -> ()
-      | Some cell ->
-        List.iter
-          (fun (tup, n) ->
-            let row' = Tuple.concat row tup in
-            if keep filter row' then Rows.push next row' (cnt * n))
-          !cell
+      List.iter
+        (fun tup -> extend sp.Plan.keys row cnt tup (Bag.count bag tup))
+        (matching row.(probe.Plan.probe_pos))
     done
-  end
-  else begin
-    (* Fewer partial rows than slot tuples: build on the rows instead and
-       stream the slot's contents past the table. *)
-    let tbl : (Value.t array * int) list ref Vtbl.t =
-      Vtbl.create (max 16 rows.Rows.len)
+  | probe, input ->
+    let keys =
+      match probe with
+      | None -> sp.Plan.keys
+      | Some p -> Array.append [| p |] sp.Plan.keys
     in
+    let contents = enumerate input in
     for j = 0 to rows.Rows.len - 1 do
       let row = rows.Rows.data.(j) and cnt = rows.Rows.counts.(j) in
-      let key = Array.map (fun (k : Plan.join_key) -> row.(k.Plan.probe_pos)) keys in
-      match Vtbl.find_opt tbl key with
-      | Some cell -> cell := (row, cnt) :: !cell
-      | None -> Vtbl.add tbl key (ref [ (row, cnt) ])
-    done;
-    Bag.iter
-      (fun tup n ->
-        let key = Array.map (fun (k : Plan.join_key) -> Tuple.get tup k.Plan.build_pos) keys in
-        match Vtbl.find_opt tbl key with
-        | None -> ()
-        | Some cell ->
-          List.iter
-            (fun (row, cnt) ->
-              let row' = Tuple.concat row tup in
-              if keep filter row' then Rows.push next row' (cnt * n))
-            !cell)
-      contents
+      Bag.iter (fun tup n -> extend keys row cnt tup n) contents
+    done
+
+(* Execute a compiled plan, reading slot [i] from [input i]. Inputs are
+   only requested while rows remain, so callers pay nothing for slots
+   past an empty join prefix. The last step projects its rows straight
+   into the result. This single executor serves both [term] below and
+   the staged programs in {!Delta_program}: sharing it is what makes
+   "compiled = interpreted" an identity rather than a theorem. *)
+let run_plan ?(into = Bag.empty) (plan : Plan.t) ~(input : int -> input) ~sign =
+  let acc = ref into in
+  let emit_out row cnt =
+    acc := Bag.add ~count:(cnt * sign) (Tuple.project plan.Plan.proj row) !acc
+  in
+  let steps = plan.Plan.slots in
+  let last = Array.length steps - 1 in
+  let rec go i rows =
+    let sp = steps.(i) in
+    if i = last then join_step sp (input sp.Plan.slot) rows emit_out
+    else begin
+      let next = Rows.create ~capacity:rows.Rows.len () in
+      join_step sp (input sp.Plan.slot) rows (Rows.push next);
+      if next.Rows.len > 0 then go (i + 1) next
+    end
+  in
+  if not plan.Plan.pre_false then begin
+    if last < 0 then emit_out [||] 1
+    else begin
+      let seed = Rows.create ~capacity:1 () in
+      Rows.push seed [||] 1;
+      go 0 seed
+    end
   end;
-  next
+  !acc
 
-(* Execute a compiled plan with slot contents supplied by index. Contents
-   are only requested while rows remain, so callers pay nothing for slots
-   past an empty join prefix. This single executor serves both [term]
-   below and the staged programs in {!Delta_program}: sharing it is what
-   makes "compiled = interpreted" an identity rather than a theorem. *)
-let run_plan (plan : Plan.t) ~(contents : int -> Bag.t) ~sign =
-  if plan.Plan.pre_false then Bag.empty
-  else begin
-    let rows = ref (Rows.create ~capacity:1 ()) in
-    Rows.push !rows [||] 1;
-    Array.iteri
-      (fun i (sp : Plan.slot_plan) ->
-        if !rows.Rows.len > 0 then begin
-          let c = contents i in
-          rows :=
-            if Array.length sp.Plan.keys = 0 then
-              extend_nested !rows c sp.Plan.filter
-            else extend_hash !rows c sp.Plan.keys sp.Plan.filter
-        end)
-      plan.Plan.slots;
-    let rows = !rows in
-    let acc = ref Bag.empty in
-    for j = 0 to rows.Rows.len - 1 do
-      acc :=
-        Bag.add
-          ~count:(rows.Rows.counts.(j) * sign)
-          (Tuple.project plan.Plan.proj rows.Rows.data.(j))
-          !acc
-    done;
-    !acc
-  end
-
-let term db (t : Term.t) =
+(* A term's result added to [into]: queries sum their terms without
+   building each term's bag on its own. *)
+let add_term into db (t : Term.t) =
   let plan = Plan.of_term t in
   let slots = Array.of_list t.Term.slots in
-  run_plan plan
-    ~contents:(fun i -> slot_contents db slots.(i))
+  run_plan ~into plan
+    ~input:(fun i -> input_of_slot db slots.(i))
     ~sign:(Sign.to_int t.Term.sign)
 
-let query db q =
-  List.fold_left (fun acc t -> Bag.plus acc (term db t)) Bag.empty q
+let term db t = add_term Bag.empty db t
+
+let query db q = List.fold_left (fun acc t -> add_term acc db t) Bag.empty q
 
 let view db v = query db (Query.of_view v)
 
-let literal_term (t : Term.t) =
+let check_literal (t : Term.t) =
   if not (Term.is_all_literals t) then
-    error "literal_term: term still references base relations";
+    error "literal_term: term still references base relations"
+
+let literal_term t =
+  check_literal t;
   term Db.empty t
 
 let literal_query q =
-  List.fold_left (fun acc t -> Bag.plus acc (literal_term t)) Bag.empty q
+  List.fold_left
+    (fun acc t ->
+      check_literal t;
+      add_term acc Db.empty t)
+    Bag.empty q
 
 (* ------------------------------------------------------------------ *)
 (* Naive reference evaluator                                           *)
@@ -214,7 +190,7 @@ let literal_query q =
 let naive_term db (t : Term.t) =
   let layout = Plan.layout_of_slots t.Term.slots in
   let slot_rows slot =
-    Bag.fold (fun tup n acc -> (tup, n) :: acc) (slot_contents db slot) []
+    Bag.fold (fun tup n acc -> (tup, n) :: acc) (enumerate (input_of_slot db slot)) []
   in
   let rec cross = function
     | [] -> [ (([||] : Value.t array), 1) ]

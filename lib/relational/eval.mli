@@ -1,15 +1,17 @@
 (** Logical evaluation of terms, queries and views against a database
     instance.
 
-    Terms are executed as left-to-right joins over compiled {!Plan}s:
-    top-level equality conjuncts between attributes of different slots run
-    as hash joins (built on the smaller side, keyed by explicit [Value]
-    hashing), residual conjuncts are applied as position-resolved compiled
-    filters as soon as their columns are bound, and replication counts
-    multiply across slots — which realizes the paper's sign-product rule
-    through ℤ-counted bags. The result of evaluating a query is the signed
-    sum of its terms' results. Plans are cached per term skeleton, so
-    repeated evaluation of a view and of its delta terms compiles once.
+    Terms are executed as joins over compiled {!Plan}s in delta-first
+    order: bound slots (substituted literals, delta bags) first, then each
+    base relation an equi-join reaches, probed through its column index
+    ({!Db.matching}) once per partial row; the remaining equi-join keys
+    and residual conjuncts are checked per match as position-resolved
+    compiled filters, and replication counts multiply across slots —
+    which realizes the paper's sign-product rule through ℤ-counted bags.
+    Unreachable slots are enumerated as cross products. The result of
+    evaluating a query is the signed sum of its terms' results. Plans are
+    cached per term skeleton and bound-slot mask, so repeated evaluation
+    of a view and of its delta terms compiles once.
 
     This evaluator defines {e what} an answer is; the physical layer in
     [lib/storage] independently accounts for {e how many I/Os} the source
@@ -17,13 +19,25 @@
 
 exception Eval_error of string
 
-val run_plan : Plan.t -> contents:(int -> Bag.t) -> sign:int -> Bag.t
-(** Execute a compiled plan, fetching each slot's contents by index. The
-    [contents] callback is consulted lazily — never for slots after the
-    intermediate result has become empty — and [sign] multiplies every
-    output count (the term's sign factor). [term] below and the staged
-    delta programs ({!Delta_program}) both run through this one executor,
-    so their results agree by construction. *)
+(** Where a plan step reads its slot: a bag to enumerate, or a base
+    relation of a database, which the step may probe through a column
+    index instead. *)
+type input =
+  | Tuples of Bag.t
+  | Relation of Db.t * string
+
+val run_plan :
+  ?into:Bag.t -> Plan.t -> input:(int -> input) -> sign:int -> Bag.t
+(** Execute a compiled plan, fetching each slot's input by term slot
+    index, and add its result to [into] (default empty) — [into] itself
+    when the plan produces no row. The [input] callback is consulted
+    lazily — never for slots after the intermediate result has become
+    empty — and [sign] multiplies every output count (the term's sign
+    factor). A step the
+    plan probes but whose input is [Tuples] checks its probe key per
+    tuple instead. [term] below and the staged delta programs
+    ({!Delta_program}) both run through this one executor, so their
+    results agree by construction. *)
 
 val term : Db.t -> Term.t -> Bag.t
 (** Evaluate one signed term. Literal (substituted-tuple) slots contribute

@@ -1,18 +1,27 @@
 (** Compiled evaluation plans for SPJ terms.
 
-    A plan fixes, once per term *skeleton* (projection + condition + slot
-    schemas): the column layout, the projection positions, the per-slot
-    hash-join keys, and residual filters compiled to closures with every
-    attribute position resolved at build time. Plans are cached; literal
-    tuple values and the term sign are excluded from the cache key, so the
-    per-update delta terms T⟨U⟩ of a view all share the view's plan.
+    A plan fixes, once per term {e skeleton} (projection + condition +
+    slot schemas) and {e bound-slot mask}: the join order, the column
+    layout, the projection positions, each step's join keys and index
+    probe, and residual filters compiled to closures with every attribute
+    position resolved at build time. Plans are cached; literal tuple
+    values and the term sign are excluded from the cache key, so the
+    per-update delta terms T⟨U⟩ of a view for one updated relation all
+    share one plan.
+
+    The join order is delta-first: bound slots (substituted literals and
+    delta bags) in source order, then repeatedly the first remaining base
+    slot an equi-join conjunct reaches from the slots placed so far —
+    joined by probing its column index on the first such key — and, when
+    none is reachable, the first remaining slot as a cross product.
 
     {!Eval} executes plans; this module only builds them. *)
 
 exception Plan_error of string
 
 (** Column layout of a term: the concatenation of its slots' columns. Slot
-    [i] occupies positions [offsets.(i) .. offsets.(i) + arity_i - 1]. *)
+    [i] occupies positions [offsets.(i) .. offsets.(i) + arity_i - 1]. A
+    plan's layout lists the slots in join order. *)
 type layout = {
   cols : (string * string) array;  (** (relation, column) per position *)
   offsets : int array;             (** first position of each slot *)
@@ -33,39 +42,49 @@ val compile_pred : layout -> Predicate.t -> filter
     resolved during compilation — applying the result never scans the
     layout. @raise Plan_error on unbound/ambiguous attributes. *)
 
-(** A conjunct [colA = colB] across two slots becomes a hash-join key of
-    the later slot. *)
+(** A conjunct [colA = colB] across two slots becomes a join key of the
+    slot joined later. *)
 type join_key = {
   probe_pos : int;  (** position among already-joined columns *)
   build_pos : int;  (** position within the new slot's own columns *)
 }
 
+(** One join step. *)
 type slot_plan = {
-  keys : join_key array;  (** [[||]] — extend by nested loop *)
-  filter : filter option; (** residual conjuncts for this slot, if any *)
+  slot : int;  (** the term slot (source order) this step joins *)
+  probe : join_key option;
+      (** [Some k] for an unbound slot reached by an equi-join: look its
+          matches up through the relation's index on [k.build_pos] *)
+  keys : join_key array;  (** further equi-join keys, checked per match *)
+  filter : filter option; (** residual conjuncts for this step, if any *)
 }
 
 type t = {
-  layout : layout;
+  layout : layout;  (** slots in join order *)
   pre_false : bool;  (** some constant-only conjunct is statically false *)
-  slots : slot_plan array;
+  slots : slot_plan array;  (** in join order *)
   proj : int array;  (** projection positions into the full layout *)
 }
 
-val compile : Term.t -> t
-(** Compile without consulting the cache. *)
+val compile : ?bound:bool array -> Term.t -> t
+(** Compile without consulting the cache. [bound] marks the slots whose
+    contents the caller supplies as a bag (one entry per slot); it
+    defaults to the term's literal slots.
+    @raise Plan_error on unbound/ambiguous attributes or a mask of the
+    wrong length. *)
 
 val signature : Term.t -> int
 (** Digest of the term's plan skeleton — projection, condition (join
-    keys + filters) and slot schemas, exactly the cache key. Terms with
-    equal signatures compile to interchangeable plans; literal tuple
-    values and the sign are excluded, as in the cache. *)
+    keys + filters) and slot schemas. Terms with equal signatures
+    compute the same answers from the same inputs; literal tuple values,
+    the sign and the bound-slot mask (which only orders the joins) are
+    excluded. *)
 
-val of_term : Term.t -> t
-(** Cached compilation keyed by the term skeleton. The cache is
-    domain-local ([Domain.DLS]): each domain owns a private table with
-    the same bound and eviction policy, so concurrent callers on
-    different domains never share mutable state. *)
+val of_term : ?bound:bool array -> Term.t -> t
+(** Cached compilation keyed by the term skeleton and the bound-slot
+    mask. The cache is domain-local ([Domain.DLS]): each domain owns a
+    private table with the same bound and eviction policy, so concurrent
+    callers on different domains never share mutable state. *)
 
 (** Aggregated cache counters. [domains] counts every domain that has
     touched the cache during the process (slots persist after a domain

@@ -433,13 +433,8 @@ let apply_aux t db (u : Update.t) =
     match aux_project a u.Update.tuple with
     | None -> db
     | Some tp ->
-      let b = Db.contents db u.Update.rel in
-      let b' =
-        match u.Update.kind with
-        | Update.Insert -> Bag.add tp b
-        | Update.Delete -> Bag.remove tp b
-      in
-      Db.set_contents db u.Update.rel b')
+      let count = match u.Update.kind with Update.Insert -> 1 | Update.Delete -> -1 in
+      Db.add_tuple ~count db u.Update.rel tp)
 
 let delta t ~aux_db (u : Update.t) =
   match find_class t ~rel:u.Update.rel ~kind:u.Update.kind with
@@ -470,7 +465,7 @@ let delta t ~aux_db (u : Update.t) =
         Delta_program.find staged ~rel:u.Update.rel ~kind:u.Update.kind
       with
       | None -> acc
-      | Some prog -> Bag.plus acc (Delta_program.apply prog db u.Update.tuple)
+      | Some prog -> Delta_program.apply ~into:acc prog db u.Update.tuple
     in
     Some (List.fold_left eval_part Bag.empty plans)
 

@@ -111,7 +111,9 @@ val seed_aux_db : t -> Db.t -> Db.t
 
 val apply_aux : t -> Db.t -> Update.t -> Db.t
 (** Advance the auxiliary database by one source update (no-op for
-    relations without a maintained auxiliary view). *)
+    relations without a maintained auxiliary view): one tuple's count
+    changes ({!Db.add_tuple}), so the cost is independent of the
+    auxiliary view's size and its column indexes are kept. *)
 
 val delta : t -> aux_db:Db.t -> Update.t -> Bag.t option
 (** The view delta of one update computed warehouse-locally through the

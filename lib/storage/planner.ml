@@ -62,7 +62,8 @@ let scenario1_term cat db (t : R.Term.t) =
         | None ->
           invalid_arg
             (Printf.sprintf
-               "Planner.scenario1_term: relation %s is in the bound set but                 has no multiplicity — bound/multiplicity invariant broken"
+               "Planner.scenario1_term: relation %s is in the bound set but \
+                has no multiplicity — bound/multiplicity invariant broken"
                rel)
       in
       let remaining = ref bases in

@@ -1,19 +1,12 @@
-module Smap = Map.Make (String)
-
-let cardinality db rel =
-  Relational.Bag.net_cardinality (Relational.Db.contents db rel)
+(* Both O(1): the database keeps each relation's net count and, per
+   column index, its distinct-value count. *)
+let cardinality db rel = Relational.Db.cardinality db rel
 
 let distinct_values db rel attr =
   let schema = Relational.Db.schema db rel in
   match Relational.Schema.column_index schema attr with
   | None -> 0
-  | Some i ->
-    let seen = Hashtbl.create 64 in
-    Relational.Bag.iter
-      (fun t n ->
-        if n > 0 then Hashtbl.replace seen (Relational.Tuple.get t i) ())
-      (Relational.Db.contents db rel);
-    Hashtbl.length seen
+  | Some i -> Relational.Db.distinct_values db rel i
 
 (* J(r, a): expected number of r tuples matching a particular value of
    attribute a — cardinality divided by the number of distinct values
@@ -22,19 +15,6 @@ let join_factor db rel attr =
   let c = cardinality db rel in
   let d = distinct_values db rel attr in
   if c = 0 || d = 0 then 1.0 else float_of_int c /. float_of_int d
-
-let matches db rel attr v =
-  let schema = Relational.Db.schema db rel in
-  match Relational.Schema.column_index schema attr with
-  | None -> 0
-  | Some i ->
-    Relational.Bag.fold
-      (fun t n acc ->
-        if n > 0 && Relational.Value.equal (Relational.Tuple.get t i) v then
-          acc + n
-        else acc)
-      (Relational.Db.contents db rel)
-      0
 
 (* Selectivity of a view's non-join condition, measured on the current
    instance: fraction of cross-product rows satisfying the full condition

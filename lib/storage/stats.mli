@@ -7,16 +7,15 @@
     compared in the benches. *)
 
 val cardinality : Relational.Db.t -> string -> int
-(** C: current number of tuples in a base relation. *)
+(** C: current number of tuples in a base relation; O(1). *)
 
 val distinct_values : Relational.Db.t -> string -> string -> int
+(** Distinct values of attribute [a] in [r]; O(1) once the column's
+    index exists (the first call builds it). *)
 
 val join_factor : Relational.Db.t -> string -> string -> float
 (** J(r, a): expected tuples of [r] matching one value of attribute [a]
     (C / distinct-count; 1.0 on empty relations). *)
-
-val matches : Relational.Db.t -> string -> string -> Relational.Value.t -> int
-(** Exact number of [r] tuples with value [v] in attribute [a]. *)
 
 val selectivity : Relational.Db.t -> Relational.View.t -> float
 (** σ: measured fraction of equi-joined rows that the view's residual
