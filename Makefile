@@ -24,8 +24,8 @@ bench-par:
 	dune build bench/main.exe
 	./_build/default/bench/main.exe $${PAR:+--par=$$PAR}
 
-# Just the sustained-throughput section (compiled vs interpreted delta
-# programs, schema v6), written to BENCH_throughput.json so the
+# Just the sustained-throughput section (SC's staged delta programs vs
+# the interpreted Centralized reference, schema v6), written to BENCH_throughput.json so the
 # committed BENCH_results.json is not clobbered by a partial run.
 bench-throughput:
 	dune build bench/main.exe
@@ -34,10 +34,13 @@ bench-throughput:
 # One-stop pre-commit gate: build everything, run the test suite (plus
 # the fault-injection/reliability suites, the golden-trace check pinning
 # Engine.run byte-for-byte, and the engine, selfmaint, evolution,
-# consistency-judge, staleness, planned-vs-naive evaluation and
-# access-path (index) suites, all explicitly, so a filtered or cached
-# runtest can never silently skip them), fail if a removed run
-# entry point or scheduler alias reappears in the sources, check that
+# consistency-judge, staleness, planned-vs-naive evaluation,
+# access-path (index), delta-program, scheduler and runner suites, all
+# explicitly, so a filtered or cached runtest can never silently skip
+# them), fail if a removed entry point reappears in the sources (the
+# old run drivers and scheduler aliases, the compiled/interpreted
+# toggle and the engine's oracle modes, the array-based scheduler
+# picks, the warehouse install log), check that
 # the parallel bench is deterministic (PAR=1 and PAR=4 emit identical
 # runs arrays), run the quick benchmark, and fail if its summed per-run
 # wall clock regressed more than 2x against the committed
@@ -57,9 +60,12 @@ smoke:
 	dune exec test/main.exe -- test staleness
 	dune exec test/main.exe -- test plan-equiv
 	dune exec test/main.exe -- test access
-	@if grep -rnE 'Core\.Runner|Core\.Federation|Drain_first|Updates_first|unordered_delivery' \
+	dune exec test/main.exe -- test delta-program
+	dune exec test/main.exe -- test scheduler
+	dune exec test/main.exe -- test runner
+	@if grep -rnE 'Core\.Runner|Core\.Federation|Drain_first|Updates_first|unordered_delivery|set_compiled|Delta_program\.compiled|Delta_program\.linear|Engine\.Recompute|Engine\.Incremental|pick_multi|of_multi|install_history' \
 	  lib bin bench examples test; then \
-	  echo "smoke: a removed entry point or alias reappeared (use Engine.run)"; \
+	  echo "smoke: a removed entry point or alias reappeared (use Engine.run, Scheduler.pick_ready, Trace.warehouse_states)"; \
 	  exit 1; \
 	fi
 	dune build bench/main.exe

@@ -22,10 +22,6 @@ let site ?catalog ?(fault = Messaging.Fault.none) ?(fault_seed = 0)
     ?(reliable = false) ?retransmit_timeout ~name db =
   { name; db; catalog; fault; fault_seed; reliable; retransmit_timeout }
 
-type oracle =
-  | Incremental
-  | Recompute
-
 type result = {
   trace : Trace.t;
   metrics : Metrics.t;
@@ -79,7 +75,7 @@ type obs_state = {
 
 let run ?(schedule = Scheduler.Best_case) ?(rv_period = 1) ?(batch_size = 1)
     ?local_literal_eval ?(allow_cross_source = false) ?(max_steps = 2_000_000)
-    ?(oracle = Incremental) ?observe ?(share_deltas = false)
+    ?observe ?(share_deltas = false)
     ?(coalesce = false) ?shard ?(track_scale = false) ?(evolution = [])
     ?(windows = []) ~creator ~sites:specs ~views ~updates () =
   if batch_size < 1 then raise (Engine_error "batch_size must be at least 1");
@@ -274,9 +270,8 @@ let run ?(schedule = Scheduler.Best_case) ?(rv_period = 1) ?(batch_size = 1)
     Array.to_list (Array.init nviews (fun vi -> (vname.(vi), oracle_view vi)))
   in
   let trace = Trace.create ~initial_views in
-  (* Staged delta programs for the compiled oracle advance, built per
-     view on first use so runs with the compiled path disabled never pay
-     for staging — and invalidated individually when a schema change
+  (* Staged delta programs for the oracle advance, built per view on
+     first use — and invalidated individually when a schema change
      rewrites a view mid-stream. *)
   let staged_programs = Array.make nviews None in
   let staged vi =
@@ -296,23 +291,13 @@ let run ?(schedule = Scheduler.Best_case) ?(rv_period = 1) ?(batch_size = 1)
       let mdb = merged_db () in
       List.iter (fun vi -> snap.(vi) <- R.Viewdef.eval mdb views_arr.(vi)) cvs
   in
-  let advance_snapshots i u =
-    let db = Source_site.Source.db sites.(i).source in
-    List.iter
-      (fun vi ->
-        let delta = R.Viewdef.delta views_arr.(vi) u in
-        if not (R.Query.is_empty delta) then
-          snap.(vi) <- R.Bag.plus snap.(vi) (R.Eval.query db delta))
-      site_views.(i);
-    advance_cross ()
-  in
-  (* Batched oracle advance over one update-class run (same relation and
-     kind), already executed at site [i]. Every delta term binds the
-     updated relation's slots to literals — it never reads that relation
-     from the database — and the run touches no other relation, so each
-     update's delta is the same whether evaluated mid-run or at the end;
-     summing them through one [apply_batch] pass gives the identical
-     final snapshot the per-update loop reaches. *)
+  (* Oracle advance over one update-class run (same relation and kind),
+     already executed at site [i]. Every delta term binds the updated
+     relation's slot to literals — it never reads that relation from the
+     database — and the run touches no other relation, so each update's
+     delta is the same whether evaluated mid-run or at the end; summing
+     them through one [apply_batch] pass gives the identical final
+     snapshot a per-update loop reaches. *)
   let advance_snapshots_run i (us : R.Update.t list) =
     match us with
     | [] -> ()
@@ -327,11 +312,6 @@ let run ?(schedule = Scheduler.Best_case) ?(rv_period = 1) ?(batch_size = 1)
             snap.(vi) <- R.Delta_program.apply_batch ~into:snap.(vi) prog db tuples)
         site_views.(i);
       advance_cross ()
-  in
-  let recompute_snapshots () =
-    for vi = 0 to nviews - 1 do
-      snap.(vi) <- snapshot_view vi
-    done
   in
   (* The views whose oracle state an update at site [i] can change — the
      site's own views plus every cross-source view. Only these appear in
@@ -643,28 +623,15 @@ let run ?(schedule = Scheduler.Best_case) ?(rv_period = 1) ?(batch_size = 1)
             end;
             batch @ extras
       in
-      (match oracle with
-       | Incremental when R.Delta_program.compiled () ->
-         (* Compiled path: execute each update-class run, then advance
-            every snapshot once per run through its staged program. *)
-         List.iter
-           (fun run ->
-             List.iter
-               (fun u -> Source_site.Source.execute_update sites.(i).source u)
-               run;
-             advance_snapshots_run i run)
-           (R.Delta_program.runs batch)
-       | Incremental ->
-         List.iter
-           (fun u ->
-             Source_site.Source.execute_update sites.(i).source u;
-             advance_snapshots i u)
-           batch
-       | Recompute ->
-         List.iter
-           (fun u -> Source_site.Source.execute_update sites.(i).source u)
-           batch;
-         recompute_snapshots ());
+      (* Execute each update-class run, then advance every snapshot once
+         per run through its staged program. *)
+      List.iter
+        (fun run ->
+          List.iter
+            (fun u -> Source_site.Source.execute_update sites.(i).source u)
+            run;
+          advance_snapshots_run i run)
+        (R.Delta_program.runs batch);
       if windows <> [] then
         List.iter
           (fun u -> Hashtbl.iter (fun _ st -> Window.observe_update st u) oracle_win)

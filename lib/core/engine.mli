@@ -26,7 +26,13 @@
     unless [~allow_cross_source:true] opts into the naive fetch-join
     demonstration, judged against the merged global state. With a single
     source, every view binds to it unconditionally — the historical
-    single-source driver's leniency. *)
+    single-source driver's leniency.
+
+    The consistency oracle — the source-view states [V[ss_0], V[ss_1],
+    …] recorded in the trace — advances once per update-class run of a
+    source event through each affected view's staged
+    {!Relational.Delta_program}; every recorded state equals
+    [Viewdef.eval] over the source state after that event. *)
 
 module R := Relational
 
@@ -58,15 +64,6 @@ val site :
     [[site ~name:"source" db]]; federated callers seed edge [i] with
     [fault_seed + 2i] so the edges fail independently. *)
 
-(** How the consistency oracle maintains the per-update source-view
-    states recorded in the trace. [Incremental] (the default) applies
-    each update's delta query to the previous snapshot; [Recompute]
-    re-evaluates every affected view — kept as a cross-checking escape
-    hatch. *)
-type oracle =
-  | Incremental
-  | Recompute
-
 type result = {
   trace : Trace.t;
   metrics : Metrics.t;
@@ -91,7 +88,6 @@ val run :
   ?local_literal_eval:bool ->
   ?allow_cross_source:bool ->
   ?max_steps:int ->
-  ?oracle:oracle ->
   ?observe:Observe.Collector.t ->
   ?share_deltas:bool ->
   ?coalesce:bool ->

@@ -36,21 +36,14 @@ let replica t = t.replica
 let quiescent _ = true
 
 (* Centralized immediate maintenance on the local replica — no source
-   round-trip, no anomaly window. The compiled path runs the update's
-   staged program instead of interpreting [Centralized.step]'s delta
-   query; the two produce identical bags. *)
+   round-trip, no anomaly window. The update's staged program computes
+   the same bag [Centralized.step] interprets. *)
 let on_update t (u : R.Update.t) =
-  let replica', delta =
-    if R.Delta_program.compiled () then begin
-      let replica' = R.Db.apply t.replica u in
-      let delta =
-        match R.Delta_program.of_update t.staged u with
-        | None -> R.Bag.empty
-        | Some prog -> R.Delta_program.apply prog replica' u.R.Update.tuple
-      in
-      (replica', delta)
-    end
-    else Centralized.step t.view t.replica u
+  let replica' = R.Db.apply t.replica u in
+  let delta =
+    match R.Delta_program.of_update t.staged u with
+    | None -> R.Bag.empty
+    | Some prog -> R.Delta_program.apply prog replica' u.R.Update.tuple
   in
   t.replica <- replica';
   if R.Bag.is_empty delta then Algorithm.nothing
@@ -67,8 +60,8 @@ let on_update t (u : R.Update.t) =
    (the pass returns a new bag rather than [into] itself) iff some
    per-update delta was nonempty; mixed-sign compound views could cancel
    across updates and diverge. *)
-let on_batch t (us : R.Update.t list) =
-  if R.Delta_program.compiled () && R.Viewdef.is_simple t.view then begin
+let apply_batch t (us : R.Update.t list) =
+  if R.Viewdef.is_simple t.view then begin
     let installed = ref false in
     List.iter
       (fun run ->
@@ -92,6 +85,19 @@ let on_batch t (us : R.Update.t list) =
     if !installed then Algorithm.install t.mv else Algorithm.nothing
   end
   else Algorithm.sequential_batch (on_update t) us
+
+(* A batch is one atomic delivery: when the replica rejects one of its
+   updates (a duplicated or reordered notification on a raw faulty edge
+   can break a declared key or delete an absent tuple), [replica] and
+   [mv] — both persistent values — are restored before the rejection
+   propagates, leaving the instance as if the batch never arrived. *)
+let on_batch t us =
+  let replica = t.replica and mv = t.mv in
+  try apply_batch t us
+  with e ->
+    t.replica <- replica;
+    t.mv <- mv;
+    raise e
 
 let on_answer _ ~id:_ _ = Algorithm.nothing
 

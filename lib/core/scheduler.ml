@@ -3,22 +3,10 @@ type action =
   | Source_receive
   | Warehouse_receive
 
-type enabled = {
-  can_update : bool;
-  can_source : bool;
-  can_warehouse : bool;
-}
-
 type event =
   | Apply
   | Site_source of int
   | Site_warehouse of int
-
-type multi = {
-  update_ready : bool;
-  source_ready : bool array;
-  warehouse_ready : bool array;
-}
 
 exception Schedule_error of string
 
@@ -87,16 +75,6 @@ module Ready = struct
   let enabled_count t =
     (if t.update_ready then 1 else 0)
     + Iset.cardinal t.sources + Iset.cardinal t.warehouses
-
-  let of_multi m =
-    let n = Array.length m.source_ready in
-    let t = create (max 1 n) in
-    t.update_ready <- m.update_ready;
-    Array.iteri (fun i b -> if b then t.sources <- Iset.add i t.sources)
-      m.source_ready;
-    Array.iteri (fun i b -> if b then t.warehouses <- Iset.add i t.warehouses)
-      m.warehouse_ready;
-    t
 end
 
 type t = {
@@ -119,15 +97,6 @@ let create policy =
   | _ -> ());
   { policy; script; rotation = 0; rng = Random.State.make [| seed |];
     wf_pos = 0; wf_served = 0 }
-
-let enabled_list e =
-  List.filter_map
-    (fun (b, a) -> if b then Some a else None)
-    [
-      (e.can_update, Apply_update);
-      (e.can_source, Source_receive);
-      (e.can_warehouse, Warehouse_receive);
-    ]
 
 let action_name = function
   | Apply_update -> "apply-update"
@@ -267,8 +236,8 @@ let scripted_event (r : Ready.t) a =
    the loaded edge has nothing deliverable yet (frames delayed or
    awaiting retransmission) the pick is [None]: the engine advances the
    transport clock, which is exactly what waiting on the network means.
-   An unknown update site (-1, e.g. through the compatibility [pick]
-   path) never blocks. *)
+   An unknown update site (-1, a caller that never sets it) never
+   blocks. *)
 let heaviest (r : Ready.t) set =
   Iset.fold
     (fun i best ->
@@ -348,27 +317,3 @@ let pick_ready t (r : Ready.t) =
         t.script <- rest;
         Some ev)
 
-(* Compatibility entry point over materialized readiness arrays: one
-   O(N) conversion into ready sets, then the shared O(active) pick. The
-   engine itself maintains a persistent {!Ready.t} and never pays the
-   conversion. *)
-let pick_multi t m = pick_ready t (Ready.of_multi m)
-
-(* The single-site interface is the site graph with one source: the event
-   order degenerates to [Apply; Site_source 0; Site_warehouse 0], which is
-   exactly the historical [Apply_update; Source_receive; Warehouse_receive]
-   rotation/choice order, so every policy — including the stateful ones —
-   behaves identically through either entry point. *)
-let pick t e =
-  let m =
-    {
-      update_ready = e.can_update;
-      source_ready = [| e.can_source |];
-      warehouse_ready = [| e.can_warehouse |];
-    }
-  in
-  match pick_multi t m with
-  | None -> None
-  | Some Apply -> Some Apply_update
-  | Some (Site_source _) -> Some Source_receive
-  | Some (Site_warehouse _) -> Some Warehouse_receive

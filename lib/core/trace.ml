@@ -5,8 +5,8 @@ type entry =
       updates : R.Update.t list;  (* one entry, or a batch *)
       source_views : (string * R.Bag.t) list;
           (* view contents after this event; the engine maintains them
-             incrementally from the updates' delta queries (see
-             [Engine.oracle]), so successive entries share structure *)
+             incrementally through staged delta programs, so successive
+             entries share structure *)
     }
   | Source_answer of {
       gid : int;

@@ -33,8 +33,7 @@ type t = {
          queries were in flight; their (empty) answers are absorbed
          silently — expected tombstones, not anomalies *)
   mutable next_gid : int;
-  mutable installs_log : (string * R.Bag.t) list;  (* newest first *)
-  mutable anomalies : string list;  (* misrouted messages, newest first *)
+  mutable anomalies : string list;  (* misrouted or rejected, newest first *)
   mutable rebuilds : int;  (* instances re-initialized by schema changes *)
   mutable retired_hits : int;  (* answers absorbed through [retired] *)
   mutable ddl_guard : bool;
@@ -89,7 +88,6 @@ let create ?(share = false) ?pool pairs =
     all_notes = List.rev !all_notes;
     retired = Hashtbl.create 16;
     next_gid = 0;
-    installs_log = [];
     anomalies = [];
     rebuilds = 0;
     retired_hits = 0;
@@ -255,9 +253,6 @@ let lift ?event t idx (o : Algorithm.outcome) =
       o.Algorithm.send
   in
   let name = t.hosted.(idx).view.R.Viewdef.name in
-  List.iter
-    (fun mv -> t.installs_log <- (name, mv) :: t.installs_log)
-    o.Algorithm.installs;
   {
     queries;
     installs =
@@ -296,18 +291,34 @@ let batch_targets t us =
    host order. With a pool, the per-instance handlers — each touching
    only its own closure state — run on worker domains; the [lift] fold
    stays sequential, so gid assignment, the shared-delta event table and
-   the install log see outcomes in exactly the sequential order and the
-   result is deterministic at any worker count. *)
+   the anomaly log see outcomes in exactly the sequential order and the
+   result is deterministic at any worker count.
+
+   An instance whose local state rejects the event — SC's replica
+   refusing a duplicated or reordered notification from a raw faulty
+   edge — raises [Db_error]. That is caught inside the per-target
+   function, so no exception crosses a pool domain, and the fold records
+   it as an anomaly naming the view and treats the target as [nothing]:
+   one bad delivery must not take down every hosted view. *)
 let react t targets f =
   let event = fresh_event t in
+  let guarded idx = try Ok (f idx) with R.Db.Db_error msg -> Error msg in
   let outcomes =
     match t.pool with
     | Some pool when List.compare_length_with targets 1 > 0 ->
-      Array.to_list (Parallel.Pool.map pool f (Array.of_list targets))
-    | _ -> List.map f targets
+      Array.to_list (Parallel.Pool.map pool guarded (Array.of_list targets))
+    | _ -> List.map guarded targets
   in
   List.fold_left2
-    (fun acc idx o -> merge acc (lift ?event t idx o))
+    (fun acc idx o ->
+      match o with
+      | Ok o -> merge acc (lift ?event t idx o)
+      | Error msg ->
+        t.anomalies <-
+          Printf.sprintf "view %s rejected a notification: %s; dropped"
+            t.hosted.(idx).view.R.Viewdef.name msg
+          :: t.anomalies;
+        acc)
     no_reaction targets outcomes
 
 (* A notification whose tuple no longer matches the hosted view's schema
@@ -526,5 +537,3 @@ let window_counters t =
 let quiesce t =
   let all = List.init (Array.length t.hosted) Fun.id in
   react t all (fun idx -> t.hosted.(idx).inst.Algorithm.on_quiesce ())
-
-let install_history t = List.rev t.installs_log

@@ -37,7 +37,7 @@ val create :
 
     With [~pool] the independent per-instance event handlers of one
     warehouse event are sharded across the pool's domains; query-gid
-    assignment, the shared-delta table and the install log are folded
+    assignment, the shared-delta table and the anomaly log are folded
     sequentially in host order afterwards, so the reaction is
     byte-identical at any worker count. Dispatch also consults each
     instance's {!Algorithm.instance.interest}: updates fan out only to
@@ -90,11 +90,15 @@ val gid_subscribers : t -> int -> (string * string) list
     unknown gids. *)
 
 val handle_update : t -> R.Update.t -> reaction
-(** A [W_up] event, fanned out to every hosted view. *)
+(** A [W_up] event, fanned out to every hosted view. A view whose
+    instance rejects the update with [R.Db.Db_error] (SC's replica
+    refusing a duplicated or reordered notification from a raw faulty
+    edge) is recorded as an anomaly naming it and contributes nothing to
+    the reaction; the other views proceed. *)
 
 val handle_batch : t -> R.Update.t list -> reaction
 (** A batched notification, fanned out to every hosted view's
-    [on_batch]. *)
+    [on_batch]; rejections are handled as in {!handle_update}. *)
 
 val handle_answer : t -> gid:int -> R.Bag.t -> reaction
 (** A [W_ans] event, routed to the owning instance — and, for a shared
@@ -147,11 +151,8 @@ val handle_message : t -> Messaging.Message.t -> reaction
     every hosted view. *)
 
 val anomalies : t -> string list
-(** Human-readable records of misrouted messages, oldest first; empty on
-    every well-formed run. *)
+(** Human-readable records of misrouted messages and rejected
+    notifications, oldest first; empty on every well-formed run. *)
 
 val quiesce : t -> reaction
 (** Forward [on_quiesce] to all instances (RV's final recompute). *)
-
-val install_history : t -> (string * R.Bag.t) list
-(** Every installed view state in order, tagged with its view name. *)

@@ -14,13 +14,11 @@
    a singleton bag, run the plan.
 
    Staging also unlocks batching. A batch of same-class updates is a bag
-   of tuples; when the relation occupies exactly one slot of every chain
-   (no self-joins) the plan is linear in that slot's contents, so one pass
-   with the whole bag equals the signed sum of the per-tuple passes — N
-   interpreter walks collapse into one join. Self-joining chains fall
-   back to the per-tuple loop (substitution puts the same tuple in every
-   matching slot, which is not linear), keeping batched results exactly
-   equal to sequential ones in all cases. *)
+   of tuples; [View.make] rejects a relation mentioned twice, so the
+   updated relation occupies exactly one slot of every chain and the plan
+   is linear in that slot's contents: one pass with the whole bag equals
+   the signed sum of the per-tuple passes — N interpreter walks collapse
+   into one join. *)
 
 (* ------------------------------------------------------------------ *)
 (* Programs                                                            *)
@@ -35,8 +33,7 @@ type chain = {
   plan : Plan.t;
   sources : source array;
   delta_schema : Schema.t;  (* schema of the substituted relation *)
-  delta_slots : int;        (* slots bound to the update's relation *)
-  sign_factor : int;        (* part sign x update sign ^ delta_slots *)
+  sign_factor : int;        (* part sign x update sign *)
   chain_sig : int;          (* subplan signature: plan skeleton + sources *)
 }
 
@@ -44,12 +41,10 @@ type t = {
   rel : string;
   kind : Update.kind;
   chains : chain list;  (* one per view part mentioning [rel] *)
-  linear : bool;        (* every chain binds the relation in one slot *)
 }
 
 let rel t = t.rel
 let kind t = t.kind
-let linear t = t.linear
 let is_empty t = t.chains = []
 
 (* A program is a commutative sum of its chains' deltas, so the
@@ -62,10 +57,7 @@ let signature t =
   List.fold_left (fun acc c -> acc + c.chain_sig) (List.length t.chains) t.chains
 
 let stage_class (vd : Viewdef.t) ~rel ~kind =
-  let kind_sign = Sign.to_int (match kind with
-    | Update.Insert -> Sign.Pos
-    | Update.Delete -> Sign.Neg)
-  in
+  let kind_sign = match kind with Update.Insert -> 1 | Update.Delete -> -1 in
   let chains =
     List.filter_map
       (fun (part_sign, (v : View.t)) ->
@@ -80,22 +72,12 @@ let stage_class (vd : Viewdef.t) ~rel ~kind =
                    else From_db s.Schema.name)
                  v.View.sources)
           in
-          let delta_slots =
-            Array.fold_left
-              (fun n s -> match s with From_delta -> n + 1 | From_db _ -> n)
-              0 sources
-          in
           let delta_schema =
             List.find
               (fun (s : Schema.t) -> String.equal s.Schema.name rel)
               v.View.sources
           in
-          (* (-1)^delta_slots when the update is a delete: substitution
-             stamps the update's sign on every slot it replaces. *)
-          let subst_sign =
-            if kind_sign = 1 || delta_slots land 1 = 0 then 1 else -1
-          in
-          let sign_factor = Sign.to_int part_sign * subst_sign in
+          let sign_factor = Sign.to_int part_sign * kind_sign in
           Some
             {
               plan =
@@ -104,7 +86,6 @@ let stage_class (vd : Viewdef.t) ~rel ~kind =
                   term;
               sources;
               delta_schema;
-              delta_slots;
               sign_factor;
               chain_sig =
                 (((Plan.signature term * 31) + Hashtbl.hash sources) * 31)
@@ -113,12 +94,7 @@ let stage_class (vd : Viewdef.t) ~rel ~kind =
         end)
       vd.Viewdef.parts
   in
-  {
-    rel;
-    kind;
-    chains;
-    linear = List.for_all (fun c -> c.delta_slots = 1) chains;
-  }
+  { rel; kind; chains }
 
 (* ------------------------------------------------------------------ *)
 (* Application                                                         *)
@@ -132,21 +108,13 @@ let apply_chain ch db delta into =
       | From_delta -> Eval.Tuples delta)
     ~sign:ch.sign_factor
 
-let apply ?(into = Bag.empty) t db tuple =
-  List.fold_left
-    (fun acc ch ->
-      Schema.check_tuple ch.delta_schema tuple;
-      apply_chain ch db (Bag.singleton tuple) acc)
-    into t.chains
-
+(* One pass per chain with the whole batch as the delta slot's bag;
+   duplicate tuples merge their counts, which is exactly their summed
+   per-tuple contribution. *)
 let apply_batch ?(into = Bag.empty) t db tuples =
   match tuples with
   | [] -> into
-  | [ tuple ] -> apply ~into t db tuple
-  | _ when t.linear ->
-    (* One pass per chain with the whole batch as the delta slot's bag;
-       duplicate tuples merge their counts, which is exactly their summed
-       per-tuple contribution. *)
+  | _ ->
     let delta =
       List.fold_left (fun b tuple -> Bag.add tuple b) Bag.empty tuples
     in
@@ -155,8 +123,8 @@ let apply_batch ?(into = Bag.empty) t db tuples =
         List.iter (Schema.check_tuple ch.delta_schema) tuples;
         apply_chain ch db delta acc)
       into t.chains
-  | _ ->
-    List.fold_left (fun acc tuple -> apply ~into:acc t db tuple) into tuples
+
+let apply ?into t db tuple = apply_batch ?into t db [ tuple ]
 
 (* ------------------------------------------------------------------ *)
 (* Per-view staging                                                    *)
@@ -207,17 +175,6 @@ let runs updates =
       go (run :: acc) rest
   in
   go [] updates
-
-(* ------------------------------------------------------------------ *)
-(* Compiled/interpreted toggle                                         *)
-(* ------------------------------------------------------------------ *)
-
-(* Global switch consulted by the core maintenance paths: when off they
-   keep interpreting [Viewdef.delta] per update. Exists for the bench's
-   ablation and as an escape hatch; both paths produce identical bags. *)
-let enabled = Atomic.make true
-let set_compiled b = Atomic.set enabled b
-let compiled () = Atomic.get enabled
 
 (* ------------------------------------------------------------------ *)
 (* Staging cache                                                       *)

@@ -10,13 +10,15 @@
     vector (database relation vs. update tuple) and the folded-out sign
     factor, leaving a tuple-sized amount of work per update.
 
-    Batches of same-class updates evaluate in {e one} pass when no chain
-    self-joins the updated relation (the plan is then linear in the delta
-    slot, so a bag of N tuples through one join equals N single-tuple
-    joins summed); self-joining programs transparently fall back to the
-    per-tuple loop. Both paths, and the interpreter, run through
-    {!Eval.run_plan}, so compiled and interpreted results are identical
-    bags — not merely equivalent ones.
+    Batches of same-class updates evaluate in {e one} pass: [View.make]
+    rejects a relation mentioned twice, so the updated relation occupies
+    exactly one slot of every chain and the plan is linear in it — a bag
+    of N tuples through one join equals N single-tuple joins summed.
+    Staged programs and the interpreter both run through
+    {!Eval.run_plan}, so their results are identical bags — not merely
+    equivalent ones. Staged programs are the only path that advances the
+    engine's oracle and SC's replica view; the interpreter (as in
+    [Core.Centralized]) is the reference they are tested against.
 
     Staged programs are cached per domain ([Domain.DLS]) alongside the
     plan cache, keyed on the view definition's structure. *)
@@ -57,7 +59,7 @@ val apply : ?into:Bag.t -> t -> Db.t -> Tuple.t -> Bag.t
 val apply_batch : ?into:Bag.t -> t -> Db.t -> Tuple.t list -> Bag.t
 (** The summed delta of a batch of same-class updates added to [into]:
     equals the [Bag.plus] over per-tuple {!apply} results, computed in
-    one plan pass when the program is {!linear}. Accumulating straight
+    one plan pass. Accumulating straight
     into a view saves building the delta as a separate bag. Returns
     [into] itself when no join row results (in particular for an empty
     batch). *)
@@ -78,21 +80,8 @@ val signature : t -> int
     signatures maintain the same delta for the same update class —
     what shared-delta (MQO) maintenance keys on across views. *)
 
-val linear : t -> bool
-(** The updated relation occupies exactly one slot of every chain, so
-    batches evaluate in one pass. False only for self-joins. *)
-
 val is_empty : t -> bool
 (** No view part mentions the relation; {!apply} returns the empty bag. *)
-
-val set_compiled : bool -> unit
-(** Global toggle consulted by the core maintenance paths ([Engine]'s
-    oracle advance, [Sc]'s replica apply): off means interpret
-    [Viewdef.delta] per update as before. On by default; the bench's
-    throughput ablation flips it. Compiled and interpreted paths produce
-    identical results — the toggle trades speed, never answers. *)
-
-val compiled : unit -> bool
 
 (** Aggregated staging-cache counters across domains, mirroring
     {!Plan.stats}. *)

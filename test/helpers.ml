@@ -60,6 +60,15 @@ let source = Core.Engine.site ~name:"source"
 
 let vd = R.Viewdef.simple
 
+(* A scheduler ready state for [Array.length sources] sites, built from
+   readiness arrays edge by edge as the engine maintains it. *)
+let ready_of ~update sources warehouses =
+  let r = Core.Scheduler.Ready.create (Array.length sources) in
+  Core.Scheduler.Ready.set_update r update;
+  Array.iteri (Core.Scheduler.Ready.set_source r) sources;
+  Array.iteri (Core.Scheduler.Ready.set_warehouse r) warehouses;
+  r
+
 (* One site per [(name, catalog, db)] source; edge [i] draws its fault
    RNG streams from [fault_seed + 2i] (a channel pair consumes two). *)
 let sites_of ?fault ?(fault_seed = 0) ?reliable sources =

@@ -23,17 +23,13 @@ let event_name = function
 let picks sched ms =
   List.map
     (fun m ->
-      match S.pick_multi sched m with
+      match S.pick_ready sched m with
       | Some ev -> event_name ev
       | None -> "-")
     ms
 
 let multi ~update sources warehouses =
-  {
-    S.update_ready = update;
-    source_ready = Array.of_list sources;
-    warehouse_ready = Array.of_list warehouses;
-  }
+  ready_of ~update (Array.of_list sources) (Array.of_list warehouses)
 
 let round_robin_rotates_over_sites () =
   (* The fixed event order over two sites is A, S0, W0, S1, W1. With
@@ -48,7 +44,7 @@ let round_robin_rotates_over_sites () =
 let round_robin_skips_disabled_without_stalling () =
   (* The cursor indexes the fixed order, not the filtered enabled list —
      otherwise disabled events would freeze the rotation (the multi-site
-     analog of the single-site Scheduler.pick regression from PR 2). *)
+     analog of the single-site round-robin regression). *)
   let sched = S.create S.Round_robin in
   let no_s0 = multi ~update:true [ false; true ] [ true; true ] in
   Alcotest.(check (list string))

@@ -67,6 +67,76 @@ let rv_tolerates_reordering_less_catastrophically () =
   Alcotest.(check (list int))
     "reordering breaks RV exactly at seed 27" [ 27 ] breaking
 
+(* SC over raw faulty channels: a duplicated or reordered notification can
+   break a declared key (or delete an absent tuple) in SC's replica of the
+   keyed, foreign-keyed self-maintainable schema. The warehouse records
+   the rejection as an anomaly and the run goes on: no exception escapes
+   [Engine.run], and every run either converges or is reported as not
+   convergent. *)
+let sc_raw_faults_never_raise () =
+  let cells =
+    List.concat_map
+      (fun seed ->
+        List.map (fun profile -> (seed, profile)) Workload.Scenarios.fault_profiles)
+      (List.init 10 (fun i -> i + 1))
+  in
+  let outcomes =
+    par_map
+      (fun (seed, (name, fault)) ->
+        let label = Printf.sprintf "seed %d %s" seed name in
+        let { Workload.Scenarios.db; view; updates } =
+          Workload.Scenarios.selfmaintainable
+            (Workload.Spec.make ~c:20 ~j:3 ~k_updates:20 ~insert_ratio:0.7
+               ~seed ())
+        in
+        match
+          Core.Engine.run ~schedule:(Core.Scheduler.Random seed)
+            ~creator:(Core.Registry.creator_exn "sc")
+            ~sites:[ source ~fault ~fault_seed:seed db ]
+            ~views:[ vd view ] ~updates ()
+        with
+        | result -> (label, view.R.View.name, Ok result)
+        | exception e -> (label, view.R.View.name, Error (Printexc.to_string e)))
+      cells
+  in
+  let rejections =
+    List.fold_left
+      (fun n (label, name, outcome) ->
+        match outcome with
+        | Error e -> Alcotest.failf "%s: Engine.run raised %s" label e
+        | Ok (r : Core.Engine.result) ->
+          let converged =
+            R.Bag.equal
+              (List.assoc name r.Core.Engine.final_source_views)
+              (List.assoc name r.Core.Engine.final_mvs)
+          in
+          check_bool (label ^ ": convergence is reported faithfully") converged
+            (List.assoc name r.Core.Engine.reports).Core.Consistency.convergent;
+          n
+          + List.length
+              (List.filter
+                 (fun a -> String.starts_with ~prefix:"view " a)
+                 r.Core.Engine.warehouse_anomalies))
+      0 outcomes
+  in
+  check_bool "some delivery was rejected and recorded" true (rejections > 0)
+
+(* The rejection is atomic per delivery: a batch whose second update-class
+   run breaks a declared key leaves SC's replica and view exactly as they
+   were, though its first run had already changed both. *)
+let sc_rejected_batch_restores_state () =
+  let db = db_of [ (r1_wkey, [ [ 1; 2 ] ]); (r2, [ [ 2; 3 ] ]) ] in
+  let t =
+    Core.Sc.create
+      (Core.Algorithm.Config.of_view_db (view_wy ~r1:r1_wkey ()) db)
+  in
+  let mv0 = Core.Sc.mv t in
+  (match Core.Sc.on_batch t [ ins "r2" [ 2; 4 ]; ins "r1" [ 1; 5 ] ] with
+   | exception R.Db.Db_error _ -> ()
+   | _ -> Alcotest.fail "a key-violating batch must be rejected");
+  check_bag "view restored" mv0 (Core.Sc.mv t);
+  check_bool "replica restored" true (R.Db.equal db (Core.Sc.replica t))
+
 (* ------------------------------------------------------------------ *)
 (* The centralized oracle                                              *)
 (* ------------------------------------------------------------------ *)
@@ -120,6 +190,10 @@ let suite =
       eca_fine_with_fifo_same_streams;
     Alcotest.test_case "RV under reordering (documented)" `Quick
       rv_tolerates_reordering_less_catastrophically;
+    Alcotest.test_case "SC over raw faulty channels never raises" `Quick
+      sc_raw_faults_never_raise;
+    Alcotest.test_case "SC restores a rejected batch" `Quick
+      sc_rejected_batch_restores_state;
     Alcotest.test_case "centralized matches recompute" `Quick
       centralized_matches_recompute;
     Alcotest.test_case "centralized stepwise invariant" `Quick

@@ -5,45 +5,54 @@
 open Helpers
 module S = Core.Scheduler
 
-let all_enabled = { S.can_update = true; can_source = true; can_warehouse = true }
+(* The single-site graph: which of its three events are enabled. *)
+type enabled = { can_update : bool; can_source : bool; can_warehouse : bool }
+
+let all_enabled = { can_update = true; can_source = true; can_warehouse = true }
 
 let none_enabled =
-  { S.can_update = false; can_source = false; can_warehouse = false }
+  { can_update = false; can_source = false; can_warehouse = false }
+
+(* One pick over the single-site graph, named like the scripted
+   [S.action]s. *)
+let pick t e =
+  Option.map
+    (function
+      | S.Apply -> "apply-update"
+      | S.Site_source _ -> "source-receive"
+      | S.Site_warehouse _ -> "warehouse-receive")
+    (S.pick_ready t
+       (ready_of ~update:e.can_update [| e.can_source |] [| e.can_warehouse |]))
 
 let best_case_priorities () =
   let t = S.create S.Best_case in
   Alcotest.(check (option string))
     "source first" (Some "source-receive")
-    (Option.map S.action_name (S.pick t all_enabled));
+    (pick t all_enabled);
   Alcotest.(check (option string))
     "then warehouse" (Some "warehouse-receive")
-    (Option.map S.action_name
-       (S.pick t { all_enabled with S.can_source = false }));
+    (pick t { all_enabled with can_source = false });
   Alcotest.(check (option string))
     "updates last" (Some "apply-update")
-    (Option.map S.action_name
-       (S.pick t
-          { S.can_update = true; can_source = false; can_warehouse = false }))
+    (pick t { can_update = true; can_source = false; can_warehouse = false })
 
 let worst_case_priorities () =
   let t = S.create S.Worst_case in
   Alcotest.(check (option string))
     "updates first" (Some "apply-update")
-    (Option.map S.action_name (S.pick t all_enabled));
+    (pick t all_enabled);
   Alcotest.(check (option string))
     "then warehouse deliveries" (Some "warehouse-receive")
-    (Option.map S.action_name
-       (S.pick t { all_enabled with S.can_update = false }))
+    (pick t { all_enabled with can_update = false })
 
 let nothing_enabled () =
   let t = S.create S.Best_case in
-  check_bool "no action" true (Option.is_none (S.pick t none_enabled))
+  check_bool "no action" true (Option.is_none (pick t none_enabled))
 
 let round_robin_rotates () =
   let t = S.create S.Round_robin in
   let names =
-    List.init 6 (fun _ ->
-        S.action_name (Option.get (S.pick t all_enabled)))
+    List.init 6 (fun _ -> Option.get (pick t all_enabled))
   in
   (* with all three enabled, rotation must cycle with period 3 *)
   Alcotest.(check (list string))
@@ -59,17 +68,17 @@ let round_robin_skips_disabled () =
      list (which silently restarted the rotation whenever the enabled
      set changed, starving warehouse-receive under some workloads). *)
   let t = S.create S.Round_robin in
-  let pick e = Option.map S.action_name (S.pick t e) in
+  let pick = pick t in
   let check msg want got = Alcotest.(check (option string)) msg (Some want) got in
   check "starts at apply-update" "apply-update" (pick all_enabled);
   check "then source-receive" "source-receive" (pick all_enabled);
   check "disabled warehouse is skipped, wraps around" "apply-update"
-    (pick { all_enabled with S.can_warehouse = false });
+    (pick { all_enabled with can_warehouse = false });
   check "rotation resumes after the skip" "source-receive" (pick all_enabled);
   check "warehouse gets its turn" "warehouse-receive" (pick all_enabled);
   check "full cycle" "apply-update" (pick all_enabled);
   check "sole enabled action wins regardless of cursor" "source-receive"
-    (pick { S.can_update = false; can_source = true; can_warehouse = false });
+    (pick { can_update = false; can_source = true; can_warehouse = false });
   check "cursor moved past the forced pick" "warehouse-receive"
     (pick all_enabled);
   check "and wraps again" "apply-update" (pick all_enabled)
@@ -77,7 +86,7 @@ let round_robin_skips_disabled () =
 let random_is_deterministic_per_seed () =
   let sequence seed =
     let t = S.create (S.Random seed) in
-    List.init 20 (fun _ -> S.action_name (Option.get (S.pick t all_enabled)))
+    List.init 20 (fun _ -> Option.get (pick t all_enabled))
   in
   Alcotest.(check (list string)) "same seed, same picks" (sequence 42) (sequence 42);
   check_bool "different seeds diverge somewhere" true
@@ -87,35 +96,28 @@ let explicit_consumes_script () =
   let t = S.create (S.Explicit [ S.Apply_update; S.Source_receive ]) in
   Alcotest.(check (option string))
     "first scripted" (Some "apply-update")
-    (Option.map S.action_name (S.pick t all_enabled));
+    (pick t all_enabled);
   Alcotest.(check (option string))
     "second scripted" (Some "source-receive")
-    (Option.map S.action_name (S.pick t all_enabled));
+    (pick t all_enabled);
   (* exhausted: falls back to best-case priorities *)
   Alcotest.(check (option string))
     "fallback after exhaustion" (Some "source-receive")
-    (Option.map S.action_name (S.pick t all_enabled))
+    (pick t all_enabled)
 
 let explicit_rejects_disabled () =
   let t = S.create (S.Explicit [ S.Source_receive ]) in
-  match S.pick t { all_enabled with S.can_source = false } with
+  match pick t { all_enabled with can_source = false } with
   | exception S.Schedule_error _ -> ()
   | _ -> Alcotest.fail "expected Schedule_error"
-
-let enabled_list_contents () =
-  Alcotest.(check (list string))
-    "enabled list order"
-    [ "apply-update"; "source-receive"; "warehouse-receive" ]
-    (List.map S.action_name (S.enabled_list all_enabled));
-  check_int "empty when nothing enabled" 0
-    (List.length (S.enabled_list none_enabled))
 
 (* --- the ready-set path ------------------------------------------------ *)
 
 (* pick_ready over incrementally maintained state must agree with
-   pick_multi over materialized arrays — including the stateful policies'
-   cursors and RNG draws — under arbitrary readiness churn. *)
-let ready_equals_multi () =
+   pick_ready over a state freshly built from materialized arrays —
+   including the stateful policies' cursors and RNG draws — under
+   arbitrary readiness churn. *)
+let incremental_equals_rebuilt () =
   let n = 5 in
   let st = Random.State.make [| 2024 |] in
   List.iter
@@ -123,22 +125,17 @@ let ready_equals_multi () =
       let a = S.create policy and b = S.create policy in
       let ready = S.Ready.create n in
       for step = 1 to 300 do
-        let m =
-          {
-            S.update_ready = Random.State.bool st;
-            source_ready = Array.init n (fun _ -> Random.State.bool st);
-            warehouse_ready = Array.init n (fun _ -> Random.State.bool st);
-          }
-        in
+        let update = Random.State.bool st in
+        let sources = Array.init n (fun _ -> Random.State.bool st) in
+        let warehouses = Array.init n (fun _ -> Random.State.bool st) in
         (* maintain the persistent state edge by edge, as the engine does *)
-        S.Ready.set_update ready m.S.update_ready;
-        Array.iteri (fun i r -> S.Ready.set_source ready i r) m.S.source_ready;
-        Array.iteri
-          (fun i r -> S.Ready.set_warehouse ready i r)
-          m.S.warehouse_ready;
-        let ea = S.pick_multi a m and eb = S.pick_ready b ready in
+        S.Ready.set_update ready update;
+        Array.iteri (fun i r -> S.Ready.set_source ready i r) sources;
+        Array.iteri (fun i r -> S.Ready.set_warehouse ready i r) warehouses;
+        let ea = S.pick_ready a (ready_of ~update sources warehouses)
+        and eb = S.pick_ready b ready in
         if ea <> eb then
-          Alcotest.failf "step %d: pick_multi and pick_ready diverge" step
+          Alcotest.failf "step %d: incremental and rebuilt states diverge" step
       done)
     [ S.Best_case; S.Worst_case; S.Round_robin; S.Random 7; S.Random 99 ]
 
@@ -191,8 +188,8 @@ let weighted_fair_serves_cold_edges () =
 let suite =
   [
     Alcotest.test_case "best-case priorities" `Quick best_case_priorities;
-    Alcotest.test_case "pick_ready = pick_multi under churn" `Quick
-      ready_equals_multi;
+    Alcotest.test_case "pick_ready incremental = rebuilt under churn" `Quick
+      incremental_equals_rebuilt;
     Alcotest.test_case "bounded-inflight gates on edge load" `Quick
       bounded_inflight_gates_on_load;
     Alcotest.test_case "weighted-fair serves cold edges" `Quick
@@ -208,5 +205,4 @@ let suite =
       explicit_consumes_script;
     Alcotest.test_case "explicit rejects disabled actions" `Quick
       explicit_rejects_disabled;
-    Alcotest.test_case "enabled list" `Quick enabled_list_contents;
   ]
