@@ -35,9 +35,14 @@ bench-throughput:
 # the fault-injection/reliability suites, the golden-trace check pinning
 # Engine.run byte-for-byte, and the engine, selfmaint, evolution,
 # consistency-judge, staleness, planned-vs-naive evaluation,
-# access-path (index), delta-program, scheduler and runner suites, all
+# access-path (index), delta-program, scheduler, runner, algorithm,
+# random-view, property and compound-view suites — the last four hold
+# the guarded-compensation checks against the fold reference — all
 # explicitly, so a filtered or cached runtest can never silently skip
-# them), fail if a removed entry point reappears in the sources (the
+# them), run each perfbench workload for 2 s as a correctness gate only
+# (a non-zero exit, i.e. a failed view or build, fails smoke; timings
+# are not gated on a shared host), fail if a removed entry point
+# reappears in the sources (the
 # old run drivers and scheduler aliases, the compiled/interpreted
 # toggle and the engine's oracle modes, the array-based scheduler
 # picks, the warehouse install log), check that
@@ -63,6 +68,13 @@ smoke:
 	dune exec test/main.exe -- test delta-program
 	dune exec test/main.exe -- test scheduler
 	dune exec test/main.exe -- test runner
+	dune exec test/main.exe -- test algorithms
+	dune exec test/main.exe -- test random-views
+	dune exec test/main.exe -- test properties
+	dune exec test/main.exe -- test compound-views
+	for w in compensate selfmaint fanout-chaos; do \
+	  python3 perfbench/run.py --workload $$w --seed 11 --seconds 2 --trace 0 > /dev/null || exit 1; \
+	done
 	@if grep -rnE 'Core\.Runner|Core\.Federation|Drain_first|Updates_first|unordered_delivery|set_compiled|Delta_program\.compiled|Delta_program\.linear|Engine\.Recompute|Engine\.Incremental|pick_multi|of_multi|install_history' \
 	  lib bin bench examples test; then \
 	  echo "smoke: a removed entry point or alias reappeared (use Engine.run, Scheduler.pick_ready, Trace.warehouse_states)"; \

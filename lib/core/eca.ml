@@ -1,10 +1,26 @@
 module R = Relational
 
+(* How a pending term compensates a later update U, fixed when its query
+   enters the UQS. *)
+type shape =
+  | Guarded of string * (int * R.Value.t) list
+      (* exactly one base slot, on the named relation, so U's substitution
+         leaves the term all-literal. Each (column, value) is an
+         equi-join conjunct linking that slot's column to a literal
+         slot's value: a U tuple failing one makes the substituted term
+         provably empty. *)
+  | Unguarded  (* no base slot, or two or more *)
+
+type pending = {
+  id : int;
+  terms : (R.Term.t * shape) list;  (* the shipped query, term by term *)
+}
+
 type t = {
   view : R.Viewdef.t;
   mutable mv : Mview.Keyed.t;
   mutable collect : R.Bag.t;
-  mutable uqs : (int * R.Query.t) R.Fqueue.t;  (* oldest first *)
+  mutable uqs : pending R.Fqueue.t;  (* oldest first *)
   mutable next_id : int;
   local_literal_eval : bool;
 }
@@ -27,16 +43,50 @@ let create ?keyed (cfg : Algorithm.Config.t) =
     local_literal_eval = cfg.Algorithm.Config.local_literal_eval;
   }
 
-(* Split off the literal-only terms when local evaluation is enabled;
-   otherwise ship the whole query, as a literal reading of Algorithm 5.2
-   would. *)
-let split t q =
-  if t.local_literal_eval then R.Query.split_local (R.Query.simplify q)
-  else (R.Query.empty, R.Query.simplify q)
+(* The guard of a term with exactly one base slot [base]: its equi-join
+   conjuncts between a column of that slot and a literal slot, resolved
+   through the plan layout as (column within the base slot, the literal's
+   value). Same-slot equalities, comparisons with constants and non-[Eq]
+   comparisons never guard. *)
+let guard (term : R.Term.t) base =
+  let layout = R.Plan.layout_of_slots term.R.Term.slots in
+  let slots = Array.of_list term.R.Term.slots in
+  let side a =
+    let pos = R.Plan.resolve layout a in
+    let s = R.Plan.slot_of_position layout pos in
+    (s, pos - layout.R.Plan.offsets.(s))
+  in
+  let literal s col =
+    match slots.(s) with
+    | R.Term.Lit (_, _, tup) -> Some (R.Tuple.get tup col)
+    | R.Term.Base _ -> None
+  in
+  List.filter_map
+    (function
+      | R.Predicate.Cmp (R.Predicate.Eq, R.Predicate.Col a, R.Predicate.Col b) ->
+        let (sa, ca), (sb, cb) = (side a, side b) in
+        if sa = base && sb <> base then Option.map (fun v -> (ca, v)) (literal sb cb)
+        else if sb = base && sa <> base then Option.map (fun v -> (cb, v)) (literal sa ca)
+        else None
+      | _ -> None)
+    (R.Predicate.conjuncts term.R.Term.cond)
+
+let shape (term : R.Term.t) =
+  let bases =
+    List.concat
+      (List.mapi
+         (fun i -> function R.Term.Base s -> [ (i, s) ] | R.Term.Lit _ -> [])
+         term.R.Term.slots)
+  in
+  match bases with
+  | [ (i, s) ] -> Guarded (s.R.Schema.name, guard term i)
+  | _ -> Unguarded
+
+let shaped q = List.map (fun term -> (term, shape term)) q
 
 let mv t = Mview.Keyed.bag t.mv
 
-let uqs t = R.Fqueue.to_list t.uqs
+let uqs t = List.map (fun p -> (p.id, List.map fst p.terms)) (R.Fqueue.to_list t.uqs)
 
 let quiescent t = R.Fqueue.is_empty t.uqs && R.Bag.is_empty t.collect
 
@@ -66,30 +116,70 @@ let maybe_install t =
   end
   else Algorithm.nothing
 
-let on_update t (u : R.Update.t) =
-  (* Q_i = V⟨U_i⟩ − Σ_{Q_j ∈ UQS} Q_j⟨U_i⟩ *)
-  let q =
-    R.Fqueue.fold
-      (fun acc (_, qj) -> R.Query.minus acc (R.Query.subst qj u))
-      (R.Viewdef.delta t.view u)
-      t.uqs
+(* [U]'s compensation of the pending terms [terms], negated, in fold
+   order: a guarded term whose guard [U] fails is provably empty and
+   skipped, the rest of the guarded ones turn all-literal and go to
+   [local], and the others stay for the source in [remote]. Both lists
+   are reversed accumulators. With local evaluation off every
+   substituted term is shipped, as a literal reading of Algorithm 5.2
+   would. *)
+let compensate t (u : R.Update.t) ~local ~remote terms =
+  let meets (col, v) =
+    R.Value.compare_for_predicate (R.Tuple.get u.R.Update.tuple col) v = 0
   in
-  (* Terms whose slots are all substituted tuples need no base data: they
-     are evaluated here and never shipped (Appendix D's "no compensating
-     query needs to be sent since all data needed is already at the
-     warehouse"); exact T/-T pairs cancel outright. *)
-  let local, remote = split t q in
-  t.collect <- R.Bag.plus t.collect (R.Eval.literal_query local);
-  if R.Query.is_empty remote then maybe_install t
-  else begin
+  List.iter
+    (fun (term, shape) ->
+      match shape with
+      | Guarded (base, guard) when t.local_literal_eval ->
+        if String.equal base u.R.Update.rel && List.for_all meets guard then
+          Option.iter
+            (fun s -> local := R.Term.negate s :: !local)
+            (R.Term.subst term u)
+      | Guarded _ | Unguarded ->
+        Option.iter
+          (fun s -> remote := R.Term.negate s :: !remote)
+          (R.Term.subst term u))
+    terms
+
+(* Q_i = V⟨U_i⟩ − Σ_{Q_j ∈ UQS} Q_j⟨U_i⟩ − extra⟨U_i⟩. Terms whose slots
+   are all substituted tuples need no base data: they are evaluated here
+   into COLLECT and never shipped (Appendix D's "no compensating query
+   needs to be sent since all data needed is already at the warehouse").
+   The remote terms keep their fold order and exact T/-T pairs cancel,
+   so the shipped query is [split_local (simplify q)]'s remote half: a
+   literal term never equals a remote one, so no cancelled pair crosses
+   the split, and a skipped or cancelled literal term adds ∅ to
+   COLLECT. *)
+let maintenance_query t (u : R.Update.t) ~extra =
+  let local = ref [] and remote = ref [] in
+  (* V⟨U⟩ first: its substitution checks U's tuple against the schema
+     before any guard reads it. *)
+  List.iter
+    (fun term ->
+      if t.local_literal_eval && R.Term.is_all_literals term then local := term :: !local
+      else remote := term :: !remote)
+    (R.Viewdef.delta t.view u);
+  R.Fqueue.iter (fun p -> compensate t u ~local ~remote p.terms) t.uqs;
+  compensate t u ~local ~remote extra;
+  if !local <> [] then
+    t.collect <- R.Bag.plus t.collect (R.Eval.literal_query (List.rev !local));
+  R.Query.simplify (List.rev !remote)
+
+let enqueue t id terms =
+  t.uqs <- R.Fqueue.push t.uqs { id; terms };
+  Algorithm.send_one id (List.map fst terms)
+
+let send t = function
+  | [] -> maybe_install t
+  | terms ->
     let id = t.next_id in
     t.next_id <- id + 1;
-    t.uqs <- R.Fqueue.push t.uqs (id, remote);
-    Algorithm.send_one id remote
-  end
+    enqueue t id terms
+
+let on_update t u = send t (shaped (maintenance_query t u ~extra:[]))
 
 let on_answer t ~id answer =
-  t.uqs <- R.Fqueue.filter (fun (i, _) -> i <> id) t.uqs;
+  t.uqs <- R.Fqueue.filter (fun p -> p.id <> id) t.uqs;
   t.collect <- R.Bag.plus t.collect answer;
   maybe_install t
 
@@ -98,27 +188,10 @@ let on_answer t ~id answer =
    the remote terms already accumulated for this batch — all of which the
    source will evaluate after the entire batch has been applied. *)
 let on_batch t us =
-  let batch_remote = ref R.Query.empty in
-  List.iter
-    (fun u ->
-      let q =
-        R.Fqueue.fold
-          (fun acc (_, qj) -> R.Query.minus acc (R.Query.subst qj u))
-          (R.Viewdef.delta t.view u)
-          t.uqs
-      in
-      let q = R.Query.minus q (R.Query.subst !batch_remote u) in
-      let local, remote = split t q in
-      t.collect <- R.Bag.plus t.collect (R.Eval.literal_query local);
-      batch_remote := R.Query.plus !batch_remote remote)
-    us;
-  if R.Query.is_empty !batch_remote then maybe_install t
-  else begin
-    let id = t.next_id in
-    t.next_id <- id + 1;
-    t.uqs <- R.Fqueue.push t.uqs (id, !batch_remote);
-    Algorithm.send_one id !batch_remote
-  end
+  send t
+    (List.fold_left
+       (fun batch u -> batch @ shaped (maintenance_query t u ~extra:batch))
+       [] us)
 
 let of_state t =
   {
@@ -152,7 +225,6 @@ let refresh cfg =
   let q = R.Query.simplify (R.Viewdef.full_query t.view) in
   if R.Query.is_empty q then (of_state t, Algorithm.install (mv t))
   else begin
-    t.uqs <- R.Fqueue.push t.uqs (0, q);
     t.next_id <- 1;
-    (of_state t, Algorithm.send_one 0 q)
+    (of_state t, enqueue t 0 (shaped q))
   end

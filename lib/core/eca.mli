@@ -18,6 +18,21 @@
     spaced widely enough that no query is pending, ECA degenerates to
     Algorithm 5.1 — compensation costs arise only under contention.
 
+    {b Guarded compensation.} When a query enters the UQS, each of its
+    terms with exactly one base slot [B] gets a guard: the equi-join
+    conjuncts linking a column of [B] to a literal slot, as (column,
+    literal value). An update on [B] whose tuple fails one of them (under
+    [Value.compare_for_predicate], so [Int 1] meets [Float 1.0]) makes
+    the substituted term provably empty, and it is skipped; the rest of
+    those terms turn all-literal and go straight to [COLLECT]. Terms with
+    two or more base slots are substituted in fold order and
+    simplified as before, so the shipped queries are exactly those of
+    the fold [split_local (simplify (V⟨U⟩ − Σ Q_j⟨U⟩))]: a literal term
+    never cancels a remote one, and a skipped term adds nothing. With
+    [local_literal_eval] off every substituted term is shipped and no
+    guard applies. ECA-Local, ECA-SM's fallback, batches and {!refresh}
+    inherit this path.
+
     ECA is strongly consistent (Theorem B.1); the property-based test
     suite re-validates this over randomized update streams and schedules. *)
 

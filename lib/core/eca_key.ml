@@ -16,10 +16,12 @@ exception Not_applicable of string
    minimal repair: it applies the key-delete to exactly the answers of
    queries that predate the delete. Queries issued after the delete get
    ids >= cutoff and are unaffected, so re-insertions of the same key
-   survive. The regression test pins the exact counterexample. *)
+   survive. The regression test pins the exact counterexample.
+
+   [matches] is the key-delete's test on view tuples, with the deleted
+   tuple's key already read. *)
 type tombstone = {
-  rel : string;
-  tuple : R.Tuple.t;
+  matches : R.Tuple.t -> bool;
   cutoff : int;
 }
 
@@ -30,7 +32,9 @@ type t = {
   mutable uqs : int R.Fqueue.t;
   mutable next_id : int;
   mutable dirty : bool;  (* collect differs from mv *)
-  mutable tombstones : tombstone list;
+  mutable tombstones : tombstone list;  (* newest first *)
+  key_match : (string * (R.Tuple.t -> R.Tuple.t -> bool)) list;
+      (* per base relation, resolved once *)
 }
 
 (* The rung check [create] enforces, as a predicate the catalog's
@@ -68,6 +72,10 @@ let create (cfg : Algorithm.Config.t) =
     next_id = 0;
     dirty = false;
     tombstones = [];
+    key_match =
+      List.map
+        (fun rel -> (rel, Mview.key_match ~view ~rel))
+        (R.View.relation_names view);
   }
 
 let mv t = t.mv
@@ -103,7 +111,10 @@ let on_update t (u : R.Update.t) =
         (Mview.Keyed.key_delete t.collect ~rel:u.R.Update.rel u.R.Update.tuple);
       if not (R.Fqueue.is_empty t.uqs) then
         t.tombstones <-
-          { rel = u.R.Update.rel; tuple = u.R.Update.tuple; cutoff = t.next_id }
+          {
+            matches = List.assoc u.R.Update.rel t.key_match u.R.Update.tuple;
+            cutoff = t.next_id;
+          }
           :: t.tombstones;
       maybe_install t
     | R.Update.Insert ->
@@ -123,23 +134,27 @@ let on_update t (u : R.Update.t) =
         Algorithm.send_one id remote
       end
 
+(* The answer to query [id], filtered by every tombstone of a delete
+   processed after that query was sent, in one pass. *)
+let filter_answer t ~id answer =
+  match List.filter (fun ts -> id < ts.cutoff) t.tombstones with
+  | [] -> answer
+  | live ->
+    R.Bag.filter (fun vt -> not (List.exists (fun ts -> ts.matches vt) live)) answer
+
 let on_answer t ~id answer =
   t.uqs <- R.Fqueue.filter (fun i -> i <> id) t.uqs;
-  let answer =
-    List.fold_left
-      (fun a ts ->
-        if id < ts.cutoff then
-          Mview.key_delete ~view:t.view ~rel:ts.rel ts.tuple a
-        else a)
-      answer t.tombstones
-  in
-  add_answer t answer;
+  if not (R.Bag.is_empty answer) then add_answer t (filter_answer t ~id answer);
+  (* Ids enter the UQS increasing, so every answer still to come has an
+     id at least the oldest pending one: a tombstone whose cutoff is not
+     above it can filter nothing more. *)
+  (match R.Fqueue.peek t.uqs with
+   | None -> t.tombstones <- []
+   | Some oldest -> t.tombstones <- List.filter (fun ts -> oldest < ts.cutoff) t.tombstones);
   (* Even an unchanged working copy must be installable once the pending
      phase ends: a stale MV may still differ from COLLECT. *)
-  if R.Fqueue.is_empty t.uqs then begin
-    t.tombstones <- [];
-    if not (R.Bag.equal t.mv (Mview.Keyed.bag t.collect)) then t.dirty <- true
-  end;
+  if R.Fqueue.is_empty t.uqs && not (R.Bag.equal t.mv (Mview.Keyed.bag t.collect))
+  then t.dirty <- true;
   maybe_install t
 
 let instance cfg =

@@ -24,7 +24,14 @@
     repair this with {e key tombstones}: a delete processed while queries
     are pending also filters the answers of those earlier queries (and
     only those, so later re-insertions of the same key survive). The exact
-    counterexample is pinned as a regression test. *)
+    counterexample is pinned as a regression test.
+
+    Tombstones cost what is still pending, not the run's deletes: each
+    answer is filtered by its live tombstones in one pass over the
+    answer (every relation's key layout is resolved once, in [create]),
+    and after each answer the tombstones whose cutoff is at most the
+    oldest pending query id are dropped — ids enter the UQS increasing,
+    so no later answer can meet them. *)
 
 module R := Relational
 

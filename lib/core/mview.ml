@@ -34,20 +34,28 @@ let key_layout ~context (view : R.View.t) rel =
       view.R.View.name rel
   | Some (schema, out_positions) -> (R.Schema.key_positions schema, out_positions)
 
+(* Whether a view tuple's columns at r's projected key positions equal
+   the key values of base tuple t, staged: the layout is resolved once
+   per relation and t's key read once per tuple. *)
+let key_matcher ~context ~(view : R.View.t) ~rel =
+  let key_positions, out_positions = key_layout ~context view rel in
+  fun (t : R.Tuple.t) ->
+    let key_values = List.map (R.Tuple.get t) key_positions in
+    fun vt ->
+      List.for_all2
+        (fun out_pos kv -> R.Value.equal (R.Tuple.get vt out_pos) kv)
+        out_positions key_values
+
+let key_match = key_matcher ~context:"key_match"
+
 (* key-delete(MV, r, t) (Section 5.4): remove from the view every tuple
-   whose columns at r's projected key positions equal the key values of
-   the deleted base tuple t. The key uniquely identifies t within r, so
-   exactly t's derivations are removed — full key coverage of the other
-   relations is not needed for this operation, only for ECAK's insert
-   handling. This form scans the bag; materialized views use {!Keyed}. *)
-let key_delete ~(view : R.View.t) ~rel (t : R.Tuple.t) mv =
-  let key_positions, out_positions = key_layout ~context:"key_delete" view rel in
-  let key_values = List.map (R.Tuple.get t) key_positions in
-  let matches vt =
-    List.for_all2
-      (fun out_pos kv -> R.Value.equal (R.Tuple.get vt out_pos) kv)
-      out_positions key_values
-  in
+   carrying the projected key of the deleted base tuple t. The key
+   uniquely identifies t within r, so exactly t's derivations are
+   removed — full key coverage of the other relations is not needed for
+   this operation, only for ECAK's insert handling. This form scans the
+   bag; materialized views use {!Keyed}. *)
+let key_delete ~view ~rel t mv =
+  let matches = key_matcher ~context:"key_delete" ~view ~rel t in
   R.Bag.filter (fun vt -> not (matches vt)) mv
 
 (* A materialized view with key-delete indexes: per keyed base relation,

@@ -24,6 +24,13 @@ val key_delete : view:R.View.t -> rel:string -> R.Tuple.t -> R.Bag.t -> R.Bag.t
     {!Keyed.key_delete}, which this defines the meaning of.
     @raise Mview_error if the view does not project [rel]'s declared key. *)
 
+val key_match : view:R.View.t -> rel:string -> R.Tuple.t -> R.Tuple.t -> bool
+(** [key_match ~view ~rel t vt]: whether view tuple [vt] carries the
+    projected key of [rel]'s base tuple [t] — the tuples {!key_delete}
+    drops. Applied to [~view ~rel] it resolves the key layout once;
+    applied to [t] it reads [t]'s key once.
+    @raise Mview_error if the view does not project [rel]'s declared key. *)
+
 (** A materialized view indexed for key-deletes: the bag plus, per keyed
     base relation, a map from the view's projected key values to the view
     tuples carrying them. The maps are built by the first key-delete on a

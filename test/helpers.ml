@@ -121,3 +121,106 @@ let rng seed = Random.State.make [| seed |]
 let pool = lazy (Parallel.Pool.create ())
 
 let par_map f xs = Parallel.Pool.map_list (Lazy.force pool) f xs
+
+(* ECA's maintenance queries as Algorithm 5.2 writes them: Q_i is the
+   fold V⟨U_i⟩ − Σ_{Q_j ∈ UQS} Q_j⟨U_i⟩ (in a batch, minus the batch's
+   accumulated remote terms too), simplified and split into the terms
+   evaluated at the warehouse and the query shipped. [Core.Eca] must ship
+   exactly these queries under the same ids and end at the same view. *)
+module Eca_fold = struct
+  type t = {
+    view : R.Viewdef.t;
+    local_literal_eval : bool;
+    mutable uqs : (int * R.Query.t) list;  (* oldest first *)
+    mutable collect : R.Bag.t;
+    mutable mv : R.Bag.t;
+    mutable next_id : int;
+  }
+
+  let create ~local_literal_eval view mv =
+    { view; local_literal_eval; uqs = []; collect = R.Bag.empty; mv; next_id = 0 }
+
+  (* The remote part of U's query, with its local part added to COLLECT. *)
+  let remote t u ~extra =
+    let q =
+      List.fold_left
+        (fun acc (_, qj) -> R.Query.minus acc (R.Query.subst qj u))
+        (R.Viewdef.delta t.view u) t.uqs
+    in
+    let q = R.Query.simplify (R.Query.minus q (R.Query.subst extra u)) in
+    let local, remote =
+      if t.local_literal_eval then R.Query.split_local q else (R.Query.empty, q)
+    in
+    t.collect <- R.Bag.plus t.collect (R.Eval.literal_query local);
+    remote
+
+  let install t =
+    if t.uqs = [] then begin
+      t.mv <- R.Bag.plus t.mv t.collect;
+      t.collect <- R.Bag.empty
+    end
+
+  (* The queries shipped for a batch of updates ([[u]] for one update). *)
+  let on_batch t us =
+    let q =
+      List.fold_left (fun acc u -> R.Query.plus acc (remote t u ~extra:acc)) [] us
+    in
+    if R.Query.is_empty q then (install t; [])
+    else begin
+      let id = t.next_id in
+      t.next_id <- id + 1;
+      t.uqs <- t.uqs @ [ (id, q) ];
+      [ (id, q) ]
+    end
+
+  let on_answer t ~id answer =
+    t.uqs <- List.filter (fun (i, _) -> i <> id) t.uqs;
+    t.collect <- R.Bag.plus t.collect answer;
+    install t
+end
+
+(* Drive an ECA instance and the fold reference through [updates] in
+   batches of [batch] (one [on_update] each when [batch = 1]) with no
+   answer in between — the worst case, where every query stays pending —
+   then answer every query from the final source state, oldest first.
+   True when each event ships the reference's queries (same ids,
+   [Query.equal]) and both end at the same view, which is the view of
+   the final state. *)
+let eca_matches_fold ?(local_literal_eval = true) ~batch view db updates =
+  let cfg = Core.Algorithm.Config.of_db ~local_literal_eval view db in
+  let eca = Core.Eca.instance cfg in
+  let reference = Eca_fold.create ~local_literal_eval view cfg.init_mv in
+  let rec chunks = function
+    | [] -> []
+    | us ->
+      List.filteri (fun i _ -> i < batch) us
+      :: chunks (List.filteri (fun i _ -> i >= batch) us)
+  in
+  let same_sends (o : Core.Algorithm.outcome) expected =
+    List.equal
+      (fun (i, q) (j, q') -> i = j && R.Query.equal q q')
+      o.Core.Algorithm.send expected
+  in
+  let sent = ref [] in
+  let agree =
+    List.for_all
+      (fun us ->
+        let o =
+          match us with
+          | [ u ] when batch = 1 -> eca.Core.Algorithm.on_update u
+          | _ -> eca.Core.Algorithm.on_batch us
+        in
+        sent := !sent @ o.Core.Algorithm.send;
+        same_sends o (Eca_fold.on_batch reference us))
+      (chunks updates)
+  in
+  let final = R.Db.apply_all db updates in
+  List.iter
+    (fun (id, q) ->
+      let answer = R.Eval.query final q in
+      ignore (eca.Core.Algorithm.on_answer ~id answer);
+      Eca_fold.on_answer reference ~id answer)
+    !sent;
+  agree
+  && R.Bag.equal (eca.Core.Algorithm.mv ()) reference.Eca_fold.mv
+  && R.Bag.equal reference.Eca_fold.mv (R.Viewdef.eval final view)

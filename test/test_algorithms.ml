@@ -67,6 +67,47 @@ let eca_ignores_foreign_relations () =
   let o = Core.Eca.on_update t (ins "r3" [ 9; 9 ]) in
   check_int "no query for an unrelated relation" 0 (List.length o.A.send)
 
+(* Every update with no answer in between, then each query answered
+   from the final source state, oldest first: the final view, and the
+   true one. *)
+let eca_worst_case db view updates =
+  let t = Core.Eca.create (cfg_of db view) in
+  let sent = List.concat_map (fun u -> (Core.Eca.on_update t u).A.send) updates in
+  let final = R.Db.apply_all db updates in
+  List.iter
+    (fun (id, q) -> ignore (Core.Eca.on_answer t ~id (R.Eval.query final q)))
+    sent;
+  (Core.Eca.mv t, R.Eval.view final view)
+
+let eca_guard_compares_numerically () =
+  (* Q0 = π_W(r1:(4, 1) ⋈ r2) is pending when r2 gets (1.0, 5): Int 1
+     joins Float 1.0, so Q0⟨U⟩ is not empty and must offset what Q0's
+     answer will see of U. *)
+  let u =
+    R.Update.insert "r2" (R.Tuple.of_list [ R.Value.Float 1.0; R.Value.Int 5 ])
+  in
+  let mv, truth =
+    eca_worst_case (db_of [ (r1, []); (r2, []) ]) (view_w ()) [ ins "r1" [ 4; 1 ]; u ]
+  in
+  check_bag "one derivation of W = 4" (bag [ [ 4 ] ]) truth;
+  check_bag "not skipped: the view is exact" truth mv
+
+let eca_guard_ignores_inequalities () =
+  List.iter
+    (fun (cmp, name) ->
+      let view =
+        R.View.make ~name:"V" ~proj:[ R.Attr.qualified "r1" "W" ]
+          ~cond:(R.Predicate.Cmp (cmp, R.Predicate.col "r1.X", R.Predicate.col "r2.Y"))
+          [ r1; r2 ]
+      in
+      let mv, truth =
+        eca_worst_case (db_of [ (r1, []); (r2, []) ]) view
+          [ ins "r1" [ 4; 1 ]; ins "r2" [ 0; 5 ] ]
+      in
+      check_bag (name ^ " holds once") (bag [ [ 4 ] ]) truth;
+      check_bag (name ^ " never skips") truth mv)
+    [ (R.Predicate.Lt, "r1.X < r2.Y"); (R.Predicate.Neq, "r1.X <> r2.Y") ]
+
 (* ------------------------------------------------------------------ *)
 (* RV periods and messages                                             *)
 (* ------------------------------------------------------------------ *)
@@ -291,6 +332,30 @@ let ecak_same_relation_insert_delete_race () =
     (bag [ [ 0; 0 ] ])
     (final_mv result' "V")
 
+let ecak_tombstones_outlive_out_of_order_answers () =
+  (* q0 carries r1's (4, 2) as a literal, so its late answer derives the
+     deleted tuple's view tuples; answering q1 first must not retire the
+     tombstone q0 still needs. *)
+  let view = view_wy ~r1:r1_wkey ~r2:r2_ykey () in
+  let db = db_of [ (r1_wkey, [ [ 1; 2 ] ]); (r2_ykey, [ [ 2; 5 ] ]) ] in
+  let scenario name updates =
+    let t = Core.Eca_key.create (cfg_of db view) in
+    let sent =
+      List.concat_map (fun u -> (Core.Eca_key.on_update t u).A.send) updates
+    in
+    let final = R.Db.apply_all db updates in
+    List.iter
+      (fun id ->
+        let q = List.assoc id sent in
+        ignore (Core.Eca_key.on_answer t ~id (R.Eval.query final q)))
+      [ 1; 0 ];
+    check_bag name (R.Eval.view final view) (Core.Eca_key.mv t)
+  in
+  scenario "delete after both queries"
+    [ ins "r1" [ 4; 2 ]; ins "r2" [ 2; 7 ]; del "r1" [ 4; 2 ] ];
+  scenario "delete between the queries"
+    [ ins "r1" [ 4; 2 ]; del "r1" [ 4; 2 ]; ins "r2" [ 2; 7 ] ]
+
 let ecak_rejects_uncovered_views () =
   match Core.Eca_key.create (cfg_of (db_of [ (r1, []); (r2, []) ]) (view_w ())) with
   | exception Core.Eca_key.Not_applicable _ -> ()
@@ -444,6 +509,10 @@ let suite =
       eca_collect_defers_install;
     Alcotest.test_case "ECA ignores foreign relations" `Quick
       eca_ignores_foreign_relations;
+    Alcotest.test_case "ECA guard compares Int and Float numerically" `Quick
+      eca_guard_compares_numerically;
+    Alcotest.test_case "ECA guard ignores cross-slot inequalities" `Quick
+      eca_guard_ignores_inequalities;
     Alcotest.test_case "RV message counts by period" `Quick
       rv_period_message_counts;
     Alcotest.test_case "RV flushes partial periods" `Quick
@@ -467,6 +536,8 @@ let suite =
     Alcotest.test_case "ECAL classification" `Quick ecal_classification;
     Alcotest.test_case "ECAK same-relation insert/delete race (regression)"
       `Quick ecak_same_relation_insert_delete_race;
+    Alcotest.test_case "ECAK tombstones outlive out-of-order answers" `Quick
+      ecak_tombstones_outlive_out_of_order_answers;
     Alcotest.test_case "ECAK rejects uncovered views" `Quick
       ecak_rejects_uncovered_views;
     Alcotest.test_case "key-delete semantics" `Quick key_delete_semantics;

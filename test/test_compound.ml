@@ -125,6 +125,23 @@ let maintenance_under_schedules () =
         [ ("eca", false); ("lca", true); ("rv", false); ("sc", true) ])
     [ union_view; diff_view ]
 
+(* Guarded compensation on a compound view: the union's SPJ blocks are
+   guarded term by term, and ECA still ships the fold reference's
+   queries, with local evaluation on and off, one update at a time and
+   in batches of 3. *)
+let guarded_matches_fold_on_unions () =
+  let db = db_of [ (r1, [ [ 1; 2 ]; [ 3; 9 ] ]); (r2, [ [ 2; 0 ] ]) ] in
+  let updates =
+    updates_mixed @ [ ins "r2" [ 6; 4 ]; ins "r1" [ 5; 9 ]; del "r1" [ 7; 9 ] ]
+  in
+  List.iter
+    (fun (local_literal_eval, batch) ->
+      check_bool
+        (Printf.sprintf "local_literal_eval=%b batch=%d" local_literal_eval batch)
+        true
+        (eca_matches_fold ~local_literal_eval ~batch union_view db updates))
+    [ (true, 1); (true, 3); (false, 1); (false, 3) ]
+
 let basic_still_anomalous_on_unions () =
   (* the anomaly phenomenon is orthogonal to the view shape *)
   let db = db_of [ (r1, [ [ 1; 2 ] ]); (r2, []) ] in
@@ -256,6 +273,8 @@ let suite =
       maintenance_under_schedules;
     Alcotest.test_case "basic anomalous / ECA correct on unions" `Quick
       basic_still_anomalous_on_unions;
+    Alcotest.test_case "guarded ECA = fold reference on a union" `Quick
+      guarded_matches_fold_on_unions;
     Alcotest.test_case "ECAK rejects compound views" `Quick
       ecak_rejects_compound;
     Alcotest.test_case "negative difference states tracked" `Quick

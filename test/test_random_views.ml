@@ -168,9 +168,68 @@ let eca_batched_random_views =
           && R.Bag.equal expected (List.assoc "RV" result.Core.Engine.final_mvs))
         [ 2; 4 ])
 
+(* Streams of up to 8 updates whose values are Int or Float at random,
+   so an equi-join often meets a numerically equal value of the other
+   type. Deletes remove a tuple the source holds at that point. *)
+let mixed_setup_gen =
+  QCheck.Gen.(
+    let value =
+      map2
+        (fun n float -> if float then R.Value.Float (float_of_int n) else R.Value.Int n)
+        (int_bound 3) bool
+    in
+    let tuple_gen = map R.Tuple.of_list (list_size (return 2) value) in
+    let* view = view_gen in
+    let* rows = list_size (return 3) (list_size (int_bound 4) tuple_gen) in
+    let db =
+      R.Db.of_list
+        (List.map2 (fun s r -> (s, R.Bag.of_list r)) (Array.to_list schemas) rows)
+    in
+    let* n = int_range 1 8 in
+    let* raw =
+      list_size (return n) (pair (oneofl [ "r1"; "r2"; "r3" ]) (pair tuple_gen bool))
+    in
+    let _, updates =
+      List.fold_left
+        (fun (db, acc) (rel, (tup, want_insert)) ->
+          let held =
+            R.Bag.fold
+              (fun t n acc -> if n > 0 then Some t else acc)
+              (R.Db.contents db rel) None
+          in
+          let u =
+            match held with
+            | Some t when not want_insert -> R.Update.delete rel t
+            | _ -> R.Update.insert rel tup
+          in
+          (R.Db.apply db u, u :: acc))
+        (db, []) raw
+    in
+    return (view, db, List.rev updates, 0))
+
+(* Guarded compensation skips a pending term only when its join with
+   the update provably fails, so it ships the fold reference's queries
+   byte for byte and installs the same view: one update at a time and in
+   batches of 3, with local evaluation on and off. *)
+let eca_guarded_matches_fold =
+  QCheck.Test.make ~name:"guarded ECA ships the fold reference's queries"
+    ~count:1000
+    (QCheck.make
+       ~print:(fun (view, db, updates, _) ->
+         Format.asprintf "%a@.%a@.updates: %s" R.View.pp view R.Db.pp db
+           (String.concat "; " (List.map R.Update.to_string updates)))
+       mixed_setup_gen)
+    (fun (view, db, updates, _) ->
+      List.for_all
+        (fun (local_literal_eval, batch) ->
+          eca_matches_fold ~local_literal_eval ~batch (R.Viewdef.simple view) db
+            updates)
+        [ (true, 1); (true, 3); (false, 1); (false, 3) ])
+
 let suite =
   List.map QCheck_alcotest.to_alcotest
     [
+      eca_guarded_matches_fold;
       eca_random_views;
       lca_random_views;
       sc_random_views;
