@@ -32,7 +32,8 @@ bench-throughput:
 	./_build/default/bench/main.exe throughput
 
 # One-stop pre-commit gate: build everything, run the test suite (plus
-# the fault-injection/reliability suites, the golden-trace check pinning
+# the fault-injection/reliability suites, the channel suite holding the
+# faulty channel's reference model, the golden-trace check pinning
 # Engine.run byte-for-byte, and the engine, selfmaint, evolution,
 # consistency-judge, staleness, planned-vs-naive evaluation,
 # access-path (index), delta-program, scheduler, runner, algorithm,
@@ -56,6 +57,7 @@ smoke:
 	dune runtest
 	dune exec test/main.exe -- test faults
 	dune exec test/main.exe -- test reliable
+	dune exec test/main.exe -- test messaging
 	dune exec test/main.exe -- test observe
 	dune exec test/main.exe -- test golden
 	dune exec test/main.exe -- test engine

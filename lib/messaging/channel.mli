@@ -15,7 +15,15 @@
     B metrics of the performance study. They count {e physical}
     transmissions — duplicates injected by the profile and retransmits
     from the reliability sublayer included — so the same counters measure
-    the wire overhead of reliability. *)
+    the wire overhead of reliability.
+
+    Costs. A fault-free channel is a FIFO queue: O(1) amortized send and
+    receive. A faulty channel keeps its in-flight transmissions in one
+    size-annotated balanced tree in delivery order — by ready tick, then
+    by send order — so a send, a receive (the deliverable count it draws
+    a reordered pick over, then removal of the picked rank) and
+    {!has_ready} are O(log n) in the messages in flight. {!pending} and
+    {!is_empty} are O(1) on either kind. *)
 
 type t
 
@@ -34,9 +42,6 @@ val receive : t -> Message.t option
     is deliverable — the channel may still hold delayed messages (see
     {!is_empty} vs {!has_ready}). *)
 
-val peek : t -> Message.t option
-(** The message in-order delivery would return next, without removing. *)
-
 val has_ready : t -> bool
 (** A receive would succeed now. *)
 
@@ -44,12 +49,10 @@ val is_empty : t -> bool
 (** Nothing pending at all, delayed messages included. *)
 
 val pending : t -> int
+(** Transmissions in flight, delayed ones included; O(1). *)
 
 val tick : t -> unit
 (** Advance the channel clock one tick (delayed messages ripen). *)
-
-val now : t -> int
-val fault : t -> Fault.profile
 
 val messages_sent : t -> int
 (** Total physical transmissions ever sent (delivered, pending, dropped

@@ -59,8 +59,7 @@ val load : t -> int
 (** Undelivered wire frames on the edge, both directions — in-flight,
     delayed, and awaiting in-order release. The cheap per-edge load
     signal the backpressure and fairness scheduling policies weigh; O(1)
-    in the queued frames (the delayed list is bounded by the fault
-    profile's delay window). *)
+    (see {!Channel.pending}). *)
 
 val reliability : t -> Reliable.stats option
 (** Protocol counters when the reliable sublayer is active. *)

@@ -1,4 +1,5 @@
 module Fqueue = Relational.Fqueue
+module Int_map = Map.Make (Int)
 
 type dir =
   | To_warehouse
@@ -26,7 +27,7 @@ type endpoint = {
   first_sent : (int, int) Hashtbl.t;  (* seq -> tick of first transmission *)
   (* receiver half: the incoming stream *)
   mutable expected : int;  (* next in-order sequence number *)
-  mutable buffer : (int * Message.t) list;  (* out-of-order future frames *)
+  mutable buffer : Message.t Int_map.t;  (* out-of-order future frames, by seq *)
   mutable ready : Message.t Fqueue.t;  (* in-order, deduped, undelivered *)
 }
 
@@ -46,7 +47,7 @@ let make_endpoint ~out_chan ~in_chan =
     unacked = Fqueue.empty;
     first_sent = Hashtbl.create 16;
     expected = 0;
-    buffer = [];
+    buffer = Int_map.empty;
     ready = Fqueue.empty;
   }
 
@@ -79,19 +80,15 @@ let receiver t = function
 let transmit ep ~seq payload =
   Channel.send ep.out_chan (Message.Data { seq; payload })
 
-let rec insert_frame ((seq, _) as entry) = function
-  | [] -> [ entry ]
-  | ((s, _) as hd) :: rest ->
-    if seq < s then entry :: hd :: rest else hd :: insert_frame entry rest
-
 (* Move every now-contiguous buffered frame into [ep]'s deliverable
    queue. [peer] sent the incoming stream, so its [first_sent] table
    dates the latency measurement. *)
 let advance t ep peer =
   let rec go () =
-    match ep.buffer with
-    | (seq, payload) :: rest when seq = ep.expected ->
-      ep.buffer <- rest;
+    let seq = ep.expected in
+    match Int_map.find_opt seq ep.buffer with
+    | Some payload ->
+      ep.buffer <- Int_map.remove seq ep.buffer;
       ep.ready <- Fqueue.push ep.ready payload;
       ep.expected <- ep.expected + 1;
       (match Hashtbl.find_opt peer.first_sent seq with
@@ -103,13 +100,14 @@ let advance t ep peer =
          Hashtbl.remove peer.first_sent seq
        | None -> ());
       go ()
-    | _ -> ()
+    | None -> ()
   in
   go ()
 
 (* Drain every frame the faulty channel will currently deliver to [ep]:
    data frames feed the dedup/reorder buffer, ack frames clear the
-   retransmission queue of [ep]'s own outgoing stream. One cumulative ack
+   retransmission queue of [ep]'s own outgoing stream — [unacked] ascends
+   by seq, so that is popping its acked prefix. One cumulative ack
    answers the whole burst — re-acking on pure duplicates is what lets a
    sender whose ack was lost make progress. *)
 let pump_endpoint t ep peer =
@@ -117,13 +115,13 @@ let pump_endpoint t ep peer =
     match Channel.receive ep.in_chan with
     | None -> got_data
     | Some (Message.Ack { cum }) ->
-      ep.unacked <- Fqueue.filter (fun (s, _, _) -> s > cum) ep.unacked;
+      ep.unacked <- Fqueue.drop_while (fun (s, _, _) -> s <= cum) ep.unacked;
       drain got_data
     | Some (Message.Data { seq; payload }) ->
-      if seq < ep.expected || List.mem_assoc seq ep.buffer then
+      if seq < ep.expected || Int_map.mem seq ep.buffer then
         t.stats.dups_dropped <- t.stats.dups_dropped + 1
       else begin
-        ep.buffer <- insert_frame (seq, payload) ep.buffer;
+        ep.buffer <- Int_map.add seq payload ep.buffer;
         advance t ep peer
       end;
       drain true
@@ -184,7 +182,9 @@ let tick t =
   pump t
 
 let endpoint_idle ep =
-  Fqueue.is_empty ep.unacked && ep.buffer = [] && Fqueue.is_empty ep.ready
+  Fqueue.is_empty ep.unacked
+  && Int_map.is_empty ep.buffer
+  && Fqueue.is_empty ep.ready
 
 let idle t =
   pump t;

@@ -29,6 +29,15 @@ let to_list t = t.front @ List.rev t.back
 
 let of_list l = { front = l; back = []; length = List.length l }
 
+let rec drop_while p t =
+  match t.front with
+  | x :: front when p x -> drop_while p { t with front; length = t.length - 1 }
+  | _ :: _ -> t
+  | [] -> (
+    match t.back with
+    | [] -> t
+    | back -> drop_while p { front = List.rev back; back = []; length = t.length })
+
 let filter p t = of_list (List.filter p (to_list t))
 
 (* Via [to_list] so [f]'s effects run oldest-to-newest — callers retransmit

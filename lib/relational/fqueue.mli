@@ -22,6 +22,10 @@ val to_list : 'a t -> 'a list
 
 val of_list : 'a list -> 'a t
 
+val drop_while : ('a -> bool) -> 'a t -> 'a t
+(** Drops the oldest elements while [p] holds; O(1) amortized per
+    element dropped, and the queue it returns pops in O(1). *)
+
 val filter : ('a -> bool) -> 'a t -> 'a t
 (** Keeps relative order; O(n). *)
 

@@ -140,11 +140,21 @@ let reorder_is_seed_deterministic () =
     (List.init 20 (fun i -> i + 1))
     (List.sort compare (sequence 42))
 
-(* The single-pass faulty [receive] against a reference reimplementation
-   of the historical algorithm (materialize the ready prefix, [List.nth]
-   into it, filter the chosen stamp back out of the whole list). Both
-   consume the same seeded RNG stream, so any divergence in draw count,
-   draw bound, or chosen message shows up as a different delivery. *)
+(* The faulty channel against a reference reimplementation of the
+   historical algorithm: a list sorted by (ready_at, stamp), where a
+   receive materializes the ready prefix, [List.nth]s into it and filters
+   the chosen stamp back out of the whole list. Both consume the same
+   seeded RNG stream, so any divergence in draw count, draw bound, or
+   chosen message shows up as a different delivery. After every op the
+   model also answers [has_ready], [is_empty] and [pending], and the
+   channel must agree. *)
+type observation = {
+  got : int option;
+  ready : bool;
+  empty : bool;
+  pending : int;
+}
+
 let ref_channel fault seed ops =
   let rng = Random.State.make [| seed |] in
   let now = ref 0 and stamp = ref 0 and delayed = ref [] in
@@ -189,68 +199,95 @@ let ref_channel fault seed ops =
       delayed := List.filter (fun (_, s', _) -> s' <> s) !delayed;
       Some i
   in
-  let out =
-    List.map
-      (function
+  List.map
+    (fun op ->
+      let got =
+        match op with
         | `Send i ->
           send i;
           None
         | `Tick ->
           incr now;
           None
-        | `Receive -> receive ())
-      ops
-  in
-  (out, List.length !delayed)
+        | `Receive -> receive ()
+      in
+      {
+        got;
+        ready = List.exists (fun (r, _, _) -> r <= !now) !delayed;
+        empty = !delayed = [];
+        pending = List.length !delayed;
+      })
+    ops
 
+let sut_channel fault seed ops =
+  let ch = M.Channel.create ~fault ~seed "sut" in
+  List.map
+    (fun op ->
+      let got =
+        match op with
+        | `Send i ->
+          M.Channel.send ch (note i);
+          None
+        | `Tick ->
+          M.Channel.tick ch;
+          None
+        | `Receive -> (
+          match M.Channel.receive ch with
+          | Some (M.Message.Update_note u) -> (
+            match R.Tuple.get u.R.Update.tuple 0 with
+            | R.Value.Int i -> Some i
+            | _ -> None)
+          | Some _ | None -> None)
+      in
+      {
+        got;
+        ready = M.Channel.has_ready ch;
+        empty = M.Channel.is_empty ch;
+        pending = M.Channel.pending ch;
+      })
+    ops
+
+(* A third of the cases are bursts: 300+ sends before the clock first
+   moves, so the delayed queue is deep when the receives start, then a
+   mixed tail long enough to drain most of it. *)
 let channel_matches_reference_prop =
   QCheck.Test.make
     ~name:"faulty receive matches the historical reference model" ~count:200
     (QCheck.make ~print:string_of_int QCheck.Gen.(int_bound 100_000))
     (fun case ->
       let st = rng case in
+      let bursty = Random.State.int st 3 = 0 in
       let fault =
         M.Fault.make
           ~drop:(Random.State.float st 0.3)
           ~duplicate:(Random.State.float st 0.3)
-          ~delay:(Random.State.int st 4)
-          ~reorder:true ()
+          ~delay:(Random.State.int st (if bursty then 5 else 4))
+          ~reorder:(Random.State.bool st) ()
       in
       let seed = Random.State.int st 10_000 in
       let next = ref 0 in
-      let ops =
+      let send () =
+        let i = !next in
+        incr next;
+        `Send i
+      in
+      let burst =
+        if bursty then List.init (300 + Random.State.int st 100) (fun _ -> send ())
+        else []
+      in
+      let tail =
         List.init
-          (30 + Random.State.int st 50)
+          (if bursty then 400 + Random.State.int st 200
+           else 30 + Random.State.int st 50)
           (fun _ ->
-            match Random.State.int st 4 with
-            | 0 | 1 ->
-              let i = !next in
-              incr next;
-              `Send i
+            match Random.State.int st (if bursty then 6 else 4) with
+            | 0 | 1 -> if bursty then `Receive else send ()
             | 2 -> `Tick
+            | 3 -> if bursty then send () else `Receive
             | _ -> `Receive)
       in
-      let ch = M.Channel.create ~fault ~seed "sut" in
-      let got =
-        List.map
-          (function
-            | `Send i ->
-              M.Channel.send ch (note i);
-              None
-            | `Tick ->
-              M.Channel.tick ch;
-              None
-            | `Receive -> (
-              match M.Channel.receive ch with
-              | Some (M.Message.Update_note u) -> (
-                match R.Tuple.get u.R.Update.tuple 0 with
-                | R.Value.Int i -> Some i
-                | _ -> None)
-              | Some _ | None -> None))
-          ops
-      in
-      let expect, pending_ref = ref_channel fault seed ops in
-      got = expect && M.Channel.pending ch = pending_ref)
+      let ops = burst @ tail in
+      sut_channel fault seed ops = ref_channel fault seed ops)
 
 let frame_sizes () =
   let d = M.Message.Data { seq = 3; payload = note 1 } in

@@ -215,6 +215,33 @@ let view_natural_join_cond () =
   check_int "two join conjuncts" 2
     (List.length (R.Predicate.conjuncts v.R.View.cond))
 
+(* [Fqueue.drop_while] against the list spelling, on queues built from
+   interleaved pushes and pops so the front/back split varies. *)
+let fqueue_drop_while () =
+  let st = Random.State.make [| 7 |] in
+  for _ = 1 to 300 do
+    let q = ref R.Fqueue.empty and model = ref [] in
+    for i = 0 to Random.State.int st 30 do
+      if Random.State.int st 4 = 0 then (
+        match R.Fqueue.pop !q with
+        | Some (_, rest) ->
+          q := rest;
+          model := List.tl !model
+        | None -> ())
+      else begin
+        q := R.Fqueue.push !q i;
+        model := !model @ [ i ]
+      end
+    done;
+    let cut = Random.State.int st 32 in
+    let dropped = R.Fqueue.drop_while (fun x -> x < cut) !q in
+    let rec drop = function x :: rest when x < cut -> drop rest | l -> l in
+    Alcotest.(check (list int)) "drop_while = list drop" (drop !model)
+      (R.Fqueue.to_list dropped);
+    check_int "length tracks" (List.length (drop !model))
+      (R.Fqueue.length dropped)
+  done
+
 let suite =
   [
     Alcotest.test_case "value ordering" `Quick value_order;
@@ -243,4 +270,5 @@ let suite =
       view_duplicate_relations;
     Alcotest.test_case "view key coverage" `Quick view_key_coverage;
     Alcotest.test_case "natural join condition" `Quick view_natural_join_cond;
+    Alcotest.test_case "fqueue drop_while" `Quick fqueue_drop_while;
   ]

@@ -127,6 +127,26 @@ let long_chaos_backlog_drains_fifo () =
   check_bool "the backlog actually forced retransmissions" true
     (s.M.Reliable.retransmits > 50)
 
+let twenty_k_chaos_backlog_drains_fifo () =
+  (* 20k frames queued on one chaos edge before its clock first moves:
+     every send, ack filter and reordered receive walks that backlog, so
+     any per-frame cost linear in the queue makes this quadratic. *)
+  let net =
+    M.Network.create ~fault:Workload.Scenarios.chaos_profile ~seed:5
+      ~reliable:true ()
+  in
+  let n = 20_000 in
+  for i = 0 to n - 1 do
+    M.Network.send net M.Network.To_warehouse (payload i)
+  done;
+  let wh, src = drive net in
+  Alcotest.(check (list int))
+    "20k-frame chaos backlog drains exactly-once FIFO"
+    (List.init n (fun i -> i))
+    wh;
+  check_int "nothing flows the other way" 0 (List.length src);
+  check_bool "transport idle once drained" true (M.Network.idle net)
+
 let reliable_stream_prop =
   QCheck.Test.make ~name:"reliable = exactly-once FIFO on random profiles"
     ~count:150
@@ -183,6 +203,59 @@ let run_keyed ?fault ?(reliable = false) ~algorithm ~seed () =
   (R.Bag.equal truth (List.assoc "VK" result.Core.Engine.final_mvs), result)
 
 let seeds = List.init 40 (fun i -> i)
+
+(* A 20-edge chaos run under the sublayer, Zipf-skewed so one edge
+   carries most of the stream. Its delivery counters and trace length are
+   literals recorded while the channel still kept its delayed frames in a
+   sorted list and the receiver its reorder buffer in another: a change
+   to an RNG draw, a ready tick, a retransmission or an ack moves them.
+   (Which of a pump's deliverable frames arrives first does not — the
+   receiver drains them all before it acks — so the channel's pick order
+   is pinned by test_messaging.ml's reference model instead.) *)
+let twenty_source_chaos_run_is_pinned () =
+  let w =
+    Workload.Scenarios.scaled ~c:4 ~updates_per_source:10 ~skew:1.0 ~seed:11
+      ~n:20 ()
+  in
+  let r =
+    Core.Engine.run ~schedule:(Core.Scheduler.Random 11)
+      ~creator:(Core.Registry.creator_exn "eca-key")
+      ~sites:(sites_of ~fault:chaos ~fault_seed:7 ~reliable:true
+                w.Workload.Scenarios.sources)
+      ~views:(List.map R.Viewdef.simple w.Workload.Scenarios.views)
+      ~updates:w.Workload.Scenarios.updates ()
+  in
+  List.iter
+    (fun (view, mv) ->
+      check_bag (view ^ " lands on its source's view")
+        (List.assoc view r.Core.Engine.final_source_views) mv)
+    r.Core.Engine.final_mvs;
+  let d = r.Core.Engine.metrics.Core.Metrics.delivery in
+  Alcotest.(check (list (pair string int)))
+    "delivery counters and trace length"
+    [
+      ("ticks", 26);
+      ("wire_messages", 1783);
+      ("retransmits", 622);
+      ("dups_dropped", 630);
+      ("acks", 381);
+      ("delivered", 492);
+      ("latency_total", 1759);
+      ("latency_max", 8);
+      ("trace_entries", 692);
+    ]
+    [
+      ("ticks", d.Core.Metrics.ticks);
+      ("wire_messages", d.Core.Metrics.wire_messages);
+      ("retransmits", d.Core.Metrics.retransmits);
+      ("dups_dropped", d.Core.Metrics.dups_dropped);
+      ("acks", d.Core.Metrics.acks);
+      ("delivered", d.Core.Metrics.delivered);
+      ("latency_total", d.Core.Metrics.latency_total);
+      ("latency_max", d.Core.Metrics.latency_max);
+      ("trace_entries",
+       List.length (Core.Trace.entries r.Core.Engine.trace));
+    ]
 
 let family_correct_over_reliable_chaos () =
   List.iter
@@ -243,9 +316,13 @@ let suite =
       losses_are_retransmitted;
     Alcotest.test_case "long chaos backlog drains FIFO" `Quick
       long_chaos_backlog_drains_fifo;
+    Alcotest.test_case "20k-frame chaos backlog drains FIFO" `Quick
+      twenty_k_chaos_backlog_drains_fifo;
     Alcotest.test_case "ECA family over reliable+chaos = oracle (40 seeds)"
       `Quick family_correct_over_reliable_chaos;
     Alcotest.test_case "chaos without the sublayer still breaks ECA" `Quick
       chaos_without_reliable_still_breaks_eca;
+    Alcotest.test_case "20-source chaos run keeps its pinned counters" `Quick
+      twenty_source_chaos_run_is_pinned;
   ]
   @ [ QCheck_alcotest.to_alcotest reliable_stream_prop ]
