@@ -40,9 +40,12 @@ bench-throughput:
 # random-view, property and compound-view suites — the last four hold
 # the guarded-compensation checks against the fold reference — all
 # explicitly, so a filtered or cached runtest can never silently skip
-# them), run each perfbench workload for 2 s as a correctness gate only
-# (a non-zero exit, i.e. a failed view or build, fails smoke; timings
-# are not gated on a shared host), fail if a removed entry point
+# them), run each perfbench workload for 2 s untraced and 2 s traced as
+# a correctness gate only (a non-zero exit, i.e. a failed view or build,
+# fails smoke; timings are not gated on a shared host — the traced run
+# adds the ledger-sum assert, the source and oracle replay checks and
+# the replayed judge's agreement with the engine's reports), fail if a
+# removed entry point
 # reappears in the sources (the
 # old run drivers and scheduler aliases, the compiled/interpreted
 # toggle and the engine's oracle modes, the array-based scheduler
@@ -76,6 +79,7 @@ smoke:
 	dune exec test/main.exe -- test compound-views
 	for w in compensate selfmaint fanout-chaos; do \
 	  python3 perfbench/run.py --workload $$w --seed 11 --seconds 2 --trace 0 > /dev/null || exit 1; \
+	  python3 perfbench/run.py --workload $$w --seed 11 --seconds 2 --trace 1 > /dev/null || exit 1; \
 	done
 	@if grep -rnE 'Core\.Runner|Core\.Federation|Drain_first|Updates_first|unordered_delivery|set_compiled|Delta_program\.compiled|Delta_program\.linear|Engine\.Recompute|Engine\.Incremental|pick_multi|of_multi|install_history' \
 	  lib bin bench examples test; then \

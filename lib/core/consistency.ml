@@ -20,126 +20,99 @@ let convergent ~source_states ~warehouse_states =
   | Some s, Some w -> R.Bag.equal s w
   | _ -> false
 
-(* One distinct source state: the positions at which the source held a
-   value equal to [rep]. *)
-type source_class = {
-  rep : R.Bag.t;
-  mutable positions : int list;
-      (* ascending; the greedy match drops the positions it has passed *)
-  mutable hit : bool;  (* some warehouse state equals [rep] *)
-}
+type verdicts = { weak : bool; ordered : bool; covers : bool Lazy.t }
 
-(* The source states with one number of distinct tuples, which equal bags
-   share. A group is split into classes only when a warehouse state of its
-   size looks for a match: a source state no warehouse state could equal
-   is never hashed, so a view that installs rarely costs O(1) per source
-   state. *)
-type size_group = {
-  mutable members : (int * R.Bag.t) list;
-      (* (position, state), newest first *)
-  mutable classes : source_class list option;  (* once split *)
-}
-
-type verdicts = { weak : bool; ordered : bool; covers : bool }
-
-(* Weak consistency, consistency and coverage in one pass over the
-   warehouse states.
-
-   Classes are found by fingerprint and confirmed by [Bag.equal]: a
-   collision costs one more comparison, never a wrong class. A state
-   physically equal to its predecessor — the oracle passes unchanged
-   snapshots through as the same object — reuses the predecessor's class
-   without being hashed.
+(* Weak consistency and consistency in one pointer pass over the
+   warehouse states; coverage on demand afterwards.
 
    Consistency is greedy earliest-match: each warehouse state maps to the
    earliest value-equal source state at or after the previous match —
    complete for this "subsequence with repeats" problem, since if any
    non-decreasing assignment exists the greedy one also succeeds. The
-   match position never decreases, so a position passed once is dropped
-   for good and the whole match is linear. *)
+   match pointer never moves back, so the source states are scanned
+   once, comparing stored fingerprints (O(1) each), and the pass is
+   linear.
+
+   A fingerprint match is confirmed with [Bag.equal_since] from the last
+   confirmed (warehouse, source) pair: installs are built from the
+   previous install and source snapshots from the previous snapshot, so
+   each confirmation diffs only the few tuples that changed since. A
+   collision costs one failed confirmation, never a wrong match; a
+   warehouse state physically equal to the last confirmed one confirms
+   in O(1). Once the order breaks, the remaining warehouse states only
+   need some equal source state, found through a fingerprint index
+   built then. *)
 let judge ~source_states ~warehouse_states =
-  let groups = Hashtbl.create 64 in
-  List.iteri
-    (fun i s ->
-      let k = R.Bag.distinct_cardinality s in
-      match Hashtbl.find_opt groups k with
-      | Some g -> g.members <- (i, s) :: g.members
-      | None ->
-        Hashtbl.replace groups k { members = [ (i, s) ]; classes = None })
-    source_states;
-  let by_fp = Hashtbl.create 64 in
-  let candidates fp = Option.value ~default:[] (Hashtbl.find_opt by_fp fp) in
-  let find_class fp s =
-    List.find_opt (fun c -> R.Bag.equal c.rep s) (candidates fp)
+  let src = Array.of_list source_states in
+  let n = Array.length src in
+  let hit = Array.make n false in
+  let last = ref None in
+  let confirm w p =
+    let s = src.(p) in
+    let ok =
+      match !last with
+      | Some pair -> R.Bag.equal_since pair w s
+      | None -> R.Bag.equal w s
+    in
+    if ok then last := Some (w, s);
+    ok
   in
-  let split g =
-    let classes = ref [] and prev = ref None in
-    List.iter
-      (fun (i, s) ->
-        let c =
-          match !prev with
-          | Some (p, c) when p == s -> c
-          | _ -> (
-            let fp = R.Bag.fingerprint s in
-            match find_class fp s with
-            | Some c -> c
-            | None ->
-              let c = { rep = s; positions = []; hit = false } in
-              Hashtbl.replace by_fp fp (c :: candidates fp);
-              classes := c :: !classes;
-              c)
-        in
-        prev := Some (s, c);
-        c.positions <- i :: c.positions)
-      (List.rev g.members);
-    List.iter (fun c -> c.positions <- List.rev c.positions) !classes;
-    g.classes <- Some !classes
-  in
-  let lookup w =
-    match Hashtbl.find_opt groups (R.Bag.distinct_cardinality w) with
-    | None -> None
-    | Some g ->
-      if Option.is_none g.classes then split g;
-      find_class (R.Bag.fingerprint w) w
+  let index =
+    lazy
+      (let t = Hashtbl.create (max 16 n) in
+       Array.iteri (fun p s -> Hashtbl.add t (R.Bag.fingerprint s) p) src;
+       t)
   in
   let weak = ref true and ordered = ref true and from = ref 0 in
-  let prev = ref None in
+  let find w =
+    let fp = R.Bag.fingerprint w in
+    let rec scan p =
+      if p >= n then None
+      else if R.Bag.fingerprint src.(p) = fp && confirm w p then Some p
+      else scan (p + 1)
+    in
+    match if !ordered then scan !from else None with
+    | Some p ->
+      from := p;
+      Some p
+    | None ->
+      ordered := false;
+      List.find_opt (confirm w) (Hashtbl.find_all (Lazy.force index) fp)
+  in
   List.iter
     (fun w ->
-      let c =
-        match !prev with
-        | Some (p, c) when p == w -> c
-        | _ -> lookup w
-      in
-      prev := Some (w, c);
-      match c with
+      match find w with
+      | Some p -> hit.(p) <- true
       | None ->
         weak := false;
-        ordered := false
-      | Some c ->
-        c.hit <- true;
-        if !ordered then begin
-          let rec drop = function
-            | p :: rest when p < !from -> drop rest
-            | ps -> ps
-          in
-          c.positions <- drop c.positions;
-          match c.positions with
-          | p :: _ -> from := p
-          | [] -> ordered := false
-        end)
+        ordered := false)
     warehouse_states;
-  (* a group never split holds states no warehouse state equals *)
-  let covered g =
-    match g.classes with
-    | None -> false
-    | Some classes -> List.for_all (fun c -> c.hit) classes
+  (* A source state is covered when a warehouse state matched it, when it
+     equals its covered predecessor (usually the same object, or a few
+     tuples away), or, failing both, when some warehouse state with its
+     fingerprint equals it. *)
+  let covers =
+    lazy
+      (let by_fp =
+         lazy
+           (let t = Hashtbl.create 64 in
+            List.iter (fun w -> Hashtbl.add t (R.Bag.fingerprint w) w) warehouse_states;
+            t)
+       in
+       let covered i =
+         let s = src.(i) in
+         hit.(i)
+         || (i > 0
+            &&
+            let p = src.(i - 1) in
+            R.Bag.equal_since (p, p) p s)
+         || List.exists (R.Bag.equal s)
+              (Hashtbl.find_all (Lazy.force by_fp) (R.Bag.fingerprint s))
+       in
+       let rec go i = i >= n || (covered i && go (i + 1)) in
+       go 0)
   in
-  {
-    weak = !weak;
-    ordered = !ordered;
-    covers = Hashtbl.fold (fun _ g acc -> acc && covered g) groups true;
-  }
+  { weak = !weak; ordered = !ordered; covers }
 
 let weakly_consistent ~source_states ~warehouse_states =
   (judge ~source_states ~warehouse_states).weak
@@ -148,7 +121,7 @@ let consistent ~source_states ~warehouse_states =
   (judge ~source_states ~warehouse_states).ordered
 
 let covers_all_source_states ~source_states ~warehouse_states =
-  (judge ~source_states ~warehouse_states).covers
+  Lazy.force (judge ~source_states ~warehouse_states).covers
 
 let check ~source_states ~warehouse_states =
   let convergent = convergent ~source_states ~warehouse_states in
@@ -159,7 +132,7 @@ let check ~source_states ~warehouse_states =
     weakly_consistent = v.weak;
     consistent = v.ordered;
     strongly_consistent;
-    complete = strongly_consistent && v.covers;
+    complete = strongly_consistent && Lazy.force v.covers;
   }
 
 let strongest_label r =

@@ -7,16 +7,19 @@
     initially and after each installation. Both sequences come from the
     simulation runner's trace. States compare by bag equality.
 
-    Cost: linear in the two sequences. Each call groups the source
-    states by their number of distinct tuples, indexes a group by
-    {!Relational.Bag.fingerprint} once a warehouse state of that size
-    looks it up, and confirms every candidate with [Bag.equal]. A
-    fingerprint collision costs one extra comparison and never changes a
-    verdict. A state physically equal to its predecessor reuses the
-    predecessor's lookup. Hashing or comparing a state is O(its distinct
-    tuples), so for [S] source and [W] warehouse states a check is
-    O((S + W) · view size) at worst, and O(S + W · view size) when no
-    source state shares a warehouse state's size. *)
+    Cost: linear in the two sequences. One pointer pass matches each
+    warehouse state to the earliest source state at or after the previous
+    match, comparing {!Relational.Bag.fingerprint}s (O(1) each), and
+    confirms each match with {!Relational.Bag.equal_since} from the last
+    confirmed pair. States built from their predecessors by a few changes
+    — installs from installs, oracle snapshots from snapshots — confirm
+    in O(changes · log view size); otherwise a confirmation is one
+    [Bag.equal], O(view size). A fingerprint collision costs one failed
+    confirmation and never changes a verdict. A warehouse state
+    physically equal to its predecessor reuses the predecessor's match.
+    For [S] source and [W] warehouse states a check is O(S + W) fingerprint
+    reads plus at most [W] confirmations, and coverage, needed only by
+    completeness, at most [S] more. *)
 
 module R := Relational
 

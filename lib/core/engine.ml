@@ -250,7 +250,12 @@ let run ?(schedule = Scheduler.Best_case) ?(rv_period = 1) ?(batch_size = 1)
     | Some i -> R.Viewdef.eval (Source_site.Source.db sites.(i).source) v
     | None -> R.Viewdef.eval (merged_db ()) v
   in
-  let snap = Array.init nviews snapshot_view in
+  (* The first snapshot is each view's [init_mv]: the configs evaluated it
+     over the same initial state, and sharing the object lets the judge's
+     first confirmation start from physically equal states. *)
+  let snap =
+    Array.of_list (List.map (fun c -> c.Algorithm.Config.init_mv) configs)
+  in
   (* The oracle's windowed lens: the snapshot array stays unwindowed (the
      delta programs maintain the full view), and the window filter is
      applied at every reporting boundary — trace states, staleness

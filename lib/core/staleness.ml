@@ -30,11 +30,9 @@ let of_trace trace name =
   in
   let history = Hashtbl.create 64 in
   (* fingerprint -> (index, state), newest first *)
-  let initial_fp = R.Bag.fingerprint initial in
-  Hashtbl.replace history initial_fp [ (0, initial) ];
+  Hashtbl.replace history (R.Bag.fingerprint initial) [ (0, initial) ];
   let current = ref 0 in
-  let src = ref initial and src_fp = ref initial_fp in
-  let mv = ref initial and mv_fp = ref initial_fp in
+  let mv = ref initial in
   let matched = ref (Some 0) in  (* index of the newest state equal to mv *)
   let lags = ref [] in
   let unmatched = ref 0 in
@@ -46,23 +44,19 @@ let of_trace trace name =
       !current
   in
   let on_source v =
-    (* an unchanged snapshot is the same object: keep its fingerprint *)
-    let fp = if v == !src then !src_fp else R.Bag.fingerprint v in
+    let fp = R.Bag.fingerprint v in
     let bucket = Option.value ~default:[] (Hashtbl.find_opt history fp) in
     Hashtbl.replace history fp ((!current, v) :: bucket);
-    src := v;
-    src_fp := fp;
-    if fp = !mv_fp && R.Bag.equal v !mv then matched := Some !current
+    if R.Bag.equal v !mv then matched := Some !current
   in
   let on_install v =
-    let fp = R.Bag.fingerprint v in
     mv := v;
-    mv_fp := fp;
     matched :=
       Option.map fst
         (List.find_opt
            (fun (_, state) -> R.Bag.equal state v)
-           (Option.value ~default:[] (Hashtbl.find_opt history fp)))
+           (Option.value ~default:[]
+              (Hashtbl.find_opt history (R.Bag.fingerprint v))))
   in
   List.iter
     (fun entry ->

@@ -14,21 +14,230 @@
    first, so printed output, golden files and cross-bag comparisons keep
    the canonical tuple order of the old tree representation. *)
 
-module Imap = Map.Make (Int)
+(* The int-keyed AVL under the bag: one node per hash key, holding that
+   key's collision bucket. It keeps ascending key order — the order of
+   the [Map.Make (Int)] it replaced, so folds, evaluation order and every
+   golden are unchanged — and has only the operations the bag needs,
+   plus [split] for [equal_since]'s diff. The balancing code follows the
+   standard library's [Map]. *)
+module Tree = struct
+  type bucket = (Tuple.t * int) list
+
+  type t =
+    | Empty
+    | Node of { l : t; k : int; v : bucket; r : t; h : int }
+
+  let height = function Empty -> 0 | Node { h; _ } -> h
+
+  let create l k v r =
+    let hl = height l and hr = height r in
+    Node { l; k; v; r; h = (if hl >= hr then hl + 1 else hr + 1) }
+
+  let bal l k v r =
+    let hl = height l and hr = height r in
+    if hl > hr + 2 then
+      match l with
+      | Node { l = ll; k = lk; v = lv; r = lr; _ } ->
+        if height ll >= height lr then create ll lk lv (create lr k v r)
+        else (
+          match lr with
+          | Node { l = lrl; k = lrk; v = lrv; r = lrr; _ } ->
+            create (create ll lk lv lrl) lrk lrv (create lrr k v r)
+          | Empty -> invalid_arg "Bag.Tree.bal")
+      | Empty -> invalid_arg "Bag.Tree.bal"
+    else if hr > hl + 2 then
+      match r with
+      | Node { l = rl; k = rk; v = rv; r = rr; _ } ->
+        if height rr >= height rl then create (create l k v rl) rk rv rr
+        else (
+          match rl with
+          | Node { l = rll; k = rlk; v = rlv; r = rlr; _ } ->
+            create (create l k v rll) rlk rlv (create rlr rk rv rr)
+          | Empty -> invalid_arg "Bag.Tree.bal")
+      | Empty -> invalid_arg "Bag.Tree.bal"
+    else Node { l; k; v; r; h = (if hl >= hr then hl + 1 else hr + 1) }
+
+  let rec find_opt x = function
+    | Empty -> None
+    | Node { l; k; v; r; _ } ->
+      let c = Int.compare x k in
+      if c = 0 then Some v else find_opt x (if c < 0 then l else r)
+
+  (* [add x v t] binds [x] to [v], replacing any previous binding. *)
+  let rec add x v = function
+    | Empty -> Node { l = Empty; k = x; v; r = Empty; h = 1 }
+    | Node { l; k; v = w; r; h } ->
+      let c = Int.compare x k in
+      if c = 0 then Node { l; k = x; v; r; h }
+      else if c < 0 then bal (add x v l) k w r
+      else bal l k w (add x v r)
+
+  let rec min_binding = function
+    | Empty -> raise Not_found
+    | Node { l = Empty; k; v; _ } -> (k, v)
+    | Node { l; _ } -> min_binding l
+
+  let rec remove_min = function
+    | Empty -> invalid_arg "Bag.Tree.remove_min"
+    | Node { l = Empty; r; _ } -> r
+    | Node { l; k; v; r; _ } -> bal (remove_min l) k v r
+
+  let rec add_min k v = function
+    | Empty -> Node { l = Empty; k; v; r = Empty; h = 1 }
+    | Node { l; k = k'; v = v'; r; _ } -> bal (add_min k v l) k' v' r
+
+  let rec add_max k v = function
+    | Empty -> Node { l = Empty; k; v; r = Empty; h = 1 }
+    | Node { l; k = k'; v = v'; r; _ } -> bal l k' v' (add_max k v r)
+
+  (* [join l k v r]: every key of [l] is below [k], every key of [r]
+     above; the heights are arbitrary. *)
+  let rec join l k v r =
+    match l, r with
+    | Empty, _ -> add_min k v r
+    | _, Empty -> add_max k v l
+    | Node { l = ll; k = lk; v = lv; r = lr; h = lh },
+      Node { l = rl; k = rk; v = rv; r = rr; h = rh } ->
+      if lh > rh + 2 then bal ll lk lv (join lr k v r)
+      else if rh > lh + 2 then bal (join l k v rl) rk rv rr
+      else create l k v r
+
+  (* Every key of [t1] below every key of [t2]; arbitrary heights. *)
+  let concat t1 t2 =
+    match t1, t2 with
+    | Empty, t | t, Empty -> t
+    | _ ->
+      let k, v = min_binding t2 in
+      join t1 k v (remove_min t2)
+
+  let rec remove x = function
+    | Empty -> Empty
+    | Node { l; k; v; r; _ } ->
+      let c = Int.compare x k in
+      if c = 0 then concat l r
+      else if c < 0 then bal (remove x l) k v r
+      else bal l k v (remove x r)
+
+  (* [split x t] is the subtree of keys below [x], [x]'s binding, and the
+     subtree of keys above it. [tick] is called once per node visited. *)
+  let rec split ~tick x = function
+    | Empty -> (Empty, None, Empty)
+    | Node { l; k; v; r; _ } ->
+      tick ();
+      let c = Int.compare x k in
+      if c = 0 then (l, Some v, r)
+      else if c < 0 then
+        let ll, found, rl = split ~tick x l in
+        (ll, found, join rl k v r)
+      else
+        let lr, found, rr = split ~tick x r in
+        (join l k v lr, found, rr)
+
+  let rec fold f t acc =
+    match t with
+    | Empty -> acc
+    | Node { l; k; v; r; _ } -> fold f r (f k v (fold f l acc))
+
+  let rec iter f = function
+    | Empty -> ()
+    | Node { l; k; v; r; _ } ->
+      iter f l;
+      f k v;
+      iter f r
+
+  let rec exists p = function
+    | Empty -> false
+    | Node { l; k; v; r; _ } -> p k v || exists p l || exists p r
+
+  let rec for_all p = function
+    | Empty -> true
+    | Node { l; k; v; r; _ } -> p k v && for_all p l && for_all p r
+
+  (* [f] is applied in ascending key order; [None] drops the binding. *)
+  let rec filter_map f = function
+    | Empty -> Empty
+    | Node { l; k; v; r; _ } -> (
+      let l' = filter_map f l in
+      let v' = f k v in
+      let r' = filter_map f r in
+      match v' with
+      | Some v' -> join l' k v' r'
+      | None -> concat l' r')
+
+  (* Binding sequences compared in key order, as [Map.equal] does. *)
+  type enum = End | More of int * bucket * t * enum
+
+  let rec cons_enum t e =
+    match t with
+    | Empty -> e
+    | Node { l; k; v; r; _ } -> cons_enum l (More (k, v, r, e))
+
+  let equal eq t1 t2 =
+    let rec go e1 e2 =
+      match e1, e2 with
+      | End, End -> true
+      | End, _ | _, End -> false
+      | More (k1, v1, r1, e1), More (k2, v2, r2, e2) ->
+        k1 = k2 && (v1 == v2 || eq v1 v2)
+        && go (cons_enum r1 e1) (cons_enum r2 e2)
+    in
+    t1 == t2 || go (cons_enum t1 End) (cons_enum t2 End)
+
+  (* The keys whose binding differs between [t1] and [t2], physically —
+     bound in one tree only, or to buckets that are not the same object —
+     each with its bucket in [t2] (the empty list when unbound), in
+     descending key order. Physically shared subtrees are skipped whole,
+     so two trees that share all but a few paths cost O(changes ·
+     height). [tick] is called once per node visited. *)
+  let rec changed ~tick t1 t2 acc =
+    if t1 == t2 then acc
+    else
+      match t1, t2 with
+      | Empty, _ -> fold (fun k v acc -> tick (); (k, v) :: acc) t2 acc
+      | Node { l; k; v; r; _ }, Node { l = l2; k = k2; v = v2; r = r2; _ }
+        when k = k2 ->
+        (* the common case, a path copied by [add]: no split needed *)
+        tick ();
+        let acc = changed ~tick l l2 acc in
+        let acc = if v2 == v then acc else (k, v2) :: acc in
+        changed ~tick r r2 acc
+      | Node { l; k; v; r; _ }, _ ->
+        tick ();
+        let l2, found, r2 = split ~tick k t2 in
+        let acc = changed ~tick l l2 acc in
+        let acc =
+          match found with
+          | Some v2 when v2 == v -> acc
+          | found -> (k, Option.value found ~default:[]) :: acc
+        in
+        changed ~tick r r2 acc
+end
 
 type t = {
   size : int;  (* number of distinct tuples, i.e. total bucket entries *)
-  buckets : (Tuple.t * int) list Imap.t;
+  fp : int;  (* [fingerprint]: Σ [mix h n] over the entries, kept current *)
+  buckets : Tree.t;
 }
 
-let empty = { size = 0; buckets = Imap.empty }
+let empty = { size = 0; fp = 0; buckets = Tree.Empty }
 
 let is_empty b = b.size = 0
 
 let distinct_cardinality b = b.size
 
+(* One mixed word per entry, summed into the fingerprint: addition
+   commutes, so neither bucket order nor tree shape — both path-dependent
+   — can change the sum, and the stored bucket key stands in for the
+   tuple's hash, so no tuple is rehashed. The mix is a multiply-xorshift
+   finalizer: a linear one would let different counts of different
+   tuples cancel out. *)
+let mix h n =
+  let x = (h + (n * 0x9E3779B9)) * 0xBF58476D1CE4E5B in
+  let x = (x lxor (x lsr 29)) * 0x94D049BB133111E in
+  x lxor (x lsr 32)
+
 let count b t =
-  match Imap.find_opt (Tuple.hash t) b.buckets with
+  match Tree.find_opt (Tuple.hash t) b.buckets with
   | None -> 0
   | Some bucket -> (
     match List.find_opt (fun (t', _) -> Tuple.equal t t') bucket with
@@ -39,7 +248,7 @@ let add ?(count = 1) t b =
   if count = 0 then b
   else
     let h = Tuple.hash t in
-    let bucket = Option.value (Imap.find_opt h b.buckets) ~default:[] in
+    let bucket = Option.value (Tree.find_opt h b.buckets) ~default:[] in
     let rec split acc = function
       | [] -> None
       | ((t', n) :: rest : (Tuple.t * int) list) ->
@@ -47,18 +256,24 @@ let add ?(count = 1) t b =
     in
     match split [] bucket with
     | None ->
-      { size = b.size + 1; buckets = Imap.add h ((t, count) :: bucket) b.buckets }
+      {
+        size = b.size + 1;
+        fp = b.fp + mix h count;
+        buckets = Tree.add h ((t, count) :: bucket) b.buckets;
+      }
     | Some (before, n, after) ->
       let n' = n + count in
+      let fp = b.fp - mix h n in
       if n' = 0 then
         let bucket' = List.rev_append before after in
         if bucket' = [] then
-          { size = b.size - 1; buckets = Imap.remove h b.buckets }
-        else { size = b.size - 1; buckets = Imap.add h bucket' b.buckets }
+          { size = b.size - 1; fp; buckets = Tree.remove h b.buckets }
+        else { size = b.size - 1; fp; buckets = Tree.add h bucket' b.buckets }
       else
         {
           size = b.size;
-          buckets = Imap.add h ((t, n') :: List.rev_append before after) b.buckets;
+          fp = fp + mix h n';
+          buckets = Tree.add h ((t, n') :: List.rev_append before after) b.buckets;
         }
 
 let remove ?(count = 1) t b = add ~count:(-count) t b
@@ -71,13 +286,13 @@ let of_signed_list sts =
   List.fold_left (fun b (s, t) -> add ~count:(Sign.to_int s) t b) empty sts
 
 let fold f b acc =
-  Imap.fold
+  Tree.fold
     (fun _ bucket acc ->
       List.fold_left (fun acc (t, n) -> f t n acc) acc bucket)
     b.buckets acc
 
 let iter f b =
-  Imap.iter (fun _ bucket -> List.iter (fun (t, n) -> f t n) bucket) b.buckets
+  Tree.iter (fun _ bucket -> List.iter (fun (t, n) -> f t n) bucket) b.buckets
 
 (* Fold the smaller operand into the larger: counts add commutatively, so
    the result is the same bag either way. *)
@@ -86,12 +301,13 @@ let plus a b =
   fold (fun t n acc -> add ~count:n t acc) small large
 
 (* Rebuild with a per-entry count transform ([f] returning None drops the
-   entry); used by all the mapping/filtering operations below. *)
+   entry); used by all the mapping/filtering operations below. Size and
+   fingerprint are summed in the same pass. *)
 let filter_map_counts f b =
-  let size = ref 0 in
+  let size = ref 0 and fp = ref 0 in
   let buckets =
-    Imap.filter_map
-      (fun _ bucket ->
+    Tree.filter_map
+      (fun h bucket ->
         match
           List.filter_map
             (fun (t, n) ->
@@ -99,6 +315,7 @@ let filter_map_counts f b =
               | Some 0 | None -> None
               | Some n' ->
                 incr size;
+                fp := !fp + mix h n';
                 Some (t, n'))
             bucket
         with
@@ -106,7 +323,7 @@ let filter_map_counts f b =
         | bucket' -> Some bucket')
       b.buckets
   in
-  { size = !size; buckets }
+  { size = !size; fp = !fp; buckets }
 
 let negate b = filter_map_counts (fun _ n -> Some (-n)) b
 
@@ -143,10 +360,10 @@ let cardinality b = fold (fun _ n acc -> acc + abs n) b 0
 let net_cardinality b = fold (fun _ n acc -> acc + n) b 0
 
 let has_negative b =
-  Imap.exists (fun _ bucket -> List.exists (fun (_, n) -> n < 0) bucket) b.buckets
+  Tree.exists (fun _ bucket -> List.exists (fun (_, n) -> n < 0) bucket) b.buckets
 
 let is_set b =
-  Imap.for_all (fun _ bucket -> List.for_all (fun (_, n) -> n = 1) bucket) b.buckets
+  Tree.for_all (fun _ bucket -> List.for_all (fun (_, n) -> n = 1) bucket) b.buckets
 
 (* Buckets hold the same entries in arbitrary order when two bags were
    built along different paths, so bucket equality is multiset equality.
@@ -161,26 +378,52 @@ let bucket_equal b1 b2 =
            List.exists (fun (t', n') -> n = n' && Tuple.equal t t') b2)
          b1
 
+(* Equal bags have equal sizes and fingerprints, so a mismatch in
+   either rejects without walking. *)
 let equal a b =
-  a == b || (a.size = b.size && Imap.equal bucket_equal a.buckets b.buckets)
+  a == b
+  || a.size = b.size && a.fp = b.fp
+     && Tree.equal bucket_equal a.buckets b.buckets
 
-(* A sum of one mixed word per entry: addition commutes, so neither
-   bucket order nor tree shape — both path-dependent — can change it,
-   and the stored bucket key stands in for the tuple's hash, so no tuple
-   is rehashed. The mix is a multiply-xorshift finalizer: a linear one
-   would let different counts of different tuples cancel out. *)
-let mix h n =
-  let x = (h + (n * 0x9E3779B9)) * 0xBF58476D1CE4E5B in
-  let x = (x lxor (x lsr 29)) * 0x94D049BB133111E in
-  x lxor (x lsr 32)
+exception Over_budget
 
-let fingerprint b =
-  let rec sum h bucket acc =
-    match bucket with
-    | [] -> acc
-    | (_, n) :: rest -> sum h rest (acc + mix h n)
-  in
-  Imap.fold sum b.buckets 0
+(* Given [equal a0 b0], [a] and [b] agree wherever [a] agrees with [a0]
+   and [b] with [b0], so only the keys that changed along either side
+   need comparing. The changes are found by diffing the trees, which
+   skips the subtrees each side still shares with its ancestor; a diff
+   that visits more than a quarter of the bag's nodes gives way to the
+   full [equal]. *)
+let equal_since (a0, b0) a b =
+  a == b
+  || a.size = b.size && a.fp = b.fp
+     &&
+     let budget = ref (a.size / 4) in
+     let tick () =
+       decr budget;
+       if !budget < 0 then raise_notrace Over_budget
+     in
+     match
+       ( Tree.changed ~tick a0.buckets a.buckets [],
+         Tree.changed ~tick b0.buckets b.buckets [] )
+     with
+     | exception Over_budget -> equal a b
+     | changes_a, changes_b ->
+       (* both lists descend by key: merge them, looking a bucket up only
+          where one side changed a key the other did not *)
+       let find h t = Option.value (Tree.find_opt h t.buckets) ~default:[] in
+       let rec agree ca cb =
+         match ca, cb with
+         | [], [] -> true
+         | (h, va) :: ca', [] -> bucket_equal va (find h b) && agree ca' cb
+         | [], (h, vb) :: cb' -> bucket_equal (find h a) vb && agree ca cb'
+         | (ha, va) :: ca', (hb, vb) :: cb' ->
+           if ha = hb then bucket_equal va vb && agree ca' cb'
+           else if ha > hb then bucket_equal va (find ha b) && agree ca' cb
+           else bucket_equal (find hb a) vb && agree ca cb'
+       in
+       agree changes_a changes_b
+
+let fingerprint b = b.fp
 
 let to_counted_list b =
   fold (fun t n acc -> (t, n) :: acc) b []

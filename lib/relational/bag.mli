@@ -81,12 +81,23 @@ val is_set : t -> bool
 (** Every count is exactly 1 (ECAK views with full key coverage are sets). *)
 
 val equal : t -> t -> bool
+(** Rejects in O(1) when the sizes or fingerprints differ; otherwise
+    O(distinct tuples). *)
+
+val equal_since : t * t -> t -> t -> bool
+(** [equal_since (a0, b0) a b = equal a b], provided [equal a0 b0] holds;
+    the result is unspecified otherwise. Meant for [a] and [b] built from
+    [a0] and [b0] by a few {!add}s or {!remove}s: only the tuples either
+    side changed are compared, found by a diff that skips whatever each
+    bag still shares with its ancestor. A diff that grows past about a
+    quarter of the bag falls back to {!equal}, so the call never costs
+    much more than one full comparison. *)
 
 val fingerprint : t -> int
 (** An order-independent hash of the bag's contents: [equal a b] implies
     [fingerprint a = fingerprint b], whatever path built each bag. The
     converse does not hold, so a matching fingerprint only nominates a
-    candidate for {!equal}. O(distinct tuples); no tuple is rehashed. *)
+    candidate for {!equal}. O(1): every operation keeps it current. *)
 
 val compare : t -> t -> int
 val mem : Tuple.t -> t -> bool

@@ -120,7 +120,90 @@ let fingerprint_paths (es, permuted, detour, other) =
       detoured;
       R.Bag.minus (R.Bag.plus direct other) other;
       R.Bag.plus (R.Bag.negate other) (R.Bag.plus other direct);
+      (* through [filter_map_counts], which sums its own fingerprint *)
+      R.Bag.negate (R.Bag.negate direct);
+      R.Bag.scale 1 direct;
+      R.Bag.filter (fun _ -> true) direct;
+      R.Bag.minus (R.Bag.pos_part direct) (R.Bag.neg_part direct);
     ]
+
+(* Two one-column tuples whose hashes collide, found by search so the
+   premise holds whatever the hash function: they share one bucket. *)
+let colliding =
+  lazy
+    (let seen = Hashtbl.create 4096 in
+     let rec search n =
+       let t = R.Tuple.ints [ n ] in
+       match Hashtbl.find_opt seen (R.Tuple.hash t) with
+       | Some t' -> (t', t)
+       | None ->
+         Hashtbl.replace seen (R.Tuple.hash t) t;
+         search (n + 1)
+     in
+     search 0)
+
+(* Tuples over a wider domain, so bags reach dozens of distinct tuples,
+   with the colliding pair drawn one time in [1 + rare]: often enough to
+   fill a shared bucket, and in chains to change one. *)
+let wide_tuple_gen rare =
+  let c1, c2 = Lazy.force colliding in
+  QCheck.Gen.(
+    frequency
+      [
+        (rare, map2 (fun i j -> R.Tuple.ints [ i; j ]) (int_bound 60) (int_bound 3));
+        (1, oneofl [ c1; c2 ]);
+      ])
+
+let wide_entries_gen ~rare size =
+  QCheck.Gen.(list_size size (pair (wide_tuple_gen rare) (int_range (-2) 2)))
+
+(* [a0] ≡ [b0] built along different paths (one in another order and
+   through a detour), then [a] and [b] derived from them by add/remove
+   chains of 0–40 steps: the same steps shuffled (so [a] ≡ [b]), the
+   same steps plus one count (a near miss), or unrelated steps. Short
+   chains keep [equal_since] on its diff; long ones push it past the
+   budget onto the full comparison. *)
+let arb_since =
+  let show es =
+    String.concat "; "
+      (List.map (fun (t, c) -> Printf.sprintf "%d*%s" c (R.Tuple.to_string t)) es)
+  in
+  QCheck.make
+    ~print:(fun (base, detour, chain_a, chain_b) ->
+      Printf.sprintf "base [%s] detour [%s] chain_a [%s] chain_b [%s]"
+        (show base) (show detour) (show chain_a) (show chain_b))
+    QCheck.Gen.(
+      let chain =
+        wide_entries_gen ~rare:2 (frequency [ (3, int_bound 3); (1, int_bound 40) ])
+      in
+      let* base = wide_entries_gen ~rare:8 (int_range 0 200) in
+      let* detour = wide_entries_gen ~rare:8 (int_bound 10) in
+      let* chain_a = chain in
+      let+ chain_b =
+        frequency
+          [
+            (3, shuffle_l chain_a);
+            ( 1,
+              let* t = wide_tuple_gen 2 and* c = oneofl [ 1; -1 ] in
+              shuffle_l ((t, c) :: chain_a) );
+            (1, chain);
+          ]
+      in
+      (base, detour, chain_a, chain_b))
+
+let equal_since_law (base, detour, chain_a, chain_b) =
+  let a0 = of_entries base in
+  let b0 =
+    List.fold_left
+      (fun b (t, c) -> R.Bag.remove ~count:c t b)
+      (of_entries (List.rev_append detour (List.rev base)))
+      detour
+  in
+  let apply chain b0 =
+    List.fold_left (fun b (t, c) -> R.Bag.add ~count:c t b) b0 chain
+  in
+  let a = apply chain_a a0 and b = apply chain_b b0 in
+  R.Bag.equal a0 b0 && R.Bag.equal_since (a0, b0) a b = R.Bag.equal a b
 
 let qcheck_suite =
   List.map QCheck_alcotest.to_alcotest
@@ -163,6 +246,7 @@ let qcheck_suite =
           let s = R.Bag.dedup_to_set a in
           R.Bag.is_set s && not (R.Bag.has_negative s));
       law "equal bags share one fingerprint" 300 arb_paths fingerprint_paths;
+      law "equal_since (a0, b0) a b = equal a b" 1000 arb_since equal_since_law;
     ]
 
 let suite =
