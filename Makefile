@@ -33,7 +33,9 @@ bench-throughput:
 
 # One-stop pre-commit gate: build everything, run the test suite (plus
 # the fault-injection/reliability suites, the channel suite holding the
-# faulty channel's reference model, the golden-trace check pinning
+# faulty channel's reference model, the bag laws (fingerprint,
+# equal_since, the stored negative count and add_get's before-counts),
+# the golden-trace check pinning
 # Engine.run byte-for-byte, and the engine, selfmaint, evolution,
 # consistency-judge, staleness, planned-vs-naive evaluation,
 # access-path (index), delta-program, scheduler, runner, algorithm,
@@ -58,6 +60,7 @@ bench-throughput:
 smoke:
 	dune build @all
 	dune runtest
+	dune exec test/main.exe -- test bag
 	dune exec test/main.exe -- test faults
 	dune exec test/main.exe -- test reliable
 	dune exec test/main.exe -- test messaging

@@ -118,11 +118,10 @@ module Keyed = struct
   (* Add [n] copies of [vt], keeping built maps on exactly the tuples
      with a nonzero count. *)
   let add k vt n =
-    let bag = R.Bag.add ~count:n vt k.bag in
+    let before, bag = R.Bag.add_get ~count:n vt k.bag in
     match k.maps with
     | None -> { k with bag }
     | Some maps ->
-      let before = R.Bag.count k.bag vt in
       let after = before + n in
       let maps =
         if before = 0 && after <> 0 then List.map2 (fun key -> map_add key vt) k.keys maps
@@ -174,8 +173,3 @@ module Keyed = struct
         else (k, changed))
       answer (k, false)
 end
-
-let check_no_negative ~context mv =
-  if R.Bag.has_negative mv then
-    error "%s: materialized view holds negatively counted tuples (%s)"
-      context (R.Bag.to_string mv)

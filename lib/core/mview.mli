@@ -64,7 +64,3 @@ module Keyed : sig
       unless already present (duplicates witness anomalies and are
       dropped). The flag tells whether anything was added. *)
 end
-
-val check_no_negative : context:string -> R.Bag.t -> unit
-(** @raise Mview_error when a view state carries negative counts — an
-    over-deletion anomaly that correct algorithms never produce. *)

@@ -63,15 +63,6 @@ module Tree = struct
       let c = Int.compare x k in
       if c = 0 then Some v else find_opt x (if c < 0 then l else r)
 
-  (* [add x v t] binds [x] to [v], replacing any previous binding. *)
-  let rec add x v = function
-    | Empty -> Node { l = Empty; k = x; v; r = Empty; h = 1 }
-    | Node { l; k; v = w; r; h } ->
-      let c = Int.compare x k in
-      if c = 0 then Node { l; k = x; v; r; h }
-      else if c < 0 then bal (add x v l) k w r
-      else bal l k w (add x v r)
-
   let rec min_binding = function
     | Empty -> raise Not_found
     | Node { l = Empty; k; v; _ } -> (k, v)
@@ -110,13 +101,25 @@ module Tree = struct
       let k, v = min_binding t2 in
       join t1 k v (remove_min t2)
 
-  let rec remove x = function
-    | Empty -> Empty
-    | Node { l; k; v; r; _ } ->
+  (* [update x f t] rebinds [x] to [f] of its bucket, in one descent.
+     Buckets are never empty, so [[]] stands for "unbound" both ways:
+     [f] receives it for an unbound key and returns it to drop the
+     binding. A kept key keeps its node's shape, a new one is a leaf
+     rebalanced on the way up, a dropped one is replaced by the [concat]
+     of its subtrees — the trees a separate add or remove would build. *)
+  let rec update x f = function
+    | Empty -> (
+      match f [] with
+      | [] -> Empty
+      | v -> Node { l = Empty; k = x; v; r = Empty; h = 1 })
+    | Node { l; k; v; r; h } ->
       let c = Int.compare x k in
-      if c = 0 then concat l r
-      else if c < 0 then bal (remove x l) k v r
-      else bal l k v (remove x r)
+      if c = 0 then (
+        match f v with
+        | [] -> concat l r
+        | v -> Node { l; k; v; r; h })
+      else if c < 0 then bal (update x f l) k v r
+      else bal l k v (update x f r)
 
   (* [split x t] is the subtree of keys below [x], [x]'s binding, and the
      subtree of keys above it. [tick] is called once per node visited. *)
@@ -144,10 +147,6 @@ module Tree = struct
       iter f l;
       f k v;
       iter f r
-
-  let rec exists p = function
-    | Empty -> false
-    | Node { l; k; v; r; _ } -> p k v || exists p l || exists p r
 
   let rec for_all p = function
     | Empty -> true
@@ -215,11 +214,12 @@ end
 
 type t = {
   size : int;  (* number of distinct tuples, i.e. total bucket entries *)
+  neg : int;  (* entries with a negative count, kept current *)
   fp : int;  (* [fingerprint]: Σ [mix h n] over the entries, kept current *)
   buckets : Tree.t;
 }
 
-let empty = { size = 0; fp = 0; buckets = Tree.Empty }
+let empty = { size = 0; neg = 0; fp = 0; buckets = Tree.Empty }
 
 let is_empty b = b.size = 0
 
@@ -244,37 +244,46 @@ let count b t =
     | Some (_, n) -> n
     | None -> 0)
 
-let add ?(count = 1) t b =
-  if count = 0 then b
-  else
-    let h = Tuple.hash t in
-    let bucket = Option.value (Tree.find_opt h b.buckets) ~default:[] in
-    let rec split acc = function
-      | [] -> None
-      | ((t', n) :: rest : (Tuple.t * int) list) ->
-        if Tuple.equal t t' then Some (acc, n, rest) else split ((t', n) :: acc) rest
-    in
-    match split [] bucket with
-    | None ->
-      {
-        size = b.size + 1;
-        fp = b.fp + mix h count;
-        buckets = Tree.add h ((t, count) :: bucket) b.buckets;
-      }
-    | Some (before, n, after) ->
-      let n' = n + count in
-      let fp = b.fp - mix h n in
-      if n' = 0 then
-        let bucket' = List.rev_append before after in
-        if bucket' = [] then
-          { size = b.size - 1; fp; buckets = Tree.remove h b.buckets }
-        else { size = b.size - 1; fp; buckets = Tree.add h bucket' b.buckets }
-      else
-        {
-          size = b.size;
-          fp = fp + mix h n';
-          buckets = Tree.add h ((t, n') :: List.rev_append before after) b.buckets;
-        }
+(* [t]'s count before adding [count <> 0] copies, and the bag after:
+   one hash, one descent. The entry is taken out of its bucket and put
+   back in front with its new count, or left out when that count is 0.
+   Size, negatives and fingerprint change by the entry's before and
+   after contributions (a count of 0 contributes nothing). *)
+let adjust count t b =
+  let h = Tuple.hash t in
+  let before = ref 0 in
+  let buckets =
+    Tree.update h
+      (fun bucket ->
+        let rec split acc = function
+          | [] -> (t, count) :: bucket
+          | ((t', n) as e) :: rest ->
+            if Tuple.equal t t' then begin
+              before := n;
+              let n' = n + count in
+              if n' = 0 then List.rev_append acc rest
+              else (t, n') :: List.rev_append acc rest
+            end
+            else split (e :: acc) rest
+        in
+        split [] bucket)
+      b.buckets
+  in
+  let n = !before in
+  let n' = n + count in
+  let present k = if k = 0 then 0 else 1 and negative k = if k < 0 then 1 else 0 in
+  let fp = if n = 0 then b.fp else b.fp - mix h n in
+  ( n,
+    {
+      size = b.size - present n + present n';
+      neg = b.neg - negative n + negative n';
+      fp = (if n' = 0 then fp else fp + mix h n');
+      buckets;
+    } )
+
+let add_get ?count:(c = 1) t b = if c = 0 then (count b t, b) else adjust c t b
+
+let add ?(count = 1) t b = if count = 0 then b else snd (adjust count t b)
 
 let remove ?(count = 1) t b = add ~count:(-count) t b
 
@@ -301,10 +310,10 @@ let plus a b =
   fold (fun t n acc -> add ~count:n t acc) small large
 
 (* Rebuild with a per-entry count transform ([f] returning None drops the
-   entry); used by all the mapping/filtering operations below. Size and
-   fingerprint are summed in the same pass. *)
+   entry); used by all the mapping/filtering operations below. Size,
+   negatives and fingerprint are summed in the same pass. *)
 let filter_map_counts f b =
-  let size = ref 0 and fp = ref 0 in
+  let size = ref 0 and neg = ref 0 and fp = ref 0 in
   let buckets =
     Tree.filter_map
       (fun h bucket ->
@@ -315,6 +324,7 @@ let filter_map_counts f b =
               | Some 0 | None -> None
               | Some n' ->
                 incr size;
+                if n' < 0 then incr neg;
                 fp := !fp + mix h n';
                 Some (t, n'))
             bucket
@@ -323,7 +333,7 @@ let filter_map_counts f b =
         | bucket' -> Some bucket')
       b.buckets
   in
-  { size = !size; fp = !fp; buckets }
+  { size = !size; neg = !neg; fp = !fp; buckets }
 
 let negate b = filter_map_counts (fun _ n -> Some (-n)) b
 
@@ -359,8 +369,7 @@ let cardinality b = fold (fun _ n acc -> acc + abs n) b 0
 
 let net_cardinality b = fold (fun _ n acc -> acc + n) b 0
 
-let has_negative b =
-  Tree.exists (fun _ bucket -> List.exists (fun (_, n) -> n < 0) bucket) b.buckets
+let has_negative b = b.neg > 0
 
 let is_set b =
   Tree.for_all (fun _ bucket -> List.for_all (fun (_, n) -> n = 1) bucket) b.buckets

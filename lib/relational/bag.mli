@@ -33,6 +33,13 @@ val add : ?count:int -> Tuple.t -> t -> t
 (** [add ~count t b] adds [count] net copies (default 1; may be negative).
     Entries that reach net 0 are removed. *)
 
+val add_get : ?count:int -> Tuple.t -> t -> int * t
+(** [add_get ~count t b = (count b t, add ~count t b)], from one hash of
+    [t] and one descent of the bag instead of two. The bag returned is
+    the one {!add} builds, node for node, so folds and {!equal_since}'s
+    sharing are the same whichever function made it. With [count = 0]
+    it is [b] itself. *)
+
 val remove : ?count:int -> Tuple.t -> t -> t
 val singleton : ?count:int -> Tuple.t -> t
 val of_list : Tuple.t list -> t
@@ -75,7 +82,8 @@ val distinct_cardinality : t -> int
 
 val has_negative : t -> bool
 (** True when some tuple has net negative count — a materialized view in
-    such a state witnesses an over-deletion anomaly. *)
+    such a state witnesses an over-deletion anomaly. O(1): every
+    operation keeps the number of negative entries current. *)
 
 val is_set : t -> bool
 (** Every count is exactly 1 (ECAK views with full key coverage are sets). *)

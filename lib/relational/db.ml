@@ -17,7 +17,8 @@ type index = {
 
 let no_index = { map = Vmap.empty; distinct = 0; ints = 0; floats = 0 }
 
-(* [ix] with key [v] added ([d = 1]) or removed ([d = -1]). *)
+(* [ix] with key [v] added ([d = 1]), removed ([d = -1]) or neither
+   ([d = 0]). *)
 let with_key v d map ix =
   match v with
   | Value.Int _ ->
@@ -31,20 +32,37 @@ let rec insert_sorted t = function
   | t' :: rest as l ->
     if Tuple.compare t t' <= 0 then t :: l else t' :: insert_sorted t rest
 
+(* One [Vmap.update] each; [d] records whether the key came or went. *)
 let index_add col t ix =
   let v = Tuple.get t col in
-  match Vmap.find_opt v ix.map with
-  | None -> with_key v 1 (Vmap.add v [ t ] ix.map) ix
-  | Some ts -> { ix with map = Vmap.add v (insert_sorted t ts) ix.map }
+  let d = ref 0 in
+  let map =
+    Vmap.update v
+      (function
+        | None ->
+          d := 1;
+          Some [ t ]
+        | Some ts -> Some (insert_sorted t ts))
+      ix.map
+  in
+  with_key v !d map ix
 
 let index_remove col t ix =
   let v = Tuple.get t col in
-  match Vmap.find_opt v ix.map with
-  | None -> ix
-  | Some ts -> (
-    match List.filter (fun t' -> not (Tuple.equal t t')) ts with
-    | [] -> with_key v (-1) (Vmap.remove v ix.map) ix
-    | ts' -> { ix with map = Vmap.add v ts' ix.map })
+  let d = ref 0 in
+  let map =
+    Vmap.update v
+      (function
+        | None -> None
+        | Some ts -> (
+          match List.filter (fun t' -> not (Tuple.equal t t')) ts with
+          | [] ->
+            d := -1;
+            None
+          | ts' -> Some ts'))
+      ix.map
+  in
+  with_key v !d map ix
 
 (* Group first, sort each bucket once: O(n log n) whatever the column's
    value distribution. *)
@@ -70,7 +88,6 @@ type rel = {
   schema : Schema.t;
   bag : Bag.t;
   card : int;  (* Σ counts *)
-  negatives : int;  (* distinct tuples with a negative count *)
   indexes : index option array Atomic.t;
 }
 
@@ -89,7 +106,6 @@ let make_rel schema bag =
     schema;
     bag;
     card = Bag.net_cardinality bag;
-    negatives = Bag.fold (fun _ n acc -> if n < 0 then acc + 1 else acc) bag 0;
     indexes = Atomic.make (Array.make (Schema.arity schema) None);
   }
 
@@ -129,12 +145,11 @@ let scan r keep =
   List.sort Tuple.compare
     (Bag.fold (fun t _ acc -> if keep t then t :: acc else acc) r.bag [])
 
-(* Adjust one tuple's count, carrying every built index forward: an
+(* [r] with [bag], which [Bag.add_get ~count tuple r.bag] returned with
+   the tuple's [before] count, carrying every built index forward: an
    index changes only when the tuple appears or disappears. *)
-let adjust r tuple count =
-  let before = Bag.count r.bag tuple in
+let adjusted r tuple count (before, bag) =
   let after = before + count in
-  let sign n = if n < 0 then 1 else 0 in
   let update =
     if before = 0 && after <> 0 then Some index_add
     else if before <> 0 && after = 0 then Some index_remove
@@ -143,9 +158,8 @@ let adjust r tuple count =
   let built = Atomic.get r.indexes in
   {
     r with
-    bag = Bag.add ~count tuple r.bag;
+    bag;
     card = r.card + count;
-    negatives = r.negatives + sign after - sign before;
     indexes =
       Atomic.make
         (match update with
@@ -153,6 +167,8 @@ let adjust r tuple count =
            Array.mapi (fun col -> Option.map (f col tuple)) built
          | _ -> built);
   }
+
+let adjust r tuple count = adjusted r tuple count (Bag.add_get ~count tuple r.bag)
 
 let find db name =
   match Smap.find_opt name db.relations with
@@ -317,12 +333,13 @@ let apply ?(strict = true) db (u : Update.t) =
             r.schema.Schema.fks;
           adjust r u.tuple 1
         end
-      | Update.Delete ->
-        if Bag.count r.bag u.tuple <= 0 then
+      | Update.Delete -> (
+        match Bag.add_get ~count:(-1) u.tuple r.bag with
+        | before, _ when before <= 0 ->
           if strict then
             error "delete of absent tuple: %s" (Update.to_string u)
           else r (* non-strict: deleting an absent tuple is a no-op *)
-        else adjust r u.tuple (-1)
+        | got -> adjusted r u.tuple (-1) got)
     in
     { relations = Smap.add u.rel r' db.relations }
 
@@ -385,7 +402,7 @@ let distinct_values db name col =
   let r = find db name in
   column r name col;
   match index_opt r col with
-  | Some ix when r.negatives = 0 -> ix.distinct
+  | Some ix when not (Bag.has_negative r.bag) -> ix.distinct
   | _ ->
     let seen = Hashtbl.create 64 in
     Bag.iter

@@ -5,9 +5,9 @@
    the scans below are the reference, never the code under test: lookups
    and statistics after random update / set_contents / add_tuple /
    schema-change sequences (on every version the sequence produced, not
-   just the last), key and foreign-key rejections in [Db.apply], keyed
-   key-deletes against [Mview.key_delete], and lookups racing to build
-   the same index from two domains. *)
+   just the last), key, foreign-key and strict-delete rejections in
+   [Db.apply], keyed key-deletes against [Mview.key_delete], and lookups
+   racing to build the same index from two domains. *)
 
 open Helpers
 module R = Relational
@@ -52,6 +52,7 @@ type op =
   | Insert of string * R.Tuple.t
   | Delete_nth of string * int  (* the n-th present tuple, canonical order *)
   | Delete_any of string * R.Tuple.t
+  | Delete_strict of string * R.Tuple.t  (* rejected unless a positive copy exists *)
   | Add_tuple of string * R.Tuple.t * int
   | Set_contents of string * R.Bag.t
   | Evolve_round_trip  (* add a column to q, then drop it again *)
@@ -60,6 +61,7 @@ let op_to_string = function
   | Insert (r, t) -> Printf.sprintf "insert %s %s" r (R.Tuple.to_string t)
   | Delete_nth (r, n) -> Printf.sprintf "delete %s #%d" r n
   | Delete_any (r, t) -> Printf.sprintf "delete %s %s" r (R.Tuple.to_string t)
+  | Delete_strict (r, t) -> Printf.sprintf "strict delete %s %s" r (R.Tuple.to_string t)
   | Add_tuple (r, t, n) -> Printf.sprintf "add_tuple %s %s %+d" r (R.Tuple.to_string t) n
   | Set_contents (r, b) -> Printf.sprintf "set_contents %s %s" r (R.Bag.to_string b)
   | Evolve_round_trip -> "evolve q +col -col"
@@ -73,6 +75,7 @@ let op_gen =
         (10, map (fun t -> Insert (rel, t)) tuple);
         (5, map (fun n -> Delete_nth (rel, n)) (int_bound 80));
         (1, map (fun t -> Delete_any (rel, t)) tuple);
+        (2, map (fun t -> Delete_strict (rel, t)) tuple);
         ( 1,
           map2 (fun t n -> Add_tuple (rel, t, n)) tuple
             (oneofl [ -2; -1; 1; 2 ]) );
@@ -109,6 +112,9 @@ let positive_match db rel pairs =
       || n > 0
          && List.for_all (fun (i, v) -> R.Value.equal (R.Tuple.get t i) v) pairs)
     (R.Db.contents db rel) false
+
+let positive_copy db rel t =
+  R.Bag.fold (fun t' n acc -> acc || (n > 0 && R.Tuple.equal t t')) (R.Db.contents db rel) false
 
 (* Would [Db.apply] reject inserting [t] into [rel]? *)
 let ref_rejects db rel t =
@@ -166,8 +172,8 @@ let drop_w = R.Update.Drop_column { rel = "q"; col = "Extra" }
    rejected. Fails the property when a rejection disagrees with the scan
    reference. *)
 let step db op =
-  let apply u expect_reject =
-    match R.Db.apply ~strict:false db u with
+  let apply ?(strict = false) u expect_reject =
+    match R.Db.apply ~strict db u with
     | db' ->
       if expect_reject then QCheck.Test.fail_reportf "accepted %s" (op_to_string op);
       Some db'
@@ -178,6 +184,8 @@ let step db op =
   match op with
   | Insert (rel, t) -> apply (R.Update.insert rel t) (ref_rejects db rel t)
   | Delete_any (rel, t) -> apply (R.Update.delete rel t) false
+  | Delete_strict (rel, t) ->
+    apply ~strict:true (R.Update.delete rel t) (not (positive_copy db rel t))
   | Delete_nth (rel, n) -> (
     match present db rel (fun _ -> true) with
     | [] -> None

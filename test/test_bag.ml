@@ -104,17 +104,27 @@ let arb_paths =
       let+ other = bag_gen in
       (es, permuted, detour, other))
 
+(* [has_negative] is a stored count: the reference is a scan. *)
+let scanned_negative b = List.exists (fun (_, n) -> n < 0) (R.Bag.to_counted_list b)
+
 let fingerprint_paths (es, permuted, detour, other) =
   let direct = of_entries es in
+  (* every intermediate bag of an add chain, counts of both signs *)
+  let chain_ok b0 entries =
+    List.fold_left
+      (fun (b, ok) (t, c) ->
+        let b = R.Bag.add ~count:c t b in
+        (b, ok && R.Bag.has_negative b = scanned_negative b))
+      (b0, true) entries
+    |> snd
+  in
   let detoured =
     List.fold_left
       (fun b (t, c) -> R.Bag.remove ~count:c t b)
       (of_entries (detour @ es))
       detour
   in
-  List.for_all
-    (fun b ->
-      R.Bag.equal b direct && R.Bag.fingerprint b = R.Bag.fingerprint direct)
+  let paths =
     [
       of_entries permuted;
       detoured;
@@ -126,6 +136,31 @@ let fingerprint_paths (es, permuted, detour, other) =
       R.Bag.filter (fun _ -> true) direct;
       R.Bag.minus (R.Bag.pos_part direct) (R.Bag.neg_part direct);
     ]
+  in
+  List.for_all
+    (fun b ->
+      R.Bag.equal b direct && R.Bag.fingerprint b = R.Bag.fingerprint direct)
+    paths
+  && chain_ok R.Bag.empty (detour @ es)
+  && chain_ok (of_entries (detour @ es)) (List.map (fun (t, c) -> (t, -c)) detour)
+  && List.for_all
+       (fun b -> R.Bag.has_negative b = scanned_negative b)
+       (paths
+       @ [
+           direct;
+           other;
+           R.Bag.negate direct;
+           R.Bag.scale 3 direct;
+           R.Bag.scale (-2) direct;
+           R.Bag.minus direct other;
+           R.Bag.minus other direct;
+           R.Bag.pos_part direct;
+           R.Bag.neg_part direct;
+           R.Bag.negate (R.Bag.neg_part direct);
+           R.Bag.filter (fun t -> R.Tuple.hash t land 1 = 0) direct;
+           R.Bag.filter (fun t -> R.Bag.count direct t < 0) direct;
+           R.Bag.dedup_to_set direct;
+         ])
 
 (* Two one-column tuples whose hashes collide, found by search so the
    premise holds whatever the hash function: they share one bucket. *)
@@ -205,6 +240,53 @@ let equal_since_law (base, detour, chain_a, chain_b) =
   let a = apply chain_a a0 and b = apply chain_b b0 in
   R.Bag.equal a0 b0 && R.Bag.equal_since (a0, b0) a b = R.Bag.equal a b
 
+(* Chains of [add_get] steps over few tuples — the colliding pair
+   among them, so buckets hold two entries — with counts in −3..3, so
+   steps of 0 and cancellations to zero are common. *)
+let arb_add_get =
+  QCheck.make
+    ~print:(fun steps ->
+      String.concat "; "
+        (List.map (fun (t, c) -> Printf.sprintf "%d*%s" c (R.Tuple.to_string t)) steps))
+    QCheck.Gen.(
+      let c1, c2 = Lazy.force colliding in
+      list_size (int_bound 60)
+        (pair
+           (frequency
+              [
+                (4, map (fun i -> R.Tuple.ints [ i ]) (int_bound 5));
+                (1, oneofl [ c1; c2 ]);
+              ])
+           (int_range (-3) 3)))
+
+(* Every before-count [add_get] returns, and the final bag's contents,
+   distinct count, negative flag and fingerprint, against a table. *)
+let add_get_law steps =
+  let model = Hashtbl.create 16 in
+  let model_count t = Option.value (Hashtbl.find_opt model t) ~default:0 in
+  let b, counts_ok =
+    List.fold_left
+      (fun (b, ok) (t, c) ->
+        let before, b = R.Bag.add_get ~count:c t b in
+        let ok = ok && before = model_count t in
+        (match before + c with
+         | 0 -> Hashtbl.remove model t
+         | n -> Hashtbl.replace model t n);
+        (b, ok))
+      (R.Bag.empty, true) steps
+  in
+  let expected =
+    Hashtbl.fold (fun t n acc -> (t, n) :: acc) model []
+    |> List.sort (fun (t1, _) (t2, _) -> R.Tuple.compare t1 t2)
+  in
+  counts_ok
+  && List.equal
+       (fun (t1, n1) (t2, n2) -> R.Tuple.equal t1 t2 && n1 = n2)
+       (R.Bag.to_counted_list b) expected
+  && R.Bag.distinct_cardinality b = Hashtbl.length model
+  && R.Bag.has_negative b = List.exists (fun (_, n) -> n < 0) expected
+  && R.Bag.fingerprint b = R.Bag.fingerprint (of_entries expected)
+
 let qcheck_suite =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -247,6 +329,7 @@ let qcheck_suite =
           R.Bag.is_set s && not (R.Bag.has_negative s));
       law "equal bags share one fingerprint" 300 arb_paths fingerprint_paths;
       law "equal_since (a0, b0) a b = equal a b" 1000 arb_since equal_since_law;
+      law "add_get chains = table model" 500 arb_add_get add_get_law;
     ]
 
 let suite =
