@@ -53,10 +53,14 @@ bench-throughput:
 # toggle and the engine's oracle modes, the array-based scheduler
 # picks, the warehouse install log), check that
 # the parallel bench is deterministic (PAR=1 and PAR=4 emit identical
-# runs arrays), run the quick benchmark, and fail if its summed per-run
-# wall clock regressed more than 2x against the committed
-# BENCH_results.json baseline. The baseline is copied aside first
-# because the bench overwrites it in place.
+# runs arrays), run the quick benchmark in a temp dir and fail if its
+# summed per-run wall clock regressed more than 2x against the committed
+# BENCH_results.json baseline (perf_guard.sh holds the other gates),
+# and run the two other bench entry points there too: `csv DIR` must
+# write the four figure CSVs, each a 9-column header plus data rows, and
+# `throughput` must write BENCH_throughput.json with its speedup field.
+# Everything the bench writes stays in the temp dir, so smoke leaves the
+# working tree clean.
 smoke:
 	dune build @all
 	dune runtest
@@ -91,15 +95,25 @@ smoke:
 	fi
 	dune build bench/main.exe
 	sh scripts/check_determinism.sh ./_build/default/bench/main.exe 4
-	@if [ -f BENCH_results.json ]; then \
-	  cp BENCH_results.json /tmp/BENCH_baseline.json; \
+	@exe=$$(pwd)/_build/default/bench/main.exe; tmp=$$(mktemp -d); \
+	trap 'rm -rf "$$tmp"' EXIT; \
+	(cd "$$tmp" && "$$exe" quick > /dev/null) || exit 1; \
+	if [ -f BENCH_results.json ]; then \
+	  sh scripts/perf_guard.sh BENCH_results.json "$$tmp/BENCH_results.json" || exit 1; \
 	else \
 	  echo "smoke: no committed BENCH_results.json baseline; skipping guard"; \
-	fi
-	./_build/default/bench/main.exe quick > /dev/null
-	@if [ -f /tmp/BENCH_baseline.json ]; then \
-	  sh scripts/perf_guard.sh /tmp/BENCH_baseline.json BENCH_results.json; \
-	  rm -f /tmp/BENCH_baseline.json; \
+	fi; \
+	(cd "$$tmp" && "$$exe" csv figs > /dev/null) || exit 1; \
+	for f in 2 3 4 5; do \
+	  csv="$$tmp/figs/fig6_$$f.csv"; \
+	  if [ "$$(head -1 "$$csv" | awk -F, '{ print NF }')" != 9 ] \
+	    || [ "$$(wc -l < "$$csv")" -lt 2 ]; then \
+	    echo "smoke: fig6_$$f.csv lacks a 9-column header or a data row"; exit 1; \
+	  fi; \
+	done; \
+	(cd "$$tmp" && "$$exe" throughput > /dev/null) || exit 1; \
+	if ! grep -q '"compiled_speedup_x"' "$$tmp/BENCH_throughput.json"; then \
+	  echo "smoke: BENCH_throughput.json carries no compiled_speedup_x"; exit 1; \
 	fi
 
 clean:

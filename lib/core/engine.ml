@@ -73,11 +73,13 @@ type obs_state = {
   mutable collect_depth_max : int;
 }
 
+(* Engine steps after which a run is declared runaway. *)
+let max_steps = 2_000_000
+
 let run ?(schedule = Scheduler.Best_case) ?(rv_period = 1) ?(batch_size = 1)
-    ?local_literal_eval ?(allow_cross_source = false) ?(max_steps = 2_000_000)
-    ?observe ?(share_deltas = false)
-    ?(coalesce = false) ?shard ?(track_scale = false) ?(evolution = [])
-    ?(windows = []) ~creator ~sites:specs ~views ~updates () =
+    ?local_literal_eval ?(allow_cross_source = false) ?observe
+    ?(share_deltas = false) ?(coalesce = false) ?shard ?(track_scale = false)
+    ?(evolution = []) ?(windows = []) ~creator ~sites:specs ~views ~updates () =
   if batch_size < 1 then raise (Engine_error "batch_size must be at least 1");
   if rv_period < 1 then raise (Engine_error "rv_period must be at least 1");
   if specs = [] then

@@ -87,7 +87,6 @@ val run :
   ?batch_size:int ->
   ?local_literal_eval:bool ->
   ?allow_cross_source:bool ->
-  ?max_steps:int ->
   ?observe:Observe.Collector.t ->
   ?share_deltas:bool ->
   ?coalesce:bool ->
@@ -115,7 +114,8 @@ val run :
     [retransmit_timeout] is below 1, a relation is owned by two sources,
     a view uses an unowned relation or spans several sources without
     [~allow_cross_source], an update or query targets an unowned
-    relation, a protocol invariant breaks, or [max_steps] is exceeded.
+    relation, a protocol invariant breaks, or the run exceeds 2,000,000
+    engine steps.
 
     With [?observe] the loop additionally emits a typed span per atomic
     event into the collector — clocked by the deterministic step counter,

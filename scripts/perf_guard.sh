@@ -4,7 +4,7 @@
 # Usage: perf_guard.sh BASELINE_JSON CURRENT_JSON
 #
 # Compares the "sum_run_wall_clock_s" field of two BENCH_results.json
-# files (schema 8, see EXPERIMENTS.md) and fails when the current run is
+# files (schema 10, see EXPERIMENTS.md) and fails when the current run is
 # more than 2x slower than the committed baseline. Also checks the
 # observability ablation's spans-on/spans-off ratio against the same 2x
 # guard when the current file carries one (schema >= 5), and gates the
