@@ -24,11 +24,15 @@ module Iset = Set.Make (Int)
 (* The incrementally maintained enabled-event state of a site graph. The
    engine owns one of these and adjusts it edge by edge as sends,
    receives and transport ticks happen, so a scheduler pick never scans
-   the N-wide site array: every query below is O(active) or O(log N)
-   over the ready sets. [loads] carries the per-edge in-flight signal
-   (physically undelivered messages on the edge) that the backpressure
-   and fairness policies weigh; it is 0 everywhere for callers that do
-   not maintain it, which degrades those policies gracefully. *)
+   the N-wide site array. Each ready receive event is held twice: in the
+   ready sets, whose minima and successors the ordered policies query in
+   O(log N), and as a live slot of a Fenwick tree over the fixed event
+   order (slot 2i for source i, 2i+1 for warehouse i), which gives the
+   enabled count in O(1) and the j-th enabled event in O(log N).
+   [loads] carries the per-edge in-flight signal (physically undelivered
+   messages on the edge) that the backpressure and fairness policies
+   weigh; it is 0 everywhere for callers that do not maintain it, which
+   degrades those policies gracefully. *)
 module Ready = struct
   type t = {
     n : int;
@@ -36,6 +40,7 @@ module Ready = struct
     mutable update_site : int;  (* owning site of the next update; -1 unknown *)
     mutable sources : Iset.t;  (* sites with a deliverable query *)
     mutable warehouses : Iset.t;  (* sites with a deliverable warehouse msg *)
+    receives : Relational.Fenwick.t;  (* the same events, in event order *)
     loads : int array;
   }
 
@@ -47,6 +52,7 @@ module Ready = struct
       update_site = -1;
       sources = Iset.empty;
       warehouses = Iset.empty;
+      receives = Relational.Fenwick.create (2 * n);
       loads = Array.make n 0;
     }
 
@@ -57,11 +63,17 @@ module Ready = struct
   let set_update_site t i = t.update_site <- i
 
   let set_source t i ready =
-    t.sources <- (if ready then Iset.add i t.sources else Iset.remove i t.sources)
+    if Relational.Fenwick.mem t.receives (2 * i) <> ready then begin
+      Relational.Fenwick.set t.receives (2 * i) ready;
+      t.sources <- (if ready then Iset.add i t.sources else Iset.remove i t.sources)
+    end
 
   let set_warehouse t i ready =
-    t.warehouses <-
-      (if ready then Iset.add i t.warehouses else Iset.remove i t.warehouses)
+    if Relational.Fenwick.mem t.receives ((2 * i) + 1) <> ready then begin
+      Relational.Fenwick.set t.receives ((2 * i) + 1) ready;
+      t.warehouses <-
+        (if ready then Iset.add i t.warehouses else Iset.remove i t.warehouses)
+    end
 
   let set_load t i load = t.loads.(i) <- load
 
@@ -69,12 +81,10 @@ module Ready = struct
 
   let update_ready t = t.update_ready
 
-  let idle t =
-    (not t.update_ready) && Iset.is_empty t.sources && Iset.is_empty t.warehouses
-
   let enabled_count t =
-    (if t.update_ready then 1 else 0)
-    + Iset.cardinal t.sources + Iset.cardinal t.warehouses
+    (if t.update_ready then 1 else 0) + Relational.Fenwick.count t.receives
+
+  let idle t = enabled_count t = 0
 end
 
 type t = {
@@ -106,10 +116,12 @@ let action_name = function
 (* The fixed event order over the site graph, generalizing the single-site
    [Apply_update; Source_receive; Warehouse_receive]: the update stream
    first, then each site's two receive events in site order. Events are
-   indexed Apply = 0, Site_source i = 2i+1, Site_warehouse i = 2i+2;
-   Round_robin rotates over these indices and Random draws uniformly from
-   the enabled ones, both resolved against the ready sets with successor
-   queries instead of materializing the O(N) order per pick. *)
+   indexed Apply = 0, Site_source i = 2i+1, Site_warehouse i = 2i+2.
+   Round_robin rotates over these indices, resolved against the ready
+   sets with successor queries; Random draws uniformly from the enabled
+   ones and finds the drawn one by rank in [Ready]'s Fenwick tree, whose
+   receive slots keep the same order. Neither materializes the O(N)
+   order per pick. *)
 
 (* Best case: drain every message before touching the next update — each
    query is answered before the next update occurs, so no compensation is
@@ -185,31 +197,18 @@ let round_robin t (r : Ready.t) =
 
 (* One uniform draw over the enabled events: the bound is the enabled
    count, so the RNG sequence of a seeded run is exactly the historical
-   materialize-and-index spelling's — but the j-th enabled event is then
-   found by an O(j) merge walk of the two ready sets in event order
-   instead of building the O(N) filtered array per pick. *)
+   materialize-and-index spelling's. The j-th enabled receive event is
+   then one O(log N) select over the Fenwick tree, whose slot order
+   (source i, then warehouse i, by site) is the fixed event order. *)
 let random t (r : Ready.t) =
   let count = Ready.enabled_count r in
   let j = Random.State.int t.rng count in
   if r.Ready.update_ready && j = 0 then Some Apply
   else begin
     let j = if r.Ready.update_ready then j - 1 else j in
-    let rec walk j ss ws =
-      match (ss (), ws ()) with
-      | Seq.Cons (s, ss'), Seq.Cons (w, _) when s <= w ->
-        (* source event index 2s+1 < warehouse event index 2w+2 *)
-        if j = 0 then Site_source s else walk (j - 1) ss' ws
-      | Seq.Cons _, Seq.Cons (w, ws') ->
-        if j = 0 then Site_warehouse w else walk (j - 1) ss ws'
-      | Seq.Cons (s, ss'), Seq.Nil ->
-        if j = 0 then Site_source s else walk (j - 1) ss' ws
-      | Seq.Nil, Seq.Cons (w, ws') ->
-        if j = 0 then Site_warehouse w else walk (j - 1) ss ws'
-      | Seq.Nil, Seq.Nil ->
-        raise (Schedule_error "random pick ran past the enabled events")
-    in
-    Some
-      (walk j (Iset.to_seq r.Ready.sources) (Iset.to_seq r.Ready.warehouses))
+    let slot = Relational.Fenwick.select r.Ready.receives j in
+    if slot land 1 = 0 then Some (Site_source (slot / 2))
+    else Some (Site_warehouse (slot / 2))
   end
 
 let scripted_event (r : Ready.t) a =

@@ -17,10 +17,13 @@
     {!policy.Explicit} runs; each action resolves to the first site
     where it is enabled.
 
-    Scheduling state is held in ready {i sets}, not N-wide arrays: the
-    engine marks edges ready/unready as sends, receives and transport
-    ticks happen, and {!pick_ready} costs O(active edges), not O(N) — the
-    property that lets one event loop drive hundreds of sources.
+    Scheduling state is maintained incrementally, not rebuilt per pick:
+    the engine marks edges ready/unready as sends, receives and transport
+    ticks happen, and {!pick_ready} costs O(active edges) at most, not
+    O(N) — the property that lets one event loop drive hundreds of
+    sources. A {!policy.Random} pick is O(log N): one draw over the
+    enabled count (kept as a counter) and one rank select over the ready
+    receive events in the fixed event order.
 
     FIFO channel order is preserved per edge regardless of the policy,
     matching the paper's delivery assumptions. *)
@@ -80,7 +83,11 @@ module Iset : Set.S with type elt = int
 (** Incrementally maintained enabled-event state of a site graph. The
     engine owns one and adjusts it edge by edge ({!Ready.set_source},
     {!Ready.set_warehouse}, {!Ready.set_update}) as messages move, so a
-    {!pick_ready} never scans the site array. [loads] carries the
+    {!pick_ready} never scans the site array. The ready receive events
+    are kept both as ordered sets and as live slots of a
+    {!Relational.Fenwick} tree over the fixed event order, so
+    {!Ready.enabled_count} and {!Ready.idle} are O(1), and re-marking an
+    edge with its current readiness is O(1) too. [loads] carries the
     per-edge in-flight message counts consumed by {!policy.Bounded_inflight}
     and {!policy.Weighted_fair}; callers that do not maintain it leave
     it at 0 and those policies degrade gracefully. *)
@@ -118,6 +125,8 @@ module Ready : sig
   (** No event is enabled (ticking the transport may enable some). *)
 
   val enabled_count : t -> int
+  (** The update stream (when ready) plus every ready receive event;
+      O(1). *)
 end
 
 type t
@@ -126,5 +135,6 @@ val create : policy -> t
 
 val pick_ready : t -> Ready.t -> event option
 (** The next event over incrementally maintained ready state, or [None]
-    when nothing is enabled; O(active) per pick. The caller keeps the
+    when nothing is enabled; O(active) per pick at most, O(log N) for
+    {!policy.Random}. The caller keeps the
     same [Ready.t] across picks and adjusts it as the graph evolves. *)

@@ -1,117 +1,37 @@
 module Fqueue = Relational.Fqueue
+module Slots = Relational.Fenwick.Slots
 
-type stats = {
-  mutable messages : int;
-  mutable bytes : int;
-  mutable dropped : int;
-  mutable duplicated : int;
+(* A faulty channel's in-flight transmissions, in delivery order: by
+   [ready_at], then by send order.
+
+   - Frames still delayed wait in a wheel of [delay + 1] buckets, one per
+     residue of [ready_at mod (delay + 1)]. A sampled delay lies in
+     [0, delay], so a bucket only ever holds frames of one ready tick, in
+     send order.
+   - Deliverable frames ([ready_at <= now]) sit in [ripe], in delivery
+     order: a tick appends the bucket that ripens, a send with delay 0
+     appends directly. Every frame appended by tick [now] was sent before
+     any frame sent at [now], so appending keeps the order.
+
+   So the deliverable count is [ripe]'s length, and taking the j-th
+   deliverable frame is one rank select: the draw bound and the chosen
+   frame are those of a sorted sequence of every frame in flight. *)
+type bucket = {
+  mutable frames : Message.t array;
+  mutable len : int;
 }
 
-(* A faulty channel's in-flight transmissions, as an AVL tree in delivery
-   order: by [ready_at], then by send order. Every node carries its
-   subtree's size, so inserting, counting the deliverable prefix
-   ([ready_at <= now]) and removing the j-th entry are each O(log n).
-   Persistent, with the rebalancing of [Stdlib.Set]. *)
-module Delayed = struct
-  type t =
-    | Empty
-    | Node of {
-        l : t;
-        ready_at : int;
-        msg : Message.t;
-        r : t;
-        h : int;
-        size : int;
-      }
+(* Fills the slots of [ripe] and of the buckets that hold no frame. *)
+let hole = Message.Ack { cum = -1 }
 
-  let height = function Empty -> 0 | Node n -> n.h
-
-  let size = function Empty -> 0 | Node n -> n.size
-
-  let node l ready_at msg r =
-    let hl = height l and hr = height r in
-    Node
-      {
-        l;
-        ready_at;
-        msg;
-        r;
-        h = (if hl >= hr then hl + 1 else hr + 1);
-        size = size l + size r + 1;
-      }
-
-  let bal l ready_at msg r =
-    let hl = height l and hr = height r in
-    if hl > hr + 2 then
-      match l with
-      | Node { l = ll; ready_at = lv; msg = lm; r = lr; _ } -> (
-        if height ll >= height lr then node ll lv lm (node lr ready_at msg r)
-        else
-          match lr with
-          | Node { l = lrl; ready_at = lrv; msg = lrm; r = lrr; _ } ->
-            node (node ll lv lm lrl) lrv lrm (node lrr ready_at msg r)
-          | Empty -> assert false)
-      | Empty -> assert false
-    else if hr > hl + 2 then
-      match r with
-      | Node { l = rl; ready_at = rv; msg = rm; r = rr; _ } -> (
-        if height rr >= height rl then node (node l ready_at msg rl) rv rm rr
-        else
-          match rl with
-          | Node { l = rll; ready_at = rlv; msg = rlm; r = rlr; _ } ->
-            node (node l ready_at msg rll) rlv rlm (node rlr rv rm rr)
-          | Empty -> assert false)
-      | Empty -> assert false
-    else node l ready_at msg r
-
-  (* After every entry with an equal or earlier [ready_at]: the newest
-     transmission sorts last among equal ready times, which is the
-     send-order tie-break. *)
-  let rec add ready_at msg = function
-    | Empty -> node Empty ready_at msg Empty
-    | Node n ->
-      if ready_at < n.ready_at then bal (add ready_at msg n.l) n.ready_at n.msg n.r
-      else bal n.l n.ready_at n.msg (add ready_at msg n.r)
-
-  (* The deliverable entries are exactly the prefix with [ready_at <= now]. *)
-  let rec count_ready now = function
-    | Empty -> 0
-    | Node n ->
-      if n.ready_at <= now then size n.l + 1 + count_ready now n.r
-      else count_ready now n.l
-
-  let rec min_ready = function
-    | Empty -> max_int
-    | Node { l = Empty; ready_at; _ } -> ready_at
-    | Node { l; _ } -> min_ready l
-
-  let rec take_min = function
-    | Empty -> invalid_arg "Channel.Delayed.take_min"
-    | Node { l = Empty; ready_at; msg; r; _ } -> (ready_at, msg, r)
-    | Node n ->
-      let ready_at, msg, l = take_min n.l in
-      (ready_at, msg, bal l n.ready_at n.msg n.r)
-
-  let merge l r =
-    match (l, r) with
-    | Empty, t | t, Empty -> t
-    | _ ->
-      let ready_at, msg, r = take_min r in
-      bal l ready_at msg r
-
-  (* Remove the [j]-th entry (0-based, delivery order); return its message. *)
-  let rec take j = function
-    | Empty -> invalid_arg "Channel.Delayed.take"
-    | Node n ->
-      let sl = size n.l in
-      if j < sl then
-        let msg, l = take j n.l in
-        (msg, bal l n.ready_at n.msg n.r)
-      else if j = sl then (n.msg, merge n.l n.r)
-      else
-        let msg, r = take (j - sl - 1) n.r in
-        (msg, bal n.l n.ready_at n.msg r)
-end
+let bucket_push b msg =
+  if b.len = Array.length b.frames then begin
+    let frames = Array.make (max 4 (2 * b.len)) hole in
+    Array.blit b.frames 0 frames 0 b.len;
+    b.frames <- frames
+  end;
+  b.frames.(b.len) <- msg;
+  b.len <- b.len + 1
 
 type t = {
   name : string;
@@ -120,53 +40,75 @@ type t = {
   rng : Random.State.t;
   mutable now : int;
   (* Fault-free channels live entirely in [queue] — O(1) amortized send
-     and receive. Faulty channels keep [delayed] instead. *)
+     and receive. Faulty channels keep [wheel] and [ripe] instead. *)
   mutable queue : Message.t Fqueue.t;
-  mutable delayed : Delayed.t;
-  stats : stats;
+  wheel : bucket array;
+  mutable delayed : int;  (* frames in [wheel] *)
+  ripe : Message.t Slots.t;
+  mutable messages : int;
+  mutable bytes : int;
+  mutable dropped : int;
+  mutable duplicated : int;
 }
 
 let create ?(fault = Fault.none) ?(seed = 0) name =
+  let clean = Fault.is_none fault in
   {
     name;
     fault;
-    clean = Fault.is_none fault;
+    clean;
     rng = Random.State.make [| seed |];
     now = 0;
     queue = Fqueue.empty;
-    delayed = Delayed.Empty;
-    stats = { messages = 0; bytes = 0; dropped = 0; duplicated = 0 };
+    wheel =
+      (if clean || fault.Fault.delay = 0 then [||]
+       else
+         Array.init (fault.Fault.delay + 1) (fun _ ->
+             { frames = [||]; len = 0 }));
+    delayed = 0;
+    ripe = Slots.create hole;
+    messages = 0;
+    bytes = 0;
+    dropped = 0;
+    duplicated = 0;
   }
 
-(* One physical transmission: metered, then possibly dropped, then
-   enqueued with its own delay. *)
-let transmit t msg =
-  t.stats.messages <- t.stats.messages + 1;
-  t.stats.bytes <- t.stats.bytes + Message.byte_size msg;
+(* One physical transmission of [size] bytes: metered, then possibly
+   dropped, then enqueued with its own delay. *)
+let transmit t msg size =
+  t.messages <- t.messages + 1;
+  t.bytes <- t.bytes + size;
   if t.fault.Fault.drop > 0.0 && Random.State.float t.rng 1.0 < t.fault.Fault.drop
-  then t.stats.dropped <- t.stats.dropped + 1
+  then t.dropped <- t.dropped + 1
   else if t.clean then t.queue <- Fqueue.push t.queue msg
   else begin
     let delay =
       if t.fault.Fault.delay = 0 then 0
       else Random.State.int t.rng (t.fault.Fault.delay + 1)
     in
-    t.delayed <- Delayed.add (t.now + delay) msg t.delayed
+    if delay = 0 then Slots.push t.ripe msg
+    else begin
+      bucket_push t.wheel.((t.now + delay) mod Array.length t.wheel) msg;
+      t.delayed <- t.delayed + 1
+    end
   end
 
+(* The copy has the original's size: [Message.byte_size] walks the
+   payload, so it is taken once. *)
 let send t msg =
-  transmit t msg;
+  let size = Message.byte_size msg in
+  transmit t msg size;
   if
     t.fault.Fault.duplicate > 0.0
     && Random.State.float t.rng 1.0 < t.fault.Fault.duplicate
   then begin
-    t.stats.duplicated <- t.stats.duplicated + 1;
-    transmit t msg
+    t.duplicated <- t.duplicated + 1;
+    transmit t msg size
   end
 
 let has_ready t =
   if t.clean then not (Fqueue.is_empty t.queue)
-  else Delayed.min_ready t.delayed <= t.now
+  else Slots.length t.ripe > 0
 
 let receive t =
   if t.clean then
@@ -182,29 +124,39 @@ let receive t =
        seeded runs are unchanged), the earliest otherwise. *)
     let j =
       if t.fault.Fault.reorder then
-        Random.State.int t.rng (Delayed.count_ready t.now t.delayed)
+        Random.State.int t.rng (Slots.length t.ripe)
       else 0
     in
-    let msg, rest = Delayed.take j t.delayed in
-    t.delayed <- rest;
-    Some msg
+    Some (Slots.take t.ripe j)
   end
 
-let is_empty t = Fqueue.is_empty t.queue && Delayed.size t.delayed = 0
+let pending t =
+  if t.clean then Fqueue.length t.queue else t.delayed + Slots.length t.ripe
 
-let pending t = Fqueue.length t.queue + Delayed.size t.delayed
+let is_empty t = pending t = 0
 
-let tick t = t.now <- t.now + 1
+(* The bucket of the new [now] ripens whole, in send order. *)
+let tick t =
+  t.now <- t.now + 1;
+  if Array.length t.wheel > 0 then begin
+    let b = t.wheel.(t.now mod Array.length t.wheel) in
+    for k = 0 to b.len - 1 do
+      Slots.push t.ripe b.frames.(k);
+      b.frames.(k) <- hole
+    done;
+    t.delayed <- t.delayed - b.len;
+    b.len <- 0
+  end
 
-let messages_sent t = t.stats.messages
+let messages_sent t = t.messages
 
-let bytes_sent t = t.stats.bytes
+let bytes_sent t = t.bytes
 
-let dropped t = t.stats.dropped
+let dropped t = t.dropped
 
-let duplicated t = t.stats.duplicated
+let duplicated t = t.duplicated
 
 let pp ppf t =
   Format.fprintf ppf "%s [%a]: %d pending, %d sent (%d bytes, %d dropped, %d duplicated)"
-    t.name Fault.pp t.fault (pending t) t.stats.messages t.stats.bytes
-    t.stats.dropped t.stats.duplicated
+    t.name Fault.pp t.fault (pending t) t.messages t.bytes
+    t.dropped t.duplicated

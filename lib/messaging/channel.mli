@@ -18,12 +18,18 @@
     the wire overhead of reliability.
 
     Costs. A fault-free channel is a FIFO queue: O(1) amortized send and
-    receive. A faulty channel keeps its in-flight transmissions in one
-    size-annotated balanced tree in delivery order — by ready tick, then
-    by send order — so a send, a receive (the deliverable count it draws
-    a reordered pick over, then removal of the picked rank) and
-    {!has_ready} are O(log n) in the messages in flight. {!pending} and
-    {!is_empty} are O(1) on either kind. *)
+    receive. A faulty channel keeps its delayed transmissions in a wheel
+    of [delay + 1] send-ordered buckets, one per ready tick, and its
+    deliverable ones in a {!Relational.Fenwick.Slots} sequence in
+    delivery order — by ready tick, then by send order: a tick appends
+    the bucket that ripens, a send with delay 0 appends at once.
+    {!has_ready} is then O(1); a receive (the deliverable count it draws
+    a reordered pick over, then removal of the picked rank) and an append
+    are O(log n) amortized in the deliverable messages, so a send is
+    O(log n) at most and a tick O(log n) per message it ripens. Apart
+    from a receive's option, none allocates once the buffers have grown
+    to the traffic.
+    {!pending} and {!is_empty} are O(1) on either kind. *)
 
 type t
 

@@ -58,8 +58,6 @@ let idle t =
   | Direct -> Channel.is_empty t.to_warehouse && Channel.is_empty t.to_source
   | Via_reliable r -> Reliable.idle r
 
-let quiescent = idle
-
 let load t = Channel.pending t.to_warehouse + Channel.pending t.to_source
 
 let reliability t =

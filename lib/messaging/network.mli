@@ -52,9 +52,6 @@ val idle : t -> bool
 (** Nothing in flight, unacknowledged, or undelivered anywhere — ticking
     further would change nothing. *)
 
-val quiescent : t -> bool
-(** Alias of {!idle}. *)
-
 val load : t -> int
 (** Undelivered wire frames on the edge, both directions — in-flight,
     delayed, and awaiting in-order release. The cheap per-edge load

@@ -22,7 +22,20 @@
     simulation scheduler when no other event is enabled — runs stay
     deterministic and seed-reproducible. Retransmissions and acks go
     through {!Channel.send}, so channel byte/message counters price the
-    protocol's wire overhead. *)
+    protocol's wire overhead.
+
+    Costs. Every operation first pumps the link: it drains both channels
+    of their deliverable frames. The pump is skipped unless the link has
+    sent a frame (data, retransmission or ack) or ticked since the last
+    one began — otherwise both channels are known to hold nothing
+    deliverable, and the skipped pump would have drawn no randomness, so
+    seeded runs are unchanged. Endpoint state is mutable and O(1) per
+    frame, in power-of-two rings indexed by [seq land (length - 1)] that
+    double when a window outgrows them: the sender's unacknowledged
+    frames with their last and first transmission ticks (a
+    retransmission restamps its slot in place; a cumulative ack retires
+    a prefix), and the receiver's out-of-order frames; plus a ready
+    queue. A {!tick} scans each sender's unacknowledged ticks once. *)
 
 type dir =
   | To_warehouse

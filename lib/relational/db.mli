@@ -84,9 +84,12 @@ val cardinality : t -> string -> int
 (** The relation's net tuple count ([Bag.net_cardinality]); O(1). *)
 
 val distinct_values : t -> string -> int -> int
-(** Distinct values of column [i] among positively counted tuples: O(1)
-    once the column's index exists (this builds it) when the relation
-    holds no negative count, a scan otherwise. *)
+(** Distinct values of column [i] among positively counted tuples. O(1)
+    when the relation holds no negative count and has at least
+    {!scan_below}-many distinct tuples (the first such call builds the
+    column's index). Otherwise every call scans the bag into a fresh
+    table: small relations are never indexed, so their count is never
+    cached. *)
 
 val total_tuples : t -> int
 val equal : t -> t -> bool

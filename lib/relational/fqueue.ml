@@ -40,10 +40,6 @@ let rec drop_while p t =
 
 let filter p t = of_list (List.filter p (to_list t))
 
-(* Via [to_list] so [f]'s effects run oldest-to-newest — callers retransmit
-   from inside [f], and the wire order must stay ascending. *)
-let map f t = of_list (List.map f (to_list t))
-
 let fold f init t =
   List.fold_left f (List.fold_left f init t.front) (List.rev t.back)
 

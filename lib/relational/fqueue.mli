@@ -29,10 +29,6 @@ val drop_while : ('a -> bool) -> 'a t -> 'a t
 val filter : ('a -> bool) -> 'a t -> 'a t
 (** Keeps relative order; O(n). *)
 
-val map : ('a -> 'b) -> 'a t -> 'b t
-(** Keeps relative order; O(n). [f]'s side effects run oldest to
-    newest. *)
-
 val fold : ('acc -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc
 (** Oldest-to-newest fold without materializing [to_list]. *)
 

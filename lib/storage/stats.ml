@@ -1,5 +1,8 @@
-(* Both O(1): the database keeps each relation's net count and, per
-   column index, its distinct-value count. *)
+(* The cardinality is O(1): the database keeps each relation's net
+   count. The distinct count is O(1) only once the column is indexed
+   (relations of at least [Db.scan_below] distinct tuples, without
+   negative counts); below that, [Db.distinct_values] scans the bag on
+   every call. *)
 let cardinality db rel = Relational.Db.cardinality db rel
 
 let distinct_values db rel attr =

@@ -10,8 +10,9 @@ val cardinality : Relational.Db.t -> string -> int
 (** C: current number of tuples in a base relation; O(1). *)
 
 val distinct_values : Relational.Db.t -> string -> string -> int
-(** Distinct values of attribute [a] in [r]; O(1) once the column's
-    index exists (the first call builds it). *)
+(** Distinct values of attribute [a] in [r] (see
+    {!Relational.Db.distinct_values}): O(1) on an indexed column, a scan
+    of the relation on every call otherwise. *)
 
 val join_factor : Relational.Db.t -> string -> string -> float
 (** J(r, a): expected tuples of [r] matching one value of attribute [a]

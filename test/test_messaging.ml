@@ -51,9 +51,9 @@ let network_directions () =
   M.Network.send net M.Network.To_warehouse (note 1);
   check_bool "other direction empty" true
     (Option.is_none (M.Network.receive net M.Network.To_source));
-  check_bool "not quiescent" false (M.Network.quiescent net);
+  check_bool "not idle" false (M.Network.idle net);
   ignore (M.Network.receive net M.Network.To_warehouse);
-  check_bool "quiescent after drain" true (M.Network.quiescent net);
+  check_bool "idle after drain" true (M.Network.idle net);
   check_int "totals" 1 (M.Network.total_messages net)
 
 (* ------------------------------------------------------------------ *)

@@ -242,9 +242,81 @@ let fqueue_drop_while () =
       (R.Fqueue.length dropped)
   done
 
+(* [Fenwick] flags against a bool-array model: after every flip the live
+   count, every slot's flag and the slot of every live rank agree. *)
+let fenwick_flags_match_model () =
+  let st = Random.State.make [| 23 |] in
+  List.iter
+    (fun n ->
+      let t = R.Fenwick.create n and model = Array.make n false in
+      for step = 1 to 400 do
+        let i = Random.State.int st n and live = Random.State.bool st in
+        R.Fenwick.set t i live;
+        model.(i) <- live;
+        let ranks =
+          List.filter (fun i -> model.(i)) (List.init n (fun i -> i))
+        in
+        let at = Printf.sprintf " (n %d, step %d)" n step in
+        check_int ("count" ^ at) (List.length ranks) (R.Fenwick.count t);
+        Array.iteri
+          (fun i b -> check_bool ("mem" ^ at) b (R.Fenwick.mem t i))
+          model;
+        List.iteri
+          (fun j i -> check_int ("select" ^ at) i (R.Fenwick.select t j))
+          ranks
+      done;
+      match R.Fenwick.select t (R.Fenwick.count t) with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.fail "select past the live count must raise")
+    [ 1; 2; 5; 64; 100 ]
+
+(* [Fenwick.Slots] against a list model through 20k pushes with random
+   removals. Each round fills to a random size with some takes mixed in,
+   then drains to empty with some pushes mixed in: the array grows in
+   the rounds that outsize it, compacts in place in the smaller rounds
+   after them, and restarts at slot 0 whenever a round empties it. *)
+let fenwick_slots_match_list () =
+  let st = Random.State.make [| 29 |] in
+  let s = R.Fenwick.Slots.create (-1) in
+  (* the model: the remaining pushes, oldest first *)
+  let model = ref [] and len = ref 0 and pushed = ref 0 and taken = ref 0 in
+  let take () =
+    (* mostly the head, as an in-order receiver takes *)
+    let j = if Random.State.bool st then 0 else Random.State.int st !len in
+    let want = List.nth !model j in
+    model := List.filteri (fun k _ -> k <> j) !model;
+    decr len;
+    check_int "take = list removal" want (R.Fenwick.Slots.take s j);
+    incr taken
+  in
+  let push () =
+    R.Fenwick.Slots.push s !pushed;
+    model := !model @ [ !pushed ];
+    incr len;
+    incr pushed
+  in
+  let step push_pct =
+    if !len = 0 || Random.State.int st 100 < push_pct then push () else take ();
+    check_int "length" !len (R.Fenwick.Slots.length s)
+  in
+  while !pushed < 20_000 do
+    let target = [| 10; 100; 1_000; 2_500 |].(Random.State.int st 4) in
+    while !len < target do
+      step 80
+    done;
+    while !len > 0 do
+      step 20
+    done
+  done;
+  check_int "every push taken once" !pushed !taken
+
 let suite =
   [
     Alcotest.test_case "value ordering" `Quick value_order;
+    Alcotest.test_case "fenwick flags = bool-array model" `Quick
+      fenwick_flags_match_model;
+    Alcotest.test_case "fenwick slots = list model (20k pushes)" `Quick
+      fenwick_slots_match_list;
     Alcotest.test_case "value predicate comparison" `Quick
       value_predicate_compare;
     Alcotest.test_case "value byte sizes" `Quick value_bytes;

@@ -169,6 +169,309 @@ let reliable_stream_prop =
       wh = List.init n (fun i -> i))
 
 (* ------------------------------------------------------------------ *)
+(* The sublayer against its historical spelling                        *)
+(* ------------------------------------------------------------------ *)
+
+(* The protocol as it was first written, kept as a reference model: a
+   persistent unacked queue rebuilt by a map on every retransmission
+   pass, a seq-keyed table of first-transmission ticks, an [Int] map as
+   the reorder buffer, a list queue of ready messages, and a pump that
+   drains both channels on every call. *)
+module Ref_link = struct
+  module Int_map = Map.Make (Int)
+
+  type endpoint = {
+    out_chan : M.Channel.t;
+    in_chan : M.Channel.t;
+    mutable next_seq : int;
+    mutable unacked : (int * M.Message.t * int) R.Fqueue.t;
+    first_sent : (int, int) Hashtbl.t;
+    mutable expected : int;
+    mutable buffer : M.Message.t Int_map.t;
+    mutable ready : M.Message.t R.Fqueue.t;
+  }
+
+  type t = {
+    source_end : endpoint;
+    warehouse_end : endpoint;
+    timeout : int;
+    mutable now : int;
+    stats : M.Reliable.stats;
+  }
+
+  let endpoint ~out_chan ~in_chan =
+    {
+      out_chan;
+      in_chan;
+      next_seq = 0;
+      unacked = R.Fqueue.empty;
+      first_sent = Hashtbl.create 16;
+      expected = 0;
+      buffer = Int_map.empty;
+      ready = R.Fqueue.empty;
+    }
+
+  let create ~timeout ~to_warehouse ~to_source =
+    {
+      source_end = endpoint ~out_chan:to_warehouse ~in_chan:to_source;
+      warehouse_end = endpoint ~out_chan:to_source ~in_chan:to_warehouse;
+      timeout;
+      now = 0;
+      stats =
+        {
+          M.Reliable.retransmits = 0;
+          dups_dropped = 0;
+          acks_sent = 0;
+          delivered = 0;
+          latency_total = 0;
+          latency_max = 0;
+        };
+    }
+
+  let sender t = function
+    | M.Reliable.To_warehouse -> t.source_end
+    | M.Reliable.To_source -> t.warehouse_end
+
+  let receiver t = function
+    | M.Reliable.To_warehouse -> t.warehouse_end
+    | M.Reliable.To_source -> t.source_end
+
+  let transmit ep ~seq payload =
+    M.Channel.send ep.out_chan (M.Message.Data { seq; payload })
+
+  let rec advance t ep peer =
+    match Int_map.find_opt ep.expected ep.buffer with
+    | None -> ()
+    | Some payload ->
+      let seq = ep.expected in
+      ep.buffer <- Int_map.remove seq ep.buffer;
+      ep.ready <- R.Fqueue.push ep.ready payload;
+      ep.expected <- seq + 1;
+      (match Hashtbl.find_opt peer.first_sent seq with
+       | Some sent ->
+         let l = t.now - sent in
+         t.stats.delivered <- t.stats.delivered + 1;
+         t.stats.latency_total <- t.stats.latency_total + l;
+         if l > t.stats.latency_max then t.stats.latency_max <- l;
+         Hashtbl.remove peer.first_sent seq
+       | None -> ());
+      advance t ep peer
+
+  let pump_endpoint t ep peer =
+    let rec drain got_data =
+      match M.Channel.receive ep.in_chan with
+      | None -> got_data
+      | Some (M.Message.Ack { cum }) ->
+        ep.unacked <-
+          R.Fqueue.drop_while (fun (s, _, _) -> s <= cum) ep.unacked;
+        drain got_data
+      | Some (M.Message.Data { seq; payload }) ->
+        if seq < ep.expected || Int_map.mem seq ep.buffer then
+          t.stats.dups_dropped <- t.stats.dups_dropped + 1
+        else begin
+          ep.buffer <- Int_map.add seq payload ep.buffer;
+          advance t ep peer
+        end;
+        drain true
+      | Some _ -> Alcotest.fail "unframed message on a reliable link"
+    in
+    if drain false then begin
+      M.Channel.send ep.out_chan (M.Message.Ack { cum = ep.expected - 1 });
+      t.stats.acks_sent <- t.stats.acks_sent + 1
+    end
+
+  let pump t =
+    pump_endpoint t t.warehouse_end t.source_end;
+    pump_endpoint t t.source_end t.warehouse_end
+
+  let send t dir msg =
+    let ep = sender t dir in
+    let seq = ep.next_seq in
+    ep.next_seq <- seq + 1;
+    Hashtbl.replace ep.first_sent seq t.now;
+    ep.unacked <- R.Fqueue.push ep.unacked (seq, msg, t.now);
+    transmit ep ~seq msg;
+    pump t
+
+  let receive t dir =
+    pump t;
+    let ep = receiver t dir in
+    match R.Fqueue.pop ep.ready with
+    | None -> None
+    | Some (msg, rest) ->
+      ep.ready <- rest;
+      Some msg
+
+  let has_ready t dir =
+    pump t;
+    not (R.Fqueue.is_empty (receiver t dir).ready)
+
+  (* Oldest to newest, so the wire order of retransmissions ascends. *)
+  let retransmit_due t ep =
+    ep.unacked <-
+      R.Fqueue.of_list
+        (List.map
+           (fun ((seq, payload, last_sent) as entry) ->
+             if t.now - last_sent >= t.timeout then begin
+               t.stats.retransmits <- t.stats.retransmits + 1;
+               transmit ep ~seq payload;
+               (seq, payload, t.now)
+             end
+             else entry)
+           (R.Fqueue.to_list ep.unacked))
+
+  let tick t =
+    t.now <- t.now + 1;
+    M.Channel.tick t.source_end.out_chan;
+    M.Channel.tick t.warehouse_end.out_chan;
+    retransmit_due t t.source_end;
+    retransmit_due t t.warehouse_end;
+    pump t
+
+  let endpoint_idle ep =
+    R.Fqueue.is_empty ep.unacked
+    && Int_map.is_empty ep.buffer
+    && R.Fqueue.is_empty ep.ready
+
+  let idle t =
+    pump t;
+    M.Channel.is_empty t.source_end.out_chan
+    && M.Channel.is_empty t.warehouse_end.out_chan
+    && endpoint_idle t.source_end
+    && endpoint_idle t.warehouse_end
+end
+
+(* Everything a caller of the link can observe after one op, in a fixed
+   call order: [has_ready] and [idle] pump, so both links are asked the
+   same questions in the same order. *)
+type link_view = {
+  got : int option;
+  ready_wh : bool;
+  ready_src : bool;
+  idle : bool;
+  counters : int list;  (* the [stats] fields *)
+  wires : int list;  (* per channel: sent, bytes, dropped, duplicated *)
+}
+
+let view ~got ~has_ready ~idle ~stats ~to_warehouse ~to_source =
+  let ready_wh = has_ready M.Reliable.To_warehouse in
+  let ready_src = has_ready M.Reliable.To_source in
+  let idle = idle () in
+  let s : M.Reliable.stats = stats in
+  let wire ch =
+    M.Channel.
+      [ messages_sent ch; bytes_sent ch; dropped ch; duplicated ch ]
+  in
+  {
+    got = Option.map payload_id got;
+    ready_wh;
+    ready_src;
+    idle;
+    counters =
+      [
+        s.retransmits; s.dups_dropped; s.acks_sent; s.delivered;
+        s.latency_total; s.latency_max;
+      ];
+    wires = wire to_warehouse @ wire to_source;
+  }
+
+(* Both links over their own channel pair, seeded alike (the reverse
+   channel from [seed + 1], as [Network] does). *)
+let channels fault seed =
+  ( M.Channel.create ~fault ~seed "to-warehouse",
+    M.Channel.create ~fault ~seed:(seed + 1) "to-source" )
+
+let run_reliable fault seed timeout ops =
+  let to_warehouse, to_source = channels fault seed in
+  let r = M.Reliable.create ~timeout ~to_warehouse ~to_source () in
+  List.map
+    (fun op ->
+      let got =
+        match op with
+        | `Send (dir, i) ->
+          M.Reliable.send r dir (payload i);
+          None
+        | `Receive dir -> M.Reliable.receive r dir
+        | `Tick ->
+          M.Reliable.tick r;
+          None
+      in
+      view ~got ~has_ready:(M.Reliable.has_ready r)
+        ~idle:(fun () -> M.Reliable.idle r)
+        ~stats:(M.Reliable.stats r) ~to_warehouse ~to_source)
+    ops
+
+let run_reference fault seed timeout ops =
+  let to_warehouse, to_source = channels fault seed in
+  let r = Ref_link.create ~timeout ~to_warehouse ~to_source in
+  List.map
+    (fun op ->
+      let got =
+        match op with
+        | `Send (dir, i) ->
+          Ref_link.send r dir (payload i);
+          None
+        | `Receive dir -> Ref_link.receive r dir
+        | `Tick ->
+          Ref_link.tick r;
+          None
+      in
+      view ~got ~has_ready:(Ref_link.has_ready r)
+        ~idle:(fun () -> Ref_link.idle r)
+        ~stats:r.Ref_link.stats ~to_warehouse ~to_source)
+    ops
+
+(* A pump skipped when it would have found a frame, or run when the
+   reference's would not, shifts a channel's RNG stream, and every later
+   delivery, counter and wire figure with it. A third of the cases are
+   bursts of 300+ sends before the clock first moves, so the reorder
+   window has to grow and the unacked queues are deep. *)
+let reliable_matches_reference_prop =
+  QCheck.Test.make
+    ~name:"reliable link matches its historical reference model" ~count:150
+    (QCheck.make ~print:string_of_int QCheck.Gen.(int_bound 100_000))
+    (fun case ->
+      let st = rng case in
+      let bursty = Random.State.int st 3 = 0 in
+      let fault =
+        M.Fault.make
+          ~drop:(Random.State.float st 0.4)
+          ~duplicate:(Random.State.float st 0.4)
+          ~delay:(Random.State.int st 5)
+          ~reorder:(Random.State.bool st) ()
+      in
+      let seed = Random.State.int st 10_000 in
+      let timeout = 1 + Random.State.int st 4 in
+      let next = ref 0 in
+      let dir () =
+        if Random.State.int st 4 = 0 then M.Reliable.To_source
+        else M.Reliable.To_warehouse
+      in
+      let send () =
+        incr next;
+        `Send (dir (), !next)
+      in
+      let burst =
+        if bursty then List.init (300 + Random.State.int st 100) (fun _ -> send ())
+        else []
+      in
+      (* up to three sends in six ops, so backlogs also build up while
+         the clock runs *)
+      let sends = 1 + Random.State.int st 3 in
+      let tail =
+        List.init
+          (if bursty then 500 + Random.State.int st 300
+           else 40 + Random.State.int st 120)
+          (fun _ ->
+            let k = Random.State.int st 6 in
+            if k < sends then send ()
+            else if k < 5 then `Receive (dir ())
+            else `Tick)
+      in
+      let ops = burst @ tail in
+      run_reliable fault seed timeout ops = run_reference fault seed timeout ops)
+
+(* ------------------------------------------------------------------ *)
 (* End-to-end: the ECA family over Reliable + chaos vs. the oracle     *)
 (* ------------------------------------------------------------------ *)
 
@@ -325,4 +628,5 @@ let suite =
     Alcotest.test_case "20-source chaos run keeps its pinned counters" `Quick
       twenty_source_chaos_run_is_pinned;
   ]
-  @ [ QCheck_alcotest.to_alcotest reliable_stream_prop ]
+  @ List.map QCheck_alcotest.to_alcotest
+      [ reliable_stream_prop; reliable_matches_reference_prop ]

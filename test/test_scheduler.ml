@@ -139,6 +139,80 @@ let incremental_equals_rebuilt () =
       done)
     [ S.Best_case; S.Worst_case; S.Round_robin; S.Random 7; S.Random 99 ]
 
+(* [Random]'s historical spelling as a reference: one draw bounded by the
+   enabled count, taken with [List.length] over sorted ready lists, then
+   a merge walk of the two lists in event order (source i before
+   warehouse i, sites ascending). Nothing enabled draws nothing. *)
+let reference_random rng ~update sources warehouses =
+  let ready a =
+    List.filter (fun i -> a.(i)) (List.init (Array.length a) (fun i -> i))
+  in
+  let ss = ready sources and ws = ready warehouses in
+  let count =
+    (if update then 1 else 0) + List.length ss + List.length ws
+  in
+  if count = 0 then None
+  else begin
+    let j = Random.State.int rng count in
+    if update && j = 0 then Some S.Apply
+    else begin
+      let rec walk j ss ws =
+        match (ss, ws) with
+        | s :: ss', w :: _ when s <= w ->
+          if j = 0 then S.Site_source s else walk (j - 1) ss' ws
+        | _, w :: ws' ->
+          if j = 0 then S.Site_warehouse w else walk (j - 1) ss ws'
+        | s :: ss', [] ->
+          if j = 0 then S.Site_source s else walk (j - 1) ss' ws
+        | [], [] -> Alcotest.fail "reference walk ran past the enabled events"
+      in
+      Some (walk (if update then j - 1 else j) ss ws)
+    end
+  end
+
+(* The incremental [Random] pick against the reference under churn: a
+   few readiness flips per step (sometimes none, so unchanged sets are
+   re-marked too), over one, seven and two hundred sites. *)
+let random_matches_reference () =
+  List.iter
+    (fun n ->
+      List.iter
+        (fun seed ->
+          let st = Random.State.make [| n; seed |] in
+          let t = S.create (S.Random seed) and ready = S.Ready.create n in
+          let rng = Random.State.make [| seed |] in
+          let update = ref false in
+          let sources = Array.make n false and warehouses = Array.make n false in
+          for step = 1 to 2_000 do
+            for _ = 1 to Random.State.int st 4 do
+              let i = Random.State.int st n in
+              match Random.State.int st 5 with
+              | 0 ->
+                update := not !update;
+                S.Ready.set_update ready !update
+              | 1 | 2 ->
+                sources.(i) <- Random.State.bool st;
+                S.Ready.set_source ready i sources.(i)
+              | _ ->
+                warehouses.(i) <- Random.State.bool st;
+                S.Ready.set_warehouse ready i warehouses.(i)
+            done;
+            let want =
+              reference_random rng ~update:!update sources warehouses
+            in
+            if S.pick_ready t ready <> want then
+              Alcotest.failf "n %d, Random %d, step %d: picks diverge" n seed
+                step;
+            check_int "enabled count"
+              ((if !update then 1 else 0)
+              + Array.fold_left (fun c b -> if b then c + 1 else c) 0 sources
+              + Array.fold_left (fun c b -> if b then c + 1 else c) 0 warehouses
+              )
+              (S.Ready.enabled_count ready)
+          done)
+        [ 7; 99 ])
+    [ 1; 7; 200 ]
+
 let bounded_inflight_gates_on_load () =
   let t = S.create (S.Bounded_inflight 2) in
   let r = S.Ready.create 3 in
@@ -190,6 +264,8 @@ let suite =
     Alcotest.test_case "best-case priorities" `Quick best_case_priorities;
     Alcotest.test_case "pick_ready incremental = rebuilt under churn" `Quick
       incremental_equals_rebuilt;
+    Alcotest.test_case "random picks = merge-walk reference under churn"
+      `Quick random_matches_reference;
     Alcotest.test_case "bounded-inflight gates on edge load" `Quick
       bounded_inflight_gates_on_load;
     Alcotest.test_case "weighted-fair serves cold edges" `Quick
