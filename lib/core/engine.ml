@@ -63,7 +63,7 @@ type obs_per_view = {
 type obs_state = {
   oc : Observe.Collector.t;
   note_spans : (int * int, int) Hashtbl.t;  (* (site, first seq) -> span *)
-  query_spans : (int, int * int) Hashtbl.t;  (* gid -> (span, site) *)
+  query_spans : (int, int) Hashtbl.t;  (* gid -> span *)
   answer_spans : (int, int) Hashtbl.t;  (* gid -> span *)
   per_view : (string * obs_per_view) list;
   edge_hist : Metrics.histogram array;  (* per site, message transit *)
@@ -123,6 +123,15 @@ let run ?(schedule = Scheduler.Best_case) ?(rv_period = 1) ?(batch_size = 1)
           Hashtbl.replace owner rel i)
         (R.Db.relation_names (Source_site.Source.db st.source)))
     sites;
+  (* The one owner lookup: the site an update, schema change or query on
+     [rel] routes to. With a single source every relation routes to it. *)
+  let site_of rel =
+    if n = 1 then 0
+    else
+      match Hashtbl.find_opt owner rel with
+      | Some i -> i
+      | None -> error "no source owns relation %s" rel
+  in
   (* Bind each view to the unique source owning all its relations. With a
      single source every view trivially binds to it — including views
      whose queries mention no base relation at all, preserving the
@@ -136,9 +145,8 @@ let run ?(schedule = Scheduler.Best_case) ?(rv_period = 1) ?(batch_size = 1)
             List.sort_uniq Int.compare
               (List.map
                  (fun rel ->
-                   match Hashtbl.find_opt owner rel with
-                   | Some i -> i
-                   | None ->
+                   try site_of rel
+                   with Engine_error _ ->
                      error "view %s uses unowned relation %s"
                        v.R.Viewdef.name rel)
                  (R.Viewdef.relation_names v))
@@ -235,16 +243,8 @@ let run ?(schedule = Scheduler.Best_case) ?(rv_period = 1) ?(batch_size = 1)
     | Some i -> site_views.(i) <- vi :: site_views.(i)
     | None -> cross_views := vi :: !cross_views
   done;
-  let rec merge_idx a b =
-    match (a, b) with
-    | [], l | l, [] -> l
-    | x :: a', y :: b' ->
-      if x < y then x :: merge_idx a' b
-      else if y < x then y :: merge_idx a b'
-      else x :: merge_idx a' b'
-  in
   let affected_idx =
-    Array.map (fun svs -> merge_idx svs !cross_views) site_views
+    Array.map (fun svs -> List.merge Int.compare svs !cross_views) site_views
   in
   let snapshot_view vi =
     let v = views_arr.(vi) in
@@ -273,10 +273,10 @@ let run ?(schedule = Scheduler.Best_case) ?(rv_period = 1) ?(batch_size = 1)
     | Some st -> Window.filter st snap.(vi)
     | None -> snap.(vi)
   in
-  let initial_views =
-    Array.to_list (Array.init nviews (fun vi -> (vname.(vi), oracle_view vi)))
+  let oracle_views () =
+    List.init nviews (fun vi -> (vname.(vi), oracle_view vi))
   in
-  let trace = Trace.create ~initial_views in
+  let trace = Trace.create ~initial_views:(oracle_views ()) in
   (* Staged delta programs for the oracle advance, built per view on
      first use — and invalidated individually when a schema change
      rewrites a view mid-stream. *)
@@ -289,14 +289,10 @@ let run ?(schedule = Scheduler.Best_case) ?(rv_period = 1) ?(batch_size = 1)
       staged_programs.(vi) <- Some p;
       p
   in
+  (* Cross-source views are an opt-in anomaly demonstration, not a
+     performance path: recompute them from the merged state. *)
   let advance_cross () =
-    match !cross_views with
-    | [] -> ()
-    | cvs ->
-      (* Cross-source views are an opt-in anomaly demonstration, not a
-         performance path: recompute from the merged state. *)
-      let mdb = merged_db () in
-      List.iter (fun vi -> snap.(vi) <- R.Viewdef.eval mdb views_arr.(vi)) cvs
+    List.iter (fun vi -> snap.(vi) <- snapshot_view vi) !cross_views
   in
   (* Oracle advance over one update-class run (same relation and kind),
      already executed at site [i]. Every delta term binds the updated
@@ -326,59 +322,36 @@ let run ?(schedule = Scheduler.Best_case) ?(rv_period = 1) ?(batch_size = 1)
   let affected_views i =
     List.map (fun vi -> (vname.(vi), oracle_view vi)) affected_idx.(i)
   in
-  let site_of_update (u : R.Update.t) =
-    if n = 1 then 0
-    else
-      match Hashtbl.find_opt owner u.R.Update.rel with
-      | Some i -> i
-      | None -> error "no source owns relation %s" u.R.Update.rel
-  in
-  let site_of_query q =
-    if n = 1 then 0
-    else
-      match R.Query.base_relations q with
-      | rel :: _ -> (
-        match Hashtbl.find_opt owner rel with
-        | Some i -> i
-        | None -> error "no source owns relation %s" rel)
-      | [] -> 0  (* all-literal queries can go anywhere; pick the first *)
-  in
-  let site_of_ddl (d : R.Update.ddl) =
-    if n = 1 then 0
-    else
-      match Hashtbl.find_opt owner (R.Update.ddl_rel d) with
-      | Some i -> i
-      | None -> error "no source owns relation %s" (R.Update.ddl_rel d)
-  in
   (* The workload item stream: DML updates woven with the scheduled
      schema changes. A change at position [p] fires after [p] updates
      have been applied; with no [evolution] the stream is exactly the
      update list and the run is byte-identical to a pre-evolution one. *)
   let items =
-    match evolution with
-    | [] -> List.map (fun u -> `U u) updates
-    | evo ->
-      let evo =
-        List.stable_sort (fun (a, _) (b, _) -> Int.compare a b) evo
-      in
-      let rec weave applied ups evo acc =
-        match evo with
-        | (p, d) :: evo' when p <= applied -> weave applied ups evo' (`D d :: acc)
-        | _ -> (
-          match ups with
-          | [] -> List.rev_append acc (List.map (fun (_, d) -> `D d) evo)
-          | u :: ups' -> weave (applied + 1) ups' evo (`U u :: acc))
-      in
-      weave 0 updates evo []
+    let rec weave applied ups evo acc =
+      match (evo, ups) with
+      | (p, d) :: evo', _ when p <= applied ->
+        weave applied ups evo' (`D d :: acc)
+      | _, u :: ups' -> weave (applied + 1) ups' evo (`U u :: acc)
+      | _, [] -> List.rev_append acc (List.map (fun (_, d) -> `D d) evo)
+    in
+    weave 0 updates
+      (List.stable_sort (fun (a, _) (b, _) -> Int.compare a b) evolution)
+      []
   in
   let site_of_item = function
-    | `U u -> site_of_update u
-    | `D d -> site_of_ddl d
+    | `U (u : R.Update.t) -> site_of u.R.Update.rel
+    | `D d -> site_of (R.Update.ddl_rel d)
   in
   let pending = ref items in
   let next_seq = ref 0 in
-  let m = ref Metrics.zero in
-  let bump f = m := f !m in
+  (* The run's counters, folded into one [Metrics.t] when the run ends. *)
+  let steps = ref 0 and ticks = ref 0 and executed = ref 0 in
+  let queries_sent = ref 0 and query_bytes = ref 0 and source_io = ref 0 in
+  let answers_received = ref 0 and answer_tuples = ref 0 in
+  let answer_bytes = ref 0 and ddl_applied = ref 0 in
+  let refresh_queries = ref 0 in
+  let inflight_max = ref 0 and active_max = ref 0 in
+  let coalesced_notes = ref 0 and coalesced_batches = ref 0 in
   (* Incrementally maintained scheduling state: the ready sets the
      scheduler picks from, and the set of non-idle edges the tick branch
      walks. Every edge mutation (send, receive, tick) is followed by a
@@ -387,10 +360,6 @@ let run ?(schedule = Scheduler.Best_case) ?(rv_period = 1) ?(batch_size = 1)
      drive hundreds of sources. *)
   let ready = Scheduler.Ready.create n in
   let active = ref Scheduler.Iset.empty in
-  let inflight_max = ref 0 in
-  let active_max = ref 0 in
-  let coalesced_notes = ref 0 in
-  let coalesced_batches = ref 0 in
   let refresh_edge i =
     let st = sites.(i) in
     Scheduler.Ready.set_source ready i
@@ -411,18 +380,14 @@ let run ?(schedule = Scheduler.Best_case) ?(rv_period = 1) ?(batch_size = 1)
     end
   in
   let refresh_update () =
-    match !pending with
-    | [] ->
-      Scheduler.Ready.set_update ready false;
-      Scheduler.Ready.set_update_site ready (-1)
-    | it :: _ ->
-      Scheduler.Ready.set_update ready true;
-      Scheduler.Ready.set_update_site ready (site_of_item it)
+    let i = match !pending with [] -> -1 | it :: _ -> site_of_item it in
+    Scheduler.Ready.set_update ready (i >= 0);
+    Scheduler.Ready.set_update_site ready i
   in
   (* The spans' logical clock: the engine's step counter, bumped once per
      scheduler decision before the event executes — deterministic across
      PAR settings because the loop itself is single-threaded. *)
-  let now () = (!m).Metrics.steps in
+  let now () = !steps in
   let obs =
     match observe with
     | None -> None
@@ -456,12 +421,22 @@ let run ?(schedule = Scheduler.Best_case) ?(rv_period = 1) ?(batch_size = 1)
         }
   in
   let with_obs f = match obs with None -> () | Some o -> f o in
+  (* Close the span an in-flight message opened, matched by its protocol
+     id, and add its duration to [hist]. A duplicate finds the span
+     already closed and is ignored. *)
+  let close_matched o spans key hist t =
+    match Hashtbl.find_opt spans key with
+    | None -> ()
+    | Some sp -> (
+      Hashtbl.remove spans key;
+      match Observe.Collector.close_span o.oc sp ~now:t with
+      | Some sp -> Metrics.hist_add hist (Observe.Span.duration sp)
+      | None -> ())
+  in
   (* The view/algorithm labels of a query gid, looked up while the
      warehouse still routes it. *)
   let gid_labels gid =
-    match Warehouse.gid_view warehouse gid with
-    | Some (view, algo) -> (view, algo)
-    | None -> ("", "")
+    Option.value ~default:("", "") (Warehouse.gid_view warehouse gid)
   in
   (* Sample the per-view staleness gauge: ticks since the warehouse's
      materialization last equalled the centralized oracle state. Sampled
@@ -506,16 +481,17 @@ let run ?(schedule = Scheduler.Best_case) ?(rv_period = 1) ?(batch_size = 1)
   let ship_queries queries =
     List.iter
       (fun (gid, q) ->
-        let i = site_of_query q in
+        let i =
+          if n = 1 then 0
+          else
+            match R.Query.base_relations q with
+            | rel :: _ -> site_of rel
+            | [] -> 0  (* all-literal queries can go anywhere; pick the first *)
+        in
         let msg = Messaging.Message.Query { id = gid; query = q } in
         Log.debug (fun f -> f "ship %a" Messaging.Message.pp msg);
-        bump (fun m ->
-            {
-              m with
-              Metrics.queries_sent = m.Metrics.queries_sent + 1;
-              query_bytes =
-                m.Metrics.query_bytes + Messaging.Message.byte_size msg;
-            });
+        incr queries_sent;
+        query_bytes := !query_bytes + Messaging.Message.byte_size msg;
         with_obs (fun o ->
             (* Open for the whole round trip: this is the query's
                residency in the algorithm's unanswered-query set. *)
@@ -524,21 +500,19 @@ let run ?(schedule = Scheduler.Best_case) ?(rv_period = 1) ?(batch_size = 1)
               Observe.Collector.open_span o.oc Observe.Span.Query_send ~view
                 ~algo ~site:sites.(i).spec_name ~ids:[ gid ] ~now:(now ()) ()
             in
-            Hashtbl.replace o.query_spans gid (sp, i));
+            Hashtbl.replace o.query_spans gid sp);
         Messaging.Network.send sites.(i).net Messaging.Network.To_source msg;
         refresh_edge i)
       queries
   in
-  let ddl_applied = ref 0 in
-  let refresh_queries = ref 0 in
-  (* One atomic source event for a schema change: apply it to the base
-     relations, rewrite the oracle's definitions of every affected view
-     (their delta programs are restaged on next use), and notify the
-     warehouse with a [Ddl_note] on the owning edge. On a FIFO edge the
-     note precedes every later message, so the warehouse always rebuilds
-     before any tombstone answer arrives — the order raw faulty channels
-     may break. *)
-  let apply_ddl_at_source i (d : R.Update.ddl) =
+  (* A schema change at source [i]: apply it to the base relations,
+     rewrite the oracle's definitions of every affected view (their delta
+     programs are restaged on next use), and notify the warehouse with a
+     [Ddl_note] on the owning edge. On a FIFO edge the note precedes
+     every later message, so the warehouse always rebuilds before any
+     tombstone answer arrives — the order raw faulty channels may
+     break. *)
+  let source_ddl i (d : R.Update.ddl) =
     (try
        Source_site.Source.execute_ddl sites.(i).source d;
        for vi = 0 to nviews - 1 do
@@ -551,7 +525,7 @@ let run ?(schedule = Scheduler.Best_case) ?(rv_period = 1) ?(batch_size = 1)
            snap.(vi) <- snapshot_view vi
          end
        done
-     with R.Evolve.Evolve_error msg ->
+     with R.Evolve.Evolve_error msg | R.Db.Db_error msg ->
        error "schema change %s rejected: %s" (R.Update.ddl_to_string d) msg);
     R.Delta_program.clear_cache ();
     incr ddl_applied;
@@ -565,126 +539,112 @@ let run ?(schedule = Scheduler.Best_case) ?(rv_period = 1) ?(batch_size = 1)
     Messaging.Network.send sites.(i).net Messaging.Network.To_warehouse msg;
     with_obs (fun o -> sample_staleness o);
     Trace.record trace
-      (Trace.Source_ddl { ddl = d; source_views = !affected });
-    i
+      (Trace.Source_ddl { ddl = d; source_views = !affected })
   in
-  let apply_update () =
-    (* One atomic source event: execute up to [batch_size] consecutive
-       updates of one source, then notify the warehouse once. A batch
-       never spans sources — each notification travels one edge. A
-       schema change is always its own event: it never batches or
-       coalesces with DML. *)
-    match !pending with
-    | [] -> raise (Engine_error "apply_update with empty workload")
-    | `D d :: rest ->
-      pending := rest;
-      apply_ddl_at_source (site_of_ddl d) d
-    | `U first :: _ ->
-      let i = site_of_update first in
-      let rec take k acc =
-        if k = 0 then List.rev acc
-        else
-          match !pending with
-          | `U u :: rest when site_of_update u = i ->
-            pending := rest;
-            incr next_seq;
-            let u =
-              if u.R.Update.seq = 0 then R.Update.with_seq !next_seq u else u
-            in
-            take (k - 1) (u :: acc)
-          | _ -> List.rev acc
-      in
-      let batch = take batch_size [] in
-      (* Per-edge coalescing: keep absorbing consecutive updates of the
-         same relation and kind past [batch_size] — one update-class run
-         that ships as a single [Batch_note] and flows down the compiled
-         [apply_batch] path at warehouse, replica and oracle alike,
-         instead of one wire message per update. Only exact same-class
-         neighbors coalesce, so the notification's event semantics (one
-         atomic batch at one source) are unchanged. *)
-      let batch =
-        if not coalesce then batch
-        else
-          match List.rev batch with
-          | [] -> batch
-          | last :: _ ->
-            let rec extend (prev : R.Update.t) acc =
-              match !pending with
-              | `U u :: rest
-                when site_of_update u = i
-                     && String.equal u.R.Update.rel prev.R.Update.rel
-                     && u.R.Update.kind = prev.R.Update.kind ->
-                pending := rest;
-                incr next_seq;
-                let u =
-                  if u.R.Update.seq = 0 then R.Update.with_seq !next_seq u
-                  else u
-                in
-                extend u (u :: acc)
-              | _ -> List.rev acc
-            in
-            let extras = extend last [] in
-            if extras <> [] then begin
-              coalesced_notes := !coalesced_notes + List.length extras;
-              incr coalesced_batches
-            end;
-            batch @ extras
-      in
-      (* Execute each update-class run, then advance every snapshot once
-         per run through its staged program. *)
-      List.iter
-        (fun run ->
-          List.iter
-            (fun u -> Source_site.Source.execute_update sites.(i).source u)
-            run;
-          advance_snapshots_run i run)
-        (R.Delta_program.runs batch);
-      if windows <> [] then
+  (* The updates of one source event, taken off [pending] and numbered:
+     up to [batch_size] consecutive updates of source [i] (a batch never
+     spans sources), then with [coalesce] every further consecutive update
+     of the same relation and kind — one update-class run that ships as a
+     single [Batch_note] down the compiled [apply_batch] path. Only exact
+     same-class neighbors coalesce, so the notification's event semantics
+     (one atomic batch at one source) are unchanged. *)
+  let take_batch i first =
+    let rec absorb k (prev : R.Update.t) acc =
+      match !pending with
+      | `U (u : R.Update.t) :: rest
+        when site_of u.R.Update.rel = i
+             && (k < batch_size
+                || coalesce
+                   && String.equal u.R.Update.rel prev.R.Update.rel
+                   && u.R.Update.kind = prev.R.Update.kind) ->
+        pending := rest;
+        if k >= batch_size then begin
+          if k = batch_size then incr coalesced_batches;
+          incr coalesced_notes
+        end;
+        incr next_seq;
+        let u =
+          if u.R.Update.seq = 0 then R.Update.with_seq !next_seq u else u
+        in
+        absorb (k + 1) u (u :: acc)
+      | _ -> List.rev acc
+    in
+    absorb 0 first []
+  in
+  (* A DML event at source [i]: execute the batch one update-class run at
+     a time, advancing every snapshot once per run, then notify the
+     warehouse once. An update the source rejects aborts the run. *)
+  let source_batch i first =
+    let batch = take_batch i first in
+    let st = sites.(i) in
+    List.iter
+      (fun run ->
         List.iter
-          (fun u -> Hashtbl.iter (fun _ st -> Window.observe_update st u) oracle_win)
-          batch;
-      let note =
-        match batch with
-        | [ u ] -> Messaging.Message.Update_note u
-        | us -> Messaging.Message.Batch_note us
-      in
-      Messaging.Network.send sites.(i).net Messaging.Network.To_warehouse note;
-      bump (fun m ->
-          { m with Metrics.updates = m.Metrics.updates + List.length batch });
-      with_obs (fun o ->
-          let seqs = List.map (fun u -> u.R.Update.seq) batch in
-          let site = sites.(i).spec_name in
-          Observe.Collector.instant o.oc Observe.Span.Source_apply ~site
-            ~ids:seqs ~now:(now ()) ();
-          (* The notification's flight, matched at the warehouse by the
-             batch's first update seq. *)
-          let sp =
-            Observe.Collector.open_span o.oc Observe.Span.Update_note ~site
-              ~ids:seqs ~now:(now ()) ()
-          in
-          (match seqs with
-          | s :: _ -> Hashtbl.replace o.note_spans (i, s) sp
-          | [] -> ());
-          sample_staleness o);
-      Trace.record trace
-        (Trace.Source_update
-           { updates = batch; source_views = affected_views i });
-      i
+          (fun u ->
+            try Source_site.Source.execute_update st.source u
+            with R.Db.Db_error msg | R.Schema.Schema_error msg ->
+              error "site %s rejected update %s: %s" st.spec_name
+                (R.Update.to_string u) msg)
+          run;
+        advance_snapshots_run i run)
+      (R.Delta_program.runs batch);
+    if windows <> [] then
+      List.iter
+        (fun u -> Hashtbl.iter (fun _ w -> Window.observe_update w u) oracle_win)
+        batch;
+    let note =
+      match batch with
+      | [ u ] -> Messaging.Message.Update_note u
+      | us -> Messaging.Message.Batch_note us
+    in
+    Messaging.Network.send st.net Messaging.Network.To_warehouse note;
+    executed := !executed + List.length batch;
+    with_obs (fun o ->
+        let seqs = List.map (fun u -> u.R.Update.seq) batch in
+        let site = st.spec_name in
+        Observe.Collector.instant o.oc Observe.Span.Source_apply ~site
+          ~ids:seqs ~now:(now ()) ();
+        (* The notification's flight, matched at the warehouse by the
+           batch's first update seq. *)
+        let sp =
+          Observe.Collector.open_span o.oc Observe.Span.Update_note ~site
+            ~ids:seqs ~now:(now ()) ()
+        in
+        (match seqs with
+        | s :: _ -> Hashtbl.replace o.note_spans (i, s) sp
+        | [] -> ());
+        sample_staleness o);
+    Trace.record trace
+      (Trace.Source_update { updates = batch; source_views = affected_views i })
   in
+  (* Handler of a source event: the next workload item's source executes
+     it atomically — a schema change always alone, never batched or
+     coalesced with DML. *)
+  let source_event () =
+    match !pending with
+    | [] -> raise (Engine_error "source event with an empty workload")
+    | item :: rest ->
+      let i = site_of_item item in
+      (match item with
+      | `D d ->
+        pending := rest;
+        source_ddl i d
+      | `U u -> source_batch i u);
+      refresh_edge i;
+      refresh_update ()
+  in
+  (* Handler of a source receive: answer one query against the source's
+     current state and send the answer back on the same edge. *)
   let source_receive i =
-    match
-      Messaging.Network.receive sites.(i).net Messaging.Network.To_source
-    with
+    (match
+       Messaging.Network.receive sites.(i).net Messaging.Network.To_source
+     with
     | None -> raise (Engine_error "source_receive on empty channel")
     | Some (Messaging.Message.Query { id; query }) ->
       let answer, cost =
         Source_site.Source.answer_query sites.(i).source ~id query
       in
-      bump (fun m ->
-          {
-            m with
-            Metrics.source_io = m.Metrics.source_io + cost.Storage.Cost.io;
-          });
+      source_io := !source_io + cost.Storage.Cost.io;
       with_obs (fun o ->
           let view, algo = gid_labels id in
           let sp =
@@ -695,16 +655,12 @@ let run ?(schedule = Scheduler.Best_case) ?(rv_period = 1) ?(batch_size = 1)
       Messaging.Network.send sites.(i).net Messaging.Network.To_warehouse
         (Messaging.Message.Answer { id; answer; cost });
       Trace.record trace (Trace.Source_answer { gid = id; answer; cost })
-    | Some
-        ( Messaging.Message.Update_note _ | Messaging.Message.Batch_note _
-        | Messaging.Message.Answer _ | Messaging.Message.Ddl_note _
-        | Messaging.Message.Data _ | Messaging.Message.Ack _ ) ->
-      raise (Engine_error "source received a non-query message")
+    | Some _ -> raise (Engine_error "source received a non-query message"));
+    refresh_edge i
   in
   let algo_of_view name =
-    match List.assoc_opt name (Warehouse.algorithms warehouse) with
-    | Some a -> a
-    | None -> ""
+    Option.value ~default:""
+      (List.assoc_opt name (Warehouse.algorithms warehouse))
   in
   (* The warehouse's rebuild callback for one schema change: rewrite the
      hosted definition and swap in an online-refreshing ECA instance
@@ -733,306 +689,242 @@ let run ?(schedule = Scheduler.Best_case) ?(rv_period = 1) ?(batch_size = 1)
      derive one Compensation event per query still outstanding — those
      are exactly the in-flight queries the algorithm must offset against
      this update (Section 4's compensation). *)
-  let obs_note_arrival o i t seqs =
-    (match seqs with
-    | s :: _ -> (
-      match Hashtbl.find_opt o.note_spans (i, s) with
-      | Some sp ->
-        Hashtbl.remove o.note_spans (i, s);
-        (match Observe.Collector.close_span o.oc sp ~now:t with
-        | Some sp ->
-          Metrics.hist_add o.edge_hist.(i) (Observe.Span.duration sp)
-        | None -> ())
-      | None -> ())
-    | [] -> ());
-    let outstanding =
-      List.sort Int.compare
-        (Hashtbl.fold (fun gid _ acc -> gid :: acc) o.query_spans [])
-    in
-    List.iter
-      (fun gid ->
-        o.compensations <- o.compensations + 1;
-        let view, algo = gid_labels gid in
-        Observe.Collector.instant o.oc Observe.Span.Compensation ~view ~algo
-          ~site:sites.(i).spec_name
-          ~ids:(gid :: (match seqs with s :: _ -> [ s ] | [] -> []))
-          ~now:t ())
-      outstanding
+  let obs_note_arrival o i t (us : R.Update.t list) =
+    match us with
+    | [] -> ()
+    | { R.Update.seq; _ } :: _ ->
+      close_matched o o.note_spans (i, seq) o.edge_hist.(i) t;
+      List.iter
+        (fun gid ->
+          o.compensations <- o.compensations + 1;
+          let view, algo = gid_labels gid in
+          Observe.Collector.instant o.oc Observe.Span.Compensation ~view ~algo
+            ~site:sites.(i).spec_name ~ids:[ gid; seq ] ~now:t ())
+        (List.sort Int.compare
+           (Hashtbl.fold (fun gid _ acc -> gid :: acc) o.query_spans []))
   in
-  (* Installs flush a view's parked answers: close its open
-     Collect_install span and reset the depth. *)
-  let obs_handle_installs o t installs =
-    List.iter
-      (fun (name, states) ->
-        o.collect_installs <- o.collect_installs + List.length states;
-        match List.assoc_opt name o.per_view with
-        | Some ov -> (
-          match ov.ov_collect_span with
-          | Some sp ->
-            ignore (Observe.Collector.close_span o.oc sp ~now:t);
-            ov.ov_collect_span <- None;
-            ov.ov_collect_depth <- 0
-          | None -> ())
-        | None -> ())
-      installs
-  in
-  let warehouse_receive i =
-    match
-      Messaging.Network.receive sites.(i).net Messaging.Network.To_warehouse
-    with
-    | None -> raise (Engine_error "warehouse_receive on empty channel")
-    | Some msg ->
-      (match msg with
-       | Messaging.Message.Answer { cost; _ } ->
-         bump (fun m ->
-             {
-               m with
-               Metrics.answers_received = m.Metrics.answers_received + 1;
-               answer_tuples =
-                 m.Metrics.answer_tuples + cost.Storage.Cost.answer_tuples;
-               answer_bytes =
-                 m.Metrics.answer_bytes + cost.Storage.Cost.answer_bytes;
-             })
-       | _ -> ());
-      (* The owning view of an incoming answer, read before
-         [handle_message] consumes the gid's route. *)
-      let answer_view =
-        match (obs, msg) with
-        | Some _, Messaging.Message.Answer { id; _ } -> (
-          match Warehouse.gid_view warehouse id with
-          | Some (view, _) -> Some view
-          | None -> None)
-        | _ -> None
-      in
-      with_obs (fun o ->
-          let t = now () in
-          match msg with
-          | Messaging.Message.Update_note u ->
-            obs_note_arrival o i t [ u.R.Update.seq ]
-          | Messaging.Message.Batch_note us ->
-            obs_note_arrival o i t (List.map (fun u -> u.R.Update.seq) us)
-          | Messaging.Message.Answer { id; _ } -> (
-            match Hashtbl.find_opt o.answer_spans id with
-            | Some sp ->
-              Hashtbl.remove o.answer_spans id;
-              (match Observe.Collector.close_span o.oc sp ~now:t with
-              | Some sp ->
-                Metrics.hist_add o.edge_hist.(i) (Observe.Span.duration sp)
-              | None -> ())
-            | None -> ())
-          | _ -> ());
-      let reaction, ddl_rebuilt =
-        match msg with
-        | Messaging.Message.Ddl_note d ->
-          let reaction, rebuilt =
-            Warehouse.apply_ddl warehouse d ~rebuild:(rebuild_view d)
-          in
-          refresh_queries :=
-            !refresh_queries + List.length reaction.Warehouse.queries;
-          (reaction, rebuilt)
-        | _ -> (Warehouse.handle_message warehouse msg, [])
-      in
-      ship_queries reaction.Warehouse.queries;
-      watch_installs reaction.Warehouse.installs;
-      with_obs (fun o ->
-          let t = now () in
-          (* The answer has been processed: its query's UQS residency
-             ends here, whether the result installed or parked. *)
-          (match msg with
-          | Messaging.Message.Answer { id; _ } -> (
-            match Hashtbl.find_opt o.query_spans id with
-            | Some (sp, _) ->
-              Hashtbl.remove o.query_spans id;
-              (match Observe.Collector.close_span o.oc sp ~now:t with
-              | Some sp ->
-                Metrics.hist_add o.uqs_hist (Observe.Span.duration sp)
-              | None -> ())
-            | None -> ())
-          | _ -> ());
-          obs_handle_installs o t reaction.Warehouse.installs;
-          (* An answer that installed nothing parked in COLLECT. *)
-          (match (msg, answer_view) with
-          | Messaging.Message.Answer _, Some name
-            when not (List.mem_assoc name reaction.Warehouse.installs) -> (
+  (* The bookkeeping both warehouse events share — a received message
+     and a quiescence probe: ship the reaction's queries, watch its
+     installs, then observe. [answer] is the gid of a processed answer
+     with its owning view when observed: the query's UQS residency ends
+     here, and if the view installed nothing the answer parked in
+     COLLECT. Installs flush a view's parked answers: its open
+     Collect_install span closes and the depth resets. *)
+  let after_reaction ?answer ?(probe = false) (r : Warehouse.reaction) =
+    ship_queries r.Warehouse.queries;
+    watch_installs r.Warehouse.installs;
+    with_obs (fun o ->
+        let t = now () in
+        (match answer with
+        | Some (gid, _) -> close_matched o o.query_spans gid o.uqs_hist t
+        | None -> ());
+        List.iter
+          (fun (name, states) ->
+            o.collect_installs <- o.collect_installs + List.length states;
             match List.assoc_opt name o.per_view with
-            | Some ov ->
+            | Some ({ ov_collect_span = Some sp; _ } as ov) ->
+              ignore (Observe.Collector.close_span o.oc sp ~now:t);
+              ov.ov_collect_span <- None;
+              ov.ov_collect_depth <- 0
+            | _ -> ())
+          r.Warehouse.installs;
+        (match answer with
+        | Some (_, Some name)
+          when not (List.mem_assoc name r.Warehouse.installs) ->
+          Option.iter
+            (fun ov ->
               ov.ov_collect_depth <- ov.ov_collect_depth + 1;
               if ov.ov_collect_depth > o.collect_depth_max then
                 o.collect_depth_max <- ov.ov_collect_depth;
-              (match ov.ov_collect_span with
-              | Some _ -> ()
-              | None ->
+              if ov.ov_collect_span = None then
                 ov.ov_collect_span <-
                   Some
                     (Observe.Collector.open_span o.oc
                        Observe.Span.Collect_install ~view:name
                        ~algo:(algo_of_view name) ~site:"warehouse" ~ids:[]
                        ~now:t ()))
-            | None -> ())
-          | _ -> ());
-          sample_staleness o);
-      (match msg with
-       | Messaging.Message.Update_note u ->
-         Trace.record trace
-           (Trace.Warehouse_note
-              {
-                updates = [ u ];
-                queries = reaction.Warehouse.queries;
-                installs = reaction.Warehouse.installs;
-              })
-       | Messaging.Message.Batch_note us ->
-         Trace.record trace
-           (Trace.Warehouse_note
-              {
-                updates = us;
-                queries = reaction.Warehouse.queries;
-                installs = reaction.Warehouse.installs;
-              })
-       | Messaging.Message.Answer { id; _ } ->
-         Trace.record trace
-           (Trace.Warehouse_answer
-              { gid = id; installs = reaction.Warehouse.installs })
-       | Messaging.Message.Ddl_note d ->
-         Trace.record trace
-           (Trace.Warehouse_ddl
-              {
-                ddl = d;
-                rebuilt = ddl_rebuilt;
-                queries = reaction.Warehouse.queries;
-                installs = reaction.Warehouse.installs;
-              })
-       | Messaging.Message.Query _ | Messaging.Message.Data _
-       | Messaging.Message.Ack _ ->
-         (* Misrouted: the warehouse recorded it as an anomaly and
-            produced no reaction — nothing to trace. *)
-         ())
+            (List.assoc_opt name o.per_view)
+        | _ -> ());
+        if probe then
+          Observe.Collector.instant o.oc Observe.Span.Quiescence
+            ~site:"warehouse" ~ids:[] ~now:t ();
+        sample_staleness ~quiesce:probe o)
   in
-  let ticks = ref 0 in
+  let note us (r : Warehouse.reaction) =
+    Trace.record trace
+      (Trace.Warehouse_note
+         {
+           updates = us;
+           queries = r.Warehouse.queries;
+           installs = r.Warehouse.installs;
+         });
+    (r, None)
+  in
+  (* Handler of a warehouse receive: one dispatch on the message kind.
+     Each kind's arrival is observed, handled and traced; the reaction's
+     shared bookkeeping follows. *)
+  let warehouse_receive i =
+    let t = now () in
+    let reaction, answer =
+      match
+        Messaging.Network.receive sites.(i).net Messaging.Network.To_warehouse
+      with
+      | None -> raise (Engine_error "warehouse_receive on empty channel")
+      | Some (Messaging.Message.Update_note u) ->
+        with_obs (fun o -> obs_note_arrival o i t [ u ]);
+        note [ u ] (Warehouse.handle_update warehouse u)
+      | Some (Messaging.Message.Batch_note us) ->
+        with_obs (fun o -> obs_note_arrival o i t us);
+        note us (Warehouse.handle_batch warehouse us)
+      | Some (Messaging.Message.Answer { id; answer; cost }) ->
+        incr answers_received;
+        answer_tuples := !answer_tuples + cost.Storage.Cost.answer_tuples;
+        answer_bytes := !answer_bytes + cost.Storage.Cost.answer_bytes;
+        (* The owning view, read before [handle_answer] consumes the
+           gid's route. *)
+        let view =
+          match obs with
+          | None -> None
+          | Some o ->
+            close_matched o o.answer_spans id o.edge_hist.(i) t;
+            Option.map fst (Warehouse.gid_view warehouse id)
+        in
+        let r = Warehouse.handle_answer warehouse ~gid:id answer in
+        Trace.record trace
+          (Trace.Warehouse_answer { gid = id; installs = r.Warehouse.installs });
+        (r, Some (id, view))
+      | Some (Messaging.Message.Ddl_note d) ->
+        let r, rebuilt =
+          Warehouse.apply_ddl warehouse d ~rebuild:(rebuild_view d)
+        in
+        refresh_queries := !refresh_queries + List.length r.Warehouse.queries;
+        Trace.record trace
+          (Trace.Warehouse_ddl
+             {
+               ddl = d;
+               rebuilt;
+               queries = r.Warehouse.queries;
+               installs = r.Warehouse.installs;
+             });
+        (r, None)
+      | Some
+          (( Messaging.Message.Query _ | Messaging.Message.Data _
+           | Messaging.Message.Ack _ ) as msg) ->
+        (* Misrouted: the warehouse records an anomaly and produces no
+           reaction — nothing to trace. *)
+        (Warehouse.handle_message warehouse msg, None)
+    in
+    after_reaction ?answer reaction;
+    (* [ship_queries] already refreshed the edges it sent on; this
+       edge's receive side changed too. *)
+    refresh_edge i
+  in
+  (* Handler of a transport tick: messages are in flight but none is
+     deliverable — delayed transmissions ripening, or reliability-layer
+     frames awaiting acks/retransmission. Advance the transport clock of
+     every busy edge one tick; the tick is a scheduler decision, so
+     faulty runs stay deterministic. Idle edges are left alone: their
+     clocks only matter relative to their own traffic — and the walk
+     visits only the active set, not all N sites. *)
+  let tick () =
+    Scheduler.Iset.iter
+      (fun i ->
+        let st = sites.(i) in
+        Messaging.Network.tick st.net;
+        st.ticks <- st.ticks + 1;
+        refresh_edge i)
+      !active;
+    incr ticks
+  in
+  (* Handler of a quiescence probe on the drained graph (where RV flushes
+     a partial period). True when the probe produced new work. *)
+  let quiescence_probe () =
+    let r = Warehouse.quiesce warehouse in
+    after_reaction ~probe:true r;
+    let more = r.Warehouse.queries <> [] || r.Warehouse.installs <> [] in
+    if more then
+      Trace.record trace
+        (Trace.Quiesce_probe
+           { queries = r.Warehouse.queries; installs = r.Warehouse.installs });
+    more
+  in
   refresh_update ();
   let rec loop () =
-    bump (fun m -> { m with Metrics.steps = m.Metrics.steps + 1 });
-    if (!m).Metrics.steps > max_steps then
+    incr steps;
+    if !steps > max_steps then
       raise (Engine_error "simulation exceeded max_steps");
     match Scheduler.pick_ready sched ready with
     | Some Scheduler.Apply ->
-      let i = apply_update () in
-      refresh_edge i;
-      refresh_update ();
+      source_event ();
       loop ()
     | Some (Scheduler.Site_source i) ->
       source_receive i;
-      refresh_edge i;
       loop ()
     | Some (Scheduler.Site_warehouse i) ->
       warehouse_receive i;
-      (* [ship_queries] inside already refreshed the edges it sent on;
-         this edge's receive side changed too. *)
-      refresh_edge i;
       loop ()
-    | None ->
-      if not (Scheduler.Iset.is_empty !active) then begin
-        (* Messages are in flight but not yet deliverable — delayed
-           transmissions ripening, or reliability-layer frames awaiting
-           acks/retransmission. Advance the transport clock of every busy
-           edge one tick and re-examine; the tick is a scheduler decision,
-           so faulty runs stay deterministic. Idle edges are left alone:
-           their clocks only matter relative to their own traffic — and
-           the walk visits only the active set, not all N sites. *)
-        Scheduler.Iset.iter
-          (fun i ->
-            let st = sites.(i) in
-            Messaging.Network.tick st.net;
-            st.ticks <- st.ticks + 1;
-            refresh_edge i)
-          !active;
-        incr ticks;
-        loop ()
-      end
-      else begin
-        let reaction = Warehouse.quiesce warehouse in
-        ship_queries reaction.Warehouse.queries;
-        watch_installs reaction.Warehouse.installs;
-        with_obs (fun o ->
-            let t = now () in
-            obs_handle_installs o t reaction.Warehouse.installs;
-            Observe.Collector.instant o.oc Observe.Span.Quiescence
-              ~site:"warehouse" ~ids:[] ~now:t ();
-            sample_staleness ~quiesce:true o);
-        if
-          reaction.Warehouse.queries <> [] || reaction.Warehouse.installs <> []
-        then begin
-          Trace.record trace
-            (Trace.Quiesce_probe
-               {
-                 queries = reaction.Warehouse.queries;
-                 installs = reaction.Warehouse.installs;
-               });
-          loop ()
-        end
-      end
+    | None when not (Scheduler.Iset.is_empty !active) ->
+      tick ();
+      loop ()
+    | None -> if quiescence_probe () then loop ()
   in
   loop ();
-  (match obs with
-  | None -> ()
-  | Some o ->
-    (* Spans whose closing message was lost forever on a raw faulty edge
-       never terminate on their own — force-close them so every trace is
-       well-formed, and count them as lost frames. *)
-    Observe.Collector.close_all o.oc ~now:(now ());
-    let summary =
-      {
-        Metrics.spans = Observe.Collector.spans_recorded o.oc;
-        span_dropped = Observe.Collector.dropped o.oc;
-        span_forced = Observe.Collector.forced_closes o.oc;
-        gauges = Observe.Collector.gauges_recorded o.oc;
-        compensations = o.compensations;
-        collect_installs = o.collect_installs;
-        collect_depth_max = o.collect_depth_max;
-        uqs_residency = o.uqs_hist;
-        edge_latency =
-          Array.to_list
-            (Array.mapi (fun i h -> (sites.(i).spec_name, h)) o.edge_hist);
-        staleness =
-          List.map
-            (fun (name, ov) ->
-              ( name,
-                {
-                  Metrics.stale_samples = ov.ov_samples;
-                  stale_max = ov.ov_max;
-                  stale_mean =
-                    (if ov.ov_samples = 0 then 0.0
-                     else float_of_int ov.ov_sum /. float_of_int ov.ov_samples);
-                  stale_final = ov.ov_final;
-                  stale_quiesce_max = ov.ov_quiesce_max;
-                } ))
-            o.per_view;
-      }
-    in
-    bump (fun m -> { m with Metrics.observe = Some summary }));
+  (* Spans whose closing message was lost forever on a raw faulty edge
+     never terminate on their own — force-close them so every trace is
+     well-formed, and count them as lost frames. *)
+  let observe =
+    Option.map
+      (fun o ->
+        Observe.Collector.close_all o.oc ~now:(now ());
+        {
+          Metrics.spans = Observe.Collector.spans_recorded o.oc;
+          span_dropped = Observe.Collector.dropped o.oc;
+          span_forced = Observe.Collector.forced_closes o.oc;
+          gauges = Observe.Collector.gauges_recorded o.oc;
+          compensations = o.compensations;
+          collect_installs = o.collect_installs;
+          collect_depth_max = o.collect_depth_max;
+          uqs_residency = o.uqs_hist;
+          edge_latency =
+            Array.to_list
+              (Array.mapi (fun i h -> (sites.(i).spec_name, h)) o.edge_hist);
+          staleness =
+            List.map
+              (fun (name, ov) ->
+                ( name,
+                  {
+                    Metrics.stale_samples = ov.ov_samples;
+                    stale_max = ov.ov_max;
+                    stale_mean =
+                      (if ov.ov_samples = 0 then 0.0
+                       else float_of_int ov.ov_sum /. float_of_int ov.ov_samples);
+                    stale_final = ov.ov_final;
+                    stale_quiesce_max = ov.ov_quiesce_max;
+                  } ))
+              o.per_view;
+        })
+      obs
+  in
   let site_delivery =
     Array.to_list
       (Array.map
          (fun st ->
-           let d =
+           let rel f =
              match Messaging.Network.reliability st.net with
-             | Some s ->
-               {
-                 Metrics.no_delivery with
-                 Metrics.retransmits = s.Messaging.Reliable.retransmits;
-                 dups_dropped = s.Messaging.Reliable.dups_dropped;
-                 acks = s.Messaging.Reliable.acks_sent;
-                 delivered = s.Messaging.Reliable.delivered;
-                 latency_total = s.Messaging.Reliable.latency_total;
-                 latency_max = s.Messaging.Reliable.latency_max;
-               }
-             | None -> Metrics.no_delivery
+             | Some s -> f s
+             | None -> 0
            in
            ( st.spec_name,
              {
-               d with
                Metrics.ticks = st.ticks;
+               retransmits = rel (fun s -> s.Messaging.Reliable.retransmits);
+               dups_dropped = rel (fun s -> s.Messaging.Reliable.dups_dropped);
+               acks = rel (fun s -> s.Messaging.Reliable.acks_sent);
                msgs_dropped = Messaging.Network.total_dropped st.net;
                msgs_duplicated = Messaging.Network.total_duplicated st.net;
+               delivered = rel (fun s -> s.Messaging.Reliable.delivered);
+               latency_total = rel (fun s -> s.Messaging.Reliable.latency_total);
+               latency_max = rel (fun s -> s.Messaging.Reliable.latency_max);
                wire_messages = Messaging.Network.total_messages st.net;
                wire_bytes = Messaging.Network.total_bytes st.net;
              } ))
@@ -1047,63 +939,66 @@ let run ?(schedule = Scheduler.Best_case) ?(rv_period = 1) ?(batch_size = 1)
       Metrics.ticks = !ticks;
     }
   in
-  bump (fun m -> { m with Metrics.delivery; site_delivery });
-  if share_deltas then begin
-    let shared_evaluated, shared_hits, shared_fanout =
-      Warehouse.shared_counters warehouse
-    in
-    bump (fun m ->
+  let shared =
+    if not share_deltas then None
+    else
+      let shared_evaluated, shared_hits, shared_fanout =
+        Warehouse.shared_counters warehouse
+      in
+      Some { Metrics.shared_evaluated; shared_hits; shared_fanout }
+  in
+  let evolution =
+    if !ddl_applied = 0 && windows = [] then None
+    else
+      let views_rebuilt, retired_answers =
+        Warehouse.evolution_counters warehouse
+      in
+      let win_pruned_terms, win_local_answers, win_aged_partitions =
+        Option.value ~default:(0, 0, 0) (Warehouse.window_counters warehouse)
+      in
+      Some
         {
-          m with
-          Metrics.shared =
-            Some { Metrics.shared_evaluated; shared_hits; shared_fanout };
-        })
-  end;
-  if track_scale then
-    bump (fun m ->
-        {
-          m with
-          Metrics.scale =
-            Some
-              {
-                Metrics.inflight_max = !inflight_max;
-                coalesced_notes = !coalesced_notes;
-                coalesced_batches = !coalesced_batches;
-                active_max = !active_max;
-              };
-        });
-  (match Warehouse.selfmaint_counters warehouse with
-  | None -> ()
-  | Some sm -> bump (fun m -> { m with Metrics.selfmaint = Some sm }));
-  if !ddl_applied > 0 || windows <> [] then begin
-    let views_rebuilt, retired_answers =
-      Warehouse.evolution_counters warehouse
-    in
-    let stale_answers =
-      Array.fold_left
-        (fun acc st -> acc + Source_site.Source.stale_answers st.source)
-        0 sites
-    in
-    let win_pruned_terms, win_local_answers, win_aged_partitions =
-      Option.value ~default:(0, 0, 0) (Warehouse.window_counters warehouse)
-    in
-    bump (fun m ->
-        {
-          m with
-          Metrics.evolution =
-            Some
-              {
-                Metrics.ddl_applied = !ddl_applied;
-                views_rebuilt;
-                refresh_queries = !refresh_queries;
-                stale_answers;
-                retired_answers;
-                win_pruned_terms;
-                win_local_answers;
-                win_aged_partitions;
-              };
-        })
-  end;
+          Metrics.ddl_applied = !ddl_applied;
+          views_rebuilt;
+          refresh_queries = !refresh_queries;
+          stale_answers =
+            Array.fold_left
+              (fun acc st -> acc + Source_site.Source.stale_answers st.source)
+              0 sites;
+          retired_answers;
+          win_pruned_terms;
+          win_local_answers;
+          win_aged_partitions;
+        }
+  in
+  let metrics =
+    {
+      Metrics.updates = !executed;
+      queries_sent = !queries_sent;
+      answers_received = !answers_received;
+      answer_tuples = !answer_tuples;
+      answer_bytes = !answer_bytes;
+      query_bytes = !query_bytes;
+      source_io = !source_io;
+      steps = !steps;
+      delivery;
+      site_delivery;
+      observe;
+      shared;
+      scale =
+        (if not track_scale then None
+         else
+           Some
+             {
+               Metrics.inflight_max = !inflight_max;
+               coalesced_notes = !coalesced_notes;
+               coalesced_batches = !coalesced_batches;
+               active_max = !active_max;
+             });
+      selfmaint = Warehouse.selfmaint_counters warehouse;
+      evolution;
+    }
+  in
   let reports =
     List.map
       (fun (name, (source_states, warehouse_states)) ->
@@ -1112,12 +1007,10 @@ let run ?(schedule = Scheduler.Best_case) ?(rv_period = 1) ?(batch_size = 1)
   in
   {
     trace;
-    metrics = !m;
+    metrics;
     reports;
     final_mvs = Warehouse.mvs warehouse;
-    final_source_views =
-      Array.to_list
-        (Array.mapi (fun vi _ -> (vname.(vi), oracle_view vi)) snap);
+    final_source_views = oracle_views ();
     negative_installs = List.rev !negative_installs;
     sources =
       Array.to_list (Array.map (fun st -> (st.spec_name, st.source)) sites);

@@ -5,14 +5,17 @@
     is connected by its own edge — a {!Messaging.Network} channel pair
     with its own optional fault profile, reliability sublayer and
     retransmit clock. One atomic-event loop generalizes the single-source
-    semantics of the paper: every iteration executes exactly one source
-    update (plus its notification), one query answered at a source, or
-    one message processed at the warehouse, under a {!Scheduler.policy}
-    multiplexing the enabled events across sites. When nothing is enabled
-    but messages are in flight, every busy edge's transport clock
-    advances one tick; when the graph is fully drained the warehouse gets
-    a quiescence probe (where RV flushes a partial period), and the run
-    ends when the probe produces no new work.
+    semantics of the paper: an iteration is one source event (an update,
+    a batch or a DDL, plus its notification), one query answered at a
+    source, one message processed at the warehouse, one tick or one
+    probe, under a {!Scheduler.policy} multiplexing the enabled events
+    across sites. When nothing is enabled but messages are in flight,
+    every busy edge's transport clock advances one tick; when the graph
+    is fully drained the warehouse gets a quiescence probe (where RV
+    flushes a partial period), and the run ends when the probe produces
+    no new work. The step limit counts every iteration, ticks and probes
+    included, so [metrics.steps] is the trace's entry count plus the
+    ticks plus the final probe.
 
     {!run} is the one entry point for every run: the paper's single
     source is the one-site graph [[site ~name:"source" db]], the
@@ -114,8 +117,10 @@ val run :
     [retransmit_timeout] is below 1, a relation is owned by two sources,
     a view uses an unowned relation or spans several sources without
     [~allow_cross_source], an update or query targets an unowned
-    relation, a protocol invariant breaks, or the run exceeds 2,000,000
-    engine steps.
+    relation, a source rejects an update (a delete of an absent tuple, a
+    wrong-arity insert, an insert into an unknown relation of a single
+    source, a key violation) or a schema change, a protocol invariant
+    breaks, or the run exceeds 2,000,000 engine steps.
 
     With [?observe] the loop additionally emits a typed span per atomic
     event into the collector — clocked by the deterministic step counter,

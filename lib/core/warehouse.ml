@@ -101,9 +101,6 @@ let of_creator ?share ?pool ~creator ~configs () =
   create ?share ?pool
     (List.map (fun cfg -> (cfg.Algorithm.Config.view, creator cfg)) configs)
 
-let views t =
-  Array.to_list (Array.map (fun h -> h.view) t.hosted)
-
 let mv t name =
   let rec find i =
     if i >= Array.length t.hosted then None
@@ -127,8 +124,6 @@ let algorithms t =
     (Array.map
        (fun h -> (h.view.R.Viewdef.name, h.inst.Algorithm.name))
        t.hosted)
-
-let sharing t = t.share
 
 let shared_counters t = (t.shared_evaluated, t.shared_hits, t.shared_fanout)
 

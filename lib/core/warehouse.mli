@@ -54,7 +54,6 @@ val of_creator :
 (** One creator for every view; per-view algorithm choice is the
     creator's business (see {!Catalog.creator}). *)
 
-val views : t -> R.Viewdef.t list
 val mv : t -> string -> R.Bag.t option
 val mvs : t -> (string * R.Bag.t) list
 
@@ -63,8 +62,6 @@ val quiescent : t -> bool
 
 val algorithms : t -> (string * string) list
 (** [(view name, algorithm name)] per hosted instance, in host order. *)
-
-val sharing : t -> bool
 
 val shared_counters : t -> int * int * int
 (** [(shared_evaluated, shared_hits, shared_fanout)]: shipped queries

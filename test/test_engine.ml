@@ -329,10 +329,10 @@ let chaos_without_reliable_still_breaks_federated_eca () =
    foreign exception from the scheduler, RV or the reliable sublayer. *)
 let invalid_inputs_raise_engine_error () =
   let db = db_of [ (r1, [ [ 1; 2 ] ]); (r2, [ [ 2; 3 ] ]) ] in
-  let run ?schedule ?rv_period ?(site = source db) algorithm () =
+  let run ?schedule ?rv_period ?(site = source db)
+      ?(updates = [ ins "r1" [ 4; 2 ] ]) algorithm () =
     E.run ?schedule ?rv_period ~creator:(Core.Registry.creator_exn algorithm)
-      ~sites:[ site ] ~views:[ vd (view_w ()) ] ~updates:[ ins "r1" [ 4; 2 ] ]
-      ()
+      ~sites:[ site ] ~views:[ vd (view_w ()) ] ~updates ()
   in
   let escapes (label, run) =
     match run () with
@@ -349,7 +349,89 @@ let invalid_inputs_raise_engine_error () =
          ("rv_period 0", run ~rv_period:0 "rv");
          ( "retransmit_timeout 0",
            run ~site:(source ~reliable:true ~retransmit_timeout:0 db) "eca" );
+         ("delete of an absent tuple", run ~updates:[ del "r1" [ 9; 9 ] ] "eca");
+         ("wrong-arity insert", run ~updates:[ ins "r1" [ 4; 2; 7 ] ] "eca");
+         ( "insert into an unknown relation",
+           run ~updates:[ ins "nope" [ 4; 2 ] ] "eca" );
        ])
+
+(* ------------------------------------------------------------------ *)
+(* One loop step is one atomic event                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* Every step of the event loop is one atomic event. A source event, a
+   source receive and a warehouse receive each record one trace entry; a
+   transport tick records none but counts in [delivery.ticks]; a
+   quiescence probe records one entry when it produces work and ends the
+   run otherwise. So steps = entries + ticks + 1, over every rung,
+   schedule, transport and batching mode, and across schema changes. *)
+let steps_are_atomic_events () =
+  let w = Workload.Scenarios.scaled ~n:6 () in
+  let views = List.map vd w.Workload.Scenarios.views in
+  let holds (r : E.result) =
+    let m = r.E.metrics in
+    m.Core.Metrics.steps
+    = List.length (Core.Trace.entries r.E.trace)
+      + m.Core.Metrics.delivery.Core.Metrics.ticks + 1
+  in
+  let cells =
+    List.concat_map
+      (fun algorithm ->
+        List.concat_map
+          (fun (sched, schedule) ->
+            List.concat_map
+              (fun (edge, fault, reliable) ->
+                List.map
+                  (fun (batching, batch_size, coalesce) ->
+                    ( String.concat "/" [ algorithm; sched; edge; batching ],
+                      (algorithm, schedule, fault, reliable, batch_size, coalesce)
+                    ))
+                  [ ("batch 1", 1, false); ("batch 3", 3, false);
+                    ("coalesce", 1, true) ])
+              (("none", None, false)
+              :: List.concat_map
+                   (fun (profile, fault) ->
+                     [ ("raw " ^ profile, Some fault, false);
+                       ("reliable " ^ profile, Some fault, true) ])
+                   Workload.Scenarios.fault_profiles))
+          [ ("best", S.Best_case); ("worst", S.Worst_case);
+            ("round-robin", S.Round_robin); ("random:7", S.Random 7);
+            ("random:31", S.Random 31) ])
+      [ "basic"; "eca"; "eca-key"; "eca-local"; "lca"; "rv"; "sc" ]
+  in
+  let swept =
+    par_map
+      (fun (label, (algorithm, schedule, fault, reliable, batch_size, coalesce)) ->
+        let r =
+          E.run ~schedule ~batch_size ~coalesce
+            ~creator:(Core.Registry.creator_exn algorithm)
+            ~sites:
+              (sites_of ?fault ~fault_seed:3 ~reliable
+                 w.Workload.Scenarios.sources)
+            ~views ~updates:w.Workload.Scenarios.updates ()
+        in
+        if holds r then None else Some label)
+      cells
+  in
+  let evolving =
+    List.filter_map
+      (fun seed ->
+        let { Workload.Scenarios.db; view; updates; ddls } =
+          Workload.Scenarios.evolution
+            (Workload.Spec.make ~c:8 ~j:2 ~k_updates:16 ~insert_ratio:0.6
+               ~seed ())
+        in
+        let r =
+          E.run ~schedule:(S.Random seed) ~evolution:ddls
+            ~creator:(Core.Registry.creator_exn "eca")
+            ~sites:[ source db ] ~views:[ vd view ] ~updates ()
+        in
+        if holds r then None else Some (Printf.sprintf "evolution seed %d" seed))
+      [ 1; 2; 3; 4; 5 ]
+  in
+  Alcotest.(check (list string))
+    "steps = trace entries + ticks + 1 on every run" []
+    (List.filter_map Fun.id swept @ evolving)
 
 let suite =
   [
@@ -361,6 +443,8 @@ let suite =
       extremes_generalize_the_federation_policies;
     Alcotest.test_case "invalid inputs raise Engine_error" `Quick
       invalid_inputs_raise_engine_error;
+    Alcotest.test_case "one step is one atomic event" `Quick
+      steps_are_atomic_events;
     Alcotest.test_case "federated trace is per-source" `Quick
       federated_trace_is_per_source;
     Alcotest.test_case "cross-source install has no global snapshot" `Quick
