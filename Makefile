@@ -51,7 +51,8 @@ bench-throughput:
 # reappears in the sources (the
 # old run drivers and scheduler aliases, the compiled/interpreted
 # toggle and the engine's oracle modes, the array-based scheduler
-# picks, the warehouse install log), check that
+# picks, the warehouse install log, the sharded-dispatch option and
+# the per-site retransmit timeout), check that
 # the parallel bench is deterministic (PAR=1 and PAR=4 emit identical
 # runs arrays), run the quick benchmark in a temp dir and fail if its
 # summed per-run wall clock regressed more than 2x against the committed
@@ -88,9 +89,9 @@ smoke:
 	  python3 perfbench/run.py --workload $$w --seed 11 --seconds 2 --trace 0 > /dev/null || exit 1; \
 	  python3 perfbench/run.py --workload $$w --seed 11 --seconds 2 --trace 1 > /dev/null || exit 1; \
 	done
-	@if grep -rnE 'Core\.Runner|Core\.Federation|Drain_first|Updates_first|unordered_delivery|set_compiled|Delta_program\.compiled|Delta_program\.linear|Engine\.Recompute|Engine\.Incremental|pick_multi|of_multi|install_history' \
+	@if grep -rnE 'Core\.Runner|Core\.Federation|Drain_first|Updates_first|unordered_delivery|set_compiled|Delta_program\.compiled|Delta_program\.linear|Engine\.Recompute|Engine\.Incremental|pick_multi|of_multi|install_history|[~?]shard\b|retransmit_timeout' \
 	  lib bin bench examples test; then \
-	  echo "smoke: a removed entry point or alias reappeared (use Engine.run, Scheduler.pick_ready, Trace.warehouse_states)"; \
+	  echo "smoke: a removed entry point or alias reappeared (use Engine.run, Scheduler.pick_ready, Trace.warehouse_states; sharded dispatch and Engine.site ?retransmit_timeout are gone)"; \
 	  exit 1; \
 	fi
 	dune build bench/main.exe

@@ -299,8 +299,7 @@ let bench_catalog () =
 (* The N-source matrix over the generated scaling workload
    (Workload.Scenarios.scaled): N in {3, 10, 100, 500} crossed with
    {clean, chaos} edges and {raw, reliable} channels, every cell through
-   the ready-set event loop with the warehouse sharded over the pool and
-   the scale counters on. On top of the matrix:
+   the ready-set event loop with the scale counters on. On top of the matrix:
 
    - an O(active) wall-clock gate pair: the same 200-update stream fanned
      over 10 and over 100 sources — with per-step cost O(active) the two
@@ -329,7 +328,7 @@ let bench_scaling () =
             w.W.Scenarios.sources
         in
         Core.Engine.run ?schedule:policy ?coalesce
-          ?observe:(Cell.collector observe) ~shard:Cell.pool ~track_scale:true
+          ?observe:(Cell.collector observe) ~track_scale:true
           ~creator:(Core.Registry.creator_exn "eca") ~sites
           ~views:(List.map R.Viewdef.simple w.W.Scenarios.views)
           ~updates:w.W.Scenarios.updates ())

@@ -246,7 +246,7 @@ let eligible_rungs (v : R.Viewdef.t) =
   [ "eca" ]
   @ (if Core.Eca_key.applicable v then [ "eca-key" ] else [])
   @ (if Core.Eca_sm.applicable v then [ "eca-sm" ] else [])
-  @ if Core.Eca_local.local_capable v then [ "eca-local" ] else []
+  @ if Core.Eca_sm.local_capable v then [ "eca-local" ] else []
 
 let cost_rung script v =
   match Costmodel.Chooser.choose (cost_measures script v) (eligible_rungs v) with

@@ -29,7 +29,7 @@ type entry = {
 let auto_rung (vd : R.Viewdef.t) =
   if Eca_key.applicable vd then "eca-key"
   else if Eca_sm.applicable vd then "eca-sm"
-  else if Eca_local.local_capable vd then "eca-local"
+  else if Eca_sm.local_capable vd then "eca-local"
   else "eca"
 
 let entry ?algo ?window view =

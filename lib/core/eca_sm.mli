@@ -1,18 +1,30 @@
-(** The ECA-SM rung: self-maintenance with auxiliary views — the middle
-    ground between ECA's compensating round trips and SC's full base
-    copies (ROADMAP item 2).
+(** The ECA family's warehouse-local rungs over one driver: ECA-SM
+    (self-maintenance with auxiliary views — the middle ground between
+    ECA's compensating round trips and SC's full base copies, ROADMAP
+    item 2) and ECA-Local (Section 5.5). They differ only in the class
+    table the driver consults and the counters they report.
 
-    At creation the view is run through the {!Relational.Selfmaint}
-    analyzer. Updates whose class it marks [Self] or [Aux] are handled
-    entirely at the warehouse through the staged per-part delta programs
-    (the §4g compiled path), reading only the update tuple, the view and
-    the {e auxiliary views} — reduced projections of join partners that
-    the instance maintains alongside the primary view. Classes marked
-    [Remote] fall back to the inner ECA's compensating query, as does any
-    update arriving while such a query is pending (ECAL's conservative
-    ordering protocol, which keeps the interleaving provably safe).
+    For ECA-SM the view is run through the {!Relational.Selfmaint}
+    analyzer at creation. Updates whose class it marks [Self] or [Aux] are
+    handled entirely at the warehouse through the staged per-part delta
+    programs (the §4g compiled path), reading only the update tuple, the
+    view and the {e auxiliary views} — reduced projections of join
+    partners that the instance maintains alongside the primary view.
+    ECA-Local's table ({!key_delete_table}) marks local only deletions
+    whose declared key the view projects, answered by a key-delete.
 
-    On fully local views the instance never sends a message, so it is
+    Every other class falls back to the inner ECA's compensating query,
+    as does any update arriving while such a query is pending. This is
+    the conservative variant of the ordering protocol the paper leaves
+    open: interleaving local updates with in-flight compensated queries
+    would require buffering and splitting query results, so a local
+    update is applied only when
+    the instance is quiescent (UQS = ∅ and COLLECT empty). It keeps ECA's
+    strong consistency while saving the source round trip in the
+    low-contention regime — where, per Section 5.6, compensation never
+    arises anyway.
+
+    On fully local views ECA-SM never sends a message, so it is
     permanently quiescent: messages M = 0 and transfer B = 0
     post-registration, at the storage cost of the auxiliary views —
     tracked in {!counters} and weighed against SC by the cost-model
@@ -31,16 +43,23 @@ val applicable : R.Viewdef.t -> bool
     stay on the plainer rungs. Explicit {!create} accepts partially local
     views too; the ladder does not pick them. *)
 
+val key_delete_table : R.Viewdef.t -> R.Selfmaint.t
+(** ECA-Local's class table: a deletion is [Use_key_delete] when the view
+    is simple and projects its relation's declared key
+    ({!Relational.View.key_positions}); every other class falls back. *)
+
+val local_capable : R.Viewdef.t -> bool
+(** Some class of {!key_delete_table} is local — the case where ECA-Local
+    actually improves on ECA. Consulted by the auto-rung ladder. *)
+
 val create : Algorithm.Config.t -> t
-(** @raise Not_applicable when the analysis calls for maintained
+(** ECA-SM over {!Relational.Selfmaint.analyze}.
+    @raise Not_applicable when the analysis calls for maintained
     auxiliary views but [Config.init_db] is [None] — they must be seeded
     from the initial base state. *)
 
-val analysis : t -> R.Selfmaint.t
 val mv : t -> R.Bag.t
-val quiescent : t -> bool
 val on_update : t -> R.Update.t -> Algorithm.outcome
-val on_answer : t -> id:int -> R.Bag.t -> Algorithm.outcome
 
 val counters : t -> (string * int) list
 (** [sm_self], [sm_aux], [sm_fallback] (updates by handling path) and
@@ -48,3 +67,8 @@ val counters : t -> (string * int) list
     storage). *)
 
 val instance : Algorithm.creator
+(** ECA-SM, reporting {!counters}. *)
+
+val local_instance : Algorithm.creator
+(** ECA-Local: the same driver over {!key_delete_table}, reporting no
+    counters. *)

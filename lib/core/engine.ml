@@ -15,12 +15,11 @@ type site_spec = {
   fault : Messaging.Fault.profile;
   fault_seed : int;
   reliable : bool;
-  retransmit_timeout : int option;
 }
 
 let site ?catalog ?(fault = Messaging.Fault.none) ?(fault_seed = 0)
-    ?(reliable = false) ?retransmit_timeout ~name db =
-  { name; db; catalog; fault; fault_seed; reliable; retransmit_timeout }
+    ?(reliable = false) ~name db =
+  { name; db; catalog; fault; fault_seed; reliable }
 
 type result = {
   trace : Trace.t;
@@ -78,19 +77,12 @@ let max_steps = 2_000_000
 
 let run ?(schedule = Scheduler.Best_case) ?(rv_period = 1) ?(batch_size = 1)
     ?local_literal_eval ?(allow_cross_source = false) ?observe
-    ?(share_deltas = false) ?(coalesce = false) ?shard ?(track_scale = false)
+    ?(share_deltas = false) ?(coalesce = false) ?(track_scale = false)
     ?(evolution = []) ?(windows = []) ~creator ~sites:specs ~views ~updates () =
   if batch_size < 1 then raise (Engine_error "batch_size must be at least 1");
   if rv_period < 1 then raise (Engine_error "rv_period must be at least 1");
   if specs = [] then
     raise (Engine_error "a site graph needs at least one source");
-  List.iter
-    (fun s ->
-      match s.retransmit_timeout with
-      | Some t when t < 1 ->
-        error "site %s: retransmit_timeout must be at least 1" s.name
-      | _ -> ())
-    specs;
   let sched =
     try Scheduler.create schedule
     with Scheduler.Schedule_error msg -> raise (Engine_error msg)
@@ -104,8 +96,7 @@ let run ?(schedule = Scheduler.Best_case) ?(rv_period = 1) ?(batch_size = 1)
              source = Source_site.Source.create ?catalog:s.catalog s.db;
              net =
                Messaging.Network.create ~name:s.name ~fault:s.fault
-                 ~seed:s.fault_seed ~reliable:s.reliable
-                 ?timeout:s.retransmit_timeout ();
+                 ~seed:s.fault_seed ~reliable:s.reliable ();
              ticks = 0;
            })
          specs)
@@ -214,7 +205,7 @@ let run ?(schedule = Scheduler.Best_case) ?(rv_period = 1) ?(batch_size = 1)
     | Some st -> Window.wrap st inst
   in
   let warehouse =
-    Warehouse.of_creator ~share:share_deltas ?pool:shard ~creator ~configs ()
+    Warehouse.of_creator ~share:share_deltas ~creator ~configs ()
   in
   (* With DDLs in the stream, a faulty channel can deliver a notification
      before the Ddl_note explaining its new shape — arm the warehouse's

@@ -48,7 +48,6 @@ type site_spec = {
   fault : Messaging.Fault.profile;
   fault_seed : int;
   reliable : bool;
-  retransmit_timeout : int option;
 }
 
 val site :
@@ -56,7 +55,6 @@ val site :
   ?fault:Messaging.Fault.profile ->
   ?fault_seed:int ->
   ?reliable:bool ->
-  ?retransmit_timeout:int ->
   name:string ->
   R.Db.t ->
   site_spec
@@ -93,7 +91,6 @@ val run :
   ?observe:Observe.Collector.t ->
   ?share_deltas:bool ->
   ?coalesce:bool ->
-  ?shard:Parallel.Pool.t ->
   ?track_scale:bool ->
   ?evolution:(int * R.Update.ddl) list ->
   ?windows:(string * Window.spec) list ->
@@ -113,10 +110,9 @@ val run :
     site databases (the paper's "initially correct" assumption).
 
     @raise Engine_error when [batch_size] or [rv_period] is below 1, the
-    schedule's bound or quantum is below 1, a site's
-    [retransmit_timeout] is below 1, a relation is owned by two sources,
-    a view uses an unowned relation or spans several sources without
-    [~allow_cross_source], an update or query targets an unowned
+    schedule's bound or quantum is below 1, a relation is owned by two
+    sources, a view uses an unowned relation or spans several sources
+    without [~allow_cross_source], an update or query targets an unowned
     relation, a source rejects an update (a delete of an absent tuple, a
     wrong-arity insert, an insert into an unknown relation of a single
     source, a key violation) or a schema change, a protocol invariant
@@ -145,11 +141,6 @@ val run :
     a single [Batch_note], feeding the compiled [apply_batch] path at
     the warehouse and cutting the notification count on a hot edge.
     Default off — and off is byte-identical to the historical engine.
-
-    With [~shard] the warehouse fans the independent per-view work of
-    each event across the given domain pool (see {!Warehouse.create});
-    results are deterministic at any worker count. The pool is borrowed,
-    not owned — the caller shuts it down.
 
     With [~track_scale:true] the run additionally reports
     [result.metrics.scale]: peak per-edge inflight, coalescing counters

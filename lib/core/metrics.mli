@@ -32,9 +32,7 @@ type histogram = {
   mutable hmax : int;
 }
 
-val hist_buckets : int
 val hist_create : unit -> histogram
-val hist_bucket : int -> int
 val hist_add : histogram -> int -> unit
 val hist_mean : histogram -> float
 
@@ -178,21 +176,13 @@ val messages : t -> int
 (** The paper's M: queries + answers (notifications excluded, as in
     Section 6.1). *)
 
-val transfer_tuples : t -> int
-
 val bytes_for : s:int -> t -> int
 (** The paper's B for a given per-tuple size [S]. *)
 
 val mean_latency : t -> float
 (** Mean delivery latency in ticks of reliably delivered messages. *)
 
-val delivery_active : delivery -> bool
-(** True when a fault or the reliability protocol actually fired —
-    i.e. any counter beyond the always-metered wire totals is nonzero.
-    [pp] appends the delivery block only in that case, keeping
-    perfect-FIFO run reports unchanged. *)
-
 val pp : Format.formatter -> t -> unit
-val pp_delivery : Format.formatter -> delivery -> unit
-val pp_histogram : Format.formatter -> histogram -> unit
-val pp_observe : Format.formatter -> observe -> unit
+(** The delivery block is appended only when a fault or the reliability
+    protocol actually fired — any counter beyond the always-metered wire
+    totals is nonzero — keeping perfect-FIFO run reports unchanged. *)

@@ -6,33 +6,15 @@ let error fmt = Format.kasprintf (fun s -> raise (Mview_error s)) fmt
 
 let apply_delta mv delta = R.Bag.plus mv delta
 
-(* Output positions of [rel]'s declared key attributes within the view's
-   projection, when all of them are projected. *)
-let key_output_positions (view : R.View.t) rel =
-  match R.View.source_schema view rel with
-  | None -> None
-  | Some schema ->
-    if schema.R.Schema.key = [] then None
-    else
-      let positions =
-        List.map
-          (fun k -> R.View.proj_position view (R.Attr.qualified rel k))
-          schema.R.Schema.key
-      in
-      if List.for_all Option.is_some positions then
-        Some (schema, List.map Option.get positions)
-      else None
-
-let covers_key view rel = Option.is_some (key_output_positions view rel)
-
 (* The positions of [rel]'s declared key within its base tuples, and
    within the view's output. *)
 let key_layout ~context (view : R.View.t) rel =
-  match key_output_positions view rel with
-  | None ->
+  match (R.View.source_schema view rel, R.View.key_positions view rel) with
+  | Some schema, Some out_positions ->
+    (R.Schema.key_positions schema, out_positions)
+  | _ ->
     error "%s: view %s does not project the key of %s" context
       view.R.View.name rel
-  | Some (schema, out_positions) -> (R.Schema.key_positions schema, out_positions)
 
 (* Whether a view tuple's columns at r's projected key positions equal
    the key values of base tuple t, staged: the layout is resolved once

@@ -10,18 +10,14 @@ exception Mview_error of string
 val apply_delta : R.Bag.t -> R.Bag.t -> R.Bag.t
 (** [MV + Δ] — signed addition; deletions arrive as negative counts. *)
 
-val covers_key : R.View.t -> string -> bool
-(** Whether the view projects every declared key attribute of [rel] — the
-    per-relation condition under which deletions on [rel] are autonomously
-    computable (used by ECAL; ECAK requires it for every relation). *)
-
 val key_delete : view:R.View.t -> rel:string -> R.Tuple.t -> R.Bag.t -> R.Bag.t
 (** The ECAK [key-delete] operation (Section 5.4) on a bag, by scan: drop
     every view tuple whose projected key of [rel] equals the deleted
-    tuple's key. Sound whenever [covers_key view rel]: the key identifies
-    the deleted base tuple uniquely, so exactly its derivations are
-    removed. Used on transient answers; materialized views use
-    {!Keyed.key_delete}, which this defines the meaning of.
+    tuple's key. Sound whenever {!Relational.View.key_positions} finds
+    [rel]'s key projected: the key identifies the deleted base tuple
+    uniquely, so exactly its derivations are removed. No maintenance
+    path calls it: it is the scan reference that {!Keyed.key_delete} is
+    tested against, and defines that operation's meaning.
     @raise Mview_error if the view does not project [rel]'s declared key. *)
 
 val key_match : view:R.View.t -> rel:string -> R.Tuple.t -> R.Tuple.t -> bool

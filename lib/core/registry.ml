@@ -28,7 +28,7 @@ let entries =
       key = "eca-local";
       description = "ECA-Local: ECA plus local handling of autonomously \
                      computable updates (Section 5.5)";
-      creator = Eca_local.instance;
+      creator = Eca_sm.local_instance;
     };
     {
       key = "eca-sm";

@@ -22,8 +22,6 @@ type t = {
       (* gid -> (owner, later subscribers newest-first); subscribing is
          an O(1) cons, readers rebuild the owner-first order *)
   share : bool;
-  pool : Parallel.Pool.t option;
-      (* shard independent per-instance event handlers across domains *)
   by_rel : (string, int list) Hashtbl.t;
       (* relation -> interested instance indices, ascending; instances
          with [interest = None] live in [all_notes] instead *)
@@ -52,7 +50,7 @@ type reaction = {
 
 let no_reaction = { queries = []; installs = [] }
 
-let create ?(share = false) ?pool pairs =
+let create ?(share = false) pairs =
   let hosted =
     Array.of_list (List.map (fun (view, inst) -> { view; inst }) pairs)
   in
@@ -83,7 +81,6 @@ let create ?(share = false) ?pool pairs =
     hosted;
     routes = Hashtbl.create 64;
     share;
-    pool;
     by_rel;
     all_notes = List.rev !all_notes;
     retired = Hashtbl.create 16;
@@ -97,8 +94,8 @@ let create ?(share = false) ?pool pairs =
     shared_fanout = 0;
   }
 
-let of_creator ?share ?pool ~creator ~configs () =
-  create ?share ?pool
+let of_creator ?share ~creator ~configs () =
+  create ?share
     (List.map (fun cfg -> (cfg.Algorithm.Config.view, creator cfg)) configs)
 
 let mv t name =
@@ -283,26 +280,20 @@ let batch_targets t us =
     t.all_notes us
 
 (* Run one event handler per target instance and fold the reactions in
-   host order. With a pool, the per-instance handlers — each touching
-   only its own closure state — run on worker domains; the [lift] fold
-   stays sequential, so gid assignment, the shared-delta event table and
-   the anomaly log see outcomes in exactly the sequential order and the
-   result is deterministic at any worker count.
+   host order, so gid assignment, the shared-delta event table and the
+   anomaly log see outcomes in host order.
 
    An instance whose local state rejects the event — SC's replica
    refusing a duplicated or reordered notification from a raw faulty
-   edge — raises [Db_error]. That is caught inside the per-target
-   function, so no exception crosses a pool domain, and the fold records
-   it as an anomaly naming the view and treats the target as [nothing]:
-   one bad delivery must not take down every hosted view. *)
+   edge — raises [Db_error]. The fold records it as an anomaly naming
+   the view and treats the target as [nothing]: one bad delivery must
+   not take down every hosted view. *)
 let react t targets f =
   let event = fresh_event t in
-  let guarded idx = try Ok (f idx) with R.Db.Db_error msg -> Error msg in
   let outcomes =
-    match t.pool with
-    | Some pool when List.compare_length_with targets 1 > 0 ->
-      Array.to_list (Parallel.Pool.map pool guarded (Array.of_list targets))
-    | _ -> List.map guarded targets
+    List.map
+      (fun idx -> try Ok (f idx) with R.Db.Db_error msg -> Error msg)
+      targets
   in
   List.fold_left2
     (fun acc idx o ->

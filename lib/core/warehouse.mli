@@ -22,7 +22,6 @@ val no_reaction : reaction
 
 val create :
   ?share:bool ->
-  ?pool:Parallel.Pool.t ->
   (R.Viewdef.t * Algorithm.instance) list ->
   t
 (** With [~share:true] the warehouse runs shared-delta (MQO)
@@ -35,18 +34,12 @@ val create :
     and in particular a catalog of one view — is exactly the unshared
     one. Default off.
 
-    With [~pool] the independent per-instance event handlers of one
-    warehouse event are sharded across the pool's domains; query-gid
-    assignment, the shared-delta table and the anomaly log are folded
-    sequentially in host order afterwards, so the reaction is
-    byte-identical at any worker count. Dispatch also consults each
-    instance's {!Algorithm.instance.interest}: updates fan out only to
+    Dispatch consults each instance's {!Algorithm.instance.interest}: updates fan out only to
     the instances whose relations they touch, O(interested) rather than
     O(views). *)
 
 val of_creator :
   ?share:bool ->
-  ?pool:Parallel.Pool.t ->
   creator:Algorithm.creator ->
   configs:Algorithm.Config.t list ->
   unit ->

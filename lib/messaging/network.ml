@@ -13,12 +13,12 @@ type direction =
   | To_source
 
 let create ?(name = "source") ?(fault = Fault.none) ?(seed = 0)
-    ?(reliable = false) ?timeout () =
+    ?(reliable = false) () =
   let to_warehouse = Channel.create ~fault ~seed (name ^ "->warehouse") in
   let to_source = Channel.create ~fault ~seed:(seed + 1) ("warehouse->" ^ name) in
   let transport =
     if reliable then
-      Via_reliable (Reliable.create ?timeout ~to_warehouse ~to_source ())
+      Via_reliable (Reliable.create ~to_warehouse ~to_source ())
     else Direct
   in
   { to_warehouse; to_source; transport }

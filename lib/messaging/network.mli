@@ -20,15 +20,14 @@ val create :
   ?fault:Fault.profile ->
   ?seed:int ->
   ?reliable:bool ->
-  ?timeout:int ->
   unit ->
   t
 (** [fault] applies to both directions (the reverse channel derives its
-    RNG seed from [seed + 1]); [timeout] is the reliability sublayer's
-    retransmission timer in ticks (default 3, meaningful only with
-    [~reliable:true]). [name] labels the source end of the channel pair
-    ("[name]->warehouse" / "warehouse->[name]", default ["source"]) so a
-    site-graph with several sources gets distinguishable wires. *)
+    RNG seed from [seed + 1]); [reliable] runs the {!Reliable} sublayer
+    with its default retransmission timer. [name] labels the source end
+    of the channel pair ("[name]->warehouse" / "warehouse->[name]",
+    default ["source"]) so a site-graph with several sources gets
+    distinguishable wires. *)
 
 val channel : t -> direction -> Channel.t
 (** The underlying wire channel — physical counters live here. With a

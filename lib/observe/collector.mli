@@ -21,8 +21,6 @@ type event =
 
 type t
 
-val default_capacity : int
-
 val create : ?capacity:int -> unit -> t
 
 val open_span :
@@ -76,7 +74,5 @@ val events : t -> event list
 val spans : t -> Span.t list
 val gauges : t -> gauge list
 
-val meta_json : t -> string
-val gauge_to_json : gauge -> string
 val write : out_channel -> t -> unit
 val write_file : string -> t -> unit

@@ -21,7 +21,6 @@ val db : Db.t -> Update.ddl -> Db.t
 (** Apply the change to the target relation's schema and contents,
     re-validating keys and foreign keys of the whole database. *)
 
-val affects_view : View.t -> Update.ddl -> bool
 val affects : Viewdef.t -> Update.ddl -> bool
 (** Does the view mention the DDL's target relation? *)
 

@@ -37,11 +37,6 @@ val slot_of_position : layout -> int -> int
 
 type filter = Value.t array -> bool
 
-val compile_pred : layout -> Predicate.t -> filter
-(** Compile a predicate against a layout. All attribute positions are
-    resolved during compilation — applying the result never scans the
-    layout. @raise Plan_error on unbound/ambiguous attributes. *)
-
 (** A conjunct [colA = colB] across two slots becomes a join key of the
     slot joined later. *)
 type join_key = {

@@ -49,5 +49,3 @@ let table ~columns bag =
   Buffer.contents buf
 
 let view_table (v : View.t) bag = table ~columns:(View.output_attr_names v) bag
-
-let relation_table (s : Schema.t) bag = table ~columns:(Schema.attr_names s) bag

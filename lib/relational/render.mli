@@ -6,4 +6,3 @@
 
 val table : columns:string list -> Bag.t -> string
 val view_table : View.t -> Bag.t -> string
-val relation_table : Schema.t -> Bag.t -> string

@@ -217,15 +217,6 @@ let fk_derivation (v : View.t) r s (aux : aux) =
 
 (* --- per-class planning ------------------------------------------------ *)
 
-let covers_key (v : View.t) rel =
-  match View.source_schema v rel with
-  | None -> false
-  | Some s ->
-    s.Schema.key <> []
-    && List.for_all
-         (fun k -> Option.is_some (View.proj_position v (Attr.qualified rel k)))
-         s.Schema.key
-
 let kind_tag = function
   | Update.Insert -> '+'
   | Update.Delete -> '-'
@@ -275,7 +266,7 @@ let plan_class (vd : Viewdef.t) aux_by_rel rel kind =
   else if
     kind = Update.Delete
     && (match Viewdef.as_simple vd with
-       | Some v -> covers_key v rel
+       | Some v -> Option.is_some (View.key_positions v rel)
        | None -> false)
   then (Self Key_delete, Use_key_delete)
   else

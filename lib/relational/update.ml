@@ -19,8 +19,6 @@ let sign u =
   | Insert -> Sign.Pos
   | Delete -> Sign.Neg
 
-let signed_tuple u = (sign u, u.tuple)
-
 let byte_size u = 8 + String.length u.rel + Tuple.byte_size u.tuple
 
 let equal a b =
@@ -65,18 +63,6 @@ let ddl_byte_size d =
     | Drop_column { col; _ } -> String.length col
     | Key_change { key; _ } ->
       List.fold_left (fun acc k -> acc + String.length k) 0 key)
-
-let ddl_equal a b =
-  match (a, b) with
-  | ( Add_column { rel; col; ty; default },
-      Add_column { rel = rel'; col = col'; ty = ty'; default = default' } ) ->
-    String.equal rel rel' && String.equal col col' && ty = ty'
-    && Value.equal default default'
-  | Drop_column { rel; col }, Drop_column { rel = rel'; col = col' } ->
-    String.equal rel rel' && String.equal col col'
-  | Key_change { rel; key }, Key_change { rel = rel'; key = key' } ->
-    String.equal rel rel' && List.equal String.equal key key'
-  | (Add_column _ | Drop_column _ | Key_change _), _ -> false
 
 let ddl_to_string = function
   | Add_column { rel; col; ty; default } ->

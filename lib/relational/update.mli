@@ -25,8 +25,6 @@ val sign : t -> Sign.t
 (** [Pos] for inserts, [Neg] for deletes — the sign substituted into query
     terms by [Q⟨U⟩]. *)
 
-val signed_tuple : t -> Sign.t * Tuple.t
-
 val byte_size : t -> int
 (** Notification message size (charged identically for all algorithms, so
     excluded from the paper's B metric; tracked for completeness). *)
@@ -60,6 +58,5 @@ type ddl =
 
 val ddl_rel : ddl -> string
 val ddl_byte_size : ddl -> int
-val ddl_equal : ddl -> ddl -> bool
 val ddl_to_string : ddl -> string
 val pp_ddl : Format.formatter -> ddl -> unit

@@ -106,28 +106,23 @@ let proj_position v (a : Attr.t) =
   in
   loop 0 v.proj
 
-(* Key coverage (Section 5.4): the view must project every declared key
-   attribute of every base relation. Returns, per relation, the positions
-   in the view's output where that relation's key attributes appear. *)
-let key_coverage v =
-  let cover (s : Schema.t) =
-    if s.Schema.key = [] then None
-    else
-      let positions =
-        List.map
-          (fun k -> proj_position v (Attr.qualified s.Schema.name k))
-          s.Schema.key
-      in
-      if List.for_all Option.is_some positions then
-        Some (s.Schema.name, List.map Option.get positions)
-      else None
-  in
-  let covers = List.map cover v.sources in
-  if List.for_all Option.is_some covers then
-    Some (List.map Option.get covers)
-  else None
+(* Key coverage (Section 5.4): the output positions of [rel]'s declared
+   key attributes, when the view projects all of them. *)
+let key_positions v rel =
+  match source_schema v rel with
+  | None | Some { Schema.key = []; _ } -> None
+  | Some s ->
+    let positions =
+      List.map (fun k -> proj_position v (Attr.qualified rel k)) s.Schema.key
+    in
+    if List.for_all Option.is_some positions then
+      Some (List.map Option.get positions)
+    else None
 
-let covers_all_keys v = Option.is_some (key_coverage v)
+let covers_all_keys v =
+  List.for_all
+    (fun (s : Schema.t) -> Option.is_some (key_positions v s.Schema.name))
+    v.sources
 
 let output_attr_names v =
   (* Unqualified when unique among the projected names, qualified otherwise. *)

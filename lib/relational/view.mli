@@ -42,12 +42,16 @@ val columns : t -> (string * string) list
 val proj_position : t -> Attr.t -> int option
 (** Output position of a (qualified) attribute, if projected. *)
 
-val key_coverage : t -> (string * int list) list option
-(** [Some assoc] when the view projects a declared key of {e every} base
-    relation — the ECAK eligibility condition — where [assoc] maps each
-    relation to the output positions of its key attributes. *)
+val key_positions : t -> string -> int list option
+(** [key_positions v rel]: the output positions of [rel]'s declared key
+    attributes, in key order, when [v] ranges over [rel], [rel] declares
+    a key and [v] projects all of it; [None] otherwise. This is the one
+    key-coverage test: deletions on [rel] are autonomously computable
+    (ECA-Local, ECA-SM) exactly when it is [Some]. *)
 
 val covers_all_keys : t -> bool
+(** The view projects the declared key of {e every} base relation — the
+    ECAK eligibility condition. *)
 
 val output_attr_names : t -> string list
 (** Display names for the output columns (qualified only when needed). *)

@@ -79,9 +79,3 @@ let update_count t =
 let query_count t =
   List.length
     (List.filter (function S_qu _ -> true | S_up _ | S_ddl _ -> false) t.log)
-
-let pp_event ppf = function
-  | S_up u -> Format.fprintf ppf "S_up %a" R.Update.pp u
-  | S_ddl d -> Format.fprintf ppf "S_ddl %a" R.Update.pp_ddl d
-  | S_qu { id; answer; cost; _ } ->
-    Format.fprintf ppf "S_qu Q%d -> %a %a" id R.Bag.pp answer Storage.Cost.pp cost

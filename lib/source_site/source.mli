@@ -37,15 +37,12 @@ val execute_ddl : t -> R.Update.ddl -> unit
 (** An [S_ddl] event: apply a schema change to the base relations (see
     {!R.Evolve}). Raises [R.Evolve.Evolve_error] on invalid changes. *)
 
-val stale_query : t -> R.Query.t -> bool
-(** Does the query name a schema (in any slot) that no longer matches the
-    current database — i.e. was it staged before a schema change? *)
-
 val answer_query : t -> id:int -> R.Query.t -> R.Bag.t * Storage.Cost.t
 (** An [S_qu] event: evaluate against the current state and return the
-    answer with its physical cost. Stale queries (see {!stale_query}) are
-    answered empty at zero cost rather than evaluated against schemas
-    they were not staged for. *)
+    answer with its physical cost. Stale queries — naming, in any slot, a
+    schema that no longer matches the current database because they were
+    staged before a schema change — are answered empty at zero cost
+    rather than evaluated against schemas they were not staged for. *)
 
 val io_total : t -> int
 (** Cumulative I/Os across all queries answered — the paper's IO metric. *)
@@ -58,4 +55,3 @@ val events : t -> event list
 
 val update_count : t -> int
 val query_count : t -> int
-val pp_event : Format.formatter -> event -> unit

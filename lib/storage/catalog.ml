@@ -14,10 +14,6 @@ let make ?(mode = Indexed_memory) ?(block = Block.default) ?(indexes = [])
     ?(count_outer_reads = false) ?(share_scans = false) () =
   { mode; block; indexes; count_outer_reads; share_scans }
 
-let scenario1 ~indexes = make ~mode:Indexed_memory ~indexes ()
-
-let scenario2 () = make ~mode:Limited_memory ()
-
 let index_on t ~rel ~attr =
   let candidates =
     List.filter

@@ -34,9 +34,6 @@ val make :
   unit ->
   t
 
-val scenario1 : indexes:Index.t list -> t
-val scenario2 : unit -> t
-
 val index_on : t -> rel:string -> attr:string -> Index.t option
 (** The best index on [(rel, attr)], preferring clustered. *)
 

@@ -8,7 +8,7 @@
 # once from the working tree. Then runs both over the grid
 #
 #   every *.sql under test/golden and examples/scripts
-#   x the rungs basic eca eca-key eca-local lca rv sc
+#   x the rungs basic eca eca-key eca-local eca-sm lca rv sc
 #   x the schedules best worst round-robin random:7 random:31
 #   x --batch 1 and 2
 #
@@ -64,7 +64,7 @@ mkdir "$tmp/out-base" "$tmp/out-new"
 cells=0
 cd "$root"
 for script in test/golden/*.sql examples/scripts/*.sql; do
-  for algo in basic eca eca-key eca-local lca rv sc; do
+  for algo in basic eca eca-key eca-local eca-sm lca rv sc; do
     for schedule in best worst round-robin random:7 random:31; do
       for batch in 1 2; do
         name=$(echo "$script-$algo-$schedule-$batch" | tr '/:' '__')

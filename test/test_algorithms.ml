@@ -292,13 +292,21 @@ let ecal_falls_back_under_contention () =
     (report result "V").Core.Consistency.strongly_consistent
 
 let ecal_classification () =
+  let is_local view (u : R.Update.t) =
+    let table = Core.Eca_sm.key_delete_table (R.Viewdef.simple view) in
+    match
+      R.Selfmaint.find_class table ~rel:u.R.Update.rel ~kind:u.R.Update.kind
+    with
+    | Some { R.Selfmaint.cls_plan = R.Selfmaint.Use_key_delete; _ } -> true
+    | Some _ | None -> false
+  in
   let keyed_view = view_wy ~r1:r1_wkey ~r2:r2_ykey () in
   check_bool "keyed delete is local" true
-    (Core.Eca_local.is_local keyed_view (del "r1" [ 1; 2 ]));
+    (is_local keyed_view (del "r1" [ 1; 2 ]));
   check_bool "insert is never local" false
-    (Core.Eca_local.is_local keyed_view (ins "r1" [ 1; 2 ]));
+    (is_local keyed_view (ins "r1" [ 1; 2 ]));
   check_bool "delete without key coverage is not local" false
-    (Core.Eca_local.is_local (view_w ()) (del "r2" [ 2; 3 ]))
+    (is_local (view_w ()) (del "r2" [ 2; 3 ]))
 
 (* ------------------------------------------------------------------ *)
 (* ECAK guards and key-delete                                          *)

@@ -329,10 +329,10 @@ let chaos_without_reliable_still_breaks_federated_eca () =
    foreign exception from the scheduler, RV or the reliable sublayer. *)
 let invalid_inputs_raise_engine_error () =
   let db = db_of [ (r1, [ [ 1; 2 ] ]); (r2, [ [ 2; 3 ] ]) ] in
-  let run ?schedule ?rv_period ?(site = source db)
-      ?(updates = [ ins "r1" [ 4; 2 ] ]) algorithm () =
+  let run ?schedule ?rv_period ?(updates = [ ins "r1" [ 4; 2 ] ]) algorithm ()
+      =
     E.run ?schedule ?rv_period ~creator:(Core.Registry.creator_exn algorithm)
-      ~sites:[ site ] ~views:[ vd (view_w ()) ] ~updates ()
+      ~sites:[ source db ] ~views:[ vd (view_w ()) ] ~updates ()
   in
   let escapes (label, run) =
     match run () with
@@ -347,8 +347,6 @@ let invalid_inputs_raise_engine_error () =
          ("Bounded_inflight 0", run ~schedule:(S.Bounded_inflight 0) "eca");
          ("Weighted_fair 0", run ~schedule:(S.Weighted_fair 0) "eca");
          ("rv_period 0", run ~rv_period:0 "rv");
-         ( "retransmit_timeout 0",
-           run ~site:(source ~reliable:true ~retransmit_timeout:0 db) "eca" );
          ("delete of an absent tuple", run ~updates:[ del "r1" [ 9; 9 ] ] "eca");
          ("wrong-arity insert", run ~updates:[ ins "r1" [ 4; 2; 7 ] ] "eca");
          ( "insert into an unknown relation",

@@ -309,13 +309,13 @@ let hand_window () =
   let e = evolution_metrics result in
   check_bool "partitions aged out" true (e.Core.Metrics.win_aged_partitions > 0)
 
-let windowed_keyed_run ?shard ~k ~seed () =
+let windowed_keyed_run ~k ~seed () =
   let { Workload.Scenarios.db; view; updates } =
     Workload.Scenarios.keyed (spec ~seed ())
   in
   let window = { Core.Window.rel = "r2"; col = "Y"; k } in
   let result =
-    Core.Engine.run ~schedule:(Core.Scheduler.Random seed) ?shard
+    Core.Engine.run ~schedule:(Core.Scheduler.Random seed)
       ~windows:[ ("VK", window) ] ~creator:(Core.Registry.creator_exn "eca")
       ~sites:[ source db ] ~views:[ R.Viewdef.simple view ] ~updates ()
   in
@@ -368,22 +368,17 @@ let window_pruning_fires () =
     (e.Core.Metrics.win_local_answers > 0)
 
 (* Deterministic age-out: the watermark is driven by the update stream
-   and the scheduler clock, never by wall time or worker count — a
-   sharded warehouse produces the identical windowed run. *)
+   and the scheduler clock, never by wall time, so the same run twice
+   is identical. *)
 let windowed_deterministic_at_any_par () =
   let result1, _ = windowed_keyed_run ~k:3 ~seed:9 () in
   let result2, _ = windowed_keyed_run ~k:3 ~seed:9 () in
-  let result_sharded, _ =
-    windowed_keyed_run ~shard:(Lazy.force Helpers.pool) ~k:3 ~seed:9 ()
-  in
   let render (r : Core.Engine.result) =
     Format.asprintf "%a@.%a" Core.Metrics.pp r.Core.Engine.metrics R.Bag.pp
       (final_mv r "VK")
   in
   Alcotest.(check string) "same run twice is byte-identical" (render result1)
-    (render result2);
-  Alcotest.(check string) "sharded run is byte-identical" (render result1)
-    (render result_sharded)
+    (render result2)
 
 let window_validation () =
   let vd = R.Viewdef.simple (view_wy ~r1:r1_wkey ~r2:r2_ykey ()) in

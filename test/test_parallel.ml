@@ -191,64 +191,10 @@ let stats_read_under_fire () =
       in
       check_bool "aggregated counters only grow" true (monotone !reads))
 
-(* ------------------------------------------------------------------ *)
-(* Sharded view maintenance: Engine ~shard must be a pure speedup       *)
-(* ------------------------------------------------------------------ *)
-
-(* Two views per source so every update event really fans out over the
-   pool (with one hosted view per relation the shard path degenerates to
-   the sequential one). The whole result — states, verdicts, counters —
-   must be identical without a pool and at any worker count. *)
-let sharded_run_is_deterministic () =
-  let w = Workload.Scenarios.scaled ~c:4 ~updates_per_source:3 ~seed:11 ~n:6 () in
-  let extra_views =
-    List.mapi
-      (fun i _ ->
-        let rel1 = Printf.sprintf "s%d_r1" i in
-        R.View.natural_join
-          ~name:(Printf.sprintf "x%d" i)
-          ~proj:[ R.Attr.qualified rel1 "W" ]
-          [
-            R.Schema.of_names ~key:[ "W" ] rel1 [ "W"; "X" ];
-            R.Schema.of_names ~key:[ "Y" ]
-              (Printf.sprintf "s%d_r2" i)
-              [ "X"; "Y" ];
-          ])
-      w.Workload.Scenarios.sources
-  in
-  let run shard =
-    Core.Engine.run ~schedule:(Core.Scheduler.Random 9) ?shard
-      ~creator:(Core.Registry.creator_exn "eca")
-      ~sites:(sites_of w.Workload.Scenarios.sources)
-      ~views:
-        (List.map R.Viewdef.simple (w.Workload.Scenarios.views @ extra_views))
-      ~updates:w.Workload.Scenarios.updates ()
-  in
-  let base = run None in
-  check_int "twelve views maintained" 12 (List.length base.Core.Engine.reports);
-  List.iter
-    (fun workers ->
-      P.with_pool ~workers (fun pool ->
-          let r = run (Some pool) in
-          let label fmt = Printf.sprintf "workers=%d: %s" workers fmt in
-          List.iter
-            (fun (view, b) ->
-              check_bag (label view) b
-                (List.assoc view r.Core.Engine.final_mvs))
-            base.Core.Engine.final_mvs;
-          Alcotest.(check (list (pair string report_testable)))
-            (label "reports") base.Core.Engine.reports
-            r.Core.Engine.reports;
-          check_bool (label "metrics identical") true
-            (base.Core.Engine.metrics = r.Core.Engine.metrics)))
-    [ 1; 4 ]
-
 let suite =
   [
     Alcotest.test_case "Pool.map = sequential map (order and values)" `Quick
       map_matches_sequential;
-    Alcotest.test_case "sharded maintenance is deterministic at any PAR"
-      `Quick sharded_run_is_deterministic;
     Alcotest.test_case "Pool.map_list preserves order" `Quick
       map_list_preserves_order;
     Alcotest.test_case "a pool is reusable across maps" `Quick

@@ -17,22 +17,10 @@ let schemas = [| r1; r2; r3 |]
 let qualified_cols (s : R.Schema.t) =
   List.map (fun c -> R.Attr.qualified s.R.Schema.name c) (R.Schema.attr_names s)
 
-let view_gen =
+(* 0-2 conjuncts of comparisons between random columns / small
+   constants *)
+let cond_gen cols =
   QCheck.Gen.(
-    (* pick a non-empty subset of the three relations, in order *)
-    let* mask = int_range 1 7 in
-    let sources =
-      List.filteri (fun i _ -> mask land (1 lsl i) <> 0)
-        (Array.to_list schemas)
-    in
-    let cols = List.concat_map qualified_cols sources in
-    (* random non-empty projection *)
-    let* proj_mask = int_range 1 ((1 lsl List.length cols) - 1) in
-    let proj =
-      List.filteri (fun i _ -> proj_mask land (1 lsl i) <> 0) cols
-    in
-    (* random condition: 0-2 conjuncts of comparisons between random
-       columns / small constants *)
     let operand =
       let* use_col = bool in
       if use_col then
@@ -52,14 +40,27 @@ let view_gen =
       return (R.Predicate.Cmp (cmp, a, b))
     in
     let* n_conj = int_bound 2 in
-    let* conjs = list_size (return n_conj) conjunct in
-    (* join same-named columns across the chosen relations, plus extras *)
-    let view =
-      R.View.natural_join ~name:"RV"
-        ~extra_cond:(R.Predicate.conj conjs)
-        ~proj sources
+    map R.Predicate.conj (list_size (return n_conj) conjunct))
+
+let view_gen_over schemas =
+  QCheck.Gen.(
+    (* pick a non-empty subset of the three relations, in order *)
+    let* mask = int_range 1 7 in
+    let sources =
+      List.filteri (fun i _ -> mask land (1 lsl i) <> 0)
+        (Array.to_list schemas)
     in
-    return view)
+    let cols = List.concat_map qualified_cols sources in
+    (* random non-empty projection *)
+    let* proj_mask = int_range 1 ((1 lsl List.length cols) - 1) in
+    let proj =
+      List.filteri (fun i _ -> proj_mask land (1 lsl i) <> 0) cols
+    in
+    let* extra_cond = cond_gen cols in
+    (* join same-named columns across the chosen relations, plus extras *)
+    return (R.View.natural_join ~name:"RV" ~extra_cond ~proj sources))
+
+let view_gen = view_gen_over schemas
 
 let setup_gen =
   QCheck.Gen.(
@@ -226,6 +227,172 @@ let eca_guarded_matches_fold =
             updates)
         [ (true, 1); (true, 3); (false, 1); (false, 3) ])
 
+(* ------------------------------------------------------------------ *)
+(* ECA-Local against its historical spelling                          *)
+(* ------------------------------------------------------------------ *)
+
+(* ECA-Local as it was first written, kept as a reference model: its own
+   key-coverage test and its own on_update beside ECA's, where the
+   registry's rung is a class table over ECA-SM's driver. *)
+module Ref_eca_local = struct
+  module Eca = Core.Eca
+  module Algorithm = Core.Algorithm
+
+  type t = {
+    eca : Eca.t;
+    view : R.View.t option;  (* Some: simple view, local deletes possible *)
+  }
+
+  let covers_key (view : R.View.t) rel =
+    match R.View.source_schema view rel with
+    | None -> false
+    | Some schema ->
+      schema.R.Schema.key <> []
+      && List.for_all
+           (fun k ->
+             Option.is_some (R.View.proj_position view (R.Attr.qualified rel k)))
+           schema.R.Schema.key
+
+  let is_local (view : R.View.t) (u : R.Update.t) =
+    match u.R.Update.kind with
+    | R.Update.Insert -> false
+    | R.Update.Delete -> covers_key view u.R.Update.rel
+
+  let create (cfg : Algorithm.Config.t) =
+    let view = R.Viewdef.as_simple cfg.Algorithm.Config.view in
+    let keyed =
+      Option.map
+        (fun (v : R.View.t) ->
+          (v, List.filter (covers_key v) (R.View.relation_names v)))
+        view
+    in
+    { eca = Eca.create ?keyed cfg; view }
+
+  let on_update t (u : R.Update.t) =
+    match t.view with
+    | None -> Eca.on_update t.eca u
+    | Some view ->
+      if not (R.View.mentions view u.R.Update.rel) then Algorithm.nothing
+      else if is_local view u && Eca.quiescent t.eca then begin
+        if Eca.key_delete t.eca ~rel:u.R.Update.rel u.R.Update.tuple then
+          Algorithm.install (Eca.mv t.eca)
+        else Algorithm.nothing
+      end
+      else Eca.on_update t.eca u
+
+  let instance cfg =
+    let t = create cfg in
+    {
+      Algorithm.name = "eca-local";
+      interest = Some (R.Viewdef.relation_names cfg.Algorithm.Config.view);
+      on_update = on_update t;
+      on_batch = (fun us -> Algorithm.sequential_batch (on_update t) us);
+      on_answer = (fun ~id a -> Eca.on_answer t.eca ~id a);
+      on_quiesce = (fun () -> Algorithm.nothing);
+      mv = (fun () -> Eca.mv t.eca);
+      quiescent = (fun () -> Eca.quiescent t.eca);
+      counters = (fun () -> []);
+    }
+end
+
+(* r1 keyed on W, r2 on Y, r3 on (Y, Z): a random projection covers some
+   keys, misses others and covers r3's only partly. *)
+let keyed_schemas =
+  [| r1_wkey; r2_ykey; R.Schema.of_names ~key:[ "Y"; "Z" ] "r3" [ "Y"; "Z" ] |]
+
+(* A random view over the keyed schemas, alone or as a union or
+   difference with a second block of the same sources and projection
+   under another random condition. *)
+let keyed_viewdef_gen =
+  QCheck.Gen.(
+    let* v = view_gen_over keyed_schemas in
+    let* shape = int_bound 2 in
+    if shape = 0 then return (R.Viewdef.simple v)
+    else
+      let cols = List.concat_map qualified_cols v.R.View.sources in
+      let* extra_cond = cond_gen cols in
+      let other =
+        R.Viewdef.simple
+          (R.View.natural_join ~name:"RV#1" ~extra_cond ~proj:v.R.View.proj
+             v.R.View.sources)
+      in
+      let combine = if shape = 1 then R.Viewdef.union else R.Viewdef.diff in
+      return (combine ~name:"RV" (R.Viewdef.simple v) other))
+
+(* Key-respecting contents and streams: a row whose key is already held
+   is dropped, an insert whose key is held deletes the holder instead,
+   and a delete removes a held tuple. *)
+let keyed_setup_gen =
+  QCheck.Gen.(
+    let tuple_gen = map R.Tuple.ints (list_size (return 2) (int_bound 4)) in
+    let key_of (s : R.Schema.t) t =
+      List.map (R.Tuple.get t) (R.Schema.key_positions s)
+    in
+    let same_key s a b = List.equal R.Value.equal (key_of s a) (key_of s b) in
+    let* vd = keyed_viewdef_gen in
+    let* rows = list_size (return 3) (list_size (int_bound 4) tuple_gen) in
+    let dedup s =
+      List.fold_left
+        (fun acc t -> if List.exists (same_key s t) acc then acc else t :: acc)
+        []
+    in
+    let db =
+      R.Db.of_list
+        (List.map2
+           (fun s r -> (s, R.Bag.of_list (dedup s r)))
+           (Array.to_list keyed_schemas) rows)
+    in
+    let* n = int_range 1 8 in
+    let* raw = list_size (return n) (triple (int_bound 2) tuple_gen bool) in
+    let _, updates =
+      List.fold_left
+        (fun (db, acc) (i, tup, want_insert) ->
+          let s = keyed_schemas.(i) in
+          let rel = s.R.Schema.name in
+          let held =
+            R.Bag.fold
+              (fun t n acc -> if n > 0 then t :: acc else acc)
+              (R.Db.contents db rel) []
+          in
+          let u =
+            match (List.find_opt (same_key s tup) held, held) with
+            | Some holder, _ -> R.Update.delete rel holder
+            | None, t :: _ when not want_insert -> R.Update.delete rel t
+            | None, _ -> R.Update.insert rel tup
+          in
+          (R.Db.apply db u, u :: acc))
+        (db, []) raw
+    in
+    let* seed = int_bound 100_000 in
+    return (vd, db, List.rev updates, seed))
+
+(* The registry's ECA-Local and the reference export byte-identical runs
+   under every schedule, one update at a time and in batches of 3. *)
+let ecal_matches_reference =
+  QCheck.Test.make ~name:"ECAL runs = the historical ECAL reference"
+    ~count:200
+    (QCheck.make
+       ~print:(fun (vd, db, updates, seed) ->
+         Format.asprintf "%a@.%a@.updates: %s@.seed=%d" R.Viewdef.pp vd
+           R.Db.pp db
+           (String.concat "; " (List.map R.Update.to_string updates))
+           seed)
+       keyed_setup_gen)
+    (fun (vd, db, updates, seed) ->
+      let export creator schedule batch_size =
+        Core.Json_export.result
+          (Core.Engine.run ~schedule ~batch_size ~creator ~sites:[ source db ]
+             ~views:[ vd ] ~updates ())
+      in
+      List.for_all
+        (fun (schedule, batch_size) ->
+          String.equal
+            (export (Core.Registry.creator_exn "eca-local") schedule batch_size)
+            (export Ref_eca_local.instance schedule batch_size))
+        (List.concat_map
+           (fun schedule -> [ (schedule, 1); (schedule, 3) ])
+           Core.Scheduler.[ Best_case; Worst_case; Random seed ]))
+
 let suite =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -236,4 +403,5 @@ let suite =
       rv_random_views;
       ecal_random_views;
       eca_batched_random_views;
+      ecal_matches_reference;
     ]

@@ -201,13 +201,65 @@ let view_key_coverage () =
     (R.View.covers_all_keys (view_wy ~r1:r1_wkey ~r2:r2_ykey ()));
   check_bool "keyless view has no coverage" false
     (R.View.covers_all_keys (view_w ()));
-  match R.View.key_coverage (view_wy ~r1:r1_wkey ~r2:r2_ykey ()) with
-  | Some cover ->
-    Alcotest.(check (list int)) "r1 key at output 0" [ 0 ]
-      (List.assoc "r1" cover);
-    Alcotest.(check (list int)) "r2 key at output 1" [ 1 ]
-      (List.assoc "r2" cover)
-  | None -> Alcotest.fail "expected coverage"
+  let v = view_wy ~r1:r1_wkey ~r2:r2_ykey () in
+  Alcotest.(check (option (list int))) "r1 key at output 0" (Some [ 0 ])
+    (R.View.key_positions v "r1");
+  Alcotest.(check (option (list int))) "r2 key at output 1" (Some [ 1 ])
+    (R.View.key_positions v "r2")
+
+(* The one key-coverage test, row by row, and what the local rungs make
+   of it: a compound view never key-deletes, even when every part
+   projects the key — a deleted tuple's derivations spread over signed
+   parts. *)
+let view_key_positions () =
+  let r3_yzkey = R.Schema.of_names ~key:[ "Y"; "Z" ] "r3" [ "Y"; "Z" ] in
+  let wy = view_wy ~r1:r1_wkey ~r2:r2_ykey () in
+  let partly =
+    R.View.natural_join ~name:"P"
+      ~proj:[ R.Attr.qualified "r2" "Y"; R.Attr.qualified "r3" "Y" ]
+      [ r2_ykey; r3_yzkey ]
+  in
+  let unkeyed = view_wy () in
+  Alcotest.(check (list (pair string (option (list int))))) "key positions"
+    [
+      ("covered", Some [ 0 ]);
+      ("partly covered", None);
+      ("key of partner covered", Some [ 0 ]);
+      ("no declared key", None);
+      ("not a source", None);
+    ]
+    [
+      ("covered", R.View.key_positions wy "r1");
+      ("partly covered", R.View.key_positions partly "r3");
+      ("key of partner covered", R.View.key_positions partly "r2");
+      ("no declared key", R.View.key_positions unkeyed "r1");
+      ("not a source", R.View.key_positions wy "r3");
+    ];
+  let key_deletes vd =
+    List.filter_map
+      (fun (c : R.Selfmaint.class_report) ->
+        match c.R.Selfmaint.cls_plan with
+        | R.Selfmaint.Use_key_delete -> Some c.R.Selfmaint.cls_rel
+        | _ -> None)
+      vd.R.Selfmaint.classes
+  in
+  let simple = R.Viewdef.simple wy in
+  let compound = R.Viewdef.union simple simple in
+  Alcotest.(check (list (pair string (list string))))
+    "key-delete classes"
+    [
+      ("selfmaint simple", [ "r1"; "r2" ]);
+      ("selfmaint compound", []);
+      ("eca-local simple", [ "r1"; "r2" ]);
+      ("eca-local compound", []);
+    ]
+    [
+      ("selfmaint simple", key_deletes (R.Selfmaint.analyze simple));
+      ("selfmaint compound", key_deletes (R.Selfmaint.analyze compound));
+      ("eca-local simple", key_deletes (Core.Eca_sm.key_delete_table simple));
+      ( "eca-local compound",
+        key_deletes (Core.Eca_sm.key_delete_table compound) );
+    ]
 
 let view_natural_join_cond () =
   let v = view_w3 () in
@@ -341,6 +393,7 @@ let suite =
     Alcotest.test_case "view duplicate relations rejected" `Quick
       view_duplicate_relations;
     Alcotest.test_case "view key coverage" `Quick view_key_coverage;
+    Alcotest.test_case "view key positions" `Quick view_key_positions;
     Alcotest.test_case "natural join condition" `Quick view_natural_join_cond;
     Alcotest.test_case "fqueue drop_while" `Quick fqueue_drop_while;
   ]

@@ -15,8 +15,8 @@ module W = Workload
 let scaled = W.Scenarios.scaled
 
 let run_scaled ?policy ?fault ?fault_seed ?reliable ?batch_size ?coalesce
-    ?shard ?track_scale ?(algorithm = "eca") (w : W.Scenarios.scaled) =
-  E.run ?schedule:policy ?batch_size ?coalesce ?shard ?track_scale
+    ?track_scale ?(algorithm = "eca") (w : W.Scenarios.scaled) =
+  E.run ?schedule:policy ?batch_size ?coalesce ?track_scale
     ~creator:(Core.Registry.creator_exn algorithm)
     ~sites:(sites_of ?fault ?fault_seed ?reliable w.W.Scenarios.sources)
     ~views:(List.map R.Viewdef.simple w.W.Scenarios.views)
