@@ -51,12 +51,16 @@ bench-throughput:
 # reappears in the sources (the
 # old run drivers and scheduler aliases, the compiled/interpreted
 # toggle and the engine's oracle modes, the array-based scheduler
-# picks, the warehouse install log, the sharded-dispatch option and
-# the per-site retransmit timeout), check that
+# picks, the warehouse install log, the sharded-dispatch option,
+# the per-site retransmit timeout, the warehouse's second message
+# dispatcher, its string-keyed window counters and second constructor,
+# and the per-rung Not_applicable exceptions), check that
 # the parallel bench is deterministic (PAR=1 and PAR=4 emit identical
-# runs arrays), run the quick benchmark in a temp dir and fail if its
-# summed per-run wall clock regressed more than 2x against the committed
-# BENCH_results.json baseline (perf_guard.sh holds the other gates),
+# runs arrays), run the quick benchmark at PAR=1 in a temp dir — like
+# for like with the committed baseline, which records "workers": 1 —
+# and fail if its summed per-run wall clock regressed more than 2x
+# against the committed BENCH_results.json baseline (perf_guard.sh holds
+# the other gates, and fails when the two files' worker counts differ),
 # and run the two other bench entry points there too: `csv DIR` must
 # write the four figure CSVs, each a 9-column header plus data rows, and
 # `throughput` must write BENCH_throughput.json with its speedup field.
@@ -89,16 +93,16 @@ smoke:
 	  python3 perfbench/run.py --workload $$w --seed 11 --seconds 2 --trace 0 > /dev/null || exit 1; \
 	  python3 perfbench/run.py --workload $$w --seed 11 --seconds 2 --trace 1 > /dev/null || exit 1; \
 	done
-	@if grep -rnE 'Core\.Runner|Core\.Federation|Drain_first|Updates_first|unordered_delivery|set_compiled|Delta_program\.compiled|Delta_program\.linear|Engine\.Recompute|Engine\.Incremental|pick_multi|of_multi|install_history|[~?]shard\b|retransmit_timeout' \
+	@if grep -rnE 'Core\.Runner|Core\.Federation|Drain_first|Updates_first|unordered_delivery|set_compiled|Delta_program\.compiled|Delta_program\.linear|Engine\.Recompute|Engine\.Incremental|pick_multi|of_multi|install_history|[~?]shard\b|retransmit_timeout|Warehouse\.handle_message|window_counters|of_creator|(Eca_key|Eca_sm|Sc|Cross_source)\.Not_applicable' \
 	  lib bin bench examples test; then \
-	  echo "smoke: a removed entry point or alias reappeared (use Engine.run, Scheduler.pick_ready, Trace.warehouse_states; sharded dispatch and Engine.site ?retransmit_timeout are gone)"; \
+	  echo "smoke: a removed entry point or alias reappeared (use Engine.run, Scheduler.pick_ready, Trace.warehouse_states, Warehouse.create/misrouted, Algorithm.Not_applicable; sharded dispatch and Engine.site ?retransmit_timeout are gone)"; \
 	  exit 1; \
 	fi
 	dune build bench/main.exe
 	sh scripts/check_determinism.sh ./_build/default/bench/main.exe 4
 	@exe=$$(pwd)/_build/default/bench/main.exe; tmp=$$(mktemp -d); \
 	trap 'rm -rf "$$tmp"' EXIT; \
-	(cd "$$tmp" && "$$exe" quick > /dev/null) || exit 1; \
+	(cd "$$tmp" && PAR=1 "$$exe" quick > /dev/null) || exit 1; \
 	if [ -f BENCH_results.json ]; then \
 	  sh scripts/perf_guard.sh BENCH_results.json "$$tmp/BENCH_results.json" || exit 1; \
 	else \

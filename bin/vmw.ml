@@ -327,8 +327,7 @@ let run_script path algorithm schedule rv_period scenario trace json loads
   | exception R.Db.Db_error m -> Error ("database error: " ^ m)
   | exception R.Csv.Csv_error m -> Error ("csv error: " ^ m)
   | exception Failure m -> Error m
-  | exception Core.Eca_key.Not_applicable m -> Error m
-  | exception Core.Sc.Not_applicable m -> Error m
+  | exception Core.Algorithm.Not_applicable m -> Error m
   | exception Core.Catalog.Catalog_error m -> Error m
   | exception Core.Engine.Engine_error m -> Error ("run error: " ^ m)
   | result ->
@@ -745,8 +744,9 @@ let consistency_matrix path =
                       None result.Core.Engine.reports
                   in
                   Option.value worst ~default:"(no views)"
-                | exception Core.Eca_key.Not_applicable _ -> "n/a (keys)"
-                | exception Core.Sc.Not_applicable _ -> "n/a"
+                | exception Core.Algorithm.Not_applicable _ ->
+                  if String.equal algorithm "eca-key" then "n/a (keys)"
+                  else "n/a"
               in
               Format.printf " %-28s" cell)
             schedules;

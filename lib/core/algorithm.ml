@@ -1,5 +1,7 @@
 module R = Relational
 
+exception Not_applicable of string
+
 module Config = struct
   type t = {
     view : R.Viewdef.t;
@@ -44,7 +46,7 @@ type instance = {
   mv : unit -> R.Bag.t;
   on_quiesce : unit -> outcome;
   quiescent : unit -> bool;
-  counters : unit -> (string * int) list;
+  counters : unit -> Metrics.selfmaint option;
 }
 
 type creator = Config.t -> instance

@@ -9,6 +9,12 @@
 
 module R := Relational
 
+exception Not_applicable of string
+(** Raised by a rung's constructor when it cannot maintain the given view
+    (ECA-Key without full key coverage, SC or ECA-SM without
+    [Config.init_db], fetch-join over a compound view). The message says
+    which precondition is missing. *)
+
 module Config : sig
   type t = {
     view : R.Viewdef.t;
@@ -85,10 +91,10 @@ type instance = {
       (** called by the runner when the update stream is exhausted and no
           message is in flight; lets RV issue its final recompute. *)
   quiescent : unit -> bool;  (** no unanswered queries or buffered work *)
-  counters : unit -> (string * int) list;
-      (** algorithm-specific counters for the metrics surfaces ([[]] for
-          most algorithms; ECA-SM reports its self-maintenance tallies
-          here). Reading must not change state. *)
+  counters : unit -> Metrics.selfmaint option;
+      (** the self-maintenance tallies of the ECA-SM rung ([None] for
+          every other rung; wrappers pass the inner instance's through).
+          Reading must not change state. *)
 }
 
 type creator = Config.t -> instance

@@ -42,5 +42,5 @@ let instance cfg =
     on_quiesce = (fun () -> Algorithm.nothing);
     mv = (fun () -> mv t);
     quiescent = (fun () -> quiescent t);
-    counters = (fun () -> []);
+    counters = (fun () -> None);
   }

@@ -62,7 +62,7 @@ let algorithms entries =
   List.map (fun e -> (e.view.R.Viewdef.name, e.algo)) entries
 
 (* One creator dispatching per view name — what the engine's
-   [Warehouse.of_creator] expects. Checked up front: duplicate view
+   [Warehouse.create] expects. Checked up front: duplicate view
    names would make dispatch ambiguous, and every algorithm key is
    resolved before any instance is built. *)
 let creator entries =

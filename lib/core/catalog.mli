@@ -41,7 +41,7 @@ val windows : entry list -> (string * Window.spec) list
 
 val creator : entry list -> Algorithm.creator
 (** One creator dispatching on the view's name — what
-    {!Engine.run}/{!Warehouse.of_creator} consume. Checked eagerly:
+    {!Engine.run}/{!Warehouse.create} consume. Checked eagerly:
     duplicate view names and unknown algorithm keys fail here, not at
     first dispatch.
     @raise Catalog_error on an empty or ambiguous catalog. *)

@@ -35,15 +35,13 @@ let identity_query (s : R.Schema.t) =
             (R.Schema.attr_names s))
        ~cond:R.Predicate.True [ s ])
 
-exception Not_applicable of string
-
 let create (cfg : Algorithm.Config.t) =
   let view =
     match R.Viewdef.as_simple cfg.view with
     | Some v -> v
     | None ->
       raise
-        (Not_applicable
+        (Algorithm.Not_applicable
            "fetch-join demonstrates simple cross-source views only")
   in
   { view; mv = cfg.init_mv; pending = Hashtbl.create 16; next_id = 0 }
@@ -126,5 +124,5 @@ let instance cfg =
     on_quiesce = (fun () -> Algorithm.nothing);
     mv = (fun () -> mv t);
     quiescent = (fun () -> quiescent t);
-    counters = (fun () -> []);
+    counters = (fun () -> None);
   }

@@ -17,11 +17,11 @@
 
 module R := Relational
 
-exception Not_applicable of string
-
 type t
 
 val create : Algorithm.Config.t -> t
+(** @raise Algorithm.Not_applicable on a compound view. *)
+
 val mv : t -> R.Bag.t
 val quiescent : t -> bool
 val on_update : t -> R.Update.t -> Algorithm.outcome

@@ -206,7 +206,7 @@ let of_state t =
     on_quiesce = (fun () -> Algorithm.nothing);
     mv = (fun () -> mv t);
     quiescent = (fun () -> quiescent t);
-    counters = (fun () -> []);
+    counters = (fun () -> None);
   }
 
 let instance cfg = of_state (create cfg)

@@ -1,7 +1,5 @@
 module R = Relational
 
-exception Not_applicable of string
-
 (* A key-delete that happened while queries were pending: answers to
    queries sent before the delete (id < cutoff) may still carry view
    tuples derived from the deleted base tuple and must be filtered.
@@ -50,14 +48,14 @@ let create (cfg : Algorithm.Config.t) =
     | Some v -> v
     | None ->
       raise
-        (Not_applicable
+        (Algorithm.Not_applicable
            (Printf.sprintf
               "ECAK requires a simple SPJ view; %s is compound"
               cfg.view.R.Viewdef.name))
   in
   if not (R.View.covers_all_keys view) then
     raise
-      (Not_applicable
+      (Algorithm.Not_applicable
          (Printf.sprintf
             "ECAK requires view %s to project a declared key of every base \
              relation"
@@ -170,5 +168,5 @@ let instance cfg =
     on_quiesce = (fun () -> Algorithm.nothing);
     mv = (fun () -> mv t);
     quiescent = (fun () -> quiescent t);
-    counters = (fun () -> []);
+    counters = (fun () -> None);
   }

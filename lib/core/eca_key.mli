@@ -35,9 +35,6 @@
 
 module R := Relational
 
-exception Not_applicable of string
-(** Raised by [create] when the view lacks full key coverage. *)
-
 type t
 
 val applicable : R.Viewdef.t -> bool
@@ -46,7 +43,7 @@ val applicable : R.Viewdef.t -> bool
     catalog's auto-rung ladder. *)
 
 val create : Algorithm.Config.t -> t
-(** @raise Not_applicable unless {!Relational.View.covers_all_keys}. *)
+(** @raise Algorithm.Not_applicable unless {!Relational.View.covers_all_keys}. *)
 
 val mv : t -> R.Bag.t
 

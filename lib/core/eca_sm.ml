@@ -1,8 +1,6 @@
 module R = Relational
 module S = R.Selfmaint
 
-exception Not_applicable of string
-
 (* [analysis] is the class table deciding which updates skip the source
    round trip: [Selfmaint.analyze] for ECA-SM, [key_delete_table] for
    ECA-Local. *)
@@ -70,7 +68,7 @@ let create_with ~analysis (cfg : Algorithm.Config.t) =
     | _ :: _, Some db -> db
     | _ :: _, None ->
       raise
-        (Not_applicable
+        (Algorithm.Not_applicable
            "ECA-SM needs the initial base relations (Config.init_db) to \
             seed its auxiliary views")
   in
@@ -143,14 +141,14 @@ let on_update t (u : R.Update.t) =
 
 let counters t =
   let tuples, bytes = S.storage t.analysis t.aux_db in
-  [
-    ("sm_self", t.sm_self);
-    ("sm_aux", t.sm_aux);
-    ("sm_fallback", t.sm_fallback);
-    ("sm_aux_views", List.length (S.maintained t.analysis));
-    ("sm_aux_tuples", tuples);
-    ("sm_aux_bytes", bytes);
-  ]
+  {
+    Metrics.sm_self = t.sm_self;
+    sm_aux = t.sm_aux;
+    sm_fallback = t.sm_fallback;
+    sm_aux_views = List.length (S.maintained t.analysis);
+    sm_aux_tuples = tuples;
+    sm_aux_bytes = bytes;
+  }
 
 let instance_of ~name ~analysis ~counters (cfg : Algorithm.Config.t) =
   let t = create_with ~analysis:(analysis cfg.Algorithm.Config.view) cfg in
@@ -167,7 +165,10 @@ let instance_of ~name ~analysis ~counters (cfg : Algorithm.Config.t) =
     counters = (fun () -> counters t);
   }
 
-let instance = instance_of ~name:"eca-sm" ~analysis:S.analyze ~counters
+let instance =
+  instance_of ~name:"eca-sm" ~analysis:S.analyze ~counters:(fun t ->
+      Some (counters t))
 
 let local_instance =
-  instance_of ~name:"eca-local" ~analysis:key_delete_table ~counters:(fun _ -> [])
+  instance_of ~name:"eca-local" ~analysis:key_delete_table ~counters:(fun _ ->
+      None)

@@ -34,8 +34,6 @@ module R := Relational
 
 type t
 
-exception Not_applicable of string
-
 val applicable : R.Viewdef.t -> bool
 (** Consulted by the catalog's auto-rung ladder: every update class is
     locally answerable (M = 0 guaranteed) {e and} some class actually
@@ -54,21 +52,21 @@ val local_capable : R.Viewdef.t -> bool
 
 val create : Algorithm.Config.t -> t
 (** ECA-SM over {!Relational.Selfmaint.analyze}.
-    @raise Not_applicable when the analysis calls for maintained
+    @raise Algorithm.Not_applicable when the analysis calls for maintained
     auxiliary views but [Config.init_db] is [None] — they must be seeded
     from the initial base state. *)
 
 val mv : t -> R.Bag.t
 val on_update : t -> R.Update.t -> Algorithm.outcome
 
-val counters : t -> (string * int) list
-(** [sm_self], [sm_aux], [sm_fallback] (updates by handling path) and
-    [sm_aux_views]/[sm_aux_tuples]/[sm_aux_bytes] (current auxiliary
-    storage). *)
+val counters : t -> Metrics.selfmaint
+(** Updates by handling path ([sm_self], [sm_aux], [sm_fallback]) and the
+    current auxiliary storage ([sm_aux_views], [sm_aux_tuples],
+    [sm_aux_bytes]). *)
 
 val instance : Algorithm.creator
-(** ECA-SM, reporting {!counters}. *)
+(** ECA-SM; its {!Algorithm.instance.counters} is [Some] {!counters}. *)
 
 val local_instance : Algorithm.creator
-(** ECA-Local: the same driver over {!key_delete_table}, reporting no
-    counters. *)
+(** ECA-Local: the same driver over {!key_delete_table}; its
+    {!Algorithm.instance.counters} is [None]. *)

@@ -204,9 +204,7 @@ let run ?(schedule = Scheduler.Best_case) ?(rv_period = 1) ?(batch_size = 1)
     | None -> inst
     | Some st -> Window.wrap st inst
   in
-  let warehouse =
-    Warehouse.of_creator ~share:share_deltas ~creator ~configs ()
-  in
+  let warehouse = Warehouse.create ~share:share_deltas ~creator configs in
   (* With DDLs in the stream, a faulty channel can deliver a notification
      before the Ddl_note explaining its new shape — arm the warehouse's
      schema screen up front, not at the first (possibly late) note. *)
@@ -803,7 +801,7 @@ let run ?(schedule = Scheduler.Best_case) ?(rv_period = 1) ?(batch_size = 1)
            | Messaging.Message.Ack _ ) as msg) ->
         (* Misrouted: the warehouse records an anomaly and produces no
            reaction — nothing to trace. *)
-        (Warehouse.handle_message warehouse msg, None)
+        (Warehouse.misrouted warehouse msg, None)
     in
     after_reaction ?answer reaction;
     (* [ship_queries] already refreshed the edges it sent on; this
@@ -944,8 +942,14 @@ let run ?(schedule = Scheduler.Best_case) ?(rv_period = 1) ?(batch_size = 1)
       let views_rebuilt, retired_answers =
         Warehouse.evolution_counters warehouse
       in
+      (* [wh_win] holds the states the window wrappers share; they
+         survive rebuilds. *)
       let win_pruned_terms, win_local_answers, win_aged_partitions =
-        Option.value ~default:(0, 0, 0) (Warehouse.window_counters warehouse)
+        Hashtbl.fold
+          (fun _ st (p, l, a) ->
+            let p', l', a' = Window.counters st in
+            (p + p', l + l', a + a'))
+          wh_win (0, 0, 0)
       in
       Some
         {

@@ -74,5 +74,5 @@ let instance cfg =
     on_quiesce = (fun () -> on_quiesce t);
     mv = (fun () -> mv t);
     quiescent = (fun () -> quiescent t);
-    counters = (fun () -> []);
+    counters = (fun () -> None);
   }

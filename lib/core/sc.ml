@@ -1,7 +1,5 @@
 module R = Relational
 
-exception Not_applicable of string
-
 type t = {
   view : R.Viewdef.t;
   staged : R.Delta_program.staged;
@@ -18,7 +16,7 @@ let create (cfg : Algorithm.Config.t) =
   match cfg.init_db with
   | None ->
     raise
-      (Not_applicable
+      (Algorithm.Not_applicable
          "SC needs the initial base relations (Config.init_db) to seed its \
           replica")
   | Some db ->
@@ -117,5 +115,5 @@ let instance cfg =
     on_quiesce = (fun () -> Algorithm.nothing);
     mv = (fun () -> mv t);
     quiescent = (fun () -> quiescent t);
-    counters = (fun () -> []);
+    counters = (fun () -> None);
   }

@@ -13,9 +13,6 @@
 
 module R := Relational
 
-exception Not_applicable of string
-(** [create] needs [Config.init_db] to seed the replica. *)
-
 type t
 
 val applicable : R.Viewdef.t -> bool
@@ -23,6 +20,9 @@ val applicable : R.Viewdef.t -> bool
     [Config.init_db]), not structural. *)
 
 val create : Algorithm.Config.t -> t
+(** @raise Algorithm.Not_applicable without [Config.init_db], which
+    seeds the replica. *)
+
 val mv : t -> R.Bag.t
 
 val replica : t -> R.Db.t

@@ -5,67 +5,47 @@ type mode =
 
 exception Timing_error of string
 
-let wrap mode (inner : Algorithm.instance) =
+(* Buffer notifications and flush them into the inner instance's
+   [on_batch] once [threshold] updates are buffered (never, when [None])
+   or at a quiescence probe. *)
+let buffering ~suffix ~threshold (inner : Algorithm.instance) =
+  let buffer = ref [] in
+  let buffered = ref 0 in
+  let flush () =
+    match List.rev !buffer with
+    | [] -> Algorithm.nothing
+    | us ->
+      buffer := [];
+      buffered := 0;
+      inner.Algorithm.on_batch us
+  in
+  let push us =
+    buffer := List.rev_append us !buffer;
+    buffered := !buffered + List.length us;
+    match threshold with
+    | Some n when !buffered >= n -> flush ()
+    | _ -> Algorithm.nothing
+  in
+  {
+    inner with
+    Algorithm.name = inner.Algorithm.name ^ suffix;
+    (* The buffer observes the whole stream (every update counts toward
+       the threshold), so interest widens to everything even when the
+       inner algorithm would skip some updates. *)
+    interest = None;
+    on_update = (fun u -> push [ u ]);
+    on_batch = push;
+    on_quiesce =
+      (fun () -> Algorithm.combine (flush ()) (inner.Algorithm.on_quiesce ()));
+    quiescent = (fun () -> !buffer = [] && inner.Algorithm.quiescent ());
+  }
+
+let wrap mode inner =
   match mode with
   | Immediate -> inner
   | Periodic n when n < 1 -> raise (Timing_error "Periodic period must be >= 1")
   | Periodic n ->
-    let buffer = ref [] in
-    let buffered = ref 0 in
-    let flush () =
-      match List.rev !buffer with
-      | [] -> Algorithm.nothing
-      | us ->
-        buffer := [];
-        buffered := 0;
-        inner.Algorithm.on_batch us
-    in
-    let push us =
-      buffer := List.rev_append us !buffer;
-      buffered := !buffered + List.length us;
-      if !buffered >= n then flush () else Algorithm.nothing
-    in
-    {
-      inner with
-      Algorithm.name = Printf.sprintf "%s@every-%d" inner.Algorithm.name n;
-      (* The buffer counts every update toward the flush threshold, so
-         the wrapper must see all of them even when the inner algorithm
-         would skip some: interest widens to everything. *)
-      interest = None;
-      on_update = (fun u -> push [ u ]);
-      on_batch = push;
-      on_quiesce =
-        (fun () ->
-          Algorithm.combine (flush ()) (inner.Algorithm.on_quiesce ()));
-      quiescent = (fun () -> !buffer = [] && inner.Algorithm.quiescent ());
-    }
-  | Deferred ->
-    let buffer = ref [] in
-    let flush () =
-      match List.rev !buffer with
-      | [] -> Algorithm.nothing
-      | us ->
-        buffer := [];
-        inner.Algorithm.on_batch us
-    in
-    {
-      inner with
-      Algorithm.name = inner.Algorithm.name ^ "@deferred";
-      (* Deferred buffering observes the whole stream; do not inherit
-         the inner instance's narrower interest. *)
-      interest = None;
-      on_update =
-        (fun u ->
-          buffer := u :: !buffer;
-          Algorithm.nothing);
-      on_batch =
-        (fun us ->
-          buffer := List.rev_append us !buffer;
-          Algorithm.nothing);
-      on_quiesce =
-        (fun () ->
-          Algorithm.combine (flush ()) (inner.Algorithm.on_quiesce ()));
-      quiescent = (fun () -> !buffer = [] && inner.Algorithm.quiescent ());
-    }
+    buffering ~suffix:(Printf.sprintf "@every-%d" n) ~threshold:(Some n) inner
+  | Deferred -> buffering ~suffix:"@deferred" ~threshold:None inner
 
 let creator mode inner_creator cfg = wrap mode (inner_creator cfg)

@@ -3,10 +3,13 @@
     algorithms can be applied to deferred and periodic update as well".
     This wrapper is that modification.
 
-    Buffered notifications are flushed into the wrapped algorithm's
-    [on_batch] — as one atomic warehouse step — either every [n]
-    notifications ([Periodic n]) or only at quiescence ([Deferred], the
-    refresh-on-demand pattern of [RK86]). Because the flushed batch is
+    One buffering wrapper serves both timed modes. Buffered
+    notifications are flushed into the wrapped algorithm's [on_batch] —
+    as one atomic warehouse step — once [n] notifications are buffered
+    ([Periodic n]) and at every quiescence probe; [Deferred] is the case
+    with no threshold (the refresh-on-demand pattern of [RK86]). The
+    wrapper observes every update ([interest = None]) and passes the
+    inner instance's counters through. Because the flushed batch is
     processed by the underlying algorithm with its usual compensation
     machinery, a strongly consistent algorithm stays strongly consistent:
     the warehouse simply visits a {e subsequence} of the source states. *)

@@ -50,9 +50,12 @@ type reaction = {
 
 let no_reaction = { queries = []; installs = [] }
 
-let create ?(share = false) pairs =
+let create ?(share = false) ~creator configs =
   let hosted =
-    Array.of_list (List.map (fun (view, inst) -> { view; inst }) pairs)
+    Array.of_list
+      (List.map
+         (fun cfg -> { view = cfg.Algorithm.Config.view; inst = creator cfg })
+         configs)
   in
   (* Update-note dispatch index, built once: relation -> interested
      instances (an instance's [interest] is its promise that foreign
@@ -94,10 +97,6 @@ let create ?(share = false) pairs =
     shared_fanout = 0;
   }
 
-let of_creator ?share ~creator ~configs () =
-  create ?share
-    (List.map (fun cfg -> (cfg.Algorithm.Config.view, creator cfg)) configs)
-
 let mv t name =
   let rec find i =
     if i >= Array.length t.hosted then None
@@ -124,42 +123,24 @@ let algorithms t =
 
 let shared_counters t = (t.shared_evaluated, t.shared_hits, t.shared_fanout)
 
-(* Fold the hosted instances' algorithm-specific counters into the
-   self-maintenance metrics block; [None] when no instance reports any,
-   so runs without an ECA-SM rung keep their output byte-identical. *)
+(* [None] unless some hosted instance (the ECA-SM rung) reports the
+   block, so every other run's metrics stay byte-identical. *)
 let selfmaint_counters t =
-  let get k c = Option.value ~default:0 (List.assoc_opt k c) in
-  let is_sm (k, _) = String.length k > 3 && String.equal (String.sub k 0 3) "sm_" in
-  let any = ref false in
-  let s, a, f, v, tu, b =
-    Array.fold_left
-      (fun ((s, a, f, v, tu, b) as acc) h ->
-        match h.inst.Algorithm.counters () with
-        | c when not (List.exists is_sm c) ->
-          (* window wrappers also report counters; only sm_* keys mean a
-             self-maintenance rung is hosted *)
-          acc
-        | c ->
-          any := true;
-          ( s + get "sm_self" c,
-            a + get "sm_aux" c,
-            f + get "sm_fallback" c,
-            v + get "sm_aux_views" c,
-            tu + get "sm_aux_tuples" c,
-            b + get "sm_aux_bytes" c ))
-      (0, 0, 0, 0, 0, 0) t.hosted
-  in
-  if not !any then None
-  else
-    Some
-      {
-        Metrics.sm_self = s;
-        sm_aux = a;
-        sm_fallback = f;
-        sm_aux_views = v;
-        sm_aux_tuples = tu;
-        sm_aux_bytes = b;
-      }
+  Array.fold_left
+    (fun acc h ->
+      match (acc, h.inst.Algorithm.counters ()) with
+      | None, c | c, None -> c
+      | Some a, Some c ->
+        Some
+          {
+            Metrics.sm_self = a.Metrics.sm_self + c.Metrics.sm_self;
+            sm_aux = a.sm_aux + c.sm_aux;
+            sm_fallback = a.sm_fallback + c.sm_fallback;
+            sm_aux_views = a.sm_aux_views + c.sm_aux_views;
+            sm_aux_tuples = a.sm_aux_tuples + c.sm_aux_tuples;
+            sm_aux_bytes = a.sm_aux_bytes + c.sm_aux_bytes;
+          })
+    None t.hosted
 
 (* Looked up while the gid's route is still live — i.e. before
    [handle_answer] consumes it — so the observability layer can tag a
@@ -188,10 +169,12 @@ let gid_subscribers t gid =
    warehouse. *)
 type event_table = (int, (R.Query.t * int * int) list ref) Hashtbl.t
 
-let lift ?event t idx (o : Algorithm.outcome) =
+(* Lift one instance's outcome onto [acc], a reaction held newest-first
+   while an event folds; [finish] restores the order. *)
+let lift ?event t idx (o : Algorithm.outcome) acc =
   let queries =
-    List.filter_map
-      (fun (lid, q) ->
+    List.fold_left
+      (fun qs (lid, q) ->
         let ship () =
           let gid = t.next_gid in
           t.next_gid <- gid + 1;
@@ -203,7 +186,7 @@ let lift ?event t idx (o : Algorithm.outcome) =
             match Hashtbl.find_opt tbl sg with
             | Some bucket -> bucket := (q, gid, idx) :: !bucket
             | None -> Hashtbl.add tbl sg (ref [ (q, gid, idx) ])));
-          Some (gid, q)
+          (gid, q) :: qs
         in
         match event with
         | None -> ship ()
@@ -241,18 +224,18 @@ let lift ?event t idx (o : Algorithm.outcome) =
                 t.shared_hits <- t.shared_hits + 1;
                 if extras_rev = [] then
                   t.shared_evaluated <- t.shared_evaluated + 1;
-                None))))
-      o.Algorithm.send
+                qs))))
+      acc.queries o.Algorithm.send
   in
   let name = t.hosted.(idx).view.R.Viewdef.name in
   {
     queries;
     installs =
-      (if o.Algorithm.installs = [] then []
-       else [ (name, o.Algorithm.installs) ]);
+      (if o.Algorithm.installs = [] then acc.installs
+       else (name, o.Algorithm.installs) :: acc.installs);
   }
 
-let merge a b = { queries = a.queries @ b.queries; installs = a.installs @ b.installs }
+let finish r = { queries = List.rev r.queries; installs = List.rev r.installs }
 
 let fresh_event t : event_table option =
   if t.share then Some (Hashtbl.create 16) else None
@@ -265,6 +248,8 @@ let rec merge_idx a b =
     if x < y then x :: merge_idx a' b
     else if y < x then y :: merge_idx a b'
     else x :: merge_idx a' b'
+
+let all t = List.init (Array.length t.hosted) Fun.id
 
 let interested t rel =
   Option.value ~default:[] (Hashtbl.find_opt t.by_rel rel)
@@ -290,22 +275,18 @@ let batch_targets t us =
    not take down every hosted view. *)
 let react t targets f =
   let event = fresh_event t in
-  let outcomes =
-    List.map
-      (fun idx -> try Ok (f idx) with R.Db.Db_error msg -> Error msg)
-      targets
-  in
-  List.fold_left2
-    (fun acc idx o ->
-      match o with
-      | Ok o -> merge acc (lift ?event t idx o)
-      | Error msg ->
-        t.anomalies <-
-          Printf.sprintf "view %s rejected a notification: %s; dropped"
-            t.hosted.(idx).view.R.Viewdef.name msg
-          :: t.anomalies;
-        acc)
-    no_reaction targets outcomes
+  finish
+    (List.fold_left
+       (fun acc idx ->
+         match f idx with
+         | o -> lift ?event t idx o acc
+         | exception R.Db.Db_error msg ->
+           t.anomalies <-
+             Printf.sprintf "view %s rejected a notification: %s; dropped"
+               t.hosted.(idx).view.R.Viewdef.name msg
+             :: t.anomalies;
+           acc)
+       no_reaction targets)
 
 (* A notification whose tuple no longer matches the hosted view's schema
    for its relation. Impossible on FIFO edges — the Ddl_note explaining
@@ -392,38 +373,27 @@ let handle_answer t ~gid answer =
     | _ :: _ :: _ -> t.shared_fanout <- t.shared_fanout + List.length subs
     | _ -> ());
     let event = fresh_event t in
-    List.fold_left
-      (fun acc (idx, lid) ->
-        merge acc
-          (lift ?event t idx
-             (t.hosted.(idx).inst.Algorithm.on_answer ~id:lid answer)))
-      no_reaction subs
+    finish
+      (List.fold_left
+         (fun acc (idx, lid) ->
+           lift ?event t idx
+             (t.hosted.(idx).inst.Algorithm.on_answer ~id:lid answer)
+             acc)
+         no_reaction subs)
 
-(* Dispatch is total: a message of a kind the warehouse never legitimately
-   receives — a query echoed back, or a protocol frame leaking past the
-   reliability sublayer — is recorded as an anomaly and ignored rather
-   than crashing the site. A warehouse is a long-running service; one
+(* A message the warehouse never legitimately receives — a query echoed
+   back, or a protocol frame leaking past the reliability sublayer — is
+   recorded as an anomaly and ignored rather than crashing the site: one
    misrouted message must not take down every hosted view. *)
-let anomaly t reason msg =
+let misrouted t msg =
+  let reason =
+    match msg with
+    | Messaging.Message.Query _ -> "warehouses do not receive queries"
+    | _ -> "protocol frame leaked past the reliability sublayer"
+  in
   t.anomalies <-
     Format.asprintf "%s: %a" reason Messaging.Message.pp msg :: t.anomalies;
   no_reaction
-
-let handle_message t msg =
-  match msg with
-  | Messaging.Message.Update_note u -> handle_update t u
-  | Messaging.Message.Batch_note us -> handle_batch t us
-  | Messaging.Message.Answer { id; answer; cost = _ } ->
-    handle_answer t ~gid:id answer
-  | Messaging.Message.Query _ ->
-    anomaly t "warehouses do not receive queries" msg
-  | Messaging.Message.Ddl_note _ ->
-    (* Schema changes need the engine-provided rebuild callback; the
-       event loop routes them through [apply_ddl], never through the
-       plain dispatcher. *)
-    anomaly t "schema changes are applied via apply_ddl" msg
-  | Messaging.Message.Data _ | Messaging.Message.Ack _ ->
-    anomaly t "protocol frame leaked past the reliability sublayer" msg
 
 let anomalies t = List.rev t.anomalies
 
@@ -449,7 +419,8 @@ let apply_ddl t d ~rebuild =
        only fire when a faulty channel duplicated or reordered notes —
        an anomaly to record, not a crash. *)
     match
-      Array.map (fun h -> if R.Evolve.affects h.view d then Some (rebuild h.view) else None)
+      Array.mapi
+        (fun idx h -> if affected.(idx) then Some (rebuild h.view) else None)
         t.hosted
     with
     | exception R.Evolve.Evolve_error msg ->
@@ -476,50 +447,23 @@ let apply_ddl t d ~rebuild =
           | new_owner :: rest ->
             Hashtbl.replace t.routes gid (new_owner, List.rev rest))
       all_routes;
-    let names = ref [] in
-    let event = fresh_event t in
     let reaction =
-      Array.to_list t.hosted
-      |> List.mapi (fun idx h -> (idx, h))
-      |> List.fold_left
-           (fun acc (idx, h) ->
-             match rebuilt.(idx) with
-             | None -> acc
-             | Some (view', inst', outcome) ->
-               h.view <- view';
-               h.inst <- inst';
-               t.rebuilds <- t.rebuilds + 1;
-               names := view'.R.Viewdef.name :: !names;
-               merge acc (lift ?event t idx outcome)
-           )
-           no_reaction
+      react t (all t) (fun idx ->
+          match rebuilt.(idx) with
+          | None -> Algorithm.nothing
+          | Some (view', inst', outcome) ->
+            t.hosted.(idx).view <- view';
+            t.hosted.(idx).inst <- inst';
+            t.rebuilds <- t.rebuilds + 1;
+            outcome)
     in
-    (reaction, List.rev !names)
+    ( reaction,
+      List.filter_map
+        (Option.map (fun (view', _, _) -> view'.R.Viewdef.name))
+        (Array.to_list rebuilt) )
   end
 
 let evolution_counters t = (t.rebuilds, t.retired_hits)
 
-(* Aggregate the window wrappers' counters across hosted instances;
-   [None] when no instance is windowed, keeping unwindowed runs
-   byte-identical. *)
-let window_counters t =
-  let get k c = Option.value ~default:0 (List.assoc_opt k c) in
-  let any = ref false in
-  let p, l, a =
-    Array.fold_left
-      (fun ((p, l, a) as acc) h ->
-        let c = h.inst.Algorithm.counters () in
-        if not (List.mem_assoc "win_aged_partitions" c) then acc
-        else begin
-          any := true;
-          ( p + get "win_pruned_terms" c,
-            l + get "win_local_answers" c,
-            a + get "win_aged_partitions" c )
-        end)
-      (0, 0, 0) t.hosted
-  in
-  if !any then Some (p, l, a) else None
-
 let quiesce t =
-  let all = List.init (Array.length t.hosted) Fun.id in
-  react t all (fun idx -> t.hosted.(idx).inst.Algorithm.on_quiesce ())
+  react t (all t) (fun idx -> t.hosted.(idx).inst.Algorithm.on_quiesce ())

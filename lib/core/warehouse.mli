@@ -2,10 +2,12 @@
     view over a single source (Section 7's multi-view adaptation — "ECA is
     simply applied to each view separately").
 
-    The warehouse routes messages: an update notification fans out to all
-    hosted instances; instance-local query ids are mapped to globally
+    The engine's receive handler dispatches each message to one of the
+    event handlers below: an update notification fans out to the
+    interested instances; instance-local query ids are mapped to globally
     unique ids so that answers find their way back. Events are atomic, as
-    Section 3 assumes. *)
+    Section 3 assumes: each handler folds its targets' outcomes, in host
+    order, into one {!reaction}. *)
 
 module R := Relational
 
@@ -21,10 +23,12 @@ type reaction = {
 val no_reaction : reaction
 
 val create :
-  ?share:bool ->
-  (R.Viewdef.t * Algorithm.instance) list ->
-  t
-(** With [~share:true] the warehouse runs shared-delta (MQO)
+  ?share:bool -> creator:Algorithm.creator -> Algorithm.Config.t list -> t
+(** Hosts [creator cfg] for every view configuration, in list order;
+    per-view algorithm choice is the creator's business (see
+    {!Catalog.creator}).
+
+    With [~share:true] the warehouse runs shared-delta (MQO)
     maintenance: within one atomic event, structurally equal queries
     produced by {e distinct} hosted instances (matched by
     {!R.Query.signature}, confirmed by {!R.Query.equal}) are shipped
@@ -37,15 +41,6 @@ val create :
     Dispatch consults each instance's {!Algorithm.instance.interest}: updates fan out only to
     the instances whose relations they touch, O(interested) rather than
     O(views). *)
-
-val of_creator :
-  ?share:bool ->
-  creator:Algorithm.creator ->
-  configs:Algorithm.Config.t list ->
-  unit ->
-  t
-(** One creator for every view; per-view algorithm choice is the
-    creator's business (see {!Catalog.creator}). *)
 
 val mv : t -> string -> R.Bag.t option
 val mvs : t -> (string * R.Bag.t) list
@@ -63,10 +58,10 @@ val shared_counters : t -> int * int * int
     All 0 when sharing is off. *)
 
 val selfmaint_counters : t -> Metrics.selfmaint option
-(** Fold of the hosted instances' {!Algorithm.instance.counters} into the
-    self-maintenance metrics block — [Some] iff at least one instance
-    (the ECA-SM rung) reports counters, so every other run's metrics stay
-    byte-identical. *)
+(** Sum of the hosted instances' {!Algorithm.instance.counters} — [Some]
+    iff at least one instance (the ECA-SM rung, windowed or
+    timing-wrapped or not) reports the block, so every other run's
+    metrics stay byte-identical. *)
 
 val gid_view : t -> int -> (string * string) option
 (** The [(view name, algorithm name)] owning an outstanding query gid —
@@ -127,18 +122,14 @@ val evolution_counters : t -> int * int
 (** [(rebuilds, retired_hits)]: instances re-initialized by schema
     changes, and tombstone answers absorbed through retired routes. *)
 
-val window_counters : t -> (int * int * int) option
-(** Fold of the window wrappers' counters over all hosted instances,
-    [(win_pruned_terms, win_local_answers, win_aged_partitions)] — [Some]
-    iff at least one hosted view is windowed. *)
-
-val handle_message : t -> Messaging.Message.t -> reaction
-(** Dispatch on the message kind. Total: message kinds the warehouse
-    never legitimately receives ([Query], a [Ddl_note] that bypassed
-    {!apply_ddl}, and the [Data]/[Ack] frames that belong to the
-    reliability sublayer) are recorded as anomalies (see {!anomalies})
-    and produce {!no_reaction} — a misrouted message must not take down
-    every hosted view. *)
+val misrouted : t -> Messaging.Message.t -> reaction
+(** A message kind the warehouse never legitimately receives (a [Query],
+    or a [Data]/[Ack] frame that belongs to the reliability sublayer):
+    recorded as an anomaly (see {!anomalies}), answered with
+    {!no_reaction} — a misrouted message must not take down every hosted
+    view. The engine's receive handler dispatches every other kind to
+    {!handle_update}, {!handle_batch}, {!handle_answer} or
+    {!apply_ddl}. *)
 
 val anomalies : t -> string list
 (** Human-readable records of misrouted messages and rejected

@@ -172,12 +172,7 @@ let prune st q =
   st.pruned_terms <- st.pruned_terms + List.length pruned;
   R.Query.of_terms kept
 
-let counters st =
-  [
-    ("win_pruned_terms", st.pruned_terms);
-    ("win_local_answers", st.local_answers);
-    ("win_aged_partitions", st.aged_partitions);
-  ]
+let counters st = (st.pruned_terms, st.local_answers, st.aged_partitions)
 
 let wrap st (inner : Algorithm.instance) =
   init_watermark st (inner.Algorithm.mv ());
@@ -208,8 +203,8 @@ let wrap st (inner : Algorithm.instance) =
     Algorithm.combine { Algorithm.send; installs } !followup
   in
   {
+    inner with
     Algorithm.name = inner.Algorithm.name ^ "+win";
-    interest = inner.Algorithm.interest;
     on_update =
       (fun u ->
         observe_update st u;
@@ -239,6 +234,4 @@ let wrap st (inner : Algorithm.instance) =
         end
         else o);
     mv = (fun () -> filter st (inner.Algorithm.mv ()));
-    quiescent = inner.Algorithm.quiescent;
-    counters = (fun () -> inner.Algorithm.counters () @ counters st);
   }

@@ -51,8 +51,12 @@ val observe_update : state -> R.Update.t -> unit
 val filter : state -> R.Bag.t -> R.Bag.t
 (** Restrict a view state to the live window. *)
 
-val counters : state -> (string * int) list
-(** [win_pruned_terms], [win_local_answers], [win_aged_partitions]. *)
+val counters : state -> int * int * int
+(** [(win_pruned_terms, win_local_answers, win_aged_partitions)] of
+    {!Metrics.evolution}. The engine sums them over its windowed views;
+    they survive {!rebuild}. *)
 
 val wrap : state -> Algorithm.instance -> Algorithm.instance
-(** The windowed version of a hosted instance (see module doc). *)
+(** The windowed version of a hosted instance (see module doc). Its
+    interest, quiescence and {!Algorithm.instance.counters} are the inner
+    instance's. *)

@@ -28,11 +28,13 @@
 # at 0, and its windowed cell must age partitions out and prune
 # compensation terms. The summed per-run
 # wall clock is compared — not the process total — because it measures
-# the work done and is invariant under the PAR worker count, whereas
-# total_wall_clock_s shrinks with parallel fan-out. Machine noise on
-# loaded CI boxes is real, so the threshold is deliberately loose: it
-# catches algorithmic regressions (accidental quadratic loops, lost
-# caching), not jitter.
+# the work done, whereas total_wall_clock_s shrinks with parallel
+# fan-out. It is not invariant under the PAR worker count either: runs
+# sharing a small host's cores each take longer. So both files must
+# record the same "workers" count, and a mismatch fails before any gate.
+# Machine noise on loaded CI boxes is real, so the threshold is
+# deliberately loose: it catches algorithmic regressions (accidental
+# quadratic loops, lost caching), not jitter.
 set -eu
 
 baseline_file=$1
@@ -71,6 +73,19 @@ if [ "$schema_baseline" != "$schema_current" ]; then
   fi
   echo "perf_guard: regenerate the committed baseline with the current" \
     "bench (dune exec bench/main.exe -- quick) before comparing." >&2
+  exit 2
+fi
+
+# Like for like: the summed per-run wall clock still moves with the
+# worker count on a small shared host (runs contend for the cores), so
+# both files must come from the same PAR.
+workers_baseline=$(extract "$baseline_file" workers)
+workers_current=$(extract "$current_file" workers)
+if [ "$workers_baseline" != "$workers_current" ]; then
+  echo "perf_guard: worker counts differ — baseline ran with" \
+    "workers=${workers_baseline:-?}, current with workers=${workers_current:-?}." >&2
+  echo "perf_guard: rerun the current bench with" \
+    "PAR=${workers_baseline:-?} before comparing." >&2
   exit 2
 fi
 

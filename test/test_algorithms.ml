@@ -198,7 +198,7 @@ let sc_handles_deletes () =
 let sc_requires_init_db () =
   let view = view_w () in
   Alcotest.check_raises "missing replica seed"
-    (Core.Sc.Not_applicable
+    (Core.Algorithm.Not_applicable
        "SC needs the initial base relations (Config.init_db) to seed its \
         replica") (fun () ->
       ignore
@@ -366,7 +366,7 @@ let ecak_tombstones_outlive_out_of_order_answers () =
 
 let ecak_rejects_uncovered_views () =
   match Core.Eca_key.create (cfg_of (db_of [ (r1, []); (r2, []) ]) (view_w ())) with
-  | exception Core.Eca_key.Not_applicable _ -> ()
+  | exception Core.Algorithm.Not_applicable _ -> ()
   | _ -> Alcotest.fail "expected Not_applicable"
 
 let key_delete_semantics () =

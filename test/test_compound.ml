@@ -174,7 +174,7 @@ let ecak_rejects_compound () =
   match
     Core.Eca_key.create (Core.Algorithm.Config.of_db union_view db)
   with
-  | exception Core.Eca_key.Not_applicable _ -> ()
+  | exception Core.Algorithm.Not_applicable _ -> ()
   | _ -> Alcotest.fail "expected Not_applicable"
 
 let negative_states_are_legal_for_differences () =

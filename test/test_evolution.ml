@@ -458,7 +458,9 @@ let unknown_answer_is_an_anomaly () =
     Core.Algorithm.Config.make ~rv_period:1 ~view:vd
       ~init_mv:(R.Viewdef.eval db vd) ()
   in
-  let wh = Core.Warehouse.create [ (vd, Core.Registry.creator_exn "eca" cfg) ] in
+  let wh =
+    Core.Warehouse.create ~creator:(Core.Registry.creator_exn "eca") [ cfg ]
+  in
   let reaction = Core.Warehouse.handle_answer wh ~gid:999 (bag [ [ 1; 5 ] ]) in
   Alcotest.(check bool) "no reaction" true
     (reaction = Core.Warehouse.no_reaction);

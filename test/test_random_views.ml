@@ -291,7 +291,7 @@ module Ref_eca_local = struct
       on_quiesce = (fun () -> Algorithm.nothing);
       mv = (fun () -> Eca.mv t.eca);
       quiescent = (fun () -> Eca.quiescent t.eca);
-      counters = (fun () -> []);
+      counters = (fun () -> None);
     }
 end
 

@@ -67,14 +67,11 @@ let warehouse_routes_answers () =
   let va = view_w ~name:"A" () in
   let vb = view_wy ~name:"B" () in
   let wh =
-    Core.Warehouse.of_creator
-      ~creator:Core.Eca.instance
-      ~configs:
-        [
-          Core.Algorithm.Config.of_view_db va db;
-          Core.Algorithm.Config.of_view_db vb db;
-        ]
-      ()
+    Core.Warehouse.create ~creator:Core.Eca.instance
+      [
+        Core.Algorithm.Config.of_view_db va db;
+        Core.Algorithm.Config.of_view_db vb db;
+      ]
   in
   let reaction = Core.Warehouse.handle_update wh (ins "r2" [ 2; 3 ]) in
   check_int "one query per hosted view" 2
@@ -99,13 +96,10 @@ let shared_route_order_pins_owner_first () =
   let db = small_db () in
   let names = [ "A"; "B"; "C"; "D" ] in
   let wh =
-    Core.Warehouse.of_creator ~share:true ~creator:Core.Eca.instance
-      ~configs:
-        (List.map
-           (fun n ->
-             Core.Algorithm.Config.of_view_db (view_w ~name:n ()) db)
-           names)
-      ()
+    Core.Warehouse.create ~share:true ~creator:Core.Eca.instance
+      (List.map
+         (fun n -> Core.Algorithm.Config.of_view_db (view_w ~name:n ()) db)
+         names)
   in
   let reaction = Core.Warehouse.handle_update wh (ins "r2" [ 2; 3 ]) in
   (match reaction.Core.Warehouse.queries with
@@ -128,17 +122,16 @@ let shared_route_order_pins_owner_first () =
 let warehouse_absorbs_misrouted_messages () =
   let db = small_db () in
   let wh =
-    Core.Warehouse.of_creator ~creator:Core.Eca.instance
-      ~configs:[ Core.Algorithm.Config.of_view_db (view_w ()) db ]
-      ()
+    Core.Warehouse.create ~creator:Core.Eca.instance
+      [ Core.Algorithm.Config.of_view_db (view_w ()) db ]
   in
   let mv_before = Option.get (Core.Warehouse.mv wh "V") in
   check_bool "a query produces no reaction" true
-    (Core.Warehouse.handle_message wh
+    (Core.Warehouse.misrouted wh
        (Messaging.Message.Query { id = 0; query = R.Query.empty })
     = Core.Warehouse.no_reaction);
   check_bool "a protocol frame produces no reaction" true
-    (Core.Warehouse.handle_message wh
+    (Core.Warehouse.misrouted wh
        (Messaging.Message.Ack { cum = 3 })
     = Core.Warehouse.no_reaction);
   check_int "both anomalies recorded" 2

@@ -622,16 +622,15 @@ let eca_sm_counters () =
     (R.Viewdef.eval (R.Db.apply_all db updates) vdef)
     (Core.Eca_sm.mv t);
   let c = Core.Eca_sm.counters t in
-  let get k = List.assoc k c in
-  check_int "no fallbacks" 0 (get "sm_fallback");
+  check_int "no fallbacks" 0 c.Core.Metrics.sm_fallback;
   check_int "every update handled locally"
     (List.length updates)
-    (get "sm_self" + get "sm_aux");
-  check_bool "fk path used" true (get "sm_self" > 0);
-  check_bool "aux path used" true (get "sm_aux" > 0);
+    (c.Core.Metrics.sm_self + c.Core.Metrics.sm_aux);
+  check_bool "fk path used" true (c.Core.Metrics.sm_self > 0);
+  check_bool "aux path used" true (c.Core.Metrics.sm_aux > 0);
   check_bool "aux storage reported" true
-    (get "sm_aux_views" > 0 && get "sm_aux_tuples" >= 0
-   && get "sm_aux_bytes" >= 0);
+    (c.Core.Metrics.sm_aux_views > 0 && c.Core.Metrics.sm_aux_tuples >= 0
+   && c.Core.Metrics.sm_aux_bytes >= 0);
   (* maintained auxes require the initial base state *)
   check_bool "create without init_db refuses" true
     (match
@@ -639,8 +638,67 @@ let eca_sm_counters () =
          (Core.Algorithm.Config.make ~init_db:None ~view:vdef
             ~init_mv:(R.Viewdef.eval db vdef) ())
      with
-    | exception Core.Eca_sm.Not_applicable _ -> true
+    | exception Core.Algorithm.Not_applicable _ -> true
     | _ -> false)
+
+(* The metrics blocks under the window and timing wrappers: the
+   self-maintenance block is the ECA-SM instance's and passes through
+   both wrappers unchanged, while the window counters come from the
+   window states and land in the evolution block. The values are pinned
+   to those of the string-keyed counters this typed surface replaced. *)
+let metrics_under_wrappers () =
+  let db, updates = sm_stream_of_seed 7 in
+  let windows = [ ("SM", { Core.Window.rel = "s1"; col = "W"; k = 3 }) ] in
+  let run ?(windows = []) ?(timing = Core.Timing.Immediate) algo =
+    (Core.Engine.run ~schedule:Core.Scheduler.Worst_case ~windows
+       ~creator:(Core.Timing.creator timing (Core.Registry.creator_exn algo))
+       ~sites:[ source db ] ~views:[ vd (v_sm ()) ] ~updates ())
+      .Core.Engine.metrics
+  in
+  let sm =
+    Some
+      {
+        Core.Metrics.sm_self = 4;
+        sm_aux = 8;
+        sm_fallback = 0;
+        sm_aux_views = 2;
+        sm_aux_tuples = 5;
+        sm_aux_bytes = 40;
+      }
+  in
+  let window_block ~pruned ~local =
+    Some
+      {
+        Core.Metrics.ddl_applied = 0;
+        views_rebuilt = 0;
+        refresh_queries = 0;
+        stale_answers = 0;
+        retired_answers = 0;
+        win_pruned_terms = pruned;
+        win_local_answers = local;
+        win_aged_partitions = 102;
+      }
+  in
+  let check label expected got = check_bool label true (expected = got) in
+  let eca = run ~windows "eca" in
+  check "windowed eca: no selfmaint block" None eca.Core.Metrics.selfmaint;
+  check "windowed eca: the window counters"
+    (window_block ~pruned:2 ~local:2)
+    eca.Core.Metrics.evolution;
+  check "eca-sm: the selfmaint block" sm (run "eca-sm").Core.Metrics.selfmaint;
+  let windowed = run ~windows "eca-sm" in
+  check "windowed eca-sm: the unwrapped selfmaint block" sm
+    windowed.Core.Metrics.selfmaint;
+  check "windowed eca-sm: the window counters"
+    (window_block ~pruned:0 ~local:0)
+    windowed.Core.Metrics.evolution;
+  List.iter
+    (fun (label, timing) ->
+      check (label ^ " eca-sm: the unwrapped selfmaint block") sm
+        (run ~timing "eca-sm").Core.Metrics.selfmaint;
+      check (label ^ " windowed eca-sm: the unwrapped selfmaint block") sm
+        (run ~windows ~timing "eca-sm").Core.Metrics.selfmaint)
+    [ ("periodic-3", Core.Timing.Periodic 3); ("deferred", Core.Timing.Deferred) ]
 
 (* ------------------------------------------------------------------ *)
 (* 40-seed sweep: every rung equals the oracle across the fault matrix *)
@@ -733,5 +791,7 @@ let suite =
     Alcotest.test_case "eca-sm: fallback on remote classes" `Quick
       eca_sm_mixed_falls_back;
     Alcotest.test_case "eca-sm: handling-path counters" `Quick eca_sm_counters;
+    Alcotest.test_case "eca-sm: metrics blocks under wrappers" `Quick
+      metrics_under_wrappers;
     Alcotest.test_case "eca-sm: 40-seed oracle sweep" `Quick sweep;
   ]
