@@ -40,7 +40,8 @@ bench-throughput:
 # consistency-judge, staleness, planned-vs-naive evaluation,
 # access-path (index), delta-program, scheduler, runner, algorithm,
 # random-view, property and compound-view suites — the last four hold
-# the guarded-compensation checks against the fold reference — all
+# the guarded-compensation checks against the fold reference — and the
+# catalog suite holding the shared-delta (skeleton sharing) checks, all
 # explicitly, so a filtered or cached runtest can never silently skip
 # them), run each perfbench workload for 2 s untraced and 2 s traced as
 # a correctness gate only (a non-zero exit, i.e. a failed view or build,
@@ -54,7 +55,8 @@ bench-throughput:
 # picks, the warehouse install log, the sharded-dispatch option,
 # the per-site retransmit timeout, the warehouse's second message
 # dispatcher, its string-keyed window counters and second constructor,
-# and the per-rung Not_applicable exceptions), check that
+# the per-rung Not_applicable exceptions, and the O(n) queue filter
+# that Fqueue.remove_first replaced), check that
 # the parallel bench is deterministic (PAR=1 and PAR=4 emit identical
 # runs arrays), run the quick benchmark at PAR=1 in a temp dir — like
 # for like with the committed baseline, which records "workers": 1 —
@@ -89,13 +91,14 @@ smoke:
 	dune exec test/main.exe -- test random-views
 	dune exec test/main.exe -- test properties
 	dune exec test/main.exe -- test compound-views
+	dune exec test/main.exe -- test catalog
 	for w in compensate selfmaint fanout-chaos; do \
 	  python3 perfbench/run.py --workload $$w --seed 11 --seconds 2 --trace 0 > /dev/null || exit 1; \
 	  python3 perfbench/run.py --workload $$w --seed 11 --seconds 2 --trace 1 > /dev/null || exit 1; \
 	done
-	@if grep -rnE 'Core\.Runner|Core\.Federation|Drain_first|Updates_first|unordered_delivery|set_compiled|Delta_program\.compiled|Delta_program\.linear|Engine\.Recompute|Engine\.Incremental|pick_multi|of_multi|install_history|[~?]shard\b|retransmit_timeout|Warehouse\.handle_message|window_counters|of_creator|(Eca_key|Eca_sm|Sc|Cross_source)\.Not_applicable' \
+	@if grep -rnE 'Core\.Runner|Core\.Federation|Drain_first|Updates_first|unordered_delivery|set_compiled|Delta_program\.compiled|Delta_program\.linear|Engine\.Recompute|Engine\.Incremental|pick_multi|of_multi|install_history|[~?]shard\b|retransmit_timeout|Warehouse\.handle_message|window_counters|of_creator|(Eca_key|Eca_sm|Sc|Cross_source)\.Not_applicable|Fqueue\.filter' \
 	  lib bin bench examples test; then \
-	  echo "smoke: a removed entry point or alias reappeared (use Engine.run, Scheduler.pick_ready, Trace.warehouse_states, Warehouse.create/misrouted, Algorithm.Not_applicable; sharded dispatch and Engine.site ?retransmit_timeout are gone)"; \
+	  echo "smoke: a removed entry point or alias reappeared (use Engine.run, Scheduler.pick_ready, Trace.warehouse_states, Warehouse.create/misrouted, Algorithm.Not_applicable, Fqueue.remove_first; sharded dispatch and Engine.site ?retransmit_timeout are gone)"; \
 	  exit 1; \
 	fi
 	dune build bench/main.exe

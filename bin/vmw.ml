@@ -159,10 +159,12 @@ let share_arg =
     value & flag
     & info [ "share-deltas" ]
         ~doc:
-          "Shared-delta (MQO) maintenance: structurally equal delta queries \
-           raised by distinct views within one warehouse event are shipped \
-           once and the single answer fanned out to every subscriber. The \
-           sharing counters appear in the metrics block.")
+          "Shared-delta (MQO) maintenance: delta queries raised by \
+           distinct views within one warehouse event that differ at most \
+           in their projection are shipped once, projecting the union of \
+           their columns, and the single answer is fanned out to every \
+           subscriber through its own column map. The sharing counters \
+           appear in the metrics block.")
 
 let timing_arg =
   let timing_conv =

@@ -11,10 +11,33 @@ type shape =
          provably empty. *)
   | Unguarded  (* no base slot, or two or more *)
 
+(* One term of a pending query, at position [pos] of query [qid]. *)
+type entry = {
+  qid : int;
+  pos : int;
+  term : R.Term.t;
+  shape : shape;
+}
+
 type pending = {
   id : int;
-  terms : (R.Term.t * shape) list;  (* the shipped query, term by term *)
+  terms : entry list;  (* the shipped query, term by term *)
 }
+
+(* Guard values keyed as [Value.compare_for_predicate] compares them:
+   an [Int] is stored as the [Float] it equals, so [Int 1] and
+   [Float 1.0] share a bucket. Ints beyond 2^53 may collide; the index
+   then over-approximates, which the full guard test filters. *)
+module Vtbl = Hashtbl.Make (struct
+  type t = R.Value.t
+
+  let equal a b = R.Value.compare_for_predicate a b = 0
+  let hash = R.Value.hash
+end)
+
+let guard_key = function
+  | R.Value.Int n -> R.Value.Float (float_of_int n)
+  | v -> v
 
 type t = {
   view : R.Viewdef.t;
@@ -23,6 +46,12 @@ type t = {
   mutable uqs : pending R.Fqueue.t;  (* oldest first *)
   mutable next_id : int;
   local_literal_eval : bool;
+  (* The pending terms an update can compensate, kept only with
+     [local_literal_eval] on: a guarded term under the first conjunct of
+     its guard, by (relation, column, value); every other term — no
+     guard, or unguarded — in [unindexed]. Both in (qid, pos) order. *)
+  guards : (string, (int * entry R.Fqueue.t Vtbl.t) list) Hashtbl.t;
+  mutable unindexed : entry R.Fqueue.t;
 }
 
 (* ECA is the universal rung: any SPJ viewdef, simple or compound, keyed
@@ -41,6 +70,8 @@ let create ?keyed (cfg : Algorithm.Config.t) =
     uqs = R.Fqueue.empty;
     next_id = 0;
     local_literal_eval = cfg.Algorithm.Config.local_literal_eval;
+    guards = Hashtbl.create 8;
+    unindexed = R.Fqueue.empty;
   }
 
 (* The guard of a term with exactly one base slot [base]: its equi-join
@@ -86,7 +117,10 @@ let shaped q = List.map (fun term -> (term, shape term)) q
 
 let mv t = Mview.Keyed.bag t.mv
 
-let uqs t = List.map (fun p -> (p.id, List.map fst p.terms)) (R.Fqueue.to_list t.uqs)
+let uqs t =
+  List.map
+    (fun p -> (p.id, List.map (fun e -> e.term) p.terms))
+    (R.Fqueue.to_list t.uqs)
 
 let quiescent t = R.Fqueue.is_empty t.uqs && R.Bag.is_empty t.collect
 
@@ -116,30 +150,77 @@ let maybe_install t =
   end
   else Algorithm.nothing
 
-(* [U]'s compensation of the pending terms [terms], negated, in fold
-   order: a guarded term whose guard [U] fails is provably empty and
-   skipped, the rest of the guarded ones turn all-literal and go to
-   [local], and the others stay for the source in [remote]. Both lists
-   are reversed accumulators. With local evaluation off every
-   substituted term is shipped, as a literal reading of Algorithm 5.2
-   would. *)
-let compensate t (u : R.Update.t) ~local ~remote terms =
+(* Where [e] sits in the guard index: its relation, column and bucket
+   key, or [None] for [unindexed]. *)
+let index_slot e =
+  match e.shape with
+  | Guarded (rel, (col, v) :: _) -> Some (rel, col, guard_key v)
+  | Guarded (_, []) | Unguarded -> None
+
+let index t e =
+  match index_slot e with
+  | None -> t.unindexed <- R.Fqueue.push t.unindexed e
+  | Some (rel, col, key) ->
+    let cols = Option.value ~default:[] (Hashtbl.find_opt t.guards rel) in
+    let tbl =
+      match List.assoc_opt col cols with
+      | Some tbl -> tbl
+      | None ->
+        let tbl = Vtbl.create 16 in
+        Hashtbl.replace t.guards rel ((col, tbl) :: cols);
+        tbl
+    in
+    let bucket = Option.value ~default:R.Fqueue.empty (Vtbl.find_opt tbl key) in
+    Vtbl.replace tbl key (R.Fqueue.push bucket e)
+
+let unindex t e =
+  let without q = snd (R.Fqueue.remove_first (fun e' -> e' == e) q) in
+  match index_slot e with
+  | None -> t.unindexed <- without t.unindexed
+  | Some (rel, col, key) -> (
+    let tbl = List.assoc col (Hashtbl.find t.guards rel) in
+    match without (Vtbl.find tbl key) with
+    | b when R.Fqueue.is_empty b -> Vtbl.remove tbl key
+    | b -> Vtbl.replace tbl key b)
+
+let by_position a b = if a.qid <> b.qid then Int.compare a.qid b.qid else Int.compare a.pos b.pos
+
+(* The pending terms [U] may compensate, in (qid, pos) order: the guard
+   hits on [U]'s relation — a superset of the terms whose guard [U]
+   meets — and every unindexed term. *)
+let candidates t (u : R.Update.t) =
+  let hits =
+    match Hashtbl.find_opt t.guards u.R.Update.rel with
+    | None -> []
+    | Some cols ->
+      List.filter_map
+        (fun (col, tbl) ->
+          Option.map R.Fqueue.to_list
+            (Vtbl.find_opt tbl (guard_key (R.Tuple.get u.R.Update.tuple col))))
+        cols
+  in
+  List.fold_left (List.merge by_position) (R.Fqueue.to_list t.unindexed) hits
+
+(* [U]'s compensation of one pending term, negated, onto [local] or
+   [remote] (reversed accumulators): a guarded term whose guard [U]
+   fails is provably empty and skipped, the rest of the guarded ones
+   turn all-literal and go to [local], and the others stay for the
+   source in [remote]. With local evaluation off every substituted term
+   is shipped, as a literal reading of Algorithm 5.2 would. *)
+let compensate t (u : R.Update.t) ~local ~remote term shape =
   let meets (col, v) =
     R.Value.compare_for_predicate (R.Tuple.get u.R.Update.tuple col) v = 0
   in
-  List.iter
-    (fun (term, shape) ->
-      match shape with
-      | Guarded (base, guard) when t.local_literal_eval ->
-        if String.equal base u.R.Update.rel && List.for_all meets guard then
-          Option.iter
-            (fun s -> local := R.Term.negate s :: !local)
-            (R.Term.subst term u)
-      | Guarded _ | Unguarded ->
-        Option.iter
-          (fun s -> remote := R.Term.negate s :: !remote)
-          (R.Term.subst term u))
-    terms
+  match shape with
+  | Guarded (base, guard) when t.local_literal_eval ->
+    if String.equal base u.R.Update.rel && List.for_all meets guard then
+      Option.iter
+        (fun s -> local := R.Term.negate s :: !local)
+        (R.Term.subst term u)
+  | Guarded _ | Unguarded ->
+    Option.iter
+      (fun s -> remote := R.Term.negate s :: !remote)
+      (R.Term.subst term u)
 
 (* Q_i = V⟨U_i⟩ − Σ_{Q_j ∈ UQS} Q_j⟨U_i⟩ − extra⟨U_i⟩. Terms whose slots
    are all substituted tuples need no base data: they are evaluated here
@@ -149,7 +230,9 @@ let compensate t (u : R.Update.t) ~local ~remote terms =
    so the shipped query is [split_local (simplify q)]'s remote half: a
    literal term never equals a remote one, so no cancelled pair crosses
    the split, and a skipped or cancelled literal term adds ∅ to
-   COLLECT. *)
+   COLLECT. With local evaluation on, the UQS is visited through the
+   guard index: a term it leaves out is guarded on another relation or
+   fails its first guard conjunct, so it would have been skipped. *)
 let maintenance_query t (u : R.Update.t) ~extra =
   let local = ref [] and remote = ref [] in
   (* V⟨U⟩ first: its substitution checks U's tuple against the schema
@@ -159,15 +242,19 @@ let maintenance_query t (u : R.Update.t) ~extra =
       if t.local_literal_eval && R.Term.is_all_literals term then local := term :: !local
       else remote := term :: !remote)
     (R.Viewdef.delta t.view u);
-  R.Fqueue.iter (fun p -> compensate t u ~local ~remote p.terms) t.uqs;
-  compensate t u ~local ~remote extra;
+  let visit e = compensate t u ~local ~remote e.term e.shape in
+  if t.local_literal_eval then List.iter visit (candidates t u)
+  else R.Fqueue.iter (fun p -> List.iter visit p.terms) t.uqs;
+  List.iter (fun (term, shape) -> compensate t u ~local ~remote term shape) extra;
   if !local <> [] then
     t.collect <- R.Bag.plus t.collect (R.Eval.literal_query (List.rev !local));
   R.Query.simplify (List.rev !remote)
 
 let enqueue t id terms =
+  let terms = List.mapi (fun pos (term, shape) -> { qid = id; pos; term; shape }) terms in
+  if t.local_literal_eval then List.iter (index t) terms;
   t.uqs <- R.Fqueue.push t.uqs { id; terms };
-  Algorithm.send_one id (List.map fst terms)
+  Algorithm.send_one id (List.map (fun e -> e.term) terms)
 
 let send t = function
   | [] -> maybe_install t
@@ -179,7 +266,10 @@ let send t = function
 let on_update t u = send t (shaped (maintenance_query t u ~extra:[]))
 
 let on_answer t ~id answer =
-  t.uqs <- R.Fqueue.filter (fun p -> p.id <> id) t.uqs;
+  let answered, uqs = R.Fqueue.remove_first (fun p -> p.id = id) t.uqs in
+  t.uqs <- uqs;
+  if t.local_literal_eval then
+    Option.iter (fun p -> List.iter (unindex t) p.terms) answered;
   t.collect <- R.Bag.plus t.collect answer;
   maybe_install t
 

@@ -33,6 +33,13 @@
     guard applies. ECA-Local, ECA-SM's fallback, batches and {!refresh}
     inherit this path.
 
+    With [local_literal_eval] on, the pending terms are indexed by
+    (relation, guard column, value) — values normalized as
+    [Value.compare_for_predicate] compares them — so an update visits
+    only the guard hits on its relation plus the terms without a guard,
+    in (query id, term position) order: the fold's order, at a cost
+    that does not grow with the number of pending queries.
+
     ECA is strongly consistent (Theorem B.1); the property-based test
     suite re-validates this over randomized update streams and schedules. *)
 

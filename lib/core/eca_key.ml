@@ -16,12 +16,17 @@ module R = Relational
    ids >= cutoff and are unaffected, so re-insertions of the same key
    survive. The regression test pins the exact counterexample.
 
-   [matches] is the key-delete's test on view tuples, with the deleted
-   tuple's key already read. *)
-type tombstone = {
-  matches : R.Tuple.t -> bool;
-  cutoff : int;
-}
+   A view tuple is hit when, for some base relation, its projected key
+   carries a tombstone whose cutoff is above the answer's id. Only the
+   newest cutoff per (relation, key) matters, so the tombstones are a
+   table from (relation, key) to that cutoff, with a FIFO of every
+   cutoff set (nondecreasing) to prune by. *)
+module Ktbl = Hashtbl.Make (struct
+  type t = string * R.Value.t list
+
+  let equal (r, k) (r', k') = String.equal r r' && List.equal R.Value.equal k k'
+  let hash (r, k) = List.fold_left (fun h v -> (h * 31) + R.Value.hash v) (Hashtbl.hash r) k
+end)
 
 type t = {
   view : R.View.t;
@@ -30,9 +35,11 @@ type t = {
   mutable uqs : int R.Fqueue.t;
   mutable next_id : int;
   mutable dirty : bool;  (* collect differs from mv *)
-  mutable tombstones : tombstone list;  (* newest first *)
-  key_match : (string * (R.Tuple.t -> R.Tuple.t -> bool)) list;
-      (* per base relation, resolved once *)
+  tombstones : int Ktbl.t;  (* (relation, deleted key) -> newest cutoff *)
+  cutoffs : (int * (string * R.Value.t list)) Queue.t;  (* oldest first *)
+  keys : (string * int list * int list) list;
+      (* per base relation, its key's positions in its own tuples and in
+         the view's, resolved once *)
 }
 
 (* The rung check [create] enforces, as a predicate the catalog's
@@ -69,10 +76,13 @@ let create (cfg : Algorithm.Config.t) =
     uqs = R.Fqueue.empty;
     next_id = 0;
     dirty = false;
-    tombstones = [];
-    key_match =
+    tombstones = Ktbl.create 16;
+    cutoffs = Queue.create ();
+    keys =
       List.map
-        (fun rel -> (rel, Mview.key_match ~view ~rel))
+        (fun rel ->
+          let base, out = Mview.key_layout ~view ~rel in
+          (rel, base, out))
         (R.View.relation_names view);
   }
 
@@ -107,13 +117,13 @@ let on_update t (u : R.Update.t) =
          tuples derived from the deleted base tuple. *)
       set_collect t
         (Mview.Keyed.key_delete t.collect ~rel:u.R.Update.rel u.R.Update.tuple);
-      if not (R.Fqueue.is_empty t.uqs) then
-        t.tombstones <-
-          {
-            matches = List.assoc u.R.Update.rel t.key_match u.R.Update.tuple;
-            cutoff = t.next_id;
-          }
-          :: t.tombstones;
+      if not (R.Fqueue.is_empty t.uqs) then begin
+        let rel = u.R.Update.rel in
+        let _, base, _ = List.find (fun (r, _, _) -> String.equal r rel) t.keys in
+        let key = (rel, List.map (R.Tuple.get u.R.Update.tuple) base) in
+        Ktbl.replace t.tombstones key t.next_id;
+        Queue.push (t.next_id, key) t.cutoffs
+      end;
       maybe_install t
     | R.Update.Insert ->
       (* A plain V⟨U⟩ — no compensation. Anomalies surface only as
@@ -132,23 +142,43 @@ let on_update t (u : R.Update.t) =
         Algorithm.send_one id remote
       end
 
-(* The answer to query [id], filtered by every tombstone of a delete
-   processed after that query was sent, in one pass. *)
+(* The answer to query [id] without the view tuples a tombstone of a
+   delete processed after that query was sent hits; the answer itself
+   when none is hit. *)
 let filter_answer t ~id answer =
-  match List.filter (fun ts -> id < ts.cutoff) t.tombstones with
-  | [] -> answer
-  | live ->
-    R.Bag.filter (fun vt -> not (List.exists (fun ts -> ts.matches vt) live)) answer
+  if Ktbl.length t.tombstones = 0 then answer
+  else
+    let hit vt =
+      List.exists
+        (fun (rel, _, out) ->
+          match Ktbl.find_opt t.tombstones (rel, List.map (R.Tuple.get vt) out) with
+          | Some cutoff -> id < cutoff
+          | None -> false)
+        t.keys
+    in
+    if R.Bag.fold (fun vt _ any -> any || hit vt) answer false then
+      R.Bag.filter (fun vt -> not (hit vt)) answer
+    else answer
+
+(* Ids enter the UQS increasing, so every answer still to come has an id
+   at least the oldest pending one: a tombstone whose cutoff is not above
+   it can filter nothing more. A table entry goes with its cutoff unless
+   a newer delete of the same key has replaced it. *)
+let prune t =
+  match R.Fqueue.peek t.uqs with
+  | None ->
+    if Ktbl.length t.tombstones > 0 then Ktbl.reset t.tombstones;
+    Queue.clear t.cutoffs
+  | Some oldest ->
+    while (not (Queue.is_empty t.cutoffs)) && fst (Queue.peek t.cutoffs) <= oldest do
+      let cutoff, key = Queue.pop t.cutoffs in
+      if Ktbl.find_opt t.tombstones key = Some cutoff then Ktbl.remove t.tombstones key
+    done
 
 let on_answer t ~id answer =
-  t.uqs <- R.Fqueue.filter (fun i -> i <> id) t.uqs;
+  t.uqs <- snd (R.Fqueue.remove_first (Int.equal id) t.uqs);
   if not (R.Bag.is_empty answer) then add_answer t (filter_answer t ~id answer);
-  (* Ids enter the UQS increasing, so every answer still to come has an
-     id at least the oldest pending one: a tombstone whose cutoff is not
-     above it can filter nothing more. *)
-  (match R.Fqueue.peek t.uqs with
-   | None -> t.tombstones <- []
-   | Some oldest -> t.tombstones <- List.filter (fun ts -> oldest < ts.cutoff) t.tombstones);
+  prune t;
   (* Even an unchanged working copy must be installable once the pending
      phase ends: a stale MV may still differ from COLLECT. *)
   if R.Fqueue.is_empty t.uqs && not (R.Bag.equal t.mv (Mview.Keyed.bag t.collect))

@@ -26,12 +26,14 @@
     only those, so later re-insertions of the same key survive). The exact
     counterexample is pinned as a regression test.
 
-    Tombstones cost what is still pending, not the run's deletes: each
-    answer is filtered by its live tombstones in one pass over the
-    answer (every relation's key layout is resolved once, in [create]),
-    and after each answer the tombstones whose cutoff is at most the
-    oldest pending query id are dropped — ids enter the UQS increasing,
-    so no later answer can meet them. *)
+    Tombstones cost neither the run's deletes nor the pending queries:
+    they are a table from (relation, deleted key) to the newest cutoff,
+    so an answer costs one probe per relation per tuple (every
+    relation's key layout is resolved once, in [create]) and comes back
+    unchanged when nothing is hit. After each answer, a FIFO of the
+    cutoffs drops those at most the oldest pending query id — ids enter
+    the UQS increasing, so no later answer can meet them — each with its
+    table entry unless a newer delete of the key replaced it. *)
 
 module R := Relational
 

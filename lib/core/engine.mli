@@ -127,8 +127,9 @@ val run :
 
     With [~share_deltas:true] the warehouse runs multi-query-optimized
     shared maintenance (see {!Warehouse.create}): inside one atomic
-    event, structurally equal queries from distinct hosted views ship
-    once and the answer fans out to every subscriber;
+    event, queries from distinct hosted views that differ at most in
+    their projection ship once, with the union of their columns, and the
+    answer fans out to every subscriber, projected to its columns;
     [result.metrics.shared] then carries the sharing counters. Sharing
     is restricted to distinct instances within one event, so a
     single-view run — and any catalog whose views never coincide — is

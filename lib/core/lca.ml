@@ -152,7 +152,7 @@ let on_answer t ~id answer =
   | None -> Algorithm.nothing
   | Some p ->
     Hashtbl.remove t.pending id;
-    t.pending_order <- R.Fqueue.filter (fun q -> q <> id) t.pending_order;
+    t.pending_order <- snd (R.Fqueue.remove_first (Int.equal id) t.pending_order);
     let d = delta_of t p.target in
     d.acc <- R.Bag.plus d.acc answer;
     d.open_pieces <- d.open_pieces - 1;

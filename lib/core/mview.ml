@@ -8,27 +8,11 @@ let apply_delta mv delta = R.Bag.plus mv delta
 
 (* The positions of [rel]'s declared key within its base tuples, and
    within the view's output. *)
-let key_layout ~context (view : R.View.t) rel =
+let key_layout ~(view : R.View.t) ~rel =
   match (R.View.source_schema view rel, R.View.key_positions view rel) with
   | Some schema, Some out_positions ->
     (R.Schema.key_positions schema, out_positions)
-  | _ ->
-    error "%s: view %s does not project the key of %s" context
-      view.R.View.name rel
-
-(* Whether a view tuple's columns at r's projected key positions equal
-   the key values of base tuple t, staged: the layout is resolved once
-   per relation and t's key read once per tuple. *)
-let key_matcher ~context ~(view : R.View.t) ~rel =
-  let key_positions, out_positions = key_layout ~context view rel in
-  fun (t : R.Tuple.t) ->
-    let key_values = List.map (R.Tuple.get t) key_positions in
-    fun vt ->
-      List.for_all2
-        (fun out_pos kv -> R.Value.equal (R.Tuple.get vt out_pos) kv)
-        out_positions key_values
-
-let key_match = key_matcher ~context:"key_match"
+  | _ -> error "view %s does not project the key of %s" view.R.View.name rel
 
 (* key-delete(MV, r, t) (Section 5.4): remove from the view every tuple
    carrying the projected key of the deleted base tuple t. The key
@@ -37,8 +21,11 @@ let key_match = key_matcher ~context:"key_match"
    this operation, only for ECAK's insert handling. This form scans the
    bag; materialized views use {!Keyed}. *)
 let key_delete ~view ~rel t mv =
-  let matches = key_matcher ~context:"key_delete" ~view ~rel t in
-  R.Bag.filter (fun vt -> not (matches vt)) mv
+  let key_positions, out_positions = key_layout ~view ~rel in
+  let key = List.map (R.Tuple.get t) key_positions in
+  R.Bag.filter
+    (fun vt -> not (List.equal R.Value.equal (List.map (R.Tuple.get vt) out_positions) key))
+    mv
 
 (* A materialized view with key-delete indexes: per keyed base relation,
    a map from the view's projected key values to the view tuples (those
@@ -90,9 +77,7 @@ module Keyed = struct
 
   let create ~view ~rels bag =
     let key rel =
-      let key_positions, out_positions =
-        key_layout ~context:"Keyed.create" view rel
-      in
+      let key_positions, out_positions = key_layout ~view ~rel in
       { rel; key_positions; out_positions }
     in
     { bag; keys = List.map key rels; maps = None }

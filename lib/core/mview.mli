@@ -20,11 +20,11 @@ val key_delete : view:R.View.t -> rel:string -> R.Tuple.t -> R.Bag.t -> R.Bag.t
     tested against, and defines that operation's meaning.
     @raise Mview_error if the view does not project [rel]'s declared key. *)
 
-val key_match : view:R.View.t -> rel:string -> R.Tuple.t -> R.Tuple.t -> bool
-(** [key_match ~view ~rel t vt]: whether view tuple [vt] carries the
-    projected key of [rel]'s base tuple [t] — the tuples {!key_delete}
-    drops. Applied to [~view ~rel] it resolves the key layout once;
-    applied to [t] it reads [t]'s key once.
+val key_layout : view:R.View.t -> rel:string -> int list * int list
+(** Where [rel]'s declared key sits: its positions within [rel]'s base
+    tuples, and the view's output positions projecting it. A view tuple
+    carries base tuple [t]'s key — what {!key_delete} drops — when its
+    columns at the second list equal [t]'s at the first.
     @raise Mview_error if the view does not project [rel]'s declared key. *)
 
 (** A materialized view indexed for key-deletes: the bag plus, per keyed

@@ -44,7 +44,7 @@ let on_update t (u : R.Update.t) =
   end
 
 let on_answer t ~id answer =
-  t.pending <- R.Fqueue.filter (fun i -> i <> id) t.pending;
+  t.pending <- snd (R.Fqueue.remove_first (Int.equal id) t.pending);
   (* The answer is the full view at some source state: replace, don't
      merge. With FIFO delivery a later recompute always reflects a later
      state, so last-writer-wins is order-correct. *)

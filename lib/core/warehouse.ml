@@ -7,18 +7,30 @@ type hosted = {
          view definition and swaps in a freshly initializing instance *)
 }
 
+(* One instance waiting on a query: its index, its local query id and,
+   when the shipped query was widened for another subscriber, where its
+   own columns sit in the shipped projection. [None] takes the answer as
+   shipped. *)
+type sub = {
+  idx : int;
+  lid : int;
+  cols : int array option;
+}
+
 (* Queries are routed by globally unique ids. Without sharing every gid
    has exactly one subscriber — the instance that sent it. With
    [share = true] (the MQO path, DESIGN.md §4h) a gid may carry several
-   subscribers: when, inside one atomic warehouse event, two *distinct*
-   instances produce structurally equal queries (confirmed by
-   [Query.equal] after a [Query.signature] match), only the first is
-   shipped and the rest subscribe to its answer. Sharing never spans
-   events — the source database can change between events, so two equal
-   queries from different events can have different answers. *)
+   subscribers: when, inside one atomic warehouse event, a *distinct*
+   instance produces a query whose terms match a shipped query's terms
+   up to projection (a [Query.signature] skeleton match, confirmed by
+   [Query.equal] or [Query.widen]), it is not shipped; it subscribes to
+   the shipped query, whose projection widens to cover its columns.
+   Sharing never spans events — the source database can change between
+   events, so two equal queries from different events can have
+   different answers. *)
 type t = {
   hosted : hosted array;
-  routes : (int, (int * int) * (int * int) list) Hashtbl.t;
+  routes : (int, sub * sub list) Hashtbl.t;
       (* gid -> (owner, later subscribers newest-first); subscribing is
          an O(1) cons, readers rebuild the owner-first order *)
   share : bool;
@@ -149,8 +161,8 @@ let selfmaint_counters t =
 let gid_view t gid =
   match Hashtbl.find_opt t.routes gid with
   | None -> None
-  | Some ((idx, _), _) ->
-    let h = t.hosted.(idx) in
+  | Some (owner, _) ->
+    let h = t.hosted.(owner.idx) in
     Some (h.view.R.Viewdef.name, h.inst.Algorithm.name)
 
 let gid_subscribers t gid =
@@ -158,84 +170,127 @@ let gid_subscribers t gid =
   | None -> []
   | Some (owner, extras_rev) ->
     List.map
-      (fun (idx, _) ->
-        let h = t.hosted.(idx) in
+      (fun s ->
+        let h = t.hosted.(s.idx) in
         (h.view.R.Viewdef.name, h.inst.Algorithm.name))
       (owner :: List.rev extras_rev)
 
-(* The per-event shared-delta table: query signature -> candidates
-   shipped earlier in the same event, oldest first. [None] when sharing
+(* A query shipped in the current event; [query] widens as subscribers
+   join, and the reaction carries its final form. *)
+type shipped = {
+  gid : int;
+  owner : int;
+  mutable query : R.Query.t;
+}
+
+(* A reaction while an event folds: queries and installs newest-first,
+   [finish] restores the order. *)
+type acc = {
+  shipped : shipped list;
+  pending_installs : (string * R.Bag.t list) list;
+}
+
+let empty_acc = { shipped = []; pending_installs = [] }
+
+(* The per-event shared-delta table: skeleton signature -> queries
+   shipped earlier in the same event, newest first. [None] when sharing
    is off — the zero-cost path, byte-identical to the pre-MQO
    warehouse. *)
-type event_table = (int, (R.Query.t * int * int) list ref) Hashtbl.t
+type event_table = (int, shipped list ref) Hashtbl.t
 
-(* Lift one instance's outcome onto [acc], a reaction held newest-first
-   while an event folds; [finish] restores the order. *)
+(* How instance [idx]'s query [q] can ride on [c]: [Some (query, cols)]
+   with [c]'s possibly widened query and [q]'s column map, [None] when
+   it cannot. Sharing only across distinct views keeps every single-view
+   lifecycle — and so the catalog-of-one — exactly as without MQO. *)
+let join idx c q =
+  if c.owner = idx then None
+  else if R.Query.equal c.query q then Some (c.query, None)
+  else
+    Option.map
+      (fun (query, cols) -> (query, Some cols))
+      (R.Query.widen ~shipped:c.query q)
+
+(* Lift one instance's outcome onto [acc]. *)
 let lift ?event t idx (o : Algorithm.outcome) acc =
-  let queries =
-    List.fold_left
-      (fun qs (lid, q) ->
-        let ship () =
-          let gid = t.next_gid in
-          t.next_gid <- gid + 1;
-          Hashtbl.replace t.routes gid ((idx, lid), []);
-          (match event with
-          | None -> ()
-          | Some tbl -> (
-            let sg = R.Query.signature q in
-            match Hashtbl.find_opt tbl sg with
-            | Some bucket -> bucket := (q, gid, idx) :: !bucket
-            | None -> Hashtbl.add tbl sg (ref [ (q, gid, idx) ])));
-          (gid, q) :: qs
+  let ship lid q shipped =
+    let gid = t.next_gid in
+    t.next_gid <- gid + 1;
+    Hashtbl.replace t.routes gid ({ idx; lid; cols = None }, []);
+    let c = { gid; owner = idx; query = q } in
+    (match event with
+    | None -> ()
+    | Some tbl -> (
+      let sg = R.Query.signature q in
+      match Hashtbl.find_opt tbl sg with
+      | Some bucket -> bucket := c :: !bucket
+      | None -> Hashtbl.add tbl sg (ref [ c ])));
+    c :: shipped
+  in
+  let share lid q shipped bucket =
+    (* the oldest candidate that can carry [q] *)
+    let carry c = Option.map (fun j -> (c, j)) (join idx c q) in
+    match List.find_map carry (List.rev bucket) with
+    | None -> ship lid q shipped
+    | Some (c, (query, cols)) -> (
+      (* Total lookup: the candidate's route should still be live
+         (sharing never spans events, and routes are only consumed by
+         answers), but if it is not — say a schema change retired it
+         inside this very event — ship a private copy and log the
+         oddity instead of dying on [Not_found]. *)
+      match Hashtbl.find_opt t.routes c.gid with
+      | None ->
+        t.anomalies <-
+          Printf.sprintf
+            "shared-delta candidate Q%d has no live route; shipping a \
+             private copy"
+            c.gid
+          :: t.anomalies;
+        ship lid q shipped
+      | Some (owner, extras_rev) ->
+        let owner, extras_rev =
+          if query == c.query then (owner, extras_rev)
+          else begin
+            (* Widened: the columns asked for so far stay a prefix, so
+               subscribers that took the answer as shipped now take
+               that prefix. *)
+            let width = List.length (List.hd c.query).R.Term.proj in
+            let pin s =
+              if Option.is_some s.cols then s
+              else { s with cols = Some (Array.init width Fun.id) }
+            in
+            c.query <- query;
+            (pin owner, List.map pin extras_rev)
+          end
         in
+        Hashtbl.replace t.routes c.gid (owner, { idx; lid; cols } :: extras_rev);
+        t.shared_hits <- t.shared_hits + 1;
+        if extras_rev = [] then t.shared_evaluated <- t.shared_evaluated + 1;
+        shipped)
+  in
+  let shipped =
+    List.fold_left
+      (fun shipped (lid, q) ->
         match event with
-        | None -> ship ()
+        | None -> ship lid q shipped
         | Some tbl -> (
           match Hashtbl.find_opt tbl (R.Query.signature q) with
-          | None -> ship ()
-          | Some bucket -> (
-            (* Oldest candidate from a *different* instance: sharing only
-               across distinct views keeps every single-view lifecycle —
-               and so the catalog-of-one — exactly as without MQO. *)
-            let candidate =
-              List.find_opt
-                (fun (q', _, owner) -> owner <> idx && R.Query.equal q' q)
-                (List.rev !bucket)
-            in
-            match candidate with
-            | None -> ship ()
-            | Some (_, gid, _) -> (
-              (* Total lookup: the candidate's route should still be live
-                 (sharing never spans events, and routes are only consumed
-                 by answers), but if it is not — say a schema change
-                 retired it inside this very event — ship a private copy
-                 and log the oddity instead of dying on [Not_found]. *)
-              match Hashtbl.find_opt t.routes gid with
-              | None ->
-                t.anomalies <-
-                  Printf.sprintf
-                    "shared-delta candidate Q%d has no live route; shipping \
-                     a private copy"
-                    gid
-                  :: t.anomalies;
-                ship ()
-              | Some (owner, extras_rev) ->
-                Hashtbl.replace t.routes gid (owner, (idx, lid) :: extras_rev);
-                t.shared_hits <- t.shared_hits + 1;
-                if extras_rev = [] then
-                  t.shared_evaluated <- t.shared_evaluated + 1;
-                qs))))
-      acc.queries o.Algorithm.send
+          | None -> ship lid q shipped
+          | Some bucket -> share lid q shipped !bucket))
+      acc.shipped o.Algorithm.send
   in
   let name = t.hosted.(idx).view.R.Viewdef.name in
   {
-    queries;
-    installs =
-      (if o.Algorithm.installs = [] then acc.installs
-       else (name, o.Algorithm.installs) :: acc.installs);
+    shipped;
+    pending_installs =
+      (if o.Algorithm.installs = [] then acc.pending_installs
+       else (name, o.Algorithm.installs) :: acc.pending_installs);
   }
 
-let finish r = { queries = List.rev r.queries; installs = List.rev r.installs }
+let finish acc =
+  {
+    queries = List.rev_map (fun c -> (c.gid, c.query)) acc.shipped;
+    installs = List.rev acc.pending_installs;
+  }
 
 let fresh_event t : event_table option =
   if t.share then Some (Hashtbl.create 16) else None
@@ -286,7 +341,7 @@ let react t targets f =
                t.hosted.(idx).view.R.Viewdef.name msg
              :: t.anomalies;
            acc)
-       no_reaction targets)
+       empty_acc targets)
 
 (* A notification whose tuple no longer matches the hosted view's schema
    for its relation. Impossible on FIFO edges — the Ddl_note explaining
@@ -336,10 +391,12 @@ let handle_batch t us =
   in
   react t targets (fun idx -> t.hosted.(idx).inst.Algorithm.on_batch us)
 
-(* Fan one answer out to every subscriber, owner first. The answer is
-   correct for all of them: subscription required structural equality at
-   ship time, and the source evaluated the single shipped message, so
-   every subscriber's query is answered against the same source state it
+(* Fan one answer out to every subscriber, owner first, each projected
+   through its column map. The answer is correct for all of them:
+   subscription required their terms to match the shipped ones up to
+   projection at ship time, projection distributes over a signed sum of
+   terms, and the source evaluated the single shipped message, so every
+   subscriber's query is answered against the same source state it
    would have seen had its own copy travelled in that message's place.
    Follow-up queries raised by the subscribers' reactions are themselves
    one event and may share again. *)
@@ -375,11 +432,16 @@ let handle_answer t ~gid answer =
     let event = fresh_event t in
     finish
       (List.fold_left
-         (fun acc (idx, lid) ->
-           lift ?event t idx
-             (t.hosted.(idx).inst.Algorithm.on_answer ~id:lid answer)
+         (fun acc s ->
+           let answer =
+             match s.cols with
+             | None -> answer
+             | Some cols -> R.Bag.map_tuples (R.Tuple.project cols) answer
+           in
+           lift ?event t s.idx
+             (t.hosted.(s.idx).inst.Algorithm.on_answer ~id:s.lid answer)
              acc)
-         no_reaction subs)
+         empty_acc subs)
 
 (* A message the warehouse never legitimately receives — a query echoed
    back, or a protocol frame leaking past the reliability sublayer — is
@@ -438,7 +500,7 @@ let apply_ddl t d ~rebuild =
     List.iter
       (fun (gid, (owner, extras_rev)) ->
         let subs = owner :: List.rev extras_rev in
-        let live = List.filter (fun (idx, _) -> not affected.(idx)) subs in
+        let live = List.filter (fun s -> not affected.(s.idx)) subs in
         if List.compare_lengths live subs <> 0 then
           match live with
           | [] ->

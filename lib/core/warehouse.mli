@@ -29,10 +29,14 @@ val create :
     {!Catalog.creator}).
 
     With [~share:true] the warehouse runs shared-delta (MQO)
-    maintenance: within one atomic event, structurally equal queries
-    produced by {e distinct} hosted instances (matched by
-    {!R.Query.signature}, confirmed by {!R.Query.equal}) are shipped
-    once; the other instances subscribe to the single answer. Sharing
+    maintenance: within one atomic event, queries produced by
+    {e distinct} hosted instances whose terms match up to projection
+    (keyed by the skeleton {!R.Query.signature}, confirmed by
+    {!R.Query.equal} or {!R.Query.widen}) are shipped once, with the
+    shipped projection widened to the union of the subscribers'
+    columns; each subscriber receives the answer projected through its
+    own column map. Queries whose terms keep different columns
+    (compound views' parts) share only when equal. Sharing
     never spans events (the source state may change between events) and
     never merges two queries of one instance, so each view's lifecycle —
     and in particular a catalog of one view — is exactly the unshared

@@ -94,9 +94,10 @@ let transmit t msg size =
   end
 
 (* The copy has the original's size: [Message.byte_size] walks the
-   payload, so it is taken once. *)
-let send t msg =
-  let size = Message.byte_size msg in
+   payload, so it is taken once — or not at all when the caller already
+   knows it. *)
+let send ?size t msg =
+  let size = match size with Some n -> n | None -> Message.byte_size msg in
   transmit t msg size;
   if
     t.fault.Fault.duplicate > 0.0

@@ -37,10 +37,12 @@ val create : ?fault:Fault.profile -> ?seed:int -> string -> t
 (** Exactly-once FIFO by default ([Fault.none]); faults and their
     randomness are controlled entirely by [fault] and [seed]. *)
 
-val send : t -> Message.t -> unit
+val send : ?size:int -> t -> Message.t -> unit
 (** Put one transmission on the wire (two if the profile duplicates it);
     each is metered, then possibly dropped, then delayed per the
-    profile. *)
+    profile. [size] is the message's {!Message.byte_size}, when the
+    caller has it already (a retransmitted frame); it is computed
+    otherwise. *)
 
 val receive : t -> Message.t option
 (** Dequeue among the currently deliverable messages: the oldest one, or

@@ -22,10 +22,12 @@ type endpoint = {
   in_chan : Channel.t;
   (* sender half: the outgoing stream. Seqs [acked + 1, next_seq) are
      unacknowledged — cumulative acks retire a prefix — and each keeps
-     its frame, its last transmission tick and its first one. *)
+     its frame, the frame's wire size (so a retransmit does not walk the
+     payload again), its last transmission tick and its first one. *)
   mutable next_seq : int;
   mutable acked : int;  (* highest cumulative ack received *)
   mutable frames : Message.t array;
+  mutable sizes : int array;
   mutable last_sent : int array;
   mutable first_sent : int array;
       (* still set when the peer releases the seq: its acks only cover
@@ -57,6 +59,7 @@ let make_endpoint ~out_chan ~in_chan =
     next_seq = 0;
     acked = -1;
     frames = Array.make 8 hole;
+    sizes = Array.make 8 0;
     last_sent = Array.make 8 0;
     first_sent = Array.make 8 0;
     expected = 0;
@@ -93,9 +96,9 @@ let receiver t = function
   | To_source -> t.source_end
 
 (* Every frame the link puts on a wire goes through here. *)
-let send_frame t ep msg =
+let send_frame ?size t ep msg =
   t.dirty <- true;
-  Channel.send ep.out_chan msg
+  Channel.send ?size ep.out_chan msg
 
 (* [a] re-placed into a ring twice as long: slot of seq [s] for every [s]
    in [lo, lo + length a). *)
@@ -189,16 +192,19 @@ let send t dir msg =
   if seq - ep.acked > Array.length ep.frames then begin
     let lo = ep.acked + 1 in
     ep.frames <- regrow ep.frames lo hole;
+    ep.sizes <- regrow ep.sizes lo 0;
     ep.last_sent <- regrow ep.last_sent lo 0;
     ep.first_sent <- regrow ep.first_sent lo 0
   end;
   let i = seq land (Array.length ep.frames - 1) in
   let frame = Message.Data { seq; payload = msg } in
+  let size = Message.byte_size frame in
   ep.next_seq <- seq + 1;
   ep.frames.(i) <- frame;
+  ep.sizes.(i) <- size;
   ep.last_sent.(i) <- t.now;
   ep.first_sent.(i) <- t.now;
-  send_frame t ep frame;
+  send_frame ~size t ep frame;
   pump t
 
 let receive t dir =
@@ -216,7 +222,7 @@ let retransmit_due t ep =
     let i = s land mask in
     if t.now - ep.last_sent.(i) >= t.timeout then begin
       t.stats.retransmits <- t.stats.retransmits + 1;
-      send_frame t ep ep.frames.(i);
+      send_frame ~size:ep.sizes.(i) t ep ep.frames.(i);
       ep.last_sent.(i) <- t.now
     end
   done

@@ -38,7 +38,18 @@ let rec drop_while p t =
     | [] -> t
     | back -> drop_while p { front = List.rev back; back = []; length = t.length })
 
-let filter p t = of_list (List.filter p (to_list t))
+(* The answered element is nearly always the oldest, so the head is
+   tried first; anything else (a raw reordering channel) rebuilds. *)
+let remove_first p t =
+  match pop t with
+  | Some (x, rest) when p x -> (Some x, rest)
+  | _ ->
+    let rec drop acc = function
+      | [] -> (None, t)
+      | x :: xs ->
+        if p x then (Some x, of_list (List.rev_append acc xs)) else drop (x :: acc) xs
+    in
+    drop [] (to_list t)
 
 let fold f init t =
   List.fold_left f (List.fold_left f init t.front) (List.rev t.back)

@@ -26,8 +26,10 @@ val drop_while : ('a -> bool) -> 'a t -> 'a t
 (** Drops the oldest elements while [p] holds; O(1) amortized per
     element dropped, and the queue it returns pops in O(1). *)
 
-val filter : ('a -> bool) -> 'a t -> 'a t
-(** Keeps relative order; O(n). *)
+val remove_first : ('a -> bool) -> 'a t -> 'a option * 'a t
+(** The oldest element satisfying [p], and the queue without it (the
+    others in order): O(1) amortized when that element is the head, O(n)
+    otherwise. [(None, t)] when no element satisfies [p]. *)
 
 val fold : ('acc -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc
 (** Oldest-to-newest fold without materializing [to_list]. *)

@@ -93,13 +93,49 @@ let equal a b = List.equal Term.equal a b
 
 (* Order-insensitive digest over the signed term multiset — queries are
    commutative sums, so two queries whose terms pair up under
-   [Term.signature] denote the same delta regardless of construction
-   order. The warehouse's shared-delta table keys on this and confirms
-   candidate matches with [equal] (today's producers build structurally
-   equal queries in the same order, so the stricter check loses no
+   [Term.signature] agree regardless of construction order. It keys
+   skeletons (DESIGN.md §4h): projections are left out, so queries that
+   differ only in the columns they keep agree. The warehouse's
+   shared-delta table keys on it and confirms candidates with [equal] or
+   [widen], which compare term by term in order (today's producers build
+   matching queries in the same order, so the stricter check loses no
    sharing while making hash collisions harmless). *)
 let signature q =
   List.fold_left (fun acc t -> acc + Term.signature t) (term_count q) q
+
+(* The projection every term keeps, when they all keep the same one. *)
+let uniform_proj = function
+  | [] -> None
+  | (t : Term.t) :: rest ->
+    let p = t.Term.proj in
+    if List.for_all (fun (t' : Term.t) -> List.equal Attr.equal p t'.Term.proj) rest
+    then Some p
+    else None
+
+let widen ~shipped q =
+  match (uniform_proj shipped, uniform_proj q) with
+  | Some ps, Some pq when List.equal Term.skeleton_equal shipped q ->
+    let has l a = List.exists (Attr.equal a) l in
+    let missing =
+      List.rev
+        (List.fold_left
+           (fun acc a -> if has ps a || has acc a then acc else a :: acc)
+           [] pq)
+    in
+    let proj = ps @ missing in
+    let shipped =
+      if missing = [] then shipped
+      else List.map (fun (t : Term.t) -> { t with Term.proj }) shipped
+    in
+    let position a =
+      let rec go i = function
+        | [] -> assert false  (* every column of [pq] is in [proj] *)
+        | a' :: rest -> if Attr.equal a a' then i else go (i + 1) rest
+      in
+      go 0 proj
+    in
+    Some (shipped, Array.of_list (List.map position pq))
+  | _ -> None
 
 let pp ppf q =
   match q with

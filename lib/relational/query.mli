@@ -54,10 +54,23 @@ val byte_size : t -> int
 val equal : t -> t -> bool
 
 val signature : t -> int
-(** Order-insensitive digest over the signed term multiset (commutative
-    combine of {!Term.signature}): two structurally equal maintenance
-    queries share a signature however their terms were ordered. A digest
-    — candidates must be confirmed with {!equal} before sharing. *)
+(** The skeleton digest: an order-insensitive combine of
+    {!Term.signature}, which leaves projections out. Queries that differ
+    only in the columns their terms keep, or only in term order, share a
+    signature. A digest — candidates must be confirmed with {!equal} or
+    {!widen} before sharing. *)
+
+val widen : shipped:t -> t -> (t * int array) option
+(** [widen ~shipped q] lets one evaluation answer both [shipped] and
+    [q] when they pair term by term under {!Term.skeleton_equal} and
+    each keeps one projection in every term. The result is [shipped]
+    with its projection extended by [q]'s columns it lacks (in [q]'s
+    order; [shipped] itself when none is lacking), and the position of
+    each of [q]'s columns in that projection: projecting the widened
+    answer through those positions gives [q]'s answer, and its prefix
+    [shipped]'s. [None] otherwise — in particular for queries whose
+    terms keep different columns (compound views' parts), which can
+    only be shared when {!equal}. *)
 
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -75,11 +75,11 @@ let byte_size t =
   in
   16 + List.fold_left (fun acc s -> acc + slot_bytes s) 0 t.slots
 
-(* Consistent with [equal]; discriminates on the parts that actually vary
-   between the delta/compensation terms of one view — the sign and the
-   substituted literal tuples — which the depth-limited polymorphic hash
-   never reaches behind the projection and condition. *)
-let hash t =
+(* Slot sources (base relations and substituted literals, with signs)
+   folded onto [init] — the parts that actually vary between the
+   delta/compensation terms of one view, which the depth-limited
+   polymorphic hash never reaches behind the projection and condition. *)
+let slots_hash init slots =
   let slot_hash acc = function
     | Base s -> (acc * 31) + Hashtbl.hash s.Schema.name
     | Lit (s, g, tup) ->
@@ -87,19 +87,20 @@ let hash t =
        * 31)
       + Tuple.hash tup
   in
-  List.fold_left slot_hash
-    ((Hashtbl.hash t.sign * 31) + Hashtbl.hash t.proj)
-    t.slots
+  List.fold_left slot_hash init slots
 
-(* The MQO subplan signature (DESIGN.md §4h): [hash] plus the condition,
-   so two terms share a signature exactly when they read the same slot
-   sources (base relations and substituted literals, with signs), keep
-   the same join keys and filters, and project the same columns — the
-   ingredients that determine a maintenance query's answer. Collisions
-   are possible as with any digest; sharers confirm with [equal]. *)
-let signature t = (hash t * 31) + Hashtbl.hash t.cond
+(* Consistent with [equal]. *)
+let hash t = slots_hash ((Hashtbl.hash t.sign * 31) + Hashtbl.hash t.proj) t.slots
 
-let equal a b =
+(* The MQO skeleton signature (DESIGN.md §4h): sign, slot sources and
+   condition, but not the projection — two terms share it when they
+   read the same slots and keep the same join keys and filters, so one
+   evaluation serves both once its projection covers both. Collisions
+   are possible as with any digest; sharers confirm with
+   [skeleton_equal]. *)
+let signature t = (slots_hash (Hashtbl.hash t.sign) t.slots * 31) + Hashtbl.hash t.cond
+
+let skeleton_equal a b =
   let slot_equal x y =
     match x, y with
     | Base s1, Base s2 -> Schema.equal s1 s2
@@ -108,9 +109,10 @@ let equal a b =
     | (Base _ | Lit _), _ -> false
   in
   Sign.equal a.sign b.sign
-  && List.equal Attr.equal a.proj b.proj
   && Predicate.equal a.cond b.cond
   && List.equal slot_equal a.slots b.slots
+
+let equal a b = List.equal Attr.equal a.proj b.proj && skeleton_equal a b
 
 let pp ppf t =
   let pp_slot ppf = function

@@ -50,12 +50,16 @@ val hash : t -> int
 (** Consistent with {!equal}. Discriminates on sign and substituted
     literal tuples, so the delta terms T⟨U⟩ of one view hash apart. *)
 
+val skeleton_equal : t -> t -> bool
+(** {!equal} up to projection: same sign, slot sources (base relations
+    and substituted literals with their signs) and condition. *)
+
 val signature : t -> int
-(** The subplan signature used by shared-delta (MQO) maintenance:
-    [hash] extended with the term's condition, so two terms agree
-    exactly when they read the same slot sources, join keys, filters and
-    projection — everything that determines the term's answer. A digest:
-    sharers confirm candidate matches with {!equal}. *)
+(** The skeleton signature used by shared-delta (MQO) maintenance:
+    consistent with {!skeleton_equal}, so it ignores the projection —
+    terms that differ only in the columns they keep agree, and one
+    evaluation projecting both column lists answers both. A digest:
+    sharers confirm candidate matches with {!skeleton_equal}. *)
 
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

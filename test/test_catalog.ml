@@ -195,51 +195,121 @@ let quad_setup () =
   in
   (db, updates)
 
-let sharing_saves_queries_and_changes_nothing () =
-  let db, updates = quad_setup () in
+(* The benchmark's [compensate] shape: keyed r1(W KEY, X) ⋈ r2(X, Y KEY)
+   under three projections, one per query rung. No two of their queries
+   are equal, so every hit subscribes to a widened projection. *)
+let projection_entries () =
+  let v name proj = vd (R.View.natural_join ~name ~proj [ r1_wkey; r2_ykey ]) in
+  let q = R.Attr.qualified in
+  [
+    Core.Catalog.entry ~algo:"eca-key" (v "WY" [ q "r1" "W"; q "r2" "Y" ]);
+    Core.Catalog.entry ~algo:"eca-local" (v "XY" [ q "r2" "X"; q "r2" "Y" ]);
+    Core.Catalog.entry ~algo:"eca" (v "WX" [ q "r1" "W"; q "r1" "X" ]);
+  ]
+
+(* Key-respecting: W and Y values never repeat among live tuples. *)
+let projection_setup () =
+  let db = db_of [ (r1_wkey, [ [ 1; 2 ]; [ 3; 4 ] ]); (r2_ykey, [ [ 2; 5 ]; [ 4; 6 ] ]) ] in
+  let updates =
+    [
+      ins "r1" [ 5; 2 ]; ins "r2" [ 2; 7 ]; del "r1" [ 1; 2 ]; ins "r2" [ 4; 8 ];
+      del "r2" [ 2; 5 ]; ins "r1" [ 6; 4 ]; del "r1" [ 5; 2 ]; del "r2" [ 4; 6 ];
+    ]
+  in
+  (db, updates)
+
+(* Union views whose two parts keep different columns: their queries'
+   terms project differently, so only an equal query shares — U2 rides
+   on U, while U' (the same parts, projections swapped) and S (U's first
+   part alone) ship their own. *)
+let union_entries () =
+  let w = R.Attr.qualified "r1" "W" and y = R.Attr.qualified "r2" "Y" in
+  let part name proj = vd (R.View.natural_join ~name ~proj [ r1; r2 ]) in
+  let u name a b = R.Viewdef.union ~name (part (name ^ "#0") a) (part (name ^ "#1") b) in
+  [
+    Core.Catalog.entry ~algo:"eca" (u "U" [ w ] [ y ]);
+    Core.Catalog.entry ~algo:"eca" (u "U2" [ w ] [ y ]);
+    Core.Catalog.entry ~algo:"eca" (u "U'" [ y ] [ w ]);
+    Core.Catalog.entry ~algo:"eca" (part "S" [ w ]);
+  ]
+
+(* One catalog run with sharing off and one with it on, under a
+   deterministic schedule: per view the same final MV, verdict and
+   installed-state sequence, and exactly [shared_hits] fewer queries on
+   the wire. Returns the shared run's sharing counters. *)
+let check_sharing label ~schedule entries (db, updates) =
   let run share =
-    let entries = quad_entries () in
-    Core.Engine.run ~schedule:Core.Scheduler.Worst_case ~share_deltas:share
+    Core.Engine.run ~schedule ~share_deltas:share
       ~creator:(Core.Catalog.creator entries) ~sites:[ source db ]
       ~views:(Core.Catalog.views entries) ~updates ()
   in
   let off = run false and on_ = run true in
-  (* a pure optimization: identical per-view lifecycles and verdicts *)
+  let label s = Printf.sprintf "%s: %s" label s in
   List.iter
-    (fun name ->
+    (fun (e : Core.Catalog.entry) ->
+      let name = e.Core.Catalog.view.R.Viewdef.name in
       check_bag
-        (Printf.sprintf "view %s: same final MV" name)
+        (label (Printf.sprintf "view %s: same final MV" name))
         (List.assoc name off.Core.Engine.final_mvs)
         (List.assoc name on_.Core.Engine.final_mvs);
       Alcotest.check report_testable
-        (Printf.sprintf "view %s: same verdict" name)
+        (label (Printf.sprintf "view %s: same verdict" name))
         (List.assoc name off.Core.Engine.reports)
         (List.assoc name on_.Core.Engine.reports);
       Alcotest.(check (list bag_testable))
-        (Printf.sprintf "view %s: same installed states" name)
+        (label (Printf.sprintf "view %s: same installed states" name))
         (Core.Trace.warehouse_states off.Core.Engine.trace name)
         (Core.Trace.warehouse_states on_.Core.Engine.trace name))
-    [ "A"; "B"; "C"; "D" ];
-  (* ... that actually saves wire traffic: 4 equal queries per event
-     collapse to 1 *)
-  check_bool "fewer queries shipped" true
-    (on_.Core.Engine.metrics.Core.Metrics.queries_sent
-    < off.Core.Engine.metrics.Core.Metrics.queries_sent);
+    entries;
   (match off.Core.Engine.metrics.Core.Metrics.shared with
   | None -> ()
-  | Some _ -> Alcotest.fail "sharing off must leave metrics.shared = None");
+  | Some _ -> Alcotest.fail (label "sharing off must leave metrics.shared = None"));
   match on_.Core.Engine.metrics.Core.Metrics.shared with
-  | None -> Alcotest.fail "sharing on must report counters"
+  | None -> Alcotest.fail (label "sharing on must report counters")
   | Some s ->
-    check_bool "hits > 0" true (s.Core.Metrics.shared_hits > 0);
-    check_bool "evaluated > 0" true (s.Core.Metrics.shared_evaluated > 0);
     (* every shared gid delivers to its owner and all subscribers *)
-    check_bool "fanout counts all subscribers" true
+    check_bool (label "fanout counts all subscribers") true
       (s.Core.Metrics.shared_fanout >= 2 * s.Core.Metrics.shared_evaluated);
     (* the saved messages are exactly the deduplicated queries *)
-    check_int "saved queries = shared hits" s.Core.Metrics.shared_hits
+    check_int (label "saved queries = shared hits") s.Core.Metrics.shared_hits
       (off.Core.Engine.metrics.Core.Metrics.queries_sent
-      - on_.Core.Engine.metrics.Core.Metrics.queries_sent)
+      - on_.Core.Engine.metrics.Core.Metrics.queries_sent);
+    s
+
+let sharing_saves_queries_and_changes_nothing () =
+  (* four equal views: 4 equal queries per event collapse to 1 *)
+  let s =
+    check_sharing "equal views" ~schedule:Core.Scheduler.Worst_case
+      (quad_entries ()) (quad_setup ())
+  in
+  check_bool "equal views: hits > 0" true (s.Core.Metrics.shared_hits > 0);
+  check_bool "equal views: evaluated > 0" true (s.Core.Metrics.shared_evaluated > 0);
+  (* projections of one join: every hit widens a shipped query *)
+  List.iter
+    (fun (label, schedule) ->
+      let s = check_sharing label ~schedule (projection_entries ()) (projection_setup ()) in
+      check_bool (label ^ ": hits > 0") true (s.Core.Metrics.shared_hits > 0))
+    [
+      ("projections/best", Core.Scheduler.Best_case);
+      ("projections/worst", Core.Scheduler.Worst_case);
+    ];
+  (* unions with differently projected parts share only equal queries:
+     U2's, which U always raises in the same event *)
+  let db, updates = quad_setup () in
+  let s =
+    check_sharing "unions" ~schedule:Core.Scheduler.Worst_case (union_entries ())
+      (db, updates)
+  in
+  let u2 = List.nth (union_entries ()) 1 in
+  let solo =
+    Core.Engine.run ~schedule:Core.Scheduler.Worst_case
+      ~creator:(Core.Catalog.creator [ u2 ]) ~sites:[ source db ]
+      ~views:[ u2.Core.Catalog.view ] ~updates ()
+  in
+  check_bool "unions: U2 sends queries" true
+    (solo.Core.Engine.metrics.Core.Metrics.queries_sent > 0);
+  check_int "unions: hits = U2's queries" solo.Core.Engine.metrics.Core.Metrics.queries_sent
+    s.Core.Metrics.shared_hits
 
 (* Under Random scheduling, sharing changes the number of in-flight
    messages and hence the draw sequence, so the two runs take different
@@ -247,6 +317,20 @@ let sharing_saves_queries_and_changes_nothing () =
    consistent, and ending at the true view. (The interleaving-for-
    interleaving equality is pinned under the deterministic policies in
    [sharing_saves_queries_and_changes_nothing].) *)
+(* Four projections of r1 ⋈ r2 on rungs that are all strongly
+   consistent, over the keyless relations of [stream_of_seed]. *)
+let mixed_projection_entries () =
+  let w = R.Attr.qualified "r1" "W"
+  and x = R.Attr.qualified "r1" "X"
+  and y = R.Attr.qualified "r2" "Y" in
+  let v name proj = vd (R.View.natural_join ~name ~proj [ r1; r2 ]) in
+  [
+    Core.Catalog.entry ~algo:"eca" (v "A" [ w ]);
+    Core.Catalog.entry ~algo:"eca" (v "B" [ y ]);
+    Core.Catalog.entry ~algo:"lca" (v "C" [ x; y ]);
+    Core.Catalog.entry ~algo:"eca" (v "D" [ y; w ]);
+  ]
+
 let sharing_keeps_strong_consistency_prop =
   QCheck.Test.make
     ~name:"shared catalog stays strongly consistent on random streams"
@@ -254,24 +338,27 @@ let sharing_keeps_strong_consistency_prop =
     (QCheck.make ~print:string_of_int QCheck.Gen.(int_bound 100_000))
     (fun seed ->
       let db, updates = stream_of_seed seed in
-      let truth v = R.Eval.view (R.Db.apply_all db updates) v in
-      let run share =
-        let entries = quad_entries () in
-        Core.Engine.run ~schedule:(Core.Scheduler.Random seed)
-          ~share_deltas:share ~creator:(Core.Catalog.creator entries)
-          ~sites:[ source db ] ~views:(Core.Catalog.views entries) ~updates ()
-      in
-      let off = run false and on_ = run true in
+      let truth v = R.Viewdef.eval (R.Db.apply_all db updates) v in
       List.for_all
-        (fun name ->
-          let expected = truth (view_w ~name ()) in
+        (fun entries ->
+          let run share =
+            Core.Engine.run ~schedule:(Core.Scheduler.Random seed)
+              ~share_deltas:share ~creator:(Core.Catalog.creator entries)
+              ~sites:[ source db ] ~views:(Core.Catalog.views entries) ~updates ()
+          in
+          let off = run false and on_ = run true in
           List.for_all
-            (fun (r : Core.Engine.result) ->
-              R.Bag.equal expected (List.assoc name r.Core.Engine.final_mvs)
-              && (List.assoc name r.Core.Engine.reports)
-                   .Core.Consistency.strongly_consistent)
-            [ off; on_ ])
-        [ "A"; "B"; "C"; "D" ])
+            (fun (e : Core.Catalog.entry) ->
+              let view = e.Core.Catalog.view in
+              let name = view.R.Viewdef.name in
+              List.for_all
+                (fun (r : Core.Engine.result) ->
+                  R.Bag.equal (truth view) (List.assoc name r.Core.Engine.final_mvs)
+                  && (List.assoc name r.Core.Engine.reports)
+                       .Core.Consistency.strongly_consistent)
+                [ off; on_ ])
+            entries)
+        [ quad_entries (); mixed_projection_entries () ])
 
 (* ------------------------------------------------------------------ *)
 (* Subplan signatures                                                  *)
@@ -286,6 +373,31 @@ let signature_laws () =
   check_int "query signature is order-insensitive"
     (R.Query.signature (R.Query.plus a (q (ins "r2" [ 2; 3 ]))))
     (R.Query.signature (R.Query.plus (q (ins "r2" [ 2; 3 ])) a));
+  (* the signature keys the skeleton: a projection change keeps it, and
+     [widen] maps the narrower query's columns into the union *)
+  let wy = R.Query.view_delta (view_wy ()) (ins "r1" [ 1; 2 ]) in
+  check_int "query signature ignores projection" (R.Query.signature a)
+    (R.Query.signature wy);
+  check_bool "... though the queries differ" false (R.Query.equal a wy);
+  (match R.Query.widen ~shipped:a wy with
+  | None -> Alcotest.fail "widen: same skeleton, one projection per query"
+  | Some (shipped, cols) ->
+    Alcotest.(check (list string))
+      "widened projection: shipped's columns, then the new ones"
+      [ "r1.W"; "r2.Y" ]
+      (List.map R.Attr.to_string (List.hd (R.Query.terms shipped)).R.Term.proj);
+    Alcotest.(check (array int)) "column map" [| 0; 1 |] cols);
+  (match R.Query.widen ~shipped:wy a with
+  | None -> Alcotest.fail "widen: a narrower query rides as is"
+  | Some (shipped, cols) ->
+    check_bool "nothing to add: shipped unchanged" true (shipped == wy);
+    Alcotest.(check (array int)) "column map into a wider query" [| 0 |] cols);
+  check_bool "different skeletons do not widen" true
+    (R.Query.widen ~shipped:a (q (ins "r1" [ 1; 3 ])) = None);
+  (* a query whose terms keep different columns shares only when equal *)
+  let mixed = R.Query.plus a wy in
+  check_bool "mixed projections do not widen" true
+    (R.Query.widen ~shipped:mixed (R.Query.plus wy a) = None);
   (* the plan signature keys the skeleton, not the literals: two deltas
      of the same update class share one subplan *)
   let term u = List.hd (R.Query.terms (q u)) in

@@ -393,6 +393,151 @@ let ecal_matches_reference =
            (fun schedule -> [ (schedule, 1); (schedule, 3) ])
            Core.Scheduler.[ Best_case; Worst_case; Random seed ]))
 
+(* ------------------------------------------------------------------ *)
+(* ECA-Key tombstones against the list-scan reference                  *)
+(* ------------------------------------------------------------------ *)
+
+(* A keyed view ECA-Key accepts: some of the keyed relations, every key
+   column of them projected plus a random subset of the rest, under a
+   random extra condition. *)
+let eca_key_view_gen =
+  QCheck.Gen.(
+    let* mask = int_range 1 7 in
+    let sources =
+      List.filteri (fun i _ -> mask land (1 lsl i) <> 0) (Array.to_list keyed_schemas)
+    in
+    let is_key (s : R.Schema.t) a =
+      List.exists (fun k -> R.Attr.matches ~rel:s.R.Schema.name ~name:k a) s.R.Schema.key
+    in
+    let keys, others =
+      List.partition
+        (fun a -> List.exists (fun s -> is_key s a) sources)
+        (List.concat_map qualified_cols sources)
+    in
+    let* keep = list_size (return (List.length others)) bool in
+    let proj = keys @ List.filteri (fun i _ -> List.nth keep i) others in
+    let* extra_cond = cond_gen (keys @ others) in
+    return (R.View.natural_join ~name:"K" ~extra_cond ~proj sources))
+
+(* Key-respecting streams interleaved with answer deliveries: [`Up]
+   carries (relation, tuple, insert wanted, evaluate the answer now),
+   [`Deliver k] delivers the k-th pending answer (mod their count), so
+   answers arrive late and out of order; an answer evaluated at send
+   time predates later deletes, which is what the tombstones filter.
+   Three values per column make a key deleted, re-inserted and deleted
+   again while its first tombstone is live a common case. *)
+let eca_key_setup_gen =
+  QCheck.Gen.(
+    let tuple_gen = map R.Tuple.ints (list_size (return 2) (int_bound 2)) in
+    let* view = eca_key_view_gen in
+    let* rows = list_size (return 3) (list_size (int_bound 4) tuple_gen) in
+    let key_of (s : R.Schema.t) t = List.map (R.Tuple.get t) (R.Schema.key_positions s) in
+    let same_key s a b = List.equal R.Value.equal (key_of s a) (key_of s b) in
+    let db =
+      R.Db.of_list
+        (List.map2
+           (fun s r ->
+             ( s,
+               R.Bag.of_list
+                 (List.fold_left
+                    (fun acc t -> if List.exists (same_key s t) acc then acc else t :: acc)
+                    [] r) ))
+           (Array.to_list keyed_schemas) rows)
+    in
+    let* n = int_range 8 40 in
+    let action =
+      frequency
+        [
+          (3, map (fun (i, t, ins, now) -> `Up (i, t, ins, now))
+                (quad (int_bound 2) tuple_gen bool bool));
+          (2, map (fun k -> `Deliver k) (int_bound 8));
+        ]
+    in
+    let* actions = list_size (return n) action in
+    let _, steps =
+      List.fold_left
+        (fun (db, acc) -> function
+          | `Deliver k -> (db, `Deliver k :: acc)
+          | `Up (i, tup, want_insert, now) ->
+            let s = keyed_schemas.(i) in
+            let rel = s.R.Schema.name in
+            let held =
+              R.Bag.fold (fun t n acc -> if n > 0 then t :: acc else acc)
+                (R.Db.contents db rel) []
+            in
+            let u =
+              match (List.find_opt (same_key s tup) held, held) with
+              | Some holder, _ -> R.Update.delete rel holder
+              | None, t :: _ when not want_insert -> R.Update.delete rel t
+              | None, _ -> R.Update.insert rel tup
+            in
+            (R.Db.apply db u, `Up (u, now) :: acc))
+        (db, []) actions
+    in
+    return (view, db, List.rev steps))
+
+let eca_key_matches_reference =
+  QCheck.Test.make ~name:"ECA-Key tombstone table = the list-scan reference"
+    ~count:500
+    (QCheck.make
+       ~print:(fun (view, db, steps) ->
+         Format.asprintf "%a@.%a@.steps: %s" R.View.pp view R.Db.pp db
+           (String.concat "; "
+              (List.map
+                 (function
+                   | `Up (u, now) ->
+                     R.Update.to_string u ^ if now then " (answer now)" else ""
+                   | `Deliver k -> Printf.sprintf "deliver #%d" k)
+                 steps)))
+       eca_key_setup_gen)
+    (fun (view, db, steps) ->
+      let cfg = Core.Algorithm.Config.of_view_db view db in
+      let t = Core.Eca_key.create cfg and r = Ref_eca_key.create cfg in
+      let agree = ref true in
+      let both (a : Core.Algorithm.outcome) (b : Core.Algorithm.outcome) =
+        if
+          not
+            (List.equal
+               (fun (i, q) (j, q') -> i = j && R.Query.equal q q')
+               a.Core.Algorithm.send b.Core.Algorithm.send
+            && List.equal R.Bag.equal a.Core.Algorithm.installs
+                 b.Core.Algorithm.installs)
+        then agree := false;
+        a
+      in
+      let src = ref db and pending = ref [] in
+      let deliver k =
+        match !pending with
+        | [] -> ()
+        | l ->
+          let id, q, early = List.nth l (k mod List.length l) in
+          pending := List.filter (fun (i, _, _) -> i <> id) l;
+          let answer =
+            match early with Some a -> a | None -> R.Eval.query !src q
+          in
+          ignore
+            (both (Core.Eca_key.on_answer t ~id answer) (Ref_eca_key.on_answer r ~id answer))
+      in
+      List.iter
+        (function
+          | `Deliver k -> deliver k
+          | `Up (u, now) ->
+            src := R.Db.apply !src u;
+            let o = both (Core.Eca_key.on_update t u) (Ref_eca_key.on_update r u) in
+            pending :=
+              !pending
+              @ List.map
+                  (fun (id, q) -> (id, q, if now then Some (R.Eval.query !src q) else None))
+                  o.Core.Algorithm.send)
+        steps;
+      (* the rest arrive late, from the middle out *)
+      while !pending <> [] do
+        deliver (List.length !pending / 2)
+      done;
+      !agree
+      && R.Bag.equal (Core.Eca_key.mv t) (Ref_eca_key.mv r)
+      && R.Bag.equal (Core.Eca_key.collect t) (Ref_eca_key.collect r))
+
 let suite =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -404,4 +549,5 @@ let suite =
       ecal_random_views;
       eca_batched_random_views;
       ecal_matches_reference;
+      eca_key_matches_reference;
     ]

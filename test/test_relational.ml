@@ -294,6 +294,35 @@ let fqueue_drop_while () =
       (R.Fqueue.length dropped)
   done
 
+(* [Fqueue.remove_first]: the head case pops (front/back split kept),
+   the middle case rebuilds without reordering the rest, the absent case
+   returns the queue as it was, and only the oldest match goes. *)
+let fqueue_remove_first () =
+  let queue () =
+    (* 1 and 2 sit in the front list after a pop, 3 and 4 in the back *)
+    let q = List.fold_left R.Fqueue.push R.Fqueue.empty [ 0; 1; 2 ] in
+    let q = snd (Option.get (R.Fqueue.pop q)) in
+    List.fold_left R.Fqueue.push q [ 3; 4; 2 ]
+  in
+  let check label removed expected (got, q) =
+    Alcotest.(check (option int)) (label ^ ": removed") removed got;
+    Alcotest.(check (list int)) label expected (R.Fqueue.to_list q);
+    check_int (label ^ ": length") (List.length expected) (R.Fqueue.length q)
+  in
+  check "head" (Some 1) [ 2; 3; 4; 2 ]
+    (R.Fqueue.remove_first (Int.equal 1) (queue ()));
+  check "middle" (Some 3) [ 1; 2; 4; 2 ]
+    (R.Fqueue.remove_first (Int.equal 3) (queue ()));
+  check "oldest match only" (Some 2) [ 1; 3; 4; 2 ]
+    (R.Fqueue.remove_first (Int.equal 2) (queue ()));
+  check "absent" None [ 1; 2; 3; 4; 2 ]
+    (R.Fqueue.remove_first (Int.equal 9) (queue ()));
+  check "empty" None [] (R.Fqueue.remove_first (Int.equal 0) R.Fqueue.empty);
+  (* after a head removal the queue keeps working as a FIFO *)
+  let _, q = R.Fqueue.remove_first (Int.equal 1) (queue ()) in
+  check "push after head removal" None [ 2; 3; 4; 2; 5 ]
+    (None, R.Fqueue.push q 5)
+
 (* [Fenwick] flags against a bool-array model: after every flip the live
    count, every slot's flag and the slot of every live rank agree. *)
 let fenwick_flags_match_model () =
@@ -396,4 +425,5 @@ let suite =
     Alcotest.test_case "view key positions" `Quick view_key_positions;
     Alcotest.test_case "natural join condition" `Quick view_natural_join_cond;
     Alcotest.test_case "fqueue drop_while" `Quick fqueue_drop_while;
+    Alcotest.test_case "fqueue remove_first" `Quick fqueue_remove_first;
   ]
