@@ -12,15 +12,11 @@ type shape =
   | Unguarded  (* no base slot, or two or more *)
 
 (* One term of a pending query, at position [pos] of query [qid]. *)
-type entry = {
-  qid : int;
-  pos : int;
-  term : R.Term.t;
-  shape : shape;
-}
+type entry = { qid : int; pos : int; term : R.Term.t; shape : shape }
 
 type pending = {
   id : int;
+  slot : int;  (* the update slot its answer feeds *)
   terms : entry list;  (* the shipped query, term by term *)
 }
 
@@ -39,40 +35,50 @@ let guard_key = function
   | R.Value.Int n -> R.Value.Float (float_of_int n)
   | v -> v
 
+(* ECA feeds every event into the one open slot, COLLECT, installed
+   once no query is pending; LCA opens a slot per event. *)
+type policy = At_quiescence | In_order
+
+(* An update slot: the delta it gathers for the view, and how many of
+   the queries feeding it are unanswered. *)
+type slot = { mutable delta : R.Bag.t; mutable open_queries : int }
+
 type t = {
   view : R.Viewdef.t;
+  policy : policy;
   mutable mv : Mview.Keyed.t;
-  mutable collect : R.Bag.t;
+  slots : (int, slot) Hashtbl.t;
+      (* the slots not yet installed: consecutive from [apply_next] *)
+  mutable apply_next : int;
   mutable uqs : pending R.Fqueue.t;  (* oldest first *)
   mutable next_id : int;
   local_literal_eval : bool;
-  (* The pending terms an update can compensate, kept only with
-     [local_literal_eval] on: a guarded term under the first conjunct of
-     its guard, by (relation, column, value); every other term — no
+  (* The pending terms an update can compensate, kept only by an indexed
+     instance (see [indexed]): a guarded term under the first conjunct
+     of its guard, by (relation, column, value); every other term — no
      guard, or unguarded — in [unindexed]. Both in (qid, pos) order. *)
   guards : (string, (int * entry R.Fqueue.t Vtbl.t) list) Hashtbl.t;
   mutable unindexed : entry R.Fqueue.t;
 }
 
-(* ECA is the universal rung: any SPJ viewdef, simple or compound, keyed
-   or not — the catalog's ladder falls back to it when no cheaper rung
-   applies. *)
-let applicable (_ : R.Viewdef.t) = true
-
-let create ?keyed (cfg : Algorithm.Config.t) =
+let make ?keyed policy (cfg : Algorithm.Config.t) =
   {
     view = cfg.view;
+    policy;
     mv =
       (match keyed with
        | None -> Mview.Keyed.plain cfg.init_mv
        | Some (view, rels) -> Mview.Keyed.create ~view ~rels cfg.init_mv);
-    collect = R.Bag.empty;
+    slots = Hashtbl.create 8;
+    apply_next = 1;
     uqs = R.Fqueue.empty;
     next_id = 0;
     local_literal_eval = cfg.Algorithm.Config.local_literal_eval;
     guards = Hashtbl.create 8;
     unindexed = R.Fqueue.empty;
   }
+
+let create ?keyed cfg = make ?keyed At_quiescence cfg
 
 (* The guard of a term with exactly one base slot [base]: its equi-join
    conjuncts between a column of that slot and a literal slot, resolved
@@ -113,16 +119,12 @@ let shape (term : R.Term.t) =
   | [ (i, s) ] -> Guarded (s.R.Schema.name, guard term i)
   | _ -> Unguarded
 
-let shaped q = List.map (fun term -> (term, shape term)) q
-
 let mv t = Mview.Keyed.bag t.mv
 
 let uqs t =
-  List.map
-    (fun p -> (p.id, List.map (fun e -> e.term) p.terms))
-    (R.Fqueue.to_list t.uqs)
+  List.map (fun p -> (p.id, List.map (fun e -> e.term) p.terms)) (R.Fqueue.to_list t.uqs)
 
-let quiescent t = R.Fqueue.is_empty t.uqs && R.Bag.is_empty t.collect
+let quiescent t = R.Fqueue.is_empty t.uqs && Hashtbl.length t.slots = 0
 
 (* Local changes (ECAL, ECA-SM) are only safe with no query pending. *)
 let require_quiescent name t =
@@ -139,16 +141,43 @@ let apply_local t delta =
   require_quiescent "apply_local" t;
   t.mv <- Mview.Keyed.plus t.mv delta
 
-(* Install COLLECT into the view once no query is pending — installing
-   earlier could expose an invalid intermediate state (the algorithm would
-   still converge, but stop being consistent; see Section 5.2). *)
-let maybe_install t =
-  if R.Fqueue.is_empty t.uqs && not (R.Bag.is_empty t.collect) then begin
-    t.mv <- Mview.Keyed.plus t.mv t.collect;
-    t.collect <- R.Bag.empty;
-    Algorithm.install (mv t)
-  end
-  else Algorithm.nothing
+(* Slot [i], opened if new, after adding [delta] to it. *)
+let add t i delta =
+  let s =
+    match Hashtbl.find_opt t.slots i with
+    | Some s -> s
+    | None ->
+      let s = { delta = R.Bag.empty; open_queries = 0 } in
+      Hashtbl.replace t.slots i s;
+      s
+  in
+  s.delta <- R.Bag.plus s.delta delta;
+  s
+
+(* Install every closed slot that is next in update order, oldest first;
+   each non-empty delta is a distinct view state. ECA's one slot closes
+   when the UQS drains — installing earlier could expose an invalid
+   intermediate state (convergent but not consistent; Section 5.2) —
+   while LCA's per-event slots make every source state visible. *)
+let drain t =
+  let rec go installs =
+    match Hashtbl.find_opt t.slots t.apply_next with
+    | Some s when s.open_queries = 0 ->
+      Hashtbl.remove t.slots t.apply_next;
+      t.apply_next <- t.apply_next + 1;
+      if R.Bag.is_empty s.delta then go installs
+      else begin
+        t.mv <- Mview.Keyed.plus t.mv s.delta;
+        go (mv t :: installs)
+      end
+    | Some _ | None -> List.rev installs
+  in
+  { Algorithm.nothing with installs = go [] }
+
+(* Policy decision 4: ECA with local evaluation on indexes its pending
+   terms by guard; LCA walks the whole UQS, because which of its slots
+   get a query this event depends on every term [U] touches. *)
+let indexed t = t.local_literal_eval && t.policy = At_quiescence
 
 (* Where [e] sits in the guard index: its relation, column and bucket
    key, or [None] for [unindexed]. *)
@@ -185,111 +214,170 @@ let unindex t e =
 
 let by_position a b = if a.qid <> b.qid then Int.compare a.qid b.qid else Int.compare a.pos b.pos
 
-(* The pending terms [U] may compensate, in (qid, pos) order: the guard
+(* The pending terms [U] may compensate, with the slot each group feeds:
+   every pending query in turn, or for an indexed instance the guard
    hits on [U]'s relation — a superset of the terms whose guard [U]
-   meets — and every unindexed term. *)
-let candidates t (u : R.Update.t) =
-  let hits =
-    match Hashtbl.find_opt t.guards u.R.Update.rel with
-    | None -> []
-    | Some cols ->
-      List.filter_map
-        (fun (col, tbl) ->
-          Option.map R.Fqueue.to_list
-            (Vtbl.find_opt tbl (guard_key (R.Tuple.get u.R.Update.tuple col))))
-        cols
-  in
-  List.fold_left (List.merge by_position) (R.Fqueue.to_list t.unindexed) hits
+   meets — and every unindexed term, merged in (qid, pos) order, all
+   feeding ECA's one slot. *)
+let pending t (u : R.Update.t) =
+  if not (indexed t) then List.map (fun p -> (p.slot, p.terms)) (R.Fqueue.to_list t.uqs)
+  else
+    let hits =
+      match Hashtbl.find_opt t.guards u.R.Update.rel with
+      | None -> []
+      | Some cols ->
+        List.filter_map
+          (fun (col, tbl) ->
+            Option.map R.Fqueue.to_list
+              (Vtbl.find_opt tbl (guard_key (R.Tuple.get u.R.Update.tuple col))))
+          cols
+    in
+    [ (t.apply_next, List.fold_left (List.merge by_position) (R.Fqueue.to_list t.unindexed) hits) ]
 
-(* [U]'s compensation of one pending term, negated, onto [local] or
-   [remote] (reversed accumulators): a guarded term whose guard [U]
-   fails is provably empty and skipped, the rest of the guarded ones
-   turn all-literal and go to [local], and the others stay for the
-   source in [remote]. With local evaluation off every substituted term
+(* A query under construction during one event, bound for slot [into]:
+   its terms for the source and its literal terms, both newest first,
+   and whether any substitution landed in it at all. *)
+type acc = {
+  into : int;
+  mutable remote : R.Term.t list;
+  mutable local : R.Term.t list;
+  mutable hit : bool;
+}
+
+let acc into = { into; remote = []; local = []; hit = false }
+
+(* Terms whose slots are all substituted tuples need no base data: with
+   local evaluation on they are evaluated here, into the slot, and never
+   shipped (Appendix D's "no compensating query needs to be sent since
+   all data needed is already at the warehouse"). With it off every term
    is shipped, as a literal reading of Algorithm 5.2 would. *)
-let compensate t (u : R.Update.t) ~local ~remote term shape =
+let feed t a term =
+  a.hit <- true;
+  if t.local_literal_eval && R.Term.is_all_literals term then a.local <- term :: a.local
+  else a.remote <- term :: a.remote
+
+(* [U]'s compensation of one term, negated, into [a]. A guarded term
+   whose guard [U] fails is provably empty and skipped — it still counts
+   as hit, as its substitution would — and the rest of the guarded ones
+   turn all-literal. *)
+let compensate t (u : R.Update.t) a term shape =
   let meets (col, v) =
     R.Value.compare_for_predicate (R.Tuple.get u.R.Update.tuple col) v = 0
   in
   match shape with
   | Guarded (base, guard) when t.local_literal_eval ->
-    if String.equal base u.R.Update.rel && List.for_all meets guard then
-      Option.iter
-        (fun s -> local := R.Term.negate s :: !local)
-        (R.Term.subst term u)
+    if String.equal base u.R.Update.rel then begin
+      a.hit <- true;
+      if List.for_all meets guard then
+        Option.iter (fun s -> feed t a (R.Term.negate s)) (R.Term.subst term u)
+    end
   | Guarded _ | Unguarded ->
-    Option.iter
-      (fun s -> remote := R.Term.negate s :: !remote)
-      (R.Term.subst term u)
+    Option.iter (fun s -> feed t a (R.Term.negate s)) (R.Term.subst term u)
 
-(* Q_i = V⟨U_i⟩ − Σ_{Q_j ∈ UQS} Q_j⟨U_i⟩ − extra⟨U_i⟩. Terms whose slots
-   are all substituted tuples need no base data: they are evaluated here
-   into COLLECT and never shipped (Appendix D's "no compensating query
-   needs to be sent since all data needed is already at the warehouse").
-   The remote terms keep their fold order and exact T/-T pairs cancel,
-   so the shipped query is [split_local (simplify q)]'s remote half: a
-   literal term never equals a remote one, so no cancelled pair crosses
-   the split, and a skipped or cancelled literal term adds ∅ to
-   COLLECT. With local evaluation on, the UQS is visited through the
-   guard index: a term it leaves out is guarded on another relation or
-   fails its first guard conjunct, so it would have been skipped. *)
-let maintenance_query t (u : R.Update.t) ~extra =
-  let local = ref [] and remote = ref [] in
-  (* V⟨U⟩ first: its substitution checks U's tuple against the schema
-     before any guard reads it. *)
+(* Policy decision 1: the accumulator a compensation feeds. ECA folds
+   everything into the update's own; LCA sends −Q_j⟨U⟩ to a new one
+   bound for Q_j's slot, and −extra⟨U⟩ back into the accumulator that
+   holds extra. *)
+let target t ~own other = match t.policy with At_quiescence -> own | In_order -> other ()
+
+(* One update's fold into the event's accumulators [accs], oldest
+   first: Q_i = V⟨U_i⟩ − Σ_{Q_j ∈ UQS} Q_j⟨U_i⟩ − extra⟨U_i⟩, extra being
+   the event's earlier terms (the source evaluates them after the whole
+   batch too). V⟨U⟩ comes first: it checks U's tuple against the schema
+   before any guard reads it. Extra is compensated without the guard
+   test, which only ever skips an empty literal term. A literal term
+   never equals a remote one, so simplifying the remote terms alone
+   ships [split_local (simplify q)]'s remote half. New accumulators join
+   the event after [accs], in creation order, if hit. *)
+let fold t ~slot accs (u : R.Update.t) =
+  let own = acc slot in
+  List.iter (feed t own) (R.Viewdef.delta t.view u);
+  let extra = List.map (fun a -> (a, List.rev a.remote)) accs in
+  let fresh =
+    List.filter_map
+      (fun (into, entries) ->
+        let a = target t ~own (fun () -> acc into) in
+        List.iter (fun e -> compensate t u a e.term e.shape) entries;
+        if a != own && a.hit then Some a else None)
+      (pending t u)
+  in
   List.iter
-    (fun term ->
-      if t.local_literal_eval && R.Term.is_all_literals term then local := term :: !local
-      else remote := term :: !remote)
-    (R.Viewdef.delta t.view u);
-  let visit e = compensate t u ~local ~remote e.term e.shape in
-  if t.local_literal_eval then List.iter visit (candidates t u)
-  else R.Fqueue.iter (fun p -> List.iter visit p.terms) t.uqs;
-  List.iter (fun (term, shape) -> compensate t u ~local ~remote term shape) extra;
-  if !local <> [] then
-    t.collect <- R.Bag.plus t.collect (R.Eval.literal_query (List.rev !local));
-  R.Query.simplify (List.rev !remote)
+    (fun (a, terms) ->
+      let a = target t ~own (fun () -> a) in
+      List.iter (fun term -> compensate t u a term Unguarded) terms)
+    extra;
+  (* Policy decision 2, first half: ECA simplifies each update's query
+     as it closes; its terms are the next update's extra. *)
+  if t.policy = At_quiescence then
+    own.remote <- List.rev (R.Query.simplify (List.rev own.remote));
+  accs @ fresh @ if own.hit then [ own ] else []
 
-let enqueue t id terms =
-  let terms = List.mapi (fun pos (term, shape) -> { qid = id; pos; term; shape }) terms in
-  if t.local_literal_eval then List.iter (index t) terms;
-  t.uqs <- R.Fqueue.push t.uqs { id; terms };
-  Algorithm.send_one id (List.map (fun e -> e.term) terms)
+(* The event's queries, one per slot in the order the slots first got
+   an accumulator, each the concatenation of its accumulators. *)
+let rec by_slot = function
+  | [] -> []
+  | a :: _ as accs ->
+    let mine, rest = List.partition (fun b -> b.into = a.into) accs in
+    (a.into, List.concat_map (fun b -> List.rev b.remote) mine) :: by_slot rest
 
-let send t = function
-  | [] -> maybe_install t
-  | terms ->
-    let id = t.next_id in
-    t.next_id <- id + 1;
-    enqueue t id terms
+let enqueue t into q =
+  let id = t.next_id in
+  t.next_id <- id + 1;
+  let terms =
+    List.mapi (fun pos term -> { qid = id; pos; term; shape = shape term }) q
+  in
+  if indexed t then List.iter (index t) terms;
+  t.uqs <- R.Fqueue.push t.uqs { id; slot = into; terms };
+  let s = add t into R.Bag.empty in
+  s.open_queries <- s.open_queries + 1;
+  (id, q)
 
-let on_update t u = send t (shaped (maintenance_query t u ~extra:[]))
+(* One warehouse event covering [us], executed atomically at the source
+   (a single update is the batch of one; Section 7's batched updates).
+   Policy decision 3: ECA's event feeds COLLECT, its only slot; LCA's
+   opens the next slot — its event clock. Decision 2's second half: LCA
+   ships one query per slot it touched, each simplified once here. *)
+let on_event t us =
+  let into = t.apply_next + if t.policy = In_order then Hashtbl.length t.slots else 0 in
+  ignore (add t into R.Bag.empty);
+  let accs = List.fold_left (fold t ~slot:into) [] us in
+  List.iter
+    (fun a ->
+      if a.local <> [] then
+        ignore (add t a.into (R.Eval.literal_query (List.rev a.local))))
+    accs;
+  let send =
+    List.filter_map
+      (fun (into, q) ->
+        let q = if t.policy = In_order then R.Query.simplify q else q in
+        if R.Query.is_empty q then None else Some (enqueue t into q))
+      (by_slot accs)
+  in
+  { (drain t) with Algorithm.send }
+
+let on_update t u = on_event t [ u ]
+let on_batch t us = if us = [] then Algorithm.nothing else on_event t us
 
 let on_answer t ~id answer =
-  let answered, uqs = R.Fqueue.remove_first (fun p -> p.id = id) t.uqs in
-  t.uqs <- uqs;
-  if t.local_literal_eval then
-    Option.iter (fun p -> List.iter (unindex t) p.terms) answered;
-  t.collect <- R.Bag.plus t.collect answer;
-  maybe_install t
-
-(* Batched updates (Section 7): the whole batch becomes one query under
-   one id. Each update's delta compensates both the pending queries and
-   the remote terms already accumulated for this batch — all of which the
-   source will evaluate after the entire batch has been applied. *)
-let on_batch t us =
-  send t
-    (List.fold_left
-       (fun batch u -> batch @ shaped (maintenance_query t u ~extra:batch))
-       [] us)
+  match R.Fqueue.remove_first (fun p -> p.id = id) t.uqs with
+  | None, _ -> Algorithm.nothing
+  | Some p, uqs ->
+    t.uqs <- uqs;
+    if indexed t then List.iter (unindex t) p.terms;
+    let s = add t p.slot answer in
+    s.open_queries <- s.open_queries - 1;
+    drain t
 
 let of_state t =
+  let eca = t.policy = At_quiescence in
   {
-    Algorithm.name = "eca";
+    Algorithm.name = (if eca then "eca" else "lca");
     (* Viewdef.delta and Query.subst are both empty for a foreign base
-       relation, so an update outside the view's relations provably
-       yields [nothing] and touches no state: safe to skip at dispatch. *)
-    interest = Some (R.Viewdef.relation_names t.view);
+       relation, so an ECA update outside the view's relations provably
+       yields [nothing] and touches no state: safe to skip at dispatch.
+       LCA's event clock ticks on every update (a foreign one opens an
+       empty slot), so its interest is everything. *)
+    interest = (if eca then Some (R.Viewdef.relation_names t.view) else None);
     on_update = on_update t;
     on_batch = on_batch t;
     on_answer = (fun ~id a -> on_answer t ~id a);
@@ -300,21 +388,18 @@ let of_state t =
   }
 
 let instance cfg = of_state (create cfg)
+let lca cfg = of_state (make In_order cfg)
 
-(* Online (re)initialization: start from an empty materialization with the
-   full view query V' already pending in the UQS, as if the view's birth
-   were the maintenance of one big insertion (Section 5.2's observation
-   that initialization is just maintenance of the full query). Updates
-   arriving while the query is in flight are compensated by the ordinary
-   ECA algebra — V'⟨U⟩ − Q0⟨U⟩ — so the state installed when the UQS
-   drains reflects every update the source executed, on whichever side of
-   the query it landed. This is what the warehouse swaps in when a schema
-   change invalidates a hosted view. *)
+(* Online (re)initialization: the full view query V' pending from an
+   empty materialization, as if the view's birth were the maintenance of
+   one big insertion (Section 5.2). Updates arriving while it is in
+   flight are compensated by the ordinary algebra — V'⟨U⟩ − Q0⟨U⟩ — so
+   the state installed when the UQS drains reflects every update the
+   source executed, on whichever side of the query it landed. *)
 let refresh cfg =
   let t = create { cfg with Algorithm.Config.init_mv = R.Bag.empty } in
   let q = R.Query.simplify (R.Viewdef.full_query t.view) in
   if R.Query.is_empty q then (of_state t, Algorithm.install (mv t))
-  else begin
-    t.next_id <- 1;
-    (of_state t, enqueue t 0 (shaped q))
-  end
+  else
+    let id, q = enqueue t t.apply_next q in
+    (of_state t, Algorithm.send_one id q)

@@ -1,5 +1,6 @@
 (** The Eager Compensating Algorithm (Algorithm 5.2) — the paper's central
-    contribution.
+    contribution — and its lazy variant LCA (sketched in Section 5.3),
+    one compensation fold under two install policies.
 
     When an update [U_i] arrives while queries are pending, those queries
     will be evaluated at the source {e after} [U_i] and therefore see its
@@ -9,14 +10,28 @@
 
     — the incremental-maintenance query minus one compensating query per
     pending query, offsetting exactly what those queries will wrongly see.
-    Answers accumulate in [COLLECT] and install into the view only at
-    quiescence ([UQS = ∅]); installing earlier would expose invalid
-    intermediate states (convergent but not consistent).
+    In a batch (Section 7) each update also compensates the terms already
+    gathered for the batch. Terms whose slots are all substituted tuples
+    are evaluated locally and not shipped, as Appendix D prescribes. When
+    no query is pending ECA degenerates to Algorithm 5.1.
 
-    Terms whose relation slots are all substituted tuples are evaluated
-    locally and not shipped, as Appendix D prescribes. When updates are
-    spaced widely enough that no query is pending, ECA degenerates to
-    Algorithm 5.1 — compensation costs arise only under contention.
+    Answers and local terms feed {e update slots}, which install into the
+    view once closed (no query feeding them unanswered), oldest first.
+    The policy decides exactly four things:
+    + which accumulator a compensation term feeds: ECA folds everything
+      into the update's own query; LCA sends [−Q_j⟨U⟩] to [Q_j]'s slot
+      and a batch's [−extra⟨U⟩] to the accumulator extra came from;
+    + whether an event ships one query or one per slot: ECA ships one,
+      simplified update by update; LCA one per slot touched, in the order
+      the slots were first touched, each simplified once;
+    + when accumulators install: ECA feeds one open slot, [COLLECT], which
+      closes only at quiescence ([UQS = ∅]) — installing earlier would
+      expose invalid intermediate states (convergent but not consistent);
+      LCA opens a slot per event, so each source state becomes a view
+      state (completeness, at one round-trip per compensation);
+    + whether the fold visits the guard index (ECA with local evaluation
+      on) or walks the whole UQS (LCA, and ECA with it off): which of
+      LCA's slots get a query depends on every term [U] touches.
 
     {b Guarded compensation.} When a query enters the UQS, each of its
     terms with exactly one base slot [B] gets a guard: the equi-join
@@ -24,36 +39,27 @@
     literal value). An update on [B] whose tuple fails one of them (under
     [Value.compare_for_predicate], so [Int 1] meets [Float 1.0]) makes
     the substituted term provably empty, and it is skipped; the rest of
-    those terms turn all-literal and go straight to [COLLECT]. Terms with
-    two or more base slots are substituted in fold order and
-    simplified as before, so the shipped queries are exactly those of
-    the fold [split_local (simplify (V⟨U⟩ − Σ Q_j⟨U⟩))]: a literal term
-    never cancels a remote one, and a skipped term adds nothing. With
+    those terms turn all-literal and are evaluated locally. The shipped
+    queries are exactly those of the fold [split_local (simplify q)]. With
     [local_literal_eval] off every substituted term is shipped and no
-    guard applies. ECA-Local, ECA-SM's fallback, batches and {!refresh}
-    inherit this path.
+    guard applies. The guard index keys pending terms by (relation, guard
+    column, value), so an ECA update visits only its guard hits plus the
+    unguarded terms, in (query id, term position) order: the fold's
+    order, at a cost that does not grow with the number of pending
+    queries. ECA-Local, ECA-SM's fallback and {!refresh} use ECA.
 
-    With [local_literal_eval] on, the pending terms are indexed by
-    (relation, guard column, value) — values normalized as
-    [Value.compare_for_predicate] compares them — so an update visits
-    only the guard hits on its relation plus the terms without a guard,
-    in (query id, term position) order: the fold's order, at a cost
-    that does not grow with the number of pending queries.
-
-    ECA is strongly consistent (Theorem B.1); the property-based test
-    suite re-validates this over randomized update streams and schedules. *)
+    ECA is strongly consistent (Theorem B.1) and LCA complete; the
+    property suites re-validate both over randomized streams and
+    schedules. *)
 
 module R := Relational
 
 type t
 
-val applicable : R.Viewdef.t -> bool
-(** Always true: ECA is the catalog ladder's universal fallback rung. *)
-
 val create : ?keyed:R.View.t * string list -> Algorithm.Config.t -> t
-(** [keyed = (view, rels)] indexes the materialized view for
-    {!key_delete} on each of [rels] (see {!Mview.Keyed}); without it the
-    view is a bare bag and pays nothing for indexes. *)
+(** An ECA instance. [keyed = (view, rels)] indexes the materialized view
+    for {!key_delete} on each of [rels] (see {!Mview.Keyed}); without it
+    the view is a bare bag and pays nothing for indexes. *)
 
 val mv : t -> R.Bag.t
 
@@ -62,7 +68,7 @@ val uqs : t -> (int * R.Query.t) list
     walkthrough example). *)
 
 val quiescent : t -> bool
-(** No pending query and no uninstalled [COLLECT] delta. *)
+(** No pending query and no uninstalled delta. *)
 
 val key_delete : t -> rel:string -> R.Tuple.t -> bool
 (** Apply a local key-delete to the view of a quiescent instance — ECAL's
@@ -80,6 +86,9 @@ val on_update : t -> R.Update.t -> Algorithm.outcome
 val on_answer : t -> id:int -> R.Bag.t -> Algorithm.outcome
 
 val instance : Algorithm.creator
+
+val lca : Algorithm.creator
+(** The in-order install policy: LCA. *)
 
 val refresh : Algorithm.Config.t -> Algorithm.instance * Algorithm.outcome
 (** Online (re)initialization: an instance born with an empty

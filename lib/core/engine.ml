@@ -64,7 +64,7 @@ type obs_state = {
   note_spans : (int * int, int) Hashtbl.t;  (* (site, first seq) -> span *)
   query_spans : (int, int) Hashtbl.t;  (* gid -> span *)
   answer_spans : (int, int) Hashtbl.t;  (* gid -> span *)
-  per_view : (string * obs_per_view) list;
+  per_view : obs_per_view array;  (* in [views] order *)
   edge_hist : Metrics.histogram array;  (* per site, message transit *)
   uqs_hist : Metrics.histogram;  (* query ship -> answer processed *)
   mutable compensations : int;
@@ -220,8 +220,11 @@ let run ?(schedule = Scheduler.Best_case) ?(rv_period = 1) ?(batch_size = 1)
   let nviews = Array.length views_arr in
   let vname = Array.map (fun (v : R.Viewdef.t) -> v.R.Viewdef.name) views_arr in
   let vsite = Array.of_list (List.map snd view_site) in
+  (* A view's index by name; the first view of a name wins. *)
   let name_to_idx = Hashtbl.create (max 16 nviews) in
-  Array.iteri (fun vi name -> Hashtbl.replace name_to_idx name vi) vname;
+  for vi = nviews - 1 downto 0 do
+    Hashtbl.replace name_to_idx vname.(vi) vi
+  done;
   (* Per-site view index lists (ascending = [views] order) plus the
      cross-source views, and their merge: exactly the views an update at
      site [i] can affect, visited in catalog order. *)
@@ -388,20 +391,17 @@ let run ?(schedule = Scheduler.Best_case) ?(rv_period = 1) ?(batch_size = 1)
           query_spans = Hashtbl.create 64;
           answer_spans = Hashtbl.create 64;
           per_view =
-            List.map
-              (fun (v : R.Viewdef.t) ->
-                ( v.R.Viewdef.name,
-                  {
-                    ov_last_match = 0;
-                    ov_samples = 0;
-                    ov_sum = 0;
-                    ov_max = 0;
-                    ov_final = 0;
-                    ov_quiesce_max = 0;
-                    ov_collect_span = None;
-                    ov_collect_depth = 0;
-                  } ))
-              views;
+            Array.init nviews (fun _ ->
+                {
+                  ov_last_match = 0;
+                  ov_samples = 0;
+                  ov_sum = 0;
+                  ov_max = 0;
+                  ov_final = 0;
+                  ov_quiesce_max = 0;
+                  ov_collect_span = None;
+                  ov_collect_depth = 0;
+                });
           edge_hist = Array.init n (fun _ -> Metrics.hist_create ());
           uqs_hist = Metrics.hist_create ();
           compensations = 0;
@@ -430,16 +430,14 @@ let run ?(schedule = Scheduler.Best_case) ?(rv_period = 1) ?(batch_size = 1)
   (* Sample the per-view staleness gauge: ticks since the warehouse's
      materialization last equalled the centralized oracle state. Sampled
      after every state-changing event; [quiesce] marks drained-graph
-     probes, whose maximum is the strong-consistency witness. *)
+     probes, whose maximum is the strong-consistency witness. The
+     warehouse hosts the views in [views] order. *)
   let sample_staleness ?(quiesce = false) o =
     let t = now () in
-    List.iter
-      (fun (name, ov) ->
-        (match (Warehouse.mv warehouse name, Hashtbl.find_opt name_to_idx name)
-         with
-        | Some mv, Some vi when R.Bag.equal mv (oracle_view vi) ->
-          ov.ov_last_match <- t
-        | _ -> ());
+    List.iteri
+      (fun vi (_, mv) ->
+        let ov = o.per_view.(vi) and name = vname.(vi) in
+        if R.Bag.equal mv (oracle_view vi) then ov.ov_last_match <- t;
         let stale = t - ov.ov_last_match in
         ov.ov_samples <- ov.ov_samples + 1;
         ov.ov_sum <- ov.ov_sum + stale;
@@ -448,7 +446,7 @@ let run ?(schedule = Scheduler.Best_case) ?(rv_period = 1) ?(batch_size = 1)
         if quiesce && stale > ov.ov_quiesce_max then ov.ov_quiesce_max <- stale;
         Observe.Collector.gauge o.oc ~name:"staleness" ~key:name ~now:t
           ~value:stale)
-      o.per_view
+      (Warehouse.mvs warehouse)
   in
   (* An installed view state with net-negative counts witnesses an
      over-deletion anomaly; correct algorithms never produce one. *)
@@ -647,10 +645,6 @@ let run ?(schedule = Scheduler.Best_case) ?(rv_period = 1) ?(batch_size = 1)
     | Some _ -> raise (Engine_error "source received a non-query message"));
     refresh_edge i
   in
-  let algo_of_view name =
-    Option.value ~default:""
-      (List.assoc_opt name (Warehouse.algorithms warehouse))
-  in
   (* The warehouse's rebuild callback for one schema change: rewrite the
      hosted definition and swap in an online-refreshing ECA instance
      (the universal rung — a view that sat on a cheaper rung is demoted
@@ -695,10 +689,11 @@ let run ?(schedule = Scheduler.Best_case) ?(rv_period = 1) ?(batch_size = 1)
   (* The bookkeeping both warehouse events share — a received message
      and a quiescence probe: ship the reaction's queries, watch its
      installs, then observe. [answer] is the gid of a processed answer
-     with its owning view when observed: the query's UQS residency ends
-     here, and if the view installed nothing the answer parked in
-     COLLECT. Installs flush a view's parked answers: its open
-     Collect_install span closes and the depth resets. *)
+     with its owning view's name and algorithm when observed: the
+     query's UQS residency ends here, and if the view installed nothing
+     the answer parked in COLLECT. Installs flush a view's parked
+     answers: its open Collect_install span closes and the depth
+     resets. *)
   let after_reaction ?answer ?(probe = false) (r : Warehouse.reaction) =
     ship_queries r.Warehouse.queries;
     watch_installs r.Warehouse.installs;
@@ -707,10 +702,13 @@ let run ?(schedule = Scheduler.Best_case) ?(rv_period = 1) ?(batch_size = 1)
         (match answer with
         | Some (gid, _) -> close_matched o o.query_spans gid o.uqs_hist t
         | None -> ());
+        let per_view name =
+          Option.map (Array.get o.per_view) (Hashtbl.find_opt name_to_idx name)
+        in
         List.iter
           (fun (name, states) ->
             o.collect_installs <- o.collect_installs + List.length states;
-            match List.assoc_opt name o.per_view with
+            match per_view name with
             | Some ({ ov_collect_span = Some sp; _ } as ov) ->
               ignore (Observe.Collector.close_span o.oc sp ~now:t);
               ov.ov_collect_span <- None;
@@ -718,7 +716,7 @@ let run ?(schedule = Scheduler.Best_case) ?(rv_period = 1) ?(batch_size = 1)
             | _ -> ())
           r.Warehouse.installs;
         (match answer with
-        | Some (_, Some name)
+        | Some (_, Some (name, algo))
           when not (List.mem_assoc name r.Warehouse.installs) ->
           Option.iter
             (fun ov ->
@@ -729,10 +727,9 @@ let run ?(schedule = Scheduler.Best_case) ?(rv_period = 1) ?(batch_size = 1)
                 ov.ov_collect_span <-
                   Some
                     (Observe.Collector.open_span o.oc
-                       Observe.Span.Collect_install ~view:name
-                       ~algo:(algo_of_view name) ~site:"warehouse" ~ids:[]
-                       ~now:t ()))
-            (List.assoc_opt name o.per_view)
+                       Observe.Span.Collect_install ~view:name ~algo
+                       ~site:"warehouse" ~ids:[] ~now:t ()))
+            (per_view name)
         | _ -> ());
         if probe then
           Observe.Collector.instant o.oc Observe.Span.Quiescence
@@ -776,7 +773,7 @@ let run ?(schedule = Scheduler.Best_case) ?(rv_period = 1) ?(batch_size = 1)
           | None -> None
           | Some o ->
             close_matched o o.answer_spans id o.edge_hist.(i) t;
-            Option.map fst (Warehouse.gid_view warehouse id)
+            Warehouse.gid_view warehouse id
         in
         let r = Warehouse.handle_answer warehouse ~gid:id answer in
         Trace.record trace
@@ -878,9 +875,9 @@ let run ?(schedule = Scheduler.Best_case) ?(rv_period = 1) ?(batch_size = 1)
             Array.to_list
               (Array.mapi (fun i h -> (sites.(i).spec_name, h)) o.edge_hist);
           staleness =
-            List.map
-              (fun (name, ov) ->
-                ( name,
+            List.mapi
+              (fun vi ov ->
+                ( vname.(vi),
                   {
                     Metrics.stale_samples = ov.ov_samples;
                     stale_max = ov.ov_max;
@@ -890,7 +887,7 @@ let run ?(schedule = Scheduler.Best_case) ?(rv_period = 1) ?(batch_size = 1)
                     stale_final = ov.ov_final;
                     stale_quiesce_max = ov.ov_quiesce_max;
                   } ))
-              o.per_view;
+              (Array.to_list o.per_view);
         })
       obs
   in

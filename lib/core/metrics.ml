@@ -216,12 +216,6 @@ let messages t = t.queries_sent + t.answers_received
    so B = S * answer_tuples for a given parameter S. *)
 let bytes_for ~s t = s * t.answer_tuples
 
-let mean_latency t =
-  if t.delivery.delivered = 0 then 0.0
-  else
-    float_of_int t.delivery.latency_total
-    /. float_of_int t.delivery.delivered
-
 (* Wire totals are metered on every run (they are just the channels'
    physical counters), so a perfect-FIFO run still carries nonzero
    wire_messages/wire_bytes. The transport is only worth printing when a

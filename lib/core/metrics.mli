@@ -179,9 +179,6 @@ val messages : t -> int
 val bytes_for : s:int -> t -> int
 (** The paper's B for a given per-tuple size [S]. *)
 
-val mean_latency : t -> float
-(** Mean delivery latency in ticks of reliably delivered messages. *)
-
 val pp : Format.formatter -> t -> unit
 (** The delivery block is appended only when a fault or the reliability
     protocol actually fired — any counter beyond the always-metered wire

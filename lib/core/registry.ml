@@ -40,7 +40,7 @@ let entries =
       key = "lca";
       description = "Lazy Compensating Algorithm: per-update in-order \
                      installation, complete (Section 5.3)";
-      creator = Lca.instance;
+      creator = Eca.lca;
     };
     {
       key = "rv";

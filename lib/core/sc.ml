@@ -7,11 +7,6 @@ type t = {
   mutable mv : R.Bag.t;
 }
 
-(* SC maintains any view shape — its precondition is operational (a
-   seeded replica, [Config.init_db]), not structural, so the catalog's
-   ladder may always offer it as the zero-round-trip extreme. *)
-let applicable (_ : R.Viewdef.t) = true
-
 let create (cfg : Algorithm.Config.t) =
   match cfg.init_db with
   | None ->

@@ -15,10 +15,6 @@ module R := Relational
 
 type t
 
-val applicable : R.Viewdef.t -> bool
-(** Always true: SC's precondition is operational (a seeded replica via
-    [Config.init_db]), not structural. *)
-
 val create : Algorithm.Config.t -> t
 (** @raise Algorithm.Not_applicable without [Config.init_db], which
     seeds the replica. *)

@@ -25,8 +25,6 @@ type t = {
           anomaly witness; such samples count with maximal lag *)
 }
 
-val zero : t
-
 val of_trace : Trace.t -> string -> t
 (** Staleness of the named view over one simulation trace. *)
 

@@ -127,12 +127,6 @@ let mvs t =
 let quiescent t =
   Array.for_all (fun h -> h.inst.Algorithm.quiescent ()) t.hosted
 
-let algorithms t =
-  Array.to_list
-    (Array.map
-       (fun h -> (h.view.R.Viewdef.name, h.inst.Algorithm.name))
-       t.hosted)
-
 let shared_counters t = (t.shared_evaluated, t.shared_hits, t.shared_fanout)
 
 (* [None] unless some hosted instance (the ECA-SM rung) reports the

@@ -48,12 +48,11 @@ val create :
 
 val mv : t -> string -> R.Bag.t option
 val mvs : t -> (string * R.Bag.t) list
+(** Every hosted view's materialization, in host order: the order of
+    [create]'s configs. *)
 
 val quiescent : t -> bool
 (** All hosted instances are quiescent. *)
-
-val algorithms : t -> (string * string) list
-(** [(view name, algorithm name)] per hosted instance, in host order. *)
 
 val shared_counters : t -> int * int * int
 (** [(shared_evaluated, shared_hits, shared_fanout)]: shipped queries

@@ -76,9 +76,3 @@ let total_dropped t =
 
 let total_duplicated t =
   Channel.duplicated t.to_warehouse + Channel.duplicated t.to_source
-
-let pp ppf t =
-  Format.fprintf ppf "%a@.%a" Channel.pp t.to_warehouse Channel.pp t.to_source;
-  match t.transport with
-  | Direct -> ()
-  | Via_reliable r -> Format.fprintf ppf "@.%a" Reliable.pp r

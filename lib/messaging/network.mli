@@ -29,10 +29,6 @@ val create :
     default ["source"]) so a site-graph with several sources gets
     distinguishable wires. *)
 
-val channel : t -> direction -> Channel.t
-(** The underlying wire channel — physical counters live here. With a
-    reliable transport, sending/receiving on it directly would bypass the
-    protocol; use {!send}/{!receive}. *)
 
 val send : t -> direction -> Message.t -> unit
 val receive : t -> direction -> Message.t option
@@ -67,4 +63,3 @@ val total_messages : t -> int
 val total_bytes : t -> int
 val total_dropped : t -> int
 val total_duplicated : t -> int
-val pp : Format.formatter -> t -> unit

@@ -105,12 +105,6 @@ let dropped t = Ring.dropped t.ring
 
 let events t = Ring.to_list t.ring
 
-let spans t =
-  List.filter_map (function Span s -> Some s | Gauge _ -> None) (events t)
-
-let gauges t =
-  List.filter_map (function Gauge g -> Some g | Span _ -> None) (events t)
-
 let escape = Span.escape
 
 let gauge_to_json g =

@@ -4,7 +4,7 @@
     The engine opens and closes {!Span} records and samples gauges as its
     event loop executes; completed events land in a fixed-capacity
     {!Ring} (oldest dropped and counted once full, so memory stays
-    bounded). [write]/[write_file] export the retained events as JSONL —
+    bounded). [write_file] exports the retained events as JSONL —
     one meta header line, then one object per event in completion order —
     the format behind [vmw run --trace-out]. *)
 
@@ -71,8 +71,4 @@ val dropped : t -> int
 val events : t -> event list
 (** Retained events, oldest first (completion order). *)
 
-val spans : t -> Span.t list
-val gauges : t -> gauge list
-
-val write : out_channel -> t -> unit
 val write_file : string -> t -> unit

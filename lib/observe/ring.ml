@@ -9,10 +9,6 @@ let create capacity =
   if capacity < 1 then invalid_arg "Ring.create: capacity must be >= 1";
   { buf = Array.make capacity None; next = 0; count = 0; dropped = 0 }
 
-let capacity t = Array.length t.buf
-
-let length t = t.count
-
 let dropped t = t.dropped
 
 let push t x =
@@ -28,5 +24,3 @@ let to_list t =
       match t.buf.((start + i) mod cap) with
       | Some x -> x
       | None -> invalid_arg "Ring.to_list: hole in live window")
-
-let iter f t = List.iter f (to_list t)

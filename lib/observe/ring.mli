@@ -7,9 +7,6 @@ type 'a t
 val create : int -> 'a t
 (** @raise Invalid_argument when the capacity is not positive. *)
 
-val capacity : 'a t -> int
-val length : 'a t -> int
-
 val dropped : 'a t -> int
 (** Entries overwritten because the ring was full. *)
 
@@ -17,5 +14,3 @@ val push : 'a t -> 'a -> unit
 
 val to_list : 'a t -> 'a list
 (** Oldest retained entry first. *)
-
-val iter : ('a -> unit) -> 'a t -> unit

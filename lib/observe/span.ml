@@ -55,7 +55,3 @@ let to_json s =
     s.id (kind_name s.kind) (escape s.site) (escape s.view) (escape s.algo)
     (String.concat "," (List.map string_of_int s.ids))
     s.t_open s.t_close
-
-let pp ppf s =
-  Format.fprintf ppf "#%d %s@%s[%d,%d]" s.id (kind_name s.kind) s.site s.t_open
-    s.t_close

@@ -45,5 +45,3 @@ val escape : string -> string
 
 val to_json : t -> string
 (** One JSONL object: [{"type":"span","id":…,"kind":…,…}]. *)
-
-val pp : Format.formatter -> t -> unit

@@ -3,8 +3,6 @@ type t = {
   name : string;
 }
 
-let make ?rel name = { rel; name }
-
 let qualified rel name = { rel = Some rel; name }
 
 let unqualified name = { rel = None; name }
@@ -20,8 +18,6 @@ let to_string a =
   match a.rel with
   | None -> a.name
   | Some r -> r ^ "." ^ a.name
-
-let pp ppf a = Format.pp_print_string ppf (to_string a)
 
 let of_string s =
   match String.index_opt s '.' with

@@ -10,7 +10,6 @@ type t = private {
   name : string;
 }
 
-val make : ?rel:string -> string -> t
 val qualified : string -> string -> t
 val unqualified : string -> t
 
@@ -18,7 +17,6 @@ val compare : t -> t -> int
 val equal : t -> t -> bool
 
 val to_string : t -> string
-val pp : Format.formatter -> t -> unit
 
 val of_string : string -> t
 (** [of_string "r1.X"] is [qualified "r1" "X"]; [of_string "X"] is

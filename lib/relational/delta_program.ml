@@ -34,7 +34,6 @@ type chain = {
   sources : source array;
   delta_schema : Schema.t;  (* schema of the substituted relation *)
   sign_factor : int;        (* part sign x update sign *)
-  chain_sig : int;          (* subplan signature: plan skeleton + sources *)
 }
 
 type t = {
@@ -43,18 +42,7 @@ type t = {
   chains : chain list;  (* one per view part mentioning [rel] *)
 }
 
-let rel t = t.rel
-let kind t = t.kind
 let is_empty t = t.chains = []
-
-(* A program is a commutative sum of its chains' deltas, so the
-   signature combines chain digests order-insensitively — two programs
-   agree exactly when their chains pair up (same plan skeletons, same
-   slot sources, same folded signs). The shared-delta machinery uses
-   this to recognize that several registered views maintain the same
-   delta for one update class. *)
-let signature t =
-  List.fold_left (fun acc c -> acc + c.chain_sig) (List.length t.chains) t.chains
 
 let stage_class (vd : Viewdef.t) ~rel ~kind =
   let kind_sign = match kind with Update.Insert -> 1 | Update.Delete -> -1 in
@@ -87,9 +75,6 @@ let stage_class (vd : Viewdef.t) ~rel ~kind =
               sources;
               delta_schema;
               sign_factor;
-              chain_sig =
-                (((Plan.signature term * 31) + Hashtbl.hash sources) * 31)
-                + sign_factor;
             }
         end)
       vd.Viewdef.parts

@@ -70,16 +70,6 @@ val runs : Update.t list -> Update.t list list
     Each run is [apply_batch]-able after its updates execute; runs must
     be processed in sequence. *)
 
-val rel : t -> string
-val kind : t -> Update.kind
-
-val signature : t -> int
-(** The program's subplan signature: an order-insensitive combine of its
-    chains' digests (plan skeleton via {!Plan.signature}, slot-source
-    vector, folded sign factor). Two staged programs with equal
-    signatures maintain the same delta for the same update class —
-    what shared-delta (MQO) maintenance keys on across views. *)
-
 val is_empty : t -> bool
 (** No view part mentions the relation; {!apply} returns the empty bag. *)
 

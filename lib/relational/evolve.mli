@@ -13,10 +13,6 @@ exception Evolve_error of string
 val schema : Schema.t -> Update.ddl -> Schema.t
 (** Identity when the schema is not the DDL's target relation. *)
 
-val tuple : Schema.t -> Update.ddl -> Tuple.t -> Tuple.t
-(** Backfill ([Add_column]) or project ([Drop_column]) one tuple written
-    under the given pre-change schema. *)
-
 val db : Db.t -> Update.ddl -> Db.t
 (** Apply the change to the target relation's schema and contents,
     re-validating keys and foreign keys of the whole database. *)

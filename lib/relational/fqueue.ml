@@ -53,7 +53,3 @@ let remove_first p t =
 
 let fold f init t =
   List.fold_left f (List.fold_left f init t.front) (List.rev t.back)
-
-let iter f t = fold (fun () x -> f x) () t
-
-let exists p t = List.exists p t.front || List.exists p t.back

@@ -33,6 +33,3 @@ val remove_first : ('a -> bool) -> 'a t -> 'a option * 'a t
 
 val fold : ('acc -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc
 (** Oldest-to-newest fold without materializing [to_list]. *)
-
-val iter : ('a -> unit) -> 'a t -> unit
-val exists : ('a -> bool) -> 'a t -> bool

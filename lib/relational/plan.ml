@@ -255,17 +255,6 @@ let skeleton (t : Term.t) =
     schemas = List.map Term.slot_schema t.Term.slots;
   }
 
-(* The skeleton signature: two terms whose compiled plans are
-   interchangeable — same slot schemas (sources), same join keys and
-   residual filters (both derived from [cond]), same projection — digest
-   identically. Structural hash over a bounded prefix of the skeleton,
-   which holds only strings, options and variants. Exposed so the
-   shared-delta machinery can name "the same subplan" without holding a
-   plan value (plans contain compiled filter closures and cannot be
-   compared); the bound-slot mask only changes the join order, never
-   the answer, so it stays out. *)
-let signature (t : Term.t) = Hashtbl.hash (skeleton t)
-
 (* The cache key: the skeleton plus the bound-slot mask, which fixes the
    join order. *)
 module Key = struct

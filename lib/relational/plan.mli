@@ -68,13 +68,6 @@ val compile : ?bound:bool array -> Term.t -> t
     @raise Plan_error on unbound/ambiguous attributes or a mask of the
     wrong length. *)
 
-val signature : Term.t -> int
-(** Digest of the term's plan skeleton — projection, condition (join
-    keys + filters) and slot schemas. Terms with equal signatures
-    compute the same answers from the same inputs; literal tuple values,
-    the sign and the bound-slot mask (which only orders the joins) are
-    excluded. *)
-
 val of_term : ?bound:bool array -> Term.t -> t
 (** Cached compilation keyed by the term skeleton and the bound-slot
     mask. The cache is domain-local ([Domain.DLS]): each domain owns a

@@ -20,7 +20,6 @@ type t =
 
 let eq a b = Cmp (Eq, a, b)
 let col a = Col (Attr.of_string a)
-let const v = Const v
 let int n = Const (Value.Int n)
 
 let eq_attrs a b = Cmp (Eq, Col (Attr.of_string a), Col (Attr.of_string b))

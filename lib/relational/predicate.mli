@@ -29,7 +29,6 @@ val eq : operand -> operand -> t
 val col : string -> operand
 (** [col "r1.X"] — parses qualification from the string. *)
 
-val const : Value.t -> operand
 val int : int -> operand
 
 val eq_attrs : string -> string -> t

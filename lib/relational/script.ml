@@ -6,8 +6,6 @@ type t = {
   ddls : (int * Update.ddl) list;
 }
 
-let empty = { tables = []; views = []; initial = []; updates = []; ddls = [] }
-
 let table t name =
   List.find_opt (fun (s : Schema.t) -> String.equal s.Schema.name name) t.tables
 
@@ -21,12 +19,3 @@ let initial_db t =
     List.fold_left (fun db s -> Db.add_relation db s) Db.empty t.tables
   in
   Db.apply_all db t.initial
-
-let pp ppf t =
-  Format.fprintf ppf "tables: %s@."
-    (String.concat ", " (List.map (fun (s : Schema.t) -> s.Schema.name) t.tables));
-  List.iter (fun v -> Format.fprintf ppf "%a@." Viewdef.pp v) t.views;
-  Format.fprintf ppf "initial inserts: %d, updates: %d"
-    (List.length t.initial) (List.length t.updates);
-  if t.ddls <> [] then
-    Format.fprintf ppf ", schema changes: %d" (List.length t.ddls)

@@ -18,11 +18,8 @@ type t = {
           the engine's [?evolution] convention *)
 }
 
-val empty : t
 val table : t -> string -> Schema.t option
 val view : t -> string -> Viewdef.t option
 
 val initial_db : t -> Db.t
 (** The source state after the initial load. *)
-
-val pp : Format.formatter -> t -> unit

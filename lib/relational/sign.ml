@@ -25,5 +25,3 @@ let equal a b =
 let to_string = function
   | Pos -> "+"
   | Neg -> "-"
-
-let pp ppf s = Format.pp_print_string ppf (to_string s)

@@ -25,4 +25,3 @@ val of_int : int -> t
 
 val equal : t -> t -> bool
 val to_string : t -> string
-val pp : Format.formatter -> t -> unit

@@ -14,6 +14,4 @@ let default = make ~tuples_per_block:20
 let blocks_for t ~tuples =
   if tuples <= 0 then 0 else (tuples + t.tuples_per_block - 1) / t.tuples_per_block
 
-let relation_blocks t bag = blocks_for t ~tuples:(Relational.Bag.net_cardinality bag)
-
 let pp ppf t = Format.fprintf ppf "K=%d tuples/block" t.tuples_per_block

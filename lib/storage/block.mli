@@ -17,7 +17,4 @@ val default : t
 val blocks_for : t -> tuples:int -> int
 (** [⌈tuples / K⌉], 0 for non-positive counts. *)
 
-val relation_blocks : t -> Relational.Bag.t -> int
-(** Blocks occupied by a base relation's current contents. *)
-
 val pp : Format.formatter -> t -> unit

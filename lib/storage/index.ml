@@ -7,10 +7,6 @@ type t = {
 let clustered rel attr = { rel; attr; clustered = true }
 let unclustered rel attr = { rel; attr; clustered = false }
 
-let equal a b =
-  String.equal a.rel b.rel && String.equal a.attr b.attr
-  && Bool.equal a.clustered b.clustered
-
 (* I/Os to fetch [matches] tuples through this index: clustered indexes
    read contiguous blocks, unclustered indexes pay one I/O per tuple
    (Appendix D, Scenario 1). Index pages themselves are memory-resident

@@ -12,7 +12,6 @@ type t = private {
 
 val clustered : string -> string -> t
 val unclustered : string -> string -> t
-val equal : t -> t -> bool
 
 val probe_io : t -> block:Block.t -> matches:int -> int
 (** I/Os to fetch [matches] tuples for one probe value: [⌈matches/K⌉] when

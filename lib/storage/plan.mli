@@ -31,4 +31,3 @@ val of_steps : step list -> t
 val concat : t list -> t
 val step_io : step -> int
 val pp : Format.formatter -> t -> unit
-val pp_step : Format.formatter -> step -> unit

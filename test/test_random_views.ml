@@ -300,12 +300,12 @@ end
 let keyed_schemas =
   [| r1_wkey; r2_ykey; R.Schema.of_names ~key:[ "Y"; "Z" ] "r3" [ "Y"; "Z" ] |]
 
-(* A random view over the keyed schemas, alone or as a union or
-   difference with a second block of the same sources and projection
-   under another random condition. *)
-let keyed_viewdef_gen =
+(* A random view over [schemas], alone or as a union or difference
+   with a second block of the same sources and projection under another
+   random condition. *)
+let viewdef_gen_over schemas =
   QCheck.Gen.(
-    let* v = view_gen_over keyed_schemas in
+    let* v = view_gen_over schemas in
     let* shape = int_bound 2 in
     if shape = 0 then return (R.Viewdef.simple v)
     else
@@ -329,7 +329,7 @@ let keyed_setup_gen =
       List.map (R.Tuple.get t) (R.Schema.key_positions s)
     in
     let same_key s a b = List.equal R.Value.equal (key_of s a) (key_of s b) in
-    let* vd = keyed_viewdef_gen in
+    let* vd = viewdef_gen_over keyed_schemas in
     let* rows = list_size (return 3) (list_size (int_bound 4) tuple_gen) in
     let dedup s =
       List.fold_left
@@ -538,6 +538,74 @@ let eca_key_matches_reference =
       && R.Bag.equal (Core.Eca_key.mv t) (Ref_eca_key.mv r)
       && R.Bag.equal (Core.Eca_key.collect t) (Ref_eca_key.collect r))
 
+(* ------------------------------------------------------------------ *)
+(* LCA against its historical spelling                                *)
+(* ------------------------------------------------------------------ *)
+
+(* Random views, alone, as a union and as a difference, with streams of
+   up to 8 updates so that compensations pile up on pending pieces. *)
+let lca_setup_gen =
+  QCheck.Gen.(
+    let tuple_gen = map R.Tuple.ints (list_size (return 2) (int_bound 3)) in
+    let* vd = viewdef_gen_over schemas in
+    let* rows = list_size (return 3) (list_size (int_bound 4) tuple_gen) in
+    let db =
+      R.Db.of_list
+        (List.map2 (fun s r -> (s, R.Bag.of_list r)) (Array.to_list schemas) rows)
+    in
+    let* n = int_range 1 8 in
+    let* raw =
+      list_size (return n) (pair (oneofl [ "r1"; "r2"; "r3" ]) (pair tuple_gen bool))
+    in
+    let _, updates =
+      List.fold_left
+        (fun (db, acc) (rel, (tup, want_insert)) ->
+          let u =
+            if want_insert || R.Bag.count (R.Db.contents db rel) tup <= 0 then
+              R.Update.insert rel tup
+            else R.Update.delete rel tup
+          in
+          (R.Db.apply db u, u :: acc))
+        (db, []) raw
+    in
+    return (vd, db, List.rev updates))
+
+(* The registry's LCA (ECA's in-order install policy) and the reference
+   export byte-identical runs under Best, Worst and Random 7, one update
+   at a time and in batches of 3; and as the LCA view of a two-view
+   catalog beside an ECA view of the same query, with sharing on. *)
+let lca_matches_reference =
+  QCheck.Test.make ~name:"LCA = the historical LCA reference" ~count:200
+    (QCheck.make
+       ~print:(fun (vd, db, updates) ->
+         Format.asprintf "%a@.%a@.updates: %s" R.Viewdef.pp vd R.Db.pp db
+           (String.concat "; " (List.map R.Update.to_string updates)))
+       lca_setup_gen)
+    (fun (vd, db, updates) ->
+      let export ?(share_deltas = false) creator views schedule batch_size =
+        Core.Json_export.result
+          (Core.Engine.run ~schedule ~batch_size ~share_deltas ~creator
+             ~sites:[ source db ] ~views ~updates ())
+      in
+      let lca_view = R.Viewdef.make ~name:"RL" vd.R.Viewdef.parts in
+      let catalog lca (cfg : Core.Algorithm.Config.t) =
+        if cfg.Core.Algorithm.Config.view.R.Viewdef.name = "RL" then lca cfg
+        else Core.Eca.instance cfg
+      in
+      List.for_all
+        (fun (schedule, batch_size) ->
+          String.equal
+            (export (Core.Registry.creator_exn "lca") [ vd ] schedule batch_size)
+            (export Ref_lca.instance [ vd ] schedule batch_size)
+          && String.equal
+               (export ~share_deltas:true (catalog Core.Eca.lca) [ vd; lca_view ]
+                  schedule batch_size)
+               (export ~share_deltas:true (catalog Ref_lca.instance) [ vd; lca_view ]
+                  schedule batch_size))
+        (List.concat_map
+           (fun schedule -> [ (schedule, 1); (schedule, 3) ])
+           Core.Scheduler.[ Best_case; Worst_case; Random 7 ]))
+
 let suite =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -550,4 +618,5 @@ let suite =
       eca_batched_random_views;
       ecal_matches_reference;
       eca_key_matches_reference;
+      lca_matches_reference;
     ]
