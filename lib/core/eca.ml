@@ -46,7 +46,7 @@ type slot = { mutable delta : R.Bag.t; mutable open_queries : int }
 type t = {
   view : R.Viewdef.t;
   policy : policy;
-  mutable mv : Mview.Keyed.t;
+  mv : Mview.Keyed.t;
   slots : (int, slot) Hashtbl.t;
       (* the slots not yet installed: consecutive from [apply_next] *)
   mutable apply_next : int;
@@ -133,13 +133,11 @@ let require_quiescent name t =
 
 let key_delete t ~rel tuple =
   require_quiescent "key_delete" t;
-  let mv, changed = Mview.Keyed.key_delete t.mv ~rel tuple in
-  t.mv <- mv;
-  changed
+  Mview.Keyed.key_delete t.mv ~rel tuple
 
 let apply_local t delta =
   require_quiescent "apply_local" t;
-  t.mv <- Mview.Keyed.plus t.mv delta
+  Mview.Keyed.plus t.mv delta
 
 (* Slot [i], opened if new, after adding [delta] to it. *)
 let add t i delta =
@@ -167,7 +165,7 @@ let drain t =
       t.apply_next <- t.apply_next + 1;
       if R.Bag.is_empty s.delta then go installs
       else begin
-        t.mv <- Mview.Keyed.plus t.mv s.delta;
+        Mview.Keyed.plus t.mv s.delta;
         go (mv t :: installs)
       end
     | Some _ | None -> List.rev installs

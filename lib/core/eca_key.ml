@@ -31,7 +31,7 @@ end)
 type t = {
   view : R.View.t;
   mutable mv : R.Bag.t;
-  mutable collect : Mview.Keyed.t;  (* working copy of MV, a set *)
+  collect : Mview.Keyed.t;  (* working copy of MV, a set *)
   mutable uqs : int R.Fqueue.t;
   mutable next_id : int;
   mutable dirty : bool;  (* collect differs from mv *)
@@ -102,11 +102,7 @@ let maybe_install t =
   end
   else Algorithm.nothing
 
-let set_collect t (collect', changed) =
-  t.collect <- collect';
-  if changed then t.dirty <- true
-
-let add_answer t answer = set_collect t (Mview.Keyed.add_dedup t.collect answer)
+let add_answer t answer = if Mview.Keyed.add_dedup t.collect answer then t.dirty <- true
 
 let on_update t (u : R.Update.t) =
   if not (R.View.mentions t.view u.R.Update.rel) then Algorithm.nothing
@@ -115,8 +111,8 @@ let on_update t (u : R.Update.t) =
     | R.Update.Delete ->
       (* Handled locally: the projected key identifies exactly the view
          tuples derived from the deleted base tuple. *)
-      set_collect t
-        (Mview.Keyed.key_delete t.collect ~rel:u.R.Update.rel u.R.Update.tuple);
+      if Mview.Keyed.key_delete t.collect ~rel:u.R.Update.rel u.R.Update.tuple then
+        t.dirty <- true;
       if not (R.Fqueue.is_empty t.uqs) then begin
         let rel = u.R.Update.rel in
         let _, base, _ = List.find (fun (r, _, _) -> String.equal r rel) t.keys in

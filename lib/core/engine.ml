@@ -83,6 +83,14 @@ let run ?(schedule = Scheduler.Best_case) ?(rv_period = 1) ?(batch_size = 1)
   if rv_period < 1 then raise (Engine_error "rv_period must be at least 1");
   if specs = [] then
     raise (Engine_error "a site graph needs at least one source");
+  (* Reports, final states and the judge all key on the view name. *)
+  ignore
+    (List.fold_left
+       (fun seen (v : R.Viewdef.t) ->
+         let name = v.R.Viewdef.name in
+         if List.mem name seen then error "view %s is defined twice" name;
+         name :: seen)
+       [] views);
   let sched =
     try Scheduler.create schedule
     with Scheduler.Schedule_error msg -> raise (Engine_error msg)

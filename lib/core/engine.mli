@@ -110,8 +110,8 @@ val run :
     site databases (the paper's "initially correct" assumption).
 
     @raise Engine_error when [batch_size] or [rv_period] is below 1, the
-    schedule's bound or quantum is below 1, a relation is owned by two
-    sources, a view uses an unowned relation or spans several sources
+    schedule's bound or quantum is below 1, two views share a name, a
+    relation is owned by two sources, a view uses an unowned relation or spans several sources
     without [~allow_cross_source], an update or query targets an unowned
     relation, a source rejects an update (a delete of an absent tuple, a
     wrong-arity insert, an insert into an unknown relation of a single

@@ -28,19 +28,22 @@ let key_delete ~view ~rel t mv =
     mv
 
 (* A materialized view with key-delete indexes: per keyed base relation,
-   a map from the view's projected key values to the view tuples (those
-   with a nonzero count) carrying them. A key-delete is then one lookup
-   instead of a scan, and reports whether it removed anything, so callers
-   need no O(|V|) comparison to notice a no-op. The maps are built by the
-   first key-delete on a view of at least [Db.scan_below] distinct tuples
-   — a smaller view is scanned, which costs less than keeping maps
-   current — and maintained from then on. With no keyed relation the structure
-   is the bare bag and every operation is the bag's own. *)
+   a hash table from the view's projected key values to the view tuples
+   (those with a nonzero count) carrying them. A key-delete is then one
+   lookup instead of a scan, and reports whether it removed anything, so
+   callers need no O(|V|) comparison to notice a no-op. The tables are
+   built by the first key-delete on a view of at least [Db.scan_below]
+   distinct tuples — a smaller view is scanned, which costs less than
+   keeping tables current — and maintained from then on. With no keyed
+   relation the structure is the bare bag and every operation is the
+   bag's own. The instance owns its tables, so every operation updates
+   it in place. *)
 module Keyed = struct
-  module Kmap = Map.Make (struct
+  module Ktbl = Hashtbl.Make (struct
     type t = R.Value.t list
 
-    let compare = List.compare R.Value.compare
+    let equal = List.equal R.Value.equal
+    let hash = List.fold_left (fun h v -> (h * 31) + R.Value.hash v) 17
   end)
 
   (* Where one base relation's declared key sits. *)
@@ -51,57 +54,54 @@ module Keyed = struct
   }
 
   type t = {
-    bag : R.Bag.t;
+    mutable bag : R.Bag.t;
     keys : key list;
-    maps : R.Tuple.t list Kmap.t list option;  (* one per key, once built *)
+    mutable tables : R.Tuple.t list Ktbl.t list option;  (* one per key, once built *)
   }
 
   let bag k = k.bag
 
   let view_key key vt = List.map (R.Tuple.get vt) key.out_positions
 
-  let map_add key vt m =
+  let table_add key vt tbl =
     let kv = view_key key vt in
-    Kmap.add kv (vt :: Option.value (Kmap.find_opt kv m) ~default:[]) m
+    Ktbl.replace tbl kv (vt :: Option.value (Ktbl.find_opt tbl kv) ~default:[])
 
-  let map_remove key vt m =
+  let table_remove key vt tbl =
     let kv = view_key key vt in
-    match Kmap.find_opt kv m with
-    | None -> m
+    match Ktbl.find_opt tbl kv with
+    | None -> ()
     | Some vts -> (
       match List.filter (fun vt' -> not (R.Tuple.equal vt vt')) vts with
-      | [] -> Kmap.remove kv m
-      | vts' -> Kmap.add kv vts' m)
+      | [] -> Ktbl.remove tbl kv
+      | vts' -> Ktbl.replace tbl kv vts')
 
-  let plain bag = { bag; keys = []; maps = None }
+  let plain bag = { bag; keys = []; tables = None }
 
   let create ~view ~rels bag =
     let key rel =
       let key_positions, out_positions = key_layout ~view ~rel in
       { rel; key_positions; out_positions }
     in
-    { bag; keys = List.map key rels; maps = None }
+    { bag; keys = List.map key rels; tables = None }
 
-  (* Add [n] copies of [vt], keeping built maps on exactly the tuples
+  (* Add [n] copies of [vt], keeping built tables on exactly the tuples
      with a nonzero count. *)
   let add k vt n =
     let before, bag = R.Bag.add_get ~count:n vt k.bag in
-    match k.maps with
-    | None -> { k with bag }
-    | Some maps ->
+    k.bag <- bag;
+    match k.tables with
+    | None -> ()
+    | Some tables ->
       let after = before + n in
-      let maps =
-        if before = 0 && after <> 0 then List.map2 (fun key -> map_add key vt) k.keys maps
-        else if before <> 0 && after = 0 then
-          List.map2 (fun key -> map_remove key vt) k.keys maps
-        else maps
-      in
-      { k with bag; maps = Some maps }
+      if before = 0 && after <> 0 then List.iter2 (fun key -> table_add key vt) k.keys tables
+      else if before <> 0 && after = 0 then
+        List.iter2 (fun key -> table_remove key vt) k.keys tables
 
   let plus k delta =
-    match k.maps with
-    | None -> { k with bag = R.Bag.plus k.bag delta }
-    | Some _ -> R.Bag.fold (fun vt n k -> add k vt n) delta k
+    match k.tables with
+    | None -> k.bag <- R.Bag.plus k.bag delta
+    | Some _ -> R.Bag.iter (fun vt n -> add k vt n) delta
 
   let key_delete k ~rel (t : R.Tuple.t) =
     let rec find i = function
@@ -110,33 +110,42 @@ module Keyed = struct
     in
     let i, key = find 0 k.keys in
     let kv = List.map (R.Tuple.get t) key.key_positions in
-    match k.maps with
+    match k.tables with
     | None when R.Bag.distinct_cardinality k.bag < R.Db.scan_below ->
       let bag =
         R.Bag.filter (fun vt -> not (List.equal R.Value.equal (view_key key vt) kv)) k.bag
       in
-      if R.Bag.distinct_cardinality bag = R.Bag.distinct_cardinality k.bag then (k, false)
-      else ({ k with bag }, true)
+      let changed = R.Bag.distinct_cardinality bag <> R.Bag.distinct_cardinality k.bag in
+      k.bag <- bag;
+      changed
     | _ -> (
-      let maps =
-        match k.maps with
-        | Some maps -> maps
+      let tables =
+        match k.tables with
+        | Some tables -> tables
         | None ->
-          List.map
-            (fun key -> R.Bag.fold (fun vt _ m -> map_add key vt m) k.bag Kmap.empty)
-            k.keys
+          let build key =
+            let tbl = Ktbl.create (R.Bag.distinct_cardinality k.bag) in
+            R.Bag.iter (fun vt _ -> table_add key vt tbl) k.bag;
+            tbl
+          in
+          let tables = List.map build k.keys in
+          k.tables <- Some tables;
+          tables
       in
-      let k = { k with maps = Some maps } in
-      match Kmap.find_opt kv (List.nth maps i) with
-      | None -> (k, false)
+      match Ktbl.find_opt (List.nth tables i) kv with
+      | None -> false
       | Some vts ->
-        (List.fold_left (fun k vt -> add k vt (-R.Bag.count k.bag vt)) k vts, true))
+        List.iter (fun vt -> add k vt (-R.Bag.count k.bag vt)) vts;
+        true)
 
   (* ECAK's answer accumulation over a keyed working copy. *)
   let add_dedup k answer =
     R.Bag.fold
-      (fun vt n (k, changed) ->
-        if n > 0 && not (R.Bag.mem vt k.bag) then (add k vt 1, true)
-        else (k, changed))
-      answer (k, false)
+      (fun vt n changed ->
+        if n > 0 && not (R.Bag.mem vt k.bag) then begin
+          add k vt 1;
+          true
+        end
+        else changed)
+      answer false
 end

@@ -28,10 +28,11 @@ val key_layout : view:R.View.t -> rel:string -> int list * int list
     @raise Mview_error if the view does not project [rel]'s declared key. *)
 
 (** A materialized view indexed for key-deletes: the bag plus, per keyed
-    base relation, a map from the view's projected key values to the view
-    tuples carrying them. The maps are built by the first key-delete on a
-    view of at least {!Relational.Db.scan_below} distinct tuples (a
-    smaller view is scanned) and maintained from then on. *)
+    base relation, a hash table from the view's projected key values to
+    the view tuples carrying them. The tables are built by the first
+    key-delete on a view of at least {!Relational.Db.scan_below} distinct
+    tuples (a smaller view is scanned) and maintained from then on. The
+    instance is mutable: every operation below updates it in place. *)
 module Keyed : sig
   type t
 
@@ -44,19 +45,20 @@ module Keyed : sig
       declared keys. *)
 
   val bag : t -> R.Bag.t
+  (** The current contents; a persistent value, unaffected by later
+      operations on the instance. *)
 
-  val plus : t -> R.Bag.t -> t
-  (** [MV + Δ], carrying built maps forward. *)
+  val plus : t -> R.Bag.t -> unit
+  (** [MV + Δ], keeping built tables current. *)
 
-  val key_delete : t -> rel:string -> R.Tuple.t -> t * bool
-  (** {!Mview.key_delete} by lookup; the flag tells whether any view
-      tuple carried the deleted tuple's key (when not, the view is
-      unchanged). Keep the returned value either way: it may hold newly
-      built maps.
+  val key_delete : t -> rel:string -> R.Tuple.t -> bool
+  (** {!Mview.key_delete} by lookup; the result tells whether any view
+      tuple carried the deleted tuple's key (when not, the contents are
+      unchanged, though the tables may have just been built).
       @raise Mview_error if [rel] is not one of the keyed relations. *)
 
-  val add_dedup : t -> R.Bag.t -> t * bool
+  val add_dedup : t -> R.Bag.t -> bool
   (** ECAK's answer accumulation: add each positively signed answer tuple
       unless already present (duplicates witness anomalies and are
-      dropped). The flag tells whether anything was added. *)
+      dropped). The result tells whether anything was added. *)
 end

@@ -398,17 +398,83 @@ let matching db name col =
 
 let cardinality db name = (find db name).card
 
+(* Every count is 1: the net cardinality is the distinct count, and no
+   count is negative. *)
+let is_set r = r.card = Bag.distinct_cardinality r.bag && not (Bag.has_negative r.bag)
+
+let fold_sorted f db name acc =
+  let r = find db name in
+  match index_opt r 0 with
+  | Some ix ->
+    (* The column-0 index is already in [Tuple.compare] order: its keys
+       in [Value.compare] order, each bucket sorted. A set's counts need
+       no lookup. *)
+    let count = if is_set r then fun _ -> 1 else Bag.count r.bag in
+    Vmap.fold
+      (fun _ ts acc -> List.fold_left (fun acc t -> f t (count t) acc) acc ts)
+      ix.map acc
+  | None -> List.fold_left (fun acc (t, n) -> f t n acc) acc (Bag.to_counted_list r.bag)
+
+let nth db name k =
+  let r = find db name in
+  let exception Found of Tuple.t in
+  if k < 0 then None
+  else
+    match index_opt r 0 with
+    | Some ix when is_set r ->
+      (* Whole buckets are skipped by length. *)
+      if k >= r.card then None
+      else begin
+        let rest = ref k in
+        match
+          Vmap.iter
+            (fun _ ts ->
+              let n = List.length ts in
+              if !rest < n then raise_notrace (Found (List.nth ts !rest));
+              rest := !rest - n)
+            ix.map
+        with
+        | () -> None
+        | exception Found t -> Some t
+      end
+    | _ -> (
+      match
+        fold_sorted
+          (fun t n rest ->
+            if n <= 0 then rest else if rest < n then raise_notrace (Found t) else rest - n)
+          db name k
+      with
+      | _ -> None
+      | exception Found t -> Some t)
+
+(* Is [v] among the first [m] cells of [seen], sorted by [Value.compare]?
+   If not, insert it there, keeping them sorted. *)
+let insert_distinct seen m v =
+  let rec at i = if i < m && Value.compare seen.(i) v < 0 then at (i + 1) else i in
+  let i = at 0 in
+  if i < m && Value.equal seen.(i) v then m
+  else begin
+    Array.blit seen i seen (i + 1) (m - i);
+    seen.(i) <- v;
+    m + 1
+  end
+
 let distinct_values db name col =
   let r = find db name in
   column r name col;
   match index_opt r col with
   | Some ix when not (Bag.has_negative r.bag) -> ix.distinct
-  | _ ->
-    let seen = Hashtbl.create 64 in
-    Bag.iter
-      (fun t n -> if n > 0 then Hashtbl.replace seen (Tuple.get t col) ())
-      r.bag;
-    Hashtbl.length seen
+  | Some ix ->
+    (* The index also holds negatively counted tuples: a key counts when
+       one of its tuples is positive. *)
+    Vmap.fold
+      (fun _ ts acc -> if List.exists (fun t -> Bag.count r.bag t > 0) ts then acc + 1 else acc)
+      ix.map 0
+  | None ->
+    (* Under [scan_below] distinct tuples: dedupe into a small sorted
+       array rather than a hash table. *)
+    let seen = Array.make (Bag.distinct_cardinality r.bag) (Value.Int 0) in
+    Bag.fold (fun t n m -> if n > 0 then insert_distinct seen m (Tuple.get t col) else m) r.bag 0
 
 let total_tuples db = Smap.fold (fun _ r acc -> acc + r.card) db.relations 0
 

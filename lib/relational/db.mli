@@ -84,12 +84,30 @@ val cardinality : t -> string -> int
 (** The relation's net tuple count ([Bag.net_cardinality]); O(1). *)
 
 val distinct_values : t -> string -> int -> int
-(** Distinct values of column [i] among positively counted tuples. O(1)
-    when the relation holds no negative count and has at least
+(** Distinct values of column [i] among positively counted tuples, under
+    {!Value.equal} (so [Int 1] and [Float 1.0] are two values, and NaN is
+    one). O(1) when the relation holds no negative count and has at least
     {!scan_below}-many distinct tuples (the first such call builds the
-    column's index). Otherwise every call scans the bag into a fresh
-    table: small relations are never indexed, so their count is never
-    cached. *)
+    column's index); with negative counts, one walk over that index.
+    A smaller relation has no index (unless it shrank from one), so each
+    call dedupes its column afresh, in a small sorted array. *)
+
+val nth : t -> string -> int -> Tuple.t option
+(** [nth db rel k]: the tuple at rank [k] (from 0) in {!Tuple.compare}
+    order, counting each positively counted tuple as many times as its
+    count; [None] when [k] is negative or at least their total. Walks the
+    column-0 index when {!lookup} would use one (building it if the
+    relation has grown to {!scan_below} distinct tuples), skipping whole
+    buckets when the relation is a set; a smaller relation is sorted
+    instead. Either way the answer is the same.
+    @raise Db_error on an unknown relation. *)
+
+val fold_sorted : (Tuple.t -> int -> 'a -> 'a) -> t -> string -> 'a -> 'a
+(** [fold_sorted f db rel acc] folds [f] over the tuples of [rel] with a
+    nonzero count and their counts, in {!Tuple.compare} order: the fold
+    of {!Bag.to_counted_list} of {!contents}, walked off the column-0
+    index like {!nth} rather than sorted.
+    @raise Db_error on an unknown relation. *)
 
 val total_tuples : t -> int
 val equal : t -> t -> bool

@@ -408,6 +408,8 @@ let parse_script src =
            order (the first declaration of a name wins), so hand it the
            forward order. *)
         let v = view_def (List.rev tables) st in
+        if List.exists (fun (v' : Viewdef.t) -> String.equal v'.Viewdef.name v.Viewdef.name) views
+        then error "view %s is defined twice" v.Viewdef.name;
         loop tables (v :: views) initial updates ddls nup in_updates
       | "INSERT" ->
         advance st;

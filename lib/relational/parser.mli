@@ -28,8 +28,8 @@
 exception Parse_error of string
 
 val parse_script : string -> Script.t
-(** @raise Parse_error on syntax errors, references to undefined tables, or
-    misplaced statements. Schema and view validation errors propagate as
+(** @raise Parse_error on syntax errors, references to undefined tables,
+    two views with one name, or misplaced statements. Schema and view validation errors propagate as
     [Schema.Schema_error] / [View.View_error]. *)
 
 val parse_view : tables:Schema.t list -> string -> Viewdef.t

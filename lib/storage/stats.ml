@@ -1,8 +1,8 @@
 (* The cardinality is O(1): the database keeps each relation's net
    count. The distinct count is O(1) only once the column is indexed
    (relations of at least [Db.scan_below] distinct tuples, without
-   negative counts); below that, [Db.distinct_values] scans the bag on
-   every call. *)
+   negative counts); below that, [Db.distinct_values] dedupes the
+   column on every call. *)
 let cardinality db rel = Relational.Db.cardinality db rel
 
 let distinct_values db rel attr =

@@ -11,8 +11,8 @@ val cardinality : Relational.Db.t -> string -> int
 
 val distinct_values : Relational.Db.t -> string -> string -> int
 (** Distinct values of attribute [a] in [r] (see
-    {!Relational.Db.distinct_values}): O(1) on an indexed column, a scan
-    of the relation on every call otherwise. *)
+    {!Relational.Db.distinct_values}): O(1) on an indexed column, a pass
+    over the relation on every call otherwise. *)
 
 val join_factor : Relational.Db.t -> string -> string -> float
 (** J(r, a): expected tuples of [r] matching one value of attribute [a]

@@ -56,25 +56,12 @@ let example6_db (spec : Spec.t) =
   in
   List.fold_left (fun db s -> fill spec st db s.R.Schema.name) db chain_schemas
 
+(* [Db.nth] walks the relation in canonical tuple order, so the workload
+   drawn from a given seed does not depend on the bag's internal (hash)
+   ordering. *)
 let pick_existing st db rel =
-  let contents = R.Db.contents db rel in
-  let n = R.Bag.net_cardinality contents in
-  if n = 0 then None
-  else begin
-    let target = rand_below st n in
-    let chosen = ref None in
-    let seen = ref 0 in
-    (* Walk in canonical tuple order so the workload drawn from a given
-       seed does not depend on the bag's internal (hash) ordering. *)
-    List.iter
-      (fun (t, cnt) ->
-        if !chosen = None && cnt > 0 then begin
-          if target < !seen + cnt then chosen := Some t;
-          seen := !seen + cnt
-        end)
-      (R.Bag.to_counted_list contents);
-    !chosen
-  end
+  let n = R.Db.cardinality db rel in
+  if n = 0 then None else R.Db.nth db rel (rand_below st n)
 
 (* k updates over the chain schema. With [round_robin] the relations cycle
    r1, r2, r3, … (Example 6's update pattern, which the k-update analysis
@@ -253,25 +240,20 @@ let selfmaint_updates (spec : Spec.t) ~db =
       R.Update.insert "r1" (R.Tuple.ints [ w; x; rand_below st 4 ])
   in
   let unreferenced_r2 db =
-    let referenced =
-      R.Bag.fold
-        (fun t _ acc -> int_at ~rel:"r1" ~col:"X" t 1 :: acc)
-        (R.Db.contents db "r1") []
-    in
+    let referenced = Hashtbl.create 256 in
+    R.Bag.iter
+      (fun t _ -> Hashtbl.replace referenced (int_at ~rel:"r1" ~col:"X" t 1) ())
+      (R.Db.contents db "r1");
     let free =
-      List.filter
-        (fun (t, _) -> not (List.mem (int_at ~rel:"r2" ~col:"X" t 0) referenced))
-        (R.Bag.to_counted_list (R.Db.contents db "r2"))
+      R.Db.fold_sorted
+        (fun t _ acc ->
+          if Hashtbl.mem referenced (int_at ~rel:"r2" ~col:"X" t 0) then acc else t :: acc)
+        db "r2" []
+      |> List.rev |> Array.of_list
     in
-    match free with
-    | [] -> None
-    | l ->
-      (* Array indexing instead of List.nth: the draw happens once per
-         generated delete, and [free] can be a large fraction of r2. The
-         RNG consumption is unchanged — same single [rand_below] over the
-         same length — so existing seeds generate identical streams. *)
-      let arr = Array.of_list l in
-      Some (fst arr.(rand_below st (Array.length arr)))
+    (* One [rand_below] over the candidates in canonical order. *)
+    if Array.length free = 0 then None
+    else Some free.(rand_below st (Array.length free))
   in
   let rec go db acc i =
     if i >= spec.Spec.k_updates then List.rev acc

@@ -38,7 +38,10 @@ val keyed_updates : Spec.t -> db:R.Db.t -> R.Update.t list
 (** Inserts allocate fresh key values; deletes pick existing tuples. *)
 
 val pick_existing : Random.State.t -> R.Db.t -> string -> R.Tuple.t option
-(** A uniformly chosen current tuple of a relation (None when empty). *)
+(** A uniformly chosen current tuple of a relation (None when empty):
+    one draw below its cardinality, taken as a rank in canonical tuple
+    order ({!Relational.Db.nth}), so the choice does not depend on the
+    bag's hash order. *)
 
 val int_at : rel:string -> col:string -> R.Tuple.t -> int -> int
 (** The integer at position [i] of a key column. Raises

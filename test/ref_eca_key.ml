@@ -17,7 +17,7 @@ type tombstone = {
 type t = {
   view : R.View.t;
   mutable mv : R.Bag.t;
-  mutable collect : Mview.Keyed.t;
+  collect : Mview.Keyed.t;
   mutable uqs : int list;  (* oldest first *)
   mutable next_id : int;
   mutable dirty : bool;
@@ -63,19 +63,15 @@ let maybe_install t =
   end
   else Algorithm.nothing
 
-let set_collect t (collect', changed) =
-  t.collect <- collect';
-  if changed then t.dirty <- true
-
-let add_answer t answer = set_collect t (Mview.Keyed.add_dedup t.collect answer)
+let add_answer t answer = if Mview.Keyed.add_dedup t.collect answer then t.dirty <- true
 
 let on_update t (u : R.Update.t) =
   if not (R.View.mentions t.view u.R.Update.rel) then Algorithm.nothing
   else
     match u.R.Update.kind with
     | R.Update.Delete ->
-      set_collect t
-        (Mview.Keyed.key_delete t.collect ~rel:u.R.Update.rel u.R.Update.tuple);
+      if Mview.Keyed.key_delete t.collect ~rel:u.R.Update.rel u.R.Update.tuple then
+        t.dirty <- true;
       if t.uqs <> [] then
         t.tombstones <-
           {

@@ -293,6 +293,79 @@ let float_precision_edge () =
     ]
 
 (* ------------------------------------------------------------------ *)
+(* Rank draws                                                          *)
+(* ------------------------------------------------------------------ *)
+
+let n_schema = R.Schema.of_names "n" [ "A"; "B" ]
+
+(* Column 0 mixes Ints, the Floats equal to them, 2.5 and NaN: distinct
+   values under [Value.compare], whose order the index walks. *)
+let n_tuple =
+  QCheck.Gen.(
+    let* a = int_bound 24 in
+    let* kind = int_bound 5 in
+    let* b = int_bound 3 in
+    let v =
+      match kind with
+      | 0 | 1 -> R.Value.Int a
+      | 2 | 3 -> R.Value.Float (float_of_int a)
+      | 4 -> R.Value.Float 2.5
+      | _ -> R.Value.Float Float.nan
+    in
+    return [| v; R.Value.Int b |])
+
+(* The reference: the positively counted tuples, each repeated by its
+   count, in canonical order. *)
+let ranked bag =
+  List.concat_map
+    (fun (t, n) -> if n > 0 then List.init n (fun _ -> t) else [])
+    (R.Bag.to_counted_list bag)
+
+(* [bag]'s relation twice: as loaded (indexed by the first [nth] if it
+   has [scan_below] distinct tuples), and with its column-0 index built
+   on 40 padding tuples that are then removed again, so even a small
+   relation is read through a carried-forward index. *)
+let nth_dbs bag =
+  let loaded = R.Db.set_contents (R.Db.of_list [ (n_schema, R.Bag.empty) ]) "n" bag in
+  let pad = List.init 40 (fun i -> [| R.Value.Str "pad"; R.Value.Int i |]) in
+  let padded =
+    R.Db.set_contents loaded "n" (List.fold_left (fun b t -> R.Bag.add t b) bag pad)
+  in
+  ignore (R.Db.lookup padded "n" 0 (R.Value.Int 0));
+  (loaded, List.fold_left (fun db t -> R.Db.add_tuple ~count:(-1) db "n" t) padded pad)
+
+let nth_prop =
+  QCheck.Test.make ~name:"Db.nth, fold_sorted, distinct_values = references" ~count:300
+    (QCheck.make ~print:R.Bag.to_string
+       QCheck.Gen.(
+         let* sets = bool in
+         let* rows =
+           list_size (int_bound 70)
+             (pair n_tuple (if sets then return 1 else int_range (-1) 3))
+         in
+         return
+           (List.fold_left (fun b (t, count) -> R.Bag.add ~count t b) R.Bag.empty rows)))
+    (fun bag ->
+      let expected = ranked bag in
+      let total = List.length expected in
+      let loaded, indexed = nth_dbs bag in
+      List.for_all
+        (fun db ->
+          (* NaN and the Int/Float pairs put [distinct_values]' equality
+             to the test as well. *)
+          R.Db.distinct_values db "n" 0 = ref_distinct db "n" 0
+          && List.equal
+            (fun (t, n) (t', n') -> R.Tuple.equal t t' && n = n')
+            (List.rev (R.Db.fold_sorted (fun t n acc -> (t, n) :: acc) db "n" []))
+            (R.Bag.to_counted_list bag)
+          && List.for_all
+               (fun k ->
+                 Option.equal R.Tuple.equal (R.Db.nth db "n" k)
+                   (if k < 0 then None else List.nth_opt expected k))
+               (List.init (total + 3) (fun k -> k - 1)))
+        [ loaded; indexed ])
+
+(* ------------------------------------------------------------------ *)
 (* Keyed key-delete                                                    *)
 (* ------------------------------------------------------------------ *)
 
@@ -351,30 +424,36 @@ let keyed_prop =
          String.concat "\n" (R.Bag.to_string b :: List.map kop_to_string ops))
        QCheck.Gen.(pair (signed_bag ~max:60 ~lo:1 ()) (list_size (int_range 1 30) kop_gen)))
     (fun (init, ops) ->
-      let k0 = Core.Mview.Keyed.create ~view:keyed_view ~rels:[ "r1"; "r2" ] init in
-      let _, _ =
+      let k = Core.Mview.Keyed.create ~view:keyed_view ~rels:[ "r1"; "r2" ] init in
+      let _ =
         List.fold_left
-          (fun (k, reference) op ->
-            let k', reference', changed =
+          (fun reference op ->
+            let snapshot = Core.Mview.Keyed.bag k in
+            let reference', changed =
               match op with
-              | Plus d -> (Core.Mview.Keyed.plus k d, R.Bag.plus reference d, None)
+              | Plus d ->
+                Core.Mview.Keyed.plus k d;
+                (R.Bag.plus reference d, None)
               | Key_delete (rel, t) ->
-                let k', changed = Core.Mview.Keyed.key_delete k ~rel t in
-                (k', Core.Mview.key_delete ~view:keyed_view ~rel t reference, Some changed)
+                let changed = Core.Mview.Keyed.key_delete k ~rel t in
+                (Core.Mview.key_delete ~view:keyed_view ~rel t reference, Some changed)
               | Add_dedup a ->
-                let k', changed = Core.Mview.Keyed.add_dedup k a in
-                (k', ref_add_dedup reference a, Some changed)
+                let changed = Core.Mview.Keyed.add_dedup k a in
+                (ref_add_dedup reference a, Some changed)
             in
-            if not (R.Bag.equal (Core.Mview.Keyed.bag k') reference') then
+            if not (R.Bag.equal (Core.Mview.Keyed.bag k) reference') then
               QCheck.Test.fail_reportf "after %s: keyed %s, scan %s" (kop_to_string op)
-                (R.Bag.to_string (Core.Mview.Keyed.bag k'))
+                (R.Bag.to_string (Core.Mview.Keyed.bag k))
                 (R.Bag.to_string reference');
+            if not (R.Bag.equal snapshot reference) then
+              QCheck.Test.fail_reportf "%s changed an earlier [bag] snapshot"
+                (kop_to_string op);
             (match changed with
             | Some c when c = R.Bag.equal reference' reference ->
               QCheck.Test.fail_reportf "%s: wrong change flag" (kop_to_string op)
             | _ -> ());
-            (k', reference'))
-          (k0, init) ops
+            reference')
+          init ops
       in
       true)
 
@@ -389,7 +468,7 @@ let keyed_rejects_unindexed () =
   | exception Core.Mview.Mview_error _ -> ()
 
 let suite =
-  List.map QCheck_alcotest.to_alcotest [ db_index_prop; keyed_prop ]
+  List.map QCheck_alcotest.to_alcotest [ db_index_prop; nth_prop; keyed_prop ]
   @ [
       Alcotest.test_case "domains racing to build one index" `Quick racing_domains;
       Alcotest.test_case "numeric matches across the float precision edge" `Quick

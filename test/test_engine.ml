@@ -353,6 +353,39 @@ let invalid_inputs_raise_engine_error () =
            run ~updates:[ ins "nope" [ 4; 2 ] ] "eca" );
        ])
 
+(* Two views under one name: reports, final states and the judge key on
+   the name, so the run used to host both and call a correct ECA run
+   inconsistent. The script parser and the engine both refuse it. *)
+let duplicate_view_names_rejected () =
+  let script =
+    "TABLE r1 (W INT, X INT);\nTABLE r2 (X INT, Y INT);\n\
+     VIEW v AS SELECT r1.W FROM r1, r2 WHERE r1.X = r2.X;\n\
+     VIEW v AS SELECT r2.Y FROM r1, r2 WHERE r1.X = r2.X;\n\
+     INSERT INTO r1 VALUES (1, 2);\nUPDATES;\n\
+     INSERT INTO r2 VALUES (2, 3);\nINSERT INTO r1 VALUES (4, 2);\n"
+  in
+  (match R.Parser.parse_script script with
+   | exception R.Parser.Parse_error m ->
+     Alcotest.(check string) "parse error" "view v is defined twice" m
+   | _ -> Alcotest.fail "the script parser accepted two views named v");
+  let tables = [ r1; r2 ] in
+  let view sql = R.Parser.parse_view ~tables sql in
+  let db = db_of [ (r1, [ [ 1; 2 ] ]); (r2, []) ] in
+  match
+    E.run ~schedule:S.Worst_case ~creator:(Core.Registry.creator_exn "eca")
+      ~sites:[ source db ]
+      ~views:
+        [
+          view "VIEW v AS SELECT r1.W FROM r1, r2 WHERE r1.X = r2.X;";
+          view "VIEW v AS SELECT r2.Y FROM r1, r2 WHERE r1.X = r2.X;";
+        ]
+      ~updates:[ ins "r2" [ 2; 3 ]; ins "r1" [ 4; 2 ] ]
+      ()
+  with
+  | exception E.Engine_error m ->
+    Alcotest.(check string) "engine error" "view v is defined twice" m
+  | _ -> Alcotest.fail "Engine.run hosted two views named v"
+
 (* ------------------------------------------------------------------ *)
 (* One loop step is one atomic event                                    *)
 (* ------------------------------------------------------------------ *)
@@ -441,6 +474,8 @@ let suite =
       extremes_generalize_the_federation_policies;
     Alcotest.test_case "invalid inputs raise Engine_error" `Quick
       invalid_inputs_raise_engine_error;
+    Alcotest.test_case "duplicate view names are rejected" `Quick
+      duplicate_view_names_rejected;
     Alcotest.test_case "one step is one atomic event" `Quick
       steps_are_atomic_events;
     Alcotest.test_case "federated trace is per-source" `Quick

@@ -102,6 +102,42 @@ let pick_existing_uniformity () =
   check_bool "empty relation yields None" true
     (Option.is_none (W.Generator.pick_existing st empty_db "r1"))
 
+(* Drawing deletes by rank over the ordered column index generates the
+   same streams as the sorting draws it replaced (Ref_generator), on
+   relations on both sides of [Db.scan_below], with and without
+   duplicate tuples (the chain relations declare no key). *)
+let streams_match_reference () =
+  let same label a b =
+    if not (List.equal R.Update.equal a b) then
+      Alcotest.failf "%s: streams differ (%d vs %d updates)" label (List.length a)
+        (List.length b)
+  in
+  for seed = 1 to 40 do
+    let c = [| 12; 40; 64 |].(seed mod 3) in
+    let skew = if seed mod 2 = 0 then 0.0 else 0.8 in
+    let spec = W.Spec.make ~c ~j:4 ~k_updates:80 ~insert_ratio:0.4 ~skew ~seed () in
+    let label name = Printf.sprintf "%s, seed %d, c=%d" name seed c in
+    List.iter
+      (fun round_robin ->
+        let s = W.Scenarios.example6 ~round_robin spec in
+        same (label "example6") s.W.Scenarios.updates
+          (Ref_generator.example6_updates ~round_robin spec ~db:s.W.Scenarios.db))
+      [ true; false ];
+    let s = W.Scenarios.keyed spec in
+    same (label "keyed") s.W.Scenarios.updates
+      (Ref_generator.keyed_updates spec ~db:s.W.Scenarios.db);
+    let s = W.Scenarios.selfmaintainable spec in
+    same (label "selfmaint") s.W.Scenarios.updates
+      (Ref_generator.selfmaint_updates spec ~db:s.W.Scenarios.db);
+    let w =
+      W.Scenarios.scaled ~c ~updates_per_source:30 ~insert_ratio:0.4 ~skew ~seed ~n:3 ()
+    in
+    same (label "scaled") w.W.Scenarios.updates
+      (Ref_generator.scaled_updates ~c ~updates_per_source:30 ~insert_ratio:0.4 ~skew
+         ~seed
+         (Array.of_list (List.map (fun (_, _, db) -> db) w.W.Scenarios.sources)))
+  done
+
 let zipf_sampling () =
   let st = rng 3 in
   let n = 10 in
@@ -167,4 +203,6 @@ let suite =
     Alcotest.test_case "spec validation" `Quick spec_validation;
     Alcotest.test_case "scenario catalogs" `Quick scenario_catalogs;
     Alcotest.test_case "pick_existing" `Quick pick_existing_uniformity;
+    Alcotest.test_case "streams = sorting-draw reference (40 seeds)" `Quick
+      streams_match_reference;
   ]
