@@ -112,10 +112,16 @@ module Keyed = struct
     let kv = List.map (R.Tuple.get t) key.key_positions in
     match k.tables with
     | None when R.Bag.distinct_cardinality k.bag < R.Db.scan_below ->
-      let bag =
-        R.Bag.filter (fun vt -> not (List.equal R.Value.equal (view_key key vt) kv)) k.bag
+      (* remove just the tuples that carry the key: a path copy each *)
+      let carries vt =
+        List.for_all2 (fun pos v -> R.Value.equal (R.Tuple.get vt pos) v) key.out_positions kv
       in
-      let changed = R.Bag.distinct_cardinality bag <> R.Bag.distinct_cardinality k.bag in
+      let bag =
+        R.Bag.fold
+          (fun vt n bag -> if carries vt then R.Bag.add ~count:(-n) vt bag else bag)
+          k.bag k.bag
+      in
+      let changed = bag != k.bag in
       k.bag <- bag;
       changed
     | _ -> (

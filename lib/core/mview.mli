@@ -31,7 +31,8 @@ val key_layout : view:R.View.t -> rel:string -> int list * int list
     base relation, a hash table from the view's projected key values to
     the view tuples carrying them. The tables are built by the first
     key-delete on a view of at least {!Relational.Db.scan_below} distinct
-    tuples (a smaller view is scanned) and maintained from then on. The
+    tuples (a smaller view is scanned, and only the tuples found are
+    removed) and maintained from then on. The
     instance is mutable: every operation below updates it in place. *)
 module Keyed : sig
   type t

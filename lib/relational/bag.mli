@@ -13,13 +13,18 @@
     stated laws hold exactly. {!diff_truncated} is provided separately for
     the classic truncating difference.
 
-    Representation: tuples are indexed by their hash, so {!add}, {!count}
-    and {!mem} cost O(1) expected tuple comparisons. Consequently
-    {!fold} and {!iter} enumerate in unspecified (hash) order —
-    deterministic for a given bag, but not sorted. Callers that need the
-    canonical tuple order (printing, serialization, picking a
-    deterministic representative) must go through {!to_counted_list},
-    {!to_list} or {!pp}, which sort by [Tuple.compare]. *)
+    Representation: tuples are indexed by their hash in a persistent
+    big-endian Patricia trie, so {!add}, {!count} and {!mem} cost O(1)
+    expected tuple comparisons and one path copy. A tuple's entry sits
+    inline in its leaf (four words); only a real hash collision makes a
+    bucket list. The trie's shape depends only on the set of hashes, so
+    equal bags have equal shapes whatever built them. {!fold} and
+    {!iter} enumerate in ascending signed hash order, collisions in the
+    order last changed first — deterministic for a given bag, but not
+    sorted. Callers that need the canonical tuple order (printing,
+    serialization, picking a deterministic representative) must go
+    through {!to_counted_list}, {!to_list} or {!pp}, which sort by
+    [Tuple.compare]. *)
 
 type t
 
@@ -97,9 +102,10 @@ val equal_since : t * t -> t -> t -> bool
     the result is unspecified otherwise. Meant for [a] and [b] built from
     [a0] and [b0] by a few {!add}s or {!remove}s: only the tuples either
     side changed are compared, found by a diff that skips whatever each
-    bag still shares with its ancestor. A diff that grows past about a
-    quarter of the bag falls back to {!equal}, so the call never costs
-    much more than one full comparison. *)
+    bag still shares with its ancestor, so a few adds or removes cost
+    O(changes · depth). A diff that grows past about a quarter of the
+    trie falls back to {!equal}, so the call never costs much more than
+    one full comparison. *)
 
 val fingerprint : t -> int
 (** An order-independent hash of the bag's contents: [equal a b] implies

@@ -82,21 +82,20 @@ let arb_bag3 = QCheck.triple arb_bag arb_bag arb_bag
 
 let law name count arb law = QCheck.Test.make ~name ~count arb law
 
+let show_entries es =
+  String.concat "; "
+    (List.map (fun (t, c) -> Printf.sprintf "%d*%s" c (R.Tuple.to_string t)) es)
+
 (* One bag's signed entries (counts may be negative) and the material to
    rebuild it along other paths: the same entries in another order, a
    detour of extra entries that are later deleted again, and a second bag
    to add and subtract. *)
 let arb_paths =
-  let show es =
-    String.concat "; "
-      (List.map
-         (fun (t, c) -> Printf.sprintf "%d*%s" c (R.Tuple.to_string t))
-         es)
-  in
   QCheck.make
     ~print:(fun (es, permuted, detour, other) ->
       Printf.sprintf "entries [%s] permuted [%s] detour [%s] other %s"
-        (show es) (show permuted) (show detour) (R.Bag.to_string other))
+        (show_entries es) (show_entries permuted) (show_entries detour)
+        (R.Bag.to_string other))
     QCheck.Gen.(
       let* es = entries_gen in
       let* permuted = shuffle_l es in
@@ -199,14 +198,11 @@ let wide_entries_gen ~rare size =
    chains keep [equal_since] on its diff; long ones push it past the
    budget onto the full comparison. *)
 let arb_since =
-  let show es =
-    String.concat "; "
-      (List.map (fun (t, c) -> Printf.sprintf "%d*%s" c (R.Tuple.to_string t)) es)
-  in
   QCheck.make
     ~print:(fun (base, detour, chain_a, chain_b) ->
       Printf.sprintf "base [%s] detour [%s] chain_a [%s] chain_b [%s]"
-        (show base) (show detour) (show chain_a) (show chain_b))
+        (show_entries base) (show_entries detour) (show_entries chain_a)
+        (show_entries chain_b))
     QCheck.Gen.(
       let chain =
         wide_entries_gen ~rare:2 (frequency [ (3, int_bound 3); (1, int_bound 40) ])
@@ -245,9 +241,7 @@ let equal_since_law (base, detour, chain_a, chain_b) =
    steps of 0 and cancellations to zero are common. *)
 let arb_add_get =
   QCheck.make
-    ~print:(fun steps ->
-      String.concat "; "
-        (List.map (fun (t, c) -> Printf.sprintf "%d*%s" c (R.Tuple.to_string t)) steps))
+    ~print:show_entries
     QCheck.Gen.(
       let c1, c2 = Lazy.force colliding in
       list_size (int_bound 60)
@@ -286,6 +280,322 @@ let add_get_law steps =
   && R.Bag.distinct_cardinality b = Hashtbl.length model
   && R.Bag.has_negative b = List.exists (fun (_, n) -> n < 0) expected
   && R.Bag.fingerprint b = R.Bag.fingerprint (of_entries expected)
+
+(* ------------------------------------------------------------------ *)
+(* Keys of both signs, and the trie against the AVL reference          *)
+(* ------------------------------------------------------------------ *)
+
+(* Thirteen-column tuples: the first column's hash is multiplied by
+   31^12, the second's by 31^11, and both products wrap, so their hashes
+   fall on both sides of zero. [signed_pool] holds the first sixteen
+   tuples [n; 0; ...; 0] of each sign. [colliding_wide] holds three
+   pairs of each sign that collide because their columns do:
+   [c1 @ [n; 0; ...]] and [c2 @ [n; 0; ...]] for [test_bag]'s colliding
+   one-column pair [c1], [c2]. *)
+let signed_pool =
+  lazy
+    (let rec search n neg pos =
+       if List.length neg >= 16 && List.length pos >= 16 then (neg, pos)
+       else
+         let t = R.Tuple.ints (n :: List.init 12 (fun _ -> 0)) in
+         if R.Tuple.hash t < 0 then search (n + 1) (t :: neg) pos
+         else search (n + 1) neg (t :: pos)
+     in
+     search 0 [] [])
+
+let colliding_wide =
+  lazy
+    (let c1, c2 = Lazy.force colliding in
+     let rec search n neg pos =
+       if List.length neg >= 3 && List.length pos >= 3 then neg @ pos
+       else
+         let rest = R.Tuple.ints (n :: List.init 11 (fun _ -> 0)) in
+         let pair = (R.Tuple.concat c1 rest, R.Tuple.concat c2 rest) in
+         if R.Tuple.hash (fst pair) < 0 then search (n + 1) (pair :: neg) pos
+         else search (n + 1) neg (pair :: pos)
+     in
+     search 0 [] [])
+
+let signed_tuples () =
+  let neg, pos = Lazy.force signed_pool in
+  neg @ pos
+
+(* The same entries added in opposite orders give equal bags, whatever
+   the signs of their hashes and with shared collision buckets; one
+   count apart they differ. *)
+let opposite_orders () =
+  let c1, c2 = Lazy.force colliding in
+  let es =
+    List.mapi (fun i t -> (t, (i mod 5) - 2)) (signed_tuples ())
+    @ List.concat_map (fun (p, q) -> [ (p, 1); (q, -2) ]) (Lazy.force colliding_wide)
+    @ [ (c1, 2); (c2, -1); (t1, 1); (t2, 3) ]
+  in
+  let a = of_entries es and b = of_entries (List.rev es) in
+  check_bool "hashes of both signs" true
+    (List.exists (fun (t, _) -> R.Tuple.hash t < 0) es
+    && List.exists (fun (t, _) -> R.Tuple.hash t >= 0) es);
+  check_bool "equal across insertion orders" true (R.Bag.equal a b);
+  check_bool "equal_since from empty" true (R.Bag.equal_since (R.Bag.empty, R.Bag.empty) a b);
+  List.iter
+    (fun (t, _) ->
+      let b' = R.Bag.add t b in
+      check_bool "one count apart" false (R.Bag.equal a b');
+      check_bool "one count apart, since (a, b)" false (R.Bag.equal_since (a, b) a b'))
+    es
+
+(* The colliding partner of a tuple of [colliding_wide], else itself. *)
+let partner t =
+  List.fold_left
+    (fun t' (p, q) -> if R.Tuple.equal t p then q else if R.Tuple.equal t q then p else t')
+    t (Lazy.force colliding_wide)
+
+(* [a0] ≡ [b0] of up to 200 entries built in opposite orders, then [a]
+   and [b] derived from them by short chains over keys of both hash
+   signs, many of them fresh: the same chain shuffled, the chain with
+   some tuples swapped for their colliding partners, the chain plus one
+   step, or another chain. The fresh keys make each trie branch at bits
+   its base never did, so the diff meets a subtrie of the base inside
+   one child of a new branch. The partner swap keeps every (hash, count)
+   pair, so sizes and fingerprints agree and only the diff, which the
+   short chains keep within its budget, can tell [a] from [b]. *)
+let arb_fresh =
+  QCheck.make
+    ~print:(fun (base, chain_a, chain_b) ->
+      Printf.sprintf "base [%s] chain_a [%s] chain_b [%s]" (show_entries base)
+        (show_entries chain_a) (show_entries chain_b))
+    QCheck.Gen.(
+      let neg, pos = Lazy.force signed_pool in
+      let half ts = List.filteri (fun i _ -> i mod 2 = 0) ts in
+      let colliders = List.concat_map (fun (p, q) -> [ p; q ]) (Lazy.force colliding_wide) in
+      let nonzero = oneofl [ -2; -1; 1; 2 ] in
+      let entry tuple = pair tuple nonzero in
+      let base_tuple =
+        frequency
+          [
+            (6, map2 (fun i j -> R.Tuple.ints [ i; j ]) (int_bound 60) (int_bound 3));
+            (2, oneofl (half neg @ half pos));
+            (1, oneofl (half colliders));
+          ]
+      in
+      let chain_tuple = oneofl (neg @ pos @ colliders @ colliders) in
+      let* base = list_size (int_bound 200) (entry base_tuple) in
+      (* a step: a count of a pool tuple, or a base entry taken out, or
+         moved to its colliding partner *)
+      let step =
+        let added = map (fun e -> [ e ]) (entry chain_tuple) in
+        if base = [] then added
+        else
+          frequency
+            [
+              (3, added);
+              (1, map (fun (t, c) -> [ (t, -c) ]) (oneofl base));
+              (1, map (fun (t, c) -> [ (t, -c); (partner t, c) ]) (oneofl base));
+            ]
+      in
+      let chain = map List.concat (list_size (int_bound 4) step) in
+      let* chain_a = chain in
+      let+ chain_b =
+        frequency
+          [
+            (2, shuffle_l chain_a);
+            ( 3,
+              flatten_l
+                (List.map
+                   (fun (t, c) -> map (fun swap -> ((if swap then partner t else t), c)) bool)
+                   chain_a) );
+            (1, let* e = entry chain_tuple in shuffle_l (e :: chain_a));
+            (1, chain);
+          ]
+      in
+      (base, chain_a, chain_b))
+
+let fresh_keys_law (base, chain_a, chain_b) =
+  let trie chain b = List.fold_left (fun b (t, c) -> R.Bag.add ~count:c t b) b chain in
+  let avl chain b = List.fold_left (fun b (t, c) -> Ref_bag.add ~count:c t b) b chain in
+  let a0 = trie base R.Bag.empty and b0 = trie (List.rev base) R.Bag.empty in
+  let a = trie chain_a a0 and b = trie chain_b b0 in
+  let r0 = avl base Ref_bag.empty and s0 = avl (List.rev base) Ref_bag.empty in
+  let r = avl chain_a r0 and s = avl chain_b s0 in
+  let eq = R.Bag.equal a b in
+  R.Bag.equal a0 b0
+  && R.Bag.equal_since (a0, b0) a b = eq
+  && Ref_bag.equal r s = eq
+  && Ref_bag.equal_since (r0, s0) r s = eq
+
+(* One step of a chain, applied alike to both models. *)
+type op =
+  | Add of R.Tuple.t * int
+  | Add_get of R.Tuple.t * int
+  | Remove of R.Tuple.t * int
+  | Plus of (R.Tuple.t * int) list
+  | Minus of (R.Tuple.t * int) list
+  | Negate
+  | Scale of int
+  | Filter of int  (* keep the tuples whose hash is not [k] mod 3 *)
+  | Map_tuples  (* halve every column: distinct tuples merge *)
+  | Pos_part
+  | Dedup_to_set
+
+let show_op = function
+  | Add (t, c) -> Printf.sprintf "add %d*%s" c (R.Tuple.to_string t)
+  | Add_get (t, c) -> Printf.sprintf "add_get %d*%s" c (R.Tuple.to_string t)
+  | Remove (t, c) -> Printf.sprintf "remove %d*%s" c (R.Tuple.to_string t)
+  | Plus es -> Printf.sprintf "plus [%s]" (show_entries es)
+  | Minus es -> Printf.sprintf "minus [%s]" (show_entries es)
+  | Negate -> "negate"
+  | Scale k -> Printf.sprintf "scale %d" k
+  | Filter k -> Printf.sprintf "filter %d" k
+  | Map_tuples -> "map_tuples"
+  | Pos_part -> "pos_part"
+  | Dedup_to_set -> "dedup_to_set"
+
+let keep k t = ((R.Tuple.hash t mod 3) + 3) mod 3 <> k
+
+let halve t = Array.map (function R.Value.Int n -> R.Value.Int (n / 2) | v -> v) t
+
+(* The bag operations one model needs to run a chain. *)
+module type BAG = sig
+  type t
+
+  val empty : t
+  val add : ?count:int -> R.Tuple.t -> t -> t
+  val add_get : ?count:int -> R.Tuple.t -> t -> int * t
+  val remove : ?count:int -> R.Tuple.t -> t -> t
+  val plus : t -> t -> t
+  val minus : t -> t -> t
+  val negate : t -> t
+  val scale : int -> t -> t
+  val filter : (R.Tuple.t -> bool) -> t -> t
+  val map_tuples : (R.Tuple.t -> R.Tuple.t) -> t -> t
+  val pos_part : t -> t
+  val dedup_to_set : t -> t
+end
+
+module Run (B : BAG) = struct
+  let of_entries es = List.fold_left (fun b (t, c) -> B.add ~count:c t b) B.empty es
+
+  (* The bag after [op] and, for [add_get], the count it returned. *)
+  let apply op b =
+    match op with
+    | Add (t, c) -> (None, B.add ~count:c t b)
+    | Add_get (t, c) ->
+      let before, b = B.add_get ~count:c t b in
+      (Some before, b)
+    | Remove (t, c) -> (None, B.remove ~count:c t b)
+    | Plus es -> (None, B.plus b (of_entries es))
+    | Minus es -> (None, B.minus b (of_entries es))
+    | Negate -> (None, B.negate b)
+    | Scale k -> (None, B.scale k b)
+    | Filter k -> (None, B.filter (keep k) b)
+    | Map_tuples -> (None, B.map_tuples halve b)
+    | Pos_part -> (None, B.pos_part b)
+    | Dedup_to_set -> (None, B.dedup_to_set b)
+end
+
+module Trie_run = Run (R.Bag)
+module Ref_run = Run (Ref_bag)
+
+(* Each step is an operation and a twist on the second bag [y], which
+   starts equal to the first, [x]: none; one extra count (so [y] differs
+   from [x]); or a count added and taken away again (so [y] equals [x]
+   along another path). *)
+let arb_ref_chain =
+  QCheck.make
+    ~print:(fun steps ->
+      String.concat "; "
+        (List.map
+           (fun (op, twist) ->
+             show_op op
+             ^
+             match twist with
+             | None -> ""
+             | Some (t, c, cancel) ->
+               Printf.sprintf " (y %s %d*%s)" (if cancel then "detours" else "adds") c
+                 (R.Tuple.to_string t))
+           steps))
+    QCheck.Gen.(
+      let c1, c2 = Lazy.force colliding in
+      let tuple =
+        frequency
+          [
+            (3, map (fun i -> R.Tuple.ints [ i ]) (int_bound 5));
+            (1, oneofl [ c1; c2 ]);
+            (* four tuples over c1 and c2 share one hash: a bucket of four *)
+            (1, oneofl R.Tuple.[ concat c1 c1; concat c1 c2; concat c2 c1; concat c2 c2 ]);
+            (1, oneofl (List.concat_map (fun (p, q) -> [ p; q ]) (Lazy.force colliding_wide)));
+            (2, oneofl (signed_tuples ()));
+          ]
+      in
+      let count = int_range (-3) 3 in
+      let entries = list_size (int_bound 6) (pair tuple count) in
+      let op =
+        frequency
+          [
+            (4, map2 (fun t c -> Add (t, c)) tuple count);
+            (3, map2 (fun t c -> Add_get (t, c)) tuple count);
+            (2, map2 (fun t c -> Remove (t, c)) tuple count);
+            (1, map (fun es -> Plus es) entries);
+            (1, map (fun es -> Minus es) entries);
+            (1, return Negate);
+            (1, map (fun k -> Scale k) (int_range (-2) 2));
+            (1, map (fun k -> Filter k) (int_bound 2));
+            (1, return Map_tuples);
+            (1, return Pos_part);
+            (1, return Dedup_to_set);
+          ]
+      in
+      let twist =
+        frequency
+          [
+            (3, return None);
+            (2, map3 (fun t c cancel -> Some (t, c, cancel)) tuple (oneofl [ -1; 1; 2 ]) bool);
+          ]
+      in
+      list_size (int_bound 30) (pair op twist))
+
+let entries_of fold b = fold (fun t n acc -> (t, n) :: acc) b []
+
+let same_entries = List.equal (fun (t, n) (t', n') -> n = n' && R.Tuple.equal t t')
+
+(* Every observable of the trie bag [b] against the reference bag [r]. *)
+let same_bag b r =
+  same_entries (entries_of R.Bag.fold b) (entries_of Ref_bag.fold r)
+  && same_entries (R.Bag.to_counted_list b) (Ref_bag.to_counted_list r)
+  && R.Bag.fingerprint b = Ref_bag.fingerprint r
+  && R.Bag.distinct_cardinality b = Ref_bag.distinct_cardinality r
+  && R.Bag.has_negative b = Ref_bag.has_negative r
+
+let ref_chain_law steps =
+  let twisted twist add y =
+    match twist with
+    | None -> y
+    | Some (t, c, cancel) ->
+      let y = add c t y in
+      if cancel then add (-c) t y else y
+  in
+  let rec go (x, y, rx, ry) = function
+    | [] -> true
+    | (op, twist) :: rest ->
+      let got, x' = Trie_run.apply op x and rgot, rx' = Ref_run.apply op rx in
+      let y' = twisted twist (fun c t b -> R.Bag.add ~count:c t b) (snd (Trie_run.apply op y)) in
+      let ry' =
+        twisted twist (fun c t b -> Ref_bag.add ~count:c t b) (snd (Ref_run.apply op ry))
+      in
+      let eq = R.Bag.equal x' y' in
+      got = rgot && same_bag x' rx' && same_bag y' ry'
+      && eq = Ref_bag.equal rx' ry'
+      && R.Bag.equal x' x = Ref_bag.equal rx' rx
+      && R.Bag.equal_since (x, y) x' y' = eq
+      && Ref_bag.equal_since (rx, ry) rx' ry' = eq
+      &&
+      (* keep [x] ≡ [y] for the next step's [equal_since]: a differing [y]
+         is rebuilt from [x]'s entries in descending key order *)
+      if eq then go (x', y', rx', ry') rest
+      else
+        let es = entries_of R.Bag.fold x' in
+        go (x', Trie_run.of_entries es, rx', Ref_run.of_entries es) rest
+  in
+  go (R.Bag.empty, R.Bag.empty, Ref_bag.empty, Ref_bag.empty) steps
 
 let qcheck_suite =
   List.map QCheck_alcotest.to_alcotest
@@ -330,6 +640,8 @@ let qcheck_suite =
       law "equal bags share one fingerprint" 300 arb_paths fingerprint_paths;
       law "equal_since (a0, b0) a b = equal a b" 1000 arb_since equal_since_law;
       law "add_get chains = table model" 500 arb_add_get add_get_law;
+      law "equal_since with fresh keys of both signs" 1000 arb_fresh fresh_keys_law;
+      law "bag = AVL reference" 500 arb_ref_chain ref_chain_law;
     ]
 
 let suite =
@@ -342,5 +654,6 @@ let suite =
       truncating_diff;
     Alcotest.test_case "duplicate elimination" `Quick dedup;
     Alcotest.test_case "expansion and byte size" `Quick expansion;
+    Alcotest.test_case "equal across opposite insertion orders" `Quick opposite_orders;
   ]
   @ qcheck_suite
