@@ -47,7 +47,9 @@ bench-throughput:
 # a correctness gate only (a non-zero exit, i.e. a failed view or build,
 # fails smoke; timings are not gated on a shared host — the traced run
 # adds the ledger-sum assert, the source and oracle replay checks and
-# the replayed judge's agreement with the engine's reports), fail if a
+# the replayed judge's agreement with the engine's reports) — and
+# fanout-chaos once more, untraced, at the held-out seed 31337, so the
+# reliable link is gated off the seed it was tuned on — fail if a
 # removed entry point
 # reappears in the sources (the
 # old run drivers and scheduler aliases, the compiled/interpreted
@@ -57,8 +59,9 @@ bench-throughput:
 # dispatcher, its string-keyed window counters and second constructor,
 # the per-rung Not_applicable exceptions, the O(n) queue filter
 # that Fqueue.remove_first replaced, the separate LCA module that
-# Eca.lca's in-order install policy replaced, and the plan and
-# delta-program digests that Query.signature replaced), check that
+# Eca.lca's in-order install policy replaced, the plan and
+# delta-program digests that Query.signature replaced, and the reliable
+# link's caller-less printer and mean latency), check that
 # the parallel bench is deterministic (PAR=1 and PAR=4 emit identical
 # runs arrays), run the quick benchmark at PAR=1 in a temp dir — like
 # for like with the committed baseline, which records "workers": 1 —
@@ -98,9 +101,10 @@ smoke:
 	  python3 perfbench/run.py --workload $$w --seed 11 --seconds 2 --trace 0 > /dev/null || exit 1; \
 	  python3 perfbench/run.py --workload $$w --seed 11 --seconds 2 --trace 1 > /dev/null || exit 1; \
 	done
-	@if grep -rnE 'Core\.Runner|Core\.Federation|Drain_first|Updates_first|unordered_delivery|set_compiled|Delta_program\.compiled|Delta_program\.linear|Engine\.Recompute|Engine\.Incremental|pick_multi|of_multi|install_history|[~?]shard\b|retransmit_timeout|Warehouse\.handle_message|window_counters|of_creator|(Eca_key|Eca_sm|Sc|Cross_source)\.Not_applicable|Fqueue\.filter|Core\.Lca\b|(Delta_program|Plan)\.signature' \
+	python3 perfbench/run.py --workload fanout-chaos --seed 31337 --seconds 2 --trace 0 > /dev/null
+	@if grep -rnE 'Core\.Runner|Core\.Federation|Drain_first|Updates_first|unordered_delivery|set_compiled|Delta_program\.compiled|Delta_program\.linear|Engine\.Recompute|Engine\.Incremental|pick_multi|of_multi|install_history|[~?]shard\b|retransmit_timeout|Warehouse\.handle_message|window_counters|of_creator|(Eca_key|Eca_sm|Sc|Cross_source)\.Not_applicable|Fqueue\.filter|Core\.Lca\b|(Delta_program|Plan)\.signature|Reliable\.(pp|mean_latency)\b' \
 	  lib bin bench examples test; then \
-	  echo "smoke: a removed entry point or alias reappeared (use Engine.run, Scheduler.pick_ready, Trace.warehouse_states, Warehouse.create/misrouted, Algorithm.Not_applicable, Fqueue.remove_first, Eca.lca, Query.signature; sharded dispatch and Engine.site ?retransmit_timeout are gone)"; \
+	  echo "smoke: a removed entry point or alias reappeared (use Engine.run, Scheduler.pick_ready, Trace.warehouse_states, Warehouse.create/misrouted, Algorithm.Not_applicable, Fqueue.remove_first, Eca.lca, Query.signature, Reliable.stats; sharded dispatch and Engine.site ?retransmit_timeout are gone)"; \
 	  exit 1; \
 	fi
 	dune build bench/main.exe

@@ -22,7 +22,7 @@ type bucket = {
 }
 
 (* Fills the slots of [ripe] and of the buckets that hold no frame. *)
-let hole = Message.Ack { cum = -1 }
+let hole = Message.filler
 
 let bucket_push b msg =
   if b.len = Array.length b.frames then begin

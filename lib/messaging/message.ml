@@ -17,7 +17,12 @@ type t =
       seq : int;
       payload : t;
     }
-  | Ack of { cum : int }
+  | Ack of {
+      cum : int;
+      sacks : (int * int) list;
+    }
+
+let filler = Ack { cum = -1; sacks = [] }
 
 let rec byte_size = function
   | Update_note u -> R.Update.byte_size u
@@ -27,7 +32,7 @@ let rec byte_size = function
   | Query { query; _ } -> 8 + R.Query.byte_size query
   | Answer { answer; _ } -> 8 + R.Bag.byte_size answer
   | Data { payload; _ } -> 8 + byte_size payload
-  | Ack _ -> 8
+  | Ack { sacks; _ } -> 8 + (16 * List.length sacks)
 
 let kind_name = function
   | Update_note _ -> "update"
@@ -48,4 +53,7 @@ let rec pp ppf = function
   | Answer { id; answer; _ } ->
     Format.fprintf ppf "Answer A%d = %a" id R.Bag.pp answer
   | Data { seq; payload } -> Format.fprintf ppf "Data #%d (%a)" seq pp payload
-  | Ack { cum } -> Format.fprintf ppf "Ack <=%d" cum
+  | Ack { cum; sacks } ->
+    Format.fprintf ppf "Ack <=%d%s" cum
+      (String.concat ""
+         (List.map (fun (lo, hi) -> Printf.sprintf " +%d..%d" lo hi) sacks))

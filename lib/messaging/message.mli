@@ -31,10 +31,23 @@ type t =
       (** a {!Reliable} protocol frame: the payload message carried under
           a per-stream sequence number. Never reaches the warehouse or
           source — the sublayer unwraps it. *)
-  | Ack of { cum : int }
-      (** a {!Reliable} cumulative acknowledgement: every [Data] frame
-          with [seq <= cum] has been received in order. *)
+  | Ack of {
+      cum : int;
+      sacks : (int * int) list;
+    }
+      (** a {!Reliable} acknowledgement: every [Data] frame with
+          [seq <= cum] has been received in order, and so has every seq
+          in one of the [sacks] — disjoint, inclusive [(lo, hi)] runs
+          above [cum], highest first, that the receiver holds out of
+          order. *)
+
+val filler : t
+(** An acknowledgement of nothing, which no receiver sends: the one
+    value that fills the empty slots of the channel's and the link's
+    rings. *)
 
 val byte_size : t -> int
+(** Wire size: an [Ack] is an 8-byte header plus 16 bytes per run. *)
+
 val kind_name : t -> string
 val pp : Format.formatter -> t -> unit

@@ -12,7 +12,7 @@ type stats = {
 }
 
 (* Fills the empty slots of both rings below. *)
-let hole = Message.Ack { cum = -1 }
+let hole = Message.filler
 
 (* Both halves of an endpoint keep frames in power-of-two arrays indexed
    by [seq land (length - 1)], each over a window of consecutive seqs
@@ -26,18 +26,19 @@ type endpoint = {
      payload again), its last transmission tick and its first one. *)
   mutable next_seq : int;
   mutable acked : int;  (* highest cumulative ack received *)
+  mutable sacked : (int * int) list;  (* the latest ack's runs *)
   mutable frames : Message.t array;
   mutable sizes : int array;
   mutable last_sent : int array;
   mutable first_sent : int array;
-      (* still set when the peer releases the seq: its acks only cover
-         seqs it has already released *)
+      (* still set when the peer releases the seq: its cumulative acks,
+         which alone retire slots, only cover seqs it has released *)
   (* receiver half: the incoming stream *)
   mutable expected : int;  (* next in-order sequence number *)
   mutable window : Message.t array;
       (* out-of-order future frames: a buffered [s] lies in
          [expected, expected + length); [hole] where none is *)
-  mutable buffered : int;
+  mutable held : (int * int) list;  (* the buffered seqs, as runs *)
   ready : Message.t Queue.t;  (* in-order, deduped, undelivered *)
 }
 
@@ -58,13 +59,14 @@ let make_endpoint ~out_chan ~in_chan =
     in_chan;
     next_seq = 0;
     acked = -1;
+    sacked = [];
     frames = Array.make 8 hole;
     sizes = Array.make 8 0;
     last_sent = Array.make 8 0;
     first_sent = Array.make 8 0;
     expected = 0;
     window = Array.make 8 hole;
-    buffered = 0;
+    held = [];
     ready = Queue.create ();
   }
 
@@ -121,7 +123,6 @@ let advance t ep peer =
     if payload != hole then begin
       Queue.push payload ep.ready;
       ep.window.(i) <- hole;
-      ep.buffered <- ep.buffered - 1;
       ep.expected <- seq + 1;
       let l =
         t.now - peer.first_sent.(seq land (Array.length peer.first_sent - 1))
@@ -134,24 +135,59 @@ let advance t ep peer =
   in
   go ()
 
-(* Retire the acked prefix, releasing its frames. *)
-let ack ep cum =
-  for s = ep.acked + 1 to cum do
-    ep.frames.(s land (Array.length ep.frames - 1)) <- hole
-  done;
-  if cum > ep.acked then ep.acked <- cum
+(* Run lists hold disjoint, inclusive [(lo, hi)] runs, highest first:
+   new out-of-order seqs mostly land near the top, so adding them copies
+   a list only above them, and successive acks' lists share the rest. *)
+let rec above n = function
+  | (lo, hi) :: runs when hi > n -> (lo, hi) :: above n runs
+  | _ -> []
+
+(* [runs] with the seqs [ss], descending and in none of the runs. *)
+let rec add_seqs ss runs =
+  match (ss, runs) with
+  | [], _ -> runs
+  | s :: _, (lo, hi) :: runs when s < lo - 1 -> (lo, hi) :: add_seqs ss runs
+  | s :: ss, (lo, hi) :: (lo', hi') :: runs when s = lo - 1 && s = hi' + 1 ->
+    add_seqs ss ((lo', hi) :: runs)
+  | s :: ss, (lo, hi) :: runs when s = lo - 1 -> add_seqs ss ((s, hi) :: runs)
+  | s :: ss, (lo, hi) :: runs when s = hi + 1 -> add_seqs ss ((lo, s) :: runs)
+  | s :: ss, runs -> add_seqs ss ((s, s) :: runs)
+
+(* A receiver never discards a buffered frame, and releases one only as
+   its cumulative ack passes it. So of two acks, the later has the higher
+   [cum] or, at an equal one, holds the other's runs and more; and its
+   runs are the union of both above its [cum]: the sender keeps them. At
+   an equal [cum], the first run where the lists differ tells which one
+   holds more, and lists that share a tail are compared above it. *)
+let rec holds_more a b =
+  match (a, b) with
+  | _ when a == b -> false
+  | (lo, hi) :: a, (lo', hi') :: b when lo = lo' && hi = hi' -> holds_more a b
+  | (lo, hi) :: _, (lo', hi') :: _ -> hi > hi' || (hi = hi' && lo < lo')
+  | _ :: _, [] -> true
+  | _ -> false
+
+let ack ep cum sacks =
+  if cum > ep.acked || (cum = ep.acked && holds_more sacks ep.sacked) then begin
+    for s = ep.acked + 1 to cum do
+      ep.frames.(s land (Array.length ep.frames - 1)) <- hole
+    done;
+    ep.acked <- cum;
+    ep.sacked <- sacks
+  end
 
 (* Drain every frame the faulty channel will currently deliver to [ep]:
-   data frames feed the dedup/reorder window, ack frames retire the acked
-   prefix of [ep]'s own outgoing stream. One cumulative ack answers the
-   whole burst — re-acking on pure duplicates is what lets a sender whose
-   ack was lost make progress. *)
+   data frames feed the dedup/reorder window, acks [ep]'s own outgoing
+   stream. One ack answers the whole burst — re-acking on pure duplicates
+   is what lets a sender whose ack was lost make progress — its runs
+   gaining the [fresh] out-of-order seqs and losing those [released]. *)
 let pump_endpoint t ep peer =
+  let fresh = ref [] and released = ref false in
   let rec drain got_data =
     match Channel.receive ep.in_chan with
     | None -> got_data
-    | Some (Message.Ack { cum }) ->
-      ack ep cum;
+    | Some (Message.Ack { cum; sacks }) ->
+      ack ep cum sacks;
       drain got_data
     | Some (Message.Data { seq; payload }) ->
       while seq - ep.expected >= Array.length ep.window do
@@ -162,8 +198,11 @@ let pump_endpoint t ep peer =
         t.stats.dups_dropped <- t.stats.dups_dropped + 1
       else begin
         ep.window.(i) <- payload;
-        ep.buffered <- ep.buffered + 1;
-        advance t ep peer
+        if seq > ep.expected then fresh := seq :: !fresh
+        else begin
+          advance t ep peer;
+          if ep.expected > seq + 1 then released := true
+        end
       end;
       drain true
     | Some msg ->
@@ -172,7 +211,9 @@ let pump_endpoint t ep peer =
        ^ " message on a reliable link")
   in
   if drain false then begin
-    send_frame t ep (Message.Ack { cum = ep.expected - 1 });
+    let held = add_seqs (List.sort (fun a b -> b - a) !fresh) ep.held in
+    ep.held <- (if !released then above (ep.expected - 1) held else held);
+    send_frame t ep (Message.Ack { cum = ep.expected - 1; sacks = ep.held });
     t.stats.acks_sent <- t.stats.acks_sent + 1
   end
 
@@ -215,17 +256,23 @@ let has_ready t dir =
   pump t;
   not (Queue.is_empty (receiver t dir).ready)
 
-(* In ascending seq, so the wire order of retransmissions ascends. *)
+(* The overdue holes — unacked seqs in no run, the runs all above [acked]
+   — in ascending seq, so the wire order of retransmissions ascends. *)
 let retransmit_due t ep =
   let mask = Array.length ep.frames - 1 in
-  for s = ep.acked + 1 to ep.next_seq - 1 do
-    let i = s land mask in
-    if t.now - ep.last_sent.(i) >= t.timeout then begin
-      t.stats.retransmits <- t.stats.retransmits + 1;
-      send_frame ~size:ep.sizes.(i) t ep ep.frames.(i);
-      ep.last_sent.(i) <- t.now
-    end
-  done
+  let rec go s = function
+    | (lo, hi) :: runs when lo = s -> go (hi + 1) runs
+    | runs when s < ep.next_seq ->
+      let i = s land mask in
+      if t.now - ep.last_sent.(i) >= t.timeout then begin
+        t.stats.retransmits <- t.stats.retransmits + 1;
+        send_frame ~size:ep.sizes.(i) t ep ep.frames.(i);
+        ep.last_sent.(i) <- t.now
+      end;
+      go (s + 1) runs
+    | _ -> ()
+  in
+  go (ep.acked + 1) (List.rev ep.sacked)
 
 let tick t =
   t.now <- t.now + 1;
@@ -237,7 +284,7 @@ let tick t =
   pump t
 
 let endpoint_idle ep =
-  ep.acked = ep.next_seq - 1 && ep.buffered = 0 && Queue.is_empty ep.ready
+  ep.acked = ep.next_seq - 1 && ep.held = [] && Queue.is_empty ep.ready
 
 let idle t =
   pump t;
@@ -247,14 +294,3 @@ let idle t =
   && endpoint_idle t.warehouse_end
 
 let stats t = t.stats
-
-let mean_latency t =
-  if t.stats.delivered = 0 then 0.0
-  else float_of_int t.stats.latency_total /. float_of_int t.stats.delivered
-
-let pp ppf t =
-  Format.fprintf ppf
-    "reliable(timeout=%d now=%d): %d retransmits, %d dups dropped, %d acks, \
-     %d delivered (mean latency %.2f ticks, max %d)"
-    t.timeout t.now t.stats.retransmits t.stats.dups_dropped t.stats.acks_sent
-    t.stats.delivered (mean_latency t) t.stats.latency_max

@@ -1,22 +1,23 @@
 (** The reliability sublayer: exactly-once FIFO streams over faulty
-    channels.
+    channels, by selective repeat.
 
     The paper's algorithms are only correct under reliable in-order
     source↔warehouse delivery (the fault-injection tests show ECA
     converging to wrong views without it). This sublayer restores that
-    model over a channel pair with an arbitrary {!Fault.profile}, with
-    the standard machinery:
+    model over a channel pair with an arbitrary {!Fault.profile}:
 
     - every payload message is wrapped in a [Data] frame under a
       per-stream sequence number;
-    - receivers hold out-of-order frames in a reorder buffer, discard
-      duplicate sequence numbers, and release messages strictly in
+    - receivers hold out-of-order frames in a reorder buffer and never
+      discard one, drop duplicates, and release messages strictly in
       sequence order — the endpoint-visible stream is exactly-once FIFO;
-    - receivers answer every arriving data burst with a cumulative [Ack]
-      (re-acking duplicates, so a sender whose ack was lost still makes
-      progress); acks travel over the reverse faulty channel;
-    - senders keep unacknowledged frames and retransmit any that have
-      waited [timeout] clock ticks since their last transmission.
+    - receivers answer every arriving data burst with an [Ack]: the
+      cumulative [cum] and the runs of seqs held above it (re-acking
+      duplicates, so a sender whose ack was lost still makes progress);
+      acks travel over the reverse faulty channel;
+    - senders retransmit each unacknowledged frame that has waited
+      [timeout] clock ticks since its last transmission and lies in no
+      run the latest ack reported: only the holes are resent.
 
     The clock is the channels' logical tick, advanced by {!tick} from the
     simulation scheduler when no other event is enabled — runs stay
@@ -24,18 +25,13 @@
     through {!Channel.send}, so channel byte/message counters price the
     protocol's wire overhead.
 
-    Costs. Every operation first pumps the link: it drains both channels
-    of their deliverable frames. The pump is skipped unless the link has
-    sent a frame (data, retransmission or ack) or ticked since the last
-    one began — otherwise both channels are known to hold nothing
-    deliverable, and the skipped pump would have drawn no randomness, so
-    seeded runs are unchanged. Endpoint state is mutable and O(1) per
-    frame, in power-of-two rings indexed by [seq land (length - 1)] that
-    double when a window outgrows them: the sender's unacknowledged
-    frames with their last and first transmission ticks (a
-    retransmission restamps its slot in place; a cumulative ack retires
-    a prefix), and the receiver's out-of-order frames; plus a ready
-    queue. A {!tick} scans each sender's unacknowledged ticks once. *)
+    Costs. Every operation first pumps the link — drains both channels —
+    unless nothing was sent and no tick passed since the last pump began,
+    when it would find nothing and draw no randomness. Frames sit in
+    power-of-two rings indexed by [seq land (length - 1)], O(1) per frame
+    at each end. Run lists are persistent and shared by successive acks;
+    an ack costs a walk down to its first run that differs from the last
+    one's. A {!tick} walks each sender's unacknowledged range once. *)
 
 type dir =
   | To_warehouse
@@ -77,5 +73,3 @@ val idle : t -> bool
     further would change nothing. *)
 
 val stats : t -> stats
-val mean_latency : t -> float
-val pp : Format.formatter -> t -> unit

@@ -469,3 +469,21 @@ let pp ppf b =
     (to_counted_list b)
 
 let to_string b = Format.asprintf "%a" pp b
+
+module Private = struct
+  type node = Trie.t
+
+  let node b h = Trie.find h b.trie
+
+  let changed a b =
+    let visited = ref 0 in
+    let diff = Trie.changed ~tick:(fun () -> incr visited) a.trie b.trie [] in
+    (diff, !visited)
+
+  let depth b =
+    let rec go = function
+      | Trie.Branch { l; r; _ } -> 1 + max (go l) (go r)
+      | _ -> 0
+    in
+    go b.trie
+end

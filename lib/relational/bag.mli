@@ -140,3 +140,22 @@ val dedup_to_set : t -> t
 
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
+
+(** The trie under the bag, for the test suite's checks of {!equal_since}'s
+    diff; no other caller. *)
+module Private : sig
+  type node
+  (** A hash's leaf or collision bucket in a bag's trie, or its absence. *)
+
+  val node : t -> int -> node
+  (** The node of hash [h] in the bag. *)
+
+  val changed : t -> t -> (int * node) list * int
+  (** [changed a b] is the diff {!equal_since} takes: every hash whose
+      node in [a] and in [b] are not the same object, in descending
+      order, each with its node in [b]; and the number of trie nodes the
+      diff visited. *)
+
+  val depth : t -> int
+  (** Branches on the longest path from the trie's root to a leaf. *)
+end

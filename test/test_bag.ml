@@ -422,6 +422,40 @@ let fresh_keys_law (base, chain_a, chain_b) =
   && Ref_bag.equal r s = eq
   && Ref_bag.equal_since (r0, s0) r s = eq
 
+(* [Bag.Private.changed], the diff under [equal_since], against a brute
+   force over every hash either bag holds: exactly the hashes whose two
+   nodes are not the same object, in descending order, each with its
+   node in the second bag. A diff that lists a removed subtrie's keys as
+   bound too, drops them, or misorders disjoint subtries fails it. The
+   pairs are the [arb_fresh] bags: each derived bag against its base,
+   both ways, plus pairs that share little. Against its base, [k] add
+   steps change at most [k] keys, so the diff visits at most [k] paths
+   from the root and the leaves beside them: [k * (depth + 4) + 1]
+   nodes, far below the trie's [2n - 1] when [k] is small. *)
+let changed_law (base, chain_a, chain_b) =
+  let module P = R.Bag.Private in
+  let apply chain b = List.fold_left (fun b (t, c) -> R.Bag.add ~count:c t b) b chain in
+  let a0 = apply base R.Bag.empty and b0 = apply (List.rev base) R.Bag.empty in
+  let a = apply chain_a a0 and b = apply chain_b b0 in
+  let brute x y =
+    let hashes b = R.Bag.fold (fun t _ acc -> R.Tuple.hash t :: acc) b [] in
+    List.sort_uniq (fun h h' -> compare h' h) (hashes x @ hashes y)
+    |> List.filter_map (fun h ->
+           let n = P.node y h in
+           if P.node x h == n then None else Some (h, n))
+  in
+  let exact (x, y) =
+    let diff, _ = P.changed x y and want = brute x y in
+    List.length diff = List.length want
+    && List.for_all2 (fun (h, n) (h', n') -> h = h' && n == n') diff want
+  in
+  let within (x0, chain, x) =
+    let _, visited = P.changed x0 x in
+    visited <= (List.length chain * (max (P.depth x0) (P.depth x) + 4)) + 1
+  in
+  List.for_all exact [ (a0, a); (a, a0); (b0, b); (a0, b0); (a, b) ]
+  && List.for_all within [ (a0, chain_a, a); (a, chain_a, a0); (b0, chain_b, b) ]
+
 (* One step of a chain, applied alike to both models. *)
 type op =
   | Add of R.Tuple.t * int
@@ -641,6 +675,7 @@ let qcheck_suite =
       law "equal_since (a0, b0) a b = equal a b" 1000 arb_since equal_since_law;
       law "add_get chains = table model" 500 arb_add_get add_get_law;
       law "equal_since with fresh keys of both signs" 1000 arb_fresh fresh_keys_law;
+      law "trie diff = brute-force diff, within its node bound" 1000 arb_fresh changed_law;
       law "bag = AVL reference" 500 arb_ref_chain ref_chain_law;
     ]
 

@@ -291,7 +291,7 @@ let channel_matches_reference_prop =
 
 let frame_sizes () =
   let d = M.Message.Data { seq = 3; payload = note 1 } in
-  let a = M.Message.Ack { cum = 3 } in
+  let a = M.Message.Ack { cum = 3; sacks = [] } in
   check_int "data frame = header + payload" (8 + M.Message.byte_size (note 1))
     (M.Message.byte_size d);
   check_int "ack frame is header-sized" 8 (M.Message.byte_size a);

@@ -132,7 +132,7 @@ let warehouse_absorbs_misrouted_messages () =
     = Core.Warehouse.no_reaction);
   check_bool "a protocol frame produces no reaction" true
     (Core.Warehouse.misrouted wh
-       (Messaging.Message.Ack { cum = 3 })
+       (Messaging.Message.Ack { cum = 3; sacks = [] })
     = Core.Warehouse.no_reaction);
   check_int "both anomalies recorded" 2
     (List.length (Core.Warehouse.anomalies wh));
