@@ -4,10 +4,6 @@ exception Engine_error of string
 
 let error fmt = Format.kasprintf (fun s -> raise (Engine_error s)) fmt
 
-let src = Logs.Src.create "vmw.engine" ~doc:"site-graph simulation engine"
-
-module Log = (val Logs.src_log src : Logs.LOG)
-
 type site_spec = {
   name : string;
   db : R.Db.t;
@@ -72,25 +68,618 @@ type obs_state = {
   mutable collect_depth_max : int;
 }
 
+(* The run's counters, folded into one [Metrics.t] by [finish]. *)
+type counters = {
+  mutable steps : int;  (* the spans' clock too, bumped before each event *)
+  mutable ticks : int; mutable executed : int;
+  mutable queries_sent : int; mutable query_bytes : int;
+  mutable answers_received : int; mutable answer_tuples : int;
+  mutable answer_bytes : int; mutable source_io : int;
+  mutable ddl_applied : int; mutable refresh_queries : int;
+  mutable inflight_max : int; mutable active_max : int;
+  mutable coalesced_notes : int; mutable coalesced_batches : int;
+}
+
+type event = Pick of Scheduler.event | Tick | Probe
+
+type 'a options =
+  ?schedule:Scheduler.policy -> ?rv_period:int -> ?batch_size:int ->
+  ?local_literal_eval:bool -> ?allow_cross_source:bool ->
+  ?observe:Observe.Collector.t -> ?share_deltas:bool -> ?coalesce:bool ->
+  ?track_scale:bool -> ?evolution:(int * R.Update.ddl) list ->
+  ?windows:(string * Window.spec) list -> creator:Algorithm.creator ->
+  sites:site_spec list -> views:R.Viewdef.t list -> updates:R.Update.t list ->
+  unit -> 'a
+
+(* A run in progress. Per-view bookkeeping is indexed in [views] order —
+   a wide catalog over many sources pays only for the views an event
+   actually touches, never an O(views) assoc scan per event. *)
+type state = {
+  sched : Scheduler.t;
+  sites : site_state array;
+  owner : (string, int) Hashtbl.t;  (* relation -> owning site *)
+  views : R.Viewdef.t array;  (* the oracle's, rewritten by schema changes *)
+  vname : string array;
+  name_to_idx : (string, int) Hashtbl.t;
+  vsite : int option array;  (* the owning site; [None]: cross-source *)
+  site_views : int list array;  (* ascending, per site *)
+  cross_views : int list;  (* ascending *)
+  wh_win : (string, Window.state) Hashtbl.t;
+  oracle_win : (string, Window.state) Hashtbl.t;
+  warehouse : Warehouse.t;
+  snap : R.Bag.t array;  (* the oracle's current source-view states *)
+  staged_programs : R.Delta_program.staged option array;
+  trace : Trace.t;
+  mutable pending : [ `U of R.Update.t | `D of R.Update.ddl ] list;
+  mutable next_seq : int;
+  c : counters;
+  ready : Scheduler.Ready.t;
+  mutable active : Scheduler.Iset.t;  (* the non-idle edges *)
+  obs : obs_state option;
+  mutable negative_installs : (string * R.Bag.t) list;  (* newest first *)
+  mutable drained : bool;  (* the final probe found no new work *)
+  (* the options read after [start] *)
+  rv_period : int; local_literal_eval : bool option; batch_size : int;
+  coalesce : bool; share_deltas : bool; track_scale : bool;
+}
+
 (* Engine steps after which a run is declared runaway. *)
 let max_steps = 2_000_000
 
-let run ?(schedule = Scheduler.Best_case) ?(rv_period = 1) ?(batch_size = 1)
-    ?local_literal_eval ?(allow_cross_source = false) ?observe
-    ?(share_deltas = false) ?(coalesce = false) ?(track_scale = false)
-    ?(evolution = []) ?(windows = []) ~creator ~sites:specs ~views ~updates () =
+(* The one owner lookup: the site an update, schema change or query on
+   [rel] routes to. With a single source every relation routes to it. *)
+let site_of st rel =
+  if Array.length st.sites = 1 then 0
+  else
+    match Hashtbl.find_opt st.owner rel with
+    | Some i -> i
+    | None -> error "no source owns relation %s" rel
+
+let site_of_item st = function
+  | `U (u : R.Update.t) -> site_of st u.R.Update.rel
+  | `D d -> site_of st (R.Update.ddl_rel d)
+
+let merged_db sites =
+  Array.fold_left
+    (fun db site ->
+      let sdb = Source_site.Source.db site.source in
+      List.fold_left
+        (fun db rel ->
+          R.Db.add_relation ~contents:(R.Db.contents sdb rel) db
+            (R.Db.schema sdb rel))
+        db (R.Db.relation_names sdb))
+    R.Db.empty sites
+
+let snapshot_view st vi =
+  let v = st.views.(vi) in
+  match st.vsite.(vi) with
+  | Some i -> R.Viewdef.eval (Source_site.Source.db st.sites.(i).source) v
+  | None -> R.Viewdef.eval (merged_db st.sites) v
+
+(* The oracle's windowed lens: the snapshot array stays unwindowed (the
+   delta programs maintain the full view), and the window filter is
+   applied at every reporting boundary — trace states, staleness
+   samples, final states — so windowed runs are judged
+   windowed-vs-windowed. *)
+let windowed oracle_win name b =
+  match Hashtbl.find_opt oracle_win name with
+  | Some w -> Window.filter w b
+  | None -> b
+
+let oracle_view st vi = windowed st.oracle_win st.vname.(vi) st.snap.(vi)
+
+(* Staged delta programs for the oracle advance, built per view on first
+   use — and invalidated individually when a schema change rewrites a
+   view mid-stream. *)
+let staged st vi =
+  match st.staged_programs.(vi) with
+  | Some p -> p
+  | None ->
+    let p = R.Delta_program.stage st.views.(vi) in
+    st.staged_programs.(vi) <- Some p;
+    p
+
+(* Oracle advance over one update-class run (same relation and kind),
+   already executed at site [i]. Every delta term binds the updated
+   relation's slot to literals — it never reads that relation from the
+   database — and the run touches no other relation, so each update's
+   delta is the same whether evaluated mid-run or at the end; summing
+   them through one [apply_batch] pass gives the identical final
+   snapshot a per-update loop reaches. Cross-source views are an opt-in
+   anomaly demonstration, not a performance path: they are recomputed
+   from the merged state. *)
+let advance_snapshots_run st i (us : R.Update.t list) =
+  match us with
+  | [] -> ()
+  | first :: _ ->
+    let tuples = List.map (fun (u : R.Update.t) -> u.R.Update.tuple) us in
+    let db = Source_site.Source.db st.sites.(i).source in
+    List.iter
+      (fun vi ->
+        match R.Delta_program.of_update (staged st vi) first with
+        | None -> ()
+        | Some prog ->
+          st.snap.(vi) <-
+            R.Delta_program.apply_batch ~into:st.snap.(vi) prog db tuples)
+      st.site_views.(i);
+    List.iter (fun vi -> st.snap.(vi) <- snapshot_view st vi) st.cross_views
+
+(* The named oracle states of the views [vis], in the order given. *)
+let oracle_views st vis =
+  List.map (fun vi -> (st.vname.(vi), oracle_view st vi)) vis
+
+(* Incrementally maintained scheduling state: the ready sets the
+   scheduler picks from, and the set of non-idle edges the tick handler
+   walks. Every edge mutation (send, receive, tick) is followed by a
+   [refresh_edge] of exactly the touched edges, so one step costs
+   O(active edges), never O(N) — the property that lets this loop drive
+   hundreds of sources. *)
+let refresh_edge st i =
+  let net = st.sites.(i).net and c = st.c in
+  Scheduler.Ready.set_source st.ready i
+    (Messaging.Network.can_receive net Messaging.Network.To_source);
+  Scheduler.Ready.set_warehouse st.ready i
+    (Messaging.Network.can_receive net Messaging.Network.To_warehouse);
+  let load = Messaging.Network.load net in
+  Scheduler.Ready.set_load st.ready i load;
+  if load > c.inflight_max then c.inflight_max <- load;
+  if Messaging.Network.idle net then
+    st.active <- Scheduler.Iset.remove i st.active
+  else begin
+    st.active <- Scheduler.Iset.add i st.active;
+    if st.track_scale then begin
+      let n = Scheduler.Iset.cardinal st.active in
+      if n > c.active_max then c.active_max <- n
+    end
+  end
+
+let refresh_update st =
+  let i = match st.pending with [] -> -1 | it :: _ -> site_of_item st it in
+  Scheduler.Ready.set_update st.ready (i >= 0);
+  Scheduler.Ready.set_update_site st.ready i
+
+(* Close the span an in-flight message opened, matched by its protocol
+   id, and add its duration to [hist]. A duplicate finds the span
+   already closed and is ignored. *)
+let close_matched o spans key hist t =
+  match Hashtbl.find_opt spans key with
+  | None -> ()
+  | Some sp -> (
+    Hashtbl.remove spans key;
+    match Observe.Collector.close_span o.oc sp ~now:t with
+    | Some sp -> Metrics.hist_add hist (Observe.Span.duration sp)
+    | None -> ())
+
+(* The view/algorithm labels of a query gid, looked up while the
+   warehouse still routes it. *)
+let gid_labels st gid =
+  Option.value ~default:("", "") (Warehouse.gid_view st.warehouse gid)
+
+(* Sample the per-view staleness gauge: ticks since the warehouse's
+   materialization last equalled the centralized oracle state. Sampled
+   after every state-changing event; [quiesce] marks drained-graph
+   probes, whose maximum is the strong-consistency witness. The
+   warehouse hosts the views in [views] order. *)
+let sample_staleness ?(quiesce = false) st o =
+  let t = st.c.steps in
+  List.iteri
+    (fun vi (_, mv) ->
+      let ov = o.per_view.(vi) and name = st.vname.(vi) in
+      if R.Bag.equal mv (oracle_view st vi) then ov.ov_last_match <- t;
+      let stale = t - ov.ov_last_match in
+      ov.ov_samples <- ov.ov_samples + 1;
+      ov.ov_sum <- ov.ov_sum + stale;
+      if stale > ov.ov_max then ov.ov_max <- stale;
+      ov.ov_final <- stale;
+      if quiesce && stale > ov.ov_quiesce_max then ov.ov_quiesce_max <- stale;
+      Observe.Collector.gauge o.oc ~name:"staleness" ~key:name ~now:t
+        ~value:stale)
+    (Warehouse.mvs st.warehouse)
+
+(* An installed view state with net-negative counts witnesses an
+   over-deletion anomaly; correct algorithms never produce one. *)
+let watch_installs st installs =
+  List.iter
+    (fun (name, states) ->
+      List.iter
+        (fun mv ->
+          if R.Bag.has_negative mv then
+            st.negative_installs <- (name, mv) :: st.negative_installs)
+        states)
+    installs
+
+let ship_queries st queries =
+  List.iter
+    (fun (gid, q) ->
+      let i =
+        if Array.length st.sites = 1 then 0
+        else
+          match R.Query.base_relations q with
+          | rel :: _ -> site_of st rel
+          | [] -> 0  (* all-literal queries can go anywhere; pick the first *)
+      in
+      let msg = Messaging.Message.Query { id = gid; query = q } in
+      st.c.queries_sent <- st.c.queries_sent + 1;
+      st.c.query_bytes <- st.c.query_bytes + Messaging.Message.byte_size msg;
+      Option.iter
+        (fun o ->
+          (* Open for the whole round trip: this is the query's residency
+             in the algorithm's unanswered-query set. *)
+          let view, algo = gid_labels st gid in
+          let sp =
+            Observe.Collector.open_span o.oc Observe.Span.Query_send ~view
+              ~algo ~site:st.sites.(i).spec_name ~ids:[ gid ] ~now:st.c.steps ()
+          in
+          Hashtbl.replace o.query_spans gid sp)
+        st.obs;
+      Messaging.Network.send st.sites.(i).net Messaging.Network.To_source msg;
+      refresh_edge st i)
+    queries
+
+(* A schema change at source [i]: apply it to the base relations,
+   rewrite the oracle's definitions of every affected view (their delta
+   programs are restaged on next use), and notify the warehouse with a
+   [Ddl_note] on the owning edge. On a FIFO edge the note precedes
+   every later message, so the warehouse always rebuilds before any
+   tombstone answer arrives — the order raw faulty channels may
+   break. *)
+let source_ddl st i (d : R.Update.ddl) =
+  let affected =
+    List.filter
+      (fun vi -> R.Evolve.affects st.views.(vi) d)
+      (List.init (Array.length st.views) Fun.id)
+  in
+  (try
+     Source_site.Source.execute_ddl st.sites.(i).source d;
+     List.iter
+       (fun vi ->
+         st.views.(vi) <- R.Evolve.viewdef st.views.(vi) d;
+         st.staged_programs.(vi) <- None;
+         Option.iter
+           (fun w -> Window.rebuild w st.views.(vi))
+           (Hashtbl.find_opt st.oracle_win st.vname.(vi));
+         st.snap.(vi) <- snapshot_view st vi)
+       affected
+   with R.Evolve.Evolve_error msg | R.Db.Db_error msg ->
+     error "schema change %s rejected: %s" (R.Update.ddl_to_string d) msg);
+  st.c.ddl_applied <- st.c.ddl_applied + 1;
+  Messaging.Network.send st.sites.(i).net Messaging.Network.To_warehouse
+    (Messaging.Message.Ddl_note d);
+  Option.iter (sample_staleness st) st.obs;
+  Trace.record st.trace
+    (Trace.Source_ddl { ddl = d; source_views = oracle_views st affected })
+
+(* The updates of one source event, taken off [pending] and numbered: up
+   to [batch_size] consecutive updates of source [i] (a batch never spans
+   sources), then with [coalesce] every further consecutive update of the
+   same relation and kind — one update-class run that ships as a single
+   [Batch_note] down the compiled [apply_batch] path. Only exact
+   same-class neighbors coalesce, so the notification's event semantics
+   (one atomic batch at one source) are unchanged. *)
+let take_batch st i first =
+  let c = st.c in
+  let rec absorb k (prev : R.Update.t) acc =
+    match st.pending with
+    | `U (u : R.Update.t) :: rest
+      when site_of st u.R.Update.rel = i
+           && (k < st.batch_size
+              || st.coalesce
+                 && String.equal u.R.Update.rel prev.R.Update.rel
+                 && u.R.Update.kind = prev.R.Update.kind) ->
+      st.pending <- rest;
+      if k >= st.batch_size then begin
+        if k = st.batch_size then
+          c.coalesced_batches <- c.coalesced_batches + 1;
+        c.coalesced_notes <- c.coalesced_notes + 1
+      end;
+      st.next_seq <- st.next_seq + 1;
+      let u =
+        if u.R.Update.seq = 0 then R.Update.with_seq st.next_seq u else u
+      in
+      absorb (k + 1) u (u :: acc)
+    | _ -> List.rev acc
+  in
+  absorb 0 first []
+
+(* A DML event at source [i]: execute the batch one update-class run at
+   a time, advancing every snapshot once per run, then notify the
+   warehouse once. An update the source rejects aborts the run. *)
+let source_batch st i first =
+  let batch = take_batch st i first in
+  let site = st.sites.(i) in
+  List.iter
+    (fun run ->
+      List.iter
+        (fun u ->
+          try Source_site.Source.execute_update site.source u
+          with R.Db.Db_error msg | R.Schema.Schema_error msg ->
+            error "site %s rejected update %s: %s" site.spec_name
+              (R.Update.to_string u) msg)
+        run;
+      advance_snapshots_run st i run)
+    (R.Delta_program.runs batch);
+  if Hashtbl.length st.oracle_win > 0 then
+    List.iter
+      (fun u ->
+        Hashtbl.iter (fun _ w -> Window.observe_update w u) st.oracle_win)
+      batch;
+  let note =
+    match batch with
+    | [ u ] -> Messaging.Message.Update_note u
+    | us -> Messaging.Message.Batch_note us
+  in
+  Messaging.Network.send site.net Messaging.Network.To_warehouse note;
+  st.c.executed <- st.c.executed + List.length batch;
+  Option.iter
+    (fun o ->
+      let seqs = List.map (fun u -> u.R.Update.seq) batch in
+      Observe.Collector.instant o.oc Observe.Span.Source_apply
+        ~site:site.spec_name ~ids:seqs ~now:st.c.steps ();
+      (* The notification's flight, matched at the warehouse by the
+         batch's first update seq. *)
+      let sp =
+        Observe.Collector.open_span o.oc Observe.Span.Update_note
+          ~site:site.spec_name ~ids:seqs ~now:st.c.steps ()
+      in
+      (match seqs with
+      | s :: _ -> Hashtbl.replace o.note_spans (i, s) sp
+      | [] -> ());
+      sample_staleness st o)
+    st.obs;
+  (* The views an update at site [i] can change — the site's own and
+     every cross-source view, in catalog order. Only these appear in the
+     entry, so per-source state sequences stay per-source. *)
+  let affected = List.merge Int.compare st.site_views.(i) st.cross_views in
+  Trace.record st.trace
+    (Trace.Source_update
+       { updates = batch; source_views = oracle_views st affected })
+
+(* Handler of a source event: the next workload item's source executes
+   it atomically — a schema change always alone, never batched or
+   coalesced with DML. *)
+let source_event st =
+  match st.pending with
+  | [] -> raise (Engine_error "source event with an empty workload")
+  | item :: rest ->
+    let i = site_of_item st item in
+    (match item with
+    | `D d ->
+      st.pending <- rest;
+      source_ddl st i d
+    | `U u -> source_batch st i u);
+    refresh_edge st i;
+    refresh_update st
+
+(* Handler of a source receive: answer one query against the source's
+   current state and send the answer back on the same edge. *)
+let source_receive st i =
+  let site = st.sites.(i) in
+  (match Messaging.Network.receive site.net Messaging.Network.To_source with
+  | None -> raise (Engine_error "source_receive on empty channel")
+  | Some (Messaging.Message.Query { id; query }) ->
+    let answer, cost = Source_site.Source.answer_query site.source ~id query in
+    st.c.source_io <- st.c.source_io + cost.Storage.Cost.io;
+    Option.iter
+      (fun o ->
+        let view, algo = gid_labels st id in
+        let sp =
+          Observe.Collector.open_span o.oc Observe.Span.Answer_arrival ~view
+            ~algo ~site:site.spec_name ~ids:[ id ] ~now:st.c.steps ()
+        in
+        Hashtbl.replace o.answer_spans id sp)
+      st.obs;
+    Messaging.Network.send site.net Messaging.Network.To_warehouse
+      (Messaging.Message.Answer { id; answer; cost });
+    Trace.record st.trace (Trace.Source_answer { gid = id; answer; cost })
+  | Some _ -> raise (Engine_error "source received a non-query message"));
+  refresh_edge st i
+
+(* The warehouse's rebuild callback for one schema change: rewrite the
+   hosted definition and swap in an online-refreshing ECA instance (the
+   universal rung — a view that sat on a cheaper rung is demoted until
+   its next registration), re-wrapped in its window when the view is
+   windowed. The refresh instance starts from an empty materialization
+   and a full-view query; it never reads source state directly. *)
+let rebuild_view st d vd =
+  let vd' = R.Evolve.viewdef vd d in
+  let cfg =
+    Algorithm.Config.make ~rv_period:st.rv_period
+      ?local_literal_eval:st.local_literal_eval ~view:vd' ~init_mv:R.Bag.empty
+      ()
+  in
+  let inst, outcome = Eca.refresh cfg in
+  let inst =
+    match Hashtbl.find_opt st.wh_win vd'.R.Viewdef.name with
+    | None -> inst
+    | Some w ->
+      Window.rebuild w vd';
+      Window.wrap w inst
+  in
+  (vd', inst, outcome)
+
+(* A notification landed at the warehouse: close its flight span, then
+   derive one Compensation event per query still outstanding — those
+   are exactly the in-flight queries the algorithm must offset against
+   this update (Section 4's compensation). *)
+let obs_note_arrival st o i t (us : R.Update.t list) =
+  match us with
+  | [] -> ()
+  | { R.Update.seq; _ } :: _ ->
+    close_matched o o.note_spans (i, seq) o.edge_hist.(i) t;
+    List.iter
+      (fun gid ->
+        o.compensations <- o.compensations + 1;
+        let view, algo = gid_labels st gid in
+        Observe.Collector.instant o.oc Observe.Span.Compensation ~view ~algo
+          ~site:st.sites.(i).spec_name ~ids:[ gid; seq ] ~now:t ())
+      (List.sort Int.compare
+         (Hashtbl.fold (fun gid _ acc -> gid :: acc) o.query_spans []))
+
+(* The bookkeeping both warehouse events share — a received message and
+   a quiescence probe: ship the reaction's queries, watch its installs,
+   then observe. [answer] is the gid of a processed answer with its
+   owning view's name and algorithm when observed: the query's UQS
+   residency ends here, and if the view installed nothing the answer
+   parked in COLLECT. Installs flush a view's parked answers: its open
+   Collect_install span closes and the depth resets. *)
+let after_reaction ?answer ?(probe = false) st (r : Warehouse.reaction) =
+  ship_queries st r.Warehouse.queries;
+  watch_installs st r.Warehouse.installs;
+  Option.iter
+    (fun o ->
+      let t = st.c.steps in
+      (match answer with
+      | Some (gid, _) -> close_matched o o.query_spans gid o.uqs_hist t
+      | None -> ());
+      let per_view name =
+        Option.map (Array.get o.per_view) (Hashtbl.find_opt st.name_to_idx name)
+      in
+      List.iter
+        (fun (name, states) ->
+          o.collect_installs <- o.collect_installs + List.length states;
+          match per_view name with
+          | Some ({ ov_collect_span = Some sp; _ } as ov) ->
+            ignore (Observe.Collector.close_span o.oc sp ~now:t);
+            ov.ov_collect_span <- None;
+            ov.ov_collect_depth <- 0
+          | _ -> ())
+        r.Warehouse.installs;
+      (match answer with
+      | Some (_, Some (name, algo))
+        when not (List.mem_assoc name r.Warehouse.installs) ->
+        Option.iter
+          (fun ov ->
+            ov.ov_collect_depth <- ov.ov_collect_depth + 1;
+            if ov.ov_collect_depth > o.collect_depth_max then
+              o.collect_depth_max <- ov.ov_collect_depth;
+            if ov.ov_collect_span = None then
+              ov.ov_collect_span <-
+                Some
+                  (Observe.Collector.open_span o.oc
+                     Observe.Span.Collect_install ~view:name ~algo
+                     ~site:"warehouse" ~ids:[] ~now:t ()))
+          (per_view name)
+      | _ -> ());
+      if probe then
+        Observe.Collector.instant o.oc Observe.Span.Quiescence
+          ~site:"warehouse" ~ids:[] ~now:t ();
+      sample_staleness ~quiesce:probe st o)
+    st.obs
+
+let note st us (r : Warehouse.reaction) =
+  Trace.record st.trace
+    (Trace.Warehouse_note
+       { updates = us; queries = r.Warehouse.queries;
+         installs = r.Warehouse.installs });
+  (r, None)
+
+(* Handler of a warehouse receive: one dispatch on the message kind.
+   Each kind's arrival is observed, handled and traced; the reaction's
+   shared bookkeeping follows. *)
+let warehouse_receive st i =
+  let t = st.c.steps and wh = st.warehouse in
+  let reaction, answer =
+    match
+      Messaging.Network.receive st.sites.(i).net Messaging.Network.To_warehouse
+    with
+    | None -> raise (Engine_error "warehouse_receive on empty channel")
+    | Some (Messaging.Message.Update_note u) ->
+      Option.iter (fun o -> obs_note_arrival st o i t [ u ]) st.obs;
+      note st [ u ] (Warehouse.handle_update wh u)
+    | Some (Messaging.Message.Batch_note us) ->
+      Option.iter (fun o -> obs_note_arrival st o i t us) st.obs;
+      note st us (Warehouse.handle_batch wh us)
+    | Some (Messaging.Message.Answer { id; answer; cost }) ->
+      let c = st.c in
+      c.answers_received <- c.answers_received + 1;
+      c.answer_tuples <- c.answer_tuples + cost.Storage.Cost.answer_tuples;
+      c.answer_bytes <- c.answer_bytes + cost.Storage.Cost.answer_bytes;
+      (* The owning view, read before [handle_answer] consumes the gid's
+         route. *)
+      let view =
+        match st.obs with
+        | None -> None
+        | Some o ->
+          close_matched o o.answer_spans id o.edge_hist.(i) t;
+          Warehouse.gid_view wh id
+      in
+      let r = Warehouse.handle_answer wh ~gid:id answer in
+      Trace.record st.trace
+        (Trace.Warehouse_answer { gid = id; installs = r.Warehouse.installs });
+      (r, Some (id, view))
+    | Some (Messaging.Message.Ddl_note d) ->
+      let r, rebuilt = Warehouse.apply_ddl wh d ~rebuild:(rebuild_view st d) in
+      st.c.refresh_queries <-
+        st.c.refresh_queries + List.length r.Warehouse.queries;
+      Trace.record st.trace
+        (Trace.Warehouse_ddl
+           { ddl = d; rebuilt; queries = r.Warehouse.queries;
+             installs = r.Warehouse.installs });
+      (r, None)
+    | Some
+        (( Messaging.Message.Query _ | Messaging.Message.Data _
+         | Messaging.Message.Ack _ ) as msg) ->
+      (* Misrouted: the warehouse records an anomaly and produces no
+         reaction — nothing to trace. *)
+      (Warehouse.misrouted wh msg, None)
+  in
+  after_reaction ?answer st reaction;
+  (* [ship_queries] already refreshed the edges it sent on; this edge's
+     receive side changed too. *)
+  refresh_edge st i
+
+(* Handler of a transport tick: messages are in flight but none is
+   deliverable — delayed transmissions ripening, or reliability-layer
+   frames awaiting acks/retransmission. Advance the transport clock of
+   every busy edge one tick; the tick is a scheduler decision, so faulty
+   runs stay deterministic. Idle edges are left alone: their clocks only
+   matter relative to their own traffic — and the walk visits only the
+   active set, not all N sites. *)
+let tick st =
+  Scheduler.Iset.iter
+    (fun i ->
+      let site = st.sites.(i) in
+      Messaging.Network.tick site.net;
+      site.ticks <- site.ticks + 1;
+      refresh_edge st i)
+    st.active;
+  st.c.ticks <- st.c.ticks + 1
+
+(* Handler of a quiescence probe on the drained graph (where RV flushes
+   a partial period). True when the probe produced new work. *)
+let quiescence_probe st =
+  let r = Warehouse.quiesce st.warehouse in
+  after_reaction ~probe:true st r;
+  let more = r.Warehouse.queries <> [] || r.Warehouse.installs <> [] in
+  if more then
+    Trace.record st.trace
+      (Trace.Quiesce_probe
+         { queries = r.Warehouse.queries; installs = r.Warehouse.installs });
+  more
+
+(* The options are parsed here once; [start] and [run] differ only in
+   the continuation [k] applied to the initial state. *)
+let with_options (k : state -> 'a) : 'a options =
+ fun ?(schedule = Scheduler.Best_case) ?(rv_period = 1) ?(batch_size = 1)
+     ?local_literal_eval ?(allow_cross_source = false) ?observe
+     ?(share_deltas = false) ?(coalesce = false) ?(track_scale = false)
+     ?(evolution = []) ?(windows = []) ~creator ~sites:specs ~views ~updates
+     () ->
   if batch_size < 1 then raise (Engine_error "batch_size must be at least 1");
   if rv_period < 1 then raise (Engine_error "rv_period must be at least 1");
   if specs = [] then
     raise (Engine_error "a site graph needs at least one source");
   (* Reports, final states and the judge all key on the view name. *)
-  ignore
-    (List.fold_left
-       (fun seen (v : R.Viewdef.t) ->
-         let name = v.R.Viewdef.name in
-         if List.mem name seen then error "view %s is defined twice" name;
-         name :: seen)
-       [] views);
+  let views = Array.of_list views in
+  let nviews = Array.length views in
+  let vname = Array.map (fun (v : R.Viewdef.t) -> v.R.Viewdef.name) views in
+  let name_to_idx = Hashtbl.create (max 16 nviews) in
+  Array.iteri
+    (fun vi name ->
+      if Hashtbl.mem name_to_idx name then
+        error "view %s is defined twice" name;
+      Hashtbl.replace name_to_idx name vi)
+    vname;
   let sched =
     try Scheduler.create schedule
     with Scheduler.Schedule_error msg -> raise (Engine_error msg)
@@ -99,14 +688,12 @@ let run ?(schedule = Scheduler.Best_case) ?(rv_period = 1) ?(batch_size = 1)
     Array.of_list
       (List.map
          (fun s ->
-           {
-             spec_name = s.name;
+           { spec_name = s.name;
              source = Source_site.Source.create ?catalog:s.catalog s.db;
              net =
                Messaging.Network.create ~name:s.name ~fault:s.fault
                  ~seed:s.fault_seed ~reliable:s.reliable ();
-             ticks = 0;
-           })
+             ticks = 0 })
          specs)
   in
   let n = Array.length sites in
@@ -114,45 +701,37 @@ let run ?(schedule = Scheduler.Best_case) ?(rv_period = 1) ?(batch_size = 1)
      setting assumes autonomous sources with disjoint schemas. *)
   let owner = Hashtbl.create 16 in
   Array.iteri
-    (fun i st ->
+    (fun i site ->
       List.iter
         (fun rel ->
           if Hashtbl.mem owner rel then
             error "relation %s is owned by two sources" rel;
           Hashtbl.replace owner rel i)
-        (R.Db.relation_names (Source_site.Source.db st.source)))
+        (R.Db.relation_names (Source_site.Source.db site.source)))
     sites;
-  (* The one owner lookup: the site an update, schema change or query on
-     [rel] routes to. With a single source every relation routes to it. *)
-  let site_of rel =
-    if n = 1 then 0
-    else
-      match Hashtbl.find_opt owner rel with
-      | Some i -> i
-      | None -> error "no source owns relation %s" rel
-  in
   (* Bind each view to the unique source owning all its relations. With a
      single source every view trivially binds to it — including views
      whose queries mention no base relation at all, preserving the
      historical single-source driver's leniency. *)
-  let view_site =
-    List.map
+  let vsite =
+    Array.map
       (fun (v : R.Viewdef.t) ->
-        if n = 1 then (v.R.Viewdef.name, Some 0)
+        if n = 1 then Some 0
         else
           let site_indices =
             List.sort_uniq Int.compare
               (List.map
                  (fun rel ->
-                   try site_of rel
-                   with Engine_error _ ->
-                     error "view %s uses unowned relation %s"
-                       v.R.Viewdef.name rel)
+                   match Hashtbl.find_opt owner rel with
+                   | Some i -> i
+                   | None ->
+                     error "view %s uses unowned relation %s" v.R.Viewdef.name
+                       rel)
                  (R.Viewdef.relation_names v))
           in
           match site_indices with
-          | [ i ] -> (v.R.Viewdef.name, Some i)
-          | _ when allow_cross_source -> (v.R.Viewdef.name, None)
+          | [ i ] -> Some i
+          | _ when allow_cross_source -> None
           | _ ->
             error
               "view %s spans several sources; cross-source views need \
@@ -162,27 +741,16 @@ let run ?(schedule = Scheduler.Best_case) ?(rv_period = 1) ?(batch_size = 1)
               v.R.Viewdef.name)
       views
   in
-  let merged_db () =
-    Array.fold_left
-      (fun db st ->
-        let sdb = Source_site.Source.db st.source in
-        List.fold_left
-          (fun db rel ->
-            R.Db.add_relation ~contents:(R.Db.contents sdb rel) db
-              (R.Db.schema sdb rel))
-          db (R.Db.relation_names sdb))
-      R.Db.empty sites
-  in
   let configs =
-    List.map2
-      (fun (v : R.Viewdef.t) (_, where) ->
+    Array.mapi
+      (fun vi v ->
         let db =
-          match where with
+          match vsite.(vi) with
           | Some i -> Source_site.Source.db sites.(i).source
-          | None -> merged_db ()
+          | None -> merged_db sites
         in
         Algorithm.Config.of_db ~rv_period ?local_literal_eval v db)
-      views view_site
+      views
   in
   (* Windowed views: one Window.state drives the warehouse-side wrapper
      (watermark advanced by *delivered* notifications) and an independent
@@ -190,19 +758,16 @@ let run ?(schedule = Scheduler.Best_case) ?(rv_period = 1) ?(batch_size = 1)
      execution). Under reliable delivery the two watermarks agree at
      every quiescent point; under raw faulty channels they may diverge —
      exactly the divergence the consistency checkers then witness. *)
-  let wh_win = Hashtbl.create 8 in
-  let oracle_win = Hashtbl.create 8 in
+  let wh_win = Hashtbl.create 8 and oracle_win = Hashtbl.create 8 in
   List.iter
     (fun (name, spec) ->
-      match
-        List.find_opt
-          (fun (v : R.Viewdef.t) -> String.equal v.R.Viewdef.name name)
-          views
-      with
+      match Hashtbl.find_opt name_to_idx name with
       | None -> error "window declared for unknown view %s" name
-      | Some v ->
-        Hashtbl.replace wh_win name (Window.make spec v);
-        Hashtbl.replace oracle_win name (Window.make spec v))
+      | Some vi ->
+        let ow = Window.make spec views.(vi) in
+        Window.init_watermark ow configs.(vi).Algorithm.Config.init_mv;
+        Hashtbl.replace wh_win name (Window.make spec views.(vi));
+        Hashtbl.replace oracle_win name ow)
     windows;
   let creator cfg =
     let inst = creator cfg in
@@ -210,118 +775,29 @@ let run ?(schedule = Scheduler.Best_case) ?(rv_period = 1) ?(batch_size = 1)
       Hashtbl.find_opt wh_win cfg.Algorithm.Config.view.R.Viewdef.name
     with
     | None -> inst
-    | Some st -> Window.wrap st inst
+    | Some w -> Window.wrap w inst
   in
-  let warehouse = Warehouse.create ~share:share_deltas ~creator configs in
+  let warehouse =
+    Warehouse.create ~share:share_deltas ~creator (Array.to_list configs)
+  in
   (* With DDLs in the stream, a faulty channel can deliver a notification
      before the Ddl_note explaining its new shape — arm the warehouse's
      schema screen up front, not at the first (possibly late) note. *)
   if evolution <> [] then Warehouse.enable_ddl_guard warehouse;
-  (* Oracle state: the current source-view contents, one slot per view in
-     [views] order, advanced as updates execute at the sources. A
-     site-bound view is judged against its owning source's state; a
-     cross-source view against the merged global state. All per-view
-     bookkeeping is indexed — a wide catalog over many sources pays only
-     for the views an event actually touches, never an O(views) assoc
-     scan per event. *)
-  let views_arr = Array.of_list views in
-  let nviews = Array.length views_arr in
-  let vname = Array.map (fun (v : R.Viewdef.t) -> v.R.Viewdef.name) views_arr in
-  let vsite = Array.of_list (List.map snd view_site) in
-  (* A view's index by name; the first view of a name wins. *)
-  let name_to_idx = Hashtbl.create (max 16 nviews) in
-  for vi = nviews - 1 downto 0 do
-    Hashtbl.replace name_to_idx vname.(vi) vi
-  done;
   (* Per-site view index lists (ascending = [views] order) plus the
-     cross-source views, and their merge: exactly the views an update at
-     site [i] can affect, visited in catalog order. *)
-  let site_views = Array.make n [] in
-  let cross_views = ref [] in
+     cross-source views. *)
+  let site_views = Array.make n [] and cross_views = ref [] in
   for vi = nviews - 1 downto 0 do
     match vsite.(vi) with
     | Some i -> site_views.(i) <- vi :: site_views.(i)
     | None -> cross_views := vi :: !cross_views
   done;
-  let affected_idx =
-    Array.map (fun svs -> List.merge Int.compare svs !cross_views) site_views
-  in
-  let snapshot_view vi =
-    let v = views_arr.(vi) in
-    match vsite.(vi) with
-    | Some i -> R.Viewdef.eval (Source_site.Source.db sites.(i).source) v
-    | None -> R.Viewdef.eval (merged_db ()) v
-  in
-  (* The first snapshot is each view's [init_mv]: the configs evaluated it
-     over the same initial state, and sharing the object lets the judge's
-     first confirmation start from physically equal states. *)
-  let snap =
-    Array.of_list (List.map (fun c -> c.Algorithm.Config.init_mv) configs)
-  in
-  (* The oracle's windowed lens: the snapshot array stays unwindowed (the
-     delta programs maintain the full view), and the window filter is
-     applied at every reporting boundary — trace states, staleness
-     samples, final states — so windowed runs are judged
-     windowed-vs-windowed. *)
-  let owin vi = Hashtbl.find_opt oracle_win vname.(vi) in
-  Array.iteri
-    (fun vi b ->
-      match owin vi with Some st -> Window.init_watermark st b | None -> ())
-    snap;
-  let oracle_view vi =
-    match owin vi with
-    | Some st -> Window.filter st snap.(vi)
-    | None -> snap.(vi)
-  in
-  let oracle_views () =
-    List.init nviews (fun vi -> (vname.(vi), oracle_view vi))
-  in
-  let trace = Trace.create ~initial_views:(oracle_views ()) in
-  (* Staged delta programs for the oracle advance, built per view on
-     first use — and invalidated individually when a schema change
-     rewrites a view mid-stream. *)
-  let staged_programs = Array.make nviews None in
-  let staged vi =
-    match staged_programs.(vi) with
-    | Some p -> p
-    | None ->
-      let p = R.Delta_program.stage views_arr.(vi) in
-      staged_programs.(vi) <- Some p;
-      p
-  in
-  (* Cross-source views are an opt-in anomaly demonstration, not a
-     performance path: recompute them from the merged state. *)
-  let advance_cross () =
-    List.iter (fun vi -> snap.(vi) <- snapshot_view vi) !cross_views
-  in
-  (* Oracle advance over one update-class run (same relation and kind),
-     already executed at site [i]. Every delta term binds the updated
-     relation's slot to literals — it never reads that relation from the
-     database — and the run touches no other relation, so each update's
-     delta is the same whether evaluated mid-run or at the end; summing
-     them through one [apply_batch] pass gives the identical final
-     snapshot a per-update loop reaches. *)
-  let advance_snapshots_run i (us : R.Update.t list) =
-    match us with
-    | [] -> ()
-    | first :: _ ->
-      let tuples = List.map (fun (u : R.Update.t) -> u.R.Update.tuple) us in
-      let db = Source_site.Source.db sites.(i).source in
-      List.iter
-        (fun vi ->
-          match R.Delta_program.of_update (staged vi) first with
-          | None -> ()
-          | Some prog ->
-            snap.(vi) <- R.Delta_program.apply_batch ~into:snap.(vi) prog db tuples)
-        site_views.(i);
-      advance_cross ()
-  in
-  (* The views whose oracle state an update at site [i] can change — the
-     site's own views plus every cross-source view. Only these appear in
-     the trace entry, so per-source state sequences stay per-source. *)
-  let affected_views i =
-    List.map (fun vi -> (vname.(vi), oracle_view vi)) affected_idx.(i)
-  in
+  (* The oracle starts from each view's [init_mv]: the configs evaluated
+     it over the same initial state, and sharing the object lets the
+     judge's first confirmation start from physically equal states. *)
+  let snap = Array.map (fun c -> c.Algorithm.Config.init_mv) configs in
+  let initial vi = (vname.(vi), windowed oracle_win vname.(vi) snap.(vi)) in
+  let trace = Trace.create ~initial_views:(List.init nviews initial) in
   (* The workload item stream: DML updates woven with the scheduled
      schema changes. A change at position [p] fires after [p] updates
      have been applied; with no [evolution] the stream is exactly the
@@ -338,681 +814,187 @@ let run ?(schedule = Scheduler.Best_case) ?(rv_period = 1) ?(batch_size = 1)
       (List.stable_sort (fun (a, _) (b, _) -> Int.compare a b) evolution)
       []
   in
-  let site_of_item = function
-    | `U (u : R.Update.t) -> site_of u.R.Update.rel
-    | `D d -> site_of (R.Update.ddl_rel d)
-  in
-  let pending = ref items in
-  let next_seq = ref 0 in
-  (* The run's counters, folded into one [Metrics.t] when the run ends. *)
-  let steps = ref 0 and ticks = ref 0 and executed = ref 0 in
-  let queries_sent = ref 0 and query_bytes = ref 0 and source_io = ref 0 in
-  let answers_received = ref 0 and answer_tuples = ref 0 in
-  let answer_bytes = ref 0 and ddl_applied = ref 0 in
-  let refresh_queries = ref 0 in
-  let inflight_max = ref 0 and active_max = ref 0 in
-  let coalesced_notes = ref 0 and coalesced_batches = ref 0 in
-  (* Incrementally maintained scheduling state: the ready sets the
-     scheduler picks from, and the set of non-idle edges the tick branch
-     walks. Every edge mutation (send, receive, tick) is followed by a
-     [refresh_edge] of exactly the touched edges, so one step costs
-     O(active edges), never O(N) — the property that lets this loop
-     drive hundreds of sources. *)
-  let ready = Scheduler.Ready.create n in
-  let active = ref Scheduler.Iset.empty in
-  let refresh_edge i =
-    let st = sites.(i) in
-    Scheduler.Ready.set_source ready i
-      (Messaging.Network.can_receive st.net Messaging.Network.To_source);
-    Scheduler.Ready.set_warehouse ready i
-      (Messaging.Network.can_receive st.net Messaging.Network.To_warehouse);
-    let load = Messaging.Network.load st.net in
-    Scheduler.Ready.set_load ready i load;
-    if load > !inflight_max then inflight_max := load;
-    if Messaging.Network.idle st.net then
-      active := Scheduler.Iset.remove i !active
-    else begin
-      active := Scheduler.Iset.add i !active;
-      if track_scale then begin
-        let c = Scheduler.Iset.cardinal !active in
-        if c > !active_max then active_max := c
-      end
-    end
-  in
-  let refresh_update () =
-    let i = match !pending with [] -> -1 | it :: _ -> site_of_item it in
-    Scheduler.Ready.set_update ready (i >= 0);
-    Scheduler.Ready.set_update_site ready i
-  in
-  (* The spans' logical clock: the engine's step counter, bumped once per
-     scheduler decision before the event executes — deterministic across
-     PAR settings because the loop itself is single-threaded. *)
-  let now () = !steps in
   let obs =
-    match observe with
-    | None -> None
-    | Some oc ->
-      Some
-        {
-          oc;
-          note_spans = Hashtbl.create 64;
-          query_spans = Hashtbl.create 64;
+    Option.map
+      (fun oc ->
+        { oc; note_spans = Hashtbl.create 64; query_spans = Hashtbl.create 64;
           answer_spans = Hashtbl.create 64;
           per_view =
             Array.init nviews (fun _ ->
-                {
-                  ov_last_match = 0;
-                  ov_samples = 0;
-                  ov_sum = 0;
-                  ov_max = 0;
-                  ov_final = 0;
-                  ov_quiesce_max = 0;
-                  ov_collect_span = None;
-                  ov_collect_depth = 0;
-                });
+                { ov_last_match = 0; ov_samples = 0; ov_sum = 0; ov_max = 0;
+                  ov_final = 0; ov_quiesce_max = 0; ov_collect_span = None;
+                  ov_collect_depth = 0 });
           edge_hist = Array.init n (fun _ -> Metrics.hist_create ());
-          uqs_hist = Metrics.hist_create ();
-          compensations = 0;
-          collect_installs = 0;
-          collect_depth_max = 0;
-        }
+          uqs_hist = Metrics.hist_create (); compensations = 0;
+          collect_installs = 0; collect_depth_max = 0 })
+      observe
   in
-  let with_obs f = match obs with None -> () | Some o -> f o in
-  (* Close the span an in-flight message opened, matched by its protocol
-     id, and add its duration to [hist]. A duplicate finds the span
-     already closed and is ignored. *)
-  let close_matched o spans key hist t =
-    match Hashtbl.find_opt spans key with
-    | None -> ()
-    | Some sp -> (
-      Hashtbl.remove spans key;
-      match Observe.Collector.close_span o.oc sp ~now:t with
-      | Some sp -> Metrics.hist_add hist (Observe.Span.duration sp)
-      | None -> ())
+  let st =
+    { sched; sites; owner; views; vname; name_to_idx; vsite; site_views;
+      cross_views = !cross_views; wh_win; oracle_win; warehouse; snap;
+      staged_programs = Array.make nviews None;
+      trace; pending = items; next_seq = 0;
+      c =
+        { steps = 0; ticks = 0; executed = 0; queries_sent = 0; query_bytes = 0;
+          source_io = 0; answers_received = 0; answer_tuples = 0;
+          answer_bytes = 0; ddl_applied = 0; refresh_queries = 0;
+          inflight_max = 0; active_max = 0; coalesced_notes = 0;
+          coalesced_batches = 0 };
+      ready = Scheduler.Ready.create n; active = Scheduler.Iset.empty; obs;
+      negative_installs = []; drained = false;
+      rv_period; local_literal_eval; batch_size; coalesce; share_deltas;
+      track_scale }
   in
-  (* The view/algorithm labels of a query gid, looked up while the
-     warehouse still routes it. *)
-  let gid_labels gid =
-    Option.value ~default:("", "") (Warehouse.gid_view warehouse gid)
-  in
-  (* Sample the per-view staleness gauge: ticks since the warehouse's
-     materialization last equalled the centralized oracle state. Sampled
-     after every state-changing event; [quiesce] marks drained-graph
-     probes, whose maximum is the strong-consistency witness. The
-     warehouse hosts the views in [views] order. *)
-  let sample_staleness ?(quiesce = false) o =
-    let t = now () in
-    List.iteri
-      (fun vi (_, mv) ->
-        let ov = o.per_view.(vi) and name = vname.(vi) in
-        if R.Bag.equal mv (oracle_view vi) then ov.ov_last_match <- t;
-        let stale = t - ov.ov_last_match in
-        ov.ov_samples <- ov.ov_samples + 1;
-        ov.ov_sum <- ov.ov_sum + stale;
-        if stale > ov.ov_max then ov.ov_max <- stale;
-        ov.ov_final <- stale;
-        if quiesce && stale > ov.ov_quiesce_max then ov.ov_quiesce_max <- stale;
-        Observe.Collector.gauge o.oc ~name:"staleness" ~key:name ~now:t
-          ~value:stale)
-      (Warehouse.mvs warehouse)
-  in
-  (* An installed view state with net-negative counts witnesses an
-     over-deletion anomaly; correct algorithms never produce one. *)
-  let negative_installs = ref [] in
-  let watch_installs installs =
-    List.iter
-      (fun (name, states) ->
-        List.iter
-          (fun mv ->
-            if R.Bag.has_negative mv then begin
-              Log.warn (fun f ->
-                  f "view %s installed a negative state: %s" name
-                    (R.Bag.to_string mv));
-              negative_installs := (name, mv) :: !negative_installs
-            end)
-          states)
-      installs
-  in
-  let ship_queries queries =
-    List.iter
-      (fun (gid, q) ->
-        let i =
-          if n = 1 then 0
-          else
-            match R.Query.base_relations q with
-            | rel :: _ -> site_of rel
-            | [] -> 0  (* all-literal queries can go anywhere; pick the first *)
-        in
-        let msg = Messaging.Message.Query { id = gid; query = q } in
-        Log.debug (fun f -> f "ship %a" Messaging.Message.pp msg);
-        incr queries_sent;
-        query_bytes := !query_bytes + Messaging.Message.byte_size msg;
-        with_obs (fun o ->
-            (* Open for the whole round trip: this is the query's
-               residency in the algorithm's unanswered-query set. *)
-            let view, algo = gid_labels gid in
-            let sp =
-              Observe.Collector.open_span o.oc Observe.Span.Query_send ~view
-                ~algo ~site:sites.(i).spec_name ~ids:[ gid ] ~now:(now ()) ()
-            in
-            Hashtbl.replace o.query_spans gid sp);
-        Messaging.Network.send sites.(i).net Messaging.Network.To_source msg;
-        refresh_edge i)
-      queries
-  in
-  (* A schema change at source [i]: apply it to the base relations,
-     rewrite the oracle's definitions of every affected view (their delta
-     programs are restaged on next use), and notify the warehouse with a
-     [Ddl_note] on the owning edge. On a FIFO edge the note precedes
-     every later message, so the warehouse always rebuilds before any
-     tombstone answer arrives — the order raw faulty channels may
-     break. *)
-  let source_ddl i (d : R.Update.ddl) =
-    (try
-       Source_site.Source.execute_ddl sites.(i).source d;
-       for vi = 0 to nviews - 1 do
-         if R.Evolve.affects views_arr.(vi) d then begin
-           views_arr.(vi) <- R.Evolve.viewdef views_arr.(vi) d;
-           staged_programs.(vi) <- None;
-           (match owin vi with
-           | Some st -> Window.rebuild st views_arr.(vi)
-           | None -> ());
-           snap.(vi) <- snapshot_view vi
-         end
-       done
-     with R.Evolve.Evolve_error msg | R.Db.Db_error msg ->
-       error "schema change %s rejected: %s" (R.Update.ddl_to_string d) msg);
-    R.Delta_program.clear_cache ();
-    incr ddl_applied;
-    let affected = ref [] in
-    for vi = nviews - 1 downto 0 do
-      if R.Evolve.affects views_arr.(vi) d then
-        affected := (vname.(vi), oracle_view vi) :: !affected
-    done;
-    let msg = Messaging.Message.Ddl_note d in
-    Log.debug (fun f -> f "ddl %a" Messaging.Message.pp msg);
-    Messaging.Network.send sites.(i).net Messaging.Network.To_warehouse msg;
-    with_obs (fun o -> sample_staleness o);
-    Trace.record trace
-      (Trace.Source_ddl { ddl = d; source_views = !affected })
-  in
-  (* The updates of one source event, taken off [pending] and numbered:
-     up to [batch_size] consecutive updates of source [i] (a batch never
-     spans sources), then with [coalesce] every further consecutive update
-     of the same relation and kind — one update-class run that ships as a
-     single [Batch_note] down the compiled [apply_batch] path. Only exact
-     same-class neighbors coalesce, so the notification's event semantics
-     (one atomic batch at one source) are unchanged. *)
-  let take_batch i first =
-    let rec absorb k (prev : R.Update.t) acc =
-      match !pending with
-      | `U (u : R.Update.t) :: rest
-        when site_of u.R.Update.rel = i
-             && (k < batch_size
-                || coalesce
-                   && String.equal u.R.Update.rel prev.R.Update.rel
-                   && u.R.Update.kind = prev.R.Update.kind) ->
-        pending := rest;
-        if k >= batch_size then begin
-          if k = batch_size then incr coalesced_batches;
-          incr coalesced_notes
-        end;
-        incr next_seq;
-        let u =
-          if u.R.Update.seq = 0 then R.Update.with_seq !next_seq u else u
-        in
-        absorb (k + 1) u (u :: acc)
-      | _ -> List.rev acc
-    in
-    absorb 0 first []
-  in
-  (* A DML event at source [i]: execute the batch one update-class run at
-     a time, advancing every snapshot once per run, then notify the
-     warehouse once. An update the source rejects aborts the run. *)
-  let source_batch i first =
-    let batch = take_batch i first in
-    let st = sites.(i) in
-    List.iter
-      (fun run ->
-        List.iter
-          (fun u ->
-            try Source_site.Source.execute_update st.source u
-            with R.Db.Db_error msg | R.Schema.Schema_error msg ->
-              error "site %s rejected update %s: %s" st.spec_name
-                (R.Update.to_string u) msg)
-          run;
-        advance_snapshots_run i run)
-      (R.Delta_program.runs batch);
-    if windows <> [] then
-      List.iter
-        (fun u -> Hashtbl.iter (fun _ w -> Window.observe_update w u) oracle_win)
-        batch;
-    let note =
-      match batch with
-      | [ u ] -> Messaging.Message.Update_note u
-      | us -> Messaging.Message.Batch_note us
-    in
-    Messaging.Network.send st.net Messaging.Network.To_warehouse note;
-    executed := !executed + List.length batch;
-    with_obs (fun o ->
-        let seqs = List.map (fun u -> u.R.Update.seq) batch in
-        let site = st.spec_name in
-        Observe.Collector.instant o.oc Observe.Span.Source_apply ~site
-          ~ids:seqs ~now:(now ()) ();
-        (* The notification's flight, matched at the warehouse by the
-           batch's first update seq. *)
-        let sp =
-          Observe.Collector.open_span o.oc Observe.Span.Update_note ~site
-            ~ids:seqs ~now:(now ()) ()
-        in
-        (match seqs with
-        | s :: _ -> Hashtbl.replace o.note_spans (i, s) sp
-        | [] -> ());
-        sample_staleness o);
-    Trace.record trace
-      (Trace.Source_update { updates = batch; source_views = affected_views i })
-  in
-  (* Handler of a source event: the next workload item's source executes
-     it atomically — a schema change always alone, never batched or
-     coalesced with DML. *)
-  let source_event () =
-    match !pending with
-    | [] -> raise (Engine_error "source event with an empty workload")
-    | item :: rest ->
-      let i = site_of_item item in
-      (match item with
-      | `D d ->
-        pending := rest;
-        source_ddl i d
-      | `U u -> source_batch i u);
-      refresh_edge i;
-      refresh_update ()
-  in
-  (* Handler of a source receive: answer one query against the source's
-     current state and send the answer back on the same edge. *)
-  let source_receive i =
-    (match
-       Messaging.Network.receive sites.(i).net Messaging.Network.To_source
-     with
-    | None -> raise (Engine_error "source_receive on empty channel")
-    | Some (Messaging.Message.Query { id; query }) ->
-      let answer, cost =
-        Source_site.Source.answer_query sites.(i).source ~id query
-      in
-      source_io := !source_io + cost.Storage.Cost.io;
-      with_obs (fun o ->
-          let view, algo = gid_labels id in
-          let sp =
-            Observe.Collector.open_span o.oc Observe.Span.Answer_arrival ~view
-              ~algo ~site:sites.(i).spec_name ~ids:[ id ] ~now:(now ()) ()
-          in
-          Hashtbl.replace o.answer_spans id sp);
-      Messaging.Network.send sites.(i).net Messaging.Network.To_warehouse
-        (Messaging.Message.Answer { id; answer; cost });
-      Trace.record trace (Trace.Source_answer { gid = id; answer; cost })
-    | Some _ -> raise (Engine_error "source received a non-query message"));
-    refresh_edge i
-  in
-  (* The warehouse's rebuild callback for one schema change: rewrite the
-     hosted definition and swap in an online-refreshing ECA instance
-     (the universal rung — a view that sat on a cheaper rung is demoted
-     until its next registration), re-wrapped in its window when the
-     view is windowed. The refresh instance starts from an empty
-     materialization and a full-view query; it never reads source state
-     directly. *)
-  let rebuild_view d vd =
-    let vd' = R.Evolve.viewdef vd d in
-    let cfg =
-      Algorithm.Config.make ~rv_period ?local_literal_eval ~view:vd'
-        ~init_mv:R.Bag.empty ()
-    in
-    let inst, outcome = Eca.refresh cfg in
-    let inst =
-      match Hashtbl.find_opt wh_win vd'.R.Viewdef.name with
-      | None -> inst
-      | Some st ->
-        Window.rebuild st vd';
-        Window.wrap st inst
-    in
-    (vd', inst, outcome)
-  in
-  (* A notification landed at the warehouse: close its flight span, then
-     derive one Compensation event per query still outstanding — those
-     are exactly the in-flight queries the algorithm must offset against
-     this update (Section 4's compensation). *)
-  let obs_note_arrival o i t (us : R.Update.t list) =
-    match us with
-    | [] -> ()
-    | { R.Update.seq; _ } :: _ ->
-      close_matched o o.note_spans (i, seq) o.edge_hist.(i) t;
-      List.iter
-        (fun gid ->
-          o.compensations <- o.compensations + 1;
-          let view, algo = gid_labels gid in
-          Observe.Collector.instant o.oc Observe.Span.Compensation ~view ~algo
-            ~site:sites.(i).spec_name ~ids:[ gid; seq ] ~now:t ())
-        (List.sort Int.compare
-           (Hashtbl.fold (fun gid _ acc -> gid :: acc) o.query_spans []))
-  in
-  (* The bookkeeping both warehouse events share — a received message
-     and a quiescence probe: ship the reaction's queries, watch its
-     installs, then observe. [answer] is the gid of a processed answer
-     with its owning view's name and algorithm when observed: the
-     query's UQS residency ends here, and if the view installed nothing
-     the answer parked in COLLECT. Installs flush a view's parked
-     answers: its open Collect_install span closes and the depth
-     resets. *)
-  let after_reaction ?answer ?(probe = false) (r : Warehouse.reaction) =
-    ship_queries r.Warehouse.queries;
-    watch_installs r.Warehouse.installs;
-    with_obs (fun o ->
-        let t = now () in
-        (match answer with
-        | Some (gid, _) -> close_matched o o.query_spans gid o.uqs_hist t
-        | None -> ());
-        let per_view name =
-          Option.map (Array.get o.per_view) (Hashtbl.find_opt name_to_idx name)
-        in
-        List.iter
-          (fun (name, states) ->
-            o.collect_installs <- o.collect_installs + List.length states;
-            match per_view name with
-            | Some ({ ov_collect_span = Some sp; _ } as ov) ->
-              ignore (Observe.Collector.close_span o.oc sp ~now:t);
-              ov.ov_collect_span <- None;
-              ov.ov_collect_depth <- 0
-            | _ -> ())
-          r.Warehouse.installs;
-        (match answer with
-        | Some (_, Some (name, algo))
-          when not (List.mem_assoc name r.Warehouse.installs) ->
-          Option.iter
-            (fun ov ->
-              ov.ov_collect_depth <- ov.ov_collect_depth + 1;
-              if ov.ov_collect_depth > o.collect_depth_max then
-                o.collect_depth_max <- ov.ov_collect_depth;
-              if ov.ov_collect_span = None then
-                ov.ov_collect_span <-
-                  Some
-                    (Observe.Collector.open_span o.oc
-                       Observe.Span.Collect_install ~view:name ~algo
-                       ~site:"warehouse" ~ids:[] ~now:t ()))
-            (per_view name)
-        | _ -> ());
-        if probe then
-          Observe.Collector.instant o.oc Observe.Span.Quiescence
-            ~site:"warehouse" ~ids:[] ~now:t ();
-        sample_staleness ~quiesce:probe o)
-  in
-  let note us (r : Warehouse.reaction) =
-    Trace.record trace
-      (Trace.Warehouse_note
-         {
-           updates = us;
-           queries = r.Warehouse.queries;
-           installs = r.Warehouse.installs;
-         });
-    (r, None)
-  in
-  (* Handler of a warehouse receive: one dispatch on the message kind.
-     Each kind's arrival is observed, handled and traced; the reaction's
-     shared bookkeeping follows. *)
-  let warehouse_receive i =
-    let t = now () in
-    let reaction, answer =
-      match
-        Messaging.Network.receive sites.(i).net Messaging.Network.To_warehouse
-      with
-      | None -> raise (Engine_error "warehouse_receive on empty channel")
-      | Some (Messaging.Message.Update_note u) ->
-        with_obs (fun o -> obs_note_arrival o i t [ u ]);
-        note [ u ] (Warehouse.handle_update warehouse u)
-      | Some (Messaging.Message.Batch_note us) ->
-        with_obs (fun o -> obs_note_arrival o i t us);
-        note us (Warehouse.handle_batch warehouse us)
-      | Some (Messaging.Message.Answer { id; answer; cost }) ->
-        incr answers_received;
-        answer_tuples := !answer_tuples + cost.Storage.Cost.answer_tuples;
-        answer_bytes := !answer_bytes + cost.Storage.Cost.answer_bytes;
-        (* The owning view, read before [handle_answer] consumes the
-           gid's route. *)
-        let view =
-          match obs with
-          | None -> None
-          | Some o ->
-            close_matched o o.answer_spans id o.edge_hist.(i) t;
-            Warehouse.gid_view warehouse id
-        in
-        let r = Warehouse.handle_answer warehouse ~gid:id answer in
-        Trace.record trace
-          (Trace.Warehouse_answer { gid = id; installs = r.Warehouse.installs });
-        (r, Some (id, view))
-      | Some (Messaging.Message.Ddl_note d) ->
-        let r, rebuilt =
-          Warehouse.apply_ddl warehouse d ~rebuild:(rebuild_view d)
-        in
-        refresh_queries := !refresh_queries + List.length r.Warehouse.queries;
-        Trace.record trace
-          (Trace.Warehouse_ddl
-             {
-               ddl = d;
-               rebuilt;
-               queries = r.Warehouse.queries;
-               installs = r.Warehouse.installs;
-             });
-        (r, None)
-      | Some
-          (( Messaging.Message.Query _ | Messaging.Message.Data _
-           | Messaging.Message.Ack _ ) as msg) ->
-        (* Misrouted: the warehouse records an anomaly and produces no
-           reaction — nothing to trace. *)
-        (Warehouse.misrouted warehouse msg, None)
-    in
-    after_reaction ?answer reaction;
-    (* [ship_queries] already refreshed the edges it sent on; this
-       edge's receive side changed too. *)
-    refresh_edge i
-  in
-  (* Handler of a transport tick: messages are in flight but none is
-     deliverable — delayed transmissions ripening, or reliability-layer
-     frames awaiting acks/retransmission. Advance the transport clock of
-     every busy edge one tick; the tick is a scheduler decision, so
-     faulty runs stay deterministic. Idle edges are left alone: their
-     clocks only matter relative to their own traffic — and the walk
-     visits only the active set, not all N sites. *)
-  let tick () =
-    Scheduler.Iset.iter
-      (fun i ->
-        let st = sites.(i) in
-        Messaging.Network.tick st.net;
-        st.ticks <- st.ticks + 1;
-        refresh_edge i)
-      !active;
-    incr ticks
-  in
-  (* Handler of a quiescence probe on the drained graph (where RV flushes
-     a partial period). True when the probe produced new work. *)
-  let quiescence_probe () =
-    let r = Warehouse.quiesce warehouse in
-    after_reaction ~probe:true r;
-    let more = r.Warehouse.queries <> [] || r.Warehouse.installs <> [] in
-    if more then
-      Trace.record trace
-        (Trace.Quiesce_probe
-           { queries = r.Warehouse.queries; installs = r.Warehouse.installs });
-    more
-  in
-  refresh_update ();
-  let rec loop () =
-    incr steps;
-    if !steps > max_steps then
+  refresh_update st;
+  k st
+
+let start = with_options Fun.id
+
+let step st =
+  if st.drained then None
+  else begin
+    st.c.steps <- st.c.steps + 1;
+    if st.c.steps > max_steps then
       raise (Engine_error "simulation exceeded max_steps");
-    match Scheduler.pick_ready sched ready with
-    | Some Scheduler.Apply ->
-      source_event ();
-      loop ()
-    | Some (Scheduler.Site_source i) ->
-      source_receive i;
-      loop ()
-    | Some (Scheduler.Site_warehouse i) ->
-      warehouse_receive i;
-      loop ()
-    | None when not (Scheduler.Iset.is_empty !active) ->
-      tick ();
-      loop ()
-    | None -> if quiescence_probe () then loop ()
-  in
-  loop ();
+    let ev =
+      match Scheduler.pick_ready st.sched st.ready with
+      | Some ev -> Pick ev
+      | None when not (Scheduler.Iset.is_empty st.active) -> Tick
+      | None -> Probe
+    in
+    (match ev with
+    | Pick Scheduler.Apply -> source_event st
+    | Pick (Scheduler.Site_source i) -> source_receive st i
+    | Pick (Scheduler.Site_warehouse i) -> warehouse_receive st i
+    | Tick -> tick st
+    | Probe -> st.drained <- not (quiescence_probe st));
+    Some ev
+  end
+
+let finish st : result =
+  while Option.is_some (step st) do () done;
+  let c = st.c in
   (* Spans whose closing message was lost forever on a raw faulty edge
      never terminate on their own — force-close them so every trace is
      well-formed, and count them as lost frames. *)
   let observe =
     Option.map
       (fun o ->
-        Observe.Collector.close_all o.oc ~now:(now ());
-        {
-          Metrics.spans = Observe.Collector.spans_recorded o.oc;
+        Observe.Collector.close_all o.oc ~now:st.c.steps;
+        { Metrics.spans = Observe.Collector.spans_recorded o.oc;
           span_dropped = Observe.Collector.dropped o.oc;
           span_forced = Observe.Collector.forced_closes o.oc;
           gauges = Observe.Collector.gauges_recorded o.oc;
           compensations = o.compensations;
           collect_installs = o.collect_installs;
-          collect_depth_max = o.collect_depth_max;
-          uqs_residency = o.uqs_hist;
+          collect_depth_max = o.collect_depth_max; uqs_residency = o.uqs_hist;
           edge_latency =
             Array.to_list
-              (Array.mapi (fun i h -> (sites.(i).spec_name, h)) o.edge_hist);
+              (Array.mapi (fun i h -> (st.sites.(i).spec_name, h)) o.edge_hist);
           staleness =
             List.mapi
               (fun vi ov ->
-                ( vname.(vi),
-                  {
-                    Metrics.stale_samples = ov.ov_samples;
+                ( st.vname.(vi),
+                  { Metrics.stale_samples = ov.ov_samples;
                     stale_max = ov.ov_max;
                     stale_mean =
                       (if ov.ov_samples = 0 then 0.0
                        else float_of_int ov.ov_sum /. float_of_int ov.ov_samples);
                     stale_final = ov.ov_final;
-                    stale_quiesce_max = ov.ov_quiesce_max;
-                  } ))
-              (Array.to_list o.per_view);
-        })
-      obs
+                    stale_quiesce_max = ov.ov_quiesce_max } ))
+              (Array.to_list o.per_view) })
+      st.obs
   in
   let site_delivery =
     Array.to_list
       (Array.map
-         (fun st ->
-           let rel f =
-             match Messaging.Network.reliability st.net with
-             | Some s -> f s
-             | None -> 0
-           in
-           ( st.spec_name,
-             {
-               Metrics.ticks = st.ticks;
+         (fun site ->
+           let r = Messaging.Network.reliability site.net in
+           let rel f = Option.fold ~none:0 ~some:f r in
+           ( site.spec_name,
+             { Metrics.ticks = site.ticks;
                retransmits = rel (fun s -> s.Messaging.Reliable.retransmits);
                dups_dropped = rel (fun s -> s.Messaging.Reliable.dups_dropped);
                acks = rel (fun s -> s.Messaging.Reliable.acks_sent);
-               msgs_dropped = Messaging.Network.total_dropped st.net;
-               msgs_duplicated = Messaging.Network.total_duplicated st.net;
+               msgs_dropped = Messaging.Network.total_dropped site.net;
+               msgs_duplicated = Messaging.Network.total_duplicated site.net;
                delivered = rel (fun s -> s.Messaging.Reliable.delivered);
                latency_total = rel (fun s -> s.Messaging.Reliable.latency_total);
                latency_max = rel (fun s -> s.Messaging.Reliable.latency_max);
-               wire_messages = Messaging.Network.total_messages st.net;
-               wire_bytes = Messaging.Network.total_bytes st.net;
-             } ))
-         sites)
+               wire_messages = Messaging.Network.total_messages site.net;
+               wire_bytes = Messaging.Network.total_bytes site.net } ))
+         st.sites)
   in
   let delivery =
-    {
-      (List.fold_left
+    { (List.fold_left
          (fun acc (_, d) -> Metrics.add_delivery acc d)
          Metrics.no_delivery site_delivery)
-      with
-      Metrics.ticks = !ticks;
-    }
+      with Metrics.ticks = c.ticks }
   in
   let shared =
-    if not share_deltas then None
+    if not st.share_deltas then None
     else
       let shared_evaluated, shared_hits, shared_fanout =
-        Warehouse.shared_counters warehouse
+        Warehouse.shared_counters st.warehouse
       in
       Some { Metrics.shared_evaluated; shared_hits; shared_fanout }
   in
   let evolution =
-    if !ddl_applied = 0 && windows = [] then None
+    if c.ddl_applied = 0 && Hashtbl.length st.wh_win = 0 then None
     else
       let views_rebuilt, retired_answers =
-        Warehouse.evolution_counters warehouse
+        Warehouse.evolution_counters st.warehouse
       in
       (* [wh_win] holds the states the window wrappers share; they
          survive rebuilds. *)
       let win_pruned_terms, win_local_answers, win_aged_partitions =
         Hashtbl.fold
-          (fun _ st (p, l, a) ->
-            let p', l', a' = Window.counters st in
+          (fun _ w (p, l, a) ->
+            let p', l', a' = Window.counters w in
             (p + p', l + l', a + a'))
-          wh_win (0, 0, 0)
+          st.wh_win (0, 0, 0)
       in
       Some
-        {
-          Metrics.ddl_applied = !ddl_applied;
-          views_rebuilt;
-          refresh_queries = !refresh_queries;
+        { Metrics.ddl_applied = c.ddl_applied; views_rebuilt;
+          refresh_queries = c.refresh_queries;
           stale_answers =
             Array.fold_left
-              (fun acc st -> acc + Source_site.Source.stale_answers st.source)
-              0 sites;
-          retired_answers;
-          win_pruned_terms;
-          win_local_answers;
-          win_aged_partitions;
-        }
+              (fun acc site ->
+                acc + Source_site.Source.stale_answers site.source)
+              0 st.sites;
+          retired_answers; win_pruned_terms; win_local_answers;
+          win_aged_partitions }
   in
   let metrics =
-    {
-      Metrics.updates = !executed;
-      queries_sent = !queries_sent;
-      answers_received = !answers_received;
-      answer_tuples = !answer_tuples;
-      answer_bytes = !answer_bytes;
-      query_bytes = !query_bytes;
-      source_io = !source_io;
-      steps = !steps;
-      delivery;
-      site_delivery;
-      observe;
-      shared;
+    { Metrics.updates = c.executed; queries_sent = c.queries_sent;
+      answers_received = c.answers_received; answer_tuples = c.answer_tuples;
+      answer_bytes = c.answer_bytes; query_bytes = c.query_bytes;
+      source_io = c.source_io; steps = c.steps; delivery; site_delivery;
+      observe; shared;
       scale =
-        (if not track_scale then None
+        (if not st.track_scale then None
          else
            Some
-             {
-               Metrics.inflight_max = !inflight_max;
-               coalesced_notes = !coalesced_notes;
-               coalesced_batches = !coalesced_batches;
-               active_max = !active_max;
-             });
-      selfmaint = Warehouse.selfmaint_counters warehouse;
-      evolution;
-    }
+             { Metrics.inflight_max = c.inflight_max;
+               coalesced_notes = c.coalesced_notes;
+               coalesced_batches = c.coalesced_batches;
+               active_max = c.active_max });
+      selfmaint = Warehouse.selfmaint_counters st.warehouse; evolution }
   in
   let reports =
     List.map
       (fun (name, (source_states, warehouse_states)) ->
         (name, Consistency.check ~source_states ~warehouse_states))
-      (Trace.states trace (List.map (fun v -> v.R.Viewdef.name) views))
+      (Trace.states st.trace (Array.to_list st.vname))
   in
-  {
-    trace;
-    metrics;
-    reports;
-    final_mvs = Warehouse.mvs warehouse;
-    final_source_views = oracle_views ();
-    negative_installs = List.rev !negative_installs;
+  { trace = st.trace; metrics; reports;
+    final_mvs = Warehouse.mvs st.warehouse;
+    final_source_views =
+      oracle_views st (List.init (Array.length st.views) Fun.id);
+    negative_installs = List.rev st.negative_installs;
     sources =
-      Array.to_list (Array.map (fun st -> (st.spec_name, st.source)) sites);
-    warehouse_anomalies = Warehouse.anomalies warehouse;
-  }
+      Array.to_list
+        (Array.map (fun site -> (site.spec_name, site.source)) st.sites);
+    warehouse_anomalies = Warehouse.anomalies st.warehouse }
+
+let run = with_options finish

@@ -4,32 +4,26 @@
     Nodes are {!Source_site.Source}s plus a single warehouse; each source
     is connected by its own edge — a {!Messaging.Network} channel pair
     with its own optional fault profile, reliability sublayer and
-    retransmit clock. One atomic-event loop generalizes the single-source
-    semantics of the paper: an iteration is one source event (an update,
-    a batch or a DDL, plus its notification), one query answered at a
-    source, one message processed at the warehouse, one tick or one
-    probe, under a {!Scheduler.policy} multiplexing the enabled events
-    across sites. When nothing is enabled but messages are in flight,
-    every busy edge's transport clock advances one tick; when the graph
-    is fully drained the warehouse gets a quiescence probe (where RV
-    flushes a partial period), and the run ends when the probe produces
-    no new work. The step limit counts every iteration, ticks and probes
-    included, so [metrics.steps] is the trace's entry count plus the
-    ticks plus the final probe.
+    retransmit clock. A run in progress is one {!state}: the site graph,
+    the scheduler's ready sets, the oracle, the unexecuted workload, the
+    trace, the warehouse and the counters. {!start} builds it; each
+    {!step} executes one atomic event, generalizing the single-source
+    semantics of the paper: one source event (an update, a batch or a
+    DDL, plus its notification), one query answered at a source or one
+    message processed at the warehouse, picked by a {!Scheduler.policy}
+    among the enabled events across sites. When nothing is enabled but
+    messages are in flight, every busy edge's transport clock advances
+    one tick; when the graph is fully drained the warehouse gets a
+    quiescence probe (where RV flushes a partial period), and the run
+    ends when the probe produces no new work. Every step counts toward
+    the step limit, so [metrics.steps] is the trace's entry count plus
+    the ticks plus the final probe. {!finish} assembles the {!result}.
 
-    {!run} is the one entry point for every run: the paper's single
-    source is the one-site graph [[site ~name:"source" db]], the
-    Section 7 federation one site per source, and a {!Catalog} supplies
-    [~creator], [~views] and [~windows]. The golden-trace suite pins its
-    output byte-for-byte.
-
-    Relations are owned by exactly one source; views bind to the unique
-    source owning all their relations and are judged against that
-    source's state sequence. Views spanning several sources are rejected
-    unless [~allow_cross_source:true] opts into the naive fetch-join
-    demonstration, judged against the merged global state. With a single
-    source, every view binds to it unconditionally — the historical
-    single-source driver's leniency.
+    {!run} is [finish (start …)], the entry point for every whole run:
+    the paper's single source is the one-site graph
+    [[site ~name:"source" db]], the Section 7 federation one site per
+    source, and a {!Catalog} supplies [~creator], [~views] and
+    [~windows]. The golden-trace suite pins its output byte-for-byte.
 
     The consistency oracle — the source-view states [V[ss_0], V[ss_1],
     …] recorded in the trace — advances once per update-class run of a
@@ -82,48 +76,47 @@ type result = {
           {!Warehouse.anomalies}) *)
 }
 
-val run :
-  ?schedule:Scheduler.policy ->
-  ?rv_period:int ->
-  ?batch_size:int ->
-  ?local_literal_eval:bool ->
-  ?allow_cross_source:bool ->
-  ?observe:Observe.Collector.t ->
-  ?share_deltas:bool ->
-  ?coalesce:bool ->
-  ?track_scale:bool ->
-  ?evolution:(int * R.Update.ddl) list ->
-  ?windows:(string * Window.spec) list ->
-  creator:Algorithm.creator ->
-  sites:site_spec list ->
-  views:R.Viewdef.t list ->
-  updates:R.Update.t list ->
-  unit ->
-  result
-(** Replays the update stream over the site graph. Each update routes to
-    the source owning its relation and executes there; updates with
-    [seq = 0] are numbered in global stream order. With [batch_size > 1]
-    one source event atomically executes up to that many {e consecutive
-    same-source} updates and sends a single batched notification — a
-    batch never spans sources. Queries route to the source owning their
-    base relations. Initial materialized views are computed from the
-    site databases (the paper's "initially correct" assumption).
+type state
+(** A run in progress. *)
 
-    @raise Engine_error when [batch_size] or [rv_period] is below 1, the
-    schedule's bound or quantum is below 1, two views share a name, a
-    relation is owned by two sources, a view uses an unowned relation or spans several sources
-    without [~allow_cross_source], an update or query targets an unowned
-    relation, a source rejects an update (a delete of an absent tuple, a
-    wrong-arity insert, an insert into an unknown relation of a single
-    source, a key violation) or a schema change, a protocol invariant
-    breaks, or the run exceeds 2,000,000 engine steps.
+type event =
+  | Pick of Scheduler.event
+      (** the scheduler's pick: one [S_up], [S_qu], [W_up] or [W_ans] *)
+  | Tick  (** every busy edge's transport clock advanced one tick *)
+  | Probe  (** a quiescence probe of the drained graph *)
 
-    With [?observe] the loop additionally emits a typed span per atomic
-    event into the collector — clocked by the deterministic step counter,
-    so traces reproduce exactly across runs — plus per-view staleness
-    gauges, and [result.metrics.observe] carries the derived summary.
-    Without it the engine takes no observability branch at all: metrics,
-    trace and reports are byte-identical to an unobserved build.
+type 'a options =
+  ?schedule:Scheduler.policy -> ?rv_period:int -> ?batch_size:int ->
+  ?local_literal_eval:bool -> ?allow_cross_source:bool ->
+  ?observe:Observe.Collector.t -> ?share_deltas:bool -> ?coalesce:bool ->
+  ?track_scale:bool -> ?evolution:(int * R.Update.ddl) list ->
+  ?windows:(string * Window.spec) list -> creator:Algorithm.creator ->
+  sites:site_spec list -> views:R.Viewdef.t list -> updates:R.Update.t list ->
+  unit -> 'a
+(** A run's inputs, taken alike by {!start} and {!run}. The update
+    stream replays over the site graph, whose sources own disjoint
+    relations. Each update executes at the source owning its relation,
+    and each query at the source owning its base relations; updates with
+    [seq = 0] are numbered in global stream order. Each view binds to
+    the unique source owning all its relations and is judged against
+    that source's state sequence; with a single source every view binds
+    to it unconditionally. Views spanning several sources are rejected
+    unless [~allow_cross_source:true] opts into the naive fetch-join
+    demonstration, judged against the merged global state. Initial
+    materialized views are computed from the site databases (the
+    paper's "initially correct" assumption).
+
+    With [batch_size > 1] one source event atomically executes up to
+    that many {e consecutive same-source} updates and sends a single
+    batched notification — a batch never spans sources.
+
+    With [?observe] the engine additionally emits a typed span per
+    atomic event into the collector — clocked by the deterministic step
+    counter, so traces reproduce exactly across runs — plus per-view
+    staleness gauges, and [result.metrics.observe] carries the derived
+    summary. Without it the engine takes no observability branch at
+    all: metrics, trace and reports are byte-identical to an unobserved
+    build.
 
     With [~share_deltas:true] the warehouse runs multi-query-optimized
     shared maintenance (see {!Warehouse.create}): inside one atomic
@@ -141,12 +134,12 @@ val run :
     the whole update-class run executes as one atomic batch and ships as
     a single [Batch_note], feeding the compiled [apply_batch] path at
     the warehouse and cutting the notification count on a hot edge.
-    Default off — and off is byte-identical to the historical engine.
+    Default off.
 
     With [~track_scale:true] the run additionally reports
     [result.metrics.scale]: peak per-edge inflight, coalescing counters
     and the peak active-edge count — the observables of the scale-out
-    machinery. Off by default so reports stay byte-identical.
+    machinery. Default off.
 
     With [~evolution] the update stream carries online schema changes: a
     [(p, ddl)] pair fires after [p] DML updates have executed, as its
@@ -161,8 +154,7 @@ val run :
     On clean or reliable (FIFO) edges the note precedes every tombstone,
     so consistency and convergence survive the boundary; raw faulty
     edges may reorder the note and lose both. [result.metrics.evolution]
-    carries the counters. Empty [evolution] is byte-identical to the
-    historical engine.
+    carries the counters.
 
     With [~windows] the named views are trailing-k-partition views (see
     {!Window}): their warehouse instances are wrapped to filter installs
@@ -170,6 +162,30 @@ val run :
     partitions out deterministically at quiescence probes, while the
     oracle's states are filtered through an independent watermark
     advanced at source execution — windowed runs are judged
-    windowed-vs-windowed.
-    @raise Window.Window_error when a window spec names an unknown view
-    or an invalid partition attribute. *)
+    windowed-vs-windowed. *)
+
+val start : state options
+(** Builds the initial state from validated inputs; no event runs yet.
+    @raise Engine_error when [batch_size] or [rv_period] is below 1, the
+    schedule's bound or quantum is below 1, two views share a name, a
+    relation is owned by two sources, a view uses an unowned relation or
+    spans several sources without [~allow_cross_source], a window names
+    an unknown view, or the first workload item targets an unowned
+    relation.
+    @raise Window.Window_error when a window names an invalid partition
+    attribute. *)
+
+val step : state -> event option
+(** Executes the next atomic event and returns it, or [None] once the
+    final probe has found no new work (and on every later call).
+    @raise Engine_error when the event's update or query targets an
+    unowned relation, its source rejects an update (a delete of an
+    absent tuple, a wrong-arity insert, an insert into an unknown
+    relation of a single source, a key violation) or a schema change, a
+    protocol invariant breaks, or the run exceeds 2,000,000 steps. *)
+
+val finish : state -> result
+(** Steps the state until [None], then assembles the result. *)
+
+val run : result options
+(** [finish (start …)]: a whole run; raises as {!start} and {!step} do. *)

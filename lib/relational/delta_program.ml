@@ -250,8 +250,3 @@ let cache_stats () =
       })
     { domains = 0; views = 0; hits = 0; misses = 0; evictions = 0 }
     ss
-
-let clear_cache () =
-  let s = Domain.DLS.get slot_key in
-  Cache.reset s.table;
-  Atomic.set s.live 0

@@ -84,6 +84,3 @@ type stats = {
 }
 
 val cache_stats : unit -> stats
-
-val clear_cache : unit -> unit
-(** Reset the calling domain's staging cache. *)

@@ -370,8 +370,3 @@ let cache_stats () =
       })
     { domains = 0; plans = 0; hits = 0; misses = 0; evictions = 0 }
     (per_domain_stats ())
-
-let clear_cache () =
-  let s = Domain.DLS.get slot_key in
-  Cache.reset s.table;
-  Atomic.set s.live 0

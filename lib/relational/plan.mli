@@ -94,7 +94,3 @@ val cache_stats : unit -> stats
 val per_domain_stats : unit -> stats list
 (** One entry per domain that has used the cache (each with
     [domains = 1]), in domain-creation order. *)
-
-val clear_cache : unit -> unit
-(** Reset the {e calling} domain's cache (other domains' tables are
-    theirs alone). Counters other than [plans] are left cumulative. *)

@@ -14,12 +14,11 @@ type t = {
   mutable db : R.Db.t;
   catalog : Storage.Catalog.t;
   mutable log : event list;  (* newest first *)
-  mutable io_total : int;
   mutable stale_answers : int;  (* queries answered empty as schema-stale *)
 }
 
 let create ?(catalog = Storage.Catalog.make ()) db =
-  { db; catalog; log = []; io_total = 0; stale_answers = 0 }
+  { db; catalog; log = []; stale_answers = 0 }
 
 let db t = t.db
 
@@ -61,21 +60,10 @@ let answer_query t ~id q =
     let { Storage.Executor.answer; cost; plans = _ } =
       Storage.Executor.run t.catalog t.db q
     in
-    t.io_total <- t.io_total + cost.Storage.Cost.io;
     t.log <- S_qu { id; query = q; answer; cost } :: t.log;
     (answer, cost)
   end
 
-let io_total t = t.io_total
-
 let stale_answers t = t.stale_answers
 
 let events t = List.rev t.log
-
-let update_count t =
-  List.length
-    (List.filter (function S_up _ -> true | S_qu _ | S_ddl _ -> false) t.log)
-
-let query_count t =
-  List.length
-    (List.filter (function S_qu _ -> true | S_up _ | S_ddl _ -> false) t.log)

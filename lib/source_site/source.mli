@@ -44,14 +44,8 @@ val answer_query : t -> id:int -> R.Query.t -> R.Bag.t * Storage.Cost.t
     staged before a schema change — are answered empty at zero cost
     rather than evaluated against schemas they were not staged for. *)
 
-val io_total : t -> int
-(** Cumulative I/Os across all queries answered — the paper's IO metric. *)
-
 val stale_answers : t -> int
 (** Queries answered empty as schema-stale since creation. *)
 
 val events : t -> event list
 (** The event log, oldest first. *)
-
-val update_count : t -> int
-val query_count : t -> int

@@ -464,6 +464,101 @@ let steps_are_atomic_events () =
     "steps = trace entries + ticks + 1 on every run" []
     (List.filter_map Fun.id swept @ evolving)
 
+(* ------------------------------------------------------------------ *)
+(* The stepper: start, step, finish                                     *)
+(* ------------------------------------------------------------------ *)
+
+let step_name = function
+  | E.Pick ev -> event_name ev
+  | E.Tick -> "tick"
+  | E.Probe -> "probe"
+
+(* Every [Some] event of a stepped run, in order; the state is left
+   drained. *)
+let drain st =
+  let rec go acc =
+    match E.step st with Some ev -> go (ev :: acc) | None -> List.rev acc
+  in
+  go []
+
+(* Example 2's interleaving: each scheduler pick is one step, the final
+   work-free probe is the ninth, and the stepper stays done after it. *)
+let example2_steps () =
+  let db = db_of [ (r1, [ [ 1; 2 ] ]); (r2, []) ] in
+  let st =
+    E.start ~schedule:(explicit "AWAWSWSW")
+      ~creator:(Core.Registry.creator_exn "eca") ~sites:[ source db ]
+      ~views:[ vd (view_w ()) ]
+      ~updates:[ ins "r2" [ 2; 3 ]; ins "r1" [ 4; 2 ] ]
+      ()
+  in
+  Alcotest.(check (list string))
+    "A W0 A W0 S0 W0 S0 W0, then the probe"
+    [ "A"; "W0"; "A"; "W0"; "S0"; "W0"; "S0"; "W0"; "probe" ]
+    (List.map step_name (drain st));
+  check_bool "None again after the end" true (E.step st = None);
+  check_int "metrics.steps" 9 (E.finish st).E.metrics.Core.Metrics.steps
+
+(* [E.run]'s arguments, run as [start], [step] by hand until [None], then
+   [finish]; [seen] receives the number of [Some] steps and the
+   result. *)
+let stepped seen : E.result E.options =
+ fun ?schedule ?rv_period ?batch_size ?local_literal_eval ?allow_cross_source
+     ?observe ?share_deltas ?coalesce ?track_scale ?evolution ?windows
+     ~creator ~sites ~views ~updates () ->
+  let st =
+    E.start ?schedule ?rv_period ?batch_size ?local_literal_eval
+      ?allow_cross_source ?observe ?share_deltas ?coalesce ?track_scale
+      ?evolution ?windows ~creator ~sites ~views ~updates ()
+  in
+  let n = List.length (drain st) in
+  let r = E.finish st in
+  seen := (n, r) :: !seen;
+  r
+
+(* Every golden configuration stepped by hand exports byte-identical
+   JSON to [E.run]'s, and its [Some] steps are exactly [metrics.steps] =
+   trace entries + ticks + 1 — the reliable-chaos run's ticks
+   included. *)
+let goldens_step_like_run () =
+  List.iter
+    (fun (name, config) ->
+      let seen = ref [] in
+      Alcotest.(check string)
+        (name ^ ": stepped JSON = run JSON")
+        (config E.run) (config (stepped seen));
+      List.iter
+        (fun (n, (r : E.result)) ->
+          let m = r.E.metrics in
+          check_int (name ^ ": Some steps = metrics.steps") m.Core.Metrics.steps
+            n;
+          check_int (name ^ ": Some steps = entries + ticks + 1")
+            (List.length (Core.Trace.entries r.E.trace)
+            + m.Core.Metrics.delivery.Core.Metrics.ticks + 1)
+            n)
+        !seen;
+      check_int (name ^ ": one stepped run") 1 (List.length !seen))
+    Test_golden.cases
+
+(* [start] only validates and builds: the source rejects an update at
+   the step that executes it. *)
+let rejected_update_raises_from_step () =
+  let db = db_of [ (r1, [ [ 1; 2 ] ]); (r2, [ [ 2; 3 ] ]) ] in
+  let st =
+    E.start ~schedule:S.Worst_case ~creator:(Core.Registry.creator_exn "eca")
+      ~sites:[ source db ] ~views:[ vd (view_w ()) ]
+      ~updates:[ ins "r1" [ 4; 2 ]; del "r1" [ 9; 9 ] ]
+      ()
+  in
+  Alcotest.(check (option string))
+    "the first update applies" (Some "A")
+    (Option.map step_name (E.step st));
+  match E.step st with
+  | _ -> Alcotest.fail "the rejected delete did not raise"
+  | exception E.Engine_error m ->
+    check_bool "names the update" true
+      (String.starts_with ~prefix:"site source rejected update" m)
+
 let suite =
   [
     Alcotest.test_case "multi-site round-robin rotation" `Quick
@@ -478,6 +573,12 @@ let suite =
       duplicate_view_names_rejected;
     Alcotest.test_case "one step is one atomic event" `Quick
       steps_are_atomic_events;
+    Alcotest.test_case "Example 2 steps one event at a time" `Quick
+      example2_steps;
+    Alcotest.test_case "golden configs stepped by hand = run" `Quick
+      goldens_step_like_run;
+    Alcotest.test_case "a rejected update raises from its step" `Quick
+      rejected_update_raises_from_step;
     Alcotest.test_case "federated trace is per-source" `Quick
       federated_trace_is_per_source;
     Alcotest.test_case "cross-source install has no global snapshot" `Quick

@@ -37,41 +37,46 @@ let chain_db () =
 let small_updates =
   [ ins "r2" [ 5; 6 ]; ins "r1" [ 9; 5 ]; del "r1" [ 1; 2 ]; ins "r2" [ 5; 7 ] ]
 
-let runner_json ?schedule ?rv_period ?batch_size ?fault ?fault_seed ?reliable
-    ~algorithm ~views ~db ~updates () =
+(* Every config takes the engine entry it runs through: [E.run] for the
+   golden files; the engine suite replays the same configs stepped by
+   hand. *)
+let runner_json (run : E.result E.options) ?schedule ?rv_period ?batch_size
+    ?fault ?fault_seed ?reliable ~algorithm ~views ~db ~updates () =
   Core.Json_export.result
-    (E.run ?schedule ?rv_period ?batch_size
+    (run ?schedule ?rv_period ?batch_size
        ~creator:(Core.Registry.creator_exn algorithm)
        ~sites:[ source ?fault ?fault_seed ?reliable db ]
        ~views:(List.map R.Viewdef.simple views) ~updates ())
 
-let runner_eca_worst () =
-  runner_json ~schedule:Core.Scheduler.Worst_case ~algorithm:"eca"
+let runner_eca_worst run =
+  runner_json run ~schedule:Core.Scheduler.Worst_case ~algorithm:"eca"
     ~views:[ view_w () ] ~db:(small_db ()) ~updates:small_updates ()
 
-let runner_rv_round_robin () =
-  runner_json ~schedule:Core.Scheduler.Round_robin ~rv_period:2 ~algorithm:"rv"
+let runner_rv_round_robin run =
+  runner_json run ~schedule:Core.Scheduler.Round_robin ~rv_period:2
+    ~algorithm:"rv"
     ~views:[ view_w3 () ]
     ~db:(chain_db ())
     ~updates:[ ins "r3" [ 9; 1 ]; ins "r1" [ 5; 2 ]; del "r2" [ 2; 3 ] ]
     ()
 
-let runner_eca_batched () =
-  runner_json ~schedule:Core.Scheduler.Best_case ~batch_size:2 ~algorithm:"eca"
-    ~views:[ view_w () ] ~db:(small_db ()) ~updates:small_updates ()
+let runner_eca_batched run =
+  runner_json run ~schedule:Core.Scheduler.Best_case ~batch_size:2
+    ~algorithm:"eca" ~views:[ view_w () ] ~db:(small_db ())
+    ~updates:small_updates ()
 
-let runner_lca_random () =
-  runner_json
+let runner_lca_random run =
+  runner_json run
     ~schedule:(Core.Scheduler.Random 9)
     ~algorithm:"lca" ~views:[ view_wy () ] ~db:(small_db ())
     ~updates:small_updates ()
 
-let runner_reliable_chaos () =
+let runner_reliable_chaos run =
   let { Workload.Scenarios.db; view; updates } =
     Workload.Scenarios.example6
       (Workload.Spec.make ~c:12 ~j:3 ~k_updates:8 ~insert_ratio:0.6 ~seed:3 ())
   in
-  runner_json
+  runner_json run
     ~schedule:(Core.Scheduler.Random 3)
     ~fault:Workload.Scenarios.chaos_profile ~fault_seed:21 ~reliable:true
     ~algorithm:"eca" ~views:[ view ] ~db ~updates ()
@@ -117,19 +122,19 @@ let fed_updates =
     ins "dept" [ 30; 100 ];
   ]
 
-let fed_json ?policy ?allow_cross_source ~algorithm ~sources ~views ~updates ()
-    =
+let fed_json (run : E.result E.options) ?policy ?allow_cross_source ~algorithm
+    ~sources ~views ~updates () =
   Core.Json_export.federation_summary
-    (E.run ?schedule:policy ?allow_cross_source
+    (run ?schedule:policy ?allow_cross_source
        ~creator:(Core.Registry.creator_exn algorithm) ~sites:(sites_of sources)
        ~views:(List.map R.Viewdef.simple views) ~updates ())
 
-let fed_eca_drain () =
-  fed_json ~policy:S.Best_case ~algorithm:"eca" ~sources:(fed_sources ())
+let fed_eca_drain run =
+  fed_json run ~policy:S.Best_case ~algorithm:"eca" ~sources:(fed_sources ())
     ~views:[ v_hr; v_sales ] ~updates:fed_updates ()
 
-let fed_eca_updates_first () =
-  fed_json ~policy:S.Worst_case ~algorithm:"eca" ~sources:(fed_sources ())
+let fed_eca_updates_first run =
+  fed_json run ~policy:S.Worst_case ~algorithm:"eca" ~sources:(fed_sources ())
     ~views:[ v_hr; v_sales ] ~updates:fed_updates ()
 
 let v_cross =
@@ -138,14 +143,14 @@ let v_cross =
     ~cond:(R.Predicate.eq_attrs "emp.EID" "cust.CID")
     [ emp; cust ]
 
-let fed_cross_race () =
-  fed_json ~policy:S.Worst_case ~allow_cross_source:true
+let fed_cross_race run =
+  fed_json run ~policy:S.Worst_case ~allow_cross_source:true
     ~algorithm:"fetch-join" ~sources:(fed_sources ()) ~views:[ v_cross ]
     ~updates:[ ins "emp" [ 8; 10 ]; ins "cust" [ 8; 1 ] ]
     ()
 
-let fed_single_source_rv () =
-  fed_json ~policy:S.Worst_case ~algorithm:"rv"
+let fed_single_source_rv run =
+  fed_json run ~policy:S.Worst_case ~algorithm:"rv"
     ~sources:[ ("hr", None, hr_db ()) ]
     ~views:[ v_hr ]
     ~updates:[ ins "emp" [ 3; 10 ]; del "emp" [ 2; 20 ] ]
@@ -190,7 +195,7 @@ let write_file path contents =
 
 let check_case (name, compute) () =
   let file = name ^ ".json" in
-  let json = compute () ^ "\n" in
+  let json = compute E.run ^ "\n" in
   match Sys.getenv_opt "GOLDEN_REGEN" with
   | Some dir ->
     write_file (Filename.concat dir file) json;

@@ -170,10 +170,19 @@ let source_event_log () =
   in
   check_bag "answer against current state" (bag [ [ 1 ] ]) answer;
   check_bool "io charged" true (cost.Storage.Cost.io > 0);
-  check_int "one update logged" 1 (Source_site.Source.update_count source);
-  check_int "one query logged" 1 (Source_site.Source.query_count source);
-  check_int "io accumulated" cost.Storage.Cost.io
-    (Source_site.Source.io_total source)
+  let events = Source_site.Source.events source in
+  let count p = List.length (List.filter p events) in
+  check_int "one update logged" 1
+    (count (function Source_site.Source.S_up _ -> true | _ -> false));
+  check_int "one query logged" 1
+    (count (function Source_site.Source.S_qu _ -> true | _ -> false));
+  check_int "logged io is the answer's"
+    cost.Storage.Cost.io
+    (List.fold_left
+       (fun io -> function
+         | Source_site.Source.S_qu { cost; _ } -> io + cost.Storage.Cost.io
+         | _ -> io)
+       0 events)
 
 (* ------------------------------------------------------------------ *)
 (* Run guards                                                          *)
