@@ -110,7 +110,8 @@ type state = {
   snap : R.Bag.t array;  (* the oracle's current source-view states *)
   staged_programs : R.Delta_program.staged option array;
   trace : Trace.t;
-  mutable pending : [ `U of R.Update.t | `D of R.Update.ddl ] list;
+  mutable pending : (int * [ `U of R.Update.t | `D of R.Update.ddl ]) list;
+      (* each workload item with the site it routes to, routed at [start] *)
   mutable next_seq : int;
   c : counters;
   ready : Scheduler.Ready.t;
@@ -128,16 +129,12 @@ let max_steps = 2_000_000
 
 (* The one owner lookup: the site an update, schema change or query on
    [rel] routes to. With a single source every relation routes to it. *)
-let site_of st rel =
-  if Array.length st.sites = 1 then 0
+let route sites owner rel =
+  if Array.length sites = 1 then 0
   else
-    match Hashtbl.find_opt st.owner rel with
+    match Hashtbl.find_opt owner rel with
     | Some i -> i
     | None -> error "no source owns relation %s" rel
-
-let site_of_item st = function
-  | `U (u : R.Update.t) -> site_of st u.R.Update.rel
-  | `D d -> site_of st (R.Update.ddl_rel d)
 
 let merged_db sites =
   Array.fold_left
@@ -234,7 +231,7 @@ let refresh_edge st i =
   end
 
 let refresh_update st =
-  let i = match st.pending with [] -> -1 | it :: _ -> site_of_item st it in
+  let i = match st.pending with [] -> -1 | (i, _) :: _ -> i in
   Scheduler.Ready.set_update st.ready (i >= 0);
   Scheduler.Ready.set_update_site st.ready i
 
@@ -295,7 +292,7 @@ let ship_queries st queries =
         if Array.length st.sites = 1 then 0
         else
           match R.Query.base_relations q with
-          | rel :: _ -> site_of st rel
+          | rel :: _ -> route st.sites st.owner rel
           | [] -> 0  (* all-literal queries can go anywhere; pick the first *)
       in
       let msg = Messaging.Message.Query { id = gid; query = q } in
@@ -360,8 +357,8 @@ let take_batch st i first =
   let c = st.c in
   let rec absorb k (prev : R.Update.t) acc =
     match st.pending with
-    | `U (u : R.Update.t) :: rest
-      when site_of st u.R.Update.rel = i
+    | (j, `U (u : R.Update.t)) :: rest
+      when j = i
            && (k < st.batch_size
               || st.coalesce
                  && String.equal u.R.Update.rel prev.R.Update.rel
@@ -440,8 +437,7 @@ let source_batch st i first =
 let source_event st =
   match st.pending with
   | [] -> raise (Engine_error "source event with an empty workload")
-  | item :: rest ->
-    let i = site_of_item st item in
+  | (i, item) :: rest ->
     (match item with
     | `D d ->
       st.pending <- rest;
@@ -801,7 +797,9 @@ let with_options (k : state -> 'a) : 'a options =
   (* The workload item stream: DML updates woven with the scheduled
      schema changes. A change at position [p] fires after [p] updates
      have been applied; with no [evolution] the stream is exactly the
-     update list and the run is byte-identical to a pre-evolution one. *)
+     update list and the run is byte-identical to a pre-evolution one.
+     Each item is routed to its site here, once, so an item on a
+     relation no source owns fails [start] wherever it sits. *)
   let items =
     let rec weave applied ups evo acc =
       match (evo, ups) with
@@ -810,9 +808,17 @@ let with_options (k : state -> 'a) : 'a options =
       | _, u :: ups' -> weave (applied + 1) ups' evo (`U u :: acc)
       | _, [] -> List.rev_append acc (List.map (fun (_, d) -> `D d) evo)
     in
-    weave 0 updates
-      (List.stable_sort (fun (a, _) (b, _) -> Int.compare a b) evolution)
-      []
+    List.map
+      (fun item ->
+        let rel =
+          match item with
+          | `U (u : R.Update.t) -> u.R.Update.rel
+          | `D d -> R.Update.ddl_rel d
+        in
+        (route sites owner rel, item))
+      (weave 0 updates
+         (List.stable_sort (fun (a, _) (b, _) -> Int.compare a b) evolution)
+         [])
   in
   let obs =
     Option.map

@@ -170,16 +170,18 @@ val start : state options
     schedule's bound or quantum is below 1, two views share a name, a
     relation is owned by two sources, a view uses an unowned relation or
     spans several sources without [~allow_cross_source], a window names
-    an unknown view, or the first workload item targets an unowned
-    relation.
+    an unknown view, or any workload item (update or schema change)
+    targets a relation no source owns; with a single source every item
+    routes to it, and the source rejects an unknown relation at the
+    {!step} that reaches it.
     @raise Window.Window_error when a window names an invalid partition
     attribute. *)
 
 val step : state -> event option
 (** Executes the next atomic event and returns it, or [None] once the
     final probe has found no new work (and on every later call).
-    @raise Engine_error when the event's update or query targets an
-    unowned relation, its source rejects an update (a delete of an
+    @raise Engine_error when the event's query targets an unowned
+    relation, its source rejects an update (a delete of an
     absent tuple, a wrong-arity insert, an insert into an unknown
     relation of a single source, a key violation) or a schema change, a
     protocol invariant breaks, or the run exceeds 2,000,000 steps. *)

@@ -130,6 +130,12 @@ module Trie = struct
     | Bucket { es; _ } -> List.for_all (fun (t, n) -> p t n) es
     | Branch { l; r; _ } -> for_all p l && for_all p r
 
+  let rec exists p = function
+    | Empty -> false
+    | Leaf { t; n; _ } -> p t n
+    | Bucket { es; _ } -> List.exists (fun (t, n) -> p t n) es
+    | Branch { l; r; _ } -> exists p l || exists p r
+
   (* Buckets hold the same entries in arbitrary order when two bags were
      built along different paths, so bucket equality is multiset
      equality. *)
@@ -385,6 +391,8 @@ let net_cardinality b = fold (fun _ n acc -> acc + n) b 0
 let has_negative b = b.neg > 0
 
 let is_set b = Trie.for_all (fun _ n -> n = 1) b.trie
+
+let exists p b = Trie.exists p b.trie
 
 (* Equal bags have equal sizes and fingerprints, so a mismatch in
    either rejects without walking. *)

@@ -93,6 +93,10 @@ val has_negative : t -> bool
 val is_set : t -> bool
 (** Every count is exactly 1 (ECAK views with full key coverage are sets). *)
 
+val exists : (Tuple.t -> int -> bool) -> t -> bool
+(** Whether some entry satisfies the predicate, stopping at the first
+    that does; entries are tried in unspecified (hash) order. *)
+
 val equal : t -> t -> bool
 (** Rejects in O(1) when the sizes or fingerprints differ; otherwise
     O(distinct tuples). *)

@@ -145,6 +145,10 @@ let scan r keep =
   List.sort Tuple.compare
     (Bag.fold (fun t _ acc -> if keep t then t :: acc else acc) r.bag [])
 
+(* Every count is 1: the net cardinality is the distinct count, and no
+   count is negative. *)
+let is_set r = r.card = Bag.distinct_cardinality r.bag && not (Bag.has_negative r.bag)
+
 (* [r] with [bag], which [Bag.add_get ~count tuple r.bag] returned with
    the tuple's [before] count, carrying every built index forward: an
    index changes only when the tuple appears or disappears. *)
@@ -177,12 +181,10 @@ let find db name =
 
 (* Does [r] hold a positively counted tuple whose columns at [positions]
    equal [values]? One index probe on the first column, the rest checked
-   per candidate. *)
+   per candidate; without an index, a walk that stops at the first hit. *)
 let exists_match r positions values =
   let agree ps vs t = List.for_all2 (fun p v -> Value.equal (Tuple.get t p) v) ps vs in
-  let scan () =
-    Bag.fold (fun t n acc -> acc || (n > 0 && agree positions values t)) r.bag false
-  in
+  let scan () = Bag.exists (fun t n -> n > 0 && agree positions values t) r.bag in
   match positions, values with
   | p :: ps, v :: vs -> (
     match index_opt r p with
@@ -372,35 +374,45 @@ let int_window f =
   let hi = if c > max_int - 1024 then max_int else c + 1024 in
   (lo, hi)
 
-let int_partners ix f =
-  if ix.ints = 0 || not (Float.is_integer f) then []
-  else if Float.abs f < 0x1p53 then bucket ix (Value.Int (int_of_float f))
+(* [g] of every bucket whose Int key compares equal to the float [f]. *)
+let iter_int_partners ix f g =
+  if ix.ints = 0 || not (Float.is_integer f) then ()
+  else if Float.abs f < 0x1p53 then g (bucket ix (Value.Int (int_of_float f)))
   else
     let lo, hi = int_window f in
     Vmap.to_seq_from (Value.Int lo) ix.map
     |> Seq.take_while (fun (v, _) -> Value.compare v (Value.Int hi) <= 0)
-    |> Seq.filter (fun (v, _) -> Value.compare_for_predicate v (Value.Float f) = 0)
-    |> Seq.fold_left (fun acc (_, ts) -> List.merge Tuple.compare acc ts) []
+    |> Seq.iter (fun (v, ts) ->
+           if Value.compare_for_predicate v (Value.Float f) = 0 then g ts)
 
-let matching db name col =
+(* [f t (count t)] for every tuple [t] of one index bucket. *)
+let rec hand f count = function
+  | [] -> ()
+  | t :: ts ->
+    f t (count t);
+    hand f count ts
+
+let probe db name col =
   let r = find db name in
   column r name col;
   match index_opt r col with
   | None ->
-    fun v -> scan r (fun t -> Value.compare_for_predicate (Tuple.get t col) v = 0)
+    (* A small relation: one walk hands each match the count it holds. *)
+    fun v f ->
+      Bag.iter
+        (fun t n -> if Value.compare_for_predicate (Tuple.get t col) v = 0 then f t n)
+        r.bag
   | Some ix -> (
-    fun v ->
+    (* A set's counts need no lookup. *)
+    let count = if is_set r then fun _ -> 1 else Bag.count r.bag in
+    fun v f ->
+      hand f count (bucket ix v);
       match v with
-      | Value.Int x when ix.floats > 0 ->
-        List.merge Tuple.compare (bucket ix v) (bucket ix (Value.Float (float_of_int x)))
-      | Value.Float f -> List.merge Tuple.compare (bucket ix v) (int_partners ix f)
-      | _ -> bucket ix v)
+      | Value.Int x when ix.floats > 0 -> hand f count (bucket ix (Value.Float (float_of_int x)))
+      | Value.Float fl -> iter_int_partners ix fl (hand f count)
+      | _ -> ())
 
 let cardinality db name = (find db name).card
-
-(* Every count is 1: the net cardinality is the distinct count, and no
-   count is negative. *)
-let is_set r = r.card = Bag.distinct_cardinality r.bag && not (Bag.has_negative r.bag)
 
 let fold_sorted f db name acc =
   let r = find db name in
@@ -436,6 +448,15 @@ let nth db name k =
         with
         | () -> None
         | exception Found t -> Some t
+      end
+    | None when is_set r ->
+      (* A small set: its tuples sorted once, each of rank its index. *)
+      if k >= r.card then None
+      else begin
+        let ts = Array.make r.card [||] in
+        ignore (Bag.fold (fun t _ i -> ts.(i) <- t; i + 1) r.bag 0);
+        Array.sort Tuple.compare ts;
+        Some ts.(k)
       end
     | _ -> (
       match

@@ -66,7 +66,7 @@ val apply_all : ?strict:bool -> t -> Update.t list -> t
 val scan_below : int
 (** A relation with fewer distinct tuples is scanned instead of indexed:
     the scan costs less than keeping an index current on every update.
-    Scanned answers come in the same order as indexed ones. *)
+    Scanned {!lookup} answers come in the same order as indexed ones. *)
 
 val lookup : t -> string -> int -> Value.t -> Tuple.t list
 (** [lookup db rel i v]: the tuples of [rel] with a nonzero count whose
@@ -75,10 +75,17 @@ val lookup : t -> string -> int -> Value.t -> Tuple.t list
     resolves the index once.
     @raise Db_error on an unknown relation or column. *)
 
-val matching : t -> string -> int -> Value.t -> Tuple.t list
-(** Like {!lookup} under equi-join equality: column [i] compares equal
-    to [v] by {!Value.compare_for_predicate}, so an [Int] also matches
-    the numerically equal [Float]s and vice versa. *)
+val probe : t -> string -> int -> Value.t -> (Tuple.t -> int -> unit) -> unit
+(** [probe db rel i v f] calls [f tuple count] once for every tuple of
+    [rel] with a nonzero count whose column [i] compares equal to [v]
+    under equi-join equality ({!Value.compare_for_predicate}: an [Int]
+    also matches the numerically equal [Float]s and vice versa), with
+    that tuple's count, in no particular order. Indexed relations hand
+    out their bucket's tuples, with count 1 when the relation is a set
+    and {!Bag.count} otherwise; a relation under {!scan_below} is walked
+    once, each match taking the count the walk holds. Partially applied
+    to [db rel i] it resolves the index and the set test once.
+    @raise Db_error on an unknown relation or column. *)
 
 val cardinality : t -> string -> int
 (** The relation's net tuple count ([Bag.net_cardinality]); O(1). *)

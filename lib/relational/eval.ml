@@ -3,9 +3,10 @@
    {!Plan} fixes join order, layout, join keys, filters and projection
    positions once per term skeleton (cached); this module supplies the
    runtime: intermediate rows live in growable arrays, a base relation
-   reached by an equi-join is probed through its column index
-   ({!Db.matching}) once per row, and every other slot is enumerated —
-   no per-row attribute resolution.
+   reached by an equi-join is probed once per row ({!Db.probe}: its
+   column index, or one walk of a small relation, each match handed with
+   its count), and every other slot is enumerated — no per-row attribute
+   resolution.
 
    [naive_term]/[naive_query] keep the obviously-correct reference
    semantics (full cross product, filter, project) for property tests. *)
@@ -84,9 +85,11 @@ let keys_hold (keys : Plan.join_key array) row tup =
 
 (* One join step: every partial row of [rows] extended with each of the
    slot's tuples that passes the keys and the filter, handed to [emit]
-   with its count. A probed base relation is looked up through its
-   column index once per row; anything else is enumerated per row (a
-   probe key with a bag input is then checked like the others). *)
+   with its count. A probed base relation is probed once per row, each
+   match arriving with its count ({!Db.probe}); anything else is
+   enumerated per row (a probe key with a bag input is then checked like
+   the others). Match order is free: rows only feed the next step and,
+   at the last, a canonical bag. *)
 let join_step (sp : Plan.slot_plan) input (rows : Rows.t) emit =
   let extend keys row cnt tup n =
     if keys_hold keys row tup then begin
@@ -96,13 +99,10 @@ let join_step (sp : Plan.slot_plan) input (rows : Rows.t) emit =
   in
   match sp.Plan.probe, input with
   | Some probe, Relation (db, rel) ->
-    let bag = Db.contents db rel in
-    let matching = Db.matching db rel probe.Plan.build_pos in
+    let matches = Db.probe db rel probe.Plan.build_pos in
     for j = 0 to rows.Rows.len - 1 do
       let row = rows.Rows.data.(j) and cnt = rows.Rows.counts.(j) in
-      List.iter
-        (fun tup -> extend sp.Plan.keys row cnt tup (Bag.count bag tup))
-        (matching row.(probe.Plan.probe_pos))
+      matches row.(probe.Plan.probe_pos) (extend sp.Plan.keys row cnt)
     done
   | probe, input ->
     let keys =

@@ -3,11 +3,12 @@
 
     Terms are executed as joins over compiled {!Plan}s in delta-first
     order: bound slots (substituted literals, delta bags) first, then each
-    base relation an equi-join reaches, probed through its column index
-    ({!Db.matching}) once per partial row; the remaining equi-join keys
-    and residual conjuncts are checked per match as position-resolved
-    compiled filters, and replication counts multiply across slots —
-    which realizes the paper's sign-product rule through ℤ-counted bags.
+    base relation an equi-join reaches, probed once per partial row
+    ({!Db.probe}, which hands each match with its count); the remaining
+    equi-join keys and residual conjuncts are checked per match as
+    position-resolved compiled filters, and replication counts multiply
+    across slots — which realizes the paper's sign-product rule through
+    ℤ-counted bags.
     Unreachable slots are enumerated as cross products. The result of
     evaluating a query is the signed sum of its terms' results. Plans are
     cached per term skeleton and bound-slot mask, so repeated evaluation

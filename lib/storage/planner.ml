@@ -26,6 +26,11 @@ let relation_blocks cat db rel =
 (* IO1..IO3 derivations — or by one full scan, whichever is cheaper    *)
 (* (the paper's min(J, I) choice). Unreachable base relations are      *)
 (* scanned. A term with no literal slots reads every base relation.    *)
+(*                                                                     *)
+(* The join factor J is measured only where it is read: the price of a *)
+(* probe through a catalog index, or the multiplicity of a relation    *)
+(* that still feeds a later join. Both are lazy, so a relation probed  *)
+(* without an index and joined to nothing after it costs no statistic. *)
 (* ------------------------------------------------------------------ *)
 
 let scenario1_term cat db (t : R.Term.t) =
@@ -47,9 +52,10 @@ let scenario1_term cat db (t : R.Term.t) =
     else begin
       let edges = join_edges t in
       (* multiplicity rel = expected number of tuples of [rel] that feed
-         probes into relations joined to it; literals contribute 1. *)
-      let multiplicity : (string, float) Hashtbl.t = Hashtbl.create 8 in
-      List.iter (fun r -> Hashtbl.replace multiplicity r 1.0) lits;
+         probes into relations joined to it; literals contribute 1.
+         Forced only when a later relation joins from [rel]. *)
+      let multiplicity : (string, float Lazy.t) Hashtbl.t = Hashtbl.create 8 in
+      List.iter (fun r -> Hashtbl.replace multiplicity r (Lazy.from_val 1.0)) lits;
       let bound rel = Hashtbl.mem multiplicity rel in
       (* [bound rel] just tested membership, but an unguarded
          [Hashtbl.find] here would still turn any future break of that
@@ -58,7 +64,7 @@ let scenario1_term cat db (t : R.Term.t) =
          broken invariant spelled out instead. *)
       let mult_exn rel =
         match Hashtbl.find_opt multiplicity rel with
-        | Some m -> m
+        | Some m -> Lazy.force m
         | None ->
           invalid_arg
             (Printf.sprintf
@@ -96,12 +102,12 @@ let scenario1_term cat db (t : R.Term.t) =
       let rec loop () =
         match next_reachable () with
         | Some (rel, (probes, attr)) ->
-          let m = Stats.join_factor db rel attr in
+          let m = lazy (Stats.join_factor db rel attr) in
           let idx = Catalog.index_on cat ~rel ~attr in
           let per_probe =
             match idx with
-            | Some i when i.Index.clustered -> Float.ceil (m /. k)
-            | Some _ -> m
+            | Some i when i.Index.clustered -> Float.ceil (Lazy.force m /. k)
+            | Some _ -> Lazy.force m
             | None -> Float.infinity
           in
           let probe_io = Float.ceil (probes *. per_probe) in
@@ -113,13 +119,13 @@ let scenario1_term cat db (t : R.Term.t) =
                 {
                   index;
                   probes = int_of_float (Float.ceil probes);
-                  matches_per_probe = m;
+                  matches_per_probe = Lazy.force m;
                   io = int_of_float probe_io;
                 }
             | Some _ | None -> Plan.Scan { rel; blocks = int_of_float scan_io }
           in
           steps := step :: !steps;
-          take rel (probes *. m);
+          take rel (lazy (probes *. Lazy.force m));
           loop ()
         | None -> (
           (* Base relations not joined to anything bound: scan them. *)
@@ -128,7 +134,7 @@ let scenario1_term cat db (t : R.Term.t) =
           | rel :: _ ->
             steps :=
               Plan.Scan { rel; blocks = relation_blocks cat db rel } :: !steps;
-            take rel (float_of_int (max 1 (Stats.cardinality db rel)));
+            take rel (Lazy.from_val (float_of_int (max 1 (Stats.cardinality db rel))));
             loop ())
       in
       loop ();

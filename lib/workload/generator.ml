@@ -11,25 +11,42 @@ let chain_schemas = [ chain_r1; chain_r2; chain_r3 ]
 
 let rand_below st n = if n <= 0 then 0 else Random.State.int st n
 
+(* The prefix sums of the Zipf weights 1/(i+1)^skew over [0, n), added
+   left to right, cached per (skew, n) in each domain: draws on one
+   domain share them, and domains never race on one table. *)
+let zipf_sums =
+  let cache = Domain.DLS.new_key (fun () -> Hashtbl.create 8) in
+  fun skew n ->
+    let tbl = Domain.DLS.get cache in
+    match Hashtbl.find_opt tbl (skew, n) with
+    | Some sums -> sums
+    | None ->
+      let sums = Array.make n 0.0 in
+      let acc = ref 0.0 in
+      for i = 0 to n - 1 do
+        acc := !acc +. (1.0 /. Float.pow (float_of_int (i + 1)) skew);
+        sums.(i) <- !acc
+      done;
+      Hashtbl.replace tbl (skew, n) sums;
+      sums
+
 (* Zipf-distributed value in [0, n): P(i) proportional to 1/(i+1)^skew.
-   skew = 0 degenerates to uniform. Inverse-CDF over precomputed weights
-   would be faster, but domains here are small (C/J values). *)
+   skew = 0 degenerates to uniform. Inverse CDF: the first index whose
+   prefix sum reaches a uniform draw over the total, found by binary
+   search and capped at n - 1. *)
 let zipf_below ~skew st n =
   if n <= 0 then 0
   else if skew <= 0.0 then Random.State.int st n
   else begin
-    let total = ref 0.0 in
-    for i = 0 to n - 1 do
-      total := !total +. (1.0 /. Float.pow (float_of_int (i + 1)) skew)
-    done;
-    let target = Random.State.float st !total in
-    let rec pick i acc =
-      if i >= n - 1 then i
+    let sums = zipf_sums skew n in
+    let target = Random.State.float st sums.(n - 1) in
+    let rec first lo hi =
+      if lo >= hi then lo
       else
-        let acc = acc +. (1.0 /. Float.pow (float_of_int (i + 1)) skew) in
-        if acc >= target then i else pick (i + 1) acc
+        let mid = (lo + hi) / 2 in
+        if sums.(mid) >= target then first lo mid else first (mid + 1) hi
     in
-    pick 0 0.0
+    first 0 (n - 1)
   end
 
 let chain_tuple (spec : Spec.t) st rel =

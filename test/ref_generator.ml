@@ -1,17 +1,38 @@
-(* The workload generator's delete draws as first written, kept as a
-   reference model together with the update loops that call them.
-   [pick_existing] sorted the whole relation for every delete, and the
-   self-maintainable stream's [unreferenced_r2] filtered a sorted copy of
-   r2 against a list of r1's X values. The generator in lib draws by rank
-   over the ordered column index ([Db.nth], [Db.fold_sorted]) instead;
-   the sweep in test_workload.ml regenerates each stream with these
-   draws and compares the two, update for update. *)
+(* The workload generator's draws as first written, kept as a reference
+   model together with the update loops that call them. [pick_existing]
+   sorted the whole relation for every delete, the self-maintainable
+   stream's [unreferenced_r2] filtered a sorted copy of r2 against a
+   list of r1's X values, and [zipf_below] re-summed its weights on every
+   draw. The generator in lib draws by rank over the ordered column index
+   ([Db.nth], [Db.fold_sorted]) instead, and binary-searches cached Zipf
+   prefix sums; the sweep in test_workload.ml regenerates each stream
+   with these draws and compares the two, update for update. *)
 
 module R = Relational
 module G = Workload.Generator
 module Spec = Workload.Spec
 
 let rand_below st n = if n <= 0 then 0 else Random.State.int st n
+
+(* The Zipf draw as first written: the weights re-summed on every draw,
+   then walked until the running sum reaches the target. *)
+let zipf_below ~skew st n =
+  if n <= 0 then 0
+  else if skew <= 0.0 then Random.State.int st n
+  else begin
+    let total = ref 0.0 in
+    for i = 0 to n - 1 do
+      total := !total +. (1.0 /. Float.pow (float_of_int (i + 1)) skew)
+    done;
+    let target = Random.State.float st !total in
+    let rec pick i acc =
+      if i >= n - 1 then i
+      else
+        let acc = acc +. (1.0 /. Float.pow (float_of_int (i + 1)) skew) in
+        if acc >= target then i else pick (i + 1) acc
+    in
+    pick 0 0.0
+  end
 
 let pick_existing st db rel =
   let contents = R.Db.contents db rel in
@@ -63,7 +84,7 @@ let delete_or st db rel fallback =
 
 let chain_tuple (spec : Spec.t) st rel =
   let dom = Spec.join_domain spec in
-  let join () = G.zipf_below ~skew:spec.Spec.skew st dom in
+  let join () = zipf_below ~skew:spec.Spec.skew st dom in
   match rel with
   | "r1" -> R.Tuple.ints [ rand_below st spec.Spec.value_range; join () ]
   | "r2" -> R.Tuple.ints [ join (); join () ]
@@ -144,7 +165,7 @@ let scaled_updates ~c ~updates_per_source ~insert_ratio ~skew ~seed dbs =
     end
   in
   List.init (n * updates_per_source) (fun _ ->
-      let i = G.zipf_below ~skew st n in
+      let i = zipf_below ~skew st n in
       let r1 = Random.State.int st 2 = 0 in
       let rel = Printf.sprintf "s%d_%s" i (if r1 then "r1" else "r2") in
       let u =

@@ -92,6 +92,14 @@ let op_gen =
 
 (* --- scan references ------------------------------------------------- *)
 
+(* [Db.probe]'s matches as a sorted tuple list, to compare with a scan. *)
+let matching db rel col =
+  let probe = R.Db.probe db rel col in
+  fun v ->
+    let acc = ref [] in
+    probe v (fun t _ -> acc := t :: !acc);
+    List.sort R.Tuple.compare !acc
+
 let present db rel keep =
   R.Bag.fold
     (fun t _ acc -> if keep t then t :: acc else acc)
@@ -150,7 +158,7 @@ let indexes_agree db =
       && List.for_all
            (fun col ->
              let lookup = R.Db.lookup db rel col
-             and matching = R.Db.matching db rel col in
+             and matching = matching db rel col in
              R.Db.distinct_values db rel col = ref_distinct db rel col
              && List.for_all
                   (fun v ->
@@ -278,7 +286,7 @@ let float_precision_edge () =
           (List.map (fun k -> [| R.Value.Int k; R.Value.Int 0 |]) (ints_around c))
       in
       let db = R.Db.of_list [ (p_schema, bag) ] in
-      let matching = R.Db.matching db "p" 0 in
+      let matching = matching db "p" 0 in
       List.iter
         (fun v ->
           Alcotest.(check (list tuple_testable))
@@ -363,6 +371,56 @@ let nth_prop =
                  Option.equal R.Tuple.equal (R.Db.nth db "n" k)
                    (if k < 0 then None else List.nth_opt expected k))
                (List.init (total + 3) (fun k -> k - 1)))
+        [ loaded; indexed ])
+
+(* ------------------------------------------------------------------ *)
+(* Counted probes                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* [Db.probe] hands each match with its count: sorted, its pairs are the
+   counted list filtered by equi-join equality. Sets, counts of 2,
+   negative counts, Int/Float keys, NaN and the empty relation, each
+   probed through a scan (under [scan_below]), a built index, and an
+   index carried down to a small relation. *)
+let probe_prop =
+  QCheck.Test.make ~name:"Db.probe's counted matches = filtered counted list" ~count:300
+    (QCheck.make ~print:R.Bag.to_string
+       QCheck.Gen.(
+         let* sets = bool in
+         let* size = frequency [ (1, return 0); (8, int_bound 70) ] in
+         let* rows =
+           list_repeat size (pair n_tuple (if sets then return 1 else int_range (-1) 2))
+         in
+         return
+           (List.fold_left (fun b (t, count) -> R.Bag.add ~count t b) R.Bag.empty rows)))
+    (fun bag ->
+      let counted = R.Bag.to_counted_list bag in
+      let pairs_equal =
+        List.equal (fun (t, n) (t', n') -> R.Tuple.equal t t' && n = n')
+      in
+      let loaded, indexed = nth_dbs bag in
+      List.for_all
+        (fun db ->
+          List.for_all
+            (fun col ->
+              let probe = R.Db.probe db "n" col in
+              let values =
+                [ R.Value.Int 0; R.Value.Float 0.0; R.Value.Float 2.5;
+                  R.Value.Float Float.nan; R.Value.Int 99; R.Value.Str "x" ]
+                @ List.map (fun (t, _) -> R.Tuple.get t col) counted
+              in
+              List.for_all
+                (fun v ->
+                  let got = ref [] in
+                  probe v (fun t n -> got := (t, n) :: !got);
+                  pairs_equal
+                    (List.sort (fun (a, _) (b, _) -> R.Tuple.compare a b) !got)
+                    (List.filter
+                       (fun (t, _) ->
+                         R.Value.compare_for_predicate (R.Tuple.get t col) v = 0)
+                       counted))
+                values)
+            [ 0; 1 ])
         [ loaded; indexed ])
 
 (* ------------------------------------------------------------------ *)
@@ -468,7 +526,7 @@ let keyed_rejects_unindexed () =
   | exception Core.Mview.Mview_error _ -> ()
 
 let suite =
-  List.map QCheck_alcotest.to_alcotest [ db_index_prop; nth_prop; keyed_prop ]
+  List.map QCheck_alcotest.to_alcotest [ db_index_prop; nth_prop; probe_prop; keyed_prop ]
   @ [
       Alcotest.test_case "domains racing to build one index" `Quick racing_domains;
       Alcotest.test_case "numeric matches across the float precision edge" `Quick

@@ -671,6 +671,20 @@ let qcheck_suite =
       law "dedup_to_set is a positive set" 200 arb_bag (fun a ->
           let s = R.Bag.dedup_to_set a in
           R.Bag.is_set s && not (R.Bag.has_negative s));
+      law "exists = a scan, stopping at the first hit" 300 arb_bag (fun a ->
+          let entries = R.Bag.to_counted_list a in
+          let calls = ref 0 in
+          let always _ _ =
+            incr calls;
+            true
+          in
+          List.for_all
+            (fun k ->
+              let p t n = n = k || (n > 0 && R.Tuple.hash t land 3 = 0) in
+              R.Bag.exists p a = List.exists (fun (t, n) -> p t n) entries)
+            [ -2; -1; 1; 2; 3 ]
+          && R.Bag.exists always a = (entries <> [])
+          && !calls = min 1 (List.length entries));
       law "equal bags share one fingerprint" 300 arb_paths fingerprint_paths;
       law "equal_since (a0, b0) a b = equal a b" 1000 arb_since equal_since_law;
       law "add_get chains = table model" 500 arb_add_get add_get_law;

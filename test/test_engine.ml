@@ -559,6 +559,31 @@ let rejected_update_raises_from_step () =
     check_bool "names the update" true
       (String.starts_with ~prefix:"site source rejected update" m)
 
+(* Over several sources [start] routes every workload item, so an item
+   on a relation no source owns raises from [start] wherever it sits in
+   the stream, not from the step that would reach it. *)
+let unowned_relation_raises_from_start () =
+  let sites =
+    [ E.site ~name:"a" (db_of [ (r1, [ [ 1; 2 ] ]); (r2, [ [ 2; 3 ] ]) ]);
+      E.site ~name:"b" (db_of [ (r3, [ [ 3; 4 ] ]) ]) ]
+  in
+  List.iter
+    (fun position ->
+      let updates =
+        List.init 12 (fun k ->
+            if k = position then ins "r9" [ 1; 2 ] else ins "r1" [ 10 + k; 2 ])
+      in
+      match
+        E.start ~schedule:S.Worst_case ~creator:(Core.Registry.creator_exn "eca")
+          ~sites ~views:[ vd (view_w ()) ] ~updates ()
+      with
+      | _ -> Alcotest.failf "item %d on an unowned relation passed start" (position + 1)
+      | exception E.Engine_error m ->
+        Alcotest.(check string)
+          (Printf.sprintf "item %d" (position + 1))
+          "no source owns relation r9" m)
+    [ 0; 9 ]
+
 let suite =
   [
     Alcotest.test_case "multi-site round-robin rotation" `Quick
@@ -579,6 +604,8 @@ let suite =
       goldens_step_like_run;
     Alcotest.test_case "a rejected update raises from its step" `Quick
       rejected_update_raises_from_step;
+    Alcotest.test_case "an unowned relation raises from start" `Quick
+      unowned_relation_raises_from_start;
     Alcotest.test_case "federated trace is per-source" `Quick
       federated_trace_is_per_source;
     Alcotest.test_case "cross-source install has no global snapshot" `Quick

@@ -186,6 +186,86 @@ let s2_outer_reads_ablation () =
     (more.Storage.Plan.io > base.Storage.Plan.io)
 
 (* ------------------------------------------------------------------ *)
+(* The lazy join factor                                                *)
+(* ------------------------------------------------------------------ *)
+
+(* Random 2- and 3-relation terms over r1(W,X), r2(X,Y), r3(Y,Z) — with
+   zero, one or two literal slots, relations in any order (r1 ⋈ r3 is a
+   cross product), contents on both sides of [Db.scan_below] — planned
+   under a catalog with random indexes and one with none: the same plan
+   as the eager reference, which measures J for every reached relation. *)
+let chain = [| r1; r2; r3 |]
+
+let lazy_planner_prop =
+  let open QCheck.Gen in
+  let contents = list_size (int_bound 50) (pair (int_bound 12) (int_bound 5)) in
+  let index_choice = oneofl [ None; Some true; Some false ] in
+  let gen =
+    let* rows = flatten_l [ contents; contents; contents ] in
+    let* rels = oneofl [ [ 0; 1 ]; [ 1; 2 ]; [ 0; 2 ]; [ 0; 1; 2 ] ] >>= shuffle_l in
+    let* lits = list_size (int_bound 2) (pair (oneofl rels) (pair (int_bound 12) (int_bound 5))) in
+    let* with_indexes = bool in
+    let* choices = list_repeat 6 index_choice in
+    let* k = int_range 1 25 in
+    return (rows, rels, lits, with_indexes, choices, k)
+  in
+  let print (rows, rels, lits, with_indexes, choices, k) =
+    let ints l = String.concat ";" (List.map string_of_int l) in
+    Printf.sprintf "rows %s; rels [%s]; literals %s; indexes %s; K=%d"
+      (String.concat " | "
+         (List.map
+            (fun r -> String.concat "," (List.map (fun (a, b) -> Printf.sprintf "(%d,%d)" a b) r))
+            rows))
+      (ints rels)
+      (String.concat ","
+         (List.map (fun (i, (a, b)) -> Printf.sprintf "r%d(%d,%d)" (i + 1) a b) lits))
+      (if with_indexes then
+         String.concat ","
+           (List.map
+              (function None -> "-" | Some true -> "c" | Some false -> "u")
+              choices)
+       else "none")
+      k
+  in
+  QCheck.Test.make ~name:"lazy join factor: plans = the eager reference" ~count:300
+    (QCheck.make ~print gen)
+    (fun (rows, rels, lits, with_indexes, choices, k) ->
+      let db =
+        db_of (List.mapi (fun i r -> (chain.(i), List.map (fun (a, b) -> [ a; b ]) r)) rows)
+      in
+      let schemas = List.map (fun i -> chain.(i)) rels in
+      let first = List.hd schemas in
+      let view =
+        R.View.natural_join ~name:"V"
+          ~proj:[ R.Attr.qualified first.R.Schema.name (List.hd (R.Schema.attr_names first)) ]
+          schemas
+      in
+      let indexes =
+        if not with_indexes then []
+        else
+          List.concat
+            (List.mapi
+               (fun i choice ->
+                 let s = chain.(i / 2) in
+                 let attr = List.nth (R.Schema.attr_names s) (i mod 2) in
+                 match choice with
+                 | None -> []
+                 | Some true -> [ Storage.Index.clustered s.R.Schema.name attr ]
+                 | Some false -> [ Storage.Index.unclustered s.R.Schema.name attr ])
+               choices)
+      in
+      let cat =
+        Storage.Catalog.make ~block:(Storage.Block.make ~tuples_per_block:k) ~indexes ()
+      in
+      let updates =
+        List.map (fun (i, (a, b)) -> ins chain.(i).R.Schema.name [ a; b ]) lits
+      in
+      List.for_all
+        (fun t -> Storage.Planner.term cat db t = Ref_planner.scenario1_term cat db t)
+        (R.Term.of_view view
+        :: R.Query.terms (R.Query.subst_all (R.Query.of_view view) updates)))
+
+(* ------------------------------------------------------------------ *)
 (* Executor                                                            *)
 (* ------------------------------------------------------------------ *)
 
@@ -271,4 +351,5 @@ let suite =
     Alcotest.test_case "executor accumulates IO" `Quick executor_accumulates_io;
     Alcotest.test_case "shared-scan discount" `Quick shared_scans_discount;
     Alcotest.test_case "cost monoid" `Quick cost_monoid;
+    QCheck_alcotest.to_alcotest lazy_planner_prop;
   ]

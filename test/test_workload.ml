@@ -159,6 +159,18 @@ let zipf_sampling () =
   Array.iter (fun c -> check_bool "roughly uniform" true (c > 300 && c < 700)) u;
   check_int "degenerate domain" 0 (W.Generator.zipf_below ~skew:1.0 st 0)
 
+(* The cached prefix sums and binary search draw exactly what the
+   linear scan over re-summed weights drew, from the same RNG calls. *)
+let zipf_matches_reference =
+  QCheck.Test.make ~name:"zipf_below = the linear-scan reference" ~count:200
+    QCheck.(triple (float_range 0.0 3.0) (int_range 0 150) small_nat)
+    (fun (skew, n, seed) ->
+      let ours = rng seed and theirs = rng seed in
+      List.for_all
+        (fun _ ->
+          W.Generator.zipf_below ~skew ours n = Ref_generator.zipf_below ~skew theirs n)
+        (List.init 50 Fun.id))
+
 let skewed_workloads_still_run () =
   let spec = W.Spec.make ~c:40 ~j:4 ~k_updates:10 ~skew:1.5 ~seed:6 () in
   let { W.Scenarios.db; view; updates } = W.Scenarios.example6 spec in
@@ -189,6 +201,7 @@ let skewed_workloads_still_run () =
 let suite =
   [
     Alcotest.test_case "zipf sampling" `Quick zipf_sampling;
+    QCheck_alcotest.to_alcotest zipf_matches_reference;
     Alcotest.test_case "skewed workloads run correctly" `Quick
       skewed_workloads_still_run;
     Alcotest.test_case "deterministic generation" `Quick deterministic;
