@@ -64,7 +64,9 @@ bench-throughput:
 # link's caller-less printer and mean latency, the plan and staging
 # cache resets, the source's IO total and event counts that
 # metrics.source_io and Source.events replaced, and the sorted
-# tuple-list lookup that Db.probe's counted matches replaced), check that
+# tuple-list lookups that Db.probe's counted matches replaced, and the
+# staging cache and the plan cache's counters, gone now that each caller
+# owns the programs it stages), check that
 # the parallel bench is deterministic (PAR=1 and PAR=4 emit identical
 # runs arrays), run the quick benchmark at PAR=1 in a temp dir — like
 # for like with the committed baseline, which records "workers": 1 —
@@ -105,9 +107,9 @@ smoke:
 	  python3 perfbench/run.py --workload $$w --seed 11 --seconds 2 --trace 1 > /dev/null || exit 1; \
 	done
 	python3 perfbench/run.py --workload fanout-chaos --seed 31337 --seconds 2 --trace 0 > /dev/null
-	@if grep -rnE 'Core\.Runner|Core\.Federation|Drain_first|Updates_first|unordered_delivery|set_compiled|Delta_program\.compiled|Delta_program\.linear|Engine\.Recompute|Engine\.Incremental|pick_multi|of_multi|install_history|[~?]shard\b|retransmit_timeout|Warehouse\.handle_message|window_counters|of_creator|(Eca_key|Eca_sm|Sc|Cross_source)\.Not_applicable|Fqueue\.filter|Core\.Lca\b|(Delta_program|Plan)\.signature|Reliable\.(pp|mean_latency)\b|clear_cache|Source\.(io_total|update_count|query_count)\b|Db\.matching\b' \
+	@if grep -rnE 'Core\.Runner|Core\.Federation|Drain_first|Updates_first|unordered_delivery|set_compiled|Delta_program\.compiled|Delta_program\.linear|Engine\.Recompute|Engine\.Incremental|pick_multi|of_multi|install_history|[~?]shard\b|retransmit_timeout|Warehouse\.handle_message|window_counters|of_creator|(Eca_key|Eca_sm|Sc|Cross_source)\.Not_applicable|Fqueue\.filter|Core\.Lca\b|(Delta_program|Plan)\.signature|Reliable\.(pp|mean_latency)\b|clear_cache|Source\.(io_total|update_count|query_count)\b|Db\.matching\b|(Plan|Delta_program)\.cache_stats|per_domain_stats|staged_view|Db\.lookup\b' \
 	  lib bin bench examples test; then \
-	  echo "smoke: a removed entry point or alias reappeared (use Engine.run, Scheduler.pick_ready, Trace.warehouse_states, Warehouse.create/misrouted, Algorithm.Not_applicable, Fqueue.remove_first, Eca.lca, Query.signature, Reliable.stats, metrics.source_io, Source.events, Db.probe; sharded dispatch, Engine.site ?retransmit_timeout and the staging/plan cache resets are gone)"; \
+	  echo "smoke: a removed entry point or alias reappeared (use Engine.run, Scheduler.pick_ready, Trace.warehouse_states, Warehouse.create/misrouted, Algorithm.Not_applicable, Fqueue.remove_first, Eca.lca, Query.signature, Reliable.stats, metrics.source_io, Source.events, Db.probe; programs are owned by their stager; sharded dispatch, Engine.site ?retransmit_timeout and the staging/plan cache resets are gone)"; \
 	  exit 1; \
 	fi
 	dune build bench/main.exe

@@ -139,12 +139,6 @@ let index_opt r col =
     if Bag.distinct_cardinality r.bag < scan_below then None
     else Some (index r col)
 
-(* The scan's answer in index order, so a lookup returns the same list
-   whether or not the index exists yet. *)
-let scan r keep =
-  List.sort Tuple.compare
-    (Bag.fold (fun t _ acc -> if keep t then t :: acc else acc) r.bag [])
-
 (* Every count is 1: the net cardinality is the distinct count, and no
    count is negative. *)
 let is_set r = r.card = Bag.distinct_cardinality r.bag && not (Bag.has_negative r.bag)
@@ -354,13 +348,6 @@ let apply_all ?strict db us = List.fold_left (fun db u -> apply ?strict db u) db
 let column r name col =
   if col < 0 || col >= Schema.arity r.schema then
     error "relation %s has no column %d" name col
-
-let lookup db name col =
-  let r = find db name in
-  column r name col;
-  match index_opt r col with
-  | Some ix -> bucket ix
-  | None -> fun v -> scan r (fun t -> Value.equal (Tuple.get t col) v)
 
 (* Adjacent floats are at most 2^10 apart across the int range, so every
    int whose conversion rounds to [f] lies within 1024 of it. *)

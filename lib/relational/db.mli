@@ -65,15 +65,7 @@ val apply_all : ?strict:bool -> t -> Update.t list -> t
 
 val scan_below : int
 (** A relation with fewer distinct tuples is scanned instead of indexed:
-    the scan costs less than keeping an index current on every update.
-    Scanned {!lookup} answers come in the same order as indexed ones. *)
-
-val lookup : t -> string -> int -> Value.t -> Tuple.t list
-(** [lookup db rel i v]: the tuples of [rel] with a nonzero count whose
-    column [i] is {!Value.equal} to [v], in {!Tuple.compare} order.
-    Counts stay in {!contents}. Partially applied to [db rel i] it
-    resolves the index once.
-    @raise Db_error on an unknown relation or column. *)
+    the scan costs less than keeping an index current on every update. *)
 
 val probe : t -> string -> int -> Value.t -> (Tuple.t -> int -> unit) -> unit
 (** [probe db rel i v f] calls [f tuple count] once for every tuple of
@@ -103,7 +95,7 @@ val nth : t -> string -> int -> Tuple.t option
 (** [nth db rel k]: the tuple at rank [k] (from 0) in {!Tuple.compare}
     order, counting each positively counted tuple as many times as its
     count; [None] when [k] is negative or at least their total. Walks the
-    column-0 index when {!lookup} would use one (building it if the
+    column-0 index when {!probe} would use one (building it if the
     relation has grown to {!scan_below} distinct tuples), skipping whole
     buckets when the relation is a set; a smaller relation is sorted
     instead. Either way the answer is the same.

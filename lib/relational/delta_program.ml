@@ -115,12 +115,9 @@ let apply ?into t db tuple = apply_batch ?into t db [ tuple ]
 (* Per-view staging                                                    *)
 (* ------------------------------------------------------------------ *)
 
-type staged = {
-  view : Viewdef.t;
-  programs : (string, t * t) Hashtbl.t;  (* rel -> (insert, delete) *)
-}
+type staged = (string, t * t) Hashtbl.t  (* rel -> (insert, delete) *)
 
-let build (vd : Viewdef.t) =
+let stage (vd : Viewdef.t) =
   let programs = Hashtbl.create 8 in
   List.iter
     (fun rel ->
@@ -128,12 +125,10 @@ let build (vd : Viewdef.t) =
         ( stage_class vd ~rel ~kind:Update.Insert,
           stage_class vd ~rel ~kind:Update.Delete ))
     (Viewdef.relation_names vd);
-  { view = vd; programs }
-
-let staged_view s = s.view
+  programs
 
 let find s ~rel ~kind =
-  match Hashtbl.find_opt s.programs rel with
+  match Hashtbl.find_opt s rel with
   | None -> None
   | Some (ins, del) ->
     Some (match kind with Update.Insert -> ins | Update.Delete -> del)
@@ -160,93 +155,3 @@ let runs updates =
       go (run :: acc) rest
   in
   go [] updates
-
-(* ------------------------------------------------------------------ *)
-(* Staging cache                                                       *)
-(* ------------------------------------------------------------------ *)
-
-module Key = struct
-  type t = Viewdef.t
-
-  let equal = Viewdef.equal
-
-  (* Full-structure polymorphic hash (depth-limited); collisions are
-     resolved by [equal]. *)
-  let hash (vd : Viewdef.t) = Hashtbl.hash vd
-end
-
-module Cache = Hashtbl.Make (Key)
-
-let max_staged_views = 256
-
-(* Domain-local cache with cross-domain atomic counters, the same
-   discipline as the {!Plan} cache it sits alongside: staging happens per
-   view shape per domain, never per update. *)
-type slot = {
-  table : staged Cache.t;
-  live : int Atomic.t;
-  hits : int Atomic.t;
-  misses : int Atomic.t;
-  evictions : int Atomic.t;
-}
-
-let slots : slot list ref = ref []
-let slots_mutex = Mutex.create ()
-
-let slot_key =
-  Domain.DLS.new_key (fun () ->
-      let s =
-        {
-          table = Cache.create 16;
-          live = Atomic.make 0;
-          hits = Atomic.make 0;
-          misses = Atomic.make 0;
-          evictions = Atomic.make 0;
-        }
-      in
-      Mutex.lock slots_mutex;
-      slots := s :: !slots;
-      Mutex.unlock slots_mutex;
-      s)
-
-let stage (vd : Viewdef.t) =
-  let s = Domain.DLS.get slot_key in
-  match Cache.find_opt s.table vd with
-  | Some staged ->
-    Atomic.incr s.hits;
-    staged
-  | None ->
-    let staged = build vd in
-    Atomic.incr s.misses;
-    if Cache.length s.table >= max_staged_views then begin
-      Cache.reset s.table;
-      Atomic.set s.live 0;
-      Atomic.incr s.evictions
-    end;
-    Cache.add s.table vd staged;
-    Atomic.incr s.live;
-    staged
-
-type stats = {
-  domains : int;
-  views : int;
-  hits : int;
-  misses : int;
-  evictions : int;
-}
-
-let cache_stats () =
-  Mutex.lock slots_mutex;
-  let ss = !slots in
-  Mutex.unlock slots_mutex;
-  List.fold_left
-    (fun acc s ->
-      {
-        domains = acc.domains + 1;
-        views = acc.views + Atomic.get s.live;
-        hits = acc.hits + Atomic.get s.hits;
-        misses = acc.misses + Atomic.get s.misses;
-        evictions = acc.evictions + Atomic.get s.evictions;
-      })
-    { domains = 0; views = 0; hits = 0; misses = 0; evictions = 0 }
-    ss

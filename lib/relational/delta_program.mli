@@ -20,8 +20,11 @@
     engine's oracle and SC's replica view; the interpreter (as in
     [Core.Centralized]) is the reference they are tested against.
 
-    Staged programs are cached per domain ([Domain.DLS]) alongside the
-    plan cache, keyed on the view definition's structure. *)
+    Programs are owned by their stager: the engine keeps one {!staged}
+    per registered view and restages it after a schema change, SC stages
+    once per instance, and a {!Selfmaint} analysis holds one {!t} per
+    locally maintained part. Nothing here caches them; only the plans
+    underneath are shared, through {!Plan.of_term}. *)
 
 type t
 (** One program: a specific view maintained under a specific update
@@ -32,11 +35,14 @@ type staged
     what a registration site holds onto. *)
 
 val stage : Viewdef.t -> staged
-(** Stage every (relation, kind) class of the view's delta. Cached per
-    domain; repeated staging of the same view definition is a hash
-    lookup. *)
+(** Stage every (relation, kind) class of the view's delta. Each call
+    builds fresh programs; callers keep the result for as long as the
+    view definition holds. *)
 
-val staged_view : staged -> Viewdef.t
+val stage_class : Viewdef.t -> rel:string -> kind:Update.kind -> t
+(** Stage one class alone: what {!find} on {!stage}'s result returns,
+    with no chains (see {!is_empty}) when the view does not mention
+    [rel]. *)
 
 val find : staged -> rel:string -> kind:Update.kind -> t option
 (** [None] iff the view does not mention [rel] — exactly when
@@ -72,15 +78,3 @@ val runs : Update.t list -> Update.t list list
 
 val is_empty : t -> bool
 (** No view part mentions the relation; {!apply} returns the empty bag. *)
-
-(** Aggregated staging-cache counters across domains, mirroring
-    {!Plan.stats}. *)
-type stats = {
-  domains : int;
-  views : int;  (** live staged views summed over domain caches *)
-  hits : int;
-  misses : int;  (** stagings that went through the cache *)
-  evictions : int;
-}
-
-val cache_stats : unit -> stats

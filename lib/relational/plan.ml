@@ -1,9 +1,8 @@
 (* Compiled evaluation plans for SPJ terms.
 
-   [Eval.term] used to redo the same analysis on every call: rebuild the
-   column layout, re-classify conjuncts into join keys and residual
-   filters, and re-resolve attribute positions — sometimes inside the
-   per-row loop. A view is evaluated thousands of times per simulated run
+   Evaluating a term needs its column layout, its conjuncts classified
+   into join keys and residual filters, and every attribute position
+   resolved. A view is evaluated thousands of times per simulated run
    (every delta query, every compensation, every oracle snapshot), so this
    module compiles a term once into position-resolved artifacts and caches
    the result.
@@ -284,89 +283,17 @@ let max_cached_plans = 1024
    hits its own table, so concurrent simulator runs on a domain pool
    never contend on — or corrupt — shared Hashtbl state. The price is
    one compilation per skeleton per domain that evaluates it, which is
-   negligible next to the evaluations the plan amortizes. Counters are
-   atomics registered in a global list so [cache_stats] can aggregate
-   across domains without tearing; slots of finished domains stay in the
-   registry, keeping the totals cumulative for the whole process. *)
-type slot = {
-  table : t Cache.t;
-  live : int Atomic.t;       (* mirrors Cache.length, readable cross-domain *)
-  hits : int Atomic.t;
-  misses : int Atomic.t;     (* = compilations through the cache *)
-  evictions : int Atomic.t;  (* whole-table resets from the size bound *)
-}
-
-let slots : slot list ref = ref []
-let slots_mutex = Mutex.create ()
-
-let slot_key =
-  Domain.DLS.new_key (fun () ->
-      let s =
-        {
-          table = Cache.create 64;
-          live = Atomic.make 0;
-          hits = Atomic.make 0;
-          misses = Atomic.make 0;
-          evictions = Atomic.make 0;
-        }
-      in
-      Mutex.lock slots_mutex;
-      slots := s :: !slots;
-      Mutex.unlock slots_mutex;
-      s)
+   negligible next to the evaluations the plan amortizes. *)
+let table_key = Domain.DLS.new_key (fun () -> Cache.create 64)
 
 let of_term ?bound (t : Term.t) =
-  let s = Domain.DLS.get slot_key in
+  let table = Domain.DLS.get table_key in
   let bound = Option.value bound ~default:(literal_slots t) in
   let key = { Key.skel = skeleton t; bound } in
-  match Cache.find_opt s.table key with
-  | Some plan ->
-    Atomic.incr s.hits;
-    plan
+  match Cache.find_opt table key with
+  | Some plan -> plan
   | None ->
     let plan = compile ~bound t in
-    Atomic.incr s.misses;
-    if Cache.length s.table >= max_cached_plans then begin
-      Cache.reset s.table;
-      Atomic.set s.live 0;
-      Atomic.incr s.evictions
-    end;
-    Cache.add s.table key plan;
-    Atomic.incr s.live;
+    if Cache.length table >= max_cached_plans then Cache.reset table;
+    Cache.add table key plan;
     plan
-
-type stats = {
-  domains : int;
-  plans : int;
-  hits : int;
-  misses : int;
-  evictions : int;
-}
-
-let stats_of_slot s =
-  {
-    domains = 1;
-    plans = Atomic.get s.live;
-    hits = Atomic.get s.hits;
-    misses = Atomic.get s.misses;
-    evictions = Atomic.get s.evictions;
-  }
-
-let per_domain_stats () =
-  Mutex.lock slots_mutex;
-  let ss = !slots in
-  Mutex.unlock slots_mutex;
-  List.rev_map stats_of_slot ss
-
-let cache_stats () =
-  List.fold_left
-    (fun acc s ->
-      {
-        domains = acc.domains + s.domains;
-        plans = acc.plans + s.plans;
-        hits = acc.hits + s.hits;
-        misses = acc.misses + s.misses;
-        evictions = acc.evictions + s.evictions;
-      })
-    { domains = 0; plans = 0; hits = 0; misses = 0; evictions = 0 }
-    (per_domain_stats ())

@@ -4,10 +4,10 @@
     slot schemas) and {e bound-slot mask}: the join order, the column
     layout, the projection positions, each step's join keys and index
     probe, and residual filters compiled to closures with every attribute
-    position resolved at build time. Plans are cached; literal tuple
-    values and the term sign are excluded from the cache key, so the
-    per-update delta terms T⟨U⟩ of a view for one updated relation all
-    share one plan.
+    position resolved at build time. Plans are cached per domain
+    ({!of_term}); literal tuple values and the term sign are excluded
+    from the cache key, so the per-update delta terms T⟨U⟩ of a view for
+    one updated relation all share one plan.
 
     The join order is delta-first: bound slots (substituted literals and
     delta bags) in source order, then repeatedly the first remaining base
@@ -70,27 +70,7 @@ val compile : ?bound:bool array -> Term.t -> t
 
 val of_term : ?bound:bool array -> Term.t -> t
 (** Cached compilation keyed by the term skeleton and the bound-slot
-    mask. The cache is domain-local ([Domain.DLS]): each domain owns a
-    private table with the same bound and eviction policy, so concurrent
-    callers on different domains never share mutable state. *)
-
-(** Aggregated cache counters. [domains] counts every domain that has
-    touched the cache during the process (slots persist after a domain
-    finishes, so totals are cumulative); [plans] is the live cached-plan
-    count, [misses] the compilations that went through the cache. All
-    counters are atomics — reading them concurrently with cache traffic
-    on other domains cannot tear. *)
-type stats = {
-  domains : int;
-  plans : int;
-  hits : int;
-  misses : int;
-  evictions : int;  (** whole-table resets from the size bound *)
-}
-
-val cache_stats : unit -> stats
-(** Totals summed over every domain's cache. *)
-
-val per_domain_stats : unit -> stats list
-(** One entry per domain that has used the cache (each with
-    [domains = 1]), in domain-creation order. *)
+    mask: equal keys give the physically same plan. The cache is
+    domain-local ([Domain.DLS]): each domain owns a private table of at
+    most 1024 plans, emptied whole when full, so concurrent callers on
+    different domains never share mutable state. *)

@@ -23,6 +23,7 @@ type partner_source =
 
 type part_plan = {
   pp_viewdef : Viewdef.t;
+  pp_program : Delta_program.t;
   pp_partners : (string * partner_source) list;
 }
 
@@ -244,6 +245,15 @@ let local_rewrite (vd : Viewdef.t) rel kind idx (sign, (v : View.t)) partners =
   in
   Viewdef.make ~name [ (sign, view) ]
 
+(* Staged here, once per analysis: [delta] runs the program on every
+   locally maintained update. *)
+let part_plan viewdef ~rel ~kind partners =
+  {
+    pp_viewdef = viewdef;
+    pp_program = Delta_program.stage_class viewdef ~rel ~kind;
+    pp_partners = partners;
+  }
+
 let plan_class (vd : Viewdef.t) aux_by_rel rel kind =
   let parts =
     List.filteri (fun _ (_, v) -> View.mentions v rel) vd.Viewdef.parts
@@ -256,10 +266,7 @@ let plan_class (vd : Viewdef.t) aux_by_rel rel kind =
     let plans =
       List.map
         (fun (i, (sign, v)) ->
-          {
-            pp_viewdef = local_rewrite vd rel kind i (sign, v) [];
-            pp_partners = [];
-          })
+          part_plan (local_rewrite vd rel kind i (sign, v) []) ~rel ~kind [])
         indexed
     in
     (Self Literal, Use_local plans)
@@ -303,10 +310,9 @@ let plan_class (vd : Viewdef.t) aux_by_rel rel kind =
             let aux_schemas =
               List.map (fun (s, _) -> List.assoc s aux_by_rel) sources
             in
-            {
-              pp_viewdef = local_rewrite vd rel kind i (sign, v) aux_schemas;
-              pp_partners = sources;
-            })
+            part_plan
+              (local_rewrite vd rel kind i (sign, v) aux_schemas)
+              ~rel ~kind sources)
           indexed
       in
       let aux_rels =
@@ -451,12 +457,7 @@ let delta t ~aux_db (u : Update.t) =
               Db.set_contents db s (Bag.singleton (Tuple.of_list vals)))
           aux_db pp.pp_partners
       in
-      let staged = Delta_program.stage pp.pp_viewdef in
-      match
-        Delta_program.find staged ~rel:u.Update.rel ~kind:u.Update.kind
-      with
-      | None -> acc
-      | Some prog -> Delta_program.apply ~into:acc prog db u.Update.tuple
+      Delta_program.apply ~into:acc pp.pp_program db u.Update.tuple
     in
     Some (List.fold_left eval_part Bag.empty plans)
 

@@ -68,6 +68,10 @@ type part_plan = {
   pp_viewdef : Viewdef.t;
       (** single-part local rewrite: full schema for the updated relation,
           reduced auxiliary schemas for its partners *)
+  pp_program : Delta_program.t;
+      (** [pp_viewdef]'s program for this class, staged once by
+          {!analyze} and run by {!delta} on every update of the class; an
+          analysis holds no mutable state, so domains may share it *)
   pp_partners : (string * partner_source) list;
 }
 

@@ -2,11 +2,11 @@
    structure behind local key-deletes (DESIGN.md §4m).
 
    Each index answer is checked against a scan of the same contents —
-   the scans below are the reference, never the code under test: lookups
+   the scans below are the reference, never the code under test: probes
    and statistics after random update / set_contents / add_tuple /
    schema-change sequences (on every version the sequence produced, not
    just the last), key, foreign-key and strict-delete rejections in
-   [Db.apply], keyed key-deletes against [Mview.key_delete], and lookups
+   [Db.apply], keyed key-deletes against [Mview.key_delete], and probes
    racing to build the same index from two domains. *)
 
 open Helpers
@@ -23,8 +23,8 @@ let q_schema =
     ~fks:[ { R.Schema.fk_cols = [ "F" ]; fk_ref = "p"; fk_ref_cols = [ "K" ] } ]
     "q" [ "F"; "W" ]
 
-(* Ints and the Floats equal to them, so lookups ([Value.equal]) and
-   equi-join matches ([compare_for_predicate]) differ. *)
+(* Ints and the Floats equal to them, so key checks ([Value.equal]) and
+   equi-join probes ([compare_for_predicate]) differ. *)
 let probe_values =
   List.concat_map
     (fun n -> [ R.Value.Int n; R.Value.Float (float_of_int n) ])
@@ -150,26 +150,23 @@ let ref_rejects db rel t =
   in
   key_clash || dangling
 
-(* Every index-backed answer of [db] equals its scan. *)
-let indexes_agree db =
+(* Every index-backed answer of [rels] in [db] equals its scan. *)
+let indexes_agree rels db =
   List.for_all
     (fun rel ->
       R.Db.cardinality db rel = R.Bag.net_cardinality (R.Db.contents db rel)
       && List.for_all
            (fun col ->
-             let lookup = R.Db.lookup db rel col
-             and matching = matching db rel col in
+             let matching = matching db rel col in
              R.Db.distinct_values db rel col = ref_distinct db rel col
              && List.for_all
                   (fun v ->
-                    List.equal R.Tuple.equal (lookup v)
-                      (present db rel (fun t -> R.Value.equal (R.Tuple.get t col) v))
-                    && List.equal R.Tuple.equal (matching v)
-                         (present db rel (fun t ->
-                              R.Value.compare_for_predicate (R.Tuple.get t col) v = 0)))
+                    List.equal R.Tuple.equal (matching v)
+                      (present db rel (fun t ->
+                           R.Value.compare_for_predicate (R.Tuple.get t col) v = 0)))
                   probe_values)
            [ 0; 1 ])
-    [ "p"; "q" ]
+    rels
 
 let add_w =
   R.Update.Add_column { rel = "q"; col = "Extra"; ty = R.Value.Tint; default = R.Value.Int 0 }
@@ -231,7 +228,7 @@ let db_index_prop =
           (fun (db, acc) op ->
             match step db op with
             | Some db' ->
-              if not (indexes_agree db') then
+              if not (indexes_agree [ "p"; "q" ] db') then
                 QCheck.Test.fail_reportf "index disagrees after %s" (op_to_string op);
               (db', db' :: acc)
             | None -> (db, acc))
@@ -240,17 +237,7 @@ let db_index_prop =
       in
       (* Later versions built and carried indexes forward; the earlier
          ones they derive from must still answer for their own contents. *)
-      List.for_all indexes_agree versions)
-
-let indexes_agree_p db =
-  List.for_all
-    (fun col ->
-      List.for_all
-        (fun v ->
-          List.equal R.Tuple.equal (R.Db.lookup db "p" col v)
-            (present db "p" (fun t -> R.Value.equal (R.Tuple.get t col) v)))
-        probe_values)
-    [ 0; 1 ]
+      List.for_all (indexes_agree [ "p"; "q" ]) versions)
 
 (* Two domains race to build the same indexes of one shared database:
    every answer equals the scan, whichever domain published first. *)
@@ -263,7 +250,7 @@ let racing_domains () =
     let db = R.Db.of_list [ (p_schema, bag) ] in
     let probe () =
       List.concat_map
-        (fun col -> List.map (fun v -> R.Db.lookup db "p" col v) probe_values)
+        (fun col -> List.map (matching db "p" col) probe_values)
         [ 1; 0 ]
     in
     let other = Domain.spawn probe in
@@ -271,7 +258,7 @@ let racing_domains () =
     let theirs = Domain.join other in
     Alcotest.(check bool) "same answers on both domains" true
       (List.equal (List.equal R.Tuple.equal) mine theirs);
-    Alcotest.(check bool) "answers equal the scan" true (indexes_agree_p db)
+    Alcotest.(check bool) "answers equal the scan" true (indexes_agree [ "p" ] db)
   done
 
 (* Past 2^53 several ints round to one float, and an Int key meets every
@@ -339,7 +326,7 @@ let nth_dbs bag =
   let padded =
     R.Db.set_contents loaded "n" (List.fold_left (fun b t -> R.Bag.add t b) bag pad)
   in
-  ignore (R.Db.lookup padded "n" 0 (R.Value.Int 0));
+  R.Db.probe padded "n" 0 (R.Value.Int 0) (fun _ _ -> ());
   (loaded, List.fold_left (fun db t -> R.Db.add_tuple ~count:(-1) db "n" t) padded pad)
 
 let nth_prop =

@@ -276,17 +276,6 @@ let toggle_byte_identical () =
         [ 1; 4 ])
     [ "sc"; "eca"; "rv" ]
 
-let staging_cache_hits () =
-  let vd = R.Viewdef.simple (view_w ()) in
-  let before = (DP.cache_stats ()).DP.hits in
-  let s1 = DP.stage vd in
-  let s2 = DP.stage vd in
-  check_bool "same staged value" true (s1 == s2);
-  check_bool "re-staging hits the cache" true
-    ((DP.cache_stats ()).DP.hits > before);
-  check_bool "staged view is the input" true
-    (R.Viewdef.equal (DP.staged_view s1) vd)
-
 let suite =
   List.map QCheck_alcotest.to_alcotest
     [ single_equiv; batch_equiv; runs_partition ]
@@ -297,5 +286,4 @@ let suite =
         sc_batch_outcome_matches;
       Alcotest.test_case "toggle is byte-identical end to end" `Quick
         toggle_byte_identical;
-      Alcotest.test_case "staging cache" `Quick staging_cache_hits;
     ]

@@ -116,9 +116,7 @@ let stress_task i =
   && R.Bag.equal (R.Eval.query db delta) (R.Eval.naive_query db delta)
 
 let plan_cache_stress () =
-  let before = R.Plan.cache_stats () in
   let n_domains = 4 and per_domain = 50 in
-  let tasks = n_domains * per_domain in
   (* Domains are spawned directly (not through a pool) so each one is
      guaranteed to compile the overlapping skeletons itself — the caller
      of Pool.map could otherwise drain the whole queue alone on a busy
@@ -133,63 +131,7 @@ let plan_cache_stress () =
   Array.iteri
     (fun i ok ->
       check_bool (Printf.sprintf "task %d: planned = naive" i) true ok)
-    results;
-  let after = R.Plan.cache_stats () in
-  (* Every spawned domain built its own domain-local cache. *)
-  check_bool "more than one domain has a cache" true
-    (after.R.Plan.domains >= n_domains);
-  check_bool "compilations happened" true
-    (after.R.Plan.misses > before.R.Plan.misses);
-  check_bool "the shared skeletons were cache hits" true
-    (after.R.Plan.hits - before.R.Plan.hits > tasks);
-  (* The aggregate is exactly the sum of the per-domain slots — atomics,
-     no torn reads. *)
-  let sum =
-    List.fold_left
-      (fun acc (s : R.Plan.stats) ->
-        {
-          R.Plan.domains = acc.R.Plan.domains + s.R.Plan.domains;
-          plans = acc.R.Plan.plans + s.R.Plan.plans;
-          hits = acc.R.Plan.hits + s.R.Plan.hits;
-          misses = acc.R.Plan.misses + s.R.Plan.misses;
-          evictions = acc.R.Plan.evictions + s.R.Plan.evictions;
-        })
-      { R.Plan.domains = 0; plans = 0; hits = 0; misses = 0; evictions = 0 }
-      (R.Plan.per_domain_stats ())
-  in
-  check_bool "aggregate = sum of per-domain stats" true
-    (R.Plan.cache_stats () = sum);
-  check_bool "every domain's live plans fit the bound" true
-    (List.for_all
-       (fun (s : R.Plan.stats) -> s.R.Plan.plans <= 1024)
-       (R.Plan.per_domain_stats ()))
-
-(* Reading aggregated stats *while* other domains hammer the cache: the
-   totals must be monotone between two reads (atomic counters, no torn
-   or sliding-backwards values). *)
-let stats_read_under_fire () =
-  P.with_pool ~workers:4 (fun pool ->
-      let reads = ref [] in
-      let _ =
-        P.map pool
-          (fun i ->
-            if i = 0 then
-              (* one lane polls the aggregate while the others compile *)
-              for _ = 1 to 50 do
-                let s = R.Plan.cache_stats () in
-                reads := (s.R.Plan.hits, s.R.Plan.misses) :: !reads
-              done
-            else ignore (stress_task i);
-            true)
-          (Array.init 64 Fun.id)
-      in
-      let rec monotone = function
-        | (h2, m2) :: ((h1, m1) :: _ as rest) ->
-          (* reads were consed, so the list is newest-first *)
-          h2 >= h1 && m2 >= m1 && monotone rest
-        | _ -> true
-      in
-      check_bool "aggregated counters only grow" true (monotone !reads))
+    results
 
 let suite =
   [
@@ -204,6 +146,4 @@ let suite =
     Alcotest.test_case "PAR knob parsing" `Quick par_knob_parsing;
     Alcotest.test_case "plan cache under concurrent compilation = naive"
       `Quick plan_cache_stress;
-    Alcotest.test_case "cache_stats reads cleanly under fire" `Quick
-      stats_read_under_fire;
   ]

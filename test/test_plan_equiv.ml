@@ -303,7 +303,34 @@ let workload_equiv () =
          (fun u -> agree db (R.Query.view_delta view u))
          updates)
 
+(* One compiled plan per skeleton and bound-slot mask: the view term,
+   every update's delta term T<U> on one relation, and a staged program's
+   explicit mask all meet in the cache, whatever the tuple or sign. *)
+let of_term_memoizes () =
+  let view =
+    R.View.natural_join ~name:"M"
+      ~proj:[ R.Attr.unqualified "W"; R.Attr.unqualified "Y" ]
+      [ r1; r2 ]
+  in
+  let t = R.Term.of_view view in
+  let delta u = Option.get (R.Term.subst t u) in
+  let d_ins = delta (ins "r1" [ 1; 2 ]) in
+  let d_del = delta (R.Update.delete "r1" (R.Tuple.ints [ 3; 4 ])) in
+  let check = Alcotest.(check bool) in
+  check "same term, same plan" true (R.Plan.of_term t == R.Plan.of_term t);
+  check "two updates' delta terms share one plan" true
+    (R.Plan.of_term d_ins == R.Plan.of_term d_del);
+  check "the literal mask given explicitly meets them" true
+    (R.Plan.of_term ~bound:[| true; false |] t == R.Plan.of_term d_ins);
+  check "another mask, another plan" true
+    (R.Plan.of_term t != R.Plan.of_term d_ins
+    && R.Plan.of_term ~bound:[| false; true |] t != R.Plan.of_term d_ins)
+
 let suite =
   List.map QCheck_alcotest.to_alcotest
     [ view_equiv; delta_equiv; literal_equiv; executor_equiv ]
-  @ [ Alcotest.test_case "workload instances" `Quick workload_equiv ]
+  @ [
+      Alcotest.test_case "workload instances" `Quick workload_equiv;
+      Alcotest.test_case "of_term memoizes per skeleton and mask" `Quick
+        of_term_memoizes;
+    ]
