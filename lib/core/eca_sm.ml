@@ -17,13 +17,13 @@ type t = {
    class locally answerable) *and* it improves on what plain ECA already
    does: views whose every class is literal (single-relation parts) are
    handled without base data by ECA's literal-term evaluation, so ECA-SM
-   would only add a classification check per update there. *)
+   would only add a classification check per update there. The verdicts
+   alone decide, so nothing is staged for a view that may never run
+   here. *)
 let applicable (vd : R.Viewdef.t) =
-  let a = S.analyze vd in
-  a.S.fully_local
-  && List.exists
-       (fun (c : S.class_report) -> c.S.cls_verdict <> S.Self S.Literal)
-       a.S.classes
+  let verdicts = S.verdicts vd in
+  List.for_all (function S.Remote _ -> false | _ -> true) verdicts
+  && List.exists (fun v -> v <> S.Self S.Literal) verdicts
 
 let is_key_delete (c : S.class_report) =
   match c.S.cls_plan with

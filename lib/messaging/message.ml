@@ -16,6 +16,7 @@ type t =
   | Data of {
       seq : int;
       payload : t;
+      ack : (int * (int * int) list) option;
     }
   | Ack of {
       cum : int;
@@ -31,7 +32,9 @@ let rec byte_size = function
   | Ddl_note d -> 8 + R.Update.ddl_byte_size d
   | Query { query; _ } -> 8 + R.Query.byte_size query
   | Answer { answer; _ } -> 8 + R.Bag.byte_size answer
-  | Data { payload; _ } -> 8 + byte_size payload
+  | Data { payload; ack = None; _ } -> 8 + byte_size payload
+  | Data { payload; ack = Some (cum, sacks); _ } ->
+    8 + byte_size payload + byte_size (Ack { cum; sacks })
   | Ack { sacks; _ } -> 8 + (16 * List.length sacks)
 
 let kind_name = function
@@ -52,7 +55,10 @@ let rec pp ppf = function
   | Query { id; query } -> Format.fprintf ppf "Query Q%d = %a" id R.Query.pp query
   | Answer { id; answer; _ } ->
     Format.fprintf ppf "Answer A%d = %a" id R.Bag.pp answer
-  | Data { seq; payload } -> Format.fprintf ppf "Data #%d (%a)" seq pp payload
+  | Data { seq; payload; ack = None } ->
+    Format.fprintf ppf "Data #%d (%a)" seq pp payload
+  | Data { seq; payload; ack = Some (cum, _) } ->
+    Format.fprintf ppf "Data #%d (%a) ack <=%d" seq pp payload cum
   | Ack { cum; sacks } ->
     Format.fprintf ppf "Ack <=%d%s" cum
       (String.concat ""

@@ -27,10 +27,12 @@ type t =
   | Data of {
       seq : int;
       payload : t;
+      ack : (int * (int * int) list) option;
     }
       (** a {!Reliable} protocol frame: the payload message carried under
-          a per-stream sequence number. Never reaches the warehouse or
-          source — the sublayer unwraps it. *)
+          a per-stream sequence number, with the sender's due [Ack] of the
+          reverse stream as [(cum, sacks)], if any. Never reaches the
+          warehouse or source — the sublayer unwraps it. *)
   | Ack of {
       cum : int;
       sacks : (int * int) list;
@@ -47,7 +49,8 @@ val filler : t
     rings. *)
 
 val byte_size : t -> int
-(** Wire size: an [Ack] is an 8-byte header plus 16 bytes per run. *)
+(** Wire size: an [Ack] is an 8-byte header plus 16 bytes per run, a
+    [Data] frame an 8-byte header plus its payload and its [Ack]. *)
 
 val kind_name : t -> string
 val pp : Format.formatter -> t -> unit

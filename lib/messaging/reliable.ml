@@ -39,6 +39,7 @@ type endpoint = {
       (* out-of-order future frames: a buffered [s] lies in
          [expected, expected + length); [hole] where none is *)
   mutable held : (int * int) list;  (* the buffered seqs, as runs *)
+  mutable ack_due : bool;  (* data arrived since this end last acked *)
   ready : Message.t Queue.t;  (* in-order, deduped, undelivered *)
 }
 
@@ -67,6 +68,7 @@ let make_endpoint ~out_chan ~in_chan =
     expected = 0;
     window = Array.make 8 hole;
     held = [];
+    ack_due = false;
     ready = Queue.create ();
   }
 
@@ -176,11 +178,17 @@ let ack ep cum sacks =
     ep.sacked <- sacks
   end
 
+(* The ack [ep] owes, taken by its next data frame or the next tick. *)
+let take_ack ep =
+  if not ep.ack_due then None
+  else (ep.ack_due <- false; Some (ep.expected - 1, ep.held))
+
 (* Drain every frame the faulty channel will currently deliver to [ep]:
-   data frames feed the dedup/reorder window, acks [ep]'s own outgoing
-   stream. One ack answers the whole burst — re-acking on pure duplicates
-   is what lets a sender whose ack was lost make progress — its runs
-   gaining the [fresh] out-of-order seqs and losing those [released]. *)
+   data frames feed the dedup/reorder window, acks — alone or riding on
+   data — [ep]'s own outgoing stream. One due ack answers the whole burst
+   — re-acking on pure duplicates is what lets a sender whose ack was
+   lost make progress — its runs gaining the [fresh] out-of-order seqs
+   and losing those [released]. *)
 let pump_endpoint t ep peer =
   let fresh = ref [] and released = ref false in
   let rec drain got_data =
@@ -189,7 +197,8 @@ let pump_endpoint t ep peer =
     | Some (Message.Ack { cum; sacks }) ->
       ack ep cum sacks;
       drain got_data
-    | Some (Message.Data { seq; payload }) ->
+    | Some (Message.Data { seq; payload; ack = a }) ->
+      Option.iter (fun (cum, sacks) -> ack ep cum sacks) a;
       while seq - ep.expected >= Array.length ep.window do
         ep.window <- regrow ep.window ep.expected hole
       done;
@@ -213,8 +222,7 @@ let pump_endpoint t ep peer =
   if drain false then begin
     let held = add_seqs (List.sort (fun a b -> b - a) !fresh) ep.held in
     ep.held <- (if !released then above (ep.expected - 1) held else held);
-    send_frame t ep (Message.Ack { cum = ep.expected - 1; sacks = ep.held });
-    t.stats.acks_sent <- t.stats.acks_sent + 1
+    ep.ack_due <- true
   end
 
 (* A pump with no frame sent and no tick since the last one began would
@@ -238,7 +246,7 @@ let send t dir msg =
     ep.first_sent <- regrow ep.first_sent lo 0
   end;
   let i = seq land (Array.length ep.frames - 1) in
-  let frame = Message.Data { seq; payload = msg } in
+  let frame = Message.Data { seq; payload = msg; ack = take_ack ep } in
   let size = Message.byte_size frame in
   ep.next_seq <- seq + 1;
   ep.frames.(i) <- frame;
@@ -274,11 +282,20 @@ let retransmit_due t ep =
   in
   go (ep.acked + 1) (List.rev ep.sacked)
 
+let flush_ack t ep =
+  take_ack ep |> Option.iter (fun (cum, sacks) ->
+      send_frame t ep (Message.Ack { cum; sacks });
+      t.stats.acks_sent <- t.stats.acks_sent + 1)
+
+(* Due acks leave, and arrive, before any frame is judged overdue. *)
 let tick t =
   t.now <- t.now + 1;
   t.dirty <- true;
   Channel.tick t.source_end.out_chan;
   Channel.tick t.warehouse_end.out_chan;
+  flush_ack t t.source_end;
+  flush_ack t t.warehouse_end;
+  pump t;
   retransmit_due t t.source_end;
   retransmit_due t t.warehouse_end;
   pump t

@@ -11,10 +11,12 @@
     - receivers hold out-of-order frames in a reorder buffer and never
       discard one, drop duplicates, and release messages strictly in
       sequence order — the endpoint-visible stream is exactly-once FIFO;
-    - receivers answer every arriving data burst with an [Ack]: the
-      cumulative [cum] and the runs of seqs held above it (re-acking
-      duplicates, so a sender whose ack was lost still makes progress);
-      acks travel over the reverse faulty channel;
+    - receivers owe every arriving data burst an ack: the cumulative
+      [cum] and the runs of seqs held above it (re-acking duplicates, so
+      a sender whose ack was lost still makes progress). It rides on the
+      next data frame the receiver sends back, or leaves alone as an
+      [Ack] at the next {!tick}; acks travel over the reverse faulty
+      channel;
     - senders retransmit each unacknowledged frame that has waited
       [timeout] clock ticks since its last transmission and lies in no
       run the latest ack reported: only the holes are resent.
@@ -65,11 +67,12 @@ val receive : t -> dir -> Message.t option
 
 val has_ready : t -> dir -> bool
 val tick : t -> unit
-(** Advance the clock: ripen channel delays, retransmit overdue frames,
-    process whatever arrives. *)
+(** Advance the clock: ripen channel delays, send the due acks that no
+    data frame took, process whatever arrives, then retransmit the
+    frames still overdue and process again. *)
 
 val idle : t -> bool
 (** Nothing in flight, unacknowledged, buffered, or undelivered — ticking
-    further would change nothing. *)
+    further would at most send an ack of what is already acknowledged. *)
 
 val stats : t -> stats

@@ -245,15 +245,9 @@ let local_rewrite (vd : Viewdef.t) rel kind idx (sign, (v : View.t)) partners =
   in
   Viewdef.make ~name [ (sign, view) ]
 
-(* Staged here, once per analysis: [delta] runs the program on every
-   locally maintained update. *)
-let part_plan viewdef ~rel ~kind partners =
-  {
-    pp_viewdef = viewdef;
-    pp_program = Delta_program.stage_class viewdef ~rel ~kind;
-    pp_partners = partners;
-  }
-
+(* A class's verdict and, when it is maintained locally, each part's
+   rewrite with its partner sources — unstaged, so that {!verdicts} stages
+   nothing; {!analyze} stages them. *)
 let plan_class (vd : Viewdef.t) aux_by_rel rel kind =
   let parts =
     List.filteri (fun _ (_, v) -> View.mentions v rel) vd.Viewdef.parts
@@ -263,19 +257,16 @@ let plan_class (vd : Viewdef.t) aux_by_rel rel kind =
     List.for_all (fun (_, (_, v)) -> View.relation_names v = [ rel ]) indexed
   in
   if literal then
-    let plans =
+    ( Self Literal,
       List.map
-        (fun (i, (sign, v)) ->
-          part_plan (local_rewrite vd rel kind i (sign, v) []) ~rel ~kind [])
-        indexed
-    in
-    (Self Literal, Use_local plans)
+        (fun (i, part) -> (local_rewrite vd rel kind i part [], []))
+        indexed )
   else if
     kind = Update.Delete
     && (match Viewdef.as_simple vd with
        | Some v -> Option.is_some (View.key_positions v rel)
        | None -> false)
-  then (Self Key_delete, Use_key_delete)
+  then (Self Key_delete, [])
   else
     let exception Blocked of string in
     try
@@ -310,27 +301,27 @@ let plan_class (vd : Viewdef.t) aux_by_rel rel kind =
             let aux_schemas =
               List.map (fun (s, _) -> List.assoc s aux_by_rel) sources
             in
-            part_plan
-              (local_rewrite vd rel kind i (sign, v) aux_schemas)
-              ~rel ~kind sources)
+            (local_rewrite vd rel kind i (sign, v) aux_schemas, sources))
           indexed
       in
       let aux_rels =
         List.sort_uniq String.compare
           (List.concat_map
-             (fun pp ->
+             (fun (_, sources) ->
                List.filter_map
                  (fun (s, src) -> if src = P_aux then Some s else None)
-                 pp.pp_partners)
+                 sources)
              plans)
       in
       let verdict =
         if aux_rels = [] then Self Fk_join else Aux aux_rels
       in
-      (verdict, Use_local plans)
-    with Blocked reason -> (Remote reason, Use_fallback reason)
+      (verdict, plans)
+    with Blocked reason -> (Remote reason, [])
 
-let analyze (vd : Viewdef.t) =
+(* Every class of the view, relation-major, insert before delete, with
+   its verdict and unstaged parts. *)
+let plan_classes (vd : Viewdef.t) =
   let rels = Viewdef.relation_names vd in
   let partner_rels =
     List.filter
@@ -344,16 +335,41 @@ let analyze (vd : Viewdef.t) =
   let aux_by_rel =
     List.map (fun r -> (r, aux_of_relation vd r)) partner_rels
   in
-  let classes =
+  ( aux_by_rel,
     List.concat_map
       (fun rel ->
         List.map
-          (fun kind ->
-            let verdict, plan = plan_class vd aux_by_rel rel kind in
-            { cls_rel = rel; cls_kind = kind; cls_verdict = verdict;
-              cls_plan = plan })
+          (fun kind -> (rel, kind, plan_class vd aux_by_rel rel kind))
           [ Update.Insert; Update.Delete ])
-      rels
+      rels )
+
+let verdicts vd = List.map (fun (_, _, (v, _)) -> v) (snd (plan_classes vd))
+
+(* Each locally maintained part is staged here, once per analysis:
+   [delta] runs its program on every update of the class. *)
+let analyze (vd : Viewdef.t) =
+  let aux_by_rel, planned = plan_classes vd in
+  let classes =
+    List.map
+      (fun (rel, kind, (verdict, parts)) ->
+        let plan =
+          match verdict with
+          | Self Key_delete -> Use_key_delete
+          | Remote why -> Use_fallback why
+          | Self (Literal | Fk_join) | Aux _ ->
+            Use_local
+              (List.map
+                 (fun (viewdef, partners) ->
+                   {
+                     pp_viewdef = viewdef;
+                     pp_program = Delta_program.stage_class viewdef ~rel ~kind;
+                     pp_partners = partners;
+                   })
+                 parts)
+        in
+        { cls_rel = rel; cls_kind = kind; cls_verdict = verdict;
+          cls_plan = plan })
+      planned
   in
   let maintained_rel s =
     List.exists

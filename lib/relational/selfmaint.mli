@@ -98,6 +98,10 @@ type t = {
 
 val analyze : Viewdef.t -> t
 
+val verdicts : Viewdef.t -> verdict list
+(** The verdicts of [analyze]'s classes, in its class order, without
+    staging a program: what a rung chooser needs to read. *)
+
 val find_class : t -> rel:string -> kind:Update.kind -> class_report option
 (** [None] iff the view does not mention [rel]. *)
 

@@ -290,11 +290,15 @@ let channel_matches_reference_prop =
       sut_channel fault seed ops = ref_channel fault seed ops)
 
 let frame_sizes () =
-  let d = M.Message.Data { seq = 3; payload = note 1 } in
+  let d = M.Message.Data { seq = 3; payload = note 1; ack = None } in
   let a = M.Message.Ack { cum = 3; sacks = [] } in
   check_int "data frame = header + payload" (8 + M.Message.byte_size (note 1))
     (M.Message.byte_size d);
   check_int "ack frame is header-sized" 8 (M.Message.byte_size a);
+  check_int "a piggybacked ack costs what a stand-alone one does"
+    (8 + M.Message.byte_size (note 1) + 8 + 16)
+    (M.Message.byte_size
+       (M.Message.Data { seq = 3; payload = note 1; ack = Some (1, [ (3, 4) ]) }));
   Alcotest.(check string) "data kind" "data" (M.Message.kind_name d);
   Alcotest.(check string) "ack kind" "ack" (M.Message.kind_name a)
 

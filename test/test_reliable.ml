@@ -218,11 +218,13 @@ let reliable_stream_prop =
 (* ------------------------------------------------------------------ *)
 
 (* The protocol in its most naive spelling, kept as a reference model: a
-   persistent unacked queue rebuilt by a map on every retransmission
-   pass and filtered by every ack's runs, a seq-keyed table of
-   first-transmission ticks, an [Int] map as the reorder buffer whose
-   runs each ack recomputes anew, a list queue of ready
-   messages, and a pump that drains both channels on every call. *)
+   persistent unacked queue of whole frames rebuilt by a map on every
+   retransmission pass and filtered by every ack's runs, riding or
+   alone, a seq-keyed table of first-transmission ticks, an [Int] map as
+   the reorder buffer whose runs each ack recomputes anew, a flag for
+   the ack a receiver owes — taken by its next data frame or sent alone
+   at the next tick — a list queue of ready messages, and a pump that
+   drains both channels on every call. *)
 module Ref_link = struct
   module Int_map = Map.Make (Int)
 
@@ -234,6 +236,7 @@ module Ref_link = struct
     first_sent : (int, int) Hashtbl.t;
     mutable expected : int;
     mutable buffer : M.Message.t Int_map.t;
+    mutable ack_due : bool;
     mutable ready : M.Message.t R.Fqueue.t;
   }
 
@@ -254,6 +257,7 @@ module Ref_link = struct
       first_sent = Hashtbl.create 16;
       expected = 0;
       buffer = Int_map.empty;
+      ack_due = false;
       ready = R.Fqueue.empty;
     }
 
@@ -282,8 +286,7 @@ module Ref_link = struct
     | M.Reliable.To_warehouse -> t.warehouse_end
     | M.Reliable.To_source -> t.source_end
 
-  let transmit ep ~seq payload =
-    M.Channel.send ep.out_chan (M.Message.Data { seq; payload })
+  let transmit ep frame = M.Channel.send ep.out_chan frame
 
   let rec advance t ep peer =
     match Int_map.find_opt ep.expected ep.buffer with
@@ -314,19 +317,31 @@ module Ref_link = struct
            | _ -> Int_map.add s s runs)
          buffer Int_map.empty)
 
+  (* Every ack retires what it covers; a stale one covers nothing new. *)
+  let apply_ack ep (cum, sacks) =
+    let held s = List.exists (fun (lo, hi) -> lo <= s && s <= hi) sacks in
+    ep.unacked <-
+      R.Fqueue.of_list
+        (List.filter
+           (fun (s, _, _) -> s > cum && not (held s))
+           (R.Fqueue.to_list ep.unacked))
+
+  let take_ack ep =
+    if ep.ack_due then begin
+      ep.ack_due <- false;
+      Some (ep.expected - 1, runs ep.buffer)
+    end
+    else None
+
   let pump_endpoint t ep peer =
     let rec drain got_data =
       match M.Channel.receive ep.in_chan with
       | None -> got_data
       | Some (M.Message.Ack { cum; sacks }) ->
-        let held s = List.exists (fun (lo, hi) -> lo <= s && s <= hi) sacks in
-        ep.unacked <-
-          R.Fqueue.of_list
-            (List.filter
-               (fun (s, _, _) -> s > cum && not (held s))
-               (R.Fqueue.to_list ep.unacked));
+        apply_ack ep (cum, sacks);
         drain got_data
-      | Some (M.Message.Data { seq; payload }) ->
+      | Some (M.Message.Data { seq; payload; ack }) ->
+        Option.iter (apply_ack ep) ack;
         if seq < ep.expected || Int_map.mem seq ep.buffer then
           t.stats.dups_dropped <- t.stats.dups_dropped + 1
         else begin
@@ -336,11 +351,7 @@ module Ref_link = struct
         drain true
       | Some _ -> Alcotest.fail "unframed message on a reliable link"
     in
-    if drain false then begin
-      M.Channel.send ep.out_chan
-        (M.Message.Ack { cum = ep.expected - 1; sacks = runs ep.buffer });
-      t.stats.acks_sent <- t.stats.acks_sent + 1
-    end
+    if drain false then ep.ack_due <- true
 
   let pump t =
     pump_endpoint t t.warehouse_end t.source_end;
@@ -351,8 +362,9 @@ module Ref_link = struct
     let seq = ep.next_seq in
     ep.next_seq <- seq + 1;
     Hashtbl.replace ep.first_sent seq t.now;
-    ep.unacked <- R.Fqueue.push ep.unacked (seq, msg, t.now);
-    transmit ep ~seq msg;
+    let frame = M.Message.Data { seq; payload = msg; ack = take_ack ep } in
+    ep.unacked <- R.Fqueue.push ep.unacked (seq, frame, t.now);
+    transmit ep frame;
     pump t
 
   let receive t dir =
@@ -373,19 +385,29 @@ module Ref_link = struct
     ep.unacked <-
       R.Fqueue.of_list
         (List.map
-           (fun ((seq, payload, last_sent) as entry) ->
+           (fun ((seq, frame, last_sent) as entry) ->
              if t.now - last_sent >= t.timeout then begin
                t.stats.retransmits <- t.stats.retransmits + 1;
-               transmit ep ~seq payload;
-               (seq, payload, t.now)
+               transmit ep frame;
+               (seq, frame, t.now)
              end
              else entry)
            (R.Fqueue.to_list ep.unacked))
+
+  let flush_ack t ep =
+    match take_ack ep with
+    | None -> ()
+    | Some (cum, sacks) ->
+      transmit ep (M.Message.Ack { cum; sacks });
+      t.stats.acks_sent <- t.stats.acks_sent + 1
 
   let tick t =
     t.now <- t.now + 1;
     M.Channel.tick t.source_end.out_chan;
     M.Channel.tick t.warehouse_end.out_chan;
+    flush_ack t t.source_end;
+    flush_ack t t.warehouse_end;
+    pump t;
     retransmit_due t t.source_end;
     retransmit_due t t.warehouse_end;
     pump t
@@ -533,6 +555,76 @@ let reliable_matches_reference_prop =
       let ops = burst @ tail in
       run_reliable fault seed timeout ops = run_reference fault seed timeout ops)
 
+(* Acks ride on reverse data. Over clean channels, in a ping-pong
+   exchange where each frame is answered before the clock moves, every
+   data frame but the first carries an ack — on a clean wire one without
+   runs, its bytes tell — and no ack goes alone. Cutting the exchange
+   after its [m]th frame and ticking once must leave the link idle: the
+   due ack leaves alone at the tick, and the last frame's piggybacked
+   [cum] retired exactly its peer's frames, neither fewer (a frame left
+   unacked) nor more (an ack of an unsent seq). When frame [k] is sent,
+   its sender has received [(k + 1) / 2] frames: [cum] is one less. *)
+let acks_ride_on_reverse_data () =
+  for m = 1 to 12 do
+    let to_warehouse = M.Channel.create "to-warehouse"
+    and to_source = M.Channel.create "to-source" in
+    let r = M.Reliable.create ~to_warehouse ~to_source () in
+    let s = M.Reliable.stats r in
+    for k = 0 to m - 1 do
+      let dir, back, chan =
+        if k mod 2 = 0 then
+          (M.Reliable.To_warehouse, M.Reliable.To_source, to_warehouse)
+        else (M.Reliable.To_source, M.Reliable.To_warehouse, to_source)
+      in
+      let cell = Printf.sprintf " (frame %d of %d)" k m in
+      let before = M.Channel.bytes_sent chan in
+      M.Reliable.send r dir (payload k);
+      let ack = if k = 0 then None else Some (((k + 1) / 2) - 1, []) in
+      check_int ("the frame's bytes carry its ack" ^ cell)
+        (M.Message.byte_size
+           (M.Message.Data { seq = k / 2; payload = payload k; ack }))
+        (M.Channel.bytes_sent chan - before);
+      Alcotest.(check (option int))
+        ("answered in order" ^ cell) (Some k)
+        (Option.map payload_id (M.Reliable.receive r dir));
+      check_bool ("nothing ready the other way" ^ cell) false
+        (M.Reliable.has_ready r back);
+      check_int ("no ack alone before the first tick" ^ cell) 0 s.acks_sent
+    done;
+    let cell = Printf.sprintf " (cut after %d)" m in
+    check_bool ("the last frame awaits its ack" ^ cell) false (M.Reliable.idle r);
+    M.Reliable.tick r;
+    check_int ("the due ack leaves alone at the tick" ^ cell) 1 s.acks_sent;
+    check_bool ("one tick settles the link" ^ cell) true (M.Reliable.idle r);
+    check_int ("nothing was resent" ^ cell) 0 s.retransmits
+  done;
+  (* Stand-alone acks leave only on ticks, at most one per end. *)
+  let to_warehouse, to_source = channels Workload.Scenarios.chaos_profile 5 in
+  let r = M.Reliable.create ~to_warehouse ~to_source () in
+  let ticks = ref 0 in
+  for i = 0 to 59 do
+    M.Reliable.send r M.Reliable.To_warehouse (payload i);
+    if i mod 3 = 0 then M.Reliable.send r M.Reliable.To_source (payload i)
+  done;
+  let rec drain () =
+    let got_wh = M.Reliable.receive r M.Reliable.To_warehouse in
+    let got_src = M.Reliable.receive r M.Reliable.To_source in
+    if got_wh <> None || got_src <> None then drain ()
+    else if not (M.Reliable.idle r) then begin
+      incr ticks;
+      if !ticks > 10_000 then Alcotest.fail "the link never settled";
+      M.Reliable.tick r;
+      drain ()
+    end
+  in
+  drain ();
+  let s = M.Reliable.stats r in
+  check_bool "chaos forced retransmissions" true (s.retransmits > 0);
+  check_bool
+    (Printf.sprintf "acks alone (%d) <= 2 x ticks (%d)" s.acks_sent !ticks)
+    true
+    (s.acks_sent <= 2 * !ticks)
+
 (* ------------------------------------------------------------------ *)
 (* End-to-end: the ECA family over Reliable + chaos vs. the oracle     *)
 (* ------------------------------------------------------------------ *)
@@ -573,7 +665,8 @@ let seeds = List.init 40 (fun i -> i)
    carries most of the stream. Its trace length is a literal recorded
    while the channel still kept its delayed frames in a sorted list and
    the receiver its reorder buffer in another; its delivery counters were
-   re-recorded when selective acks replaced go-back-N. A change to an RNG
+   re-recorded when selective acks replaced go-back-N, and again when
+   acks began to ride on reverse data frames. A change to an RNG
    draw, a ready tick, a retransmission or an ack moves them.
    (Which of a pump's deliverable frames arrives first does not — the
    receiver drains them all before it acks — so the channel's pick order
@@ -600,14 +693,14 @@ let twenty_source_chaos_run_is_pinned () =
   Alcotest.(check (list (pair string int)))
     "delivery counters and trace length"
     [
-      ("ticks", 22);
-      ("wire_messages", 1371);
-      ("retransmits", 266);
-      ("dups_dropped", 271);
-      ("acks", 384);
+      ("ticks", 26);
+      ("wire_messages", 1023);
+      ("retransmits", 186);
+      ("dups_dropped", 194);
+      ("acks", 179);
       ("delivered", 492);
-      ("latency_total", 1653);
-      ("latency_max", 10);
+      ("latency_total", 1712);
+      ("latency_max", 11);
       ("trace_entries", 692);
     ]
     [
@@ -692,6 +785,8 @@ let suite =
       twenty_source_chaos_run_is_pinned;
     Alcotest.test_case "selective repeat resends only lost frames" `Quick
       only_lost_frames_are_resent;
+    Alcotest.test_case "acks ride on reverse data" `Quick
+      acks_ride_on_reverse_data;
   ]
   @ List.map QCheck_alcotest.to_alcotest
       [ reliable_stream_prop; reliable_matches_reference_prop ]

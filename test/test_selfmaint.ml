@@ -774,6 +774,45 @@ let sweep () =
            (List.init 40 (fun i -> i))))
     sweep_scenarios
 
+(* The ladder reads the analysis's verdicts without staging a program;
+   its picks are the ones it made when it read a whole staged analysis,
+   recorded per view. *)
+let auto_rung_picks_unchanged () =
+  (* dune runtest runs the suite in the build's test directory; `dune
+     exec test/main.exe` from the project root. *)
+  let script name =
+    let path =
+      List.find Sys.file_exists
+        (List.map
+           (fun dir -> Filename.concat dir name)
+           [ "../examples/scripts"; "examples/scripts" ])
+    in
+    (R.Parser.parse_script (In_channel.with_open_bin path In_channel.input_all))
+      .R.Script.views
+  in
+  List.iter
+    (fun (where, (vd : R.Viewdef.t), rung) ->
+      let cell = Printf.sprintf " (%s, view %s)" where vd.R.Viewdef.name in
+      Alcotest.(check string) ("auto_rung" ^ cell) rung
+        (Core.Catalog.auto_rung vd);
+      check_bool ("verdicts = the staged analysis's" ^ cell) true
+        (SM.verdicts vd
+        = List.map (fun c -> c.SM.cls_verdict) (SM.analyze vd).SM.classes))
+    (List.concat_map
+       (fun (name, rungs) ->
+         List.map2 (fun vd rung -> (name, vd, rung)) (script name) rungs)
+       [
+         ("example2.sql", [ "eca" ]);
+         ("retail.sql", [ "eca-key" ]);
+         ("selfmaint.sql", [ "eca-sm" ]);
+         ("union_watchlist.sql", [ "eca" ]);
+       ]
+    @ [
+        ( "selfmaint scenario",
+          R.Viewdef.simple (Workload.Scenarios.selfmaintainable_view ()),
+          "eca-sm" );
+      ])
+
 let suite =
   [
     Alcotest.test_case "analyzer: flagship verdicts" `Quick analyzer_flagship;
@@ -794,4 +833,6 @@ let suite =
     Alcotest.test_case "eca-sm: metrics blocks under wrappers" `Quick
       metrics_under_wrappers;
     Alcotest.test_case "eca-sm: 40-seed oracle sweep" `Quick sweep;
+    Alcotest.test_case "auto_rung picks unchanged on scripts and scenario"
+      `Quick auto_rung_picks_unchanged;
   ]
