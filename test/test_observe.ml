@@ -85,13 +85,13 @@ let read_lines path =
 (* [~observe:true] runs with a fresh collector. *)
 let collector observe = if observe then Some (O.Collector.create ()) else None
 
-let run_chaos ?(reliable = true) ?(observe = false) ~algorithm ~seed () =
+let run_chaos ?(reliable = true) ?(observe = false) ?(oc = collector observe)
+    ~algorithm ~seed () =
   let { Workload.Scenarios.db; view; updates } =
     Workload.Scenarios.example6
       (Workload.Spec.make ~c:12 ~j:3 ~k_updates:8 ~insert_ratio:0.6 ~seed ())
   in
-  Core.Engine.run ~schedule:(Core.Scheduler.Random seed)
-    ?observe:(collector observe)
+  Core.Engine.run ~schedule:(Core.Scheduler.Random seed) ?observe:oc
     ~creator:(Core.Registry.creator_exn algorithm)
     ~sites:
       [
@@ -391,6 +391,89 @@ let eca_family_fresh_at_quiescence () =
       );
     ]
 
+(* ------------------------------------------------------------------ *)
+(* Observed goldens: spans, gauges and summary pinned byte-for-byte     *)
+(* ------------------------------------------------------------------ *)
+
+(* Each file holds one observed run: its JSONL span and gauge export,
+   then one line with its [Json_export.result], "observe" summary
+   included. The configurations cover what the unobserved goldens and
+   the CLI surface do not: a raw chaos edge whose spans are
+   force-closed, three sources, schema changes that retire answers in
+   flight, and a windowed catalog with shared deltas. Regenerate, as
+   for the goldens, only for an intended change of behaviour:
+
+     GOLDEN_REGEN=$PWD/test/golden dune exec test/main.exe -- test observe *)
+let with_collector ~trace_out run =
+  let observe = O.Collector.create () in
+  let result = run observe in
+  O.Collector.write_file trace_out observe;
+  result
+
+let observed_cases =
+  let chaos reliable ~trace_out =
+    with_collector ~trace_out (fun oc ->
+        run_chaos ~reliable ~oc:(Some oc) ~algorithm:"eca" ~seed:5 ())
+  in
+  let evolution ~trace_out =
+    let { Workload.Scenarios.db; view; updates; ddls } =
+      Workload.Scenarios.evolution (Test_evolution.spec ~seed:3 ())
+    in
+    with_collector ~trace_out (fun observe ->
+        Core.Engine.run ~schedule:(Core.Scheduler.Random 3) ~observe
+          ~evolution:ddls ~creator:(Core.Registry.creator_exn "eca")
+          ~sites:
+            [
+              source ~fault:Workload.Scenarios.chaos_profile ~fault_seed:33
+                ~reliable:true db;
+            ]
+          ~views:[ R.Viewdef.simple view ] ~updates ())
+  in
+  let windowed ~trace_out =
+    let { Workload.Scenarios.db; view; updates } =
+      Workload.Scenarios.keyed (Test_evolution.spec ~seed:7 ())
+    in
+    let entries =
+      [
+        Core.Catalog.entry
+          ~window:{ Core.Window.rel = "r2"; col = "Y"; k = 4 }
+          (R.Viewdef.simple view);
+      ]
+    in
+    with_collector ~trace_out (fun observe ->
+        Core.Engine.run ~observe ~share_deltas:true
+          ~windows:(Core.Catalog.windows entries)
+          ~creator:(Core.Catalog.creator entries) ~sites:[ source db ]
+          ~views:(Core.Catalog.views entries) ~updates ())
+  in
+  [
+    ("observe_chaos_reliable", chaos true);
+    ("observe_chaos_raw", chaos false);
+    ("observe_fed3", fun ~trace_out -> run_fed3 ~trace_out ());
+    ("observe_evolution", evolution);
+    ("observe_windowed_catalog", windowed);
+  ]
+
+let check_observed (name, run) () =
+  let file = name ^ ".jsonl" in
+  let path = Filename.temp_file "vmw_observe" ".jsonl" in
+  let got =
+    Fun.protect
+      ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+      (fun () ->
+        let result = Core.Json_export.result (run ~trace_out:path) in
+        Test_golden.read_file path ^ result ^ "\n")
+  in
+  match Sys.getenv_opt "GOLDEN_REGEN" with
+  | Some dir ->
+    Test_golden.write_file (Filename.concat dir file) got;
+    Printf.printf "regenerated %s\n" file
+  | None ->
+    Alcotest.(check string)
+      (name ^ " matches its observed golden")
+      (Test_golden.read_file (Test_golden.golden_path file))
+      got
+
 let suite =
   [
     Alcotest.test_case "collector semantics" `Quick collector_semantics;
@@ -404,3 +487,7 @@ let suite =
     Alcotest.test_case "ECA family fresh at quiescence" `Quick
       eca_family_fresh_at_quiescence;
   ]
+  @ List.map
+      (fun ((name, _) as case) ->
+        Alcotest.test_case name `Quick (check_observed case))
+      observed_cases
