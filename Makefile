@@ -69,7 +69,12 @@ bench-throughput:
 # metrics.source_io and Source.events replaced, and the sorted
 # tuple-list lookups that Db.probe's counted matches replaced, and the
 # staging cache and the plan cache's counters, gone now that each caller
-# owns the programs it stages), check that
+# owns the programs it stages), fail if lib/core/engine.ml looks at
+# observability outside its one hand-off to Core.Observer — a call of
+# any Observe function (the Observe.Collector.t type of its options is
+# allowed), more than one Trace.record, or the span and gauge helpers
+# sample_staleness, obs_note_arrival and close_matched coming back —,
+# check that
 # the parallel bench is deterministic (PAR=1 and PAR=4 emit identical
 # runs arrays), run the quick benchmark at PAR=1 in a temp dir — like
 # for like with the committed baseline, which records "workers": 1 —
@@ -115,6 +120,12 @@ smoke:
 	@if grep -rnE 'Core\.Runner|Core\.Federation|Drain_first|Updates_first|unordered_delivery|set_compiled|Delta_program\.compiled|Delta_program\.linear|Engine\.Recompute|Engine\.Incremental|pick_multi|of_multi|install_history|[~?]shard\b|retransmit_timeout|Warehouse\.handle_message|window_counters|of_creator|(Eca_key|Eca_sm|Sc|Cross_source)\.Not_applicable|Fqueue\.filter|Core\.Lca\b|(Delta_program|Plan)\.signature|Reliable\.(pp|mean_latency)\b|clear_cache|Source\.(io_total|update_count|query_count)\b|Db\.matching\b|(Plan|Delta_program)\.cache_stats|per_domain_stats|staged_view|Db\.lookup\b' \
 	  lib bin bench examples test; then \
 	  echo "smoke: a removed entry point or alias reappeared (use Engine.run, Scheduler.pick_ready, Trace.warehouse_states, Warehouse.create/misrouted, Algorithm.Not_applicable, Fqueue.remove_first, Eca.lca, Query.signature, Reliable.stats, metrics.source_io, Source.events, Db.probe; programs are owned by their stager; sharded dispatch, Engine.site ?retransmit_timeout and the staging/plan cache resets are gone)"; \
+	  exit 1; \
+	fi
+	@if sed 's/Observe\.Collector\.t\b//g' lib/core/engine.ml | grep -n 'Observe\.' \
+	  || grep -nE 'sample_staleness|obs_note_arrival|close_matched' lib/core/engine.ml \
+	  || [ "$$(grep -c 'Trace\.record' lib/core/engine.ml)" -gt 1 ]; then \
+	  echo "smoke: lib/core/engine.ml observes outside its hand-off to Core.Observer (step records the trace once and passes each step's effects on)"; \
 	  exit 1; \
 	fi
 	dune build bench/main.exe

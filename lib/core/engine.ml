@@ -38,36 +38,6 @@ type site_state = {
   mutable ticks : int;  (* transport-clock advances on this edge *)
 }
 
-(* Mutable bookkeeping of the observability layer, live only when a
-   collector was passed in. Spans over in-flight messages are matched by
-   their protocol ids (update seq for notes, query gid for queries and
-   answers); duplicates delivered by a faulty edge find their span
-   already closed and are ignored, and messages lost forever are
-   force-closed at end of run. *)
-type obs_per_view = {
-  mutable ov_last_match : int;  (* clock of the last oracle match *)
-  mutable ov_samples : int;
-  mutable ov_sum : int;
-  mutable ov_max : int;
-  mutable ov_final : int;
-  mutable ov_quiesce_max : int;
-  mutable ov_collect_span : int option;  (* open Collect_install span *)
-  mutable ov_collect_depth : int;  (* answers currently parked *)
-}
-
-type obs_state = {
-  oc : Observe.Collector.t;
-  note_spans : (int * int, int) Hashtbl.t;  (* (site, first seq) -> span *)
-  query_spans : (int, int) Hashtbl.t;  (* gid -> span *)
-  answer_spans : (int, int) Hashtbl.t;  (* gid -> span *)
-  per_view : obs_per_view array;  (* in [views] order *)
-  edge_hist : Metrics.histogram array;  (* per site, message transit *)
-  uqs_hist : Metrics.histogram;  (* query ship -> answer processed *)
-  mutable compensations : int;
-  mutable collect_installs : int;
-  mutable collect_depth_max : int;
-}
-
 (* The run's counters, folded into one [Metrics.t] by [finish]. *)
 type counters = {
   mutable steps : int;  (* the spans' clock too, bumped before each event *)
@@ -80,7 +50,7 @@ type counters = {
   mutable coalesced_notes : int; mutable coalesced_batches : int;
 }
 
-type event = Pick of Scheduler.event | Tick | Probe
+type event = Observer.event = Pick of Scheduler.event | Tick | Probe
 
 type 'a options =
   ?schedule:Scheduler.policy -> ?rv_period:int -> ?batch_size:int ->
@@ -100,7 +70,6 @@ type state = {
   owner : (string, int) Hashtbl.t;  (* relation -> owning site *)
   views : R.Viewdef.t array;  (* the oracle's, rewritten by schema changes *)
   vname : string array;
-  name_to_idx : (string, int) Hashtbl.t;
   vsite : int option array;  (* the owning site; [None]: cross-source *)
   site_views : int list array;  (* ascending, per site *)
   cross_views : int list;  (* ascending *)
@@ -116,7 +85,8 @@ type state = {
   c : counters;
   ready : Scheduler.Ready.t;
   mutable active : Scheduler.Iset.t;  (* the non-idle edges *)
-  obs : obs_state option;
+  obs : Observer.t option;  (* the one observability test is in [step] *)
+  mutable observed : Metrics.observe option;  (* set by the drain step *)
   mutable negative_installs : (string * R.Bag.t) list;  (* newest first *)
   mutable drained : bool;  (* the final probe found no new work *)
   (* the options read after [start] *)
@@ -235,58 +205,25 @@ let refresh_update st =
   Scheduler.Ready.set_update st.ready (i >= 0);
   Scheduler.Ready.set_update_site st.ready i
 
-(* Close the span an in-flight message opened, matched by its protocol
-   id, and add its duration to [hist]. A duplicate finds the span
-   already closed and is ignored. *)
-let close_matched o spans key hist t =
-  match Hashtbl.find_opt spans key with
-  | None -> ()
-  | Some sp -> (
-    Hashtbl.remove spans key;
-    match Observe.Collector.close_span o.oc sp ~now:t with
-    | Some sp -> Metrics.hist_add hist (Observe.Span.duration sp)
-    | None -> ())
-
-(* The view/algorithm labels of a query gid, looked up while the
-   warehouse still routes it. *)
-let gid_labels st gid =
-  Option.value ~default:("", "") (Warehouse.gid_view st.warehouse gid)
-
-(* Sample the per-view staleness gauge: ticks since the warehouse's
-   materialization last equalled the centralized oracle state. Sampled
-   after every state-changing event; [quiesce] marks drained-graph
-   probes, whose maximum is the strong-consistency witness. The
-   warehouse hosts the views in [views] order. *)
-let sample_staleness ?(quiesce = false) st o =
-  let t = st.c.steps in
-  List.iteri
-    (fun vi (_, mv) ->
-      let ov = o.per_view.(vi) and name = st.vname.(vi) in
-      if R.Bag.equal mv (oracle_view st vi) then ov.ov_last_match <- t;
-      let stale = t - ov.ov_last_match in
-      ov.ov_samples <- ov.ov_samples + 1;
-      ov.ov_sum <- ov.ov_sum + stale;
-      if stale > ov.ov_max then ov.ov_max <- stale;
-      ov.ov_final <- stale;
-      if quiesce && stale > ov.ov_quiesce_max then ov.ov_quiesce_max <- stale;
-      Observe.Collector.gauge o.oc ~name:"staleness" ~key:name ~now:t
-        ~value:stale)
-    (Warehouse.mvs st.warehouse)
-
 (* An installed view state with net-negative counts witnesses an
-   over-deletion anomaly; correct algorithms never produce one. *)
-let watch_installs st installs =
-  List.iter
-    (fun (name, states) ->
-      List.iter
-        (fun mv ->
-          if R.Bag.has_negative mv then
-            st.negative_installs <- (name, mv) :: st.negative_installs)
-        states)
-    installs
+   over-deletion anomaly; correct algorithms never produce one. Most
+   entries install nothing, and build no closure to say so. *)
+let watch_installs st = function
+  | [] -> ()
+  | installs ->
+    List.iter
+      (fun (name, states) ->
+        List.iter
+          (fun mv ->
+            if R.Bag.has_negative mv then
+              st.negative_installs <- (name, mv) :: st.negative_installs)
+          states)
+      installs
 
+(* Send each query to the source owning its relations; returns the
+   (gid, site) of each. *)
 let ship_queries st queries =
-  List.iter
+  List.map
     (fun (gid, q) ->
       let i =
         if Array.length st.sites = 1 then 0
@@ -298,20 +235,13 @@ let ship_queries st queries =
       let msg = Messaging.Message.Query { id = gid; query = q } in
       st.c.queries_sent <- st.c.queries_sent + 1;
       st.c.query_bytes <- st.c.query_bytes + Messaging.Message.byte_size msg;
-      Option.iter
-        (fun o ->
-          (* Open for the whole round trip: this is the query's residency
-             in the algorithm's unanswered-query set. *)
-          let view, algo = gid_labels st gid in
-          let sp =
-            Observe.Collector.open_span o.oc Observe.Span.Query_send ~view
-              ~algo ~site:st.sites.(i).spec_name ~ids:[ gid ] ~now:st.c.steps ()
-          in
-          Hashtbl.replace o.query_spans gid sp)
-        st.obs;
       Messaging.Network.send st.sites.(i).net Messaging.Network.To_source msg;
-      refresh_edge st i)
+      refresh_edge st i;
+      (gid, i))
     queries
+
+(* The effects of a source event or receive at site [i]. *)
+let at i entry = { Observer.no_effects with edge = i; entry = Some entry }
 
 (* A schema change at source [i]: apply it to the base relations,
    rewrite the oracle's definitions of every affected view (their delta
@@ -342,9 +272,7 @@ let source_ddl st i (d : R.Update.ddl) =
   st.c.ddl_applied <- st.c.ddl_applied + 1;
   Messaging.Network.send st.sites.(i).net Messaging.Network.To_warehouse
     (Messaging.Message.Ddl_note d);
-  Option.iter (sample_staleness st) st.obs;
-  Trace.record st.trace
-    (Trace.Source_ddl { ddl = d; source_views = oracle_views st affected })
+  at i (Trace.Source_ddl { ddl = d; source_views = oracle_views st affected })
 
 (* The updates of one source event, taken off [pending] and numbered: up
    to [batch_size] consecutive updates of source [i] (a batch never spans
@@ -407,27 +335,11 @@ let source_batch st i first =
   in
   Messaging.Network.send site.net Messaging.Network.To_warehouse note;
   st.c.executed <- st.c.executed + List.length batch;
-  Option.iter
-    (fun o ->
-      let seqs = List.map (fun u -> u.R.Update.seq) batch in
-      Observe.Collector.instant o.oc Observe.Span.Source_apply
-        ~site:site.spec_name ~ids:seqs ~now:st.c.steps ();
-      (* The notification's flight, matched at the warehouse by the
-         batch's first update seq. *)
-      let sp =
-        Observe.Collector.open_span o.oc Observe.Span.Update_note
-          ~site:site.spec_name ~ids:seqs ~now:st.c.steps ()
-      in
-      (match seqs with
-      | s :: _ -> Hashtbl.replace o.note_spans (i, s) sp
-      | [] -> ());
-      sample_staleness st o)
-    st.obs;
   (* The views an update at site [i] can change — the site's own and
      every cross-source view, in catalog order. Only these appear in the
      entry, so per-source state sequences stay per-source. *)
   let affected = List.merge Int.compare st.site_views.(i) st.cross_views in
-  Trace.record st.trace
+  at i
     (Trace.Source_update
        { updates = batch; source_views = oracle_views st affected })
 
@@ -438,37 +350,31 @@ let source_event st =
   match st.pending with
   | [] -> raise (Engine_error "source event with an empty workload")
   | (i, item) :: rest ->
-    (match item with
-    | `D d ->
-      st.pending <- rest;
-      source_ddl st i d
-    | `U u -> source_batch st i u);
+    let fx =
+      match item with
+      | `D d ->
+        st.pending <- rest;
+        source_ddl st i d
+      | `U u -> source_batch st i u
+    in
     refresh_edge st i;
-    refresh_update st
+    refresh_update st;
+    fx
 
 (* Handler of a source receive: answer one query against the source's
    current state and send the answer back on the same edge. *)
 let source_receive st i =
   let site = st.sites.(i) in
-  (match Messaging.Network.receive site.net Messaging.Network.To_source with
+  match Messaging.Network.receive site.net Messaging.Network.To_source with
   | None -> raise (Engine_error "source_receive on empty channel")
   | Some (Messaging.Message.Query { id; query }) ->
     let answer, cost = Source_site.Source.answer_query site.source ~id query in
     st.c.source_io <- st.c.source_io + cost.Storage.Cost.io;
-    Option.iter
-      (fun o ->
-        let view, algo = gid_labels st id in
-        let sp =
-          Observe.Collector.open_span o.oc Observe.Span.Answer_arrival ~view
-            ~algo ~site:site.spec_name ~ids:[ id ] ~now:st.c.steps ()
-        in
-        Hashtbl.replace o.answer_spans id sp)
-      st.obs;
     Messaging.Network.send site.net Messaging.Network.To_warehouse
       (Messaging.Message.Answer { id; answer; cost });
-    Trace.record st.trace (Trace.Source_answer { gid = id; answer; cost })
-  | Some _ -> raise (Engine_error "source received a non-query message"));
-  refresh_edge st i
+    refresh_edge st i;
+    at i (Trace.Source_answer { gid = id; answer; cost })
+  | Some _ -> raise (Engine_error "source received a non-query message")
 
 (* The warehouse's rebuild callback for one schema change: rewrite the
    hosted definition and swap in an online-refreshing ECA instance (the
@@ -493,136 +399,62 @@ let rebuild_view st d vd =
   in
   (vd', inst, outcome)
 
-(* A notification landed at the warehouse: close its flight span, then
-   derive one Compensation event per query still outstanding — those
-   are exactly the in-flight queries the algorithm must offset against
-   this update (Section 4's compensation). *)
-let obs_note_arrival st o i t (us : R.Update.t list) =
-  match us with
-  | [] -> ()
-  | { R.Update.seq; _ } :: _ ->
-    close_matched o o.note_spans (i, seq) o.edge_hist.(i) t;
-    List.iter
-      (fun gid ->
-        o.compensations <- o.compensations + 1;
-        let view, algo = gid_labels st gid in
-        Observe.Collector.instant o.oc Observe.Span.Compensation ~view ~algo
-          ~site:st.sites.(i).spec_name ~ids:[ gid; seq ] ~now:t ())
-      (List.sort Int.compare
-         (Hashtbl.fold (fun gid _ acc -> gid :: acc) o.query_spans []))
+(* The effects of a warehouse reaction — to a message received at site
+   [edge] or to a quiescence probe — once its queries have shipped. *)
+let reacted ?owner ?entry st edge (r : Warehouse.reaction) =
+  { Observer.edge; entry; shipped = ship_queries st r.Warehouse.queries; owner }
 
-(* The bookkeeping both warehouse events share — a received message and
-   a quiescence probe: ship the reaction's queries, watch its installs,
-   then observe. [answer] is the gid of a processed answer with its
-   owning view's name and algorithm when observed: the query's UQS
-   residency ends here, and if the view installed nothing the answer
-   parked in COLLECT. Installs flush a view's parked answers: its open
-   Collect_install span closes and the depth resets. *)
-let after_reaction ?answer ?(probe = false) st (r : Warehouse.reaction) =
-  ship_queries st r.Warehouse.queries;
-  watch_installs st r.Warehouse.installs;
-  Option.iter
-    (fun o ->
-      let t = st.c.steps in
-      (match answer with
-      | Some (gid, _) -> close_matched o o.query_spans gid o.uqs_hist t
-      | None -> ());
-      let per_view name =
-        Option.map (Array.get o.per_view) (Hashtbl.find_opt st.name_to_idx name)
-      in
-      List.iter
-        (fun (name, states) ->
-          o.collect_installs <- o.collect_installs + List.length states;
-          match per_view name with
-          | Some ({ ov_collect_span = Some sp; _ } as ov) ->
-            ignore (Observe.Collector.close_span o.oc sp ~now:t);
-            ov.ov_collect_span <- None;
-            ov.ov_collect_depth <- 0
-          | _ -> ())
-        r.Warehouse.installs;
-      (match answer with
-      | Some (_, Some (name, algo))
-        when not (List.mem_assoc name r.Warehouse.installs) ->
-        Option.iter
-          (fun ov ->
-            ov.ov_collect_depth <- ov.ov_collect_depth + 1;
-            if ov.ov_collect_depth > o.collect_depth_max then
-              o.collect_depth_max <- ov.ov_collect_depth;
-            if ov.ov_collect_span = None then
-              ov.ov_collect_span <-
-                Some
-                  (Observe.Collector.open_span o.oc
-                     Observe.Span.Collect_install ~view:name ~algo
-                     ~site:"warehouse" ~ids:[] ~now:t ()))
-          (per_view name)
-      | _ -> ());
-      if probe then
-        Observe.Collector.instant o.oc Observe.Span.Quiescence
-          ~site:"warehouse" ~ids:[] ~now:t ();
-      sample_staleness ~quiesce:probe st o)
-    st.obs
+let note st i us (r : Warehouse.reaction) =
+  reacted st i r
+    ~entry:
+      (Trace.Warehouse_note
+         { updates = us; queries = r.Warehouse.queries;
+           installs = r.Warehouse.installs })
 
-let note st us (r : Warehouse.reaction) =
-  Trace.record st.trace
-    (Trace.Warehouse_note
-       { updates = us; queries = r.Warehouse.queries;
-         installs = r.Warehouse.installs });
-  (r, None)
-
-(* Handler of a warehouse receive: one dispatch on the message kind.
-   Each kind's arrival is observed, handled and traced; the reaction's
-   shared bookkeeping follows. *)
+(* Handler of a warehouse receive: one dispatch on the message kind. *)
 let warehouse_receive st i =
-  let t = st.c.steps and wh = st.warehouse in
-  let reaction, answer =
+  let wh = st.warehouse in
+  let fx =
     match
       Messaging.Network.receive st.sites.(i).net Messaging.Network.To_warehouse
     with
     | None -> raise (Engine_error "warehouse_receive on empty channel")
     | Some (Messaging.Message.Update_note u) ->
-      Option.iter (fun o -> obs_note_arrival st o i t [ u ]) st.obs;
-      note st [ u ] (Warehouse.handle_update wh u)
+      note st i [ u ] (Warehouse.handle_update wh u)
     | Some (Messaging.Message.Batch_note us) ->
-      Option.iter (fun o -> obs_note_arrival st o i t us) st.obs;
-      note st us (Warehouse.handle_batch wh us)
+      note st i us (Warehouse.handle_batch wh us)
     | Some (Messaging.Message.Answer { id; answer; cost }) ->
       let c = st.c in
       c.answers_received <- c.answers_received + 1;
       c.answer_tuples <- c.answer_tuples + cost.Storage.Cost.answer_tuples;
       c.answer_bytes <- c.answer_bytes + cost.Storage.Cost.answer_bytes;
-      (* The owning view, read before [handle_answer] consumes the gid's
-         route. *)
-      let view =
-        match st.obs with
-        | None -> None
-        | Some o ->
-          close_matched o o.answer_spans id o.edge_hist.(i) t;
-          Warehouse.gid_view wh id
-      in
+      (* The owning view, read before [handle_answer] consumes the
+         gid's route; a gid a schema change retired has none. *)
+      let owner = Warehouse.gid_view wh id in
       let r = Warehouse.handle_answer wh ~gid:id answer in
-      Trace.record st.trace
-        (Trace.Warehouse_answer { gid = id; installs = r.Warehouse.installs });
-      (r, Some (id, view))
+      reacted ?owner st i r
+        ~entry:
+          (Trace.Warehouse_answer { gid = id; installs = r.Warehouse.installs })
     | Some (Messaging.Message.Ddl_note d) ->
       let r, rebuilt = Warehouse.apply_ddl wh d ~rebuild:(rebuild_view st d) in
       st.c.refresh_queries <-
         st.c.refresh_queries + List.length r.Warehouse.queries;
-      Trace.record st.trace
-        (Trace.Warehouse_ddl
-           { ddl = d; rebuilt; queries = r.Warehouse.queries;
-             installs = r.Warehouse.installs });
-      (r, None)
+      reacted st i r
+        ~entry:
+          (Trace.Warehouse_ddl
+             { ddl = d; rebuilt; queries = r.Warehouse.queries;
+               installs = r.Warehouse.installs })
     | Some
         (( Messaging.Message.Query _ | Messaging.Message.Data _
          | Messaging.Message.Ack _ ) as msg) ->
       (* Misrouted: the warehouse records an anomaly and produces no
          reaction — nothing to trace. *)
-      (Warehouse.misrouted wh msg, None)
+      reacted st i (Warehouse.misrouted wh msg)
   in
-  after_reaction ?answer st reaction;
   (* [ship_queries] already refreshed the edges it sent on; this edge's
      receive side changed too. *)
-  refresh_edge st i
+  refresh_edge st i;
+  fx
 
 (* Handler of a transport tick: messages are in flight but none is
    deliverable — delayed transmissions ripening, or reliability-layer
@@ -642,16 +474,17 @@ let tick st =
   st.c.ticks <- st.c.ticks + 1
 
 (* Handler of a quiescence probe on the drained graph (where RV flushes
-   a partial period). True when the probe produced new work. *)
+   a partial period). Its entry is [None] when it produced no new
+   work. *)
 let quiescence_probe st =
   let r = Warehouse.quiesce st.warehouse in
-  after_reaction ~probe:true st r;
-  let more = r.Warehouse.queries <> [] || r.Warehouse.installs <> [] in
-  if more then
-    Trace.record st.trace
-      (Trace.Quiesce_probe
-         { queries = r.Warehouse.queries; installs = r.Warehouse.installs });
-  more
+  if r.Warehouse.queries = [] && r.Warehouse.installs = [] then
+    reacted st (-1) r
+  else
+    reacted st (-1) r
+      ~entry:
+        (Trace.Quiesce_probe
+           { queries = r.Warehouse.queries; installs = r.Warehouse.installs })
 
 (* The options are parsed here once; [start] and [run] differ only in
    the continuation [k] applied to the initial state. *)
@@ -792,7 +625,8 @@ let with_options (k : state -> 'a) : 'a options =
      it over the same initial state, and sharing the object lets the
      judge's first confirmation start from physically equal states. *)
   let snap = Array.map (fun c -> c.Algorithm.Config.init_mv) configs in
-  let initial vi = (vname.(vi), windowed oracle_win vname.(vi) snap.(vi)) in
+  let oracle vi = windowed oracle_win vname.(vi) snap.(vi) in
+  let initial vi = (vname.(vi), oracle vi) in
   let trace = Trace.create ~initial_views:(List.init nviews initial) in
   (* The workload item stream: DML updates woven with the scheduled
      schema changes. A change at position [p] fires after [p] updates
@@ -823,20 +657,13 @@ let with_options (k : state -> 'a) : 'a options =
   let obs =
     Option.map
       (fun oc ->
-        { oc; note_spans = Hashtbl.create 64; query_spans = Hashtbl.create 64;
-          answer_spans = Hashtbl.create 64;
-          per_view =
-            Array.init nviews (fun _ ->
-                { ov_last_match = 0; ov_samples = 0; ov_sum = 0; ov_max = 0;
-                  ov_final = 0; ov_quiesce_max = 0; ov_collect_span = None;
-                  ov_collect_depth = 0 });
-          edge_hist = Array.init n (fun _ -> Metrics.hist_create ());
-          uqs_hist = Metrics.hist_create (); compensations = 0;
-          collect_installs = 0; collect_depth_max = 0 })
+        Observer.create oc
+          ~sites:(Array.map (fun site -> site.spec_name) sites)
+          ~views:vname ~oracle warehouse)
       observe
   in
   let st =
-    { sched; sites; owner; views; vname; name_to_idx; vsite; site_views;
+    { sched; sites; owner; views; vname; vsite; site_views;
       cross_views = !cross_views; wh_win; oracle_win; warehouse; snap;
       staged_programs = Array.make nviews None;
       trace; pending = items; next_seq = 0;
@@ -847,6 +674,7 @@ let with_options (k : state -> 'a) : 'a options =
           inflight_max = 0; active_max = 0; coalesced_notes = 0;
           coalesced_batches = 0 };
       ready = Scheduler.Ready.create n; active = Scheduler.Iset.empty; obs;
+      observed = None;
       negative_installs = []; drained = false;
       rv_period; local_literal_eval; batch_size; coalesce; share_deltas;
       track_scale }
@@ -868,49 +696,36 @@ let step st =
       | None when not (Scheduler.Iset.is_empty st.active) -> Tick
       | None -> Probe
     in
-    (match ev with
-    | Pick Scheduler.Apply -> source_event st
-    | Pick (Scheduler.Site_source i) -> source_receive st i
-    | Pick (Scheduler.Site_warehouse i) -> warehouse_receive st i
-    | Tick -> tick st
-    | Probe -> st.drained <- not (quiescence_probe st));
+    let fx =
+      match ev with
+      | Pick Scheduler.Apply -> source_event st
+      | Pick (Scheduler.Site_source i) -> source_receive st i
+      | Pick (Scheduler.Site_warehouse i) -> warehouse_receive st i
+      | Tick ->
+        tick st;
+        Observer.no_effects
+      | Probe ->
+        let fx = quiescence_probe st in
+        st.drained <- fx.Observer.entry = None;
+        fx
+    in
+    (match fx.Observer.entry with
+    | Some entry ->
+      Trace.record st.trace entry;
+      watch_installs st (Trace.installs_of entry)
+    | None -> ());
+    (match st.obs with
+    | Some o ->
+      Observer.step o ~now:st.c.steps ev fx;
+      if st.drained then
+        st.observed <- Some (Observer.finish o ~now:st.c.steps)
+    | None -> ());
     Some ev
   end
 
 let finish st : result =
   while Option.is_some (step st) do () done;
   let c = st.c in
-  (* Spans whose closing message was lost forever on a raw faulty edge
-     never terminate on their own — force-close them so every trace is
-     well-formed, and count them as lost frames. *)
-  let observe =
-    Option.map
-      (fun o ->
-        Observe.Collector.close_all o.oc ~now:st.c.steps;
-        { Metrics.spans = Observe.Collector.spans_recorded o.oc;
-          span_dropped = Observe.Collector.dropped o.oc;
-          span_forced = Observe.Collector.forced_closes o.oc;
-          gauges = Observe.Collector.gauges_recorded o.oc;
-          compensations = o.compensations;
-          collect_installs = o.collect_installs;
-          collect_depth_max = o.collect_depth_max; uqs_residency = o.uqs_hist;
-          edge_latency =
-            Array.to_list
-              (Array.mapi (fun i h -> (st.sites.(i).spec_name, h)) o.edge_hist);
-          staleness =
-            List.mapi
-              (fun vi ov ->
-                ( st.vname.(vi),
-                  { Metrics.stale_samples = ov.ov_samples;
-                    stale_max = ov.ov_max;
-                    stale_mean =
-                      (if ov.ov_samples = 0 then 0.0
-                       else float_of_int ov.ov_sum /. float_of_int ov.ov_samples);
-                    stale_final = ov.ov_final;
-                    stale_quiesce_max = ov.ov_quiesce_max } ))
-              (Array.to_list o.per_view) })
-      st.obs
-  in
   let site_delivery =
     Array.to_list
       (Array.map
@@ -976,7 +791,7 @@ let finish st : result =
       answers_received = c.answers_received; answer_tuples = c.answer_tuples;
       answer_bytes = c.answer_bytes; query_bytes = c.query_bytes;
       source_io = c.source_io; steps = c.steps; delivery; site_delivery;
-      observe; shared;
+      observe = st.observed; shared;
       scale =
         (if not st.track_scale then None
          else

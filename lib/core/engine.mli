@@ -110,13 +110,12 @@ type 'a options =
     that many {e consecutive same-source} updates and sends a single
     batched notification — a batch never spans sources.
 
-    With [?observe] the engine additionally emits a typed span per
-    atomic event into the collector — clocked by the deterministic step
-    counter, so traces reproduce exactly across runs — plus per-view
-    staleness gauges, and [result.metrics.observe] carries the derived
-    summary. Without it the engine takes no observability branch at
-    all: metrics, trace and reports are byte-identical to an unobserved
-    build.
+    With [?observe] each {!step} hands what its event did to an
+    {!Observer}, which emits typed spans and per-view staleness gauges
+    into the collector, clocked by the deterministic step counter so
+    traces reproduce exactly, and [result.metrics.observe] carries its
+    summary. Without it no code path branches on observability: metrics,
+    trace and reports are byte-identical to an unobserved run.
 
     With [~share_deltas:true] the warehouse runs multi-query-optimized
     shared maintenance (see {!Warehouse.create}): inside one atomic

@@ -67,17 +67,13 @@ let of_trace trace name =
          match List.assoc_opt name source_views with
          | Some v -> on_source v
          | None -> ())
-       | Trace.Warehouse_note { installs; _ }
-       | Trace.Warehouse_answer { installs; _ }
-       | Trace.Quiesce_probe { installs; _ }
-       | Trace.Warehouse_ddl { installs; _ } -> (
-         match List.assoc_opt name installs with
+       | e -> (
+         match List.assoc_opt name (Trace.installs_of e) with
          | Some states -> (
            match List.rev states with
            | last :: _ -> on_install last
            | [] -> ())
-         | None -> ())
-       | Trace.Source_answer _ -> ());
+         | None -> ()));
       (* sample after every atomic event, giving a time-weighted lag *)
       lags := lag_now () :: !lags)
     (Trace.entries trace);

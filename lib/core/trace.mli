@@ -57,6 +57,9 @@ val record : t -> entry -> unit
 val entries : t -> entry list
 val initial_views : t -> (string * R.Bag.t) list
 
+val installs_of : entry -> (string * R.Bag.t list) list
+(** The states an entry installed, per view; [[]] for source entries. *)
+
 val states :
   t -> string list -> (string * (R.Bag.t list * R.Bag.t list)) list
 (** [states t names] pairs every named view with its

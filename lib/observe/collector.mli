@@ -1,10 +1,10 @@
 (** The ring-buffered span/gauge collector behind the engine's
     observability layer.
 
-    The engine opens and closes {!Span} records and samples gauges as its
-    event loop executes; completed events land in a fixed-capacity
-    {!Ring} (oldest dropped and counted once full, so memory stays
-    bounded). [write_file] exports the retained events as JSONL —
+    The engine's observer ([Core.Observer]) opens and closes {!Span}
+    records and samples gauges as each engine step's effects reach it;
+    completed events land in a fixed-capacity {!Ring} (oldest dropped
+    and counted once full, so memory stays bounded). [write_file] exports the retained events as JSONL —
     one meta header line, then one object per event in completion order —
     the format behind [vmw run --trace-out]. *)
 
@@ -58,7 +58,7 @@ val open_count : t -> int
 
 val close_all : t -> now:int -> unit
 (** Force-close every still-open span (counted by {!forced_closes}) — the
-    engine calls this at end of run so spans whose closing message was
+    observer calls this at end of run so spans whose closing message was
     lost forever on a raw faulty edge still terminate. *)
 
 val spans_recorded : t -> int

@@ -339,6 +339,25 @@ let windowed_matches_oracle () =
       check_bool "consistent" true rep.Core.Consistency.consistent)
     [ 0; 1; 2; 3; 4; 5; 6; 7 ]
 
+(* The smallest legal window keeps one partition: it runs, converges to
+   its windowed recompute and stays consistent; k = 0 is rejected. *)
+let single_partition_window () =
+  List.iter
+    (fun seed ->
+      let result, truth = windowed_keyed_run ~k:1 ~seed () in
+      check_bag
+        (Printf.sprintf "k = 1 MV = windowed recompute (seed %d)" seed)
+        truth (final_mv result "VK");
+      let rep = report result "VK" in
+      check_bool "k = 1 consistent" true rep.Core.Consistency.consistent;
+      check_bool "k = 1 convergent" true rep.Core.Consistency.convergent)
+    [ 0; 1; 2; 3 ];
+  let vd = R.Viewdef.simple (view_wy ~r1:r1_wkey ~r2:r2_ykey ()) in
+  check_bool "k = 0 raises Window_error" true
+    (match Core.Window.make { Core.Window.rel = "r2"; col = "Y"; k = 0 } vd with
+     | exception Core.Window.Window_error _ -> true
+     | _ -> false)
+
 (* Delete-heavy streams reach back into aged-out partitions: the window
    wrapper must prune those compensation terms — and answer entirely
    pruned queries locally — instead of shipping them to the source. *)
@@ -536,6 +555,8 @@ let suite =
     Alcotest.test_case "windowed view: hand-checked age-out" `Quick hand_window;
     Alcotest.test_case "windowed view matches windowed recompute" `Quick
       windowed_matches_oracle;
+    Alcotest.test_case "one-partition window converges; k = 0 rejected" `Quick
+      single_partition_window;
     Alcotest.test_case "window compensation prunes and answers locally" `Quick
       window_pruning_fires;
     Alcotest.test_case "windowed age-out is deterministic at any PAR" `Quick
