@@ -52,7 +52,11 @@ bench-throughput:
 # reliable link is gated off the seed it was tuned on — its two
 # untraced runs go through scripts/frames_guard.sh, which also fails
 # when either reports more than 4.0 wire frames per update (a
-# deterministic count, so the gate is free of host noise) — fail if a
+# deterministic count, so the gate is free of host noise) — run
+# scripts/words_guard.sh, which fails when any workload's minor words per
+# update (bench/main.exe words: one counted Engine.run after a warm-up,
+# at seeds 11 and 31337, an exact count for a given build) is more than
+# 2% above its value in the committed bench/words.json — fail if a
 # removed entry point
 # reappears in the sources (the
 # old run drivers and scheduler aliases, the compiled/interpreted
@@ -117,6 +121,7 @@ smoke:
 	sh scripts/frames_guard.sh 11
 	python3 perfbench/run.py --workload fanout-chaos --seed 11 --seconds 2 --trace 1 > /dev/null
 	sh scripts/frames_guard.sh 31337
+	sh scripts/words_guard.sh
 	@if grep -rnE 'Core\.Runner|Core\.Federation|Drain_first|Updates_first|unordered_delivery|set_compiled|Delta_program\.compiled|Delta_program\.linear|Engine\.Recompute|Engine\.Incremental|pick_multi|of_multi|install_history|[~?]shard\b|retransmit_timeout|Warehouse\.handle_message|window_counters|of_creator|(Eca_key|Eca_sm|Sc|Cross_source)\.Not_applicable|Fqueue\.filter|Core\.Lca\b|(Delta_program|Plan)\.signature|Reliable\.(pp|mean_latency)\b|clear_cache|Source\.(io_total|update_count|query_count)\b|Db\.matching\b|(Plan|Delta_program)\.cache_stats|per_domain_stats|staged_view|Db\.lookup\b' \
 	  lib bin bench examples test; then \
 	  echo "smoke: a removed entry point or alias reappeared (use Engine.run, Scheduler.pick_ready, Trace.warehouse_states, Warehouse.create/misrouted, Algorithm.Not_applicable, Fqueue.remove_first, Eca.lca, Query.signature, Reliable.stats, metrics.source_io, Source.events, Db.probe; programs are owned by their stager; sharded dispatch, Engine.site ?retransmit_timeout and the staging/plan cache resets are gone)"; \

@@ -17,7 +17,9 @@
 
    `bench/main.exe quick` skips Bechamel; `bench/main.exe csv DIR` writes
    only the figure CSVs; `bench/main.exe throughput` runs only the
-   throughput section and writes BENCH_throughput.json. *)
+   throughput section and writes BENCH_throughput.json; `bench/main.exe
+   words` prints the perfbench workloads' minor words per update (the
+   format of bench/words.json, which scripts/words_guard.sh gates on). *)
 
 let sections =
   Paper.
@@ -48,6 +50,11 @@ let () =
   | _ :: "csv" :: dir :: _ ->
     Paper.write_csvs dir;
     Parallel.Pool.shutdown Cell.pool
+  | _ :: "words" :: _ ->
+    (* Counted on this domain alone: the pool's workers are stopped
+       first. *)
+    Parallel.Pool.shutdown Cell.pool;
+    Words.print ()
   | _ :: "throughput" :: _ ->
     (* Its own artifact, so the committed BENCH_results.json is not
        clobbered by a partial run. *)

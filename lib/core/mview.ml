@@ -138,20 +138,37 @@ module Keyed = struct
           k.tables <- Some tables;
           tables
       in
-      match Ktbl.find_opt (List.nth tables i) kv with
+      let probed = List.nth tables i in
+      match Ktbl.find_opt probed kv with
       | None -> false
       | Some vts ->
-        List.iter (fun vt -> add k vt (-R.Bag.count k.bag vt)) vts;
+        (* Each tuple leaves the bag in one descent and the other keys'
+           tables; the probed key's bucket is dropped whole. *)
+        Ktbl.remove probed kv;
+        List.iter
+          (fun vt ->
+            let before, bag = R.Bag.remove_all vt k.bag in
+            k.bag <- bag;
+            if before <> 0 then
+              List.iter2
+                (fun key tbl -> if tbl != probed then table_remove key vt tbl)
+                k.keys tables)
+          vts;
         true)
 
-  (* ECAK's answer accumulation over a keyed working copy. *)
+  (* ECAK's answer accumulation over a keyed working copy: one descent
+     per answer tuple, which adds it only where it is absent. *)
   let add_dedup k answer =
     R.Bag.fold
       (fun vt n changed ->
-        if n > 0 && not (R.Bag.mem vt k.bag) then begin
-          add k vt 1;
-          true
-        end
-        else changed)
+        if n <= 0 then changed
+        else
+          let bag = R.Bag.add_if_absent vt k.bag in
+          if bag == k.bag then changed
+          else begin
+            k.bag <- bag;
+            Option.iter (List.iter2 (fun key -> table_add key vt) k.keys) k.tables;
+            true
+          end)
       answer false
 end

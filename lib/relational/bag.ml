@@ -15,203 +15,9 @@
    first, so printed output, golden files and cross-bag comparisons keep
    the canonical tuple order of the old tree representation. *)
 
-(* The map under the bag: a big-endian Patricia trie over the hash keys
-   (Okasaki and Gill, "Fast Mergeable Integer Maps", 1998). A branch
-   splits its keys on their highest differing bit, its branching bit
-   [m]. Keys with [m] clear go left, except at the sign bit, where the
-   negative keys go left: left to right is
-   ascending signed key order, the order of the int-keyed trees the bag
-   used before, so folds, evaluation order and every golden are
-   unchanged. A key's single entry sits inline in its [Leaf]; a [Bucket]
-   holds the two or more entries of a hash collision, in the order the
-   bag has always kept them (the entry last changed in front). The trie
-   never rebalances: its shape depends only on its key set, so equal
-   bags are equal tries. *)
-module Trie = struct
-  type t =
-    | Empty
-    | Leaf of { k : int; t : Tuple.t; n : int }
-    | Bucket of { k : int; es : (Tuple.t * int) list }  (* two or more *)
-    | Branch of { pm : int; l : t; r : t }
-
-  (* A branch's [pm] is its label: the bits its keys share above [m],
-     and [m] itself set, in one word. [label k m] is the label [m] gives
-     key [k], and [m] is the lowest set bit of a label. *)
-  let label k m = (k lor m) land -m
-
-  let bit pm = pm land -pm
-
-  (* Whether [k] goes left at [m]; the flip of the sign bit sends the
-     negative keys left of the others. *)
-  let goes_left k m = (k lxor min_int) land m = 0
-
-  (* Unsigned [m1 > m2] on single bits: the sign bit is the highest. *)
-  let higher m1 m2 = m1 lxor min_int > m2 lxor min_int
-
-  let highest_bit x =
-    let x = x lor (x lsr 1) in
-    let x = x lor (x lsr 2) in
-    let x = x lor (x lsr 4) in
-    let x = x lor (x lsr 8) in
-    let x = x lor (x lsr 16) in
-    let x = x lor (x lsr 32) in
-    x lxor (x lsr 1)
-
-  (* A leaf's key or a branch's label: it agrees with the trie's keys
-     above the branching bit, so of two tries with disjoint key ranges,
-     the one with the smaller [key] holds the smaller keys. *)
-  let key = function
-    | Leaf { k; _ } | Bucket { k; _ } -> k
-    | Branch { pm; _ } -> pm
-    | Empty -> invalid_arg "Bag.Trie.key"
-
-  (* Two nonempty tries whose keys disagree above both their branching
-     bits, under one new branch. *)
-  let join t0 t1 =
-    let k0 = key t0 in
-    let m = highest_bit (k0 lxor key t1) in
-    if goes_left k0 m then Branch { pm = label k0 m; l = t0; r = t1 }
-    else Branch { pm = label k0 m; l = t1; r = t0 }
-
-  (* The leaf or bucket of key [h], or [Empty]: one bit test per branch
-     on the way down, the key compared once at the bottom. *)
-  let rec find h t =
-    match t with
-    | Branch { pm; l; r } -> find h (if goes_left h (bit pm) then l else r)
-    | (Leaf { k; _ } | Bucket { k; _ }) when k = h -> t
-    | _ -> Empty
-
-  (* [update h f t] rebinds [h] to [f] of its leaf or bucket ([Empty]
-     both ways stands for "unbound"), in one descent that copies the
-     path. A branch left with one child is replaced by that child. *)
-  let rec update h f t =
-    match t with
-    | Empty -> f Empty
-    | Leaf { k; _ } | Bucket { k; _ } when k = h -> f t
-    | Leaf _ | Bucket _ -> ( match f Empty with Empty -> t | leaf -> join leaf t)
-    | Branch { pm; _ } when label h (bit pm) <> pm -> (
-      match f Empty with Empty -> t | leaf -> join leaf t)
-    | Branch { pm; l; r } ->
-      if goes_left h (bit pm) then (
-        match update h f l with Empty -> r | l -> Branch { pm; l; r })
-      else match update h f r with Empty -> l | r -> Branch { pm; l; r }
-
-  (* Every leaf and bucket replaced by [f] of it, in ascending key order;
-     [Empty] drops the key. Unchanged subtries are kept, not copied. *)
-  let rec map_leaves f t =
-    match t with
-    | Empty -> Empty
-    | Leaf _ | Bucket _ -> f t
-    | Branch { pm; l; r } -> (
-      let l' = map_leaves f l in
-      let r' = map_leaves f r in
-      match l', r' with
-      | Empty, only | only, Empty -> only
-      | _ -> if l' == l && r' == r then t else Branch { pm; l = l'; r = r' })
-
-  let rec fold f t acc =
-    match t with
-    | Empty -> acc
-    | Leaf { t; n; _ } -> f t n acc
-    | Bucket { es; _ } -> List.fold_left (fun acc (t, n) -> f t n acc) acc es
-    | Branch { l; r; _ } -> fold f r (fold f l acc)
-
-  let rec iter f = function
-    | Empty -> ()
-    | Leaf { t; n; _ } -> f t n
-    | Bucket { es; _ } -> List.iter (fun (t, n) -> f t n) es
-    | Branch { l; r; _ } ->
-      iter f l;
-      iter f r
-
-  let rec for_all p = function
-    | Empty -> true
-    | Leaf { t; n; _ } -> p t n
-    | Bucket { es; _ } -> List.for_all (fun (t, n) -> p t n) es
-    | Branch { l; r; _ } -> for_all p l && for_all p r
-
-  let rec exists p = function
-    | Empty -> false
-    | Leaf { t; n; _ } -> p t n
-    | Bucket { es; _ } -> List.exists (fun (t, n) -> p t n) es
-    | Branch { l; r; _ } -> exists p l || exists p r
-
-  (* Buckets hold the same entries in arbitrary order when two bags were
-     built along different paths, so bucket equality is multiset
-     equality. *)
-  let bucket_equal es1 es2 =
-    List.length es1 = List.length es2
-    && List.for_all
-         (fun (t, n) -> List.exists (fun (t', n') -> n = n' && Tuple.equal t t') es2)
-         es1
-
-  (* Two leaves, buckets or [Empty]s of one key. *)
-  let entries_equal t1 t2 =
-    t1 == t2
-    ||
-    match t1, t2 with
-    | Leaf a, Leaf b -> a.n = b.n && Tuple.equal a.t b.t
-    | Bucket a, Bucket b -> bucket_equal a.es b.es
-    | _ -> false
-
-  (* Equal key sets make equal shapes, so the walk is in lockstep. *)
-  let rec equal t1 t2 =
-    t1 == t2
-    ||
-    match t1, t2 with
-    | Branch a, Branch b -> a.pm = b.pm && equal a.l b.l && equal a.r b.r
-    | (Leaf { k; _ } | Bucket { k; _ }), (Leaf { k = k'; _ } | Bucket { k = k'; _ }) ->
-      k = k' && entries_equal t1 t2
-    | _ -> false
-
-  (* Whether every key of [t] lies under a branch labelled [pm]. *)
-  let inside t pm =
-    let m = bit pm in
-    match t with
-    | Leaf { k; _ } | Bucket { k; _ } -> label k m = pm
-    | Branch b -> higher m (bit b.pm) && label b.pm m = pm
-    | Empty -> false
-
-  let rec fold_leaves f t acc =
-    match t with
-    | Empty -> acc
-    | Leaf { k; _ } | Bucket { k; _ } -> f k t acc
-    | Branch { l; r; _ } -> fold_leaves f r (fold_leaves f l acc)
-
-  (* Every key of [t], as bound in [t] or as unbound. *)
-  let fresh ~tick t acc = fold_leaves (fun k nd acc -> tick (); (k, nd) :: acc) t acc
-  let gone ~tick t acc = fold_leaves (fun k _ acc -> tick (); (k, Empty) :: acc) t acc
-
-  (* The keys whose leaf or bucket differs between [t1] and [t2],
-     physically — bound in one trie only, or to nodes that are not the
-     same object — each with its node in [t2] ([Empty] when unbound), in
-     descending key order. Physically shared subtries are skipped whole;
-     where one trie's keys fall inside one child of the other's branch
-     (the Patricia merge case: a key added or removed just above them),
-     only the other child is enumerated. So two tries that share all but
-     a few paths cost O(changes · depth). [tick] is called once per node
-     visited. *)
-  let rec changed ~tick t1 t2 acc =
-    if t1 == t2 then acc
-    else begin
-      tick ();
-      match t1, t2 with
-      | Empty, _ -> fresh ~tick t2 acc
-      | _, Empty -> gone ~tick t1 acc
-      | Branch a, Branch b when a.pm = b.pm ->
-        changed ~tick a.r b.r (changed ~tick a.l b.l acc)
-      | Branch a, _ when inside t2 a.pm ->
-        if goes_left (key t2) (bit a.pm) then gone ~tick a.r (changed ~tick a.l t2 acc)
-        else changed ~tick a.r t2 (gone ~tick a.l acc)
-      | _, Branch b when inside t1 b.pm ->
-        if goes_left (key t1) (bit b.pm) then fresh ~tick b.r (changed ~tick t1 b.l acc)
-        else changed ~tick t1 b.r (fresh ~tick b.l acc)
-      | (Leaf _ | Bucket _), (Leaf _ | Bucket _) when key t1 = key t2 -> (key t2, t2) :: acc
-      | _ ->
-        if key t1 < key t2 then fresh ~tick t2 (gone ~tick t1 acc)
-        else gone ~tick t1 (fresh ~tick t2 acc)
-    end
-end
+(* The map under the bag: a big-endian Patricia trie over the hash keys,
+   ascending signed key order left to right (see {!Patricia}). *)
+module Trie = Patricia.Entries
 
 type t = {
   size : int;  (* number of distinct tuples, i.e. total entries *)
@@ -246,14 +52,29 @@ let count b t =
     | None -> 0)
   | _ -> 0
 
+(* [t]'s count in a collision bucket (0 when absent) and the other
+   entries, in their order: [es] itself when [t] is absent. *)
+let take t es =
+  let rec split acc = function
+    | [] -> (0, es)
+    | ((t', n) as e) :: rest ->
+      if Tuple.equal t t' then (n, List.rev_append acc rest) else split (e :: acc) rest
+  in
+  split [] es
+
+(* The node of key [h] holding the entries [es], two or more making a
+   bucket. *)
+let node_of h = function
+  | [ (t, n) ] -> Trie.Leaf { k = h; t; n }
+  | es -> Trie.Bucket { k = h; es }
+
 (* [t]'s count before adding [count <> 0] copies, and the bag after:
    one hash, one descent. The entry is taken out of its leaf or bucket
    and put back in front with its new count, or left out when that count
    is 0; a bucket left with one entry becomes a leaf. Size, negatives and
    fingerprint change by the entry's before and after contributions (a
    count of 0 contributes nothing). *)
-let adjust count t b =
-  let h = Tuple.hash t in
+let adjust_at h count t b =
   let before = ref 0 in
   let trie =
     Trie.update h
@@ -263,21 +84,10 @@ let adjust count t b =
           before := n;
           if n + count = 0 then Empty else Leaf { k = h; t; n = n + count }
         | Leaf { t = t'; n; _ } -> Bucket { k = h; es = [ (t, count); (t', n) ] }
-        | Bucket { es; _ } -> (
-          let rec split acc = function
-            | [] -> (t, count) :: es
-            | ((t', n) as e) :: rest ->
-              if Tuple.equal t t' then begin
-                before := n;
-                let n' = n + count in
-                if n' = 0 then List.rev_append acc rest
-                else (t, n') :: List.rev_append acc rest
-              end
-              else split (e :: acc) rest
-          in
-          match split [] es with
-          | [ (t, n) ] -> Leaf { k = h; t; n }
-          | es -> Bucket { k = h; es })
+        | Bucket { es; _ } ->
+          let n, rest = take t es in
+          before := n;
+          node_of h (if n + count = 0 then rest else (t, n + count) :: rest)
         | Empty | Branch _ -> Leaf { k = h; t; n = count })
       b.trie
   in
@@ -293,9 +103,64 @@ let adjust count t b =
       trie;
     } )
 
+let adjust count t b = adjust_at (Tuple.hash t) count t b
+
 let add_get ?count:(c = 1) t b = if c = 0 then (count b t, b) else adjust c t b
 
 let add ?(count = 1) t b = if count = 0 then b else snd (adjust count t b)
+
+(* The entry taken out whole, in one descent: the node [add] builds for
+   a count of minus the entry's own, without first looking the count
+   up. An absent tuple leaves [b] itself. *)
+let remove_all t b =
+  let h = Tuple.hash t in
+  let before = ref 0 in
+  let trie =
+    Trie.update h
+      (fun node ->
+        match node with
+        | Leaf { t = t'; n; _ } when Tuple.equal t t' ->
+          before := n;
+          Empty
+        | Bucket { es; _ } -> (
+          match take t es with
+          | 0, _ -> node
+          | n, rest ->
+            before := n;
+            node_of h rest)
+        | Empty | Leaf _ | Branch _ -> node)
+      b.trie
+  in
+  match !before with
+  | 0 -> (0, b)
+  | n ->
+    ( n,
+      {
+        size = b.size - 1;
+        neg = (if n < 0 then b.neg - 1 else b.neg);
+        fp = b.fp - mix h n;
+        trie;
+      } )
+
+(* One copy added where the tuple is absent, in one descent; where it is
+   present the descent stops at its node and [b] itself is returned. The
+   node built is the one [add] builds. *)
+let add_if_absent t b =
+  let h = Tuple.hash t in
+  let trie =
+    Trie.update h
+      (fun node ->
+        match node with
+        | Leaf { t = t'; _ } when Tuple.equal t t' -> node
+        | Leaf { t = t'; n; _ } -> Bucket { k = h; es = [ (t, 1); (t', n) ] }
+        | Bucket { es; _ } ->
+          if List.exists (fun (t', _) -> Tuple.equal t t') es then node
+          else Bucket { k = h; es = (t, 1) :: es }
+        | Empty | Branch _ -> Leaf { k = h; t; n = 1 })
+      b.trie
+  in
+  if trie == b.trie then b
+  else { size = b.size + 1; neg = b.neg; fp = b.fp + mix h 1; trie }
 
 let remove ?(count = 1) t b = add ~count:(-count) t b
 
@@ -311,10 +176,17 @@ let fold f b acc = Trie.fold f b.trie acc
 let iter f b = Trie.iter f b.trie
 
 (* Fold the smaller operand into the larger: counts add commutatively, so
-   the result is the same bag either way. *)
+   the result is the same bag either way. Each entry goes in under the
+   key its leaf stores, so no tuple is rehashed. *)
 let plus a b =
   let small, large = if a.size <= b.size then a, b else b, a in
-  fold (fun t n acc -> add ~count:n t acc) small large
+  Trie.fold_leaves
+    (fun h node acc ->
+      match node with
+      | Leaf { t; n; _ } -> snd (adjust_at h n t acc)
+      | Bucket { es; _ } -> List.fold_left (fun acc (t, n) -> snd (adjust_at h n t acc)) acc es
+      | Empty | Branch _ -> acc)
+    small.trie large
 
 (* Rebuild with a per-entry count transform ([f] returning None drops the
    entry); used by all the mapping/filtering operations below. Size,

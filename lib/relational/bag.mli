@@ -45,6 +45,16 @@ val add_get : ?count:int -> Tuple.t -> t -> int * t
     sharing are the same whichever function made it. With [count = 0]
     it is [b] itself. *)
 
+val remove_all : Tuple.t -> t -> int * t
+(** [remove_all t b = (count b t, add ~count:(- count b t) t b)], from one
+    hash of [t] and one descent of the bag; the bag returned is the one
+    {!add} builds, node for node, and [b] itself when [t] is absent. *)
+
+val add_if_absent : Tuple.t -> t -> t
+(** [add t b] when [count b t = 0], else [b] itself (physically, so
+    [add_if_absent t b != b] tells whether [t] was added): one hash and
+    one descent, which stops at [t]'s node when [t] is present. *)
+
 val remove : ?count:int -> Tuple.t -> t -> t
 val singleton : ?count:int -> Tuple.t -> t
 val of_list : Tuple.t list -> t

@@ -1,82 +1,83 @@
 module Smap = Map.Make (String)
 module Vmap = Map.Make (Value)
+module Ibuckets = Patricia.Buckets
 
 (* Column indexes. A relation's index on column [i] maps each value of
    that column to the tuples holding it — every tuple with a nonzero
-   count, counts staying in the bag. Buckets are sorted by
-   [Tuple.compare], so an index's contents, and with them every
-   lookup's result, are the same however and whenever it was built.
-   [ints]/[floats] count the Int and Float keys, which tells a numeric
-   lookup whether the other numeric type can match at all. *)
+   count, counts staying in the bag. Int keys live in a Patricia trie
+   keyed by the int itself, which a lookup descends one bit test per
+   level; the Float, Str and Bool keys, rarer in practice, live in a
+   [Vmap]. The trie's ascending signed order is [Value.compare]'s order
+   on Ints, and every Int sorts before every other value, so the Int
+   buckets followed by the [Vmap]'s are the index in [Value.compare]
+   order. Buckets are sorted by [Tuple.compare], so an index's
+   contents, and with them every lookup's result, are the same however
+   and whenever it was built. [ints]/[floats] count the Int and Float
+   keys, which tells a numeric lookup whether the other numeric type
+   can match at all. *)
 type index = {
-  map : Tuple.t list Vmap.t;
+  by_int : Tuple.t Ibuckets.t;
+  others : Tuple.t list Vmap.t;
   distinct : int;
   ints : int;
   floats : int;
 }
-
-let no_index = { map = Vmap.empty; distinct = 0; ints = 0; floats = 0 }
-
-(* [ix] with key [v] added ([d = 1]), removed ([d = -1]) or neither
-   ([d = 0]). *)
-let with_key v d map ix =
-  match v with
-  | Value.Int _ ->
-    { map; distinct = ix.distinct + d; ints = ix.ints + d; floats = ix.floats }
-  | Value.Float _ ->
-    { map; distinct = ix.distinct + d; ints = ix.ints; floats = ix.floats + d }
-  | Value.Str _ | Value.Bool _ -> { ix with map; distinct = ix.distinct + d }
 
 let rec insert_sorted t = function
   | [] -> [ t ]
   | t' :: rest as l ->
     if Tuple.compare t t' <= 0 then t :: l else t' :: insert_sorted t rest
 
-(* One [Vmap.update] each; [d] records whether the key came or went. *)
-let index_add col t ix =
-  let v = Tuple.get t col in
-  let d = ref 0 in
-  let map =
-    Vmap.update v
-      (function
-        | None ->
-          d := 1;
-          Some [ t ]
-        | Some ts -> Some (insert_sorted t ts))
-      ix.map
-  in
-  with_key v !d map ix
+let without t ts = List.filter (fun t' -> not (Tuple.equal t t')) ts
 
-let index_remove col t ix =
-  let v = Tuple.get t col in
+(* One update of the key's trie or map, in one descent; the key comes
+   ([d = 1]) or goes ([d = -1]) when its bucket starts or ends empty. *)
+let index_change col t ix (f : Tuple.t list -> Tuple.t list) =
   let d = ref 0 in
-  let map =
-    Vmap.update v
-      (function
-        | None -> None
-        | Some ts -> (
-          match List.filter (fun t' -> not (Tuple.equal t t')) ts with
-          | [] ->
-            d := -1;
-            None
-          | ts' -> Some ts'))
-      ix.map
+  let f' ts =
+    let ts' = f ts in
+    (match ts, ts' with [], _ :: _ -> d := 1 | _ :: _, [] -> d := -1 | _ -> ());
+    ts'
   in
-  with_key v !d map ix
+  match Tuple.get t col with
+  | Value.Int x ->
+    let by_int = Ibuckets.update x f' ix.by_int in
+    { ix with by_int; distinct = ix.distinct + !d; ints = ix.ints + !d }
+  | v -> (
+    let others =
+      Vmap.update v
+        (fun o -> match f' (Option.value o ~default:[]) with [] -> None | ts -> Some ts)
+        ix.others
+    in
+    match v with
+    | Value.Float _ -> { ix with others; distinct = ix.distinct + !d; floats = ix.floats + !d }
+    | _ -> { ix with others; distinct = ix.distinct + !d })
+
+let index_add col t ix = index_change col t ix (insert_sorted t)
+let index_remove col t ix = index_change col t ix (without t)
 
 (* Group first, sort each bucket once: O(n log n) whatever the column's
    value distribution. *)
 let build_index col bag =
-  let groups =
+  let by_int, others =
     Bag.fold
-      (fun t _ m ->
-        let v = Tuple.get t col in
-        Vmap.add v (t :: Option.value (Vmap.find_opt v m) ~default:[]) m)
-      bag Vmap.empty
+      (fun t _ (by_int, others) ->
+        match Tuple.get t col with
+        | Value.Int x -> (Ibuckets.update x (List.cons t) by_int, others)
+        | v -> (by_int, Vmap.update v (fun o -> Some (t :: Option.value o ~default:[])) others))
+      bag (Ibuckets.empty, Vmap.empty)
   in
-  Vmap.fold
-    (fun v ts ix -> with_key v 1 (Vmap.add v (List.sort Tuple.compare ts) ix.map) ix)
-    groups no_index
+  let ints = Ibuckets.fold (fun _ _ n -> n + 1) by_int 0 in
+  let floats =
+    Vmap.fold (fun v _ n -> match v with Value.Float _ -> n + 1 | _ -> n) others 0
+  in
+  {
+    by_int = Ibuckets.map (List.sort Tuple.compare) by_int;
+    others = Vmap.map (List.sort Tuple.compare) others;
+    distinct = ints + Vmap.cardinal others;
+    ints;
+    floats;
+  }
 
 (* A base relation: its contents, O(1) statistics, and one lazily built
    index per column. The index array is never mutated once published:
@@ -126,7 +127,15 @@ let index r col =
     in
     publish built
 
-let bucket ix v = Option.value (Vmap.find_opt v ix.map) ~default:[]
+let bucket ix = function
+  | Value.Int x -> Ibuckets.find x ix.by_int
+  | v -> Option.value (Vmap.find_opt v ix.others) ~default:[]
+
+(* [f] of every bucket in [Value.compare] order of its key: the Int
+   keys first. *)
+let fold_buckets f ix acc =
+  Vmap.fold (fun _ ts acc -> f ts acc) ix.others
+    (Ibuckets.fold (fun _ ts acc -> f ts acc) ix.by_int acc)
 
 (* Below this many distinct tuples a relation is scanned instead: the
    scan costs less than keeping an index current on every update. *)
@@ -367,10 +376,9 @@ let iter_int_partners ix f g =
   else if Float.abs f < 0x1p53 then g (bucket ix (Value.Int (int_of_float f)))
   else
     let lo, hi = int_window f in
-    Vmap.to_seq_from (Value.Int lo) ix.map
-    |> Seq.take_while (fun (v, _) -> Value.compare v (Value.Int hi) <= 0)
-    |> Seq.iter (fun (v, ts) ->
-           if Value.compare_for_predicate v (Value.Float f) = 0 then g ts)
+    Ibuckets.iter_range lo hi
+      (fun x ts -> if Float.equal (float_of_int x) f then g ts)
+      ix.by_int
 
 (* [f t (count t)] for every tuple [t] of one index bucket. *)
 let rec hand f count = function
@@ -409,10 +417,37 @@ let fold_sorted f db name acc =
        in [Value.compare] order, each bucket sorted. A set's counts need
        no lookup. *)
     let count = if is_set r then fun _ -> 1 else Bag.count r.bag in
-    Vmap.fold
-      (fun _ ts acc -> List.fold_left (fun acc t -> f t (count t) acc) acc ts)
-      ix.map acc
+    fold_buckets (fun ts acc -> List.fold_left (fun acc t -> f t (count t) acc) acc ts) ix acc
   | None -> List.fold_left (fun acc (t, n) -> f t n acc) acc (Bag.to_counted_list r.bag)
+
+(* The element of rank [k] of [a], whose elements are distinct, in
+   [Tuple.compare] order: Hoare's selection. Each round partitions the
+   range holding rank [k] around its middle element and keeps the side
+   holding [k], so a draw costs expected linear time rather than a
+   sort. [a] is permuted. *)
+let select a k =
+  let rec go lo hi =
+    if lo >= hi then a.(k)
+    else begin
+      let pivot = a.((lo + hi) / 2) in
+      let i = ref lo and j = ref hi in
+      while !i <= !j do
+        while Tuple.compare a.(!i) pivot < 0 do incr i done;
+        while Tuple.compare a.(!j) pivot > 0 do decr j done;
+        if !i <= !j then begin
+          let t = a.(!i) in
+          a.(!i) <- a.(!j);
+          a.(!j) <- t;
+          incr i;
+          decr j
+        end
+      done;
+      (* a.(lo..!j) <= pivot <= a.(!i..hi), and anything between is the
+         pivot *)
+      if k <= !j then go lo !j else if k >= !i then go !i hi else a.(k)
+    end
+  in
+  go 0 (Array.length a - 1)
 
 let nth db name k =
   let r = find db name in
@@ -426,24 +461,23 @@ let nth db name k =
       else begin
         let rest = ref k in
         match
-          Vmap.iter
-            (fun _ ts ->
+          fold_buckets
+            (fun ts () ->
               let n = List.length ts in
               if !rest < n then raise_notrace (Found (List.nth ts !rest));
               rest := !rest - n)
-            ix.map
+            ix ()
         with
         | () -> None
         | exception Found t -> Some t
       end
     | None when is_set r ->
-      (* A small set: its tuples sorted once, each of rank its index. *)
+      (* A small set: its tuples in an array, rank [k] selected. *)
       if k >= r.card then None
       else begin
         let ts = Array.make r.card [||] in
         ignore (Bag.fold (fun t _ i -> ts.(i) <- t; i + 1) r.bag 0);
-        Array.sort Tuple.compare ts;
-        Some ts.(k)
+        Some (select ts k)
       end
     | _ -> (
       match
@@ -475,9 +509,9 @@ let distinct_values db name col =
   | Some ix ->
     (* The index also holds negatively counted tuples: a key counts when
        one of its tuples is positive. *)
-    Vmap.fold
-      (fun _ ts acc -> if List.exists (fun t -> Bag.count r.bag t > 0) ts then acc + 1 else acc)
-      ix.map 0
+    fold_buckets
+      (fun ts acc -> if List.exists (fun t -> Bag.count r.bag t > 0) ts then acc + 1 else acc)
+      ix 0
   | None ->
     (* Under [scan_below] distinct tuples: dedupe into a small sorted
        array rather than a hash table. *)

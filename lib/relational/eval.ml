@@ -83,20 +83,15 @@ let keys_hold (keys : Plan.join_key array) row tup =
   in
   loop 0
 
-(* One join step: every partial row of [rows] extended with each of the
-   slot's tuples that passes the keys and the filter, handed to [emit]
-   with its count. A probed base relation is probed once per row, each
-   match arriving with its count ({!Db.probe}); anything else is
-   enumerated per row (a probe key with a bag input is then checked like
-   the others). Match order is free: rows only feed the next step and,
-   at the last, a canonical bag. *)
+(* One join step: every partial row of [rows] paired with each of the
+   slot's tuples that passes the keys, handed to [emit row tup count].
+   A probed base relation is probed once per row, each match arriving
+   with its count ({!Db.probe}); anything else is enumerated per row (a
+   probe key with a bag input is then checked like the others). Match
+   order is free: rows only feed the next step and, at the last, a
+   canonical bag. *)
 let join_step (sp : Plan.slot_plan) input (rows : Rows.t) emit =
-  let extend keys row cnt tup n =
-    if keys_hold keys row tup then begin
-      let row' = Tuple.concat row tup in
-      if keep sp.Plan.filter row' then emit row' (cnt * n)
-    end
-  in
+  let extend keys row cnt tup n = if keys_hold keys row tup then emit row tup (cnt * n) in
   match sp.Plan.probe, input with
   | Some probe, Relation (db, rel) ->
     let matches = Db.probe db rel probe.Plan.build_pos in
@@ -119,27 +114,41 @@ let join_step (sp : Plan.slot_plan) input (rows : Rows.t) emit =
 (* Execute a compiled plan, reading slot [i] from [input i]. Inputs are
    only requested while rows remain, so callers pay nothing for slots
    past an empty join prefix. The last step projects its rows straight
-   into the result. This single executor serves both [term] below and
-   the staged programs in {!Delta_program}: sharing it is what makes
-   "compiled = interpreted" an identity rather than a theorem. *)
+   into the result; with no residual filter to read the joined row, it
+   projects straight from the partial row and the matched tuple, and
+   the joined row is never built. This single executor serves both
+   [term] below and the staged programs in {!Delta_program}: sharing it
+   is what makes "compiled = interpreted" an identity rather than a
+   theorem. *)
 let run_plan ?(into = Bag.empty) (plan : Plan.t) ~(input : int -> input) ~sign =
   let acc = ref into in
-  let emit_out row cnt =
-    acc := Bag.add ~count:(cnt * sign) (Tuple.project plan.Plan.proj row) !acc
-  in
+  let proj = plan.Plan.proj in
   let steps = plan.Plan.slots in
   let last = Array.length steps - 1 in
+  let out =
+    match if last < 0 then None else steps.(last).Plan.filter with
+    | None ->
+      fun row tup cnt ->
+        acc := Bag.add ~count:(cnt * sign) (Tuple.project_concat proj row tup) !acc
+    | filter ->
+      fun row tup cnt ->
+        let row' = Tuple.concat row tup in
+        if keep filter row' then
+          acc := Bag.add ~count:(cnt * sign) (Tuple.project proj row') !acc
+  in
   let rec go i rows =
     let sp = steps.(i) in
-    if i = last then join_step sp (input sp.Plan.slot) rows emit_out
+    if i = last then join_step sp (input sp.Plan.slot) rows out
     else begin
-      let next = Rows.create ~capacity:rows.Rows.len () in
-      join_step sp (input sp.Plan.slot) rows (Rows.push next);
+      let next = Rows.create ~capacity:rows.Rows.len () and filter = sp.Plan.filter in
+      join_step sp (input sp.Plan.slot) rows (fun row tup cnt ->
+          let row' = Tuple.concat row tup in
+          if keep filter row' then Rows.push next row' cnt);
       if next.Rows.len > 0 then go (i + 1) next
     end
   in
   if not plan.Plan.pre_false then begin
-    if last < 0 then emit_out [||] 1
+    if last < 0 then out [||] [||] 1
     else begin
       let seed = Rows.create ~capacity:1 () in
       Rows.push seed [||] 1;

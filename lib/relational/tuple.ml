@@ -30,6 +30,21 @@ let concat = Array.append
 
 let project positions t = Array.map (fun i -> t.(i)) positions
 
+(* Written out as a loop: the projection reads each position from [a]
+   or [b] without building their concatenation or a closure. *)
+let project_concat positions a b =
+  let la = Array.length a and n = Array.length positions in
+  if n = 0 then [||]
+  else begin
+    let p0 = positions.(0) in
+    let out = Array.make n (if p0 < la then a.(p0) else b.(p0 - la)) in
+    for j = 1 to n - 1 do
+      let p = positions.(j) in
+      out.(j) <- (if p < la then a.(p) else b.(p - la))
+    done;
+    out
+  end
+
 let to_string t =
   "[" ^ String.concat "," (List.map Value.to_string (Array.to_list t)) ^ "]"
 

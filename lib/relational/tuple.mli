@@ -27,5 +27,9 @@ val byte_size : t -> int
 val concat : t -> t -> t
 val project : int array -> t -> t
 
+val project_concat : int array -> t -> t -> t
+(** [project_concat ps a b = project ps (concat a b)], without building
+    the concatenation. *)
+
 val to_string : t -> string
 val pp : Format.formatter -> t -> unit

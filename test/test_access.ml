@@ -23,28 +23,50 @@ let q_schema =
     ~fks:[ { R.Schema.fk_cols = [ "F" ]; fk_ref = "p"; fk_ref_cols = [ "K" ] } ]
     "q" [ "F"; "W" ]
 
+(* Past 2^53 several Ints round to one Float: an Int key there meets a
+   Float probe only through the index's window of Int keys around it. *)
+let big = 1 lsl 53
+
 (* Ints and the Floats equal to them, so key checks ([Value.equal]) and
-   equi-join probes ([compare_for_predicate]) differ. *)
+   equi-join probes ([compare_for_predicate]) differ; negative Ints,
+   whose keys sit left of the sign bit in the index's trie; Ints past
+   2^53 probed by the Floats they round to; and Strs, the index's other
+   keys. *)
 let probe_values =
   List.concat_map
     (fun n -> [ R.Value.Int n; R.Value.Float (float_of_int n) ])
-    [ 0; 1; 2; 3; 40 ]
-  @ [ R.Value.Float 2.5; R.Value.Str "x" ]
+    [ 0; 1; 2; 3; 40; -1; -3; -40 ]
+  @ List.map
+      (fun f -> R.Value.Float f)
+      [ 2.5; 0x1p53; 0x1p53 +. 2.0; 0x1p53 +. 4.0; -0x1p53; -0x1p53 -. 4.0 ]
+  @ [ R.Value.Int (big + 1); R.Value.Str "x"; R.Value.Str "1" ]
+
+(* Ints of both signs and past 2^53, the Floats equal to the small ones,
+   2.5 and Strs. *)
+let mixed_of n = function
+  | 0 -> R.Value.Int n
+  | 1 -> R.Value.Float (float_of_int n)
+  | 2 -> R.Value.Float 2.5
+  | 3 -> R.Value.Int (-n)
+  | 4 -> R.Value.Int (big + n)
+  | 5 -> R.Value.Int (-big - n)
+  | _ -> R.Value.Str (string_of_int n)
 
 let mixed_gen =
   QCheck.Gen.(
     let* n = int_bound 4 in
-    oneofl [ R.Value.Int n; R.Value.Float (float_of_int n); R.Value.Float 2.5 ])
+    map (mixed_of n) (int_bound 6))
 
+(* Keys of both signs. *)
 let p_tuple =
   QCheck.Gen.(
-    let* k = int_bound 59 in
+    let* k = int_range (-30) 29 in
     let* v = mixed_gen in
     return [| R.Value.Int k; v |])
 
 let q_tuple =
   QCheck.Gen.(
-    let* f = int_bound 69 in
+    let* f = int_range (-35) 34 in
     let* w = mixed_gen in
     return [| R.Value.Int f; w |])
 
@@ -150,11 +172,35 @@ let ref_rejects db rel t =
   in
   key_clash || dangling
 
+(* The positively counted tuples, each repeated by its count, in
+   canonical order: the ranks [Db.nth] draws from. *)
+let ranked bag =
+  List.concat_map
+    (fun (t, n) -> if n > 0 then List.init n (fun _ -> t) else [])
+    (R.Bag.to_counted_list bag)
+
+(* [Db.fold_sorted] walks [Bag.to_counted_list]'s order, and [Db.nth]
+   draws its first, middle and last ranks and the ones just outside. *)
+let sorted_agree db rel =
+  let bag = R.Db.contents db rel in
+  let expected = Array.of_list (ranked bag) in
+  let total = Array.length expected in
+  List.equal
+    (fun (t, n) (t', n') -> R.Tuple.equal t t' && n = n')
+    (List.rev (R.Db.fold_sorted (fun t n acc -> (t, n) :: acc) db rel []))
+    (R.Bag.to_counted_list bag)
+  && List.for_all
+       (fun k ->
+         Option.equal R.Tuple.equal (R.Db.nth db rel k)
+           (if k < 0 || k >= total then None else Some expected.(k)))
+       [ -1; 0; total / 2; total - 1; total ]
+
 (* Every index-backed answer of [rels] in [db] equals its scan. *)
 let indexes_agree rels db =
   List.for_all
     (fun rel ->
       R.Db.cardinality db rel = R.Bag.net_cardinality (R.Db.contents db rel)
+      && sorted_agree db rel
       && List.for_all
            (fun col ->
              let matching = matching db rel col in
@@ -204,16 +250,13 @@ let step db op =
 
 (* Starting contents past the size below which relations are scanned,
    so the sequences exercise built indexes as well as the scans. *)
-let mixed k =
-  match k mod 3 with
-  | 0 -> R.Value.Int (k mod 5)
-  | 1 -> R.Value.Float (float_of_int (k mod 5))
-  | _ -> R.Value.Float 2.5
+let mixed k = mixed_of (k mod 5) (k mod 7)
 
-let seed_p = R.Bag.of_list (List.init 40 (fun k -> [| R.Value.Int k; mixed k |]))
+let seed_p = R.Bag.of_list (List.init 40 (fun k -> [| R.Value.Int (k - 20); mixed k |]))
 
 let seed_q =
-  R.Bag.of_list (List.init 40 (fun k -> [| R.Value.Int (k * 7 mod 40); mixed (k + 1) |]))
+  R.Bag.of_list
+    (List.init 40 (fun k -> [| R.Value.Int ((k * 7 mod 40) - 20); mixed (k + 1) |]))
 
 let db_index_prop =
   QCheck.Test.make ~name:"index lookups, statistics and key/FK checks = scans"
@@ -293,28 +336,26 @@ let float_precision_edge () =
 
 let n_schema = R.Schema.of_names "n" [ "A"; "B" ]
 
-(* Column 0 mixes Ints, the Floats equal to them, 2.5 and NaN: distinct
-   values under [Value.compare], whose order the index walks. *)
+(* Column 0 mixes Ints of both signs and past ±2^53, the Floats equal
+   to the small ones, 2.5, NaN and Strs: distinct values under
+   [Value.compare], whose order the index walks. *)
 let n_tuple =
   QCheck.Gen.(
     let* a = int_bound 24 in
-    let* kind = int_bound 5 in
+    let* kind = int_bound 9 in
     let* b = int_bound 3 in
     let v =
       match kind with
       | 0 | 1 -> R.Value.Int a
-      | 2 | 3 -> R.Value.Float (float_of_int a)
-      | 4 -> R.Value.Float 2.5
-      | _ -> R.Value.Float Float.nan
+      | 2 -> R.Value.Int (-a)
+      | 3 | 4 -> R.Value.Float (float_of_int a)
+      | 5 -> R.Value.Float 2.5
+      | 6 -> R.Value.Float Float.nan
+      | 7 -> R.Value.Int (big + (a mod 5))
+      | 8 -> R.Value.Int (-big - (a mod 5))
+      | _ -> R.Value.Str (string_of_int (a mod 5))
     in
     return [| v; R.Value.Int b |])
-
-(* The reference: the positively counted tuples, each repeated by its
-   count, in canonical order. *)
-let ranked bag =
-  List.concat_map
-    (fun (t, n) -> if n > 0 then List.init n (fun _ -> t) else [])
-    (R.Bag.to_counted_list bag)
 
 (* [bag]'s relation twice: as loaded (indexed by the first [nth] if it
    has [scan_below] distinct tuples), and with its column-0 index built
@@ -360,6 +401,31 @@ let nth_prop =
                (List.init (total + 3) (fun k -> k - 1)))
         [ loaded; indexed ])
 
+(* A set under [scan_below] has no index, and [Db.nth] selects its rank
+   from the set's tuples: every rank of random small sets, against the
+   sorted tuples. *)
+let nth_select_prop =
+  QCheck.Test.make ~name:"Db.nth on a small set = the sorted rank, every k" ~count:300
+    (QCheck.make ~print:R.Bag.to_string
+       QCheck.Gen.(
+         let* rows = list_size (int_bound (2 * R.Db.scan_below)) n_tuple in
+         return
+           (List.fold_left
+              (fun b t ->
+                if R.Bag.distinct_cardinality b < R.Db.scan_below - 1 then
+                  R.Bag.add_if_absent t b
+                else b)
+              R.Bag.empty rows)))
+    (fun bag ->
+      let db = R.Db.set_contents (R.Db.of_list [ (n_schema, R.Bag.empty) ]) "n" bag in
+      let sorted = Array.of_list (List.map fst (R.Bag.to_counted_list bag)) in
+      let total = Array.length sorted in
+      List.for_all
+        (fun k ->
+          Option.equal R.Tuple.equal (R.Db.nth db "n" k)
+            (if k < total then Some sorted.(k) else None))
+        (List.init (total + 1) Fun.id))
+
 (* ------------------------------------------------------------------ *)
 (* Counted probes                                                      *)
 (* ------------------------------------------------------------------ *)
@@ -393,7 +459,10 @@ let probe_prop =
               let probe = R.Db.probe db "n" col in
               let values =
                 [ R.Value.Int 0; R.Value.Float 0.0; R.Value.Float 2.5;
-                  R.Value.Float Float.nan; R.Value.Int 99; R.Value.Str "x" ]
+                  R.Value.Float Float.nan; R.Value.Int 99; R.Value.Str "x";
+                  R.Value.Float (-3.0); R.Value.Float 0x1p53;
+                  R.Value.Float (0x1p53 +. 4.0); R.Value.Float (-0x1p53);
+                  R.Value.Float (-0x1p53 -. 4.0) ]
                 @ List.map (fun (t, _) -> R.Tuple.get t col) counted
               in
               List.for_all
@@ -462,45 +531,74 @@ let ref_add_dedup mv answer =
     (fun t n acc -> if n > 0 && not (R.Bag.mem t acc) then R.Bag.add t acc else acc)
     answer mv
 
+(* Runs [ops] on the keyed view [k], built from [init], against the
+   references: [Mview.key_delete]'s scan, a [mem] + [add] accumulation
+   and [Bag.plus]. Each step's contents, change flag and the earlier
+   [bag] snapshot are checked. *)
+let keyed_agrees k init ops =
+  let _ =
+    List.fold_left
+      (fun reference op ->
+        let snapshot = Core.Mview.Keyed.bag k in
+        let reference', changed =
+          match op with
+          | Plus d ->
+            Core.Mview.Keyed.plus k d;
+            (R.Bag.plus reference d, None)
+          | Key_delete (rel, t) ->
+            let changed = Core.Mview.Keyed.key_delete k ~rel t in
+            (Core.Mview.key_delete ~view:keyed_view ~rel t reference, Some changed)
+          | Add_dedup a ->
+            let changed = Core.Mview.Keyed.add_dedup k a in
+            (ref_add_dedup reference a, Some changed)
+        in
+        if not (R.Bag.equal (Core.Mview.Keyed.bag k) reference') then
+          QCheck.Test.fail_reportf "after %s: keyed %s, scan %s" (kop_to_string op)
+            (R.Bag.to_string (Core.Mview.Keyed.bag k))
+            (R.Bag.to_string reference');
+        if not (R.Bag.equal snapshot reference) then
+          QCheck.Test.fail_reportf "%s changed an earlier [bag] snapshot"
+            (kop_to_string op);
+        (match changed with
+        | Some c when c = R.Bag.equal reference' reference ->
+          QCheck.Test.fail_reportf "%s: wrong change flag" (kop_to_string op)
+        | _ -> ());
+        reference')
+      init ops
+  in
+  true
+
+let print_kops (b, ops) = String.concat "\n" (R.Bag.to_string b :: List.map kop_to_string ops)
+
 let keyed_prop =
   QCheck.Test.make ~name:"keyed key-delete = scan key-delete" ~count:300
-    (QCheck.make
-       ~print:(fun (b, ops) ->
-         String.concat "\n" (R.Bag.to_string b :: List.map kop_to_string ops))
+    (QCheck.make ~print:print_kops
        QCheck.Gen.(pair (signed_bag ~max:60 ~lo:1 ()) (list_size (int_range 1 30) kop_gen)))
     (fun (init, ops) ->
-      let k = Core.Mview.Keyed.create ~view:keyed_view ~rels:[ "r1"; "r2" ] init in
-      let _ =
-        List.fold_left
-          (fun reference op ->
-            let snapshot = Core.Mview.Keyed.bag k in
-            let reference', changed =
-              match op with
-              | Plus d ->
-                Core.Mview.Keyed.plus k d;
-                (R.Bag.plus reference d, None)
-              | Key_delete (rel, t) ->
-                let changed = Core.Mview.Keyed.key_delete k ~rel t in
-                (Core.Mview.key_delete ~view:keyed_view ~rel t reference, Some changed)
-              | Add_dedup a ->
-                let changed = Core.Mview.Keyed.add_dedup k a in
-                (ref_add_dedup reference a, Some changed)
-            in
-            if not (R.Bag.equal (Core.Mview.Keyed.bag k) reference') then
-              QCheck.Test.fail_reportf "after %s: keyed %s, scan %s" (kop_to_string op)
-                (R.Bag.to_string (Core.Mview.Keyed.bag k))
-                (R.Bag.to_string reference');
-            if not (R.Bag.equal snapshot reference) then
-              QCheck.Test.fail_reportf "%s changed an earlier [bag] snapshot"
-                (kop_to_string op);
-            (match changed with
-            | Some c when c = R.Bag.equal reference' reference ->
-              QCheck.Test.fail_reportf "%s: wrong change flag" (kop_to_string op)
-            | _ -> ());
-            reference')
-          init ops
-      in
-      true)
+      keyed_agrees (Core.Mview.Keyed.create ~view:keyed_view ~rels:[ "r1"; "r2" ] init) init ops)
+
+(* The same with the key tables built: the view starts with at least
+   [scan_below] distinct tuples, and the first operation is a key-delete
+   on one of its two keyed relations, which builds both tables; every
+   later key-delete is a table lookup. *)
+let keyed_tables_prop =
+  let filler =
+    R.Bag.of_list (List.init R.Db.scan_below (fun i -> R.Tuple.ints [ i mod 10; i / 10; i mod 4 ]))
+  in
+  QCheck.Test.make ~name:"keyed key-delete, add_dedup = references, tables built" ~count:300
+    (QCheck.make ~print:print_kops
+       QCheck.Gen.(
+         let* extra = signed_bag ~max:40 ~lo:1 () in
+         let* first = kop_gen in
+         let* ops = list_size (int_range 1 40) kop_gen in
+         let first =
+           match first with
+           | Key_delete _ -> first
+           | Plus _ | Add_dedup _ -> Key_delete ("r2", R.Tuple.ints [ 0; 0 ])
+         in
+         return (R.Bag.dedup_to_set (R.Bag.plus filler extra), first :: ops)))
+    (fun (init, ops) ->
+      keyed_agrees (Core.Mview.Keyed.create ~view:keyed_view ~rels:[ "r1"; "r2" ] init) init ops)
 
 let keyed_rejects_unindexed () =
   let k = Core.Mview.Keyed.create ~view:keyed_view ~rels:[ "r1" ] R.Bag.empty in
@@ -513,7 +611,8 @@ let keyed_rejects_unindexed () =
   | exception Core.Mview.Mview_error _ -> ()
 
 let suite =
-  List.map QCheck_alcotest.to_alcotest [ db_index_prop; nth_prop; probe_prop; keyed_prop ]
+  List.map QCheck_alcotest.to_alcotest
+    [ db_index_prop; nth_prop; nth_select_prop; probe_prop; keyed_prop; keyed_tables_prop ]
   @ [
       Alcotest.test_case "domains racing to build one index" `Quick racing_domains;
       Alcotest.test_case "numeric matches across the float precision edge" `Quick

@@ -281,6 +281,41 @@ let add_get_law steps =
   && R.Bag.has_negative b = List.exists (fun (_, n) -> n < 0) expected
   && R.Bag.fingerprint b = R.Bag.fingerprint (of_entries expected)
 
+(* [remove_all] and [add_if_absent] at every step of an [add_get] chain,
+   against [count] and [add]: the count returned, the bag node for node
+   (fold order, fingerprint, distinct count, negative flag, equality),
+   and the bag itself, physically, when the tuple was absent or present
+   respectively. *)
+let one_descent_law steps =
+  let same a b =
+    List.equal
+      (fun (t, n) (t', n') -> n = n' && R.Tuple.equal t t')
+      (R.Bag.fold (fun t n acc -> (t, n) :: acc) a [])
+      (R.Bag.fold (fun t n acc -> (t, n) :: acc) b [])
+    && R.Bag.fingerprint a = R.Bag.fingerprint b
+    && R.Bag.distinct_cardinality a = R.Bag.distinct_cardinality b
+    && R.Bag.has_negative a = R.Bag.has_negative b
+    && R.Bag.equal a b
+  in
+  let check b t =
+    let n = R.Bag.count b t in
+    let before, removed = R.Bag.remove_all t b in
+    let added = R.Bag.add_if_absent t b in
+    before = n
+    && same removed (R.Bag.add ~count:(-n) t b)
+    && (n <> 0 || removed == b)
+    && same added (if n = 0 then R.Bag.add t b else b)
+    && (n = 0 || added == b)
+  in
+  let c1, c2 = Lazy.force colliding in
+  let probes = c1 :: c2 :: List.init 6 (fun i -> R.Tuple.ints [ i ]) in
+  fst
+    (List.fold_left
+       (fun (ok, b) (t, c) ->
+         let b = R.Bag.add ~count:c t b in
+         (ok && List.for_all (check b) probes, b))
+       (true, R.Bag.empty) steps)
+
 (* ------------------------------------------------------------------ *)
 (* Keys of both signs, and the trie against the AVL reference          *)
 (* ------------------------------------------------------------------ *)
@@ -461,6 +496,8 @@ type op =
   | Add of R.Tuple.t * int
   | Add_get of R.Tuple.t * int
   | Remove of R.Tuple.t * int
+  | Remove_all of R.Tuple.t
+  | Add_if_absent of R.Tuple.t
   | Plus of (R.Tuple.t * int) list
   | Minus of (R.Tuple.t * int) list
   | Negate
@@ -474,6 +511,8 @@ let show_op = function
   | Add (t, c) -> Printf.sprintf "add %d*%s" c (R.Tuple.to_string t)
   | Add_get (t, c) -> Printf.sprintf "add_get %d*%s" c (R.Tuple.to_string t)
   | Remove (t, c) -> Printf.sprintf "remove %d*%s" c (R.Tuple.to_string t)
+  | Remove_all t -> Printf.sprintf "remove_all %s" (R.Tuple.to_string t)
+  | Add_if_absent t -> Printf.sprintf "add_if_absent %s" (R.Tuple.to_string t)
   | Plus es -> Printf.sprintf "plus [%s]" (show_entries es)
   | Minus es -> Printf.sprintf "minus [%s]" (show_entries es)
   | Negate -> "negate"
@@ -495,6 +534,8 @@ module type BAG = sig
   val add : ?count:int -> R.Tuple.t -> t -> t
   val add_get : ?count:int -> R.Tuple.t -> t -> int * t
   val remove : ?count:int -> R.Tuple.t -> t -> t
+  val remove_all : R.Tuple.t -> t -> int * t
+  val add_if_absent : R.Tuple.t -> t -> t
   val plus : t -> t -> t
   val minus : t -> t -> t
   val negate : t -> t
@@ -508,7 +549,8 @@ end
 module Run (B : BAG) = struct
   let of_entries es = List.fold_left (fun b (t, c) -> B.add ~count:c t b) B.empty es
 
-  (* The bag after [op] and, for [add_get], the count it returned. *)
+  (* The bag after [op] and, for [add_get] and [remove_all], the count
+     it returned. *)
   let apply op b =
     match op with
     | Add (t, c) -> (None, B.add ~count:c t b)
@@ -516,6 +558,10 @@ module Run (B : BAG) = struct
       let before, b = B.add_get ~count:c t b in
       (Some before, b)
     | Remove (t, c) -> (None, B.remove ~count:c t b)
+    | Remove_all t ->
+      let before, b = B.remove_all t b in
+      (Some before, b)
+    | Add_if_absent t -> (None, B.add_if_absent t b)
     | Plus es -> (None, B.plus b (of_entries es))
     | Minus es -> (None, B.minus b (of_entries es))
     | Negate -> (None, B.negate b)
@@ -526,8 +572,20 @@ module Run (B : BAG) = struct
     | Dedup_to_set -> (None, B.dedup_to_set b)
 end
 
+(* The reference's one-descent operations are their definitions: a
+   count, then an add. *)
+module Ref_counted = struct
+  include Ref_bag
+
+  let remove_all t b =
+    let n = count b t in
+    (n, add ~count:(-n) t b)
+
+  let add_if_absent t b = if count b t = 0 then add t b else b
+end
+
 module Trie_run = Run (R.Bag)
-module Ref_run = Run (Ref_bag)
+module Ref_run = Run (Ref_counted)
 
 (* Each step is an operation and a twist on the second bag [y], which
    starts equal to the first, [x]: none; one extra count (so [y] differs
@@ -568,6 +626,8 @@ let arb_ref_chain =
             (4, map2 (fun t c -> Add (t, c)) tuple count);
             (3, map2 (fun t c -> Add_get (t, c)) tuple count);
             (2, map2 (fun t c -> Remove (t, c)) tuple count);
+            (2, map (fun t -> Remove_all t) tuple);
+            (2, map (fun t -> Add_if_absent t) tuple);
             (1, map (fun es -> Plus es) entries);
             (1, map (fun es -> Minus es) entries);
             (1, return Negate);
@@ -688,6 +748,7 @@ let qcheck_suite =
       law "equal bags share one fingerprint" 300 arb_paths fingerprint_paths;
       law "equal_since (a0, b0) a b = equal a b" 1000 arb_since equal_since_law;
       law "add_get chains = table model" 500 arb_add_get add_get_law;
+      law "remove_all, add_if_absent = count + add" 500 arb_add_get one_descent_law;
       law "equal_since with fresh keys of both signs" 1000 arb_fresh fresh_keys_law;
       law "trie diff = brute-force diff, within its node bound" 1000 arb_fresh changed_law;
       law "bag = AVL reference" 500 arb_ref_chain ref_chain_law;
