@@ -73,7 +73,10 @@ bench-throughput:
 # metrics.source_io and Source.events replaced, and the sorted
 # tuple-list lookups that Db.probe's counted matches replaced, and the
 # staging cache and the plan cache's counters, gone now that each caller
-# owns the programs it stages), fail if lib/core/engine.ml looks at
+# owns the programs it stages, and the warehouse's by-name view lookup
+# Warehouse.mv, which Warehouse.mvs answers, and its extras_rev route
+# half, gone now that each gid routes to one owner-first subscriber
+# list), fail if lib/core/engine.ml looks at
 # observability outside its one hand-off to Core.Observer — a call of
 # any Observe function (the Observe.Collector.t type of its options is
 # allowed), more than one Trace.record, or the span and gauge helpers
@@ -122,9 +125,9 @@ smoke:
 	python3 perfbench/run.py --workload fanout-chaos --seed 11 --seconds 2 --trace 1 > /dev/null
 	sh scripts/frames_guard.sh 31337
 	sh scripts/words_guard.sh
-	@if grep -rnE 'Core\.Runner|Core\.Federation|Drain_first|Updates_first|unordered_delivery|set_compiled|Delta_program\.compiled|Delta_program\.linear|Engine\.Recompute|Engine\.Incremental|pick_multi|of_multi|install_history|[~?]shard\b|retransmit_timeout|Warehouse\.handle_message|window_counters|of_creator|(Eca_key|Eca_sm|Sc|Cross_source)\.Not_applicable|Fqueue\.filter|Core\.Lca\b|(Delta_program|Plan)\.signature|Reliable\.(pp|mean_latency)\b|clear_cache|Source\.(io_total|update_count|query_count)\b|Db\.matching\b|(Plan|Delta_program)\.cache_stats|per_domain_stats|staged_view|Db\.lookup\b' \
+	@if grep -rnE 'Core\.Runner|Core\.Federation|Drain_first|Updates_first|unordered_delivery|set_compiled|Delta_program\.compiled|Delta_program\.linear|Engine\.Recompute|Engine\.Incremental|pick_multi|of_multi|install_history|[~?]shard\b|retransmit_timeout|Warehouse\.handle_message|window_counters|of_creator|(Eca_key|Eca_sm|Sc|Cross_source)\.Not_applicable|Fqueue\.filter|Core\.Lca\b|(Delta_program|Plan)\.signature|Reliable\.(pp|mean_latency)\b|clear_cache|Source\.(io_total|update_count|query_count)\b|Db\.matching\b|(Plan|Delta_program)\.cache_stats|per_domain_stats|staged_view|Db\.lookup\b|Warehouse\.mv\b|extras_rev' \
 	  lib bin bench examples test; then \
-	  echo "smoke: a removed entry point or alias reappeared (use Engine.run, Scheduler.pick_ready, Trace.warehouse_states, Warehouse.create/misrouted, Algorithm.Not_applicable, Fqueue.remove_first, Eca.lca, Query.signature, Reliable.stats, metrics.source_io, Source.events, Db.probe; programs are owned by their stager; sharded dispatch, Engine.site ?retransmit_timeout and the staging/plan cache resets are gone)"; \
+	  echo "smoke: a removed entry point or alias reappeared (use Engine.run, Scheduler.pick_ready, Trace.warehouse_states, Warehouse.create/misrouted, Algorithm.Not_applicable, Fqueue.remove_first, Eca.lca, Query.signature, Reliable.stats, metrics.source_io, Source.events, Db.probe, Warehouse.mvs; programs are owned by their stager; sharded dispatch, Engine.site ?retransmit_timeout, the staging/plan cache resets and the warehouse's (owner, extras_rev) routes are gone)"; \
 	  exit 1; \
 	fi
 	@if sed 's/Observe\.Collector\.t\b//g' lib/core/engine.ml | grep -n 'Observe\.' \

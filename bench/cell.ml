@@ -57,24 +57,11 @@ type json =
   | Block of (string * json) list
   | Rows of json list
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | c when Char.code c < 32 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 (* [ind] is the indentation of the line the value starts on. *)
 let rec render ind = function
   | Int n -> string_of_int n
   | Bool b -> string_of_bool b
-  | Str s -> "\"" ^ json_escape s ^ "\""
+  | Str s -> "\"" ^ Observe.Span.escape s ^ "\""
   | Fixed (p, x) -> Printf.sprintf "%.*f" p x
   | Obj fs -> "{ " ^ String.concat ", " (List.map (field ind) fs) ^ " }"
   | Arr vs -> "[ " ^ String.concat ", " (List.map (render ind) vs) ^ " ]"

@@ -20,6 +20,42 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
+let parse_file path = R.Parser.parse_script (read_file path)
+
+let require_views (script : R.Script.t) =
+  if script.R.Script.views = [] then failwith "the script defines no view"
+
+(* The script's initial database, each [--load] CSV replacing its
+   relation's initial contents. *)
+let initial_db script loads =
+  List.fold_left
+    (fun db (rel, csv_path) ->
+      if not (R.Db.mem db rel) then
+        failwith (Printf.sprintf "--load: unknown relation %s" rel);
+      let schema = R.Db.schema db rel in
+      R.Db.set_contents db rel (R.Csv.parse schema (read_file csv_path)))
+    (R.Script.initial_db script) loads
+
+(* The errors a subcommand reports as a message instead of crashing. *)
+let error_message = function
+  | Sys_error m | Failure m | Invalid_argument m -> Some m
+  | Core.Algorithm.Not_applicable m | Core.Catalog.Catalog_error m -> Some m
+  | R.Parser.Parse_error m -> Some ("parse error: " ^ m)
+  | R.Schema.Schema_error m -> Some ("schema error: " ^ m)
+  | R.View.View_error m -> Some ("view error: " ^ m)
+  | R.Db.Db_error m -> Some ("database error: " ^ m)
+  | R.Csv.Csv_error m -> Some ("csv error: " ^ m)
+  | Core.Engine.Engine_error m -> Some ("run error: " ^ m)
+  | _ -> None
+
+let guarded f =
+  match f () with
+  | () -> Ok ()
+  | exception e -> (
+    match error_message e with
+    | Some m -> Error m
+    | None -> raise e)
+
 (* ------------------------------------------------------------------ *)
 (* Shared argument parsing                                             *)
 (* ------------------------------------------------------------------ *)
@@ -255,122 +291,93 @@ let cost_rung script v =
   | Some c -> c.Costmodel.Chooser.algo
   | None -> "eca"
 
+let print_run (script : R.Script.t) (result : Core.Engine.result) trace =
+  if trace then Format.printf "%a@." Core.Trace.pp result.Core.Engine.trace;
+  List.iter
+    (fun (name, mv) ->
+      let truth = List.assoc name result.Core.Engine.final_source_views in
+      let report = List.assoc name result.Core.Engine.reports in
+      Format.printf "view %s:@." name;
+      (match
+         List.find_opt
+           (fun (v : R.Viewdef.t) -> String.equal v.R.Viewdef.name name)
+           script.R.Script.views
+       with
+       | Some v ->
+         print_string
+           (R.Render.table ~columns:(R.Viewdef.output_attr_names v) mv)
+       | None -> Format.printf "  %a@." R.Bag.pp mv);
+      if not (R.Bag.equal truth mv) then
+        Format.printf "  source truth   = %a@." R.Bag.pp truth;
+      Format.printf "  verdict        = %a@." Core.Consistency.pp report;
+      Format.printf "  staleness      = %a@." Core.Staleness.pp
+        (Core.Staleness.of_trace result.Core.Engine.trace name))
+    result.Core.Engine.final_mvs;
+  (match result.Core.Engine.negative_installs with
+   | [] -> ()
+   | l ->
+     Format.printf
+       "!! %d view state(s) carried negative tuple counts (over-deletion \
+        anomaly)@."
+       (List.length l));
+  Format.printf "metrics: %a@." Core.Metrics.pp result.Core.Engine.metrics
+
 let run_script path algorithm schedule rv_period scenario trace json loads
     batch_size timing trace_out view_algos share_deltas =
-  match
-    let text = read_file path in
-    let script = R.Parser.parse_script text in
-    if script.R.Script.views = [] then failwith "the script defines no view";
-    (* Per-view rungs go through the Catalog: every --view-algo must name
-       a script view, overrides pick their rung (or [auto]), the rest run
-       the global --algorithm. *)
-    List.iter
-      (fun (name, _) ->
-        if
-          not
-            (List.exists
-               (fun (v : R.Viewdef.t) -> String.equal v.R.Viewdef.name name)
-               script.R.Script.views)
-        then failwith (Printf.sprintf "--view-algo: unknown view %s" name))
-      view_algos;
-    let entries =
-      if view_algos = [] then None
-      else
-        Some
-          (List.map
-             (fun (v : R.Viewdef.t) ->
-               match List.assoc_opt v.R.Viewdef.name view_algos with
-               | Some "auto" -> Core.Catalog.entry v
-               | Some "auto-cost" ->
-                 Core.Catalog.entry ~algo:(cost_rung script v) v
-               | Some a -> Core.Catalog.entry ~algo:a v
-               | None -> Core.Catalog.entry ~algo:algorithm v)
+  guarded @@ fun () ->
+  let script = parse_file path in
+  require_views script;
+  (* Per-view rungs go through the Catalog: every --view-algo must name
+     a script view, overrides pick their rung (or [auto]), the rest run
+     the global --algorithm. *)
+  List.iter
+    (fun (name, _) ->
+      if
+        not
+          (List.exists
+             (fun (v : R.Viewdef.t) -> String.equal v.R.Viewdef.name name)
              script.R.Script.views)
-    in
-    let base_creator =
-      match entries with
-      | None -> Core.Registry.creator_exn algorithm
-      | Some entries ->
-        if not json then
-          List.iter
-            (fun (name, algo) -> Format.printf "view %s runs %s@." name algo)
-            (Core.Catalog.algorithms entries);
-        Core.Catalog.creator entries
-    in
-    let db = R.Script.initial_db script in
-    (* CSV loads override a relation's initial contents. *)
-    let db =
-      List.fold_left
-        (fun db (rel, csv_path) ->
-          if not (R.Db.mem db rel) then
-            failwith (Printf.sprintf "--load: unknown relation %s" rel);
-          let schema = R.Db.schema db rel in
-          R.Db.set_contents db rel (R.Csv.parse schema (read_file csv_path)))
-        db loads
-    in
-    let observe = Option.map (fun _ -> Observe.Collector.create ()) trace_out in
-    let result =
-      Core.Engine.run ~schedule ~rv_period ~batch_size ?observe ~share_deltas
-        ~evolution:script.R.Script.ddls
-        ~creator:(Core.Timing.creator timing base_creator)
-        ~sites:
-          [ Core.Engine.site ~catalog:(catalog_for scenario) ~name:"source" db ]
-        ~views:script.R.Script.views ~updates:script.R.Script.updates ()
-    in
-    (match (trace_out, observe) with
-     | Some path, Some c -> Observe.Collector.write_file path c
-     | _ -> ());
-    result
-  with
-  | exception Sys_error m -> Error m
-  | exception R.Parser.Parse_error m -> Error ("parse error: " ^ m)
-  | exception R.Schema.Schema_error m -> Error ("schema error: " ^ m)
-  | exception R.View.View_error m -> Error ("view error: " ^ m)
-  | exception R.Db.Db_error m -> Error ("database error: " ^ m)
-  | exception R.Csv.Csv_error m -> Error ("csv error: " ^ m)
-  | exception Failure m -> Error m
-  | exception Core.Algorithm.Not_applicable m -> Error m
-  | exception Core.Catalog.Catalog_error m -> Error m
-  | exception Core.Engine.Engine_error m -> Error ("run error: " ^ m)
-  | result ->
-    if json then print_endline (Core.Json_export.result result)
-    else begin
-      if trace then
-        Format.printf "%a@." Core.Trace.pp result.Core.Engine.trace;
-      let script_views =
-        (* re-parse to recover the view definitions for rendering *)
-        (R.Parser.parse_script (read_file path)).R.Script.views
-      in
-      List.iter
-        (fun (name, mv) ->
-          let truth = List.assoc name result.Core.Engine.final_source_views in
-          let report = List.assoc name result.Core.Engine.reports in
-          Format.printf "view %s:@." name;
-          (match
-             List.find_opt
-               (fun (v : R.Viewdef.t) -> String.equal v.R.Viewdef.name name)
-               script_views
-           with
-           | Some v ->
-             print_string
-               (R.Render.table ~columns:(R.Viewdef.output_attr_names v) mv)
-           | None -> Format.printf "  %a@." R.Bag.pp mv);
-          if not (R.Bag.equal truth mv) then
-            Format.printf "  source truth   = %a@." R.Bag.pp truth;
-          Format.printf "  verdict        = %a@." Core.Consistency.pp report;
-          Format.printf "  staleness      = %a@." Core.Staleness.pp
-            (Core.Staleness.of_trace result.Core.Engine.trace name))
-        result.Core.Engine.final_mvs;
-      (match result.Core.Engine.negative_installs with
-       | [] -> ()
-       | l ->
-         Format.printf
-           "!! %d view state(s) carried negative tuple counts (over-deletion \
-            anomaly)@."
-           (List.length l));
-      Format.printf "metrics: %a@." Core.Metrics.pp result.Core.Engine.metrics
-    end;
-    Ok ()
+      then failwith (Printf.sprintf "--view-algo: unknown view %s" name))
+    view_algos;
+  let entries =
+    if view_algos = [] then None
+    else
+      Some
+        (List.map
+           (fun (v : R.Viewdef.t) ->
+             match List.assoc_opt v.R.Viewdef.name view_algos with
+             | Some "auto" -> Core.Catalog.entry v
+             | Some "auto-cost" ->
+               Core.Catalog.entry ~algo:(cost_rung script v) v
+             | Some a -> Core.Catalog.entry ~algo:a v
+             | None -> Core.Catalog.entry ~algo:algorithm v)
+           script.R.Script.views)
+  in
+  let base_creator =
+    match entries with
+    | None -> Core.Registry.creator_exn algorithm
+    | Some entries ->
+      if not json then
+        List.iter
+          (fun (name, algo) -> Format.printf "view %s runs %s@." name algo)
+          (Core.Catalog.algorithms entries);
+      Core.Catalog.creator entries
+  in
+  let db = initial_db script loads in
+  let observe = Option.map (fun _ -> Observe.Collector.create ()) trace_out in
+  let result =
+    Core.Engine.run ~schedule ~rv_period ~batch_size ?observe ~share_deltas
+      ~evolution:script.R.Script.ddls
+      ~creator:(Core.Timing.creator timing base_creator)
+      ~sites:
+        [ Core.Engine.site ~catalog:(catalog_for scenario) ~name:"source" db ]
+      ~views:script.R.Script.views ~updates:script.R.Script.updates ()
+  in
+  (match (trace_out, observe) with
+   | Some path, Some c -> Observe.Collector.write_file path c
+   | _ -> ());
+  if json then print_endline (Core.Json_export.result result)
+  else print_run script result trace
 
 (* ------------------------------------------------------------------ *)
 (* vmw demo                                                            *)
@@ -419,84 +426,69 @@ let run_demo () =
 (* ------------------------------------------------------------------ *)
 
 let inspect_script path =
-  match
-    let script = R.Parser.parse_script (read_file path) in
-    let db = R.Script.initial_db script in
-    Format.printf "tables:@.";
-    List.iter
-      (fun (s : R.Schema.t) ->
-        Format.printf "  %a  (%d initial tuples)@." R.Schema.pp s
-          (R.Bag.net_cardinality (R.Db.contents db s.R.Schema.name)))
-      script.R.Script.tables;
-    Format.printf "@.views:@.";
-    List.iter
-      (fun (v : R.Viewdef.t) ->
-        Format.printf "  %a@." R.Viewdef.pp v;
-        Format.printf "    key coverage (ECAK eligible): %b@."
-          (match R.Viewdef.as_simple v with
-           | Some sv -> R.View.covers_all_keys sv
-           | None -> false);
-        Format.printf "    initial contents:@.";
-        print_string
-          (R.Render.table ~columns:(R.Viewdef.output_attr_names v)
-             (R.Viewdef.eval db v)))
-      script.R.Script.views;
-    Format.printf "@.update stream: %d updates (%d inserts, %d deletes)@."
-      (List.length script.R.Script.updates)
-      (List.length
-         (List.filter
-            (fun (u : R.Update.t) -> u.R.Update.kind = R.Update.Insert)
-            script.R.Script.updates))
-      (List.length
-         (List.filter
-            (fun (u : R.Update.t) -> u.R.Update.kind = R.Update.Delete)
-            script.R.Script.updates));
-    if script.R.Script.ddls <> [] then
-      Format.printf "schema changes: %d (ALTER TABLE, woven into the stream)@."
-        (List.length script.R.Script.ddls)
-  with
-  | exception Sys_error m -> Error m
-  | exception R.Parser.Parse_error m -> Error ("parse error: " ^ m)
-  | exception R.Schema.Schema_error m -> Error ("schema error: " ^ m)
-  | exception R.View.View_error m -> Error ("view error: " ^ m)
-  | exception R.Db.Db_error m -> Error ("database error: " ^ m)
-  | () -> Ok ()
+  guarded @@ fun () ->
+  let script = parse_file path in
+  let db = R.Script.initial_db script in
+  Format.printf "tables:@.";
+  List.iter
+    (fun (s : R.Schema.t) ->
+      Format.printf "  %a  (%d initial tuples)@." R.Schema.pp s
+        (R.Bag.net_cardinality (R.Db.contents db s.R.Schema.name)))
+    script.R.Script.tables;
+  Format.printf "@.views:@.";
+  List.iter
+    (fun (v : R.Viewdef.t) ->
+      Format.printf "  %a@." R.Viewdef.pp v;
+      Format.printf "    key coverage (ECAK eligible): %b@."
+        (match R.Viewdef.as_simple v with
+         | Some sv -> R.View.covers_all_keys sv
+         | None -> false);
+      Format.printf "    initial contents:@.";
+      print_string
+        (R.Render.table ~columns:(R.Viewdef.output_attr_names v)
+           (R.Viewdef.eval db v)))
+    script.R.Script.views;
+  Format.printf "@.update stream: %d updates (%d inserts, %d deletes)@."
+    (List.length script.R.Script.updates)
+    (List.length
+       (List.filter
+          (fun (u : R.Update.t) -> u.R.Update.kind = R.Update.Insert)
+          script.R.Script.updates))
+    (List.length
+       (List.filter
+          (fun (u : R.Update.t) -> u.R.Update.kind = R.Update.Delete)
+          script.R.Script.updates));
+  if script.R.Script.ddls <> [] then
+    Format.printf "schema changes: %d (ALTER TABLE, woven into the stream)@."
+      (List.length script.R.Script.ddls)
 
 (* ------------------------------------------------------------------ *)
 (* vmw analyze                                                         *)
 (* ------------------------------------------------------------------ *)
 
 let analyze_script path =
-  match
-    let script = R.Parser.parse_script (read_file path) in
-    if script.R.Script.views = [] then failwith "the script defines no view";
-    List.iteri
-      (fun i (v : R.Viewdef.t) ->
-        if i > 0 then Format.printf "@.";
-        let analysis = R.Selfmaint.analyze v in
-        Format.printf "%a" R.Selfmaint.pp_report analysis;
-        let eligible = eligible_rungs v in
-        let candidates =
-          Costmodel.Chooser.score (cost_measures script v) eligible
-        in
-        Format.printf "  eligible rungs over this script's %d updates:@."
-          (List.length
-             (List.filter
-                (fun (u : R.Update.t) -> R.Viewdef.mentions v u.R.Update.rel)
-                script.R.Script.updates));
-        List.iter
-          (fun c -> Format.printf "    %a@." Costmodel.Chooser.pp_candidate c)
-          candidates;
-        Format.printf "  auto-cost picks: %s@." (cost_rung script v))
-      script.R.Script.views
-  with
-  | exception Sys_error m -> Error m
-  | exception Failure m -> Error m
-  | exception R.Parser.Parse_error m -> Error ("parse error: " ^ m)
-  | exception R.Schema.Schema_error m -> Error ("schema error: " ^ m)
-  | exception R.View.View_error m -> Error ("view error: " ^ m)
-  | exception R.Db.Db_error m -> Error ("database error: " ^ m)
-  | () -> Ok ()
+  guarded @@ fun () ->
+  let script = parse_file path in
+  require_views script;
+  List.iteri
+    (fun i (v : R.Viewdef.t) ->
+      if i > 0 then Format.printf "@.";
+      let analysis = R.Selfmaint.analyze v in
+      Format.printf "%a" R.Selfmaint.pp_report analysis;
+      let eligible = eligible_rungs v in
+      let candidates =
+        Costmodel.Chooser.score (cost_measures script v) eligible
+      in
+      Format.printf "  eligible rungs over this script's %d updates:@."
+        (List.length
+           (List.filter
+              (fun (u : R.Update.t) -> R.Viewdef.mentions v u.R.Update.rel)
+              script.R.Script.updates));
+      List.iter
+        (fun c -> Format.printf "    %a@." Costmodel.Chooser.pp_candidate c)
+        candidates;
+      Format.printf "  auto-cost picks: %s@." (cost_rung script v))
+    script.R.Script.views
 
 (* ------------------------------------------------------------------ *)
 (* vmw generate                                                        *)
@@ -509,83 +501,61 @@ let write_file path contents =
     (fun () -> output_string oc contents)
 
 let generate_workload out_dir c j k seed =
-  match
-    if not (Sys.file_exists out_dir) then Sys.mkdir out_dir 0o755;
-    let spec =
-      Workload.Spec.make ~c ~j ~k_updates:k ~seed ()
-    in
-    let { Workload.Scenarios.db; view = _; updates } =
-      Workload.Scenarios.example6 spec
-    in
-    List.iter
-      (fun (s : R.Schema.t) ->
-        write_file
-          (Filename.concat out_dir (s.R.Schema.name ^ ".csv"))
-          (R.Csv.to_string s (R.Db.contents db s.R.Schema.name)))
-      Workload.Generator.chain_schemas;
-    let b = Buffer.create 1024 in
-    Buffer.add_string b
-      "-- generated Example-6 workload; load the CSVs with --load\n";
-    Buffer.add_string b "TABLE r1 (W INT, X INT);\n";
-    Buffer.add_string b "TABLE r2 (X INT, Y INT);\n";
-    Buffer.add_string b "TABLE r3 (Y INT, Z INT);\n";
-    Buffer.add_string b
-      "VIEW v AS SELECT r1.W, r3.Z FROM r1, r2, r3 WHERE r1.X = r2.X AND \
-       r2.Y = r3.Y AND r1.W > r3.Z;\n";
-    Buffer.add_string b "UPDATES;\n";
-    List.iter
-      (fun (u : R.Update.t) ->
-        let values =
-          String.concat ", "
-            (List.map R.Value.to_string (R.Tuple.to_list u.R.Update.tuple))
-        in
-        match u.R.Update.kind with
-        | R.Update.Insert ->
-          Buffer.add_string b
-            (Printf.sprintf "INSERT INTO %s VALUES (%s);\n" u.R.Update.rel values)
-        | R.Update.Delete ->
-          Buffer.add_string b
-            (Printf.sprintf "DELETE FROM %s VALUES (%s);\n" u.R.Update.rel values))
-      updates;
-    write_file (Filename.concat out_dir "workload.sql") (Buffer.contents b);
-    Format.printf
-      "wrote %s/{r1,r2,r3}.csv and %s/workload.sql@.run it with:@.  vmw run \
-       %s/workload.sql --load r1=%s/r1.csv --load r2=%s/r2.csv --load \
-       r3=%s/r3.csv@."
-      out_dir out_dir out_dir out_dir out_dir out_dir
-  with
-  | exception Sys_error m -> Error m
-  | exception Invalid_argument m -> Error m
-  | () -> Ok ()
+  guarded @@ fun () ->
+  if not (Sys.file_exists out_dir) then Sys.mkdir out_dir 0o755;
+  let spec =
+    Workload.Spec.make ~c ~j ~k_updates:k ~seed ()
+  in
+  let { Workload.Scenarios.db; view = _; updates } =
+    Workload.Scenarios.example6 spec
+  in
+  List.iter
+    (fun (s : R.Schema.t) ->
+      write_file
+        (Filename.concat out_dir (s.R.Schema.name ^ ".csv"))
+        (R.Csv.to_string s (R.Db.contents db s.R.Schema.name)))
+    Workload.Generator.chain_schemas;
+  let b = Buffer.create 1024 in
+  Buffer.add_string b
+    "-- generated Example-6 workload; load the CSVs with --load\n";
+  Buffer.add_string b "TABLE r1 (W INT, X INT);\n";
+  Buffer.add_string b "TABLE r2 (X INT, Y INT);\n";
+  Buffer.add_string b "TABLE r3 (Y INT, Z INT);\n";
+  Buffer.add_string b
+    "VIEW v AS SELECT r1.W, r3.Z FROM r1, r2, r3 WHERE r1.X = r2.X AND \
+     r2.Y = r3.Y AND r1.W > r3.Z;\n";
+  Buffer.add_string b "UPDATES;\n";
+  List.iter
+    (fun (u : R.Update.t) ->
+      let values =
+        String.concat ", "
+          (List.map R.Value.to_string (R.Tuple.to_list u.R.Update.tuple))
+      in
+      match u.R.Update.kind with
+      | R.Update.Insert ->
+        Buffer.add_string b
+          (Printf.sprintf "INSERT INTO %s VALUES (%s);\n" u.R.Update.rel values)
+      | R.Update.Delete ->
+        Buffer.add_string b
+          (Printf.sprintf "DELETE FROM %s VALUES (%s);\n" u.R.Update.rel values))
+    updates;
+  write_file (Filename.concat out_dir "workload.sql") (Buffer.contents b);
+  Format.printf
+    "wrote %s/{r1,r2,r3}.csv and %s/workload.sql@.run it with:@.  vmw run \
+     %s/workload.sql --load r1=%s/r1.csv --load r2=%s/r2.csv --load \
+     r3=%s/r3.csv@."
+    out_dir out_dir out_dir out_dir out_dir out_dir
 
 (* ------------------------------------------------------------------ *)
 (* vmw query                                                           *)
 (* ------------------------------------------------------------------ *)
 
 let query_script path select_text loads =
-  match
-    let script = R.Parser.parse_script (read_file path) in
-    let db = R.Script.initial_db script in
-    let db =
-      List.fold_left
-        (fun db (rel, csv_path) ->
-          if not (R.Db.mem db rel) then
-            failwith (Printf.sprintf "--load: unknown relation %s" rel);
-          let schema = R.Db.schema db rel in
-          R.Db.set_contents db rel (R.Csv.parse schema (read_file csv_path)))
-        db loads
-    in
-    let view = R.Parser.parse_select ~tables:script.R.Script.tables select_text in
-    print_string (R.Render.view_table view (R.Eval.view db view))
-  with
-  | exception Sys_error m -> Error m
-  | exception R.Parser.Parse_error m -> Error ("parse error: " ^ m)
-  | exception R.Schema.Schema_error m -> Error ("schema error: " ^ m)
-  | exception R.View.View_error m -> Error ("view error: " ^ m)
-  | exception R.Db.Db_error m -> Error ("database error: " ^ m)
-  | exception R.Csv.Csv_error m -> Error ("csv error: " ^ m)
-  | exception Failure m -> Error m
-  | () -> Ok ()
+  guarded @@ fun () ->
+  let script = parse_file path in
+  let db = initial_db script loads in
+  let view = R.Parser.parse_select ~tables:script.R.Script.tables select_text in
+  print_string (R.Render.view_table view (R.Eval.view db view))
 
 (* ------------------------------------------------------------------ *)
 (* vmw algorithms / vmw model                                          *)
@@ -599,25 +569,23 @@ let list_algorithms () =
   Ok ()
 
 let print_model c j k_per_block k =
-  match Costmodel.Params.make ~c ~j ~k_per_block () with
-  | exception Invalid_argument m -> Error m
-  | params ->
-    Format.printf "%a@.@." Costmodel.Params.rows params;
-    Format.printf "with k = %d updates:@." k;
-    Format.printf "  B  RV once   %10.0f@." (Costmodel.Transfer.rv_best_k params ~k);
-    Format.printf "  B  RV every  %10.0f@." (Costmodel.Transfer.rv_worst_k params ~k);
-    Format.printf "  B  ECA best  %10.0f@." (Costmodel.Transfer.eca_best_k params ~k);
-    Format.printf "  B  ECA worst %10.0f@." (Costmodel.Transfer.eca_worst_k params ~k);
-    List.iter
-      (fun (label, s) ->
-        Format.printf "  IO %s RV once   %10.0f@." label
-          (Costmodel.Io_model.rv_best_k s params ~k);
-        Format.printf "  IO %s ECA best  %10.0f@." label
-          (Costmodel.Io_model.eca_best_k s params ~k);
-        Format.printf "  IO %s ECA worst %10.0f@." label
-          (Costmodel.Io_model.eca_worst_k s params ~k))
-      [ ("S1", Costmodel.Io_model.Scenario1); ("S2", Costmodel.Io_model.Scenario2) ];
-    Ok ()
+  guarded @@ fun () ->
+  let params = Costmodel.Params.make ~c ~j ~k_per_block () in
+  Format.printf "%a@.@." Costmodel.Params.rows params;
+  Format.printf "with k = %d updates:@." k;
+  Format.printf "  B  RV once   %10.0f@." (Costmodel.Transfer.rv_best_k params ~k);
+  Format.printf "  B  RV every  %10.0f@." (Costmodel.Transfer.rv_worst_k params ~k);
+  Format.printf "  B  ECA best  %10.0f@." (Costmodel.Transfer.eca_best_k params ~k);
+  Format.printf "  B  ECA worst %10.0f@." (Costmodel.Transfer.eca_worst_k params ~k);
+  List.iter
+    (fun (label, s) ->
+      Format.printf "  IO %s RV once   %10.0f@." label
+        (Costmodel.Io_model.rv_best_k s params ~k);
+      Format.printf "  IO %s ECA best  %10.0f@." label
+        (Costmodel.Io_model.eca_best_k s params ~k);
+      Format.printf "  IO %s ECA worst %10.0f@." label
+        (Costmodel.Io_model.eca_worst_k s params ~k))
+    [ ("S1", Costmodel.Io_model.Scenario1); ("S2", Costmodel.Io_model.Scenario2) ]
 
 (* ------------------------------------------------------------------ *)
 (* Command wiring                                                      *)
@@ -702,68 +670,59 @@ let generate_cmd =
 (* ------------------------------------------------------------------ *)
 
 let consistency_matrix path =
-  match
-    let script = R.Parser.parse_script (read_file path) in
-    if script.R.Script.views = [] then failwith "the script defines no view";
-    let db = R.Script.initial_db script in
-    let schedules =
-      [
-        ("best", Core.Scheduler.Best_case);
-        ("worst", Core.Scheduler.Worst_case);
-        ("random", Core.Scheduler.Random 7);
-      ]
-    in
-    Format.printf "%-10s" "";
-    List.iter (fun (label, _) -> Format.printf " %-28s" label) schedules;
-    Format.printf "@.";
-    List.iter
-      (fun entry ->
-        let algorithm = entry.Core.Registry.key in
-        if String.equal algorithm "fetch-join" then ()
-        else begin
-          Format.printf "%-10s" algorithm;
-          List.iter
-            (fun (_, schedule) ->
-              let cell =
-                match
-                  Core.Engine.run ~schedule ~evolution:script.R.Script.ddls
-                    ~creator:(Core.Registry.creator_exn algorithm)
-                    ~sites:[ Core.Engine.site ~name:"source" db ]
-                    ~views:script.R.Script.views
-                    ~updates:script.R.Script.updates ()
-                with
-                | result ->
-                  let worst =
-                    List.fold_left
-                      (fun acc (_, report) ->
-                        let label = Core.Consistency.strongest_label report in
-                        match acc with
-                        | None -> Some label
-                        | Some prev ->
-                          if String.equal prev label then acc
-                          else Some "mixed"
-                      )
-                      None result.Core.Engine.reports
-                  in
-                  Option.value worst ~default:"(no views)"
-                | exception Core.Algorithm.Not_applicable _ ->
-                  if String.equal algorithm "eca-key" then "n/a (keys)"
-                  else "n/a"
-              in
-              Format.printf " %-28s" cell)
-            schedules;
-          Format.printf "@."
-        end)
-      Core.Registry.entries
-  with
-  | exception Sys_error m -> Error m
-  | exception R.Parser.Parse_error m -> Error ("parse error: " ^ m)
-  | exception R.Schema.Schema_error m -> Error ("schema error: " ^ m)
-  | exception R.View.View_error m -> Error ("view error: " ^ m)
-  | exception R.Db.Db_error m -> Error ("database error: " ^ m)
-  | exception Failure m -> Error m
-  | exception Core.Engine.Engine_error m -> Error ("run error: " ^ m)
-  | () -> Ok ()
+  guarded @@ fun () ->
+  let script = parse_file path in
+  require_views script;
+  let db = R.Script.initial_db script in
+  let schedules =
+    [
+      ("best", Core.Scheduler.Best_case);
+      ("worst", Core.Scheduler.Worst_case);
+      ("random", Core.Scheduler.Random 7);
+    ]
+  in
+  Format.printf "%-10s" "";
+  List.iter (fun (label, _) -> Format.printf " %-28s" label) schedules;
+  Format.printf "@.";
+  List.iter
+    (fun entry ->
+      let algorithm = entry.Core.Registry.key in
+      if String.equal algorithm "fetch-join" then ()
+      else begin
+        Format.printf "%-10s" algorithm;
+        List.iter
+          (fun (_, schedule) ->
+            let cell =
+              match
+                Core.Engine.run ~schedule ~evolution:script.R.Script.ddls
+                  ~creator:(Core.Registry.creator_exn algorithm)
+                  ~sites:[ Core.Engine.site ~name:"source" db ]
+                  ~views:script.R.Script.views
+                  ~updates:script.R.Script.updates ()
+              with
+              | result ->
+                let worst =
+                  List.fold_left
+                    (fun acc (_, report) ->
+                      let label = Core.Consistency.strongest_label report in
+                      match acc with
+                      | None -> Some label
+                      | Some prev ->
+                        if String.equal prev label then acc
+                        else Some "mixed"
+                    )
+                    None result.Core.Engine.reports
+                in
+                Option.value worst ~default:"(no views)"
+              | exception Core.Algorithm.Not_applicable _ ->
+                if String.equal algorithm "eca-key" then "n/a (keys)"
+                else "n/a"
+            in
+            Format.printf " %-28s" cell)
+          schedules;
+        Format.printf "@."
+      end)
+    Core.Registry.entries
 
 let matrix_cmd =
   let script_arg =

@@ -11,14 +11,14 @@ module Config = struct
     local_literal_eval : bool;
   }
 
-  let make ?(init_db = None) ?(rv_period = 1) ?(local_literal_eval = true)
-      ~view ~init_mv () =
+  let make ?init_db ?(rv_period = 1) ?(local_literal_eval = true) ~view
+      ~init_mv () =
     { view; init_mv; init_db; rv_period; local_literal_eval }
 
   let of_db ?rv_period ?local_literal_eval view db =
     make ?rv_period ?local_literal_eval ~view
       ~init_mv:(R.Viewdef.eval db view)
-      ~init_db:(Some db) ()
+      ~init_db:db ()
 
   let of_view_db ?rv_period ?local_literal_eval view db =
     of_db ?rv_period ?local_literal_eval (R.Viewdef.simple view) db

@@ -29,7 +29,7 @@ module Config : sig
   }
 
   val make :
-    ?init_db:R.Db.t option ->
+    ?init_db:R.Db.t ->
     ?rv_period:int ->
     ?local_literal_eval:bool ->
     view:R.Viewdef.t ->

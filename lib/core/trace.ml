@@ -64,38 +64,34 @@ let installs_of = function
 type acc = {
   mutable src : R.Bag.t list;
   mutable wh : R.Bag.t list;
-  mutable stamp : int;  (* last entry that gave this view a state *)
 }
 
 (* One walk over the stored entries, newest first, so prepending yields
-   each sequence in event order without reversing the trace. Within an
-   entry only a view's first binding counts, as with [List.assoc]: the
-   stamp skips any later one. *)
+   each sequence in event order without reversing the trace. An entry
+   binds each view at most once. *)
 let states t names =
   let accs = Hashtbl.create 16 in
   List.iter
     (fun name ->
       if not (Hashtbl.mem accs name) then
-        Hashtbl.replace accs name { src = []; wh = []; stamp = -1 })
+        Hashtbl.replace accs name { src = []; wh = [] })
     names;
-  let visit k bindings push =
+  let visit bindings push =
     List.iter
       (fun (name, v) ->
         match Hashtbl.find_opt accs name with
-        | Some a when a.stamp <> k ->
-          a.stamp <- k;
-          push a v
-        | Some _ | None -> ())
+        | Some a -> push a v
+        | None -> ())
       bindings
   in
-  List.iteri
-    (fun k e ->
+  List.iter
+    (fun e ->
       match e with
       | Source_update { source_views; _ } | Source_ddl { source_views; _ } ->
-        visit k source_views (fun a v -> a.src <- v :: a.src)
+        visit source_views (fun a v -> a.src <- v :: a.src)
       | Source_answer _ | Warehouse_note _ | Warehouse_answer _
       | Quiesce_probe _ | Warehouse_ddl _ ->
-        visit k (installs_of e) (fun a vs -> a.wh <- vs @ a.wh))
+        visit (installs_of e) (fun a vs -> a.wh <- vs @ a.wh))
     t.entries;
   List.map
     (fun name ->

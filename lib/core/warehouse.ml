@@ -24,15 +24,15 @@ type sub = {
    instance produces a query whose terms match a shipped query's terms
    up to projection (a [Query.signature] skeleton match, confirmed by
    [Query.equal] or [Query.widen]), it is not shipped; it subscribes to
-   the shipped query, whose projection widens to cover its columns.
-   Sharing never spans events — the source database can change between
-   events, so two equal queries from different events can have
-   different answers. *)
+   the shipped query, whose projection widens to cover its columns. An
+   instance subscribes to a gid at most once, so each of its queries
+   keeps its own answer. Sharing never spans events — the source
+   database can change between events, so two equal queries from
+   different events can have different answers. *)
 type t = {
   hosted : hosted array;
-  routes : (int, sub * sub list) Hashtbl.t;
-      (* gid -> (owner, later subscribers newest-first); subscribing is
-         an O(1) cons, readers rebuild the owner-first order *)
+  routes : (int, sub list) Hashtbl.t;
+      (* gid -> subscribers in subscription order, owner first *)
   share : bool;
   by_rel : (string, int list) Hashtbl.t;
       (* relation -> interested instance indices, ascending; instances
@@ -109,15 +109,6 @@ let create ?(share = false) ~creator configs =
     shared_fanout = 0;
   }
 
-let mv t name =
-  let rec find i =
-    if i >= Array.length t.hosted then None
-    else if String.equal t.hosted.(i).view.R.Viewdef.name name then
-      Some (t.hosted.(i).inst.Algorithm.mv ())
-    else find (i + 1)
-  in
-  find 0
-
 let mvs t =
   Array.to_list
     (Array.map
@@ -148,32 +139,26 @@ let selfmaint_counters t =
           })
     None t.hosted
 
+let label t s =
+  let h = t.hosted.(s.idx) in
+  (h.view.R.Viewdef.name, h.inst.Algorithm.name)
+
 (* Looked up while the gid's route is still live — i.e. before
    [handle_answer] consumes it — so the observability layer can tag a
    query span with its owning view. A shared gid is labelled by its
    owner, the instance that actually shipped the query. *)
 let gid_view t gid =
   match Hashtbl.find_opt t.routes gid with
-  | None -> None
-  | Some (owner, _) ->
-    let h = t.hosted.(owner.idx) in
-    Some (h.view.R.Viewdef.name, h.inst.Algorithm.name)
+  | Some (owner :: _) -> Some (label t owner)
+  | Some [] | None -> None
 
 let gid_subscribers t gid =
-  match Hashtbl.find_opt t.routes gid with
-  | None -> []
-  | Some (owner, extras_rev) ->
-    List.map
-      (fun s ->
-        let h = t.hosted.(s.idx) in
-        (h.view.R.Viewdef.name, h.inst.Algorithm.name))
-      (owner :: List.rev extras_rev)
+  List.map (label t) (Option.value ~default:[] (Hashtbl.find_opt t.routes gid))
 
 (* A query shipped in the current event; [query] widens as subscribers
    join, and the reaction carries its final form. *)
 type shipped = {
   gid : int;
-  owner : int;
   mutable query : R.Query.t;
 }
 
@@ -192,12 +177,13 @@ let empty_acc = { shipped = []; pending_installs = [] }
    warehouse. *)
 type event_table = (int, shipped list ref) Hashtbl.t
 
-(* How instance [idx]'s query [q] can ride on [c]: [Some (query, cols)]
-   with [c]'s possibly widened query and [q]'s column map, [None] when
-   it cannot. Sharing only across distinct views keeps every single-view
-   lifecycle — and so the catalog-of-one — exactly as without MQO. *)
-let join idx c q =
-  if c.owner = idx then None
+(* How instance [idx]'s query [q] can ride on [c], whose subscribers
+   are [subs]: [Some (query, cols)] with [c]'s possibly widened query and
+   [q]'s column map, [None] when it cannot. Sharing only across distinct
+   views keeps every single-view lifecycle — and so the catalog-of-one —
+   exactly as without MQO. *)
+let join idx subs c q =
+  if List.exists (fun s -> s.idx = idx) subs then None
   else if R.Query.equal c.query q then Some (c.query, None)
   else
     Option.map
@@ -209,8 +195,8 @@ let lift ?event t idx (o : Algorithm.outcome) acc =
   let ship lid q shipped =
     let gid = t.next_gid in
     t.next_gid <- gid + 1;
-    Hashtbl.replace t.routes gid ({ idx; lid; cols = None }, []);
-    let c = { gid; owner = idx; query = q } in
+    Hashtbl.replace t.routes gid [ { idx; lid; cols = None } ];
+    let c = { gid; query = q } in
     (match event with
     | None -> ()
     | Some tbl -> (
@@ -221,45 +207,36 @@ let lift ?event t idx (o : Algorithm.outcome) acc =
     c :: shipped
   in
   let share lid q shipped bucket =
-    (* the oldest candidate that can carry [q] *)
-    let carry c = Option.map (fun j -> (c, j)) (join idx c q) in
+    (* the oldest candidate that can carry [q]. Its route is live: it
+       was made earlier in this fold, and no route goes during a fold *)
+    let carry c =
+      let subs = Hashtbl.find t.routes c.gid in
+      Option.map (fun j -> (c, subs, j)) (join idx subs c q)
+    in
     match List.find_map carry (List.rev bucket) with
     | None -> ship lid q shipped
-    | Some (c, (query, cols)) -> (
-      (* Total lookup: the candidate's route should still be live
-         (sharing never spans events, and routes are only consumed by
-         answers), but if it is not — say a schema change retired it
-         inside this very event — ship a private copy and log the
-         oddity instead of dying on [Not_found]. *)
-      match Hashtbl.find_opt t.routes c.gid with
-      | None ->
-        t.anomalies <-
-          Printf.sprintf
-            "shared-delta candidate Q%d has no live route; shipping a \
-             private copy"
-            c.gid
-          :: t.anomalies;
-        ship lid q shipped
-      | Some (owner, extras_rev) ->
-        let owner, extras_rev =
-          if query == c.query then (owner, extras_rev)
-          else begin
-            (* Widened: the columns asked for so far stay a prefix, so
-               subscribers that took the answer as shipped now take
-               that prefix. *)
-            let width = List.length (List.hd c.query).R.Term.proj in
-            let pin s =
-              if Option.is_some s.cols then s
-              else { s with cols = Some (Array.init width Fun.id) }
-            in
-            c.query <- query;
-            (pin owner, List.map pin extras_rev)
-          end
-        in
-        Hashtbl.replace t.routes c.gid (owner, { idx; lid; cols } :: extras_rev);
-        t.shared_hits <- t.shared_hits + 1;
-        if extras_rev = [] then t.shared_evaluated <- t.shared_evaluated + 1;
-        shipped)
+    | Some (c, subs, (query, cols)) ->
+      let subs =
+        if query == c.query then subs
+        else begin
+          (* Widened: the columns asked for so far stay a prefix, so
+             subscribers that took the answer as shipped now take that
+             prefix. *)
+          let width = List.length (List.hd c.query).R.Term.proj in
+          let pin s =
+            if Option.is_some s.cols then s
+            else { s with cols = Some (Array.init width Fun.id) }
+          in
+          c.query <- query;
+          List.map pin subs
+        end
+      in
+      Hashtbl.replace t.routes c.gid (subs @ [ { idx; lid; cols } ]);
+      t.shared_hits <- t.shared_hits + 1;
+      (match subs with
+      | [ _ ] -> t.shared_evaluated <- t.shared_evaluated + 1
+      | _ -> ());
+      shipped
   in
   let shipped =
     List.fold_left
@@ -417,9 +394,8 @@ let handle_answer t ~gid answer =
         :: t.anomalies;
       no_reaction
     end
-  | Some (owner, extras_rev) ->
+  | Some subs ->
     Hashtbl.remove t.routes gid;
-    let subs = owner :: List.rev extras_rev in
     (match subs with
     | _ :: _ :: _ -> t.shared_fanout <- t.shared_fanout + List.length subs
     | _ -> ());
@@ -488,21 +464,14 @@ let apply_ddl t d ~rebuild =
         :: t.anomalies;
       (no_reaction, [])
     | rebuilt ->
-    let all_routes =
-      Hashtbl.fold (fun gid route acc -> (gid, route) :: acc) t.routes []
-    in
-    List.iter
-      (fun (gid, (owner, extras_rev)) ->
-        let subs = owner :: List.rev extras_rev in
-        let live = List.filter (fun s -> not affected.(s.idx)) subs in
-        if List.compare_lengths live subs <> 0 then
-          match live with
-          | [] ->
-            Hashtbl.remove t.routes gid;
-            Hashtbl.replace t.retired gid ()
-          | new_owner :: rest ->
-            Hashtbl.replace t.routes gid (new_owner, List.rev rest))
-      all_routes;
+    Hashtbl.filter_map_inplace
+      (fun gid subs ->
+        match List.filter (fun s -> not affected.(s.idx)) subs with
+        | [] ->
+          Hashtbl.replace t.retired gid ();
+          None
+        | live -> Some live)
+      t.routes;
     let reaction =
       react t (all t) (fun idx ->
           match rebuilt.(idx) with

@@ -36,17 +36,18 @@ val create :
     shipped projection widened to the union of the subscribers'
     columns; each subscriber receives the answer projected through its
     own column map. Queries whose terms keep different columns
-    (compound views' parts) share only when equal. Sharing
-    never spans events (the source state may change between events) and
-    never merges two queries of one instance, so each view's lifecycle —
-    and in particular a catalog of one view — is exactly the unshared
-    one. Default off.
+    (compound views' parts) share only when equal. Each gid keeps one
+    subscriber list, owner first, in which an instance appears at most
+    once: sharing never merges two queries of one instance, so each view
+    receives one answer per query it sent, and its lifecycle — in
+    particular a catalog of one view — is exactly the unshared one.
+    Sharing never spans events (the source state may change between
+    events). Default off.
 
     Dispatch consults each instance's {!Algorithm.instance.interest}: updates fan out only to
     the instances whose relations they touch, O(interested) rather than
     O(views). *)
 
-val mv : t -> string -> R.Bag.t option
 val mvs : t -> (string * R.Bag.t) list
 (** Every hosted view's materialization, in host order: the order of
     [create]'s configs. *)

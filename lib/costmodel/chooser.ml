@@ -21,44 +21,44 @@ type candidate = {
    round-trip updates: the closed form is linear-plus-contention in the
    number of updates actually shipped, so we price a rung by evaluating
    the ECA worst-case form at its remote-update count. *)
-let eca_like params ~remote =
+let eca_like ~remote =
   {
     algo = "eca";
     messages = Messages.eca ~k:remote;
-    transfer = Transfer.eca_worst_k params ~k:remote;
+    transfer = Transfer.eca_worst_k Params.default ~k:remote;
     storage = 0;
   }
 
-let score ?(params = Params.default) ?(rv_period = 1) m eligible =
+let score m eligible =
   let k = max 0 m.updates in
   let clamp n = min (max 0 n) k in
   let price = function
-    | "eca" -> Some (eca_like params ~remote:k)
+    | "eca" -> Some (eca_like ~remote:k)
     | "eca-key" ->
       (* local deletes never ship; the rest behave like ECA *)
       Some
-        { (eca_like params ~remote:(k - clamp m.local_deletes)) with
+        { (eca_like ~remote:(k - clamp m.local_deletes)) with
           algo = "eca-key" }
     | "eca-local" ->
       (* same saving as ECAK, realized only between compensations — the
          form is its best case, which is what the paper tabulates *)
       Some
-        { (eca_like params ~remote:(k - clamp m.local_deletes)) with
+        { (eca_like ~remote:(k - clamp m.local_deletes)) with
           algo = "eca-local" }
     | "eca-sm" ->
       Some
         {
-          (eca_like params ~remote:(clamp m.sm_fallback)) with
+          (eca_like ~remote:(clamp m.sm_fallback)) with
           algo = "eca-sm";
           storage = max 0 m.aux_bytes;
         }
     | "rv" ->
-      let period = max 1 rv_period in
+      (* recompute per update *)
       Some
         {
           algo = "rv";
-          messages = Messages.rv ~k ~period;
-          transfer = Transfer.rv_period_k params ~k ~period;
+          messages = Messages.rv ~k ~period:1;
+          transfer = Transfer.rv_period_k Params.default ~k ~period:1;
           storage = 0;
         }
     | "sc" ->
@@ -88,8 +88,8 @@ let minimum = function
   | c :: rest ->
     Some (List.fold_left (fun best c -> if better c best then c else best) c rest)
 
-let choose ?params ?rv_period ?storage_budget m eligible =
-  let candidates = score ?params ?rv_period m eligible in
+let choose ?storage_budget m eligible =
+  let candidates = score m eligible in
   let affordable =
     match storage_budget with
     | None -> candidates

@@ -38,20 +38,14 @@ type candidate = {
   storage : int;  (** resident bytes beyond the materialized view *)
 }
 
-val score :
-  ?params:Params.t -> ?rv_period:int -> measures -> string list -> candidate list
+val score : measures -> string list -> candidate list
 (** One priced candidate per eligible key, in the eligibility list's
-    order. Keys this model cannot price (["basic"], ["fetch-join"], LCA's
-    contention-dependent message count) are skipped. [rv_period] prices
-    the ["rv"] rung (default 1, recompute per update). *)
+    order, at {!Params.default}. Keys this model cannot price
+    (["basic"], ["fetch-join"], LCA's contention-dependent message
+    count) are skipped. The ["rv"] rung is priced recomputing per
+    update. *)
 
-val choose :
-  ?params:Params.t ->
-  ?rv_period:int ->
-  ?storage_budget:int ->
-  measures ->
-  string list ->
-  candidate option
+val choose : ?storage_budget:int -> measures -> string list -> candidate option
 (** The minimum candidate by (M, B, storage, key). Candidates whose
     [storage] exceeds [storage_budget] are excluded first; if the budget
     excludes every candidate, the smallest-storage one is returned

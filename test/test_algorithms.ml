@@ -507,6 +507,55 @@ let round_robin_and_random_schedules_work () =
         (report r "V").Core.Consistency.strongly_consistent)
     [ Core.Scheduler.Round_robin; Core.Scheduler.Random 11; Core.Scheduler.Random 99 ]
 
+(* A law every rung keeps: [quiescent ()] is false while a query it sent
+   is unanswered. Each registered rung maintains the keyed π_{W,Y}(r1 ⋈
+   r2) (so ECAK applies) through a random mix of updates and answers,
+   the answers evaluated against the source state of their arrival. *)
+let quiescent_law_prop =
+  let view = view_wy ~r1:r1_wkey ~r2:r2_ykey () in
+  let db0 = db_of [ (r1_wkey, [ [ 0; 1 ] ]); (r2_ykey, [ [ 1; 2 ] ]) ] in
+  QCheck.Test.make ~name:"no rung is quiescent with a query unanswered"
+    ~count:100
+    (QCheck.make ~print:string_of_int QCheck.Gen.(int_bound 100_000))
+    (fun seed ->
+      List.for_all
+        (fun (e : Core.Registry.entry) ->
+          match e.Core.Registry.creator (cfg_of db0 view) with
+          | exception A.Not_applicable _ -> true
+          | inst ->
+            let st = rng seed in
+            let db = ref db0 and outstanding = ref [] and ok = ref true in
+            let take (o : A.outcome) =
+              outstanding := !outstanding @ o.A.send;
+              if !outstanding <> [] && inst.A.quiescent () then ok := false
+            in
+            for _ = 1 to 16 do
+              if !outstanding <> [] && Random.State.bool st then begin
+                let i = Random.State.int st (List.length !outstanding) in
+                let id, q = List.nth !outstanding i in
+                outstanding := List.filteri (fun j _ -> j <> i) !outstanding;
+                take (inst.A.on_answer ~id (R.Eval.query !db q))
+              end
+              else
+                let rel = if Random.State.bool st then "r1" else "r2" in
+                let t =
+                  R.Tuple.ints
+                    [ Random.State.int st 3; Random.State.int st 3 ]
+                in
+                let u =
+                  if R.Bag.count (R.Db.contents !db rel) t > 0 then
+                    R.Update.delete rel t
+                  else R.Update.insert rel t
+                in
+                match R.Db.apply !db u with
+                | db' ->
+                  db := db';
+                  take (inst.A.on_update u)
+                | exception R.Db.Db_error _ -> ()
+            done;
+            !ok)
+        Core.Registry.entries)
+
 let suite =
   [
     Alcotest.test_case "ECA compensation structure" `Quick
@@ -563,4 +612,5 @@ let suite =
       best_case_equals_basic_messages;
     Alcotest.test_case "round-robin and random schedules" `Quick
       round_robin_and_random_schedules_work;
+    QCheck_alcotest.to_alcotest quiescent_law_prop;
   ]

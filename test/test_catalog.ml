@@ -360,6 +360,174 @@ let sharing_keeps_strong_consistency_prop =
             entries)
         [ quad_entries (); mixed_projection_entries () ])
 
+(* Two identically defined RV views batching two inserts: each view
+   sends two equal recompute queries in one event. A ships both; B rides
+   on each of them once — never twice on the first, which would hand B
+   one answer twice and leave A's second query unshared. *)
+let sharing_subscribes_an_instance_once () =
+  let db = db_of [ (r1, [ [ 1; 2 ] ]); (r2, [ [ 2; 3 ] ]) ] in
+  let views = [ vd (view_w ~name:"A" ()); vd (view_w ~name:"B" ()) ] in
+  let r =
+    Core.Engine.run ~schedule:Core.Scheduler.Best_case ~batch_size:2
+      ~share_deltas:true ~creator:(Core.Registry.creator_exn "rv")
+      ~sites:[ source db ] ~views
+      ~updates:[ ins "r1" [ 4; 2 ]; ins "r2" [ 2; 5 ] ] ()
+  in
+  List.iter
+    (function
+      | Core.Trace.Warehouse_answer { gid; installs } ->
+        List.iter
+          (fun name ->
+            check_bool
+              (Printf.sprintf "A%d binds %s at most once" gid name)
+              true
+              (List.length (List.filter (fun (n, _) -> n = name) installs)
+              <= 1))
+          [ "A"; "B" ]
+      | _ -> ())
+    (Core.Trace.entries r.Core.Engine.trace);
+  let m = r.Core.Engine.metrics in
+  (match m.Core.Metrics.shared with
+  | None -> Alcotest.fail "sharing on must report counters"
+  | Some s ->
+    Alcotest.(check (list int))
+      "evaluated, hits, fanout" [ 2; 2; 4 ]
+      [
+        s.Core.Metrics.shared_evaluated; s.Core.Metrics.shared_hits;
+        s.Core.Metrics.shared_fanout;
+      ]);
+  check_int "queries sent" 2 m.Core.Metrics.queries_sent;
+  List.iter
+    (fun name ->
+      check_bool (name ^ " strongly consistent") true
+        (report r name).Core.Consistency.strongly_consistent)
+    [ "A"; "B" ]
+
+let repeated names =
+  List.length names <> List.length (List.sort_uniq String.compare names)
+
+(* Random share-on catalogs of 2-4 views over keyed r1(W KEY, X) ⋈
+   r2(X, Y KEY), identical definitions included, on the query-sending
+   rungs, batched 1-3 and scheduled best, worst or at random. Stepping
+   the engine, every answer event reaches each instance at most once
+   (a gid's subscribers are distinct instances); no trace entry binds a
+   view twice; every view ends at the true view. *)
+let shared_catalog_gen =
+  let open QCheck.Gen in
+  let q = R.Attr.qualified in
+  let projs =
+    [|
+      [ q "r1" "W" ]; [ q "r2" "Y" ]; [ q "r2" "X"; q "r2" "Y" ];
+      [ q "r1" "W"; q "r1" "X" ]; [ q "r1" "W"; q "r2" "Y" ];
+    |]
+  in
+  let view_gen =
+    let* algo = oneofl [ "eca"; "eca-key"; "lca"; "rv" ] in
+    let+ p = int_bound (Array.length projs - 1) in
+    (* ECAK needs both keys projected *)
+    (algo, if algo = "eca-key" then 4 else p)
+  in
+  let* views = list_size (2 -- 4) view_gen in
+  let* batch = 1 -- 3 in
+  let* policy = oneofl [ "best"; "worst"; "random" ] in
+  let+ seed = int_bound 100_000 in
+  let entries =
+    List.mapi
+      (fun i (algo, p) ->
+        Core.Catalog.entry ~algo
+          (vd
+             (R.View.natural_join ~name:(Printf.sprintf "V%d" i)
+                ~proj:projs.(p) [ r1_wkey; r2_ykey ])))
+      views
+  in
+  let schedule =
+    match policy with
+    | "best" -> Core.Scheduler.Best_case
+    | "worst" -> Core.Scheduler.Worst_case
+    | _ -> Core.Scheduler.Random seed
+  in
+  (views, entries, batch, (policy, schedule), seed)
+
+(* Key-respecting: an update the keyed relations refuse is skipped. *)
+let keyed_stream_of_seed seed =
+  let st = rng seed in
+  let pick () = Random.State.int st 4 in
+  let db0 =
+    db_of [ (r1_wkey, [ [ 0; 1 ]; [ 1; 2 ] ]); (r2_ykey, [ [ 1; 0 ]; [ 2; 1 ] ]) ]
+  in
+  let _, rev =
+    List.fold_left
+      (fun (db, acc) _ ->
+        let rel = if Random.State.bool st then "r1" else "r2" in
+        let t = R.Tuple.ints [ pick (); pick () ] in
+        let u =
+          if Random.State.bool st || R.Bag.count (R.Db.contents db rel) t <= 0
+          then R.Update.insert rel t
+          else R.Update.delete rel t
+        in
+        match R.Db.apply db u with
+        | db' -> (db', u :: acc)
+        | exception R.Db.Db_error _ -> (db, acc))
+      (db0, [])
+      (List.init 8 Fun.id)
+  in
+  (db0, List.rev rev)
+
+let shared_routes_subscribe_once_prop =
+  QCheck.Test.make ~name:"shared routes subscribe each instance once"
+    ~count:120
+    (QCheck.make
+       ~print:(fun (views, _, batch, (policy, _), seed) ->
+         Printf.sprintf "views %s, batch %d, %s, seed %d"
+           (String.concat ", "
+              (List.map (fun (a, p) -> Printf.sprintf "%s/%d" a p) views))
+           batch policy seed)
+       shared_catalog_gen)
+    (fun (_, entries, batch_size, (_, schedule), seed) ->
+      let db, updates = keyed_stream_of_seed seed in
+      let answered = ref [] in
+      let creator cfg =
+        let inst = Core.Catalog.creator entries cfg in
+        let name = cfg.Core.Algorithm.Config.view.R.Viewdef.name in
+        {
+          inst with
+          Core.Algorithm.on_answer =
+            (fun ~id a ->
+              answered := name :: !answered;
+              inst.Core.Algorithm.on_answer ~id a);
+        }
+      in
+      let st =
+        Core.Engine.start ~schedule ~batch_size ~share_deltas:true ~creator
+          ~sites:[ source db ] ~views:(Core.Catalog.views entries) ~updates ()
+      in
+      let rec drive ok =
+        answered := [];
+        match Core.Engine.step st with
+        | None -> ok
+        | Some _ -> drive (ok && not (repeated !answered))
+      in
+      let once = drive true in
+      let r = Core.Engine.finish st in
+      let final = R.Db.apply_all db updates in
+      once
+      && List.for_all
+           (fun e ->
+             not
+               (repeated (List.map fst (Core.Trace.installs_of e))
+               ||
+               match e with
+               | Core.Trace.Source_update { source_views; _ } ->
+                 repeated (List.map fst source_views)
+               | _ -> false))
+           (Core.Trace.entries r.Core.Engine.trace)
+      && List.for_all
+           (fun (e : Core.Catalog.entry) ->
+             let v = e.Core.Catalog.view in
+             R.Bag.equal (R.Viewdef.eval final v)
+               (List.assoc v.R.Viewdef.name r.Core.Engine.final_mvs))
+           entries)
+
 (* ------------------------------------------------------------------ *)
 (* Subplan signatures                                                  *)
 (* ------------------------------------------------------------------ *)
@@ -485,4 +653,9 @@ let suite =
     Alcotest.test_case "planner survives a degenerate catalog" `Quick
       planner_survives_degenerate_catalog;
   ]
-  @ [ QCheck_alcotest.to_alcotest sharing_keeps_strong_consistency_prop ]
+  @ [
+      QCheck_alcotest.to_alcotest sharing_keeps_strong_consistency_prop;
+      Alcotest.test_case "sharing subscribes an instance to a query once"
+        `Quick sharing_subscribes_an_instance_once;
+      QCheck_alcotest.to_alcotest shared_routes_subscribe_once_prop;
+    ]

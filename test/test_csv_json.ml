@@ -70,7 +70,7 @@ let csv_crlf () =
 
 let json_escaping () =
   Alcotest.(check string)
-    "escapes" {|"a\"b\\c\nd"|}
+    "escapes" {|"a\"b\\c\u000ad"|}
     (Core.Json_export.str "a\"b\\c\nd")
 
 let json_values () =

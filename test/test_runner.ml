@@ -83,15 +83,14 @@ let warehouse_routes_answers () =
    | [ (name, _) ] -> Alcotest.(check string) "B installed" "B" name
    | _ -> Alcotest.fail "expected exactly one view to install");
   check_bag "A untouched" R.Bag.empty
-    (Option.get (Core.Warehouse.mv wh "A"));
+    (List.assoc "A" (Core.Warehouse.mvs wh));
   check_bool "unknown answer ids are ignored" true
     (Core.Warehouse.handle_answer wh ~gid:999 R.Bag.empty
      = Core.Warehouse.no_reaction)
 
 (* Shared gids must keep their subscribers owner-first in host order —
    the answer fan-out and the observability labels both depend on it, and
-   the subscription path appends one entry at a time (regression test for
-   the O(1)-append route representation). *)
+   the subscription path appends one entry at a time. *)
 let shared_route_order_pins_owner_first () =
   let db = small_db () in
   let names = [ "A"; "B"; "C"; "D" ] in
@@ -125,7 +124,7 @@ let warehouse_absorbs_misrouted_messages () =
     Core.Warehouse.create ~creator:Core.Eca.instance
       [ Core.Algorithm.Config.of_view_db (view_w ()) db ]
   in
-  let mv_before = Option.get (Core.Warehouse.mv wh "V") in
+  let mv_before = List.assoc "V" (Core.Warehouse.mvs wh) in
   check_bool "a query produces no reaction" true
     (Core.Warehouse.misrouted wh
        (Messaging.Message.Query { id = 0; query = R.Query.empty })
@@ -137,7 +136,7 @@ let warehouse_absorbs_misrouted_messages () =
   check_int "both anomalies recorded" 2
     (List.length (Core.Warehouse.anomalies wh));
   check_bag "hosted state untouched" mv_before
-    (Option.get (Core.Warehouse.mv wh "V"));
+    (List.assoc "V" (Core.Warehouse.mvs wh));
   (* legitimate traffic still flows after the anomaly *)
   let reaction = Core.Warehouse.handle_update wh (ins "r2" [ 2; 3 ]) in
   check_int "still reacts to updates" 1

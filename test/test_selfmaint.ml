@@ -543,6 +543,93 @@ let prop_analysis_shape =
                    || x.SM.aux_cond <> R.Predicate.True)
            a.SM.auxes)
 
+(* An FK derives an insert's partner only when the view equates each FK
+   column with the very column it references. Two views break that
+   pairing: [crossed] equates xr.C1 with xs.K2 and xr.C2 with xs.K1 under
+   the FK (C1, C2) → (K1, K2); [aside] joins xr.E = xs.K while the FK is
+   C → K. Neither +xr class may be [Self Fk_join], and ECA-SM must end at
+   the recomputed view whatever the stream. *)
+let mispaired_fk_views () =
+  let crossed_r =
+    R.Schema.of_names
+      ~fks:[ fk [ "C1"; "C2" ] "xs" [ "K1"; "K2" ] ]
+      "xr" [ "A"; "C1"; "C2" ]
+  in
+  let crossed_s = R.Schema.of_names ~key:[ "K1"; "K2" ] "xs" [ "K1"; "K2" ] in
+  let aside_r =
+    R.Schema.of_names ~fks:[ fk [ "C" ] "xs" [ "K" ] ] "xr" [ "A"; "C"; "E" ]
+  in
+  let aside_s = R.Schema.of_names ~key:[ "K" ] "xs" [ "K" ] in
+  let view name r s cond =
+    vd
+      (R.View.make ~name
+         ~proj:[ R.Attr.qualified "xr" "A" ]
+         ~cond:
+           (R.Predicate.conj
+              (List.map (fun (a, b) -> R.Predicate.eq_attrs a b) cond))
+         [ r; s ])
+  in
+  let keys = [ 0; 1; 2 ] in
+  [
+    ( view "crossed" crossed_r crossed_s
+        [ ("xr.C1", "xs.K2"); ("xr.C2", "xs.K1") ],
+      crossed_r,
+      db_of
+        [
+          ( crossed_s,
+            List.concat_map (fun a -> List.map (fun b -> [ a; b ]) keys) keys );
+          (crossed_r, []);
+        ] );
+    ( view "aside" aside_r aside_s [ ("xr.E", "xs.K") ],
+      aside_r,
+      db_of [ (aside_s, List.map (fun k -> [ k ]) keys); (aside_r, []) ] );
+  ]
+
+(* Inserts and deletes on xr whose FK columns reference live xs rows. *)
+let xr_stream seed (r : R.Schema.t) db =
+  let st = rng seed in
+  let arity = List.length r.R.Schema.columns in
+  let _, rev =
+    List.fold_left
+      (fun (db, acc) _ ->
+        let existing = R.Bag.to_counted_list (R.Db.contents db "xr") in
+        let u =
+          if existing = [] || Random.State.int st 3 > 0 then
+            R.Update.insert "xr"
+              (R.Tuple.ints (List.init arity (fun _ -> Random.State.int st 3)))
+          else
+            R.Update.delete "xr"
+              (fst (List.nth existing (Random.State.int st (List.length existing))))
+        in
+        match R.Db.apply db u with
+        | db' -> (db', u :: acc)
+        | exception R.Db.Db_error _ -> (db, acc))
+      (db, []) (List.init 10 Fun.id)
+  in
+  List.rev rev
+
+let prop_mispaired_fk_stays_exact =
+  QCheck.Test.make ~name:"a mispaired FK derives no partner; ECA-SM stays exact"
+    ~count:60
+    (QCheck.make ~print:string_of_int QCheck.Gen.(int_bound 100_000))
+    (fun seed ->
+      List.for_all
+        (fun (vdef, r, db) ->
+          let updates = xr_stream seed r db in
+          let oracle = R.Viewdef.eval (R.Db.apply_all db updates) vdef in
+          verdict (SM.analyze vdef) "xr" R.Update.Insert <> SM.Self SM.Fk_join
+          && replay_tracks vdef db updates
+          && List.for_all
+               (fun schedule ->
+                 let res =
+                   Core.Engine.run ~schedule
+                     ~creator:(Core.Registry.creator_exn "eca-sm")
+                     ~sites:[ source db ] ~views:[ vdef ] ~updates ()
+                 in
+                 R.Bag.equal oracle (final_mv res vdef.R.Viewdef.name))
+               [ Core.Scheduler.Best_case; Core.Scheduler.Worst_case ])
+        (mispaired_fk_views ()))
+
 (* ------------------------------------------------------------------ *)
 (* The ECA-SM rung, end to end                                         *)
 (* ------------------------------------------------------------------ *)
@@ -635,7 +722,7 @@ let eca_sm_counters () =
   check_bool "create without init_db refuses" true
     (match
        Core.Eca_sm.create
-         (Core.Algorithm.Config.make ~init_db:None ~view:vdef
+         (Core.Algorithm.Config.make ~view:vdef
             ~init_mv:(R.Viewdef.eval db vdef) ())
      with
     | exception Core.Algorithm.Not_applicable _ -> true
@@ -835,4 +922,5 @@ let suite =
     Alcotest.test_case "eca-sm: 40-seed oracle sweep" `Quick sweep;
     Alcotest.test_case "auto_rung picks unchanged on scripts and scenario"
       `Quick auto_rung_picks_unchanged;
+    QCheck_alcotest.to_alcotest prop_mispaired_fk_stays_exact;
   ]
