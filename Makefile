@@ -41,7 +41,10 @@ bench-throughput:
 # access-path (index), delta-program, scheduler, runner, algorithm,
 # random-view, property and compound-view suites — the last four hold
 # the guarded-compensation checks against the fold reference — and the
-# catalog suite holding the shared-delta (skeleton sharing) checks, all
+# catalog suite holding the shared-delta (skeleton sharing) checks, and
+# the prepared suite holding the prepared-skeleton checks against their
+# per-term references (guard templates, the one-row literal path, the
+# executor's plan-carried join edges, the widening memo), all
 # explicitly, so a filtered or cached runtest can never silently skip
 # them), run each perfbench workload for 2 s untraced and 2 s traced as
 # a correctness gate only (a non-zero exit, i.e. a failed view or build,
@@ -76,7 +79,8 @@ bench-throughput:
 # owns the programs it stages, and the warehouse's by-name view lookup
 # Warehouse.mv, which Warehouse.mvs answers, and its extras_rev route
 # half, gone now that each gid routes to one owner-first subscriber
-# list), fail if lib/core/engine.ml looks at
+# list, and its test-only gid_subscribers reader, whose order the
+# owner-first answer delivery pins), fail if lib/core/engine.ml looks at
 # observability outside its one hand-off to Core.Observer — a call of
 # any Observe function (the Observe.Collector.t type of its options is
 # allowed), more than one Trace.record, or the span and gauge helpers
@@ -117,6 +121,7 @@ smoke:
 	dune exec test/main.exe -- test properties
 	dune exec test/main.exe -- test compound-views
 	dune exec test/main.exe -- test catalog
+	dune exec test/main.exe -- test prepared
 	for w in compensate selfmaint; do \
 	  python3 perfbench/run.py --workload $$w --seed 11 --seconds 2 --trace 0 > /dev/null || exit 1; \
 	  python3 perfbench/run.py --workload $$w --seed 11 --seconds 2 --trace 1 > /dev/null || exit 1; \
@@ -125,9 +130,9 @@ smoke:
 	python3 perfbench/run.py --workload fanout-chaos --seed 11 --seconds 2 --trace 1 > /dev/null
 	sh scripts/frames_guard.sh 31337
 	sh scripts/words_guard.sh
-	@if grep -rnE 'Core\.Runner|Core\.Federation|Drain_first|Updates_first|unordered_delivery|set_compiled|Delta_program\.compiled|Delta_program\.linear|Engine\.Recompute|Engine\.Incremental|pick_multi|of_multi|install_history|[~?]shard\b|retransmit_timeout|Warehouse\.handle_message|window_counters|of_creator|(Eca_key|Eca_sm|Sc|Cross_source)\.Not_applicable|Fqueue\.filter|Core\.Lca\b|(Delta_program|Plan)\.signature|Reliable\.(pp|mean_latency)\b|clear_cache|Source\.(io_total|update_count|query_count)\b|Db\.matching\b|(Plan|Delta_program)\.cache_stats|per_domain_stats|staged_view|Db\.lookup\b|Warehouse\.mv\b|extras_rev' \
+	@if grep -rnE 'Core\.Runner|Core\.Federation|Drain_first|Updates_first|unordered_delivery|set_compiled|Delta_program\.compiled|Delta_program\.linear|Engine\.Recompute|Engine\.Incremental|pick_multi|of_multi|install_history|[~?]shard\b|retransmit_timeout|Warehouse\.handle_message|window_counters|of_creator|(Eca_key|Eca_sm|Sc|Cross_source)\.Not_applicable|Fqueue\.filter|Core\.Lca\b|(Delta_program|Plan)\.signature|Reliable\.(pp|mean_latency)\b|clear_cache|Source\.(io_total|update_count|query_count)\b|Db\.matching\b|(Plan|Delta_program)\.cache_stats|per_domain_stats|staged_view|Db\.lookup\b|Warehouse\.mv\b|extras_rev|gid_subscribers' \
 	  lib bin bench examples test; then \
-	  echo "smoke: a removed entry point or alias reappeared (use Engine.run, Scheduler.pick_ready, Trace.warehouse_states, Warehouse.create/misrouted, Algorithm.Not_applicable, Fqueue.remove_first, Eca.lca, Query.signature, Reliable.stats, metrics.source_io, Source.events, Db.probe, Warehouse.mvs; programs are owned by their stager; sharded dispatch, Engine.site ?retransmit_timeout, the staging/plan cache resets and the warehouse's (owner, extras_rev) routes are gone)"; \
+	  echo "smoke: a removed entry point or alias reappeared (use Engine.run, Scheduler.pick_ready, Trace.warehouse_states, Warehouse.create/misrouted, Algorithm.Not_applicable, Fqueue.remove_first, Eca.lca, Query.signature, Reliable.stats, metrics.source_io, Source.events, Db.probe, Warehouse.mvs; programs are owned by their stager; sharded dispatch, Engine.site ?retransmit_timeout, the staging/plan cache resets, the warehouse's (owner, extras_rev) routes and its gid_subscribers reader are gone)"; \
 	  exit 1; \
 	fi
 	@if sed 's/Observe\.Collector\.t\b//g' lib/core/engine.ml | grep -n 'Observe\.' \

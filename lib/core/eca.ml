@@ -11,6 +11,18 @@ type shape =
          provably empty. *)
   | Unguarded  (* no base slot, or two or more *)
 
+(* The guard of every term with one skeleton and literal mask: with
+   exactly one base slot, its relation and, per guarding conjunct, the
+   base slot's column, the literal slot and that slot's column; [None]
+   otherwise. A term's guard reads only the literal values. *)
+type template = (string * (int * int * int) list) option
+
+(* A template and the first term it was built for. *)
+type prepared = {
+  first : R.Term.t;
+  template : template;
+}
+
 (* One term of a pending query, at position [pos] of query [qid]. *)
 type entry = { qid : int; pos : int; term : R.Term.t; shape : shape }
 
@@ -45,6 +57,11 @@ type slot = { mutable delta : R.Bag.t; mutable open_queries : int }
 
 type t = {
   view : R.Viewdef.t;
+  delta : R.Delta_program.terms Lazy.t;
+      (* V⟨U⟩, staged per part and relation at the first update: ECA-SM's
+         fallback instance may never see one *)
+  templates : prepared R.Memo.t;
+      (* the guard templates of the skeletons enqueued so far *)
   policy : policy;
   mv : Mview.Keyed.t;
   slots : (int, slot) Hashtbl.t;
@@ -64,6 +81,8 @@ type t = {
 let make ?keyed policy (cfg : Algorithm.Config.t) =
   {
     view = cfg.view;
+    delta = lazy (R.Delta_program.stage_terms cfg.view);
+    templates = R.Memo.create ();
     policy;
     mv =
       (match keyed with
@@ -80,35 +99,13 @@ let make ?keyed policy (cfg : Algorithm.Config.t) =
 
 let create ?keyed cfg = make ?keyed At_quiescence cfg
 
-(* The guard of a term with exactly one base slot [base]: its equi-join
-   conjuncts between a column of that slot and a literal slot, resolved
-   through the plan layout as (column within the base slot, the literal's
-   value). Same-slot equalities, comparisons with constants and non-[Eq]
+(* The template of [term]'s skeleton and mask. A term with exactly one
+   base slot is guarded by its equi-join conjuncts between a column of
+   that slot and a literal slot, resolved through the plan layout as
+   (column within the base slot, literal slot, column within it).
+   Same-slot equalities, comparisons with constants and non-[Eq]
    comparisons never guard. *)
-let guard (term : R.Term.t) base =
-  let layout = R.Plan.layout_of_slots term.R.Term.slots in
-  let slots = Array.of_list term.R.Term.slots in
-  let side a =
-    let pos = R.Plan.resolve layout a in
-    let s = R.Plan.slot_of_position layout pos in
-    (s, pos - layout.R.Plan.offsets.(s))
-  in
-  let literal s col =
-    match slots.(s) with
-    | R.Term.Lit (_, _, tup) -> Some (R.Tuple.get tup col)
-    | R.Term.Base _ -> None
-  in
-  List.filter_map
-    (function
-      | R.Predicate.Cmp (R.Predicate.Eq, R.Predicate.Col a, R.Predicate.Col b) ->
-        let (sa, ca), (sb, cb) = (side a, side b) in
-        if sa = base && sb <> base then Option.map (fun v -> (ca, v)) (literal sb cb)
-        else if sb = base && sa <> base then Option.map (fun v -> (cb, v)) (literal sa ca)
-        else None
-      | _ -> None)
-    (R.Predicate.conjuncts term.R.Term.cond)
-
-let shape (term : R.Term.t) =
+let template (term : R.Term.t) : template =
   let bases =
     List.concat
       (List.mapi
@@ -116,8 +113,49 @@ let shape (term : R.Term.t) =
          term.R.Term.slots)
   in
   match bases with
-  | [ (i, s) ] -> Guarded (s.R.Schema.name, guard term i)
-  | _ -> Unguarded
+  | [ (base, s) ] ->
+    let layout = R.Plan.layout_of_slots term.R.Term.slots in
+    let side a =
+      let pos = R.Plan.resolve layout a in
+      let s = R.Plan.slot_of_position layout pos in
+      (s, pos - layout.R.Plan.offsets.(s))
+    in
+    Some
+      ( s.R.Schema.name,
+        List.filter_map
+          (function
+            | R.Predicate.Cmp (R.Predicate.Eq, R.Predicate.Col a, R.Predicate.Col b) ->
+              let (sa, ca), (sb, cb) = (side a, side b) in
+              if sa = base && sb <> base then Some (ca, sb, cb)
+              else if sb = base && sa <> base then Some (cb, sa, ca)
+              else None
+            | _ -> None)
+          (R.Predicate.conjuncts term.R.Term.cond) )
+  | _ -> None
+
+(* [term]'s template, found by physical identity of its condition and
+   slot schemas (its view part's own) and by its mask, or built and
+   kept. *)
+let prepared_template t (term : R.Term.t) =
+  (R.Memo.find_or_add t.templates
+     ~fits:(fun p -> R.Term.same_shape p.first term)
+     (fun () -> { first = term; template = template term }))
+    .template
+
+let shape t (term : R.Term.t) =
+  match prepared_template t term with
+  | None -> Unguarded
+  | Some (rel, links) ->
+    let literal s =
+      match List.nth term.R.Term.slots s with
+      | R.Term.Lit (_, _, tup) -> tup
+      | R.Term.Base _ -> assert false  (* the template's one base slot is not [s] *)
+    in
+    Guarded
+      (rel, List.map (fun (col, s, lcol) -> (col, R.Tuple.get (literal s) lcol)) links)
+
+let guard t term =
+  match shape t term with Guarded (rel, g) -> Some (rel, g) | Unguarded -> None
 
 let mv t = Mview.Keyed.bag t.mv
 
@@ -289,7 +327,7 @@ let target t ~own other = match t.policy with At_quiescence -> own | In_order ->
    the event after [accs], in creation order, if hit. *)
 let fold t ~slot accs (u : R.Update.t) =
   let own = acc slot in
-  List.iter (feed t own) (R.Viewdef.delta t.view u);
+  List.iter (feed t own) (R.Delta_program.delta_query (Lazy.force t.delta) u);
   let extra = List.map (fun a -> (a, List.rev a.remote)) accs in
   let fresh =
     List.filter_map
@@ -322,7 +360,7 @@ let enqueue t into q =
   let id = t.next_id in
   t.next_id <- id + 1;
   let terms =
-    List.mapi (fun pos term -> { qid = id; pos; term; shape = shape term }) q
+    List.mapi (fun pos term -> { qid = id; pos; term; shape = shape t term }) q
   in
   if indexed t then List.iter (index t) terms;
   t.uqs <- R.Fqueue.push t.uqs { id; slot = into; terms };

@@ -48,6 +48,12 @@
     order, at a cost that does not grow with the number of pending
     queries. ECA-Local, ECA-SM's fallback and {!refresh} use ECA.
 
+    {b Prepared skeletons.} An instance stages V⟨U⟩ per view part and
+    relation ({!Relational.Delta_program.stage_terms}) and keeps one
+    guard template per term skeleton and literal mask (see {!guard}), so
+    per update it builds only the slot lists around the literal tuples
+    and reads the guard values out of them.
+
     ECA is strongly consistent (Theorem B.1) and LCA complete; the
     property suites re-validate both over randomized streams and
     schedules. *)
@@ -69,6 +75,15 @@ val uqs : t -> (int * R.Query.t) list
 
 val quiescent : t -> bool
 (** No pending query and no uninstalled delta. *)
+
+val guard : t -> R.Term.t -> (string * (int * R.Value.t) list) option
+(** The guard a pending term gets when its query enters the UQS:
+    [Some (relation, conjuncts)] for a term with exactly one base slot,
+    each conjunct as (column of that slot, the literal value it must
+    meet), [None] otherwise. The instance builds a template once per
+    term skeleton and literal mask — found again by the physical
+    identity of the view part's condition and slot schemas — so a term
+    only reads its literal values (exposed for tests). *)
 
 val key_delete : t -> rel:string -> R.Tuple.t -> bool
 (** Apply a local key-delete to the view of a quiescent instance — ECAL's

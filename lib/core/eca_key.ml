@@ -30,6 +30,7 @@ end)
 
 type t = {
   view : R.View.t;
+  delta : R.Delta_program.terms;  (* V⟨U⟩, staged per relation *)
   mutable mv : R.Bag.t;
   collect : Mview.Keyed.t;  (* working copy of MV, a set *)
   mutable uqs : int R.Fqueue.t;
@@ -69,6 +70,7 @@ let create (cfg : Algorithm.Config.t) =
             view.R.View.name));
   {
     view;
+    delta = R.Delta_program.stage_terms cfg.view;
     mv = cfg.init_mv;
     collect =
       Mview.Keyed.create ~view ~rels:(R.View.relation_names view)
@@ -126,7 +128,7 @@ let on_update t (u : R.Update.t) =
          duplicate answer tuples (dropped on receipt), tuples covered by a
          tombstone, or missing tuples a concurrent delete would have
          removed anyway. *)
-      let q = R.Query.view_delta t.view u in
+      let q = R.Delta_program.delta_query t.delta u in
       let local, remote = R.Query.split_local q in
       if not (R.Query.is_empty local) then
         add_answer t (R.Eval.literal_query local);

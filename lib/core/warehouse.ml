@@ -34,6 +34,9 @@ type t = {
   routes : (int, sub list) Hashtbl.t;
       (* gid -> subscribers in subscription order, owner first *)
   share : bool;
+  widenings : R.Query.widenings;
+      (* the widened projections of shared queries, built once per
+         (shipped, rider) projection pair *)
   by_rel : (string, int list) Hashtbl.t;
       (* relation -> interested instance indices, ascending; instances
          with [interest = None] live in [all_notes] instead *)
@@ -96,6 +99,7 @@ let create ?(share = false) ~creator configs =
     hosted;
     routes = Hashtbl.create 64;
     share;
+    widenings = R.Query.widenings ();
     by_rel;
     all_notes = List.rev !all_notes;
     retired = Hashtbl.create 16;
@@ -152,9 +156,6 @@ let gid_view t gid =
   | Some (owner :: _) -> Some (label t owner)
   | Some [] | None -> None
 
-let gid_subscribers t gid =
-  List.map (label t) (Option.value ~default:[] (Hashtbl.find_opt t.routes gid))
-
 (* A query shipped in the current event; [query] widens as subscribers
    join, and the reaction carries its final form. *)
 type shipped = {
@@ -182,13 +183,13 @@ type event_table = (int, shipped list ref) Hashtbl.t
    [q]'s column map, [None] when it cannot. Sharing only across distinct
    views keeps every single-view lifecycle — and so the catalog-of-one —
    exactly as without MQO. *)
-let join idx subs c q =
+let join t idx subs c q =
   if List.exists (fun s -> s.idx = idx) subs then None
   else if R.Query.equal c.query q then Some (c.query, None)
   else
     Option.map
       (fun (query, cols) -> (query, Some cols))
-      (R.Query.widen ~shipped:c.query q)
+      (R.Query.widen t.widenings ~shipped:c.query q)
 
 (* Lift one instance's outcome onto [acc]. *)
 let lift ?event t idx (o : Algorithm.outcome) acc =
@@ -211,7 +212,7 @@ let lift ?event t idx (o : Algorithm.outcome) acc =
        was made earlier in this fold, and no route goes during a fold *)
     let carry c =
       let subs = Hashtbl.find t.routes c.gid in
-      Option.map (fun j -> (c, subs, j)) (join idx subs c q)
+      Option.map (fun j -> (c, subs, j)) (join t idx subs c q)
     in
     match List.find_map carry (List.rev bucket) with
     | None -> ship lid q shipped

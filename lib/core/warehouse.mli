@@ -73,11 +73,6 @@ val gid_view : t -> int -> (string * string) option
     the answer has been routed (the route is consumed) or for an unknown
     gid. *)
 
-val gid_subscribers : t -> int -> (string * string) list
-(** All [(view, algorithm)] subscribers of an outstanding gid, owner
-    first; a singleton for unshared queries, [[]] for consumed or
-    unknown gids. *)
-
 val handle_update : t -> R.Update.t -> reaction
 (** A [W_up] event, fanned out to every hosted view. A view whose
     instance rejects the update with [R.Db.Db_error] (SC's replica

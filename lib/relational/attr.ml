@@ -14,6 +14,10 @@ let compare a b =
 
 let equal a b = compare a b = 0
 
+(* Terms derived from one view share its projection list, so the
+   physical test settles the common case. *)
+let equal_list a b = a == b || List.equal equal a b
+
 let to_string a =
   match a.rel with
   | None -> a.name

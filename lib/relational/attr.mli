@@ -16,6 +16,10 @@ val unqualified : string -> t
 val compare : t -> t -> int
 val equal : t -> t -> bool
 
+val equal_list : t list -> t list -> bool
+(** [List.equal equal], true at once on physically equal lists — the
+    projection compare of terms that share their view's list. *)
+
 val to_string : t -> string
 
 val of_string : string -> t

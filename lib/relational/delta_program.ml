@@ -18,7 +18,23 @@
    updated relation occupies exactly one slot of every chain and the plan
    is linear in that slot's contents: one pass with the whole bag equals
    the signed sum of the per-tuple passes — N interpreter walks collapse
-   into one join. *)
+   into one join.
+
+   The warehouse's ECA family ships V<U> instead of evaluating it, so for
+   it staging stops at the terms ([stage_terms]): per relation, each
+   mentioning part's term, the slot the update fills and its schema.
+   The terms keep the view's projection, condition and schemas
+   physically, and the owners further down prepare on that: an ECA
+   instance its guard templates, a warehouse its widened projections
+   ([Query.widenings]); a source's plan-cache lookup settles its key
+   compare by pointer tests and takes the planner's join edges from the
+   plan ([Plan.t]'s [relation_joins]).
+
+   Who owns what: the engine keeps one [staged] per registered view, SC
+   one per instance, a [Selfmaint] analysis one program per locally
+   maintained part, and each ECA-family instance its [terms]. Nothing
+   here is cached; only the plans underneath are, per domain, through
+   [Plan.of_term]. *)
 
 (* ------------------------------------------------------------------ *)
 (* Programs                                                            *)
@@ -109,7 +125,14 @@ let apply_batch ?(into = Bag.empty) t db tuples =
         apply_chain ch db delta acc)
       into t.chains
 
-let apply ?into t db tuple = apply_batch ?into t db [ tuple ]
+(* [apply_batch] of one tuple, without the list and per-chain closure. *)
+let apply ?(into = Bag.empty) t db tuple =
+  let delta = Bag.add tuple Bag.empty in
+  List.fold_left
+    (fun acc ch ->
+      Schema.check_tuple ch.delta_schema tuple;
+      apply_chain ch db delta acc)
+    into t.chains
 
 (* ------------------------------------------------------------------ *)
 (* Per-view staging                                                    *)
@@ -134,6 +157,59 @@ let find s ~rel ~kind =
     Some (match kind with Update.Insert -> ins | Update.Delete -> del)
 
 let of_update s (u : Update.t) = find s ~rel:u.Update.rel ~kind:u.Update.kind
+
+(* ------------------------------------------------------------------ *)
+(* Staged delta terms                                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* V<U> as the terms a warehouse ships rather than evaluates: per
+   relation, each view part mentioning it as its term (part sign folded
+   in), the slot the update's tuple fills and that slot's schema. An
+   update then only checks its tuple and builds the slot list around
+   it; the projection, condition and schemas stay the view's own, which
+   is what lets the source find the skeleton by physical identity. *)
+type delta_term = {
+  term : Term.t;
+  slot : int;
+  schema : Schema.t;
+}
+
+type terms = (string * delta_term list) list
+
+let stage_terms (vd : Viewdef.t) =
+  List.map
+    (fun rel ->
+      ( rel,
+        List.filter_map
+          (fun (part_sign, (v : View.t)) ->
+            let term =
+              match part_sign with
+              | Sign.Pos -> Term.of_view v
+              | Sign.Neg -> Term.negate (Term.of_view v)
+            in
+            List.find_index
+              (fun (s : Schema.t) -> String.equal s.Schema.name rel)
+              v.View.sources
+            |> Option.map (fun slot ->
+                   { term; slot; schema = List.nth v.View.sources slot }))
+          vd.Viewdef.parts ))
+    (Viewdef.relation_names vd)
+
+let delta_query terms (u : Update.t) =
+  match List.assoc_opt u.Update.rel terms with
+  | None -> []
+  | Some ds ->
+    List.map
+      (fun d ->
+        Schema.check_tuple d.schema u.Update.tuple;
+        let lit = Term.Lit (d.schema, Update.sign u, u.Update.tuple) in
+        (* the slots after the update's are the view's own list *)
+        let rec fill i = function
+          | [] -> []
+          | s :: rest -> if i = d.slot then lit :: rest else s :: fill (i + 1) rest
+        in
+        { d.term with Term.slots = fill 0 d.term.Term.slots })
+      ds
 
 (* Split a batch into maximal runs of one update class, preserving order.
    Within a run every update substitutes the same relation with the same

@@ -20,11 +20,21 @@
     engine's oracle and SC's replica view; the interpreter (as in
     [Core.Centralized]) is the reference they are tested against.
 
+    For maintainers that ship V⟨U⟩ rather than evaluate it (the ECA
+    family), staging stops at the terms ({!stage_terms}): they keep the
+    view's projection, condition and schemas physically, so the owners
+    further down — an ECA instance's guard templates, a warehouse's
+    widened projections ({!Query.widenings}) — find the skeleton again
+    by physical identity, and a source's plan-cache lookup
+    ({!Plan.of_term}, which also carries the planner's join edges)
+    settles its key compare by pointer tests.
+
     Programs are owned by their stager: the engine keeps one {!staged}
     per registered view and restages it after a schema change, SC stages
-    once per instance, and a {!Selfmaint} analysis holds one {!t} per
-    locally maintained part. Nothing here caches them; only the plans
-    underneath are shared, through {!Plan.of_term}. *)
+    once per instance, a {!Selfmaint} analysis holds one {!t} per
+    locally maintained part, and each ECA-family instance holds its
+    {!terms}. Nothing here caches them; only the plans underneath are
+    shared, per domain, through {!Plan.of_term}. *)
 
 type t
 (** One program: a specific view maintained under a specific update
@@ -75,6 +85,21 @@ val runs : Update.t list -> Update.t list list
     class, preserving order; concatenating the runs restores the batch.
     Each run is [apply_batch]-able after its updates execute; runs must
     be processed in sequence. *)
+
+type terms
+(** V⟨U⟩ staged as terms, for a maintainer that ships its delta queries
+    rather than evaluating them (the ECA family): per relation, each
+    mentioning view part's term with the part's sign folded in, the slot
+    an update fills and that slot's schema. Owned by the instance that
+    stages it, for as long as its view definition holds. *)
+
+val stage_terms : Viewdef.t -> terms
+
+val delta_query : terms -> Update.t -> Query.t
+(** Equals [Viewdef.delta vd u] for the staged [vd], term for term,
+    raising the same [Schema.Schema_error] on a tuple that does not fit;
+    each term keeps the view part's projection, condition and schemas
+    physically. *)
 
 val is_empty : t -> bool
 (** No view part mentions the relation; {!apply} returns the empty bag. *)

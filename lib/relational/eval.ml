@@ -157,14 +157,18 @@ let run_plan ?(into = Bag.empty) (plan : Plan.t) ~(input : int -> input) ~sign =
   end;
   !acc
 
-(* A term's result added to [into]: queries sum their terms without
-   building each term's bag on its own. *)
-let add_term into db (t : Term.t) =
-  let plan = Plan.of_term t in
+(* A term's result added to [into] through [plan], compiled for its
+   skeleton: queries sum their terms without building each term's bag
+   on its own. *)
+let add_planned into plan db (t : Term.t) =
   let slots = Array.of_list t.Term.slots in
   run_plan ~into plan
     ~input:(fun i -> input_of_slot db slots.(i))
     ~sign:(Sign.to_int t.Term.sign)
+
+let add_term into db t = add_planned into (Plan.of_term t) db t
+
+let planned_term plan db t = add_planned Bag.empty plan db t
 
 let term db t = add_term Bag.empty db t
 
@@ -176,16 +180,48 @@ let check_literal (t : Term.t) =
   if not (Term.is_all_literals t) then
     error "literal_term: term still references base relations"
 
-let literal_term t =
+(* An all-literal term is one row: each step of its plan (every slot
+   bound, so in source order and with no probe) joins its literal tuple
+   to the row built so far if the step's keys and filter pass, and the
+   last step projects the row into [into] — straight from the row and
+   the tuple when no filter reads their concatenation, as in [run_plan].
+   A step is reached, and its tuple checked against its schema, only
+   while the row survives — exactly the slots [run_plan] would read — so
+   no row buffer, singleton bag or input closure is built. *)
+let add_literal into (t : Term.t) =
   check_literal t;
-  term Db.empty t
+  let plan = Plan.of_term t in
+  let steps = plan.Plan.slots in
+  let last = Array.length steps - 1 in
+  let literal i =
+    match List.nth t.Term.slots i with
+    | Term.Lit (s, g, tup) ->
+      Schema.check_tuple s tup;
+      (tup, Sign.to_int g)
+    | Term.Base _ -> assert false  (* [check_literal] passed *)
+  in
+  let sign = Sign.to_int t.Term.sign and proj = plan.Plan.proj in
+  let rec go i row cnt =
+    let sp = steps.(i) in
+    let tup, n = literal sp.Plan.slot in
+    let cnt = cnt * n in
+    if not (keys_hold sp.Plan.keys row tup) then into
+    else if i = last && Option.is_none sp.Plan.filter then
+      Bag.add ~count:(cnt * sign) (Tuple.project_concat proj row tup) into
+    else
+      (* rows are never written, so the first step's row is its tuple *)
+      let row' = if i = 0 then tup else Tuple.concat row tup in
+      if not (keep sp.Plan.filter row') then into
+      else if i = last then Bag.add ~count:(cnt * sign) (Tuple.project proj row') into
+      else go (i + 1) row' cnt
+  in
+  if plan.Plan.pre_false then into
+  else if last < 0 then Bag.add ~count:sign (Tuple.project proj [||]) into
+  else go 0 [||] 1
 
-let literal_query q =
-  List.fold_left
-    (fun acc t ->
-      check_literal t;
-      add_term acc Db.empty t)
-    Bag.empty q
+let literal_term t = add_literal Bag.empty t
+
+let literal_query q = List.fold_left add_literal Bag.empty q
 
 (* ------------------------------------------------------------------ *)
 (* Naive reference evaluator                                           *)

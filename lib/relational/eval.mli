@@ -44,6 +44,13 @@ val term : Db.t -> Term.t -> Bag.t
 (** Evaluate one signed term. Literal (substituted-tuple) slots contribute
     their single signed tuple regardless of the database contents. *)
 
+val planned_term : Plan.t -> Db.t -> Term.t -> Bag.t
+(** [term] through a plan the caller prepared: [planned_term (Plan.of_term
+    t) db t = term db t]. A plan compiled for [t]'s skeleton and literal
+    mask serves every term sharing them, whatever their literal tuples
+    and sign: the source's executor looks a term's plan up once and
+    reads both this evaluation and the planner's join edges off it. *)
+
 val query : Db.t -> Query.t -> Bag.t
 (** [Q[ss]]: the signed sum of the term results. *)
 
@@ -53,10 +60,20 @@ val view : Db.t -> View.t -> Bag.t
     returns. *)
 
 val literal_term : Term.t -> Bag.t
-(** Evaluate a term with no base-relation slots; needs no database.
+(** Evaluate a term with no base-relation slots; needs no database. Such
+    a term is one row: each step of its compiled plan (source order, every
+    slot bound) joins its literal tuple to the row so far when the step's
+    join keys and filter pass, and the last step projects the row — no
+    row buffers or singleton bags, and the same result, slot reads and
+    [Schema_error]s as {!run_plan} over singleton bags: a slot past a
+    failed key or filter is never read, so its tuple is never checked.
     @raise Eval_error if the term still references a base relation. *)
 
 val literal_query : Query.t -> Bag.t
+(** The signed sum of {!literal_term} over the query's terms, in order
+    (ECA's locally evaluated compensation terms).
+    @raise Eval_error at the first term that references a base
+    relation. *)
 
 val naive_term : Db.t -> Term.t -> Bag.t
 (** Reference semantics: full cross product of the slots, condition

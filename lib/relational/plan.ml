@@ -118,11 +118,25 @@ type slot_plan = {
 }
 
 type t = {
-  layout : layout;
   pre_false : bool;       (* a constant-only conjunct is statically false *)
   slots : slot_plan array;
   proj : int array;       (* projection positions into the full layout *)
+  relation_joins : (string * string * string * string) list;
 }
+
+(* Equi-join conjuncts between qualified columns of two distinct
+   relations, as (relA, attrA, relB, attrB): what a physical planner
+   prices probes along. They depend on the condition alone. *)
+let relation_joins cond =
+  List.filter_map
+    (function
+      | Predicate.Cmp (Predicate.Eq, Predicate.Col a, Predicate.Col b) -> (
+        match a.Attr.rel, b.Attr.rel with
+        | Some ra, Some rb when not (String.equal ra rb) ->
+          Some (ra, a.Attr.name, rb, b.Attr.name)
+        | _ -> None)
+      | _ -> None)
+    (Predicate.conjuncts cond)
 
 (* Highest column position referenced by a predicate; -1 when it has no
    attribute references (constant-only conjuncts). *)
@@ -199,7 +213,6 @@ let compile_ordered ~bound ~order ~schemas ~cond ~proj =
       !pre
   in
   {
-    layout;
     pre_false;
     slots =
       Array.of_list
@@ -219,6 +232,7 @@ let compile_ordered ~bound ~order ~schemas ~cond ~proj =
              })
            order);
     proj = Array.of_list (List.map (resolve layout) proj);
+    relation_joins = relation_joins cond;
   }
 
 let literal_slots (t : Term.t) =
@@ -263,7 +277,7 @@ module Key = struct
   }
 
   let equal a b =
-    List.equal Attr.equal a.skel.proj b.skel.proj
+    Attr.equal_list a.skel.proj b.skel.proj
     && Predicate.equal a.skel.cond b.skel.cond
     && List.equal Schema.equal a.skel.schemas b.skel.schemas
     && a.bound = b.bound

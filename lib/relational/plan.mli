@@ -21,7 +21,8 @@ exception Plan_error of string
 
 (** Column layout of a term: the concatenation of its slots' columns. Slot
     [i] occupies positions [offsets.(i) .. offsets.(i) + arity_i - 1]. A
-    plan's layout lists the slots in join order. *)
+    plan is compiled against the layout of its slots in join order and
+    keeps only the positions it resolved. *)
 type layout = {
   cols : (string * string) array;  (** (relation, column) per position *)
   offsets : int array;             (** first position of each slot *)
@@ -55,11 +56,18 @@ type slot_plan = {
 }
 
 type t = {
-  layout : layout;  (** slots in join order *)
   pre_false : bool;  (** some constant-only conjunct is statically false *)
   slots : slot_plan array;  (** in join order *)
   proj : int array;  (** projection positions into the full layout *)
+  relation_joins : (string * string * string * string) list;
+      (** {!relation_joins} of the term's condition, kept with the plan
+          so a source prices a term's probes without re-deriving them *)
 }
+
+val relation_joins : Predicate.t -> (string * string * string * string) list
+(** The condition's equi-join conjuncts between qualified columns of two
+    distinct relations, as [(relA, attrA, relB, attrB)], in conjunct
+    order. *)
 
 val compile : ?bound:bool array -> Term.t -> t
 (** Compile without consulting the cache. [bound] marks the slots whose

@@ -90,7 +90,11 @@ let rec to_string = function
 
 let pp ppf p = Format.pp_print_string ppf (to_string p)
 
+(* A view's terms share its condition, so the physical test settles
+   the common case before any structural walk. *)
 let rec equal a b =
+  a == b
+  ||
   match a, b with
   | True, True | False, False -> true
   | Cmp (c1, x1, y1), Cmp (c2, x2, y2) ->

@@ -108,33 +108,53 @@ let uniform_proj = function
   | [] -> None
   | (t : Term.t) :: rest ->
     let p = t.Term.proj in
-    if List.for_all (fun (t' : Term.t) -> List.equal Attr.equal p t'.Term.proj) rest
+    if List.for_all (fun (t' : Term.t) -> Attr.equal_list p t'.Term.proj) rest
     then Some p
     else None
 
-let widen ~shipped q =
+(* The projection that keeps [ps] and then [pq]'s columns it lacks, in
+   [pq]'s order — [ps] itself when it lacks none — and each of [pq]'s
+   columns' position in it. *)
+let widen_proj ps pq =
+  let has l a = List.exists (Attr.equal a) l in
+  let missing =
+    List.rev
+      (List.fold_left
+         (fun acc a -> if has ps a || has acc a then acc else a :: acc)
+         [] pq)
+  in
+  let proj = if missing = [] then ps else ps @ missing in
+  let position a =
+    let rec go i = function
+      | [] -> assert false  (* every column of [pq] is in [proj] *)
+      | a' :: rest -> if Attr.equal a a' then i else go (i + 1) rest
+    in
+    go 0 proj
+  in
+  (proj, Array.of_list (List.map position pq))
+
+(* Widenings keyed by the physical (shipped, rider) projection pair:
+   riders carry their view's projection list and a widened shipped query
+   carries the list this memo built, so a repeated pair finds its entry
+   without a structural compare, and every widened query of the pair
+   shares one projection list. *)
+type widenings = (Attr.t list * Attr.t list * (Attr.t list * int array)) Memo.t
+
+let widenings = Memo.create
+
+let widen memo ~shipped q =
   match (uniform_proj shipped, uniform_proj q) with
   | Some ps, Some pq when List.equal Term.skeleton_equal shipped q ->
-    let has l a = List.exists (Attr.equal a) l in
-    let missing =
-      List.rev
-        (List.fold_left
-           (fun acc a -> if has ps a || has acc a then acc else a :: acc)
-           [] pq)
+    let _, _, (proj, cols) =
+      Memo.find_or_add memo
+        ~fits:(fun (ps', pq', _) -> ps' == ps && pq' == pq)
+        (fun () -> (ps, pq, widen_proj ps pq))
     in
-    let proj = ps @ missing in
     let shipped =
-      if missing = [] then shipped
+      if proj == ps then shipped
       else List.map (fun (t : Term.t) -> { t with Term.proj }) shipped
     in
-    let position a =
-      let rec go i = function
-        | [] -> assert false  (* every column of [pq] is in [proj] *)
-        | a' :: rest -> if Attr.equal a a' then i else go (i + 1) rest
-      in
-      go 0 proj
-    in
-    Some (shipped, Array.of_list (List.map position pq))
+    Some (shipped, cols)
   | _ -> None
 
 let pp ppf q =

@@ -60,9 +60,17 @@ val signature : t -> int
     signature. A digest — candidates must be confirmed with {!equal} or
     {!widen} before sharing. *)
 
-val widen : shipped:t -> t -> (t * int array) option
-(** [widen ~shipped q] lets one evaluation answer both [shipped] and
-    [q] when they pair term by term under {!Term.skeleton_equal} and
+type widenings
+(** A memo of projection widenings, owned by one warehouse: per
+    (shipped, rider) projection pair, compared by physical identity, the
+    widened projection and the rider's column map ({!Memo}). *)
+
+val widenings : unit -> widenings
+(** An empty memo. *)
+
+val widen : widenings -> shipped:t -> t -> (t * int array) option
+(** [widen memo ~shipped q] lets one evaluation answer both [shipped]
+    and [q] when they pair term by term under {!Term.skeleton_equal} and
     each keeps one projection in every term. The result is [shipped]
     with its projection extended by [q]'s columns it lacks (in [q]'s
     order; [shipped] itself when none is lacking), and the position of
@@ -70,7 +78,13 @@ val widen : shipped:t -> t -> (t * int array) option
     answer through those positions gives [q]'s answer, and its prefix
     [shipped]'s. [None] otherwise — in particular for queries whose
     terms keep different columns (compound views' parts), which can
-    only be shared when {!equal}. *)
+    only be shared when {!equal}.
+
+    The widened projection and column map of a (shipped, rider)
+    projection pair are built once, in [memo], and shared: every widened
+    query of the pair carries the one list, so the next rider finds it
+    by physical identity. The result does not depend on what [memo]
+    holds. *)
 
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

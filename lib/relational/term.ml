@@ -112,7 +112,15 @@ let skeleton_equal a b =
   && Predicate.equal a.cond b.cond
   && List.equal slot_equal a.slots b.slots
 
-let equal a b = List.equal Attr.equal a.proj b.proj && skeleton_equal a b
+let equal a b = Attr.equal_list a.proj b.proj && skeleton_equal a b
+
+let same_shape a b =
+  let same_slot x y =
+    match x, y with
+    | Base s, Base s' | Lit (s, _, _), Lit (s', _, _) -> s == s'
+    | (Base _ | Lit _), _ -> false
+  in
+  a.cond == b.cond && List.equal same_slot a.slots b.slots
 
 let pp ppf t =
   let pp_slot ppf = function

@@ -54,6 +54,12 @@ val skeleton_equal : t -> t -> bool
 (** {!equal} up to projection: same sign, slot sources (base relations
     and substituted literals with their signs) and condition. *)
 
+val same_shape : t -> t -> bool
+(** Physically the same condition and slot schemas, with literal tuples
+    in the same slots: what the terms substituted from one view part
+    share, tested without a structural compare. Projections, literal
+    values and signs aside. *)
+
 val signature : t -> int
 (** The skeleton signature used by shared-delta (MQO) maintenance:
     consistent with {!skeleton_equal}, so it ignores the projection —

@@ -35,12 +35,15 @@ let shared_scan_discount cat plans =
       0 plans
   end
 
+(* One plan-cache lookup per term serves both sides: the compiled plan
+   evaluates the term and carries the join edges the planner prices. *)
 let run cat db q =
   let evaluated =
     List.map
       (fun t ->
-        let plan = Planner.term cat db t in
-        let bag = R.Eval.term db t in
+        let compiled = R.Plan.of_term t in
+        let plan = Planner.plan cat db ~edges:compiled.R.Plan.relation_joins t in
+        let bag = R.Eval.planned_term compiled db t in
         (t, plan, bag))
       (R.Query.terms q)
   in

@@ -2,17 +2,7 @@ module R = Relational
 
 (* Equi-join edges of a term: [(relA, attrA, relB, attrB)] for every
    top-level conjunct [relA.attrA = relB.attrB] with distinct relations. *)
-let join_edges (t : R.Term.t) =
-  List.filter_map
-    (function
-      | R.Predicate.Cmp
-          (R.Predicate.Eq, R.Predicate.Col a, R.Predicate.Col b) -> (
-        match a.R.Attr.rel, b.R.Attr.rel with
-        | Some ra, Some rb when not (String.equal ra rb) ->
-          Some (ra, a.R.Attr.name, rb, b.R.Attr.name)
-        | _ -> None)
-      | _ -> None)
-    (R.Predicate.conjuncts t.R.Term.cond)
+let join_edges (t : R.Term.t) = R.Plan.relation_joins t.R.Term.cond
 
 let relation_blocks cat db rel =
   Block.blocks_for cat.Catalog.block ~tuples:(Stats.cardinality db rel)
@@ -33,7 +23,7 @@ let relation_blocks cat db rel =
 (* without an index and joined to nothing after it costs no statistic. *)
 (* ------------------------------------------------------------------ *)
 
-let scenario1_term cat db (t : R.Term.t) =
+let scenario1_term cat db ~edges (t : R.Term.t) =
   let bases = R.Term.base_relations t in
   if bases = [] then Plan.local
   else
@@ -50,7 +40,6 @@ let scenario1_term cat db (t : R.Term.t) =
            (fun rel -> Plan.Scan { rel; blocks = relation_blocks cat db rel })
            bases)
     else begin
-      let edges = join_edges t in
       (* multiplicity rel = expected number of tuples of [rel] that feed
          probes into relations joined to it; literals contribute 1.
          Forced only when a later relation joins from [rel]. *)
@@ -194,9 +183,11 @@ let scenario2_term cat db (t : R.Term.t) =
     Plan.of_steps
       [ Plan.Nested_loop { outers; inner; inner_blocks; io = inner_io + outer_io } ]
 
-let term cat db t =
+let plan cat db ~edges t =
   match cat.Catalog.mode with
-  | Catalog.Indexed_memory -> scenario1_term cat db t
+  | Catalog.Indexed_memory -> scenario1_term cat db ~edges t
   | Catalog.Limited_memory -> scenario2_term cat db t
+
+let term cat db t = plan cat db ~edges:(join_edges t) t
 
 let query cat db q = Plan.concat (List.map (term cat db) (R.Query.terms q))

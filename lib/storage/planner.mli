@@ -22,5 +22,18 @@ val join_edges : Relational.Term.t -> (string * string * string * string) list
 (** Equi-join conjuncts across distinct relations, as
     [(relA, attrA, relB, attrB)]. *)
 
+val plan :
+  Catalog.t ->
+  Relational.Db.t ->
+  edges:(string * string * string * string) list ->
+  Relational.Term.t ->
+  Plan.t
+(** The plan of a term whose {!join_edges} are [edges]: they depend only
+    on the term's condition, so the executor takes them from the term's
+    compiled plan ({!Relational.Plan.t}'s [relation_joins]) and only the
+    relation statistics are read per query. *)
+
 val term : Catalog.t -> Relational.Db.t -> Relational.Term.t -> Plan.t
+(** [plan cat db ~edges:(join_edges t) t]. *)
+
 val query : Catalog.t -> Relational.Db.t -> Relational.Query.t -> Plan.t

@@ -547,7 +547,8 @@ let signature_laws () =
   check_int "query signature ignores projection" (R.Query.signature a)
     (R.Query.signature wy);
   check_bool "... though the queries differ" false (R.Query.equal a wy);
-  (match R.Query.widen ~shipped:a wy with
+  let widen = R.Query.widen (R.Query.widenings ()) in
+  (match widen ~shipped:a wy with
   | None -> Alcotest.fail "widen: same skeleton, one projection per query"
   | Some (shipped, cols) ->
     Alcotest.(check (list string))
@@ -555,17 +556,17 @@ let signature_laws () =
       [ "r1.W"; "r2.Y" ]
       (List.map R.Attr.to_string (List.hd (R.Query.terms shipped)).R.Term.proj);
     Alcotest.(check (array int)) "column map" [| 0; 1 |] cols);
-  (match R.Query.widen ~shipped:wy a with
+  (match widen ~shipped:wy a with
   | None -> Alcotest.fail "widen: a narrower query rides as is"
   | Some (shipped, cols) ->
     check_bool "nothing to add: shipped unchanged" true (shipped == wy);
     Alcotest.(check (array int)) "column map into a wider query" [| 0 |] cols);
   check_bool "different skeletons do not widen" true
-    (R.Query.widen ~shipped:a (q (ins "r1" [ 1; 3 ])) = None);
+    (widen ~shipped:a (q (ins "r1" [ 1; 3 ])) = None);
   (* a query whose terms keep different columns shares only when equal *)
   let mixed = R.Query.plus a wy in
   check_bool "mixed projections do not widen" true
-    (R.Query.widen ~shipped:mixed (R.Query.plus wy a) = None)
+    (widen ~shipped:mixed (R.Query.plus wy a) = None)
 
 (* ------------------------------------------------------------------ *)
 (* Satellite regressions                                               *)

@@ -103,9 +103,6 @@ let shared_route_order_pins_owner_first () =
   let reaction = Core.Warehouse.handle_update wh (ins "r2" [ 2; 3 ]) in
   (match reaction.Core.Warehouse.queries with
   | [ (gid, _) ] ->
-    Alcotest.(check (list string))
-      "subscribers owner-first in host order" names
-      (List.map fst (Core.Warehouse.gid_subscribers wh gid));
     (match Core.Warehouse.gid_view wh gid with
     | Some ("A", _) -> ()
     | _ -> Alcotest.fail "gid must be owned by the first host");
