@@ -31,7 +31,13 @@ bench-throughput:
 	dune build bench/main.exe
 	./_build/default/bench/main.exe throughput
 
-# One-stop pre-commit gate: build everything, run the test suite (plus
+# One-stop pre-commit gate: check the build settings first
+# (scripts/build_guard.sh: `dune printenv` must show lib/relational
+# compiled with -strict-sequence and dev's warnings-as-errors spec, which
+# the root dune file applies under every profile, and no module of the
+# libraries perfbench links may compile with -opaque, since
+# dune-workspace selects the release profile, whose native code inlines
+# across modules), then build everything, run the test suite (plus
 # the fault-injection/reliability suites, the channel suite holding the
 # faulty channel's reference model, the bag laws (fingerprint,
 # equal_since, the stored negative count and add_get's before-counts),
@@ -44,7 +50,9 @@ bench-throughput:
 # catalog suite holding the shared-delta (skeleton sharing) checks, and
 # the prepared suite holding the prepared-skeleton checks against their
 # per-term references (guard templates, the one-row literal path, the
-# executor's plan-carried join edges, the widening memo), all
+# executor's plan-carried join edges, the widening memo), and the window
+# suite holding the trailing-window property against its brute-force
+# reference, all
 # explicitly, so a filtered or cached runtest can never silently skip
 # them), run each perfbench workload for 2 s untraced and 2 s traced as
 # a correctness gate only (a non-zero exit, i.e. a failed view or build,
@@ -98,6 +106,7 @@ bench-throughput:
 # Everything the bench writes stays in the temp dir, so smoke leaves the
 # working tree clean.
 smoke:
+	sh scripts/build_guard.sh
 	dune build @all
 	dune runtest
 	dune exec test/main.exe -- test bag
@@ -122,6 +131,7 @@ smoke:
 	dune exec test/main.exe -- test compound-views
 	dune exec test/main.exe -- test catalog
 	dune exec test/main.exe -- test prepared
+	dune exec test/main.exe -- test window
 	for w in compensate selfmaint; do \
 	  python3 perfbench/run.py --workload $$w --seed 11 --seconds 2 --trace 0 > /dev/null || exit 1; \
 	  python3 perfbench/run.py --workload $$w --seed 11 --seconds 2 --trace 1 > /dev/null || exit 1; \

@@ -23,7 +23,8 @@ type per_view = {
 }
 
 (* A duplicate delivered by a faulty edge finds its span already closed
-   and is ignored; messages lost forever are force-closed by [finish]. *)
+   and is ignored; messages lost forever are force-closed by [finish],
+   as is the COLLECT episode of a view still waiting on one. *)
 type t = {
   oc : C.t;
   sites : string array;
@@ -173,6 +174,17 @@ let step o ~now:t ev fx =
   | Pick (Scheduler.Site_source _) | Tick -> ()
 
 let finish o ~now =
+  (* At the drain probe a quiescent view waits for no message, so its
+     parked answers' COLLECT episode has ended; only the spans a lost
+     message left open are force-closed. *)
+  Array.iteri
+    (fun vi ov ->
+      match ov.collect_span with
+      | Some sp when Warehouse.view_quiescent o.warehouse vi ->
+        ignore (C.close_span o.oc sp ~now);
+        ov.collect_span <- None
+      | _ -> ())
+    o.per_view;
   C.close_all o.oc ~now;
   { Metrics.spans = C.spans_recorded o.oc; span_dropped = C.dropped o.oc;
     span_forced = C.forced_closes o.oc; gauges = C.gauges_recorded o.oc;

@@ -30,4 +30,6 @@ val create :
 val step : t -> now:int -> event -> effects -> unit
 
 val finish : t -> now:int -> Metrics.observe
-(** Force-closes the spans still open; the run's summary. *)
+(** Called at the drain probe: closes the parked [collect_install] span
+    of each quiescent view, force-closes the spans still open (those a
+    lost message left), and returns the run's summary. *)

@@ -122,6 +122,8 @@ let mvs t =
 let quiescent t =
   Array.for_all (fun h -> h.inst.Algorithm.quiescent ()) t.hosted
 
+let view_quiescent t i = t.hosted.(i).inst.Algorithm.quiescent ()
+
 let shared_counters t = (t.shared_evaluated, t.shared_hits, t.shared_fanout)
 
 (* [None] unless some hosted instance (the ECA-SM rung) reports the

@@ -55,6 +55,9 @@ val mvs : t -> (string * R.Bag.t) list
 val quiescent : t -> bool
 (** All hosted instances are quiescent. *)
 
+val view_quiescent : t -> int -> bool
+(** The instance hosting the [i]th view, in host order, is quiescent. *)
+
 val shared_counters : t -> int * int * int
 (** [(shared_evaluated, shared_hits, shared_fanout)]: shipped queries
     that gained at least one extra subscriber; queries deduplicated away

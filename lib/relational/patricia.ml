@@ -11,10 +11,12 @@
    [Value.compare]'s order on Int values. A trie never rebalances: its
    shape depends only on its key set.
 
-   Both tries sit in this one compilation unit with the bit logic so
-   that the single-bit tests at every level of a descent are inlined: a
-   development build compiles each module opaquely, and a helper called
-   across modules is then a full closure call at every level. *)
+   Both tries sit in this one compilation unit with the bit logic they
+   share, so the single-bit tests at every level of a descent are local
+   functions ocamlopt inlines under any build profile. The default
+   (release) profile inlines small functions across modules too; the
+   dev profile compiles each module opaquely, where a helper called
+   across modules would be a closure call at every level. *)
 
 (* A branch's [pm] is its label: the bits its keys share above [m], and
    [m] itself set, in one word. [label k m] is the label [m] gives key

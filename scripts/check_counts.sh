@@ -16,6 +16,11 @@
 # whose name was not passed with --allow (allowed differences are
 # printed too). Everything it builds is removed on exit; perfbench/
 # itself is only read.
+#
+# Each side builds with its own checkout's dune-workspace: a revision
+# that has none (before the release profile became the default) builds
+# in dune's dev profile, which compiles every library module with
+# -opaque. Only timings depend on the profile, and they are not compared.
 set -eu
 
 usage() {

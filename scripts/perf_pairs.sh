@@ -15,6 +15,11 @@
 # every pair and its median beats the revision's by more than the
 # revision's interquartile spread. Everything it builds is removed on
 # exit; perfbench/ itself is only read.
+#
+# Each side builds with its own checkout's dune-workspace: a revision
+# that has none (before the release profile became the default) builds
+# in dune's dev profile, which compiles every library module with
+# -opaque, so its rates are those of unoptimised cross-module calls.
 set -eu
 
 if [ $# -ne 5 ] && [ $# -ne 6 ]; then

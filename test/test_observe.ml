@@ -474,6 +474,29 @@ let check_observed (name, run) () =
       (Test_golden.read_file (Test_golden.golden_path file))
       got
 
+(* A forced close means a lost message. The windowed catalog run loses
+   none, yet its view absorbs its last answer without installing: that
+   parked COLLECT episode ends at the drain probe, closed, not forced. *)
+let parked_collect_closes_at_drain () =
+  let path = Filename.temp_file "vmw_observe" ".jsonl" in
+  let m, lines =
+    Fun.protect
+      ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+      (fun () ->
+        let run = List.assoc "observe_windowed_catalog" observed_cases in
+        let r : Core.Engine.result = run ~trace_out:path in
+        ( r.Core.Engine.metrics,
+          String.split_on_char '\n' (Test_golden.read_file path) ))
+  in
+  check_bool "a collect_install span closes at the drain probe" true
+    (List.exists
+       (fun l ->
+         Test_evolution.contains l "\"kind\":\"collect_install\""
+         && Test_evolution.contains l
+              (Printf.sprintf "\"close\":%d}" m.Core.Metrics.steps))
+       lines);
+  check_int "no forced closes" 0 (observe_of m).Core.Metrics.span_forced
+
 let suite =
   [
     Alcotest.test_case "collector semantics" `Quick collector_semantics;
@@ -486,6 +509,8 @@ let suite =
       staleness_tracks_the_oracle;
     Alcotest.test_case "ECA family fresh at quiescence" `Quick
       eca_family_fresh_at_quiescence;
+    Alcotest.test_case "quiescent view's parked answers close at drain" `Quick
+      parked_collect_closes_at_drain;
   ]
   @ List.map
       (fun ((name, _) as case) ->
