@@ -1,7 +1,7 @@
 # Convenience targets; `dune build` / `dune runtest` remain the source of
 # truth (ROADMAP.md tier 1).
 
-.PHONY: all build test bench bench-par bench-throughput smoke clean
+.PHONY: all build test bench bench-par bench-throughput props smoke clean
 
 all: build
 
@@ -31,6 +31,22 @@ bench-throughput:
 	dune build bench/main.exe
 	./_build/default/bench/main.exe throughput
 
+# Sweep the qcheck properties over SEEDS fresh seeds (default 10),
+# outside tier-1. Tier-1 runs every property from one fixed seed, so its
+# verdicts repeat; this target draws new ones. Each run prints its seed,
+# and a failing seed reruns with QCHECK_SEED=<seed> dune exec
+# test/main.exe.
+SEEDS ?= 10
+props:
+	dune build test/main.exe
+	@i=0; while [ $$i -lt $(SEEDS) ]; do \
+	  seed=$$(od -An -N4 -tu4 /dev/urandom | tr -d ' '); \
+	  QCHECK_SEED=$$seed ./_build/default/test/main.exe > /dev/null 2>&1 \
+	    || { echo "props: a test failed at QCHECK_SEED=$$seed"; exit 1; }; \
+	  i=$$((i + 1)); \
+	done; \
+	echo "props: $(SEEDS) fresh seeds passed"
+
 # One-stop pre-commit gate: check the build settings first
 # (scripts/build_guard.sh: `dune printenv` must show lib/relational
 # compiled with -strict-sequence and dev's warnings-as-errors spec, which
@@ -52,7 +68,9 @@ bench-throughput:
 # per-term references (guard templates, the one-row literal path, the
 # executor's plan-carried join edges, the widening memo), and the window
 # suite holding the trailing-window property against its brute-force
-# reference, all
+# reference, and the oracle-groups suite holding the shared-join oracle
+# checks (grouped states against Viewdef.eval over every stream prefix,
+# twins sharing one state, a regrouping schema change, a windowed twin), all
 # explicitly, so a filtered or cached runtest can never silently skip
 # them), run each perfbench workload for 2 s untraced and 2 s traced as
 # a correctness gate only (a non-zero exit, i.e. a failed view or build,
@@ -132,6 +150,7 @@ smoke:
 	dune exec test/main.exe -- test catalog
 	dune exec test/main.exe -- test prepared
 	dune exec test/main.exe -- test window
+	dune exec test/main.exe -- test oracle-groups
 	for w in compensate selfmaint; do \
 	  python3 perfbench/run.py --workload $$w --seed 11 --seconds 2 --trace 0 > /dev/null || exit 1; \
 	  python3 perfbench/run.py --workload $$w --seed 11 --seconds 2 --trace 1 > /dev/null || exit 1; \

@@ -195,7 +195,9 @@ let join t idx subs c q =
 
 (* Lift one instance's outcome onto [acc]. *)
 let lift ?event t idx (o : Algorithm.outcome) acc =
-  let ship lid q shipped =
+  (* [sg] is [q]'s signature, computed once by the fold; it is read only
+     when sharing is on *)
+  let ship lid q sg shipped =
     let gid = t.next_gid in
     t.next_gid <- gid + 1;
     Hashtbl.replace t.routes gid [ { idx; lid; cols = None } ];
@@ -203,13 +205,12 @@ let lift ?event t idx (o : Algorithm.outcome) acc =
     (match event with
     | None -> ()
     | Some tbl -> (
-      let sg = R.Query.signature q in
       match Hashtbl.find_opt tbl sg with
       | Some bucket -> bucket := c :: !bucket
       | None -> Hashtbl.add tbl sg (ref [ c ])));
     c :: shipped
   in
-  let share lid q shipped bucket =
+  let share lid q sg shipped bucket =
     (* the oldest candidate that can carry [q]. Its route is live: it
        was made earlier in this fold, and no route goes during a fold *)
     let carry c =
@@ -217,7 +218,7 @@ let lift ?event t idx (o : Algorithm.outcome) acc =
       Option.map (fun j -> (c, subs, j)) (join t idx subs c q)
     in
     match List.find_map carry (List.rev bucket) with
-    | None -> ship lid q shipped
+    | None -> ship lid q sg shipped
     | Some (c, subs, (query, cols)) ->
       let subs =
         if query == c.query then subs
@@ -245,11 +246,12 @@ let lift ?event t idx (o : Algorithm.outcome) acc =
     List.fold_left
       (fun shipped (lid, q) ->
         match event with
-        | None -> ship lid q shipped
+        | None -> ship lid q 0 shipped
         | Some tbl -> (
-          match Hashtbl.find_opt tbl (R.Query.signature q) with
-          | None -> ship lid q shipped
-          | Some bucket -> share lid q shipped !bucket))
+          let sg = R.Query.signature q in
+          match Hashtbl.find_opt tbl sg with
+          | None -> ship lid q sg shipped
+          | Some bucket -> share lid q sg shipped !bucket))
       acc.shipped o.Algorithm.send
   in
   let name = t.hosted.(idx).view.R.Viewdef.name in

@@ -30,11 +30,15 @@
    compare by pointer tests and takes the planner's join edges from the
    plan ([Plan.t]'s [relation_joins]).
 
-   Who owns what: the engine keeps one [staged] per registered view, SC
-   one per instance, a [Selfmaint] analysis one program per locally
-   maintained part, and each ECA-family instance its [terms]. Nothing
-   here is cached; only the plans underneath are, per domain, through
-   [Plan.of_term]. *)
+   Views whose programs differ only in projection stage once
+   ([stage_shared]): each chain joins once and projects the result for
+   every view ([Eval.run_plan_into]).
+
+   Who owns what: the engine keeps one [staged] per group of shareable
+   views, SC one per instance, a [Selfmaint] analysis one program per
+   locally maintained part, and each ECA-family instance its [terms].
+   Nothing here is cached; only the plans underneath are, per domain,
+   through [Plan.of_term]. *)
 
 (* ------------------------------------------------------------------ *)
 (* Programs                                                            *)
@@ -47,6 +51,7 @@ type source =
 
 type chain = {
   plan : Plan.t;
+  projs : int array array;  (* one per view the program advances *)
   sources : source array;
   delta_schema : Schema.t;  (* schema of the substituted relation *)
   sign_factor : int;        (* part sign x update sign *)
@@ -60,49 +65,72 @@ type t = {
 
 let is_empty t = t.chains = []
 
-let stage_class (vd : Viewdef.t) ~rel ~kind =
+(* Two definitions one program can advance: part for part the same sign
+   and the same skeleton — the same slots, condition and term sign —
+   whatever each part projects. *)
+let shareable (a : Viewdef.t) (b : Viewdef.t) =
+  List.equal
+    (fun (sa, va) (sb, vb) ->
+      Sign.equal sa sb && Term.skeleton_equal (Term.of_view va) (Term.of_view vb))
+    a.Viewdef.parts b.Viewdef.parts
+
+(* The class program of [first] and [others], all [shareable]: the
+   first view's parts give each chain's plan, and every view adds its
+   own part's projection, resolved through a plan of its term under the
+   same bound-slot mask — equal skeletons give equal join orders and
+   layouts, so the positions index the same joined row. *)
+let stage_class_shared (first : Viewdef.t) others ~rel ~kind =
   let kind_sign = match kind with Update.Insert -> 1 | Update.Delete -> -1 in
-  let chains =
-    List.filter_map
-      (fun (part_sign, (v : View.t)) ->
-        let term = Term.of_view v in
-        if not (Term.mentions_base term rel) then None
-        else begin
-          let sources =
+  let rec chains p = function
+    | [] -> []
+    | (part_sign, (v : View.t)) :: parts ->
+      let term = Term.of_view v in
+      if not (Term.mentions_base term rel) then chains (p + 1) parts
+      else begin
+        let sources =
+          Array.of_list
+            (List.map
+               (fun (s : Schema.t) ->
+                 if String.equal s.Schema.name rel then From_delta
+                 else From_db s.Schema.name)
+               v.View.sources)
+        in
+        let delta_schema =
+          List.find
+            (fun (s : Schema.t) -> String.equal s.Schema.name rel)
+            v.View.sources
+        in
+        let bound = Array.map (fun s -> s = From_delta) sources in
+        let plan = Plan.of_term ~bound term in
+        let projs =
+          match others with
+          | [] -> plan.Plan.projs
+          | _ ->
             Array.of_list
-              (List.map
-                 (fun (s : Schema.t) ->
-                   if String.equal s.Schema.name rel then From_delta
-                   else From_db s.Schema.name)
-                 v.View.sources)
-          in
-          let delta_schema =
-            List.find
-              (fun (s : Schema.t) -> String.equal s.Schema.name rel)
-              v.View.sources
-          in
-          let sign_factor = Sign.to_int part_sign * kind_sign in
-          Some
-            {
-              plan =
-                Plan.of_term
-                  ~bound:(Array.map (fun s -> s = From_delta) sources)
-                  term;
-              sources;
-              delta_schema;
-              sign_factor;
-            }
-        end)
-      vd.Viewdef.parts
+              (plan.Plan.proj
+               :: List.map
+                    (fun (vd : Viewdef.t) ->
+                      let _, v' = List.nth vd.Viewdef.parts p in
+                      (Plan.of_term ~bound (Term.of_view v')).Plan.proj)
+                    others)
+        in
+        let chain =
+          { plan; projs; sources; delta_schema;
+            sign_factor = Sign.to_int part_sign * kind_sign }
+        in
+        chain :: chains (p + 1) parts
+      end
   in
-  { rel; kind; chains }
+  { rel; kind; chains = chains 0 first.Viewdef.parts }
+
+let stage_class vd ~rel ~kind = stage_class_shared vd [] ~rel ~kind
 
 (* ------------------------------------------------------------------ *)
 (* Application                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let apply_chain ch db delta into =
-  Eval.run_plan ~into ch.plan
+let apply_chain ch db delta acc =
+  Eval.run_plan_into ch.plan ~projs:ch.projs acc
     ~input:(fun i ->
       match ch.sources.(i) with
       | From_db r -> Eval.Relation (db, r)
@@ -112,27 +140,33 @@ let apply_chain ch db delta into =
 (* One pass per chain with the whole batch as the delta slot's bag;
    duplicate tuples merge their counts, which is exactly their summed
    per-tuple contribution. *)
-let apply_batch ?(into = Bag.empty) t db tuples =
+let apply_shared t db tuples acc =
   match tuples with
-  | [] -> into
+  | [] -> ()
   | _ ->
     let delta =
       List.fold_left (fun b tuple -> Bag.add tuple b) Bag.empty tuples
     in
-    List.fold_left
-      (fun acc ch ->
+    List.iter
+      (fun ch ->
         List.iter (Schema.check_tuple ch.delta_schema) tuples;
         apply_chain ch db delta acc)
-      into t.chains
+      t.chains
+
+let apply_batch ?(into = Bag.empty) t db tuples =
+  let acc = [| into |] in
+  apply_shared t db tuples acc;
+  acc.(0)
 
 (* [apply_batch] of one tuple, without the list and per-chain closure. *)
 let apply ?(into = Bag.empty) t db tuple =
-  let delta = Bag.add tuple Bag.empty in
-  List.fold_left
-    (fun acc ch ->
+  let delta = Bag.add tuple Bag.empty and acc = [| into |] in
+  List.iter
+    (fun ch ->
       Schema.check_tuple ch.delta_schema tuple;
       apply_chain ch db delta acc)
-    into t.chains
+    t.chains;
+  acc.(0)
 
 (* ------------------------------------------------------------------ *)
 (* Per-view staging                                                    *)
@@ -140,15 +174,21 @@ let apply ?(into = Bag.empty) t db tuple =
 
 type staged = (string, t * t) Hashtbl.t  (* rel -> (insert, delete) *)
 
-let stage (vd : Viewdef.t) =
-  let programs = Hashtbl.create 8 in
-  List.iter
-    (fun rel ->
-      Hashtbl.replace programs rel
-        ( stage_class vd ~rel ~kind:Update.Insert,
-          stage_class vd ~rel ~kind:Update.Delete ))
-    (Viewdef.relation_names vd);
-  programs
+let stage_shared = function
+  | [] -> invalid_arg "Delta_program.stage_shared: no view"
+  | first :: others ->
+    if others <> [] && not (List.for_all (shareable first) others) then
+      invalid_arg "Delta_program.stage_shared: the views share no skeleton";
+    let programs = Hashtbl.create 8 in
+    List.iter
+      (fun rel ->
+        Hashtbl.replace programs rel
+          ( stage_class_shared first others ~rel ~kind:Update.Insert,
+            stage_class_shared first others ~rel ~kind:Update.Delete ))
+      (Viewdef.relation_names first);
+    programs
+
+let stage vd = stage_shared [ vd ]
 
 let find s ~rel ~kind =
   match Hashtbl.find_opt s rel with

@@ -15,10 +15,13 @@
     exactly one slot of every chain and the plan is linear in it — a bag
     of N tuples through one join equals N single-tuple joins summed.
     Staged programs and the interpreter both run through
-    {!Eval.run_plan}, so their results are identical bags — not merely
-    equivalent ones. Staged programs are the only path that advances the
-    engine's oracle and SC's replica view; the interpreter (as in
-    [Core.Centralized]) is the reference they are tested against.
+    {!Eval.run_plan_into}, so their results are identical bags — not
+    merely equivalent ones. Views whose programs differ only in
+    projection stage once ({!stage_shared}): one join pass then serves
+    them all, projected once per view. Staged programs are the only
+    path that advances the engine's oracle and SC's replica view; the
+    interpreter (as in [Core.Centralized]) is the reference they are
+    tested against.
 
     For maintainers that ship V⟨U⟩ rather than evaluate it (the ECA
     family), staging stops at the terms ({!stage_terms}): they keep the
@@ -30,24 +33,39 @@
     settles its key compare by pointer tests.
 
     Programs are owned by their stager: the engine keeps one {!staged}
-    per registered view and restages it after a schema change, SC stages
-    once per instance, a {!Selfmaint} analysis holds one {!t} per
-    locally maintained part, and each ECA-family instance holds its
+    per group of shareable views and restages it after a schema change,
+    SC stages once per instance, a {!Selfmaint} analysis holds one {!t}
+    per locally maintained part, and each ECA-family instance holds its
     {!terms}. Nothing here caches them; only the plans underneath are
     shared, per domain, through {!Plan.of_term}. *)
 
 type t
-(** One program: a specific view maintained under a specific update
-    class. *)
+(** One program: a specific view, or a group of {!shareable} views,
+    maintained under a specific update class. *)
 
 type staged
-(** All programs of one view, indexed by relation and update kind —
-    what a registration site holds onto. *)
+(** All programs of one view (or one group of {!shareable} views),
+    indexed by relation and update kind — what a registration site
+    holds onto. *)
 
 val stage : Viewdef.t -> staged
 (** Stage every (relation, kind) class of the view's delta. Each call
     builds fresh programs; callers keep the result for as long as the
     view definition holds. *)
+
+val shareable : Viewdef.t -> Viewdef.t -> bool
+(** Whether one program can advance both definitions: their parts pair
+    up with equal signs and {!Term.skeleton_equal} terms — the same
+    slots, condition and sign, whatever each part projects. Projections
+    of one join are shareable; two views equal up to their names are
+    too. *)
+
+val stage_shared : Viewdef.t list -> staged
+(** Stage the views' classes once for all of them: each class program
+    joins once per chain and projects into one accumulator per view, in
+    list order ({!apply_shared}). [stage vd] is [stage_shared [vd]].
+    @raise Invalid_argument on an empty list, or when a view is not
+    {!shareable} with the first. *)
 
 val stage_class : Viewdef.t -> rel:string -> kind:Update.kind -> t
 (** Stage one class alone: what {!find} on {!stage}'s result returns,
@@ -75,10 +93,18 @@ val apply : ?into:Bag.t -> t -> Db.t -> Tuple.t -> Bag.t
 val apply_batch : ?into:Bag.t -> t -> Db.t -> Tuple.t list -> Bag.t
 (** The summed delta of a batch of same-class updates added to [into]:
     equals the [Bag.plus] over per-tuple {!apply} results, computed in
-    one plan pass. Accumulating straight
-    into a view saves building the delta as a separate bag. Returns
+    one plan pass, for a program staged for one view. Accumulating
+    straight into a view saves building the delta as a separate bag. Returns
     [into] itself when no join row results (in particular for an empty
     batch). *)
+
+val apply_shared : t -> Db.t -> Tuple.t list -> Bag.t array -> unit
+(** {!apply_batch} for every view of a {!stage_shared} program at once:
+    one plan pass per chain, whose result rows are projected once per
+    view and added to that view's accumulator (index [j] for the [j]th
+    view staged). An accumulator no join row reaches is left physically
+    unchanged. {!apply_batch} is the one-view case, with an array of
+    one. *)
 
 val runs : Update.t list -> Update.t list list
 (** Split a mixed batch into maximal consecutive runs of one update

@@ -113,28 +113,39 @@ let join_step (sp : Plan.slot_plan) input (rows : Rows.t) emit =
 
 (* Execute a compiled plan, reading slot [i] from [input i]. Inputs are
    only requested while rows remain, so callers pay nothing for slots
-   past an empty join prefix. The last step projects its rows straight
-   into the result; with no residual filter to read the joined row, it
-   projects straight from the partial row and the matched tuple, and
-   the joined row is never built. This single executor serves both
-   [term] below and the staged programs in {!Delta_program}: sharing it
+   past an empty join prefix. The last step projects each match once per
+   projection [projs.(j)], adding it to [acc.(j)]: views that share a
+   join but keep different columns advance with one pass. With no
+   residual filter to read the joined row, it projects straight from
+   the partial row and the matched tuple, and the joined row is never
+   built. This single executor serves [term] below and the staged
+   programs in {!Delta_program}, one projection or several: sharing it
    is what makes "compiled = interpreted" an identity rather than a
    theorem. *)
-let run_plan ?(into = Bag.empty) (plan : Plan.t) ~(input : int -> input) ~sign =
-  let acc = ref into in
-  let proj = plan.Plan.proj in
+let run_plan_into (plan : Plan.t) ~projs acc ~(input : int -> input) ~sign =
+  let k = Array.length projs in
   let steps = plan.Plan.slots in
   let last = Array.length steps - 1 in
   let out =
     match if last < 0 then None else steps.(last).Plan.filter with
+    | None when k = 1 ->
+      (* the common case, without the loop and in a smaller closure *)
+      let proj = projs.(0) in
+      fun row tup cnt ->
+        acc.(0) <- Bag.add ~count:(cnt * sign) (Tuple.project_concat proj row tup) acc.(0)
     | None ->
       fun row tup cnt ->
-        acc := Bag.add ~count:(cnt * sign) (Tuple.project_concat proj row tup) !acc
+        for j = 0 to k - 1 do
+          acc.(j) <-
+            Bag.add ~count:(cnt * sign) (Tuple.project_concat projs.(j) row tup) acc.(j)
+        done
     | filter ->
       fun row tup cnt ->
         let row' = Tuple.concat row tup in
         if keep filter row' then
-          acc := Bag.add ~count:(cnt * sign) (Tuple.project proj row') !acc
+          for j = 0 to k - 1 do
+            acc.(j) <- Bag.add ~count:(cnt * sign) (Tuple.project projs.(j) row') acc.(j)
+          done
   in
   let rec go i rows =
     let sp = steps.(i) in
@@ -154,8 +165,13 @@ let run_plan ?(into = Bag.empty) (plan : Plan.t) ~(input : int -> input) ~sign =
       Rows.push seed [||] 1;
       go 0 seed
     end
-  end;
-  !acc
+  end
+
+(* The one-projection case: the plan's own projection into [into]. *)
+let run_plan ?(into = Bag.empty) (plan : Plan.t) ~input ~sign =
+  let acc = [| into |] in
+  run_plan_into plan ~projs:plan.Plan.projs acc ~input ~sign;
+  acc.(0)
 
 (* A term's result added to [into] through [plan], compiled for its
    skeleton: queries sum their terms without building each term's bag

@@ -27,18 +27,30 @@ type input =
   | Tuples of Bag.t
   | Relation of Db.t * string
 
+val run_plan_into :
+  Plan.t -> projs:int array array -> Bag.t array -> input:(int -> input) ->
+  sign:int -> unit
+(** Execute a compiled plan, fetching each slot's input by term slot
+    index, and add each result row, projected through [projs.(j)], to
+    accumulator [j] of the array, for every [j] — one join pass for
+    several views that share the plan's skeleton and differ only in
+    their projections. Projections are position arrays into the plan's
+    joined row: [plan.proj] of a plan compiled, under the same
+    bound-slot mask, for a term with the same skeleton
+    ({!Term.skeleton_equal}). An accumulator is left physically
+    unchanged when the plan produces no row. The [input] callback is
+    consulted lazily — never for slots after the intermediate result
+    has become empty — and [sign] multiplies every output count (the
+    term's sign factor). A step the plan probes but whose input is
+    [Tuples] checks its probe key per tuple instead. [term] below and
+    the staged delta programs ({!Delta_program}) all run through this
+    one executor, so their results agree by construction. *)
+
 val run_plan :
   ?into:Bag.t -> Plan.t -> input:(int -> input) -> sign:int -> Bag.t
-(** Execute a compiled plan, fetching each slot's input by term slot
-    index, and add its result to [into] (default empty) — [into] itself
-    when the plan produces no row. The [input] callback is consulted
-    lazily — never for slots after the intermediate result has become
-    empty — and [sign] multiplies every output count (the term's sign
-    factor). A step the
-    plan probes but whose input is [Tuples] checks its probe key per
-    tuple instead. [term] below and the staged delta programs
-    ({!Delta_program}) both run through this one executor, so their
-    results agree by construction. *)
+(** {!run_plan_into} with the plan's own projection and one accumulator
+    starting at [into] (default empty): [into] itself when the plan
+    produces no row. *)
 
 val term : Db.t -> Term.t -> Bag.t
 (** Evaluate one signed term. Literal (substituted-tuple) slots contribute

@@ -121,6 +121,7 @@ type t = {
   pre_false : bool;       (* a constant-only conjunct is statically false *)
   slots : slot_plan array;
   proj : int array;       (* projection positions into the full layout *)
+  projs : int array array;  (* [| proj |], for the one-projection executor *)
   relation_joins : (string * string * string * string) list;
 }
 
@@ -205,6 +206,7 @@ let compile_ordered ~bound ~order ~schemas ~cond ~proj =
         filters.(s) <- p :: filters.(s))
   in
   List.iter assign (Predicate.conjuncts cond);
+  let proj = Array.of_list (List.map (resolve layout) proj) in
   let pre_false =
     (* Constant-only conjuncts reference no attributes, so the lookup
        function is never consulted. *)
@@ -231,7 +233,8 @@ let compile_ordered ~bound ~order ~schemas ~cond ~proj =
                filter = conj_filter (List.map (compile_pred layout) filters.(e));
              })
            order);
-    proj = Array.of_list (List.map (resolve layout) proj);
+    proj;
+    projs = [| proj |];
     relation_joins = relation_joins cond;
   }
 

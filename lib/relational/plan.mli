@@ -59,6 +59,9 @@ type t = {
   pre_false : bool;  (** some constant-only conjunct is statically false *)
   slots : slot_plan array;  (** in join order *)
   proj : int array;  (** projection positions into the full layout *)
+  projs : int array array;
+      (** [[| proj |]]: the plan's own projection as the projection set
+          of {!Eval.run_plan_into}, built once per plan *)
   relation_joins : (string * string * string * string) list;
       (** {!relation_joins} of the term's condition, kept with the plan
           so a source prices a term's probes without re-deriving them *)

@@ -224,3 +224,22 @@ let eca_matches_fold ?(local_literal_eval = true) ~batch view db updates =
   agree
   && R.Bag.equal (eca.Core.Algorithm.mv ()) reference.Eca_fold.mv
   && R.Bag.equal reference.Eca_fold.mv (R.Viewdef.eval final view)
+
+(* Every tier-1 property draws from one fixed seed, so a verdict repeats
+   from run to run; [QCHECK_SEED] overrides it (`make props` sweeps fresh
+   seeds). The seed is fixed, and logged, before any test runs, and each
+   property starts its own generator from it. *)
+let qcheck_seed =
+  let seed =
+    match Sys.getenv_opt "QCHECK_SEED" with
+    | None -> 11
+    | Some s -> (
+      match int_of_string_opt (String.trim s) with
+      | Some n -> n
+      | None -> failwith (Printf.sprintf "QCHECK_SEED=%S is not an integer" s))
+  in
+  Printf.printf "qcheck seed: %d\n%!" seed;
+  seed
+
+let qcheck t =
+  QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| qcheck_seed |]) t

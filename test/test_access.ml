@@ -611,7 +611,7 @@ let keyed_rejects_unindexed () =
   | exception Core.Mview.Mview_error _ -> ()
 
 let suite =
-  List.map QCheck_alcotest.to_alcotest
+  List.map Helpers.qcheck
     [ db_index_prop; nth_prop; nth_select_prop; probe_prop; keyed_prop; keyed_tables_prop ]
   @ [
       Alcotest.test_case "domains racing to build one index" `Quick racing_domains;

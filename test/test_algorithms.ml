@@ -612,5 +612,5 @@ let suite =
       best_case_equals_basic_messages;
     Alcotest.test_case "round-robin and random schedules" `Quick
       round_robin_and_random_schedules_work;
-    QCheck_alcotest.to_alcotest quiescent_law_prop;
+    Helpers.qcheck quiescent_law_prop;
   ]

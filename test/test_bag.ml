@@ -692,7 +692,7 @@ let ref_chain_law steps =
   go (R.Bag.empty, R.Bag.empty, Ref_bag.empty, Ref_bag.empty) steps
 
 let qcheck_suite =
-  List.map QCheck_alcotest.to_alcotest
+  List.map Helpers.qcheck
     [
       law "plus is commutative" 200 arb_bag2 (fun (a, b) ->
           R.Bag.equal (R.Bag.plus a b) (R.Bag.plus b a));

@@ -174,4 +174,4 @@ let suite =
     Alcotest.test_case "modification as an atomic batched pair" `Quick
       modification_as_batched_pair;
   ]
-  @ [ QCheck_alcotest.to_alcotest batch_prop ]
+  @ [ Helpers.qcheck batch_prop ]

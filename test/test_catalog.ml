@@ -655,8 +655,8 @@ let suite =
       planner_survives_degenerate_catalog;
   ]
   @ [
-      QCheck_alcotest.to_alcotest sharing_keeps_strong_consistency_prop;
+      Helpers.qcheck sharing_keeps_strong_consistency_prop;
       Alcotest.test_case "sharing subscribes an instance to a query once"
         `Quick sharing_subscribes_an_instance_once;
-      QCheck_alcotest.to_alcotest shared_routes_subscribe_once_prop;
+      Helpers.qcheck shared_routes_subscribe_once_prop;
     ]

@@ -280,4 +280,4 @@ let suite =
     Alcotest.test_case "negative difference states tracked" `Quick
       negative_states_are_legal_for_differences;
   ]
-  @ [ QCheck_alcotest.to_alcotest compound_prop ]
+  @ [ Helpers.qcheck compound_prop ]

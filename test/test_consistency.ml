@@ -392,5 +392,5 @@ let suite =
     Alcotest.test_case "long history lagging by an offset" `Quick
       long_history_lagging_by_offset;
   ]
-  @ List.map QCheck_alcotest.to_alcotest
+  @ List.map Helpers.qcheck
       [ checker_prop; indexed_equals_quadratic_prop ]

@@ -277,7 +277,7 @@ let toggle_byte_identical () =
     [ "sc"; "eca"; "rv" ]
 
 let suite =
-  List.map QCheck_alcotest.to_alcotest
+  List.map Helpers.qcheck
     [ single_equiv; batch_equiv; runs_partition ]
   @ [
       Alcotest.test_case "empty and singleton batches" `Quick

@@ -242,4 +242,4 @@ let suite =
     Alcotest.test_case "literal_term guards" `Quick
       eval_literal_term_requires_no_base;
   ]
-  @ [ QCheck_alcotest.to_alcotest equiv_reference ]
+  @ [ Helpers.qcheck equiv_reference ]

@@ -571,5 +571,5 @@ let suite =
       generator_seed_pin;
     Alcotest.test_case "selfmaint auxiliary projections are total" `Quick
       selfmaint_column_lookups;
-    QCheck_alcotest.to_alcotest selfmaint_lookup_prop;
+    Helpers.qcheck selfmaint_lookup_prop;
   ]

@@ -199,4 +199,4 @@ let suite =
     Alcotest.test_case "centralized stepwise invariant" `Quick
       centralized_stepwise_invariant;
   ]
-  @ [ QCheck_alcotest.to_alcotest centralized_prop ]
+  @ [ Helpers.qcheck centralized_prop ]

@@ -209,4 +209,4 @@ let suite =
     Alcotest.test_case "duplicate ownership rejected" `Quick
       duplicate_ownership_rejected;
   ]
-  @ [ QCheck_alcotest.to_alcotest federation_prop ]
+  @ [ Helpers.qcheck federation_prop ]

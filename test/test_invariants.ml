@@ -250,7 +250,7 @@ let suite =
     Alcotest.test_case "scale smoke (C=200, k=60, worst case)" `Quick
       scale_smoke;
   ]
-  @ List.map QCheck_alcotest.to_alcotest
+  @ List.map Helpers.qcheck
       [
         json_export_is_valid;
         messages_balance;

@@ -318,4 +318,4 @@ let suite =
       reorder_is_seed_deterministic;
     Alcotest.test_case "protocol frame sizes" `Quick frame_sizes;
   ]
-  @ [ QCheck_alcotest.to_alcotest channel_matches_reference_prop ]
+  @ [ Helpers.qcheck channel_matches_reference_prop ]

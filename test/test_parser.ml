@@ -277,4 +277,4 @@ let suite =
     Alcotest.test_case "script roundtrip reproduces Example 2" `Quick
       roundtrip_example2;
   ]
-  @ [ QCheck_alcotest.to_alcotest roundtrip_property ]
+  @ [ Helpers.qcheck roundtrip_property ]

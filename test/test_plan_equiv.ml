@@ -327,7 +327,7 @@ let of_term_memoizes () =
     && R.Plan.of_term ~bound:[| false; true |] t != R.Plan.of_term d_ins)
 
 let suite =
-  List.map QCheck_alcotest.to_alcotest
+  List.map Helpers.qcheck
     [ view_equiv; delta_equiv; literal_equiv; executor_equiv ]
   @ [
       Alcotest.test_case "workload instances" `Quick workload_equiv;

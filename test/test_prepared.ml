@@ -327,7 +327,7 @@ let memo_widening_matches =
       round () && round ())
 
 let suite =
-  List.map QCheck_alcotest.to_alcotest
+  List.map Helpers.qcheck
     [
       guard_matches_reference;
       literal_matches_naive;

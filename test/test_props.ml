@@ -168,7 +168,7 @@ let eca_and_ecak_agree =
         (schedules_of_seed seed))
 
 let suite =
-  List.map QCheck_alcotest.to_alcotest
+  List.map Helpers.qcheck
     [
       eca_strongly_consistent;
       lca_complete;

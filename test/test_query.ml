@@ -187,5 +187,5 @@ let suite =
     Alcotest.test_case "query byte size grows with terms" `Quick
       query_byte_size_grows_with_terms;
   ]
-  @ List.map QCheck_alcotest.to_alcotest
+  @ List.map Helpers.qcheck
       [ lemma_b2; lemma_b2_full_view; simplify_preserves_value ]

@@ -607,7 +607,7 @@ let lca_matches_reference =
            Core.Scheduler.[ Best_case; Worst_case; Random 7 ]))
 
 let suite =
-  List.map QCheck_alcotest.to_alcotest
+  List.map Helpers.qcheck
     [
       eca_guarded_matches_fold;
       eca_random_views;

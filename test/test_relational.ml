@@ -172,12 +172,28 @@ let db_unknown_relation () =
 (* Views                                                               *)
 (* ------------------------------------------------------------------ *)
 
+(* [View.make] qualifies every attribute of the projection and the
+   condition; [Selfmaint]'s pushdown classifies conjuncts by relation on
+   that guarantee alone (EXPERIMENTS.md, selfmaint.ml's [None] case). *)
 let view_resolution () =
   let v = view_wy () in
   Alcotest.(check (list string))
     "projection resolved and qualified"
     [ "r1.W"; "r2.Y" ]
-    (List.map R.Attr.to_string v.R.View.proj)
+    (List.map R.Attr.to_string v.R.View.proj);
+  let col n = R.Predicate.Col (R.Attr.unqualified n) in
+  let v =
+    R.View.make ~proj:[ R.Attr.unqualified "W" ]
+      ~cond:
+        (R.Predicate.And
+           ( R.Predicate.Cmp (R.Predicate.Gt, col "W", R.Predicate.Const (R.Value.Int 1)),
+             R.Predicate.Cmp (R.Predicate.Lt, col "Y", col "W") ))
+      [ r1; r2 ]
+  in
+  Alcotest.(check (list string))
+    "condition resolved and qualified"
+    [ "r1.W"; "r2.Y"; "r1.W" ]
+    (List.map R.Attr.to_string (R.Predicate.attrs v.R.View.cond))
 
 let view_ambiguity () =
   let dup = R.Schema.of_names "rr" [ "W"; "Q" ] in

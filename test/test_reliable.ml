@@ -788,5 +788,5 @@ let suite =
     Alcotest.test_case "acks ride on reverse data" `Quick
       acks_ride_on_reverse_data;
   ]
-  @ List.map QCheck_alcotest.to_alcotest
+  @ List.map Helpers.qcheck
       [ reliable_stream_prop; reliable_matches_reference_prop ]

@@ -910,8 +910,8 @@ let suite =
       aux_seed_and_apply;
     Alcotest.test_case "replay: local plans track the oracle" `Quick
       replay_unit;
-    QCheck_alcotest.to_alcotest prop_local_classes_track_oracle;
-    QCheck_alcotest.to_alcotest prop_analysis_shape;
+    Helpers.qcheck prop_local_classes_track_oracle;
+    Helpers.qcheck prop_analysis_shape;
     Alcotest.test_case "eca-sm: M = 0 on fully local views" `Quick
       eca_sm_never_queries;
     Alcotest.test_case "eca-sm: fallback on remote classes" `Quick
@@ -922,5 +922,5 @@ let suite =
     Alcotest.test_case "eca-sm: 40-seed oracle sweep" `Quick sweep;
     Alcotest.test_case "auto_rung picks unchanged on scripts and scenario"
       `Quick auto_rung_picks_unchanged;
-    QCheck_alcotest.to_alcotest prop_mispaired_fk_stays_exact;
+    Helpers.qcheck prop_mispaired_fk_stays_exact;
   ]

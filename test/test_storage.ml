@@ -351,5 +351,5 @@ let suite =
     Alcotest.test_case "executor accumulates IO" `Quick executor_accumulates_io;
     Alcotest.test_case "shared-scan discount" `Quick shared_scans_discount;
     Alcotest.test_case "cost monoid" `Quick cost_monoid;
-    QCheck_alcotest.to_alcotest lazy_planner_prop;
+    Helpers.qcheck lazy_planner_prop;
   ]

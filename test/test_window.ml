@@ -223,4 +223,4 @@ let window_prop =
     (QCheck.make ~print:print_case gen_case)
     check_case
 
-let suite = [ QCheck_alcotest.to_alcotest window_prop ]
+let suite = [ Helpers.qcheck window_prop ]

@@ -201,7 +201,7 @@ let skewed_workloads_still_run () =
 let suite =
   [
     Alcotest.test_case "zipf sampling" `Quick zipf_sampling;
-    QCheck_alcotest.to_alcotest zipf_matches_reference;
+    Helpers.qcheck zipf_matches_reference;
     Alcotest.test_case "skewed workloads run correctly" `Quick
       skewed_workloads_still_run;
     Alcotest.test_case "deterministic generation" `Quick deterministic;
