@@ -53,7 +53,10 @@ props:
 # the root dune file applies under every profile, and no module of the
 # libraries perfbench links may compile with -opaque, since
 # dune-workspace selects the release profile, whose native code inlines
-# across modules), then build everything, run the test suite (plus
+# across modules) and the library surface (scripts/surface_guard.sh:
+# every val a lib/ interface exports is named by a program — bin/,
+# bench/, perfbench/, examples/ or another lib/ module — or kept by its
+# allowlist with a reason), then build everything, run the test suite (plus
 # the fault-injection/reliability suites, the channel suite holding the
 # faulty channel's reference model, the bag laws (fingerprint,
 # equal_since, the stored negative count and add_get's before-counts),
@@ -82,10 +85,12 @@ props:
 # untraced runs go through scripts/frames_guard.sh, which also fails
 # when either reports more than 4.0 wire frames per update (a
 # deterministic count, so the gate is free of host noise) — run
-# scripts/words_guard.sh, which fails when any workload's minor words per
-# update (bench/main.exe words: one counted Engine.run after a warm-up,
-# at seeds 11 and 31337, an exact count for a given build) is more than
-# 2% above its value in the committed bench/words.json — fail if a
+# scripts/words_guard.sh, which fails when any workload's set-up words
+# (those Engine.start allocates) or minor words per update (from start
+# to the end of the run) — bench/main.exe words: one counted run after
+# a warm-up, at seeds 11 and 31337, exact counts for a given build —
+# are more than 2% above their values in the committed bench/words.json
+# — fail if a
 # removed entry point
 # reappears in the sources (the
 # old run drivers and scheduler aliases, the compiled/interpreted
@@ -106,7 +111,13 @@ props:
 # Warehouse.mv, which Warehouse.mvs answers, and its extras_rev route
 # half, gone now that each gid routes to one owner-first subscriber
 # list, and its test-only gid_subscribers reader, whose order the
-# owner-first answer delivery pins), fail if lib/core/engine.ml looks at
+# owner-first answer delivery pins, and the library's test-only names:
+# the naive reference evaluator, maintain_all and subst_all, now in
+# test/ref_eval.ml, the judge's separate weak, ordered and coverage
+# predicates, the JSON exporter's builders and federation summary,
+# every other val the surface guard found no program naming that left
+# its interface, and Network's own direction converter), fail if
+# lib/core/engine.ml looks at
 # observability outside its one hand-off to Core.Observer — a call of
 # any Observe function (the Observe.Collector.t type of its options is
 # allowed), more than one Trace.record, or the span and gauge helpers
@@ -125,6 +136,7 @@ props:
 # working tree clean.
 smoke:
 	sh scripts/build_guard.sh
+	sh scripts/surface_guard.sh
 	dune build @all
 	dune runtest
 	dune exec test/main.exe -- test bag
@@ -159,9 +171,9 @@ smoke:
 	python3 perfbench/run.py --workload fanout-chaos --seed 11 --seconds 2 --trace 1 > /dev/null
 	sh scripts/frames_guard.sh 31337
 	sh scripts/words_guard.sh
-	@if grep -rnE 'Core\.Runner|Core\.Federation|Drain_first|Updates_first|unordered_delivery|set_compiled|Delta_program\.compiled|Delta_program\.linear|Engine\.Recompute|Engine\.Incremental|pick_multi|of_multi|install_history|[~?]shard\b|retransmit_timeout|Warehouse\.handle_message|window_counters|of_creator|(Eca_key|Eca_sm|Sc|Cross_source)\.Not_applicable|Fqueue\.filter|Core\.Lca\b|(Delta_program|Plan)\.signature|Reliable\.(pp|mean_latency)\b|clear_cache|Source\.(io_total|update_count|query_count)\b|Db\.matching\b|(Plan|Delta_program)\.cache_stats|per_domain_stats|staged_view|Db\.lookup\b|Warehouse\.mv\b|extras_rev|gid_subscribers' \
+	@if grep -rnE 'Core\.Runner|Core\.Federation|Drain_first|Updates_first|unordered_delivery|set_compiled|Delta_program\.compiled|Delta_program\.linear|Engine\.Recompute|Engine\.Incremental|pick_multi|of_multi|install_history|[~?]shard\b|retransmit_timeout|Warehouse\.handle_message|window_counters|of_creator|(Eca_key|Eca_sm|Sc|Cross_source)\.Not_applicable|Fqueue\.filter|Core\.Lca\b|(Delta_program|Plan)\.signature|Reliable\.(pp|mean_latency)\b|clear_cache|Source\.(io_total|update_count|query_count)\b|Db\.matching\b|(Plan|Delta_program)\.cache_stats|per_domain_stats|staged_view|Db\.lookup\b|Warehouse\.mv\b|extras_rev|gid_subscribers|Centralized\.maintain_all|(Consistency|C)\.(weakly_consistent|consistent|covers_all_source_states) ~|Json_export\.(str|obj|arr|trace_entry|federation_summary)\b|(Scheduler|S)\.Ready\.(update_ready|enabled_count)\b|Warehouse\.no_reaction|Fault\.reorder_only|Collector\.open_count|Span\.all_kinds|Bag\.(of_signed_list|pos_part|neg_part|diff_truncated)\b|Csv\.split_record|Eval\.(run_plan|literal_term|naive_term|naive_query)\b|Fqueue\.drop_while|Plan\.(compile|step_io)\b|Predicate\.eq_attrs|Query\.subst_all|Selfmaint\.(aux_project|verdict_to_string)[^:]|Term\.slot_rel|Viewdef\.output_arity|Generator\.(keyed_r1|keyed_r2|selfmaint_schemas|adversarial_schemas)\b|Scenarios\.(example6_view|keyed_view|selfmaintainable_view|evolution_ddls)\b|\brdir\b' \
 	  lib bin bench examples test; then \
-	  echo "smoke: a removed entry point or alias reappeared (use Engine.run, Scheduler.pick_ready, Trace.warehouse_states, Warehouse.create/misrouted, Algorithm.Not_applicable, Fqueue.remove_first, Eca.lca, Query.signature, Reliable.stats, metrics.source_io, Source.events, Db.probe, Warehouse.mvs; programs are owned by their stager; sharded dispatch, Engine.site ?retransmit_timeout, the staging/plan cache resets, the warehouse's (owner, extras_rev) routes and its gid_subscribers reader are gone)"; \
+	  echo "smoke: a removed entry point or alias reappeared (use Engine.run, Scheduler.pick_ready, Trace.warehouse_states, Warehouse.create/misrouted, Algorithm.Not_applicable, Fqueue.remove_first, Eca.lca, Query.signature, Reliable.stats, metrics.source_io, Source.events, Db.probe, Warehouse.mvs; programs are owned by their stager; sharded dispatch, Engine.site ?retransmit_timeout, the staging/plan cache resets, the warehouse's (owner, extras_rev) routes and its gid_subscribers reader are gone; lib/ exports only what programs run: reference evaluators live in test/ref_eval.ml, the judge's verdicts in Consistency.check's report, and Network.direction is Reliable.dir)"; \
 	  exit 1; \
 	fi
 	@if sed 's/Observe\.Collector\.t\b//g' lib/core/engine.ml | grep -n 'Observe\.' \

@@ -18,8 +18,9 @@
    `bench/main.exe quick` skips Bechamel; `bench/main.exe csv DIR` writes
    only the figure CSVs; `bench/main.exe throughput` runs only the
    throughput section and writes BENCH_throughput.json; `bench/main.exe
-   words` prints the perfbench workloads' minor words per update (the
-   format of bench/words.json, which scripts/words_guard.sh gates on). *)
+   words` prints the perfbench workloads' set-up words and minor words
+   per update (the format of bench/words.json, which
+   scripts/words_guard.sh gates on). *)
 
 let sections =
   Paper.

@@ -281,10 +281,10 @@ let cost_measures (script : R.Script.t) (v : R.Viewdef.t) =
   }
 
 let eligible_rungs (v : R.Viewdef.t) =
-  [ "eca" ]
-  @ (if Core.Eca_key.applicable v then [ "eca-key" ] else [])
-  @ (if Core.Eca_sm.applicable v then [ "eca-sm" ] else [])
-  @ if Core.Eca_sm.local_capable v then [ "eca-local" ] else []
+  "eca"
+  :: List.filter_map
+       (fun (rung, applies) -> if applies v then Some rung else None)
+       Core.Catalog.ladder
 
 let cost_rung script v =
   match Costmodel.Chooser.choose (cost_measures script v) (eligible_rungs v) with

@@ -26,11 +26,17 @@ type entry = {
    storage cost is a policy decision, not a structural one; ECA-SM's
    proper-reduction requirement is what keeps it on the right side of
    that line. *)
+let ladder =
+  [
+    ("eca-key", Eca_key.applicable);
+    ("eca-sm", Eca_sm.applicable);
+    ("eca-local", Eca_sm.local_capable);
+  ]
+
 let auto_rung (vd : R.Viewdef.t) =
-  if Eca_key.applicable vd then "eca-key"
-  else if Eca_sm.applicable vd then "eca-sm"
-  else if Eca_sm.local_capable vd then "eca-local"
-  else "eca"
+  match List.find_opt (fun (_, applies) -> applies vd) ladder with
+  | Some (rung, _) -> rung
+  | None -> "eca"
 
 let entry ?algo ?window view =
   let algo =

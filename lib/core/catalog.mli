@@ -17,14 +17,19 @@ type entry = {
           (windowed) view — see {!Window} *)
 }
 
-val auto_rung : R.Viewdef.t -> string
-(** The rung ladder, cheapest round trips first: ["eca-key"] when the
-    view projects a declared key of every base relation, ["eca-sm"] when
-    the self-maintainability analysis makes every update class locally
+val ladder : (string * (R.Viewdef.t -> bool)) list
+(** The rung ladder, cheapest round trips first, each {!Registry} key
+    with its applicability test: ["eca-key"] when the view projects a
+    declared key of every base relation, ["eca-sm"] when the
+    self-maintainability analysis makes every update class locally
     answerable (and not already by literal evaluation alone),
     ["eca-local"] when at least one deletion class is autonomously
-    computable, ["eca"] otherwise. SC is never auto-chosen — full base
-    copies are a policy decision. *)
+    computable. ["eca"] applies to every view and is not listed. SC is
+    never on it — full base copies are a policy decision. *)
+
+val auto_rung : R.Viewdef.t -> string
+(** The first rung of {!ladder} that applies to the view, ["eca"] when
+    none does. *)
 
 val entry : ?algo:string -> ?window:Window.spec -> R.Viewdef.t -> entry
 (** A catalog entry; without [?algo] the rung is {!auto_rung}. A

@@ -18,6 +18,3 @@ let step view db (u : R.Update.t) =
 let maintain view db mv u =
   let db', delta = step view db u in
   (db', Mview.apply_delta mv delta)
-
-let maintain_all view db mv updates =
-  List.fold_left (fun (db, mv) u -> maintain view db mv u) (db, mv) updates

@@ -17,6 +17,3 @@ val step : R.Viewdef.t -> R.Db.t -> R.Update.t -> R.Db.t * R.Bag.t
 val maintain :
   R.Viewdef.t -> R.Db.t -> R.Bag.t -> R.Update.t -> R.Db.t * R.Bag.t
 (** One maintenance step: new state and new view contents. *)
-
-val maintain_all :
-  R.Viewdef.t -> R.Db.t -> R.Bag.t -> R.Update.t list -> R.Db.t * R.Bag.t

@@ -114,15 +114,6 @@ let judge ~source_states ~warehouse_states =
   in
   { weak = !weak; ordered = !ordered; covers }
 
-let weakly_consistent ~source_states ~warehouse_states =
-  (judge ~source_states ~warehouse_states).weak
-
-let consistent ~source_states ~warehouse_states =
-  (judge ~source_states ~warehouse_states).ordered
-
-let covers_all_source_states ~source_states ~warehouse_states =
-  Lazy.force (judge ~source_states ~warehouse_states).covers
-
 let check ~source_states ~warehouse_states =
   let convergent = convergent ~source_states ~warehouse_states in
   let v = judge ~source_states ~warehouse_states in

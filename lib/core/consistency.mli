@@ -43,15 +43,6 @@ val check :
 val convergent :
   source_states:R.Bag.t list -> warehouse_states:R.Bag.t list -> bool
 
-val weakly_consistent :
-  source_states:R.Bag.t list -> warehouse_states:R.Bag.t list -> bool
-
-val consistent :
-  source_states:R.Bag.t list -> warehouse_states:R.Bag.t list -> bool
-
-val covers_all_source_states :
-  source_states:R.Bag.t list -> warehouse_states:R.Bag.t list -> bool
-
 val strongest_label : report -> string
 (** Human-readable name of the strongest property satisfied. *)
 

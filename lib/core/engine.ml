@@ -652,26 +652,32 @@ let with_options (k : state -> 'a) : 'a options =
     | None -> cross_views := vi :: !cross_views
   done;
   let site_groups = Array.map (group_views views) site_views in
-  let configs =
-    Array.mapi
-      (fun vi v ->
-        let db =
-          match vsite.(vi) with
-          | Some i -> Source_site.Source.db sites.(i).source
-          | None -> merged_db sites
-        in
-        Algorithm.Config.of_db ~rv_period ?local_literal_eval v db)
-      views
-  in
   (* A view whose definition equals an earlier one's, up to its name,
-     takes that view's initial state: one object for the oracle and the
-     instances of both. *)
-  Array.iter
-    (iter_twins (fun vi first ->
-         configs.(vi) <-
-           { configs.(vi) with
-             Algorithm.Config.init_mv = configs.(first).Algorithm.Config.init_mv }))
-    site_groups;
+     takes that view's configuration under its own name, its initial
+     state unevaluated: one object for the oracle and the instances of
+     both (twins share a site, so their databases are the same). *)
+  let leader = Array.init nviews Fun.id in
+  Array.iter (iter_twins (fun vi first -> leader.(vi) <- first)) site_groups;
+  let built = Array.make nviews None in
+  let configs =
+    (* [Array.init] fills in index order, so a leader's configuration
+       is built before its twins read it. *)
+    Array.init nviews (fun vi ->
+        let v = views.(vi) in
+        let cfg =
+          match built.(leader.(vi)) with
+          | Some first -> { first with Algorithm.Config.view = v }
+          | None ->
+            let db =
+              match vsite.(vi) with
+              | Some i -> Source_site.Source.db sites.(i).source
+              | None -> merged_db sites
+            in
+            Algorithm.Config.of_db ~rv_period ?local_literal_eval v db
+        in
+        built.(vi) <- Some cfg;
+        cfg)
+  in
   (* Windowed views: one Window.state drives the warehouse-side wrapper
      (watermark advanced by *delivered* notifications) and an independent
      one windows the centralized oracle (watermark advanced at source

@@ -228,31 +228,6 @@ let views (r : Engine.result) =
              ] ))
        r.Engine.final_mvs)
 
-(* The federation summary pins the behavior-defining observables of a
-   federated run: per-view final states, source truth and consistency
-   verdicts, plus the event/traffic counters whose values are fixed by
-   the event order alone. Byte-accounting fields (answer_bytes,
-   query_bytes) are deliberately excluded: their definition was unified
-   with the single-source cost-based accounting when single-source and
-   federated runs moved onto the shared engine. *)
-let federation_summary (r : Engine.result) =
-  let m = r.Engine.metrics in
-  obj
-    [
-      ("views", views r);
-      ( "counts",
-        obj
-          [
-            ("updates", string_of_int m.Metrics.updates);
-            ("messages", string_of_int (Metrics.messages m));
-            ("queries_sent", string_of_int m.Metrics.queries_sent);
-            ("answers_received", string_of_int m.Metrics.answers_received);
-            ("answer_tuples", string_of_int m.Metrics.answer_tuples);
-            ("source_io", string_of_int m.Metrics.source_io);
-            ("steps", string_of_int m.Metrics.steps);
-          ] );
-    ]
-
 let result (r : Engine.result) =
   obj
     [

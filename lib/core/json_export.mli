@@ -4,12 +4,6 @@
 
 module R := Relational
 
-val str : string -> string
-(** A JSON string literal with full escaping. *)
-
-val obj : (string * string) list -> string
-val arr : string list -> string
-
 val value : R.Value.t -> string
 val tuple : R.Tuple.t -> string
 val bag : R.Bag.t -> string
@@ -33,16 +27,7 @@ val observe : Metrics.observe -> string
 
 val metrics : Metrics.t -> string
 val report : Consistency.report -> string
-val trace_entry : Trace.entry -> string
 
 val result : Engine.result -> string
 (** The whole run as one JSON object:
     [{"metrics": …, "views": {…}, "trace": […]}]. *)
-
-val federation_summary : Engine.result -> string
-(** The behavior-defining observables of a federated run as one JSON
-    object: [{"views": {…}, "counts": {…}}]. Per-view final states,
-    source truth and consistency verdicts, plus the counters fixed by
-    the event order (updates, messages, answer tuples, IO, steps). Used
-    by the golden-trace equivalence suite to pin driver behavior across
-    refactors. *)

@@ -79,8 +79,6 @@ module Ready = struct
 
   let load t i = t.loads.(i)
 
-  let update_ready t = t.update_ready
-
   let enabled_count t =
     (if t.update_ready then 1 else 0) + Relational.Fenwick.count t.receives
 

@@ -86,7 +86,7 @@ module Iset : Set.S with type elt = int
     {!pick_ready} never scans the site array. The ready receive events
     are kept both as ordered sets and as live slots of a
     {!Relational.Fenwick} tree over the fixed event order, so
-    {!Ready.enabled_count} and {!Ready.idle} are O(1), and re-marking an
+    the enabled count and {!Ready.idle} are O(1), and re-marking an
     edge with its current readiness is O(1) too. [loads] carries the
     per-edge in-flight message counts consumed by {!policy.Bounded_inflight}
     and {!policy.Weighted_fair}; callers that do not maintain it leave
@@ -119,14 +119,9 @@ module Ready : sig
 
   val load : t -> int -> int
 
-  val update_ready : t -> bool
-
   val idle : t -> bool
   (** No event is enabled (ticking the transport may enable some). *)
 
-  val enabled_count : t -> int
-  (** The update stream (when ready) plus every ready receive event;
-      O(1). *)
 end
 
 type t

@@ -20,8 +20,6 @@ type reaction = {
       (** per view name, successive new MV states *)
 }
 
-val no_reaction : reaction
-
 val create :
   ?share:bool -> creator:Algorithm.creator -> Algorithm.Config.t list -> t
 (** Hosts [creator cfg] for every view configuration, in list order;
@@ -117,7 +115,7 @@ val apply_ddl :
     all affected are retired (their tombstone answers will be absorbed by
     {!handle_answer}), shared routes with an unaffected survivor promote
     that survivor to owner. Returns the folded reaction plus the names of
-    the rebuilt views. [no_reaction] and [[]] when no hosted view
+    the rebuilt views. An empty reaction and [[]] when no hosted view
     mentions the relation. *)
 
 val evolution_counters : t -> int * int
@@ -128,7 +126,7 @@ val misrouted : t -> Messaging.Message.t -> reaction
 (** A message kind the warehouse never legitimately receives (a [Query],
     or a [Data]/[Ack] frame that belongs to the reliability sublayer):
     recorded as an anomaly (see {!anomalies}), answered with
-    {!no_reaction} — a misrouted message must not take down every hosted
+    an empty reaction — a misrouted message must not take down every hosted
     view. The engine's receive handler dispatches every other kind to
     {!handle_update}, {!handle_batch}, {!handle_answer} or
     {!apply_ddl}. *)

@@ -7,8 +7,6 @@ type profile = {
 
 let none = { drop = 0.0; duplicate = 0.0; delay = 0; reorder = false }
 
-let reorder_only = { none with reorder = true }
-
 let make ?(drop = 0.0) ?(duplicate = 0.0) ?(delay = 0) ?(reorder = false) () =
   if drop < 0.0 || drop >= 1.0 then
     invalid_arg "Fault.make: drop must be in [0, 1)";

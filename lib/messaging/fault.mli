@@ -29,10 +29,6 @@ type profile = {
 val none : profile
 (** The paper's transport: lossless, exactly-once, FIFO. *)
 
-val reorder_only : profile
-(** Delivery picks a random pending message — the legacy fault-injection
-    mode of the assumption-necessity tests. *)
-
 val make :
   ?drop:float -> ?duplicate:float -> ?delay:int -> ?reorder:bool -> unit ->
   profile

@@ -8,7 +8,7 @@ type t = {
   transport : transport;
 }
 
-type direction =
+type direction = Reliable.dir =
   | To_warehouse
   | To_source
 
@@ -27,24 +27,20 @@ let channel t = function
   | To_warehouse -> t.to_warehouse
   | To_source -> t.to_source
 
-let rdir = function
-  | To_warehouse -> Reliable.To_warehouse
-  | To_source -> Reliable.To_source
-
 let send t dir msg =
   match t.transport with
   | Direct -> Channel.send (channel t dir) msg
-  | Via_reliable r -> Reliable.send r (rdir dir) msg
+  | Via_reliable r -> Reliable.send r dir msg
 
 let receive t dir =
   match t.transport with
   | Direct -> Channel.receive (channel t dir)
-  | Via_reliable r -> Reliable.receive r (rdir dir)
+  | Via_reliable r -> Reliable.receive r dir
 
 let can_receive t dir =
   match t.transport with
   | Direct -> Channel.has_ready (channel t dir)
-  | Via_reliable r -> Reliable.has_ready r (rdir dir)
+  | Via_reliable r -> Reliable.has_ready r dir
 
 let tick t =
   match t.transport with

@@ -11,7 +11,7 @@
 
 type t
 
-type direction =
+type direction = Reliable.dir =
   | To_warehouse
   | To_source
 

@@ -54,8 +54,6 @@ val instant :
 
 val gauge : t -> name:string -> key:string -> now:int -> value:int -> unit
 
-val open_count : t -> int
-
 val close_all : t -> now:int -> unit
 (** Force-close every still-open span (counted by {!forced_closes}) — the
     observer calls this at end of run so spans whose closing message was

@@ -27,12 +27,6 @@ let kind_name = function
   | Collect_install -> "collect_install"
   | Quiescence -> "quiescence"
 
-let all_kinds =
-  [
-    Source_apply; Update_note; Query_send; Compensation; Answer_arrival;
-    Collect_install; Quiescence;
-  ]
-
 let duration s = s.t_close - s.t_open
 
 let escape s =

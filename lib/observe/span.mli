@@ -37,7 +37,6 @@ type t = {
 }
 
 val kind_name : kind -> string
-val all_kinds : kind list
 val duration : t -> int
 
 val escape : string -> string

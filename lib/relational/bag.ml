@@ -168,9 +168,6 @@ let singleton ?count t = add ?count t empty
 
 let of_list ts = List.fold_left (fun b t -> add t b) empty ts
 
-let of_signed_list sts =
-  List.fold_left (fun b (s, t) -> add ~count:(Sign.to_int s) t b) empty sts
-
 let fold f b acc = Trie.fold f b.trie acc
 
 let iter f b = Trie.iter f b.trie
@@ -239,22 +236,7 @@ let apply_sign s b =
 
 let pos_part b = filter_map_counts (fun _ n -> if n > 0 then Some n else None) b
 
-let neg_part b = filter_map_counts (fun _ n -> if n < 0 then Some (-n) else None) b
-
 let union a b = plus (pos_part a) (pos_part b)
-
-(* Truncating bag difference on non-negative bags: copies below zero vanish.
-   This is classic multiset difference, provided for comparison with the
-   paper's (pos ∪ pos) − (neg ∪ neg) formulation; the signed [minus] above
-   is the operator the algorithms use. *)
-let diff_truncated a b =
-  let pa = pos_part a in
-  fold
-    (fun t nb acc ->
-      match count acc t with
-      | 0 -> acc
-      | na -> add ~count:(max 0 (na - nb) - na) t acc)
-    (pos_part b) pa
 
 let cardinality b = fold (fun _ n acc -> acc + abs n) b 0
 

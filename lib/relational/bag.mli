@@ -10,8 +10,7 @@
     and states that [+] and [−] are commutative and associative. Truncating
     multiset difference would break associativity, so — consistently with
     the replication-count reading — we use ℤ counts, under which all the
-    stated laws hold exactly. {!diff_truncated} is provided separately for
-    the classic truncating difference.
+    stated laws hold exactly.
 
     Representation: tuples are indexed by their hash in a persistent
     big-endian Patricia trie, so {!add}, {!count} and {!mem} cost O(1)
@@ -59,9 +58,6 @@ val remove : ?count:int -> Tuple.t -> t -> t
 val singleton : ?count:int -> Tuple.t -> t
 val of_list : Tuple.t list -> t
 
-val of_signed_list : (Sign.t * Tuple.t) list -> t
-(** Builds a bag from explicitly signed tuples; opposite signs cancel. *)
-
 val plus : t -> t -> t
 (** The paper's [+] operator on signed relations. *)
 
@@ -72,18 +68,8 @@ val negate : t -> t
 val scale : int -> t -> t
 val apply_sign : Sign.t -> t -> t
 
-val pos_part : t -> t
-(** [pos(r)]: the positively signed tuples, as a non-negative bag. *)
-
-val neg_part : t -> t
-(** [neg(r)]: the negatively signed tuples, as a non-negative bag (counts
-    are the magnitudes). *)
-
 val union : t -> t -> t
 (** Plain bag union of the positive parts (the paper's [∪]). *)
-
-val diff_truncated : t -> t -> t
-(** Classic truncating multiset difference of the positive parts. *)
 
 val cardinality : t -> int
 (** Total number of signed tuple copies, [Σ |count|] — what the transfer

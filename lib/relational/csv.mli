@@ -15,6 +15,3 @@ val parse : ?header:bool -> Schema.t -> string -> Bag.t
 val to_string : ?header:bool -> Schema.t -> Bag.t -> string
 (** Serializes a non-negative bag, one line per tuple copy.
     @raise Csv_error on negative counts. *)
-
-val split_record : string -> string list
-(** Exposed for tests: split one CSV record into raw fields. *)

@@ -6,10 +6,7 @@
    reached by an equi-join is probed once per row ({!Db.probe}: its
    column index, or one walk of a small relation, each match handed with
    its count), and every other slot is enumerated — no per-row attribute
-   resolution.
-
-   [naive_term]/[naive_query] keep the obviously-correct reference
-   semantics (full cross product, filter, project) for property tests. *)
+   resolution. *)
 
 exception Eval_error of string
 
@@ -235,42 +232,4 @@ let add_literal into (t : Term.t) =
   else if last < 0 then Bag.add ~count:sign (Tuple.project proj [||]) into
   else go 0 [||] 1
 
-let literal_term t = add_literal Bag.empty t
-
 let literal_query q = List.fold_left add_literal Bag.empty q
-
-(* ------------------------------------------------------------------ *)
-(* Naive reference evaluator                                           *)
-(* ------------------------------------------------------------------ *)
-
-(* Ground truth for equivalence tests: expand the full cross product of
-   the slots, evaluate the condition by scanning the layout for every
-   attribute reference, and project. No plans, no hash joins, no caches —
-   deliberately slow and deliberately independent of the machinery above
-   (only the layout/resolution helpers are shared). *)
-let naive_term db (t : Term.t) =
-  let layout = Plan.layout_of_slots t.Term.slots in
-  let slot_rows slot =
-    Bag.fold (fun tup n acc -> (tup, n) :: acc) (enumerate (input_of_slot db slot)) []
-  in
-  let rec cross = function
-    | [] -> [ (([||] : Value.t array), 1) ]
-    | slot :: rest ->
-      let tails = cross rest in
-      List.concat_map
-        (fun (tup, n) ->
-          List.map (fun (row, c) -> (Tuple.concat tup row, n * c)) tails)
-        (slot_rows slot)
-  in
-  let lookup row a = row.(Plan.resolve layout a) in
-  let proj = Array.of_list (List.map (Plan.resolve layout) t.Term.proj) in
-  let sign_factor = Sign.to_int t.Term.sign in
-  List.fold_left
-    (fun acc (row, count) ->
-      if Predicate.eval (lookup row) t.Term.cond then
-        Bag.add ~count:(count * sign_factor) (Tuple.project proj row) acc
-      else acc)
-    Bag.empty (cross t.Term.slots)
-
-let naive_query db q =
-  List.fold_left (fun acc t -> Bag.plus acc (naive_term db t)) Bag.empty q

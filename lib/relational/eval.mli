@@ -46,12 +46,6 @@ val run_plan_into :
     the staged delta programs ({!Delta_program}) all run through this
     one executor, so their results agree by construction. *)
 
-val run_plan :
-  ?into:Bag.t -> Plan.t -> input:(int -> input) -> sign:int -> Bag.t
-(** {!run_plan_into} with the plan's own projection and one accumulator
-    starting at [into] (default empty): [into] itself when the plan
-    produces no row. *)
-
 val term : Db.t -> Term.t -> Bag.t
 (** Evaluate one signed term. Literal (substituted-tuple) slots contribute
     their single signed tuple regardless of the database contents. *)
@@ -71,26 +65,15 @@ val view : Db.t -> View.t -> Bag.t
     consistency checkers compare against, and what RV's recompute query
     returns. *)
 
-val literal_term : Term.t -> Bag.t
-(** Evaluate a term with no base-relation slots; needs no database. Such
-    a term is one row: each step of its compiled plan (source order, every
-    slot bound) joins its literal tuple to the row so far when the step's
-    join keys and filter pass, and the last step projects the row — no
-    row buffers or singleton bags, and the same result, slot reads and
-    [Schema_error]s as {!run_plan} over singleton bags: a slot past a
-    failed key or filter is never read, so its tuple is never checked.
-    @raise Eval_error if the term still references a base relation. *)
-
 val literal_query : Query.t -> Bag.t
-(** The signed sum of {!literal_term} over the query's terms, in order
-    (ECA's locally evaluated compensation terms).
+(** The signed sum of the query's terms, in order, for terms with no
+    base-relation slots (ECA's locally evaluated compensation terms);
+    needs no database. Such a term is one row: each step of its compiled
+    plan (source order, every slot bound) joins its literal tuple to the
+    row so far when the step's join keys and filter pass, and the last
+    step projects the row — no row buffers or singleton bags, and the
+    same result, slot reads and [Schema_error]s as {!run_plan_into} over
+    singleton bags: a slot past a failed key or filter is never read, so
+    its tuple is never checked.
     @raise Eval_error at the first term that references a base
     relation. *)
-
-val naive_term : Db.t -> Term.t -> Bag.t
-(** Reference semantics: full cross product of the slots, condition
-    evaluated by scanning the layout per row, then projection. Exists as
-    ground truth for the planned evaluator's equivalence property tests —
-    never use it on anything large. *)
-
-val naive_query : Db.t -> Query.t -> Bag.t

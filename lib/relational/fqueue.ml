@@ -29,15 +29,6 @@ let to_list t = t.front @ List.rev t.back
 
 let of_list l = { front = l; back = []; length = List.length l }
 
-let rec drop_while p t =
-  match t.front with
-  | x :: front when p x -> drop_while p { t with front; length = t.length - 1 }
-  | _ :: _ -> t
-  | [] -> (
-    match t.back with
-    | [] -> t
-    | back -> drop_while p { front = List.rev back; back = []; length = t.length })
-
 (* The answered element is nearly always the oldest, so the head is
    tried first; anything else (a raw reordering channel) rebuilds. *)
 let remove_first p t =

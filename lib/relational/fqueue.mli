@@ -22,10 +22,6 @@ val to_list : 'a t -> 'a list
 
 val of_list : 'a list -> 'a t
 
-val drop_while : ('a -> bool) -> 'a t -> 'a t
-(** Drops the oldest elements while [p] holds; O(1) amortized per
-    element dropped, and the queue it returns pops in O(1). *)
-
 val remove_first : ('a -> bool) -> 'a t -> 'a option * 'a t
 (** The oldest element satisfying [p], and the queue without it (the
     others in order): O(1) amortized when that element is the head, O(n)

@@ -72,13 +72,6 @@ val relation_joins : Predicate.t -> (string * string * string * string) list
     distinct relations, as [(relA, attrA, relB, attrB)], in conjunct
     order. *)
 
-val compile : ?bound:bool array -> Term.t -> t
-(** Compile without consulting the cache. [bound] marks the slots whose
-    contents the caller supplies as a bag (one entry per slot); it
-    defaults to the term's literal slots.
-    @raise Plan_error on unbound/ambiguous attributes or a mask of the
-    wrong length. *)
-
 val of_term : ?bound:bool array -> Term.t -> t
 (** Cached compilation keyed by the term skeleton and the bound-slot
     mask: equal keys give the physically same plan. The cache is

@@ -22,8 +22,6 @@ let eq a b = Cmp (Eq, a, b)
 let col a = Col (Attr.of_string a)
 let int n = Const (Value.Int n)
 
-let eq_attrs a b = Cmp (Eq, Col (Attr.of_string a), Col (Attr.of_string b))
-
 let conj = function
   | [] -> True
   | p :: ps -> List.fold_left (fun acc q -> And (acc, q)) p ps

@@ -31,9 +31,6 @@ val col : string -> operand
 
 val int : int -> operand
 
-val eq_attrs : string -> string -> t
-(** [eq_attrs "r1.X" "r2.X"] — the ubiquitous equi-join conjunct. *)
-
 val conj : t list -> t
 (** Conjunction of a list ([True] when empty). *)
 

@@ -18,8 +18,6 @@ let minus a b = a @ negate b
 
 let subst q (u : Update.t) = List.filter_map (fun t -> Term.subst t u) q
 
-let subst_all q us = List.fold_left subst q us
-
 let view_delta v u = subst (of_view v) u
 
 let split_local q =

@@ -28,10 +28,6 @@ val subst : t -> Update.t -> t
     terms that already substitute [U]'s relation, or that never mention it,
     vanish. *)
 
-val subst_all : t -> Update.t list -> t
-(** [Q⟨U1, …, Uk⟩], left to right; empty whenever two updates hit the same
-    relation in a term. *)
-
 val view_delta : View.t -> Update.t -> t
 (** [V⟨U⟩] — the incremental-maintenance query of Algorithm 5.1. *)
 

@@ -108,10 +108,6 @@ val find_class : t -> rel:string -> kind:Update.kind -> class_report option
 val maintained : t -> aux list
 (** The auxiliary views proper: partners some class actually reads. *)
 
-val aux_project : aux -> Tuple.t -> Tuple.t option
-(** The auxiliary view's row for a base tuple — [None] when the
-    pushed-down selection rejects it. *)
-
 val seed_aux_db : t -> Db.t -> Db.t
 (** The auxiliary database over a full source state: maintained auxiliary
     views hold their projected contents, FK-only partners are present but
@@ -134,8 +130,6 @@ val storage : t -> Db.t -> int * int
 (** [(tuples, bytes)] across the maintained auxiliary views of an
     auxiliary database — the state ECA-SM stores beyond the view itself,
     the quantity the adaptive chooser weighs against SC's full copies. *)
-
-val verdict_to_string : verdict -> string
 
 val pp_report : Format.formatter -> t -> unit
 (** The per-class verdict table that [vmw analyze] prints. *)

@@ -13,8 +13,6 @@ let slot_schema = function
   | Base s -> s
   | Lit (s, _, _) -> s
 
-let slot_rel slot = (slot_schema slot).Schema.name
-
 let of_view (v : View.t) =
   {
     sign = Sign.Pos;

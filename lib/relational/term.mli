@@ -19,7 +19,6 @@ type t = {
 }
 
 val slot_schema : slot -> Schema.t
-val slot_rel : slot -> string
 
 val of_view : View.t -> t
 (** The view definition itself as a single positive term. *)

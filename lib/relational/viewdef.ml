@@ -7,11 +7,6 @@ exception Viewdef_error of string
 
 let error fmt = Format.kasprintf (fun s -> raise (Viewdef_error s)) fmt
 
-let output_arity t =
-  match t.parts with
-  | [] -> 0
-  | (_, v) :: _ -> List.length v.View.proj
-
 let make ~name parts =
   if parts = [] then error "compound view %s needs at least one part" name;
   let arities =

@@ -43,7 +43,6 @@ val delta : t -> Update.t -> Query.t
 
 val mentions : t -> string -> bool
 val relation_names : t -> string list
-val output_arity : t -> int
 val output_attr_names : t -> string list
 
 val eval : Db.t -> t -> Bag.t

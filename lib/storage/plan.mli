@@ -29,5 +29,4 @@ type t = private {
 val local : t
 val of_steps : step list -> t
 val concat : t list -> t
-val step_io : step -> int
 val pp : Format.formatter -> t -> unit

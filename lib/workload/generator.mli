@@ -27,8 +27,6 @@ val example6_updates :
     [~round_robin:false]. Deletes (per [insert_ratio]) remove uniformly
     chosen existing tuples of the evolving state. *)
 
-val keyed_r1 : R.Schema.t
-val keyed_r2 : R.Schema.t
 val keyed_schemas : R.Schema.t list
 
 val keyed_db : Spec.t -> R.Db.t
@@ -55,9 +53,6 @@ val zipf_below : skew:float -> Random.State.t -> int -> int
 val selfmaint_r1 : R.Schema.t
 val selfmaint_r2 : R.Schema.t
 
-val selfmaint_schemas : R.Schema.t list
-(** FK target [r2] first — [Db.add_relation] validates references. *)
-
 val selfmaint_db : Spec.t -> R.Db.t
 (** r1(W KEY, X → r2(X), A) and r2(X KEY, Y, B), C tuples each, with
     referential integrity holding by construction. *)
@@ -69,7 +64,6 @@ val selfmaint_updates : Spec.t -> db:R.Db.t -> R.Update.t list
 
 val adversarial_r1 : R.Schema.t
 val adversarial_r2 : R.Schema.t
-val adversarial_schemas : R.Schema.t list
 
 val adversarial_db : Spec.t -> R.Db.t
 (** The same join with no keys and no foreign keys. *)

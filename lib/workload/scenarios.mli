@@ -34,23 +34,17 @@ type setup = {
   updates : R.Update.t list;
 }
 
-val example6_view : unit -> R.View.t
-(** [V = π_{W,Z} (σ_{W>Z} (r1 ⋈ r2 ⋈ r3))]. *)
-
 val example6 : ?round_robin:bool -> Spec.t -> setup
-
-val keyed_view : unit -> R.View.t
-(** [VK = π_{W,Y} (r1 ⋈ r2)] with keys W, Y covered — ECAK-eligible. *)
+(** Example 6's [V = π_{W,Z} (σ_{W>Z} (r1 ⋈ r2 ⋈ r3))]. *)
 
 val keyed : Spec.t -> setup
-
-val selfmaintainable_view : unit -> R.View.t
-(** [VS = π_{W,Y} (r1 ⋈ r2)] over r1(W KEY, X → r2(X), A) and
-    r2(X KEY, Y, B): every update class is warehouse-local, so ECA-SM
-    maintains it with zero compensating queries (DESIGN.md §4j). *)
+(** [VK = π_{W,Y} (r1 ⋈ r2)] with keys W, Y covered — ECAK-eligible. *)
 
 val selfmaintainable : Spec.t -> setup
-(** The ECA-SM best case, with an integrity-preserving update stream. *)
+(** The ECA-SM best case, with an integrity-preserving update stream:
+    [VS = π_{W,Y} (r1 ⋈ r2)] over r1(W KEY, X → r2(X), A) and
+    r2(X KEY, Y, B), every update class warehouse-local, so ECA-SM
+    maintains it with zero compensating queries (DESIGN.md §4j). *)
 
 val adversarial_view : unit -> R.View.t
 (** [VA = π_{W,X,Y} (r1 ⋈ r2)] with no keys and no foreign keys: every
@@ -60,12 +54,10 @@ val adversarial_view : unit -> R.View.t
 val adversarial : Spec.t -> setup
 (** The analyzer's worst case — exercises the honest-refusal path. *)
 
-val evolution_ddls : Spec.t -> (int * R.Update.ddl) list
-(** Add_column r2.N at k/4, Key_change r1 (key dropped) at k/2,
-    Drop_column r2.N at 3k/4. *)
-
 val evolution : Spec.t -> evolving
-(** Schema-aware stream generation: the generator evolves a live database
+(** The keyed scenario with Add_column r2.N at k/4, Key_change r1 (key
+    dropped) at k/2 and Drop_column r2.N at 3k/4. Schema-aware stream
+    generation: the generator evolves a live database
     alongside the stream, so inserts always match the current arity of r2
     and deletes pick currently existing (backfilled) tuples. *)
 

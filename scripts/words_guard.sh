@@ -4,12 +4,14 @@
 # Usage: words_guard.sh [COMMITTED]
 #
 # Builds bench/main.exe, runs `bench/main.exe words` (one warm-up and
-# one counted Engine.run per workload at seeds 11 and 31337, from the
-# repository root) and fails when any cell's minor words per update is
-# more than 2% above its value in COMMITTED (default bench/words.json),
-# or when a committed cell is missing from the run. The count repeats
-# exactly for a given build, so the gate is free of host noise. Record
-# a new bench/words.json only on purpose, with
+# one counted run per workload at seeds 11 and 31337, from the
+# repository root) and fails when any cell is more than 2% above its
+# value in COMMITTED (default bench/words.json), or when a committed
+# cell is missing from the run. Each workload and seed has two cells:
+# the words Engine.start allocates (set-up) and the minor words per
+# update from start to the end of the run. The counts repeat exactly for
+# a given build, so the gate is free of host noise. Record a new
+# bench/words.json only on purpose, with
 # `./_build/default/bench/main.exe words > bench/words.json`, and log
 # the old and new values.
 set -eu
@@ -25,21 +27,26 @@ trap 'rm -f "$out"' EXIT
 python3 - "$committed" "$out" <<'EOF'
 import json, sys
 limit = 1.02
+metrics = [("setup_minor_words", "set-up words"),
+           ("minor_words_per_update", "words/update")]
 def cells(path):
     with open(path) as f:
         doc = json.load(f)
-    return {(c["workload"], c["seed"]): c["minor_words_per_update"] for c in doc["cells"]}
+    return {(c["workload"], c["seed"], m): c.get(m)
+            for c in doc["cells"] for m, _ in metrics}
 committed, measured = cells(sys.argv[1]), cells(sys.argv[2])
 failed = False
-for key, base in sorted(committed.items()):
-    now = measured.get(key)
-    if now is None:
-        print("words_guard: %s seed %d: missing from the run" % key)
+for (workload, seed, m), base in sorted(committed.items()):
+    label = dict(metrics)[m]
+    now = measured.get((workload, seed, m))
+    if base is None or now is None:
+        print("words_guard: %s seed %d: %s missing from the %s"
+              % (workload, seed, label, "committed file" if base is None else "run"))
         failed = True
         continue
     over = now > base * limit
-    print("words_guard: %-12s seed %-5d %9.2f minor words/update (committed %9.2f, %+.1f%%)%s"
-          % (key[0], key[1], now, base, 100.0 * (now / base - 1.0), "  FAIL" if over else ""))
+    print("words_guard: %-12s seed %-5d %12.2f %-12s (committed %12.2f, %+.1f%%)%s"
+          % (workload, seed, now, label, base, 100.0 * (now / base - 1.0), "  FAIL" if over else ""))
     failed = failed or over
 if failed:
     print("words_guard: a cell is over its committed count by more than 2%")

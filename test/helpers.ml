@@ -243,3 +243,8 @@ let qcheck_seed =
 
 let qcheck t =
   QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| qcheck_seed |]) t
+
+(* The equi-join conjunct [a = b] over two attribute names. *)
+let eq_attrs a b =
+  R.Predicate.Cmp (R.Predicate.Eq, R.Predicate.Col (R.Attr.of_string a),
+                   R.Predicate.Col (R.Attr.of_string b))

@@ -67,7 +67,7 @@ let literal_query q =
       if not (R.Term.is_all_literals t) then
         raise (R.Eval.Eval_error "literal_term: term still references base relations");
       let slots = Array.of_list t.R.Term.slots in
-      R.Eval.run_plan ~into:acc (R.Plan.of_term t)
+      Ref_eval.run_plan ~into:acc (R.Plan.of_term t)
         ~input:(fun i ->
           match slots.(i) with
           | R.Term.Lit (s, g, tup) ->

@@ -168,7 +168,7 @@ let checker_prop =
     (fun (src_ids, wh_ids) ->
       let states ids = List.map s ids in
       let source_states = states src_ids and warehouse_states = states wh_ids in
-      C.consistent ~source_states ~warehouse_states
+      (C.check ~source_states ~warehouse_states).C.consistent
       = reference_consistent ~source_states ~warehouse_states)
 
 (* Reference for the indexed checker: every verdict decided by all-pairs
@@ -255,15 +255,18 @@ let show_states (src, wh) =
   let show l = String.concat " " (List.map R.Bag.to_string l) in
   Printf.sprintf "src=[%s] wh=[%s]" (show src) (show wh)
 
+(* Every verdict of the report, coverage included: [complete] is the
+   coverage verdict whenever the run is strongly consistent, the only
+   case in which the judge decides it. *)
 let agrees_with_quadratic (source_states, warehouse_states) =
-  C.check ~source_states ~warehouse_states
-  = Quadratic.check ~source_states ~warehouse_states
-  && C.weakly_consistent ~source_states ~warehouse_states
+  let r = C.check ~source_states ~warehouse_states in
+  r = Quadratic.check ~source_states ~warehouse_states
+  && r.C.weakly_consistent
      = Quadratic.weakly_consistent ~source_states ~warehouse_states
-  && C.consistent ~source_states ~warehouse_states
-     = Quadratic.consistent ~source_states ~warehouse_states
-  && C.covers_all_source_states ~source_states ~warehouse_states
-     = Quadratic.covers_all_source_states ~source_states ~warehouse_states
+  && r.C.consistent = Quadratic.consistent ~source_states ~warehouse_states
+  && ((not r.C.strongly_consistent)
+     || r.C.complete
+        = Quadratic.covers_all_source_states ~source_states ~warehouse_states)
 
 (* Both sequences descend from one ancestor by small edits, the way the
    oracle builds each snapshot from the previous one and SC each install

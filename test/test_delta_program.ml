@@ -4,7 +4,7 @@
    [Delta_program] resolves a view's maintenance work per update class at
    registration time; these properties pin its single-update [apply] and
    batched [apply_batch] to [Viewdef.delta] + [Eval.query] (the
-   interpreted path it replaces) and to [Eval.naive_query] (the
+   interpreted path it replaces) and to [Ref_eval.naive_query] (the
    cross-product ground truth), on random simple and compound
    (UNION/EXCEPT) views, random signed databases and random same-class
    batches including the empty and singleton ones. SC's batched apply is
@@ -100,7 +100,7 @@ let single_equiv =
           | Some prog ->
             R.Viewdef.mentions vd rel
             && R.Bag.equal (DP.apply prog db tuple) interpreted
-            && R.Bag.equal interpreted (R.Eval.naive_query db q))
+            && R.Bag.equal interpreted (Ref_eval.naive_query db q))
         tuples)
 
 (* The batched pass = the signed sum of per-update passes = the
@@ -233,7 +233,7 @@ let toggle_byte_identical () =
       (W.Spec.make ~c:30 ~j:3 ~k_updates:24 ~insert_ratio:0.6 ~seed:9 ())
   in
   let vd = R.Viewdef.simple view in
-  let render bags = Core.Json_export.arr (List.map Core.Json_export.bag bags) in
+  let render bags = String.concat "," (List.map Core.Json_export.bag bags) in
   List.iter
     (fun algorithm ->
       List.iter
@@ -249,7 +249,7 @@ let toggle_byte_identical () =
             List.fold_left
               (fun ((db, mv, states) as acc) -> function
                 | Core.Trace.Source_update { updates = us; _ } ->
-                  let db, mv = Core.Centralized.maintain_all vd db mv us in
+                  let db, mv = Ref_eval.maintain_all vd db mv us in
                   (db, mv, mv :: states)
                 | _ -> acc)
               (db, mv0, [ mv0 ])

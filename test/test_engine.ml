@@ -133,7 +133,7 @@ let federated_trace_is_per_source () =
 let v_cross =
   R.View.make ~name:"cross"
     ~proj:[ R.Attr.qualified "emp" "EID"; R.Attr.qualified "cust" "SEGMENT" ]
-    ~cond:(R.Predicate.eq_attrs "emp.EID" "cust.CID")
+    ~cond:(Helpers.eq_attrs "emp.EID" "cust.CID")
     [ emp; cust ]
 
 let cross_source_installs_no_global_snapshot () =

@@ -67,7 +67,7 @@ let eval_negative_base_counts () =
     {
       R.Term.sign = R.Sign.Pos;
       proj = [ R.Attr.qualified "r1" "W" ];
-      cond = R.Predicate.eq_attrs "r1.X" "r2.X";
+      cond = Helpers.eq_attrs "r1.X" "r2.X";
       slots =
         [
           R.Term.Lit (r1, R.Sign.Neg, R.Tuple.ints [ 1; 2 ]);
@@ -117,7 +117,7 @@ let eval_literal_term_requires_no_base () =
   let t = R.Term.of_view (view_w ()) in
   Alcotest.check_raises "literal_term rejects base slots"
     (R.Eval.Eval_error "literal_term: term still references base relations")
-    (fun () -> ignore (R.Eval.literal_term t))
+    (fun () -> ignore (R.Eval.literal_query [ t ]))
 
 (* ------------------------------------------------------------------ *)
 (* Reference-evaluator equivalence                                     *)

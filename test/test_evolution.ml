@@ -482,7 +482,7 @@ let unknown_answer_is_an_anomaly () =
   in
   let reaction = Core.Warehouse.handle_answer wh ~gid:999 (bag [ [ 1; 5 ] ]) in
   Alcotest.(check bool) "no reaction" true
-    (reaction = Core.Warehouse.no_reaction);
+    (reaction = { Core.Warehouse.queries = []; installs = [] });
   (match Core.Warehouse.anomalies wh with
    | [ a ] ->
      Alcotest.(check bool) "anomaly names the gid" true (contains a "Q999")
@@ -515,11 +515,18 @@ let generator_seed_pin () =
     rendered
 
 let selfmaint_column_lookups () =
-  let a = R.Selfmaint.analyze (R.Viewdef.simple (Workload.Scenarios.selfmaintainable_view ())) in
+  let { Workload.Scenarios.db; view; updates = _ } =
+    Workload.Scenarios.selfmaintainable (spec ~seed:1 ())
+  in
+  let a = R.Selfmaint.analyze (R.Viewdef.simple view) in
+  (* every maintained auxiliary projection is total over its base: seeding
+     projects each base tuple, and applying an insert projects its tuple *)
+  let aux_db = R.Selfmaint.seed_aux_db a db in
   List.iter
     (fun aux ->
-      (* every maintained auxiliary projection is total over its base *)
-      ignore (R.Selfmaint.aux_project aux (R.Tuple.ints [ 1; 2; 3 ])))
+      ignore
+        (R.Selfmaint.apply_aux a aux_db
+           (R.Update.insert aux.R.Selfmaint.aux_rel (R.Tuple.ints [ 1; 2; 3 ]))))
     (R.Selfmaint.maintained a)
 
 let selfmaint_lookup_prop =

@@ -32,7 +32,7 @@ let eca_breaks_without_fifo () =
     List.exists not
       (par_map
          (fun seed ->
-           run_with ~fault:Messaging.Fault.reorder_only ~fault_seed:(seed * 7)
+           run_with ~fault:(Messaging.Fault.make ~reorder:true ()) ~fault_seed:(seed * 7)
              ~algorithm:"eca" ~seed ())
          seeds)
   in
@@ -60,7 +60,7 @@ let rv_tolerates_reordering_less_catastrophically () =
       (par_map
          (fun seed ->
            ( seed,
-             run_with ~fault:Messaging.Fault.reorder_only
+             run_with ~fault:(Messaging.Fault.make ~reorder:true ())
                ~fault_seed:(seed * 13) ~algorithm:"rv" ~seed () ))
          (List.init 40 (fun i -> i)))
   in
@@ -147,7 +147,7 @@ let centralized_matches_recompute () =
       (Workload.Spec.make ~c:15 ~j:3 ~k_updates:20 ~insert_ratio:0.5 ~seed:5 ())
   in
   let mv0 = R.Eval.view db view in
-  let final_db, final_mv = Core.Centralized.maintain_all (R.Viewdef.simple view) db mv0 updates in
+  let final_db, final_mv = Ref_eval.maintain_all (R.Viewdef.simple view) db mv0 updates in
   check_bag "incremental = recompute" (R.Eval.view final_db view) final_mv
 
 let centralized_stepwise_invariant () =
@@ -178,7 +178,7 @@ let centralized_prop =
       in
       let mv0 = R.Eval.view db view in
       let final_db, final_mv =
-        Core.Centralized.maintain_all (R.Viewdef.simple view) db mv0 updates
+        Ref_eval.maintain_all (R.Viewdef.simple view) db mv0 updates
       in
       R.Bag.equal (R.Eval.view final_db view) final_mv)
 

@@ -100,7 +100,7 @@ let cross_source_views_rejected () =
 let v_cross =
   R.View.make ~name:"cross"
     ~proj:[ R.Attr.qualified "emp" "EID"; R.Attr.qualified "cust" "SEGMENT" ]
-    ~cond:(R.Predicate.eq_attrs "emp.EID" "cust.CID")
+    ~cond:(Helpers.eq_attrs "emp.EID" "cust.CID")
     [ emp; cust ]
 
 let run_cross ~policy updates =

@@ -82,8 +82,52 @@ let runner_reliable_chaos run =
     ~algorithm:"eca" ~views:[ view ] ~db ~updates ()
 
 (* ------------------------------------------------------------------ *)
-(* Federation configs (Json_export.federation_summary)                 *)
+(* Federation configs (federation_summary)                             *)
 (* ------------------------------------------------------------------ *)
+
+(* The behavior-defining observables of a federated run as one JSON
+   object, [{"views": {…}, "counts": {…}}]: per-view final states,
+   source truth and consistency verdicts, plus the event and traffic
+   counters whose values are fixed by the event order alone. Byte
+   accounting (answer_bytes, query_bytes) is deliberately excluded: its
+   definition was unified with the single-source cost-based accounting
+   when single-source and federated runs moved onto the shared engine. *)
+let federation_summary (r : E.result) =
+  let obj fields =
+    "{"
+    ^ String.concat ","
+        (List.map (fun (k, v) -> "\"" ^ Observe.Span.escape k ^ "\":" ^ v) fields)
+    ^ "}"
+  in
+  let m = r.E.metrics in
+  let count n = string_of_int n in
+  obj
+    [
+      ( "views",
+        obj
+          (List.map
+             (fun (name, mv) ->
+               ( name,
+                 obj
+                   [
+                     ("final", Core.Json_export.bag mv);
+                     ( "source_truth",
+                       Core.Json_export.bag (List.assoc name r.E.final_source_views) );
+                     ("report", Core.Json_export.report (List.assoc name r.E.reports));
+                   ] ))
+             r.E.final_mvs) );
+      ( "counts",
+        obj
+          [
+            ("updates", count m.Core.Metrics.updates);
+            ("messages", count (Core.Metrics.messages m));
+            ("queries_sent", count m.Core.Metrics.queries_sent);
+            ("answers_received", count m.Core.Metrics.answers_received);
+            ("answer_tuples", count m.Core.Metrics.answer_tuples);
+            ("source_io", count m.Core.Metrics.source_io);
+            ("steps", count m.Core.Metrics.steps);
+          ] );
+    ]
 
 let emp = R.Schema.of_names "emp" [ "EID"; "DID" ]
 let dept = R.Schema.of_names "dept" [ "DID"; "BUDGET" ]
@@ -124,7 +168,7 @@ let fed_updates =
 
 let fed_json (run : E.result E.options) ?policy ?allow_cross_source ~algorithm
     ~sources ~views ~updates () =
-  Core.Json_export.federation_summary
+  federation_summary
     (run ?schedule:policy ?allow_cross_source
        ~creator:(Core.Registry.creator_exn algorithm) ~sites:(sites_of sources)
        ~views:(List.map R.Viewdef.simple views) ~updates ())
@@ -140,7 +184,7 @@ let fed_eca_updates_first run =
 let v_cross =
   R.View.make ~name:"cross"
     ~proj:[ R.Attr.qualified "emp" "EID"; R.Attr.qualified "cust" "SEGMENT" ]
-    ~cond:(R.Predicate.eq_attrs "emp.EID" "cust.CID")
+    ~cond:(Helpers.eq_attrs "emp.EID" "cust.CID")
     [ emp; cust ]
 
 let fed_cross_race run =

@@ -79,7 +79,7 @@ let drain ch =
 
 let fault_profile_validation () =
   check_bool "none is none" true (M.Fault.is_none M.Fault.none);
-  check_bool "reorder_only is a fault" false (M.Fault.is_none M.Fault.reorder_only);
+  check_bool "reorder_only is a fault" false (M.Fault.is_none (M.Fault.make ~reorder:true ()));
   (match M.Fault.make ~drop:1.0 () with
    | exception Invalid_argument _ -> ()
    | _ -> Alcotest.fail "drop = 1.0 must be rejected (no delivery possible)");
@@ -126,7 +126,7 @@ let delay_ripens_with_ticks () =
 
 let reorder_is_seed_deterministic () =
   let sequence seed =
-    let ch = M.Channel.create ~fault:M.Fault.reorder_only ~seed "shuffle" in
+    let ch = M.Channel.create ~fault:(M.Fault.make ~reorder:true ()) ~seed "shuffle" in
     for i = 1 to 20 do
       M.Channel.send ch (note i)
     done;

@@ -104,16 +104,16 @@ let stress_task i =
   let db = stress_db i in
   let q = R.Query.of_view view in
   let ok =
-    R.Bag.equal (R.Eval.query db q) (R.Eval.naive_query db q)
+    R.Bag.equal (R.Eval.query db q) (Ref_eval.naive_query db q)
     && R.Bag.equal
          (R.Eval.query db (R.Query.minus R.Query.empty q))
-         (R.Eval.naive_query db (R.Query.minus R.Query.empty q))
+         (Ref_eval.naive_query db (R.Query.minus R.Query.empty q))
   in
   (* delta terms share the view's plan — exercise the cache-hit path too *)
   let u = ins "r1" [ i mod 5; (i + 1) mod 5 ] in
   let delta = R.Query.view_delta view u in
   ok
-  && R.Bag.equal (R.Eval.query db delta) (R.Eval.naive_query db delta)
+  && R.Bag.equal (R.Eval.query db delta) (Ref_eval.naive_query db delta)
 
 let plan_cache_stress () =
   let n_domains = 4 and per_domain = 50 in

@@ -1,6 +1,6 @@
 (* Equivalence of the planned evaluator with the naive reference.
 
-   {!Eval.term} runs compiled plans over hash-indexed bags; [Eval.naive_*]
+   {!Eval.term} runs compiled plans over hash-indexed bags; [Ref_eval.naive_*]
    keeps the obviously-correct semantics (full cross product, per-row
    condition scan, projection). These properties pin the two together on
    random views, signed databases (including negative counts), delta
@@ -100,7 +100,7 @@ let arb_setup =
 (* Properties                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let agree db q = R.Bag.equal (R.Eval.query db q) (R.Eval.naive_query db q)
+let agree db q = R.Bag.equal (R.Eval.query db q) (Ref_eval.naive_query db q)
 
 (* Planned view evaluation = naive reference; the negated difference
    query exercises negative result counts through both evaluators. *)
@@ -146,7 +146,7 @@ let literal_equiv =
       in
       List.for_all R.Term.is_all_literals (R.Query.terms q)
       && R.Bag.equal (R.Eval.literal_query q)
-           (R.Eval.naive_query R.Db.empty q))
+           (Ref_eval.naive_query R.Db.empty q))
 
 (* ------------------------------------------------------------------ *)
 (* The executor's access paths                                         *)
@@ -258,7 +258,7 @@ let executor_equiv =
     ~count:300
     (QCheck.make ~print:print_exec_case exec_case_gen)
     (fun { term; bound; db } ->
-      let expected = R.Eval.naive_term db term in
+      let expected = Ref_eval.naive_term db term in
       let slots = Array.of_list term.R.Term.slots in
       let input i =
         match slots.(i) with
@@ -268,7 +268,7 @@ let executor_equiv =
         | R.Term.Base s -> R.Eval.Relation (db, s.R.Schema.name)
       in
       let bound_run =
-        R.Eval.run_plan (R.Plan.of_term ~bound term) ~input
+        Ref_eval.run_plan (R.Plan.of_term ~bound term) ~input
           ~sign:(R.Sign.to_int term.R.Term.sign)
       in
       R.Bag.equal (R.Eval.term db term) expected && R.Bag.equal bound_run expected)

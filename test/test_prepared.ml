@@ -154,7 +154,7 @@ let literal_matches_naive =
        literal_query_gen)
     (fun q ->
       let one_row = outcome (fun () -> R.Eval.literal_query q) in
-      same_outcome R.Bag.equal one_row (outcome (fun () -> R.Eval.naive_query R.Db.empty q))
+      same_outcome R.Bag.equal one_row (outcome (fun () -> Ref_eval.naive_query R.Db.empty q))
       && same_outcome R.Bag.equal one_row (outcome (fun () -> Ref_prepared.literal_query q)))
 
 (* ------------------------------------------------------------------ *)

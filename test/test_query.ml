@@ -27,7 +27,7 @@ let subst_same_relation_vanishes () =
   (* Q<U1,...,Uk> with two updates on the same relation is empty. *)
   check_bool "subst_all with duplicate relation" true
     (R.Query.is_empty
-       (R.Query.subst_all (R.Query.of_view view)
+       (Ref_eval.subst_all (R.Query.of_view view)
           [ ins "r2" [ 2; 5 ]; ins "r1" [ 1; 1 ]; ins "r2" [ 3; 3 ] ]))
 
 let subst_unrelated_relation_vanishes () =

@@ -283,9 +283,9 @@ let view_natural_join_cond () =
   check_int "two join conjuncts" 2
     (List.length (R.Predicate.conjuncts v.R.View.cond))
 
-(* [Fqueue.drop_while] against the list spelling, on queues built from
+(* [Fqueue.remove_first] against the list spelling, on queues built from
    interleaved pushes and pops so the front/back split varies. *)
-let fqueue_drop_while () =
+let fqueue_remove_first_random () =
   let st = Random.State.make [| 7 |] in
   for _ = 1 to 300 do
     let q = ref R.Fqueue.empty and model = ref [] in
@@ -302,12 +302,18 @@ let fqueue_drop_while () =
       end
     done;
     let cut = Random.State.int st 32 in
-    let dropped = R.Fqueue.drop_while (fun x -> x < cut) !q in
-    let rec drop = function x :: rest when x < cut -> drop rest | l -> l in
-    Alcotest.(check (list int)) "drop_while = list drop" (drop !model)
-      (R.Fqueue.to_list dropped);
-    check_int "length tracks" (List.length (drop !model))
-      (R.Fqueue.length dropped)
+    let found, rest = R.Fqueue.remove_first (fun x -> x >= cut) !q in
+    let rec remove = function
+      | x :: l when x >= cut -> (Some x, l)
+      | x :: l ->
+        let found, l = remove l in
+        (found, x :: l)
+      | [] -> (None, [])
+    in
+    let found', rest' = remove !model in
+    Alcotest.(check (option int)) "remove_first = list remove" found' found;
+    Alcotest.(check (list int)) "the others in order" rest' (R.Fqueue.to_list rest);
+    check_int "length tracks" (List.length rest') (R.Fqueue.length rest)
   done
 
 (* [Fqueue.remove_first]: the head case pops (front/back split kept),
@@ -440,6 +446,6 @@ let suite =
     Alcotest.test_case "view key coverage" `Quick view_key_coverage;
     Alcotest.test_case "view key positions" `Quick view_key_positions;
     Alcotest.test_case "natural join condition" `Quick view_natural_join_cond;
-    Alcotest.test_case "fqueue drop_while" `Quick fqueue_drop_while;
+    Alcotest.test_case "fqueue remove_first = list" `Quick fqueue_remove_first_random;
     Alcotest.test_case "fqueue remove_first" `Quick fqueue_remove_first;
   ]

@@ -155,8 +155,8 @@ let term_accessors () =
   let t' = Option.get (R.Term.subst t (ins "r2" [ 2; 5 ])) in
   check_bool "r2 no longer base" false (R.Term.mentions_base t' "r2");
   check_bool "byte size shrinks or grows sanely" true (R.Term.byte_size t' > 0);
-  Alcotest.(check string) "slot_rel" "r1"
-    (R.Term.slot_rel (List.hd t.R.Term.slots))
+  Alcotest.(check string) "first slot's relation" "r1"
+    (R.Term.slot_schema (List.hd t.R.Term.slots)).R.Schema.name
 
 let term_subst_arity_check () =
   let t = R.Term.of_view (view_w ()) in

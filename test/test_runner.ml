@@ -86,7 +86,7 @@ let warehouse_routes_answers () =
     (List.assoc "A" (Core.Warehouse.mvs wh));
   check_bool "unknown answer ids are ignored" true
     (Core.Warehouse.handle_answer wh ~gid:999 R.Bag.empty
-     = Core.Warehouse.no_reaction)
+     = { Core.Warehouse.queries = []; installs = [] })
 
 (* Shared gids must keep their subscribers owner-first in host order —
    the answer fan-out and the observability labels both depend on it, and
@@ -125,11 +125,11 @@ let warehouse_absorbs_misrouted_messages () =
   check_bool "a query produces no reaction" true
     (Core.Warehouse.misrouted wh
        (Messaging.Message.Query { id = 0; query = R.Query.empty })
-    = Core.Warehouse.no_reaction);
+    = { Core.Warehouse.queries = []; installs = [] });
   check_bool "a protocol frame produces no reaction" true
     (Core.Warehouse.misrouted wh
        (Messaging.Message.Ack { cum = 3; sacks = [] })
-    = Core.Warehouse.no_reaction);
+    = { Core.Warehouse.queries = []; installs = [] });
   check_int "both anomalies recorded" 2
     (List.length (Core.Warehouse.anomalies wh));
   check_bag "hosted state untouched" mv_before

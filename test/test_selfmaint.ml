@@ -11,9 +11,16 @@ module SM = R.Selfmaint
 let fk cols r rcols =
   { R.Schema.fk_cols = cols; fk_ref = r; fk_ref_cols = rcols }
 
+let verdict_to_string = function
+  | SM.Self SM.Literal -> "self (literal)"
+  | SM.Self SM.Key_delete -> "self (key-delete)"
+  | SM.Self SM.Fk_join -> "self (fk-join)"
+  | SM.Aux rels -> Printf.sprintf "local via aux(%s)" (String.concat ", " rels)
+  | SM.Remote reason -> Printf.sprintf "remote: %s" reason
+
 let verdict_testable =
   Alcotest.testable
-    (fun ppf v -> Format.pp_print_string ppf (SM.verdict_to_string v))
+    (fun ppf v -> Format.pp_print_string ppf (verdict_to_string v))
     ( = )
 
 let check_verdict = Alcotest.check verdict_testable
@@ -175,7 +182,7 @@ let analyzer_degenerate () =
   check_verdict "+r1 keyless" (SM.Aux [ "r2" ]) (verdict aw "r1" R.Update.Insert);
   (match verdict aw "r2" R.Update.Insert with
   | SM.Remote _ -> ()
-  | v -> Alcotest.failf "+r2 should be remote, got %s" (SM.verdict_to_string v));
+  | v -> Alcotest.failf "+r2 should be remote, got %s" (verdict_to_string v));
   check_bool "view_w not applicable" false (Core.Eca_sm.applicable w);
   check_bool "view_w ladder unchanged" true
     (String.equal (Core.Catalog.auto_rung w) "eca");
@@ -566,7 +573,7 @@ let mispaired_fk_views () =
          ~proj:[ R.Attr.qualified "xr" "A" ]
          ~cond:
            (R.Predicate.conj
-              (List.map (fun (a, b) -> R.Predicate.eq_attrs a b) cond))
+              (List.map (fun (a, b) -> Helpers.eq_attrs a b) cond))
          [ r; s ])
   in
   let keys = [ 0; 1; 2 ] in
@@ -896,7 +903,9 @@ let auto_rung_picks_unchanged () =
        ]
     @ [
         ( "selfmaint scenario",
-          R.Viewdef.simple (Workload.Scenarios.selfmaintainable_view ()),
+          R.Viewdef.simple
+            (Workload.Scenarios.selfmaintainable (Workload.Spec.make ~c:4 ~j:2 ~seed:1 ()))
+              .Workload.Scenarios.view,
           "eca-sm" );
       ])
 

@@ -11,7 +11,7 @@ let setup () = Workload.Scenarios.example6 spec
 let cat1 = Workload.Scenarios.catalog_scenario1 ()
 let cat2 = Workload.Scenarios.catalog_scenario2 ()
 
-let view = Workload.Scenarios.example6_view ()
+let view = (setup () : Workload.Scenarios.setup).view
 
 let t1 = R.Tuple.ints [ 1; 2 ]
 
@@ -110,7 +110,7 @@ let s1_prefers_scan_when_j_large () =
 let s1_all_literal_term_is_free () =
   let { Workload.Scenarios.db; _ } = setup () in
   let q =
-    R.Query.subst_all (R.Query.of_view view)
+    Ref_eval.subst_all (R.Query.of_view view)
       [
         R.Update.insert "r1" t1;
         R.Update.insert "r2" t1;
@@ -140,7 +140,7 @@ let s2_single_base_term () =
   (* t1 ⋈ t2 ⋈ r3: a single scan of r3. *)
   let { Workload.Scenarios.db; _ } = setup () in
   let q =
-    R.Query.subst_all (R.Query.of_view view)
+    Ref_eval.subst_all (R.Query.of_view view)
       [ R.Update.insert "r1" t1; R.Update.insert "r2" t1 ]
   in
   let plan = Storage.Planner.query cat2 db q in
@@ -156,7 +156,7 @@ let planner_total_on_degenerate_inputs () =
   let all_literal =
     List.hd
       (R.Query.terms
-         (R.Query.subst_all (R.Query.of_view view)
+         (Ref_eval.subst_all (R.Query.of_view view)
             [
               R.Update.insert "r1" t1;
               R.Update.insert "r2" t1;
@@ -263,7 +263,7 @@ let lazy_planner_prop =
       List.for_all
         (fun t -> Storage.Planner.term cat db t = Ref_planner.scenario1_term cat db t)
         (R.Term.of_view view
-        :: R.Query.terms (R.Query.subst_all (R.Query.of_view view) updates)))
+        :: R.Query.terms (Ref_eval.subst_all (R.Query.of_view view) updates)))
 
 (* ------------------------------------------------------------------ *)
 (* Executor                                                            *)
