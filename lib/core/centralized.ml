@@ -14,7 +14,3 @@ let step view db (u : R.Update.t) =
     else R.Bag.empty
   in
   (db', delta)
-
-let maintain view db mv u =
-  let db', delta = step view db u in
-  (db', Mview.apply_delta mv delta)

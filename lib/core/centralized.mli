@@ -13,7 +13,3 @@ val step : R.Viewdef.t -> R.Db.t -> R.Update.t -> R.Db.t * R.Bag.t
 (** [step view db u] applies [u] and returns the new state with the view
     delta [V[db+u] − V[db]] (empty when [u]'s relation is outside the
     view). *)
-
-val maintain :
-  R.Viewdef.t -> R.Db.t -> R.Bag.t -> R.Update.t -> R.Db.t * R.Bag.t
-(** One maintenance step: new state and new view contents. *)

@@ -40,9 +40,6 @@ type report = {
 val check :
   source_states:R.Bag.t list -> warehouse_states:R.Bag.t list -> report
 
-val convergent :
-  source_states:R.Bag.t list -> warehouse_states:R.Bag.t list -> bool
-
 val strongest_label : report -> string
 (** Human-readable name of the strongest property satisfied. *)
 

@@ -149,6 +149,8 @@ let tick t =
     b.len <- 0
   end
 
+let delay_bound t = t.fault.Fault.delay
+
 let messages_sent t = t.messages
 
 let bytes_sent t = t.bytes

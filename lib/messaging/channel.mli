@@ -62,6 +62,10 @@ val pending : t -> int
 val tick : t -> unit
 (** Advance the channel clock one tick (delayed messages ripen). *)
 
+val delay_bound : t -> int
+(** The most ticks a transmission waits before it is deliverable: the
+    profile's [delay], 0 on a fault-free channel. *)
+
 val messages_sent : t -> int
 (** Total physical transmissions ever sent (delivered, pending, dropped
     and duplicated alike). *)

@@ -25,6 +25,12 @@ type t =
 
 let filler = Ack { cum = -1; sacks = [] }
 
+let runs_size sacks = 8 + (16 * List.length sacks)
+
+let ack_size = function
+  | None -> 0
+  | Some (_, sacks) -> runs_size sacks
+
 let rec byte_size = function
   | Update_note u -> R.Update.byte_size u
   | Batch_note us ->
@@ -32,10 +38,8 @@ let rec byte_size = function
   | Ddl_note d -> 8 + R.Update.ddl_byte_size d
   | Query { query; _ } -> 8 + R.Query.byte_size query
   | Answer { answer; _ } -> 8 + R.Bag.byte_size answer
-  | Data { payload; ack = None; _ } -> 8 + byte_size payload
-  | Data { payload; ack = Some (cum, sacks); _ } ->
-    8 + byte_size payload + byte_size (Ack { cum; sacks })
-  | Ack { sacks; _ } -> 8 + (16 * List.length sacks)
+  | Data { payload; ack; _ } -> 8 + byte_size payload + ack_size ack
+  | Ack { sacks; _ } -> runs_size sacks
 
 let kind_name = function
   | Update_note _ -> "update"

@@ -52,5 +52,9 @@ val byte_size : t -> int
 (** Wire size: an [Ack] is an 8-byte header plus 16 bytes per run, a
     [Data] frame an 8-byte header plus its payload and its [Ack]. *)
 
+val ack_size : (int * (int * int) list) option -> int
+(** The bytes a [Data] frame's [ack] adds to its wire size: none without
+    one, an [Ack]'s size with one. *)
+
 val kind_name : t -> string
 val pp : Format.formatter -> t -> unit

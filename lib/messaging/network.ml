@@ -18,7 +18,7 @@ let create ?(name = "source") ?(fault = Fault.none) ?(seed = 0)
   let to_source = Channel.create ~fault ~seed:(seed + 1) ("warehouse->" ^ name) in
   let transport =
     if reliable then
-      Via_reliable (Reliable.create ~to_warehouse ~to_source ())
+      Via_reliable (Reliable.create ~to_warehouse ~to_source)
     else Direct
   in
   { to_warehouse; to_source; transport }

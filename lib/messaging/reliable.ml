@@ -14,7 +14,7 @@ type stats = {
 (* Fills the empty slots of both rings below. *)
 let hole = Message.filler
 
-(* Both halves of an endpoint keep frames in power-of-two arrays indexed
+(* Both halves of an endpoint keep messages in power-of-two arrays indexed
    by [seq land (length - 1)], each over a window of consecutive seqs
    shorter than the array, so a seq in the window has a slot of its own. *)
 type endpoint = {
@@ -22,12 +22,13 @@ type endpoint = {
   in_chan : Channel.t;
   (* sender half: the outgoing stream. Seqs [acked + 1, next_seq) are
      unacknowledged — cumulative acks retire a prefix — and each keeps
-     its frame, the frame's wire size (so a retransmit does not walk the
-     payload again), its last transmission tick and its first one. *)
+     its payload, its frame's wire size less the ack's (so a retransmit,
+     which carries a fresh ack, does not walk the payload again), its
+     last transmission tick and its first one. *)
   mutable next_seq : int;
   mutable acked : int;  (* highest cumulative ack received *)
   mutable sacked : (int * int) list;  (* the latest ack's runs *)
-  mutable frames : Message.t array;
+  mutable payloads : Message.t array;
   mutable sizes : int array;
   mutable last_sent : int array;
   mutable first_sent : int array;
@@ -46,7 +47,7 @@ type endpoint = {
 type t = {
   source_end : endpoint;  (* sends the To_warehouse stream *)
   warehouse_end : endpoint;  (* sends the To_source stream *)
-  timeout : int;
+  timeout : int;  (* an unlost frame's longest round trip, see [create] *)
   mutable now : int;
   mutable dirty : bool;
       (* a frame was sent or the clock ticked since the last pump began:
@@ -61,7 +62,7 @@ let make_endpoint ~out_chan ~in_chan =
     next_seq = 0;
     acked = -1;
     sacked = [];
-    frames = Array.make 8 hole;
+    payloads = Array.make 8 hole;
     sizes = Array.make 8 0;
     last_sent = Array.make 8 0;
     first_sent = Array.make 8 0;
@@ -72,12 +73,18 @@ let make_endpoint ~out_chan ~in_chan =
     ready = Queue.create ();
   }
 
-let create ?(timeout = 3) ~to_warehouse ~to_source () =
-  if timeout < 1 then invalid_arg "Reliable.create: timeout must be >= 1";
+(* A frame sent at tick [t] with delay [d] ripens at tick [t + d] and is
+   drained by the pump that follows. The ack it makes due leaves at the
+   next tick at the latest ([tick] flushes due acks first), ripens [d']
+   ticks later and is drained by that tick's first pump, before
+   [retransmit_due] judges the frame: an unlost frame is acknowledged
+   within [d + 1 + d'] ticks, the same sum from either end. *)
+let create ~to_warehouse ~to_source =
   {
     source_end = make_endpoint ~out_chan:to_warehouse ~in_chan:to_source;
     warehouse_end = make_endpoint ~out_chan:to_source ~in_chan:to_warehouse;
-    timeout;
+    timeout =
+      Channel.delay_bound to_warehouse + 1 + Channel.delay_bound to_source;
     now = 0;
     dirty = false;
     stats =
@@ -172,7 +179,7 @@ let rec holds_more a b =
 let ack ep cum sacks =
   if cum > ep.acked || (cum = ep.acked && holds_more sacks ep.sacked) then begin
     for s = ep.acked + 1 to cum do
-      ep.frames.(s land (Array.length ep.frames - 1)) <- hole
+      ep.payloads.(s land (Array.length ep.payloads - 1)) <- hole
     done;
     ep.acked <- cum;
     ep.sacked <- sacks
@@ -238,19 +245,20 @@ let pump t =
 let send t dir msg =
   let ep = sender t dir in
   let seq = ep.next_seq in
-  if seq - ep.acked > Array.length ep.frames then begin
+  if seq - ep.acked > Array.length ep.payloads then begin
     let lo = ep.acked + 1 in
-    ep.frames <- regrow ep.frames lo hole;
+    ep.payloads <- regrow ep.payloads lo hole;
     ep.sizes <- regrow ep.sizes lo 0;
     ep.last_sent <- regrow ep.last_sent lo 0;
     ep.first_sent <- regrow ep.first_sent lo 0
   end;
-  let i = seq land (Array.length ep.frames - 1) in
-  let frame = Message.Data { seq; payload = msg; ack = take_ack ep } in
+  let i = seq land (Array.length ep.payloads - 1) in
+  let ack = take_ack ep in
+  let frame = Message.Data { seq; payload = msg; ack } in
   let size = Message.byte_size frame in
   ep.next_seq <- seq + 1;
-  ep.frames.(i) <- frame;
-  ep.sizes.(i) <- size;
+  ep.payloads.(i) <- msg;
+  ep.sizes.(i) <- size - Message.ack_size ack;
   ep.last_sent.(i) <- t.now;
   ep.first_sent.(i) <- t.now;
   send_frame ~size t ep frame;
@@ -265,16 +273,24 @@ let has_ready t dir =
   not (Queue.is_empty (receiver t dir).ready)
 
 (* The overdue holes — unacked seqs in no run, the runs all above [acked]
-   — in ascending seq, so the wire order of retransmissions ascends. *)
+   — in ascending seq, so the wire order of retransmissions ascends. Each
+   resent frame carries [ep]'s current ack, which answers a due one; an
+   end that has received nothing has nothing to acknowledge. *)
 let retransmit_due t ep =
-  let mask = Array.length ep.frames - 1 in
+  let mask = Array.length ep.payloads - 1 in
   let rec go s = function
     | (lo, hi) :: runs when lo = s -> go (hi + 1) runs
     | runs when s < ep.next_seq ->
       let i = s land mask in
       if t.now - ep.last_sent.(i) >= t.timeout then begin
         t.stats.retransmits <- t.stats.retransmits + 1;
-        send_frame ~size:ep.sizes.(i) t ep ep.frames.(i);
+        ep.ack_due <- false;
+        let ack =
+          if ep.expected = 0 && ep.held = [] then None
+          else Some (ep.expected - 1, ep.held)
+        in
+        send_frame ~size:(ep.sizes.(i) + Message.ack_size ack) t ep
+          (Message.Data { seq = s; payload = ep.payloads.(i); ack });
         ep.last_sent.(i) <- t.now
       end;
       go (s + 1) runs

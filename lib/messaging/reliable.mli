@@ -17,15 +17,31 @@
       next data frame the receiver sends back, or leaves alone as an
       [Ack] at the next {!tick}; acks travel over the reverse faulty
       channel;
-    - senders retransmit each unacknowledged frame that has waited
-      [timeout] clock ticks since its last transmission and lies in no
-      run the latest ack reported: only the holes are resent.
+    - senders retransmit each unacknowledged frame that has waited the
+      link's timeout since its last transmission and lies in no run the
+      latest ack reported: only the holes are resent. A resent frame
+      carries its sender's current ack of the reverse stream (none
+      before that end has received anything), not the one the first
+      transmission carried, and so answers a due ack.
 
     The clock is the channels' logical tick, advanced by {!tick} from the
     simulation scheduler when no other event is enabled — runs stay
     deterministic and seed-reproducible. Retransmissions and acks go
     through {!Channel.send}, so channel byte/message counters price the
     protocol's wire overhead.
+
+    Timer. The timeout is the longest round trip an unlost frame can
+    take: one channel's {!Channel.delay_bound}, plus one tick, plus the
+    other's — the same sum from either end, [2·delay + 1] over a
+    {!Network} pair of one profile (5 ticks under [chaos], 1 on
+    delay-free channels). The tick order makes the bound exact. A frame
+    sent at tick [t] with delay [d] ripens at tick [t + d] and is
+    drained by the pump that follows, which makes an ack due. That ack
+    leaves at tick [t + d + 1] at the latest, since a {!tick} sends due
+    acks first; with delay [d'] it ripens at tick [t + d + 1 + d'] and
+    is drained by that tick's first pump, before any frame is judged
+    overdue. So only a lost transmission can leave a frame overdue, and
+    a link whose channels drop nothing never resends.
 
     Costs. Every operation first pumps the link — drains both channels —
     unless nothing was sent and no tick passed since the last pump began,
@@ -53,13 +69,10 @@ type stats = {
 
 type t
 
-val create :
-  ?timeout:int -> to_warehouse:Channel.t -> to_source:Channel.t -> unit -> t
+val create : to_warehouse:Channel.t -> to_source:Channel.t -> t
 (** Layer a duplex reliable link over the two (typically faulty)
-    channels. [timeout] (default 3) is the retransmission timer in clock
-    ticks; the scheduler only ticks when nothing else can run, so small
-    values are right.
-    @raise Invalid_argument if [timeout < 1]. *)
+    channels; each end's retransmission timer is derived from their
+    delay bounds (see Timer above). *)
 
 val send : t -> dir -> Message.t -> unit
 val receive : t -> dir -> Message.t option

@@ -225,26 +225,16 @@ let filter_map_counts f b =
 
 let negate b = filter_map_counts (fun _ n -> Some (-n)) b
 
-let minus a b = plus a (negate b)
-
-let scale k b = if k = 0 then empty else filter_map_counts (fun _ n -> Some (n * k)) b
-
 let apply_sign s b =
   match s with
   | Sign.Pos -> b
   | Sign.Neg -> negate b
-
-let pos_part b = filter_map_counts (fun _ n -> if n > 0 then Some n else None) b
-
-let union a b = plus (pos_part a) (pos_part b)
 
 let cardinality b = fold (fun _ n acc -> acc + abs n) b 0
 
 let net_cardinality b = fold (fun _ n acc -> acc + n) b 0
 
 let has_negative b = b.neg > 0
-
-let is_set b = Trie.for_all (fun _ n -> n = 1) b.trie
 
 let exists p b = Trie.exists p b.trie
 

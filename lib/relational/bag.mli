@@ -61,15 +61,8 @@ val of_list : Tuple.t list -> t
 val plus : t -> t -> t
 (** The paper's [+] operator on signed relations. *)
 
-val minus : t -> t -> t
-(** The paper's [−] operator: [minus a b = plus a (negate b)]. *)
-
 val negate : t -> t
-val scale : int -> t -> t
 val apply_sign : Sign.t -> t -> t
-
-val union : t -> t -> t
-(** Plain bag union of the positive parts (the paper's [∪]). *)
 
 val cardinality : t -> int
 (** Total number of signed tuple copies, [Σ |count|] — what the transfer
@@ -85,9 +78,6 @@ val has_negative : t -> bool
 (** True when some tuple has net negative count — a materialized view in
     such a state witnesses an over-deletion anomaly. O(1): every
     operation keeps the number of negative entries current. *)
-
-val is_set : t -> bool
-(** Every count is exactly 1 (ECAK views with full key coverage are sets). *)
 
 val exists : (Tuple.t -> int -> bool) -> t -> bool
 (** Whether some entry satisfies the predicate, stopping at the first

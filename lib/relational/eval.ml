@@ -115,7 +115,7 @@ let join_step (sp : Plan.slot_plan) input (rows : Rows.t) emit =
    join but keep different columns advance with one pass. With no
    residual filter to read the joined row, it projects straight from
    the partial row and the matched tuple, and the joined row is never
-   built. This single executor serves [term] below and the staged
+   built. This single executor serves [query] below and the staged
    programs in {!Delta_program}, one projection or several: sharing it
    is what makes "compiled = interpreted" an identity rather than a
    theorem. *)
@@ -182,8 +182,6 @@ let add_planned into plan db (t : Term.t) =
 let add_term into db t = add_planned into (Plan.of_term t) db t
 
 let planned_term plan db t = add_planned Bag.empty plan db t
-
-let term db t = add_term Bag.empty db t
 
 let query db q = List.fold_left (fun acc t -> add_term acc db t) Bag.empty q
 

@@ -42,17 +42,15 @@ val run_plan_into :
     consulted lazily — never for slots after the intermediate result
     has become empty — and [sign] multiplies every output count (the
     term's sign factor). A step the plan probes but whose input is
-    [Tuples] checks its probe key per tuple instead. [term] below and
+    [Tuples] checks its probe key per tuple instead. {!query} below and
     the staged delta programs ({!Delta_program}) all run through this
     one executor, so their results agree by construction. *)
 
-val term : Db.t -> Term.t -> Bag.t
-(** Evaluate one signed term. Literal (substituted-tuple) slots contribute
-    their single signed tuple regardless of the database contents. *)
-
 val planned_term : Plan.t -> Db.t -> Term.t -> Bag.t
-(** [term] through a plan the caller prepared: [planned_term (Plan.of_term
-    t) db t = term db t]. A plan compiled for [t]'s skeleton and literal
+(** One signed term through a plan the caller prepared: [planned_term
+    (Plan.of_term t) db t = query db [ t ]]. Literal (substituted-tuple)
+    slots contribute their single signed tuple regardless of the
+    database contents. A plan compiled for [t]'s skeleton and literal
     mask serves every term sharing them, whatever their literal tuples
     and sign: the source's executor looks a term's plan up once and
     reads both this evaluation and the planner's join edges off it. *)

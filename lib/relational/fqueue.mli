@@ -20,8 +20,6 @@ val peek : 'a t -> 'a option
 val to_list : 'a t -> 'a list
 (** Oldest first. *)
 
-val of_list : 'a list -> 'a t
-
 val remove_first : ('a -> bool) -> 'a t -> 'a option * 'a t
 (** The oldest element satisfying [p], and the queue without it (the
     others in order): O(1) amortized when that element is the head, O(n)

@@ -126,12 +126,6 @@ module Entries = struct
       iter f l;
       iter f r
 
-  let rec for_all p = function
-    | Empty -> true
-    | Leaf { t; n; _ } -> p t n
-    | Bucket { es; _ } -> List.for_all (fun (t, n) -> p t n) es
-    | Branch { l; r; _ } -> for_all p l && for_all p r
-
   let rec exists p = function
     | Empty -> false
     | Leaf { t; n; _ } -> p t n

@@ -34,7 +34,6 @@ module Entries : sig
 
   val fold : (Tuple.t -> int -> 'a -> 'a) -> t -> 'a -> 'a
   val iter : (Tuple.t -> int -> unit) -> t -> unit
-  val for_all : (Tuple.t -> int -> bool) -> t -> bool
   val exists : (Tuple.t -> int -> bool) -> t -> bool
 
   val fold_leaves : (int -> t -> 'a -> 'a) -> t -> 'a -> 'a

@@ -14,8 +14,6 @@ let negate q = List.map Term.negate q
 
 let plus a b = a @ b
 
-let minus a b = a @ negate b
-
 let subst q (u : Update.t) = List.filter_map (fun t -> Term.subst t u) q
 
 let view_delta v u = subst (of_view v) u

@@ -19,10 +19,6 @@ val terms : t -> Term.t list
 val negate : t -> t
 val plus : t -> t -> t
 
-val minus : t -> t -> t
-(** [minus a b = a + (−b)] — note this is a signed sum, not set
-    difference. *)
-
 val subst : t -> Update.t -> t
 (** The paper's [Q⟨U⟩]: substitute [U]'s signed tuple into every term;
     terms that already substitute [U]'s relation, or that never mention it,

@@ -21,10 +21,6 @@ let sign u =
 
 let byte_size u = 8 + String.length u.rel + Tuple.byte_size u.tuple
 
-let equal a b =
-  a.seq = b.seq && a.kind = b.kind && String.equal a.rel b.rel
-  && Tuple.equal a.tuple b.tuple
-
 let to_string u =
   Printf.sprintf "%s(%s, %s)"
     (match u.kind with Insert -> "insert" | Delete -> "delete")

@@ -29,7 +29,6 @@ val byte_size : t -> int
 (** Notification message size (charged identically for all algorithms, so
     excluded from the paper's B metric; tracked for completeness). *)
 
-val equal : t -> t -> bool
 val to_string : t -> string
 val pp : Format.formatter -> t -> unit
 

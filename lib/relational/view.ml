@@ -135,12 +135,6 @@ let output_attr_names v =
       else n)
     v.proj
 
-let equal a b =
-  String.equal a.name b.name
-  && List.equal Schema.equal a.sources b.sources
-  && Predicate.equal a.cond b.cond
-  && List.equal Attr.equal a.proj b.proj
-
 let pp ppf v =
   Format.fprintf ppf "VIEW %s AS SELECT %s FROM %s WHERE %a" v.name
     (String.concat ", " (List.map Attr.to_string v.proj))

@@ -56,6 +56,5 @@ val covers_all_keys : t -> bool
 val output_attr_names : t -> string list
 (** Display names for the output columns (qualified only when needed). *)
 
-val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -69,12 +69,6 @@ let output_attr_names t =
   | [] -> []
   | (_, v) :: _ -> View.output_attr_names v
 
-let equal a b =
-  String.equal a.name b.name
-  && List.equal
-       (fun (s1, v1) (s2, v2) -> Sign.equal s1 s2 && View.equal v1 v2)
-       a.parts b.parts
-
 let pp ppf t =
   match as_simple t with
   | Some v -> View.pp ppf v

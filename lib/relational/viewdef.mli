@@ -48,6 +48,5 @@ val output_attr_names : t -> string list
 val eval : Db.t -> t -> Bag.t
 (** [V[ss]] for compound views. *)
 
-val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

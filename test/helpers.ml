@@ -3,6 +3,21 @@
 
 module R = Relational
 
+(* The signed operators of Section 4.1 that no program runs, spelled
+   over the library's [plus] and [negate]: [q − q'] on queries and
+   [b − b'] on bags (signed sums, not set differences), and whether every
+   count of a bag is exactly 1. *)
+let query_minus a b = R.Query.plus a (R.Query.negate b)
+
+let bag_minus a b = R.Bag.plus a (R.Bag.negate b)
+
+let is_set b = not (R.Bag.exists (fun _ n -> n <> 1) b)
+
+(* Field by field, the tuple by [Tuple.equal]. *)
+let update_equal (a : R.Update.t) (b : R.Update.t) =
+  a.seq = b.seq && a.kind = b.kind && String.equal a.rel b.rel
+  && R.Tuple.equal a.tuple b.tuple
+
 let bag_testable = Alcotest.testable R.Bag.pp R.Bag.equal
 
 let tuple_testable = Alcotest.testable R.Tuple.pp R.Tuple.equal
@@ -144,10 +159,10 @@ module Eca_fold = struct
   let remote t u ~extra =
     let q =
       List.fold_left
-        (fun acc (_, qj) -> R.Query.minus acc (R.Query.subst qj u))
+        (fun acc (_, qj) -> query_minus acc (R.Query.subst qj u))
         (R.Viewdef.delta t.view u) t.uqs
     in
-    let q = R.Query.simplify (R.Query.minus q (R.Query.subst extra u)) in
+    let q = R.Query.simplify (query_minus q (R.Query.subst extra u)) in
     let local, remote =
       if t.local_literal_eval then R.Query.split_local q else (R.Query.empty, q)
     in

@@ -10,7 +10,8 @@
    - [run_plan]: [Eval.run_plan_into] with the plan's own projection and
      one accumulator;
    - [subst_all]: [Q<U1, …, Uk>], the substitutions left to right;
-   - [maintain_all]: [Centralized.maintain] folded over an update list. *)
+   - [maintain]: one step of [Centralized.step], the delta applied to
+     the view's contents; [maintain_all] folds it over an update list. *)
 
 module R = Relational
 
@@ -52,7 +53,9 @@ let run_plan ?(into = R.Bag.empty) (plan : R.Plan.t) ~input ~sign =
 
 let subst_all q us = List.fold_left R.Query.subst q us
 
+let maintain view db mv u =
+  let db', delta = Core.Centralized.step view db u in
+  (db', Core.Mview.apply_delta mv delta)
+
 let maintain_all view db mv updates =
-  List.fold_left
-    (fun (db, mv) u -> Core.Centralized.maintain view db mv u)
-    (db, mv) updates
+  List.fold_left (fun (db, mv) u -> maintain view db mv u) (db, mv) updates

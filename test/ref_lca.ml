@@ -122,7 +122,7 @@ let on_event t updates =
   in
   List.iter
     (fun u ->
-      List.iter (fun (_, qr) -> qr := R.Query.minus !qr (R.Query.subst !qr u)) !acc;
+      List.iter (fun (_, qr) -> qr := Helpers.query_minus !qr (R.Query.subst !qr u)) !acc;
       List.iter
         (fun (_, p) -> add_piece p.target (R.Query.negate (R.Query.subst p.query u)))
         uqs_snapshot;

@@ -120,7 +120,7 @@ let executor_run cat db q =
   let evaluated =
     List.map
       (fun t ->
-        (t, Storage.Planner.plan cat db ~edges:(join_edges t) t, R.Eval.term db t))
+        (t, Storage.Planner.plan cat db ~edges:(join_edges t) t, R.Eval.query db [ t ]))
       (R.Query.terms q)
   in
   let answer =

@@ -55,7 +55,7 @@ let delta_linearity () =
       let delta = R.Eval.query db' (R.Viewdef.delta vd u) in
       check_bag
         (vd.R.Viewdef.name ^ " delta = after - before")
-        (R.Bag.minus after before)
+        (bag_minus after before)
         delta)
     [ union_view; diff_view; R.Viewdef.simple block_b ]
 

@@ -189,7 +189,7 @@ let empty_and_singleton_batches () =
     (DP.find staged ~rel:"r3" ~kind:R.Update.Insert = None)
 
 (* SC's batched on_batch must produce the same outcome as the interpreted
-   sequential replay through [Centralized.maintain]: the final replica and
+   sequential replay through [Ref_eval.maintain]: the final replica and
    view, and one install of the final view iff some step changed it. *)
 let sc_batch_outcome_matches () =
   let db =
@@ -211,7 +211,7 @@ let sc_batch_outcome_matches () =
   let db', mv', changed =
     List.fold_left
       (fun (db, mv, changed) u ->
-        let db', mv' = Core.Centralized.maintain vd db mv u in
+        let db', mv' = Ref_eval.maintain vd db mv u in
         (db', mv', changed || not (R.Bag.equal mv mv')))
       (db, mv0, false) batch
   in
@@ -225,7 +225,7 @@ let sc_batch_outcome_matches () =
    stays: for any algorithm or batch size, the states a run serializes
    from its staged programs — the oracle's source state after every
    update event and the final source view, plus SC's final view — render
-   byte for byte as an interpreted [Centralized.maintain] replay of the
+   byte for byte as an interpreted [Ref_eval.maintain] replay of the
    same events. *)
 let toggle_byte_identical () =
   let { W.Scenarios.db; view; updates } =

@@ -76,12 +76,12 @@ let eval_negative_base_counts () =
     }
   in
   check_int "literal with minus sign yields negative result" (-1)
-    (R.Bag.count (R.Eval.term db term) (R.Tuple.ints [ 1 ]))
+    (R.Bag.count (R.Eval.query db [ term ]) (R.Tuple.ints [ 1 ]))
 
 let eval_term_sign () =
   let db = db_of [ (r1, [ [ 1; 2 ] ]); (r2, [ [ 2; 3 ] ]) ] in
   let t = R.Term.of_view (view_w ()) in
-  let a = R.Eval.term db (R.Term.negate t) in
+  let a = R.Eval.query db [ R.Term.negate t ] in
   check_int "negated term negates its result" (-1)
     (R.Bag.count a (R.Tuple.ints [ 1 ]))
 
@@ -209,7 +209,7 @@ let query_gen =
     in
     let q =
       List.fold_left
-        (fun acc u -> R.Query.minus acc (R.Query.subst acc u))
+        (fun acc u -> query_minus acc (R.Query.subst acc u))
         base updates
     in
     return (db, q))

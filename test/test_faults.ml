@@ -160,7 +160,7 @@ let centralized_stepwise_invariant () =
     (List.fold_left
        (fun (db, mv) u ->
          let db', mv' =
-           Core.Centralized.maintain (R.Viewdef.simple view) db mv u
+           Ref_eval.maintain (R.Viewdef.simple view) db mv u
          in
          check_bag "invariant holds after every step" (R.Eval.view db' view) mv';
          (db', mv'))

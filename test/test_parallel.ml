@@ -106,8 +106,8 @@ let stress_task i =
   let ok =
     R.Bag.equal (R.Eval.query db q) (Ref_eval.naive_query db q)
     && R.Bag.equal
-         (R.Eval.query db (R.Query.minus R.Query.empty q))
-         (Ref_eval.naive_query db (R.Query.minus R.Query.empty q))
+         (R.Eval.query db (query_minus R.Query.empty q))
+         (Ref_eval.naive_query db (query_minus R.Query.empty q))
   in
   (* delta terms share the view's plan — exercise the cache-hit path too *)
   let u = ins "r1" [ i mod 5; (i + 1) mod 5 ] in

@@ -1,6 +1,6 @@
 (* Equivalence of the planned evaluator with the naive reference.
 
-   {!Eval.term} runs compiled plans over hash-indexed bags; [Ref_eval.naive_*]
+   {!Eval.query} runs compiled plans over hash-indexed bags; [Ref_eval.naive_*]
    keeps the obviously-correct semantics (full cross product, per-row
    condition scan, projection). These properties pin the two together on
    random views, signed databases (including negative counts), delta
@@ -108,7 +108,7 @@ let view_equiv =
   QCheck.Test.make ~name:"planned view eval = naive reference" ~count:400
     arb_setup (fun (view, db, _) ->
       let q = R.Query.of_view view in
-      agree db q && agree db (R.Query.minus R.Query.empty q))
+      agree db q && agree db (query_minus R.Query.empty q))
 
 (* Delta queries substitute a literal slot per update; their plans come
    from the same cache entry as the view's own term. *)
@@ -250,7 +250,7 @@ let print_exec_case c =
     (String.concat ";" (Array.to_list (Array.map string_of_bool c.bound)))
     R.Db.pp c.db
 
-(* [Eval.term] and a direct [run_plan] that hands the bound base slots
+(* [Eval.query] of one term and a direct [run_plan] that hands the bound base slots
    over as bags (the delta programs' [From_delta] shape) both equal the
    naive evaluation. *)
 let executor_equiv =
@@ -271,7 +271,7 @@ let executor_equiv =
         Ref_eval.run_plan (R.Plan.of_term ~bound term) ~input
           ~sign:(R.Sign.to_int term.R.Term.sign)
       in
-      R.Bag.equal (R.Eval.term db term) expected && R.Bag.equal bound_run expected)
+      R.Bag.equal (R.Eval.query db [ term ]) expected && R.Bag.equal bound_run expected)
 
 (* The deterministic generator behind every benchmark figure. *)
 let workload_equiv () =

@@ -95,7 +95,7 @@ let simplify_cancels_pairs () =
 
 let query_byte_size_grows_with_terms () =
   let q1 = R.Query.view_delta view (ins "r1" [ 4; 2 ]) in
-  let q2 = R.Query.minus q1 (R.Query.subst q1 (ins "r2" [ 2; 5 ])) in
+  let q2 = query_minus q1 (R.Query.subst q1 (ins "r2" [ 2; 5 ])) in
   check_bool "more terms, more bytes" true
     (R.Query.byte_size q2 > R.Query.byte_size q1)
 
@@ -148,7 +148,7 @@ let lemma_b2 =
       let db' = R.Db.apply ~strict:false db u in
       let after = R.Eval.query db' q in
       let comp = R.Eval.query db' (R.Query.subst q u) in
-      R.Bag.equal before (R.Bag.minus after comp))
+      R.Bag.equal before (bag_minus after comp))
 
 let simplify_preserves_value =
   QCheck.Test.make ~name:"simplify preserves query value" ~count:300
@@ -165,7 +165,7 @@ let lemma_b2_full_view =
       let db' = R.Db.apply ~strict:false db u in
       let after = R.Eval.query db' q in
       let comp = R.Eval.query db' (R.Query.subst q u) in
-      R.Bag.equal before (R.Bag.minus after comp))
+      R.Bag.equal before (bag_minus after comp))
 
 let suite =
   [

@@ -159,7 +159,7 @@ let only_lost_frames_are_resent () =
       let to_warehouse =
         M.Channel.create ~fault:(M.Fault.make ~drop:0.3 ()) ~seed "to-warehouse"
       and to_source = M.Channel.create "to-source" in
-      let r = M.Reliable.create ~to_warehouse ~to_source () in
+      let r = M.Reliable.create ~to_warehouse ~to_source in
       let n = 300 in
       for i = 0 to n - 1 do
         M.Reliable.send r M.Reliable.To_warehouse (payload i);
@@ -217,14 +217,17 @@ let reliable_stream_prop =
 (* The sublayer against its naive spelling                             *)
 (* ------------------------------------------------------------------ *)
 
-(* The protocol in its most naive spelling, kept as a reference model: a
-   persistent unacked queue of whole frames rebuilt by a map on every
-   retransmission pass and filtered by every ack's runs, riding or
-   alone, a seq-keyed table of first-transmission ticks, an [Int] map as
-   the reorder buffer whose runs each ack recomputes anew, a flag for
-   the ack a receiver owes — taken by its next data frame or sent alone
-   at the next tick — a list queue of ready messages, and a pump that
-   drains both channels on every call. *)
+(* The protocol in its most naive spelling, kept as a reference model: an
+   unacked list of payloads in send order, rebuilt by a map on every
+   retransmission pass — each resent frame built anew around the
+   sender's current ack, if it has received anything — and filtered by
+   every ack's runs, riding or alone, a seq-keyed table of
+   first-transmission ticks, an [Int] map as the reorder buffer whose
+   runs each ack recomputes anew, a flag for the ack a receiver owes —
+   taken by its next data frame or by a retransmission, or sent alone at
+   the next tick — a list queue of ready messages, and a pump that
+   drains both channels on every call. Its timeout is given, where the
+   link derives its own. *)
 module Ref_link = struct
   module Int_map = Map.Make (Int)
 
@@ -232,7 +235,7 @@ module Ref_link = struct
     out_chan : M.Channel.t;
     in_chan : M.Channel.t;
     mutable next_seq : int;
-    mutable unacked : (int * M.Message.t * int) R.Fqueue.t;
+    mutable unacked : (int * M.Message.t * int) list;
     first_sent : (int, int) Hashtbl.t;
     mutable expected : int;
     mutable buffer : M.Message.t Int_map.t;
@@ -253,7 +256,7 @@ module Ref_link = struct
       out_chan;
       in_chan;
       next_seq = 0;
-      unacked = R.Fqueue.empty;
+      unacked = [];
       first_sent = Hashtbl.create 16;
       expected = 0;
       buffer = Int_map.empty;
@@ -321,10 +324,7 @@ module Ref_link = struct
   let apply_ack ep (cum, sacks) =
     let held s = List.exists (fun (lo, hi) -> lo <= s && s <= hi) sacks in
     ep.unacked <-
-      R.Fqueue.of_list
-        (List.filter
-           (fun (s, _, _) -> s > cum && not (held s))
-           (R.Fqueue.to_list ep.unacked))
+      List.filter (fun (s, _, _) -> s > cum && not (held s)) ep.unacked
 
   let take_ack ep =
     if ep.ack_due then begin
@@ -363,7 +363,7 @@ module Ref_link = struct
     ep.next_seq <- seq + 1;
     Hashtbl.replace ep.first_sent seq t.now;
     let frame = M.Message.Data { seq; payload = msg; ack = take_ack ep } in
-    ep.unacked <- R.Fqueue.push ep.unacked (seq, frame, t.now);
+    ep.unacked <- ep.unacked @ [ (seq, msg, t.now) ];
     transmit ep frame;
     pump t
 
@@ -383,16 +383,20 @@ module Ref_link = struct
   (* Oldest to newest, so the wire order of retransmissions ascends. *)
   let retransmit_due t ep =
     ep.unacked <-
-      R.Fqueue.of_list
-        (List.map
-           (fun ((seq, frame, last_sent) as entry) ->
-             if t.now - last_sent >= t.timeout then begin
-               t.stats.retransmits <- t.stats.retransmits + 1;
-               transmit ep frame;
-               (seq, frame, t.now)
-             end
-             else entry)
-           (R.Fqueue.to_list ep.unacked))
+      List.map
+        (fun ((seq, payload, last_sent) as entry) ->
+          if t.now - last_sent >= t.timeout then begin
+            t.stats.retransmits <- t.stats.retransmits + 1;
+            ep.ack_due <- false;
+            let ack =
+              if ep.expected = 0 && Int_map.is_empty ep.buffer then None
+              else Some (ep.expected - 1, runs ep.buffer)
+            in
+            transmit ep (M.Message.Data { seq; payload; ack });
+            (seq, payload, t.now)
+          end
+          else entry)
+        ep.unacked
 
   let flush_ack t ep =
     match take_ack ep with
@@ -413,7 +417,7 @@ module Ref_link = struct
     pump t
 
   let endpoint_idle ep =
-    R.Fqueue.is_empty ep.unacked
+    ep.unacked = []
     && Int_map.is_empty ep.buffer
     && R.Fqueue.is_empty ep.ready
 
@@ -459,15 +463,57 @@ let view ~got ~has_ready ~idle ~stats ~to_warehouse ~to_source =
     wires = wire to_warehouse @ wire to_source;
   }
 
-(* Both links over their own channel pair, seeded alike (the reverse
-   channel from [seed + 1], as [Network] does). *)
-let channels fault seed =
-  ( M.Channel.create ~fault ~seed "to-warehouse",
-    M.Channel.create ~fault ~seed:(seed + 1) "to-source" )
+(* Both links over their own channel pair, one profile each way, seeded
+   alike (the reverse channel from [seed + 1], as [Network] does). *)
+let channels (to_wh, to_src) seed =
+  ( M.Channel.create ~fault:to_wh ~seed "to-warehouse",
+    M.Channel.create ~fault:to_src ~seed:(seed + 1) "to-source" )
 
-let run_reliable fault seed timeout ops =
-  let to_warehouse, to_source = channels fault seed in
-  let r = M.Reliable.create ~timeout ~to_warehouse ~to_source () in
+(* One profile each way: [drop], [duplicate] and one reorder draw shared,
+   a delay of 0-4 ticks drawn for each direction. *)
+let draw_faults st ~drop ~duplicate =
+  let reorder = Random.State.bool st in
+  let fault () =
+    M.Fault.make ~drop ~duplicate ~delay:(Random.State.int st 5) ~reorder ()
+  in
+  let to_wh = fault () in
+  (to_wh, fault ())
+
+(* A schedule of link ops. A third are bursts of 300+ sends before the
+   clock first moves, so the reorder window has to grow and the unacked
+   queues are deep; then up to three sends in six ops, so backlogs also
+   build up while the clock runs. *)
+let draw_ops st =
+  let bursty = Random.State.int st 3 = 0 in
+  let next = ref 0 in
+  let dir () =
+    if Random.State.int st 4 = 0 then M.Reliable.To_source
+    else M.Reliable.To_warehouse
+  in
+  let send () =
+    incr next;
+    `Send (dir (), !next)
+  in
+  let burst =
+    if bursty then List.init (300 + Random.State.int st 100) (fun _ -> send ())
+    else []
+  in
+  let sends = 1 + Random.State.int st 3 in
+  let tail =
+    List.init
+      (if bursty then 500 + Random.State.int st 300
+       else 40 + Random.State.int st 120)
+      (fun _ ->
+        let k = Random.State.int st 6 in
+        if k < sends then send ()
+        else if k < 5 then `Receive (dir ())
+        else `Tick)
+  in
+  burst @ tail
+
+let run_reliable faults seed ops =
+  let to_warehouse, to_source = channels faults seed in
+  let r = M.Reliable.create ~to_warehouse ~to_source in
   List.map
     (fun op ->
       let got =
@@ -485,8 +531,8 @@ let run_reliable fault seed timeout ops =
         ~stats:(M.Reliable.stats r) ~to_warehouse ~to_source)
     ops
 
-let run_reference fault seed timeout ops =
-  let to_warehouse, to_source = channels fault seed in
+let run_reference faults seed timeout ops =
+  let to_warehouse, to_source = channels faults seed in
   let r = Ref_link.create ~timeout ~to_warehouse ~to_source in
   List.map
     (fun op ->
@@ -507,53 +553,73 @@ let run_reference fault seed timeout ops =
 
 (* A pump skipped when it would have found a frame, or run when the
    reference's would not, shifts a channel's RNG stream, and every later
-   delivery, counter and wire figure with it. A third of the cases are
-   bursts of 300+ sends before the clock first moves, so the reorder
-   window has to grow and the unacked queues are deep. *)
+   delivery, counter and wire figure with it. The reference's timeout is
+   the round trip of the drawn delays, one tick for the ack between. *)
 let reliable_matches_reference_prop =
   QCheck.Test.make
     ~name:"reliable link matches its historical reference model" ~count:150
     (QCheck.make ~print:string_of_int QCheck.Gen.(int_bound 100_000))
     (fun case ->
       let st = rng case in
-      let bursty = Random.State.int st 3 = 0 in
-      let fault =
-        M.Fault.make
-          ~drop:(Random.State.float st 0.4)
-          ~duplicate:(Random.State.float st 0.4)
-          ~delay:(Random.State.int st 5)
-          ~reorder:(Random.State.bool st) ()
+      let drop = Random.State.float st 0.4 in
+      let duplicate = Random.State.float st 0.4 in
+      let ((to_wh, to_src) as faults) = draw_faults st ~drop ~duplicate in
+      let seed = Random.State.int st 10_000 in
+      let timeout = to_wh.M.Fault.delay + 1 + to_src.M.Fault.delay in
+      let ops = draw_ops st in
+      run_reliable faults seed ops = run_reference faults seed timeout ops)
+
+(* The timer outlasts every round trip an unlost frame and its ack can
+   take, so over channels that duplicate, delay and reorder but drop
+   nothing no frame is ever resent — bursts included, whose acks wait
+   for the clock — and both streams still arrive exactly once, in
+   order. A fixed timer shorter than a round trip resends here. *)
+let drop_free_link_never_resends_prop =
+  QCheck.Test.make ~name:"a drop-free link never retransmits" ~count:150
+    (QCheck.make ~print:string_of_int QCheck.Gen.(int_bound 100_000))
+    (fun case ->
+      let st = rng case in
+      let faults =
+        draw_faults st ~drop:0.0 ~duplicate:(Random.State.float st 0.5)
       in
       let seed = Random.State.int st 10_000 in
-      let timeout = 1 + Random.State.int st 4 in
-      let next = ref 0 in
-      let dir () =
-        if Random.State.int st 4 = 0 then M.Reliable.To_source
-        else M.Reliable.To_warehouse
+      let ops = draw_ops st in
+      let to_warehouse, to_source = channels faults seed in
+      let r = M.Reliable.create ~to_warehouse ~to_source in
+      let wh = ref [] and src = ref [] in
+      let take dir =
+        match M.Reliable.receive r dir with
+        | None -> false
+        | Some msg ->
+          let got = if dir = M.Reliable.To_warehouse then wh else src in
+          got := payload_id msg :: !got;
+          true
       in
-      let send () =
-        incr next;
-        `Send (dir (), !next)
+      List.iter
+        (function
+          | `Send (dir, i) -> M.Reliable.send r dir (payload i)
+          | `Receive dir -> ignore (take dir)
+          | `Tick -> M.Reliable.tick r)
+        ops;
+      let rec drain ticks =
+        if take M.Reliable.To_warehouse || take M.Reliable.To_source then
+          drain ticks
+        else if M.Reliable.idle r || ticks = 0 then ()
+        else begin
+          M.Reliable.tick r;
+          drain (ticks - 1)
+        end
       in
-      let burst =
-        if bursty then List.init (300 + Random.State.int st 100) (fun _ -> send ())
-        else []
+      drain 10_000;
+      let sent dir =
+        List.filter_map
+          (function `Send (d, i) when d = dir -> Some i | _ -> None)
+          ops
       in
-      (* up to three sends in six ops, so backlogs also build up while
-         the clock runs *)
-      let sends = 1 + Random.State.int st 3 in
-      let tail =
-        List.init
-          (if bursty then 500 + Random.State.int st 300
-           else 40 + Random.State.int st 120)
-          (fun _ ->
-            let k = Random.State.int st 6 in
-            if k < sends then send ()
-            else if k < 5 then `Receive (dir ())
-            else `Tick)
-      in
-      let ops = burst @ tail in
-      run_reliable fault seed timeout ops = run_reference fault seed timeout ops)
+      (M.Reliable.stats r).M.Reliable.retransmits = 0
+      && List.rev !wh = sent M.Reliable.To_warehouse
+      && List.rev !src = sent M.Reliable.To_source
+      && M.Reliable.idle r)
 
 (* Acks ride on reverse data. Over clean channels, in a ping-pong
    exchange where each frame is answered before the clock moves, every
@@ -568,7 +634,7 @@ let acks_ride_on_reverse_data () =
   for m = 1 to 12 do
     let to_warehouse = M.Channel.create "to-warehouse"
     and to_source = M.Channel.create "to-source" in
-    let r = M.Reliable.create ~to_warehouse ~to_source () in
+    let r = M.Reliable.create ~to_warehouse ~to_source in
     let s = M.Reliable.stats r in
     for k = 0 to m - 1 do
       let dir, back, chan =
@@ -599,8 +665,10 @@ let acks_ride_on_reverse_data () =
     check_int ("nothing was resent" ^ cell) 0 s.retransmits
   done;
   (* Stand-alone acks leave only on ticks, at most one per end. *)
-  let to_warehouse, to_source = channels Workload.Scenarios.chaos_profile 5 in
-  let r = M.Reliable.create ~to_warehouse ~to_source () in
+  let to_warehouse, to_source =
+    channels (Workload.Scenarios.chaos_profile, Workload.Scenarios.chaos_profile) 5
+  in
+  let r = M.Reliable.create ~to_warehouse ~to_source in
   let ticks = ref 0 in
   for i = 0 to 59 do
     M.Reliable.send r M.Reliable.To_warehouse (payload i);
@@ -665,8 +733,10 @@ let seeds = List.init 40 (fun i -> i)
    carries most of the stream. Its trace length is a literal recorded
    while the channel still kept its delayed frames in a sorted list and
    the receiver its reorder buffer in another; its delivery counters were
-   re-recorded when selective acks replaced go-back-N, and again when
-   acks began to ride on reverse data frames. A change to an RNG
+   re-recorded when selective acks replaced go-back-N, when acks began
+   to ride on reverse data frames, and when the retransmission timer
+   became the channels' round trip and resent frames began to carry the
+   current ack. A change to an RNG
    draw, a ready tick, a retransmission or an ack moves them.
    (Which of a pump's deliverable frames arrives first does not — the
    receiver drains them all before it acks — so the channel's pick order
@@ -693,14 +763,14 @@ let twenty_source_chaos_run_is_pinned () =
   Alcotest.(check (list (pair string int)))
     "delivery counters and trace length"
     [
-      ("ticks", 26);
-      ("wire_messages", 1023);
-      ("retransmits", 186);
-      ("dups_dropped", 194);
-      ("acks", 179);
+      ("ticks", 36);
+      ("wire_messages", 886);
+      ("retransmits", 96);
+      ("dups_dropped", 86);
+      ("acks", 155);
       ("delivered", 492);
-      ("latency_total", 1712);
-      ("latency_max", 11);
+      ("latency_total", 2540);
+      ("latency_max", 17);
       ("trace_entries", 692);
     ]
     [
@@ -789,4 +859,8 @@ let suite =
       acks_ride_on_reverse_data;
   ]
   @ List.map Helpers.qcheck
-      [ reliable_stream_prop; reliable_matches_reference_prop ]
+      [
+        reliable_stream_prop;
+        reliable_matches_reference_prop;
+        drop_free_link_never_resends_prop;
+      ]

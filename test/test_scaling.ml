@@ -50,7 +50,7 @@ let generator_shape () =
   (* deterministic from the seed *)
   let w' = scaled ~c:3 ~updates_per_source:4 ~n:5 () in
   check_bool "same seed, same updates" true
-    (List.equal R.Update.equal w.W.Scenarios.updates w'.W.Scenarios.updates);
+    (List.equal update_equal w.W.Scenarios.updates w'.W.Scenarios.updates);
   (* growing n keeps the existing sources' databases intact *)
   let big = scaled ~c:3 ~updates_per_source:4 ~n:9 () in
   List.iter2

@@ -11,7 +11,7 @@ let deterministic () =
   let a = W.Scenarios.example6 spec and b = W.Scenarios.example6 spec in
   check_bool "same db for same seed" true (R.Db.equal a.W.Scenarios.db b.W.Scenarios.db);
   check_bool "same updates for same seed" true
-    (List.for_all2 R.Update.equal a.W.Scenarios.updates b.W.Scenarios.updates);
+    (List.for_all2 update_equal a.W.Scenarios.updates b.W.Scenarios.updates);
   let c = W.Scenarios.example6 (W.Spec.make ~c:100 ~j:4 ~k_updates:30 ~seed:6 ()) in
   check_bool "different seed differs" false
     (R.Db.equal a.W.Scenarios.db c.W.Scenarios.db)
@@ -65,7 +65,7 @@ let keyed_inserts_use_fresh_keys () =
   let { W.Scenarios.db; updates; _ } = W.Scenarios.keyed spec in
   let final = R.Db.apply_all db updates in
   check_bool "r1 keys still unique" true
-    (R.Bag.is_set (R.Db.contents final "r1"))
+    (is_set (R.Db.contents final "r1"))
 
 let spec_validation () =
   List.iter
@@ -108,7 +108,7 @@ let pick_existing_uniformity () =
    duplicate tuples (the chain relations declare no key). *)
 let streams_match_reference () =
   let same label a b =
-    if not (List.equal R.Update.equal a b) then
+    if not (List.equal update_equal a b) then
       Alcotest.failf "%s: streams differ (%d vs %d updates)" label (List.length a)
         (List.length b)
   in
