@@ -83,7 +83,7 @@ props:
 # fanout-chaos once more, untraced, at the held-out seed 31337, so the
 # reliable link is gated off the seed it was tuned on — its two
 # untraced runs go through scripts/frames_guard.sh, which also fails
-# when either reports more than 3.30 wire frames per update (a
+# when either reports more than 0.40 wire frames per update (a
 # deterministic count, so the gate is free of host noise) — run
 # scripts/words_guard.sh, which fails when any workload's set-up words
 # (those Engine.start allocates) or minor words per update (from start

@@ -5,16 +5,20 @@
 
 type delivery = {
   ticks : int;  (** clock advances the scheduler had to insert *)
-  retransmits : int;  (** frames re-sent after a timeout *)
+  retransmits : int;
+      (** frames re-sent after a timeout, each a run of consecutive
+          overdue payloads *)
   dups_dropped : int;
-      (** data frames discarded at a receiver as already seen — channel
-          duplicates and spurious retransmissions alike *)
+      (** data frames discarded at a receiver because every payload in
+          them had already been seen — channel duplicates and spurious
+          retransmissions alike *)
   acks : int;  (** cumulative acknowledgement frames sent *)
   msgs_dropped : int;  (** transmissions lost to the fault profile *)
   msgs_duplicated : int;  (** extra copies injected by the fault profile *)
   delivered : int;  (** payload messages released in order by {!Reliable} *)
   latency_total : int;
-      (** summed ticks from first transmission to in-order release *)
+      (** summed ticks from the sender's send, which may hold the payload
+          behind an unacknowledged frame, to in-order release *)
   latency_max : int;
   wire_messages : int;
       (** physical transmissions both ways: payloads, duplicates,

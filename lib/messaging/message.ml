@@ -15,7 +15,7 @@ type t =
     }
   | Data of {
       seq : int;
-      payload : t;
+      payloads : t list;
       ack : (int * (int * int) list) option;
     }
   | Ack of {
@@ -38,7 +38,8 @@ let rec byte_size = function
   | Ddl_note d -> 8 + R.Update.ddl_byte_size d
   | Query { query; _ } -> 8 + R.Query.byte_size query
   | Answer { answer; _ } -> 8 + R.Bag.byte_size answer
-  | Data { payload; ack; _ } -> 8 + byte_size payload + ack_size ack
+  | Data { payloads; ack; _ } ->
+    List.fold_left (fun acc p -> acc + byte_size p) 8 payloads + ack_size ack
   | Ack { sacks; _ } -> runs_size sacks
 
 let kind_name = function
@@ -59,10 +60,11 @@ let rec pp ppf = function
   | Query { id; query } -> Format.fprintf ppf "Query Q%d = %a" id R.Query.pp query
   | Answer { id; answer; _ } ->
     Format.fprintf ppf "Answer A%d = %a" id R.Bag.pp answer
-  | Data { seq; payload; ack = None } ->
-    Format.fprintf ppf "Data #%d (%a)" seq pp payload
-  | Data { seq; payload; ack = Some (cum, _) } ->
-    Format.fprintf ppf "Data #%d (%a) ack <=%d" seq pp payload cum
+  | Data { seq; payloads; ack } ->
+    Format.fprintf ppf "Data #%d (%a)%s" seq
+      (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf "; ") pp)
+      payloads
+      (match ack with None -> "" | Some (cum, _) -> Printf.sprintf " ack <=%d" cum)
   | Ack { cum; sacks } ->
     Format.fprintf ppf "Ack <=%d%s" cum
       (String.concat ""

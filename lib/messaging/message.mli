@@ -26,12 +26,16 @@ type t =
     }
   | Data of {
       seq : int;
-      payload : t;
+      payloads : t list;
       ack : (int * (int * int) list) option;
     }
-      (** a {!Reliable} protocol frame: the payload message carried under
-          a per-stream sequence number, with the sender's due [Ack] of the
-          reverse stream as [(cum, sacks)], if any. Never reaches the
+      (** a {!Reliable} protocol frame: a nonempty run of consecutive
+          payload messages of one stream, the first under sequence number
+          [seq], the next under [seq + 1], and so on, with the sender's
+          due [Ack] of the reverse stream as [(cum, sacks)], if any. A
+          link sends a run longer than one when payloads queued behind an
+          unacknowledged frame leave together, or consecutive overdue
+          holes are resent together (see {!Reliable}). Never reaches the
           warehouse or source — the sublayer unwraps it. *)
   | Ack of {
       cum : int;
@@ -50,7 +54,8 @@ val filler : t
 
 val byte_size : t -> int
 (** Wire size: an [Ack] is an 8-byte header plus 16 bytes per run, a
-    [Data] frame an 8-byte header plus its payload and its [Ack]. *)
+    [Data] frame one 8-byte header plus the sum of its payloads and its
+    [Ack]. *)
 
 val ack_size : (int * (int * int) list) option -> int
 (** The bytes a [Data] frame's [ack] adds to its wire size: none without

@@ -54,7 +54,9 @@ let idle t =
   | Direct -> Channel.is_empty t.to_warehouse && Channel.is_empty t.to_source
   | Via_reliable r -> Reliable.idle r
 
-let load t = Channel.pending t.to_warehouse + Channel.pending t.to_source
+let load t =
+  Channel.pending t.to_warehouse + Channel.pending t.to_source
+  + match t.transport with Direct -> 0 | Via_reliable r -> Reliable.held r
 
 let reliability t =
   match t.transport with

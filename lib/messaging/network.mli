@@ -49,9 +49,11 @@ val idle : t -> bool
 
 val load : t -> int
 (** Undelivered wire frames on the edge, both directions — in-flight,
-    delayed, and awaiting in-order release. The cheap per-edge load
-    signal the backpressure and fairness scheduling policies weigh; O(1)
-    (see {!Channel.pending}). *)
+    delayed, and awaiting in-order release — plus the payloads a reliable
+    link holds behind an unacknowledged frame ({!Reliable.held}), which
+    have not left either. The cheap per-edge load signal the backpressure
+    and fairness scheduling policies weigh; O(1) (see
+    {!Channel.pending}). *)
 
 val reliability : t -> Reliable.stats option
 (** Protocol counters when the reliable sublayer is active. *)

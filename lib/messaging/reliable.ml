@@ -22,10 +22,12 @@ type endpoint = {
   in_chan : Channel.t;
   (* sender half: the outgoing stream. Seqs [acked + 1, next_seq) are
      unacknowledged — cumulative acks retire a prefix — and each keeps
-     its payload, its frame's wire size less the ack's (so a retransmit,
-     which carries a fresh ack, does not walk the payload again), its
-     last transmission tick and its first one. *)
+     its payload, its payload's wire size (so a frame is priced without
+     walking its payloads again), its last transmission tick and the
+     tick it was sent at. Seqs [sent_upto, next_seq) are held: sent, but
+     not yet transmitted. *)
   mutable next_seq : int;
+  mutable sent_upto : int;  (* first seq never transmitted *)
   mutable acked : int;  (* highest cumulative ack received *)
   mutable sacked : (int * int) list;  (* the latest ack's runs *)
   mutable payloads : Message.t array;
@@ -37,9 +39,9 @@ type endpoint = {
   (* receiver half: the incoming stream *)
   mutable expected : int;  (* next in-order sequence number *)
   mutable window : Message.t array;
-      (* out-of-order future frames: a buffered [s] lies in
+      (* out-of-order future payloads: a buffered [s] lies in
          [expected, expected + length); [hole] where none is *)
-  mutable held : (int * int) list;  (* the buffered seqs, as runs *)
+  mutable buffered : (int * int) list;  (* the buffered seqs, as runs *)
   mutable ack_due : bool;  (* data arrived since this end last acked *)
   ready : Message.t Queue.t;  (* in-order, deduped, undelivered *)
 }
@@ -60,6 +62,7 @@ let make_endpoint ~out_chan ~in_chan =
     out_chan;
     in_chan;
     next_seq = 0;
+    sent_upto = 0;
     acked = -1;
     sacked = [];
     payloads = Array.make 8 hole;
@@ -68,13 +71,14 @@ let make_endpoint ~out_chan ~in_chan =
     first_sent = Array.make 8 0;
     expected = 0;
     window = Array.make 8 hole;
-    held = [];
+    buffered = [];
     ack_due = false;
     ready = Queue.create ();
   }
 
 (* A frame sent at tick [t] with delay [d] ripens at tick [t + d] and is
-   drained by the pump that follows. The ack it makes due leaves at the
+   drained by the pump that follows (a pump that releases held payloads
+   pumps again, see [pump]). The ack it makes due leaves at the
    next tick at the latest ([tick] flushes due acks first), ripens [d']
    ticks later and is drained by that tick's first pump, before
    [retransmit_due] judges the frame: an unlost frame is acknowledged
@@ -121,7 +125,7 @@ let regrow a lo fill =
   done;
   a'
 
-(* Move every now-contiguous buffered frame into [ep]'s deliverable
+(* Move every now-contiguous buffered payload into [ep]'s deliverable
    queue. [peer] sent the incoming stream, so its [first_sent] ring
    dates the latency measurement. *)
 let advance t ep peer =
@@ -188,38 +192,70 @@ let ack ep cum sacks =
 (* The ack [ep] owes, taken by its next data frame or the next tick. *)
 let take_ack ep =
   if not ep.ack_due then None
-  else (ep.ack_due <- false; Some (ep.expected - 1, ep.held))
+  else (ep.ack_due <- false; Some (ep.expected - 1, ep.buffered))
+
+(* Seqs [lo, hi] of [ep]'s ring as one frame carrying [ack], each slot
+   stamped with this transmission. *)
+let transmit_run t ep lo hi ack =
+  let mask = Array.length ep.payloads - 1 in
+  let rec collect s payloads size =
+    if s < lo then (payloads, size)
+    else begin
+      let i = s land mask in
+      ep.last_sent.(i) <- t.now;
+      collect (s - 1) (ep.payloads.(i) :: payloads) (size + ep.sizes.(i))
+    end
+  in
+  let payloads, size = collect hi [] (8 + Message.ack_size ack) in
+  send_frame ~size t ep (Message.Data { seq = lo; payloads; ack })
+
+(* The held payloads leave as one frame, carrying the due ack. *)
+let flush_held t ep =
+  if ep.sent_upto < ep.next_seq then begin
+    transmit_run t ep ep.sent_upto (ep.next_seq - 1) (take_ack ep);
+    ep.sent_upto <- ep.next_seq
+  end
 
 (* Drain every frame the faulty channel will currently deliver to [ep]:
-   data frames feed the dedup/reorder window, acks — alone or riding on
-   data — [ep]'s own outgoing stream. One due ack answers the whole burst
-   — re-acking on pure duplicates is what lets a sender whose ack was
-   lost make progress — its runs gaining the [fresh] out-of-order seqs
-   and losing those [released]. *)
+   data frames feed the dedup/reorder window payload by payload, acks —
+   alone or riding on data — [ep]'s own outgoing stream. One due ack
+   answers the whole burst — re-acking on pure duplicates is what lets a
+   sender whose ack was lost make progress — its runs gaining the [fresh]
+   out-of-order seqs and losing those [released]. An ack that retires
+   every frame [ep] has transmitted releases its held payloads, which
+   carry the ack just made due. *)
 let pump_endpoint t ep peer =
   let fresh = ref [] and released = ref false in
+  let take seq payload =
+    let i = seq land (Array.length ep.window - 1) in
+    if seq < ep.expected || ep.window.(i) != hole then false
+    else begin
+      ep.window.(i) <- payload;
+      if seq > ep.expected then fresh := seq :: !fresh
+      else begin
+        advance t ep peer;
+        if ep.expected > seq + 1 then released := true
+      end;
+      true
+    end
+  in
   let rec drain got_data =
     match Channel.receive ep.in_chan with
     | None -> got_data
     | Some (Message.Ack { cum; sacks }) ->
       ack ep cum sacks;
       drain got_data
-    | Some (Message.Data { seq; payload; ack = a }) ->
+    | Some (Message.Data { seq; payloads; ack = a }) ->
       Option.iter (fun (cum, sacks) -> ack ep cum sacks) a;
-      while seq - ep.expected >= Array.length ep.window do
+      let last = seq + List.length payloads - 1 in
+      while last - ep.expected >= Array.length ep.window do
         ep.window <- regrow ep.window ep.expected hole
       done;
-      let i = seq land (Array.length ep.window - 1) in
-      if seq < ep.expected || ep.window.(i) != hole then
-        t.stats.dups_dropped <- t.stats.dups_dropped + 1
-      else begin
-        ep.window.(i) <- payload;
-        if seq > ep.expected then fresh := seq :: !fresh
-        else begin
-          advance t ep peer;
-          if ep.expected > seq + 1 then released := true
-        end
-      end;
+      let seen_all = ref true in
+      List.iteri
+        (fun k payload -> if take (seq + k) payload then seen_all := false)
+        payloads;
+      if !seen_all then t.stats.dups_dropped <- t.stats.dups_dropped + 1;
       drain true
     | Some msg ->
       invalid_arg
@@ -227,21 +263,31 @@ let pump_endpoint t ep peer =
        ^ " message on a reliable link")
   in
   if drain false then begin
-    let held = add_seqs (List.sort (fun a b -> b - a) !fresh) ep.held in
-    ep.held <- (if !released then above (ep.expected - 1) held else held);
+    let runs = add_seqs (List.sort (fun a b -> b - a) !fresh) ep.buffered in
+    ep.buffered <- (if !released then above (ep.expected - 1) runs else runs);
     ep.ack_due <- true
-  end
+  end;
+  if ep.acked = ep.sent_upto - 1 then flush_held t ep
 
 (* A pump with no frame sent and no tick since the last one began would
    find both channels without a deliverable frame — each drain ended on
-   an empty receive, which draws nothing — so it is skipped. *)
-let pump t =
+   an empty receive, which draws nothing — so it is skipped. A pump that
+   released held payloads pumps again, so a run sent without delay is
+   drained at the tick it left, as every other frame is: drained at the
+   next tick, after its due acks left, its ack would return a tick late
+   and the frame be resent. *)
+let rec pump t =
   if t.dirty then begin
     t.dirty <- false;
     pump_endpoint t t.warehouse_end t.source_end;
-    pump_endpoint t t.source_end t.warehouse_end
+    pump_endpoint t t.source_end t.warehouse_end;
+    pump t
   end
 
+(* Nagle's rule on the logical clock: a payload sent while a frame of
+   its stream is unacknowledged is held, unless the link's channels
+   cannot delay a frame ([timeout = 1]), where holding only adds
+   latency. *)
 let send t dir msg =
   let ep = sender t dir in
   let seq = ep.next_seq in
@@ -253,15 +299,11 @@ let send t dir msg =
     ep.first_sent <- regrow ep.first_sent lo 0
   end;
   let i = seq land (Array.length ep.payloads - 1) in
-  let ack = take_ack ep in
-  let frame = Message.Data { seq; payload = msg; ack } in
-  let size = Message.byte_size frame in
   ep.next_seq <- seq + 1;
   ep.payloads.(i) <- msg;
-  ep.sizes.(i) <- size - Message.ack_size ack;
-  ep.last_sent.(i) <- t.now;
+  ep.sizes.(i) <- Message.byte_size msg;
   ep.first_sent.(i) <- t.now;
-  send_frame ~size t ep frame;
+  if ep.acked = ep.sent_upto - 1 || t.timeout = 1 then flush_held t ep;
   pump t
 
 let receive t dir =
@@ -272,43 +314,51 @@ let has_ready t dir =
   pump t;
   not (Queue.is_empty (receiver t dir).ready)
 
-(* The overdue holes — unacked seqs in no run, the runs all above [acked]
-   — in ascending seq, so the wire order of retransmissions ascends. Each
-   resent frame carries [ep]'s current ack, which answers a due one; an
-   end that has received nothing has nothing to acknowledge. *)
+(* The overdue holes — transmitted, unacked seqs in no run, the runs all
+   above [acked] — in ascending seq, so the wire order of
+   retransmissions ascends; each maximal run of consecutive ones is
+   resent as one frame. A resent frame carries [ep]'s ack only while one
+   is due: the ack changes only when data arrives, which makes it due,
+   so an ack that is not due has already left. [lo] is the first seq of
+   the run being gathered, or -1. *)
 let retransmit_due t ep =
   let mask = Array.length ep.payloads - 1 in
-  let rec go s = function
-    | (lo, hi) :: runs when lo = s -> go (hi + 1) runs
-    | runs when s < ep.next_seq ->
-      let i = s land mask in
-      if t.now - ep.last_sent.(i) >= t.timeout then begin
-        t.stats.retransmits <- t.stats.retransmits + 1;
-        ep.ack_due <- false;
-        let ack =
-          if ep.expected = 0 && ep.held = [] then None
-          else Some (ep.expected - 1, ep.held)
-        in
-        send_frame ~size:(ep.sizes.(i) + Message.ack_size ack) t ep
-          (Message.Data { seq = s; payload = ep.payloads.(i); ack });
-        ep.last_sent.(i) <- t.now
-      end;
-      go (s + 1) runs
-    | _ -> ()
+  let resend lo s =
+    if lo >= 0 then begin
+      t.stats.retransmits <- t.stats.retransmits + 1;
+      transmit_run t ep lo (s - 1) (take_ack ep)
+    end
   in
-  go (ep.acked + 1) (List.rev ep.sacked)
+  let rec go s lo = function
+    | _ when s >= ep.sent_upto -> resend lo s
+    | (lo', hi) :: runs when lo' = s ->
+      resend lo s;
+      go (hi + 1) (-1) runs
+    | runs ->
+      if t.now - ep.last_sent.(s land mask) >= t.timeout then
+        go (s + 1) (if lo >= 0 then lo else s) runs
+      else begin
+        resend lo s;
+        go (s + 1) (-1) runs
+      end
+  in
+  go (ep.acked + 1) (-1) (List.rev ep.sacked)
 
 let flush_ack t ep =
   take_ack ep |> Option.iter (fun (cum, sacks) ->
       send_frame t ep (Message.Ack { cum; sacks });
       t.stats.acks_sent <- t.stats.acks_sent + 1)
 
-(* Due acks leave, and arrive, before any frame is judged overdue. *)
+(* Held payloads leave first, so their frames carry the due acks; the
+   acks no data took leave alone; both arrive before any frame is judged
+   overdue. *)
 let tick t =
   t.now <- t.now + 1;
   t.dirty <- true;
   Channel.tick t.source_end.out_chan;
   Channel.tick t.warehouse_end.out_chan;
+  flush_held t t.source_end;
+  flush_held t t.warehouse_end;
   flush_ack t t.source_end;
   flush_ack t t.warehouse_end;
   pump t;
@@ -316,8 +366,9 @@ let tick t =
   retransmit_due t t.warehouse_end;
   pump t
 
+(* Held payloads are unacknowledged, so an end holding any is not idle. *)
 let endpoint_idle ep =
-  ep.acked = ep.next_seq - 1 && ep.held = [] && Queue.is_empty ep.ready
+  ep.acked = ep.next_seq - 1 && ep.buffered = [] && Queue.is_empty ep.ready
 
 let idle t =
   pump t;
@@ -325,5 +376,9 @@ let idle t =
   && Channel.is_empty t.warehouse_end.out_chan
   && endpoint_idle t.source_end
   && endpoint_idle t.warehouse_end
+
+let held t =
+  t.source_end.next_seq - t.source_end.sent_upto
+  + (t.warehouse_end.next_seq - t.warehouse_end.sent_upto)
 
 let stats t = t.stats

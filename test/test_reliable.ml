@@ -110,12 +110,16 @@ let long_chaos_backlog_drains_fifo () =
   (* Regression for the unacked queue's old list-append spelling: a long
      lossy run builds a deep retransmission backlog, and the queue must
      still drain in send order (the append was O(n²) and — worse — a
-     head-drop ack filter over a list is easy to get subtly wrong). *)
+     head-drop ack filter over a list is easy to get subtly wrong). The
+     clock moves every second send: a burst sent before it moves leaves
+     in two frames, the second holding all payloads sent behind the
+     first, and builds no backlog. *)
   let fault = M.Fault.make ~drop:0.3 ~duplicate:0.2 ~delay:3 ~reorder:true () in
   let net = M.Network.create ~fault ~seed:13 ~reliable:true () in
   let n = 400 in
   for i = 0 to n - 1 do
-    M.Network.send net M.Network.To_warehouse (payload i)
+    M.Network.send net M.Network.To_warehouse (payload i);
+    if i mod 2 = 1 then M.Network.tick net
   done;
   let wh, _ = drive net in
   Alcotest.(check (list int))
@@ -150,20 +154,48 @@ let twenty_k_chaos_backlog_drains_fifo () =
 (* Selective repeat resends only what was lost. The forward channel
    only drops — no duplication, delay or reorder — and acks return on a
    clean channel, so every frame that arrives is acknowledged, in a run
-   if not cumulatively, before the next tick: each retransmission
-   answers exactly one dropped transmission. Go-back-N fails this, as it
-   resends every unacked frame behind a hole. *)
+   if not cumulatively, before the next tick: at each tick the overdue
+   holes are exactly the payloads whose last transmission was dropped,
+   and each maximal run of consecutive ones is resent as one frame.
+   Go-back-N fails this, as it resends every unacked frame behind a
+   hole. Such a channel draws one float per transmission, below the drop
+   rate when it drops it, so a replay of its generator tells which
+   transmission was lost: [lost.(s)] is whether payload [s]'s last one
+   was. On this delay-free link every payload leaves at once, alone. *)
 let only_lost_frames_are_resent () =
   List.iter
     (fun seed ->
+      let drop = 0.3 in
       let to_warehouse =
-        M.Channel.create ~fault:(M.Fault.make ~drop:0.3 ()) ~seed "to-warehouse"
+        M.Channel.create ~fault:(M.Fault.make ~drop ()) ~seed "to-warehouse"
       and to_source = M.Channel.create "to-source" in
       let r = M.Reliable.create ~to_warehouse ~to_source in
       let n = 300 in
+      let replay = rng seed and lost = Array.make n false in
+      let runs = ref 0 and dropped = ref 0 in
+      let transmit () =
+        let l = Random.State.float replay 1.0 < drop in
+        if l then incr dropped;
+        l
+      in
+      let tick () =
+        M.Reliable.tick r;
+        let s = ref 0 in
+        while !s < n do
+          if lost.(!s) then begin
+            let lo = !s in
+            while !s < n && lost.(!s) do incr s done;
+            incr runs;
+            let l = transmit () in
+            Array.fill lost lo (!s - lo) l
+          end
+          else incr s
+        done
+      in
       for i = 0 to n - 1 do
         M.Reliable.send r M.Reliable.To_warehouse (payload i);
-        if i mod 7 = 6 then M.Reliable.tick r
+        lost.(i) <- transmit ();
+        if i mod 7 = 6 then tick ()
       done;
       let got = ref [] in
       let rec drain () =
@@ -173,7 +205,7 @@ let only_lost_frames_are_resent () =
           drain ()
         | None ->
           if not (M.Reliable.idle r) then begin
-            M.Reliable.tick r;
+            tick ();
             drain ()
           end
       in
@@ -185,9 +217,13 @@ let only_lost_frames_are_resent () =
         (List.rev !got);
       let s = M.Reliable.stats r in
       check_bool ("frames were lost" ^ cell) true (M.Channel.dropped to_warehouse > 0);
+      check_int ("the replay drops what the channel dropped" ^ cell)
+        (M.Channel.dropped to_warehouse) !dropped;
       check_int
-        ("one retransmission per dropped transmission" ^ cell)
-        (M.Channel.dropped to_warehouse) s.M.Reliable.retransmits;
+        ("one retransmission per run of lost payloads" ^ cell)
+        !runs s.M.Reliable.retransmits;
+      check_bool ("some runs held several payloads" ^ cell) true
+        (!runs < M.Channel.dropped to_warehouse);
       check_int ("no duplicate reached the receiver" ^ cell) 0
         s.M.Reliable.dups_dropped)
     [ 1; 2; 3; 11; 42 ]
@@ -218,16 +254,18 @@ let reliable_stream_prop =
 (* ------------------------------------------------------------------ *)
 
 (* The protocol in its most naive spelling, kept as a reference model: an
-   unacked list of payloads in send order, rebuilt by a map on every
-   retransmission pass — each resent frame built anew around the
-   sender's current ack, if it has received anything — and filtered by
-   every ack's runs, riding or alone, a seq-keyed table of
-   first-transmission ticks, an [Int] map as the reorder buffer whose
-   runs each ack recomputes anew, a flag for the ack a receiver owes —
-   taken by its next data frame or by a retransmission, or sent alone at
-   the next tick — a list queue of ready messages, and a pump that
-   drains both channels on every call. Its timeout is given, where the
-   link derives its own. *)
+   unacked list of transmitted payloads in send order, rebuilt by a map
+   on every retransmission pass and filtered by every ack's runs, riding
+   or alone; a list of held payloads, sent while a transmitted one was
+   unacked, that leaves as one frame when the unacked list empties in a
+   pump or at the next tick; a seq-keyed table of send ticks, an [Int]
+   map as the reorder buffer whose runs each ack recomputes anew, a flag
+   for the ack a receiver owes — taken by its next data frame, held run
+   or resent run, or sent alone at the next tick — a list queue of ready
+   messages, and a pump that drains both channels on every call. Its
+   timeout is given, where the link derives its own. With [~single],
+   every payload leaves at once in a frame of its own and every hole is
+   resent alone. *)
 module Ref_link = struct
   module Int_map = Map.Make (Int)
 
@@ -236,6 +274,7 @@ module Ref_link = struct
     in_chan : M.Channel.t;
     mutable next_seq : int;
     mutable unacked : (int * M.Message.t * int) list;
+    mutable held : (int * M.Message.t) list;
     first_sent : (int, int) Hashtbl.t;
     mutable expected : int;
     mutable buffer : M.Message.t Int_map.t;
@@ -247,6 +286,7 @@ module Ref_link = struct
     source_end : endpoint;
     warehouse_end : endpoint;
     timeout : int;
+    single : bool;
     mutable now : int;
     stats : M.Reliable.stats;
   }
@@ -257,6 +297,7 @@ module Ref_link = struct
       in_chan;
       next_seq = 0;
       unacked = [];
+      held = [];
       first_sent = Hashtbl.create 16;
       expected = 0;
       buffer = Int_map.empty;
@@ -264,11 +305,12 @@ module Ref_link = struct
       ready = R.Fqueue.empty;
     }
 
-  let create ~timeout ~to_warehouse ~to_source =
+  let create ?(single = false) ~timeout ~to_warehouse ~to_source () =
     {
       source_end = endpoint ~out_chan:to_warehouse ~in_chan:to_source;
       warehouse_end = endpoint ~out_chan:to_source ~in_chan:to_warehouse;
       timeout;
+      single;
       now = 0;
       stats =
         {
@@ -288,8 +330,6 @@ module Ref_link = struct
   let receiver t = function
     | M.Reliable.To_warehouse -> t.warehouse_end
     | M.Reliable.To_source -> t.source_end
-
-  let transmit ep frame = M.Channel.send ep.out_chan frame
 
   let rec advance t ep peer =
     match Int_map.find_opt ep.expected ep.buffer with
@@ -333,6 +373,21 @@ module Ref_link = struct
     end
     else None
 
+  (* One frame for a nonempty run of consecutive [(seq, payload)]. *)
+  let transmit ep run =
+    let ack = take_ack ep in
+    M.Channel.send ep.out_chan
+      (M.Message.Data
+         { seq = fst (List.hd run); payloads = List.map snd run; ack })
+
+  let flush_held t ep =
+    if ep.held <> [] then begin
+      transmit ep ep.held;
+      ep.unacked <-
+        ep.unacked @ List.map (fun (seq, msg) -> (seq, msg, t.now)) ep.held;
+      ep.held <- []
+    end
+
   let pump_endpoint t ep peer =
     let rec drain got_data =
       match M.Channel.receive ep.in_chan with
@@ -340,31 +395,44 @@ module Ref_link = struct
       | Some (M.Message.Ack { cum; sacks }) ->
         apply_ack ep (cum, sacks);
         drain got_data
-      | Some (M.Message.Data { seq; payload; ack }) ->
+      | Some (M.Message.Data { seq; payloads; ack }) ->
         Option.iter (apply_ack ep) ack;
-        if seq < ep.expected || Int_map.mem seq ep.buffer then
-          t.stats.dups_dropped <- t.stats.dups_dropped + 1
-        else begin
-          ep.buffer <- Int_map.add seq payload ep.buffer;
-          advance t ep peer
-        end;
+        let fresh =
+          List.filteri
+            (fun k payload ->
+              let s = seq + k in
+              if s < ep.expected || Int_map.mem s ep.buffer then false
+              else begin
+                ep.buffer <- Int_map.add s payload ep.buffer;
+                advance t ep peer;
+                true
+              end)
+            payloads
+        in
+        if fresh = [] then t.stats.dups_dropped <- t.stats.dups_dropped + 1;
         drain true
       | Some _ -> Alcotest.fail "unframed message on a reliable link"
     in
-    if drain false then ep.ack_due <- true
+    if drain false then ep.ack_due <- true;
+    if ep.unacked = [] && ep.held <> [] then begin
+      flush_held t ep;
+      true
+    end
+    else false
 
-  let pump t =
-    pump_endpoint t t.warehouse_end t.source_end;
-    pump_endpoint t t.source_end t.warehouse_end
+  (* Again while a pump released held payloads. *)
+  let rec pump t =
+    let wh = pump_endpoint t t.warehouse_end t.source_end in
+    let src = pump_endpoint t t.source_end t.warehouse_end in
+    if wh || src then pump t
 
   let send t dir msg =
     let ep = sender t dir in
     let seq = ep.next_seq in
     ep.next_seq <- seq + 1;
     Hashtbl.replace ep.first_sent seq t.now;
-    let frame = M.Message.Data { seq; payload = msg; ack = take_ack ep } in
-    ep.unacked <- ep.unacked @ [ (seq, msg, t.now) ];
-    transmit ep frame;
+    ep.held <- ep.held @ [ (seq, msg) ];
+    if t.single || ep.unacked = [] || t.timeout = 1 then flush_held t ep;
     pump t
 
   let receive t dir =
@@ -380,35 +448,47 @@ module Ref_link = struct
     pump t;
     not (R.Fqueue.is_empty (receiver t dir).ready)
 
-  (* Oldest to newest, so the wire order of retransmissions ascends. *)
+  (* The overdue entries, oldest to newest, so the wire order of
+     retransmissions ascends, cut into runs of consecutive seqs (one
+     entry each under [single]). *)
   let retransmit_due t ep =
+    let overdue (_, _, last_sent) = t.now - last_sent >= t.timeout in
+    let runs =
+      List.fold_left
+        (fun runs ((seq, msg, _) as entry) ->
+          if not (overdue entry) then [] :: runs
+          else
+            match runs with
+            | ((s, _) :: _ as run) :: runs when s = seq - 1 && not t.single ->
+              ((seq, msg) :: run) :: runs
+            | runs -> [ (seq, msg) ] :: runs)
+        [] ep.unacked
+      |> List.filter (( <> ) []) |> List.rev_map List.rev
+    in
+    List.iter
+      (fun run ->
+        t.stats.retransmits <- t.stats.retransmits + 1;
+        transmit ep run)
+      runs;
     ep.unacked <-
       List.map
-        (fun ((seq, payload, last_sent) as entry) ->
-          if t.now - last_sent >= t.timeout then begin
-            t.stats.retransmits <- t.stats.retransmits + 1;
-            ep.ack_due <- false;
-            let ack =
-              if ep.expected = 0 && Int_map.is_empty ep.buffer then None
-              else Some (ep.expected - 1, runs ep.buffer)
-            in
-            transmit ep (M.Message.Data { seq; payload; ack });
-            (seq, payload, t.now)
-          end
-          else entry)
+        (fun ((seq, payload, _) as entry) ->
+          if overdue entry then (seq, payload, t.now) else entry)
         ep.unacked
 
   let flush_ack t ep =
     match take_ack ep with
     | None -> ()
     | Some (cum, sacks) ->
-      transmit ep (M.Message.Ack { cum; sacks });
+      M.Channel.send ep.out_chan (M.Message.Ack { cum; sacks });
       t.stats.acks_sent <- t.stats.acks_sent + 1
 
   let tick t =
     t.now <- t.now + 1;
     M.Channel.tick t.source_end.out_chan;
     M.Channel.tick t.warehouse_end.out_chan;
+    flush_held t t.source_end;
+    flush_held t t.warehouse_end;
     flush_ack t t.source_end;
     flush_ack t t.warehouse_end;
     pump t;
@@ -417,7 +497,7 @@ module Ref_link = struct
     pump t
 
   let endpoint_idle ep =
-    ep.unacked = []
+    ep.unacked = [] && ep.held = []
     && Int_map.is_empty ep.buffer
     && R.Fqueue.is_empty ep.ready
 
@@ -531,9 +611,9 @@ let run_reliable faults seed ops =
         ~stats:(M.Reliable.stats r) ~to_warehouse ~to_source)
     ops
 
-let run_reference faults seed timeout ops =
+let run_reference ?single faults seed timeout ops =
   let to_warehouse, to_source = channels faults seed in
-  let r = Ref_link.create ~timeout ~to_warehouse ~to_source in
+  let r = Ref_link.create ?single ~timeout ~to_warehouse ~to_source () in
   List.map
     (fun op ->
       let got =
@@ -569,6 +649,45 @@ let reliable_matches_reference_prop =
       let ops = draw_ops st in
       run_reliable faults seed ops = run_reference faults seed timeout ops)
 
+(* Run the ops over a fresh link, then tick until both streams are
+   drained and the link is idle (at most [ticks] ticks): whether
+   [after_tick] held after every tick of the ops, and the payload ids
+   each receiver took, in order. *)
+let run_and_drain ?(after_tick = fun _ -> true) faults seed ops =
+  let to_warehouse, to_source = channels faults seed in
+  let r = M.Reliable.create ~to_warehouse ~to_source in
+  let wh = ref [] and src = ref [] and ok = ref true in
+  let take dir =
+    match M.Reliable.receive r dir with
+    | None -> false
+    | Some msg ->
+      let got = if dir = M.Reliable.To_warehouse then wh else src in
+      got := payload_id msg :: !got;
+      true
+  in
+  List.iter
+    (function
+      | `Send (dir, i) -> M.Reliable.send r dir (payload i)
+      | `Receive dir -> ignore (take dir)
+      | `Tick ->
+        M.Reliable.tick r;
+        ok := !ok && after_tick r)
+    ops;
+  let rec drain ticks =
+    if take M.Reliable.To_warehouse || take M.Reliable.To_source then
+      drain ticks
+    else if M.Reliable.idle r || ticks = 0 then ()
+    else begin
+      M.Reliable.tick r;
+      drain (ticks - 1)
+    end
+  in
+  drain 10_000;
+  (r, !ok, List.rev !wh, List.rev !src)
+
+let sent dir ops =
+  List.filter_map (function `Send (d, i) when d = dir -> Some i | _ -> None) ops
+
 (* The timer outlasts every round trip an unlost frame and its ack can
    take, so over channels that duplicate, delay and reorder but drop
    nothing no frame is ever resent — bursts included, whose acks wait
@@ -584,42 +703,103 @@ let drop_free_link_never_resends_prop =
       in
       let seed = Random.State.int st 10_000 in
       let ops = draw_ops st in
-      let to_warehouse, to_source = channels faults seed in
-      let r = M.Reliable.create ~to_warehouse ~to_source in
-      let wh = ref [] and src = ref [] in
-      let take dir =
-        match M.Reliable.receive r dir with
-        | None -> false
-        | Some msg ->
-          let got = if dir = M.Reliable.To_warehouse then wh else src in
-          got := payload_id msg :: !got;
-          true
+      let r, _, wh, src = run_and_drain faults seed ops in
+      (M.Reliable.stats r).M.Reliable.retransmits = 0
+      && wh = sent M.Reliable.To_warehouse ops
+      && src = sent M.Reliable.To_source ops
+      && M.Reliable.idle r)
+
+(* Payloads held behind an unacknowledged frame leave at the next tick
+   at the latest, and both streams still arrive exactly once, in order.
+   A third of the cases open with a burst of 300+ payloads behind a
+   first frame the channel drops: the first seed from the drawn one
+   whose first transmission is lost. *)
+let held_payloads_leave_by_next_tick_prop =
+  QCheck.Test.make
+    ~name:"held payloads leave by the next tick, streams stay exactly-once FIFO"
+    ~count:150
+    (QCheck.make ~print:string_of_int QCheck.Gen.(int_bound 100_000))
+    (fun case ->
+      let st = rng case in
+      let lost_first = Random.State.int st 3 = 0 in
+      let drop =
+        if lost_first then 0.2 +. Random.State.float st 0.4
+        else Random.State.float st 0.4
       in
-      List.iter
-        (function
-          | `Send (dir, i) -> M.Reliable.send r dir (payload i)
-          | `Receive dir -> ignore (take dir)
-          | `Tick -> M.Reliable.tick r)
-        ops;
-      let rec drain ticks =
-        if take M.Reliable.To_warehouse || take M.Reliable.To_source then
-          drain ticks
-        else if M.Reliable.idle r || ticks = 0 then ()
+      let faults = draw_faults st ~drop ~duplicate:(Random.State.float st 0.4) in
+      let seed = Random.State.int st 10_000 in
+      let ops = draw_ops st in
+      let seed, ops =
+        if not lost_first then (seed, ops)
         else begin
-          M.Reliable.tick r;
-          drain (ticks - 1)
+          let first_lost s =
+            let to_warehouse, to_source = channels faults s in
+            let r = M.Reliable.create ~to_warehouse ~to_source in
+            M.Reliable.send r M.Reliable.To_warehouse (payload (-1));
+            M.Channel.dropped to_warehouse = 1
+          in
+          let rec search s = if first_lost s then s else search (s + 1) in
+          let burst =
+            List.init
+              (301 + Random.State.int st 100)
+              (fun k -> `Send (M.Reliable.To_warehouse, -1 - k))
+          in
+          (search seed, burst @ ops)
         end
       in
-      drain 10_000;
-      let sent dir =
-        List.filter_map
-          (function `Send (d, i) when d = dir -> Some i | _ -> None)
+      let r, held_left, wh, src =
+        run_and_drain ~after_tick:(fun r -> M.Reliable.held r = 0) faults seed
           ops
       in
-      (M.Reliable.stats r).M.Reliable.retransmits = 0
-      && List.rev !wh = sent M.Reliable.To_warehouse
-      && List.rev !src = sent M.Reliable.To_source
+      held_left
+      && wh = sent M.Reliable.To_warehouse ops
+      && src = sent M.Reliable.To_source ops
       && M.Reliable.idle r)
+
+(* A link whose channels cannot delay a frame transmits every payload at
+   once, in a frame of its own: the frame sequence, and everything a
+   caller observes, is the single-payload reference's. With drops the
+   two differ by design, in the resends (runs against single holes), so
+   the lock-step comparison runs drop-free; every send is checked to
+   leave at once either way. *)
+let delay_free_link_sends_at_once_prop =
+  QCheck.Test.make
+    ~name:"a delay-free link sends at once, as a single-payload reference"
+    ~count:150
+    (QCheck.make ~print:string_of_int QCheck.Gen.(int_bound 100_000))
+    (fun case ->
+      let st = rng case in
+      let drop = if Random.State.bool st then 0.0 else Random.State.float st 0.4 in
+      let duplicate = Random.State.float st 0.4 in
+      let reorder = Random.State.bool st in
+      let fault = M.Fault.make ~drop ~duplicate ~delay:0 ~reorder () in
+      let faults = (fault, fault) in
+      let seed = Random.State.int st 10_000 in
+      let ops = draw_ops st in
+      let to_warehouse, to_source = channels faults seed in
+      let r = M.Reliable.create ~to_warehouse ~to_source in
+      let at_once =
+        List.for_all
+          (function
+            | `Send (dir, i) ->
+              let ch =
+                if dir = M.Reliable.To_warehouse then to_warehouse else to_source
+              in
+              let before = M.Channel.messages_sent ch in
+              M.Reliable.send r dir (payload i);
+              M.Channel.messages_sent ch > before && M.Reliable.held r = 0
+            | `Receive dir ->
+              ignore (M.Reliable.receive r dir);
+              true
+            | `Tick ->
+              M.Reliable.tick r;
+              true)
+          ops
+      in
+      at_once
+      && (drop > 0.0
+         || run_reliable faults seed ops
+            = run_reference ~single:true faults seed 1 ops))
 
 (* Acks ride on reverse data. Over clean channels, in a ping-pong
    exchange where each frame is answered before the clock moves, every
@@ -648,7 +828,7 @@ let acks_ride_on_reverse_data () =
       let ack = if k = 0 then None else Some (((k + 1) / 2) - 1, []) in
       check_int ("the frame's bytes carry its ack" ^ cell)
         (M.Message.byte_size
-           (M.Message.Data { seq = k / 2; payload = payload k; ack }))
+           (M.Message.Data { seq = k / 2; payloads = [ payload k ]; ack }))
         (M.Channel.bytes_sent chan - before);
       Alcotest.(check (option int))
         ("answered in order" ^ cell) (Some k)
@@ -664,7 +844,9 @@ let acks_ride_on_reverse_data () =
     check_bool ("one tick settles the link" ^ cell) true (M.Reliable.idle r);
     check_int ("nothing was resent" ^ cell) 0 s.retransmits
   done;
-  (* Stand-alone acks leave only on ticks, at most one per end. *)
+  (* Stand-alone acks leave only on ticks, at most one per end. The clock
+     moves every fourth send, so frames leave, and are lost, while the
+     sends go on. *)
   let to_warehouse, to_source =
     channels (Workload.Scenarios.chaos_profile, Workload.Scenarios.chaos_profile) 5
   in
@@ -672,7 +854,11 @@ let acks_ride_on_reverse_data () =
   let ticks = ref 0 in
   for i = 0 to 59 do
     M.Reliable.send r M.Reliable.To_warehouse (payload i);
-    if i mod 3 = 0 then M.Reliable.send r M.Reliable.To_source (payload i)
+    if i mod 3 = 0 then M.Reliable.send r M.Reliable.To_source (payload i);
+    if i mod 4 = 3 then begin
+      incr ticks;
+      M.Reliable.tick r
+    end
   done;
   let rec drain () =
     let got_wh = M.Reliable.receive r M.Reliable.To_warehouse in
@@ -734,9 +920,11 @@ let seeds = List.init 40 (fun i -> i)
    while the channel still kept its delayed frames in a sorted list and
    the receiver its reorder buffer in another; its delivery counters were
    re-recorded when selective acks replaced go-back-N, when acks began
-   to ride on reverse data frames, and when the retransmission timer
+   to ride on reverse data frames, when the retransmission timer
    became the channels' round trip and resent frames began to carry the
-   current ack. A change to an RNG
+   current ack, and when payloads queued behind an unacknowledged frame
+   began to leave together and overdue holes to be resent in runs. A
+   change to an RNG
    draw, a ready tick, a retransmission or an ack moves them.
    (Which of a pump's deliverable frames arrives first does not — the
    receiver drains them all before it acks — so the channel's pick order
@@ -763,14 +951,14 @@ let twenty_source_chaos_run_is_pinned () =
   Alcotest.(check (list (pair string int)))
     "delivery counters and trace length"
     [
-      ("ticks", 36);
-      ("wire_messages", 886);
-      ("retransmits", 96);
-      ("dups_dropped", 86);
-      ("acks", 155);
+      ("ticks", 26);
+      ("wire_messages", 271);
+      ("retransmits", 32);
+      ("dups_dropped", 40);
+      ("acks", 66);
       ("delivered", 492);
-      ("latency_total", 2540);
-      ("latency_max", 17);
+      ("latency_total", 1734);
+      ("latency_max", 12);
       ("trace_entries", 692);
     ]
     [
@@ -863,4 +1051,6 @@ let suite =
         reliable_stream_prop;
         reliable_matches_reference_prop;
         drop_free_link_never_resends_prop;
+        held_payloads_leave_by_next_tick_prop;
+        delay_free_link_sends_at_once_prop;
       ]
